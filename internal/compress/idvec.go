@@ -178,6 +178,33 @@ func (v *IDVec) Get(i int) uint64 {
 	return joinID(v.prefix, v.readSuffix(i), v.z)
 }
 
+// GetMany writes the ID at index idx[i] to out[i] for every i, decoding the
+// whole batch under one suffix-width dispatch. Every idx[i] must lie in
+// [0, Len()).
+func (v *IDVec) GetMany(idx []int, out []uint64) {
+	out = out[:len(idx)]
+	hi := joinID(v.prefix, 0, v.z)
+	s := v.suffixes
+	switch suffixBytes(v.z) {
+	case 1:
+		for i, j := range idx {
+			out[i] = hi | uint64(s[j])
+		}
+	case 2:
+		for i, j := range idx {
+			out[i] = hi | uint64(binary.BigEndian.Uint16(s[2*j:]))
+		}
+	case 4:
+		for i, j := range idx {
+			out[i] = hi | uint64(binary.BigEndian.Uint32(s[4*j:]))
+		}
+	default:
+		for i, j := range idx {
+			out[i] = hi | binary.BigEndian.Uint64(s[8*j:])
+		}
+	}
+}
+
 // Append adds id at the end. If id does not share the current prefix the
 // vector demotes to a narrower prefix first (the Appendix-A update rule).
 func (v *IDVec) Append(id uint64) {

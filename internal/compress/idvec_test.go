@@ -167,6 +167,33 @@ func TestUncompressed(t *testing.T) {
 	}
 }
 
+func TestGetManyMatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	// Spreads that leave 7, 6, 4 and 0 shared prefix bytes.
+	for _, spread := range []uint64{1 << 8, 1 << 16, 1 << 32, 0} {
+		ids := make([]uint64, 100)
+		for i := range ids {
+			ids[i] = 0x5A5A5A5A5A5A5A5A ^ rng.Uint64()
+			if spread != 0 {
+				ids[i] = 0x5A5A5A5A00000000 | rng.Uint64()%spread
+			}
+		}
+		for _, v := range []*IDVec{NewIDVec(ids), NewUncompressed(ids)} {
+			idx := make([]int, 300)
+			for i := range idx {
+				idx[i] = rng.Intn(len(ids))
+			}
+			out := make([]uint64, len(idx))
+			v.GetMany(idx, out)
+			for i, j := range idx {
+				if out[i] != v.Get(j) {
+					t.Fatalf("z=%d GetMany[%d] (index %d) = %#x, Get gives %#x", v.Z(), i, j, out[i], v.Get(j))
+				}
+			}
+		}
+	}
+}
+
 func TestCompressionSavings(t *testing.T) {
 	// 256 clustered IDs: compressed ~ 1+7+256 bytes vs 2048 raw.
 	ids := make([]uint64, 256)

@@ -26,6 +26,7 @@ import (
 
 	"platod2gl/internal/compress"
 	"platod2gl/internal/cstable"
+	"platod2gl/internal/fenwick"
 )
 
 // DefaultCapacity is the paper's default samtree node size (2^8, Sec. VII-A).
@@ -508,15 +509,89 @@ func (t *Tree) removeRight(parent *node, li int, merged *node) {
 	parent.counts = parent.counts[:len(parent.counts)-1]
 }
 
-// SampleOne draws one neighbor with probability proportional to its edge
-// weight: one ITS search per internal level, one FTS search at the leaf
-// (Sec. V-C). Returns false on an empty tree.
-func (t *Tree) SampleOne(rng *rand.Rand) (uint64, bool) {
+// SampleBatch is the most draws one lockstep leaf search takes. Callers that
+// keep their draw buffers on the stack, like AppendSamples, size them by it.
+const SampleBatch = 32
+
+// SampleMany draws len(us) neighbors with replacement, each with probability
+// proportional to its edge weight: us[i] is a uniform variate in [0, 1) and
+// out[i] receives the neighbor it selects. us is overwritten. Returns false,
+// leaving out untouched, on an empty tree.
+//
+// The tree's total weight is read once for the whole call. Each draw then
+// takes one ITS search per internal level down to its leaf, and the leaf
+// searches of up to SampleBatch draws run as one lockstep FTS search
+// (Sec. V-C). When the root is itself the leaf, the batch shares one table
+// and its IDs are decoded in one pass.
+func (t *Tree) SampleMany(us []float64, out []uint64) bool {
 	if t.size == 0 {
-		return 0, false
+		return false
 	}
-	r := rng.Float64() * t.root.total()
-	n := t.root
+	out = out[:len(us)]
+	total := t.root.total()
+	for len(us) > 0 {
+		c := min(len(us), SampleBatch)
+		t.sampleBatch(us[:c], total, out[:c])
+		us, out = us[c:], out[c:]
+	}
+	return true
+}
+
+// sampleBatch draws len(rs) <= SampleBatch neighbors into out. The FSTable
+// searches are called on the concrete type: a slice passed through an
+// interface method escapes to the heap, and the draw buffers live on the
+// sampling caller's stack.
+func (t *Tree) sampleBatch(rs []float64, total float64, out []uint64) {
+	var posBuf [SampleBatch]int
+	pos := posBuf[:len(rs)]
+	for i := range rs {
+		rs[i] *= total
+	}
+	if root := t.root; root.isLeaf() && t.opt.LeafTable == LeafFTS {
+		root.fs.(*fenwick.FSTable).SampleMany(rs, pos)
+		root.ids.GetMany(pos, out)
+		return
+	}
+	t.sampleEachLeaf(rs, pos, out)
+}
+
+// sampleEachLeaf is sampleBatch when the draws may end in different leaves:
+// each draw descends to its own leaf, then the leaf searches run together.
+// CSTable leaves (the ITS ablation) are searched one draw at a time.
+func (t *Tree) sampleEachLeaf(rs []float64, pos []int, out []uint64) {
+	var leafBuf [SampleBatch]*node
+	leaves := leafBuf[:len(rs)]
+	for i, r := range rs {
+		leaves[i], rs[i] = t.root.descendWeighted(r)
+	}
+	if t.opt.LeafTable == LeafFTS {
+		var tableBuf [SampleBatch]*fenwick.FSTable
+		tables := tableBuf[:len(rs)]
+		for i, n := range leaves {
+			tables[i] = n.fs.(*fenwick.FSTable)
+		}
+		fenwick.SampleEach(tables, rs, pos)
+	} else {
+		for i, n := range leaves {
+			pos[i] = n.fs.Sample(rs[i])
+		}
+	}
+	for i, n := range leaves {
+		out[i] = n.ids.Get(pos[i])
+	}
+}
+
+// sampleOne returns the neighbor that u, a uniform variate in [0, 1),
+// selects: the one-draw case of sampleBatch, without its batch buffers.
+func (t *Tree) sampleOne(u float64) uint64 {
+	leaf, r := t.root.descendWeighted(u * t.root.total())
+	return leaf.ids.Get(leaf.fs.Sample(r))
+}
+
+// descendWeighted walks from n to the leaf that r, a point in
+// [0, n.total()), falls in — one ITS search per internal level — and returns
+// the leaf with r's offset inside it.
+func (n *node) descendWeighted(r float64) (*node, float64) {
 	for !n.isLeaf() {
 		i := n.cs.Sample(r)
 		if i > 0 {
@@ -524,8 +599,16 @@ func (t *Tree) SampleOne(rng *rand.Rand) (uint64, bool) {
 		}
 		n = n.children[i]
 	}
-	idx := n.fs.Sample(r)
-	return n.ids.Get(idx), true
+	return n, r
+}
+
+// SampleOne draws one neighbor with probability proportional to its edge
+// weight. Returns false on an empty tree.
+func (t *Tree) SampleOne(rng *rand.Rand) (uint64, bool) {
+	if t.size == 0 {
+		return 0, false
+	}
+	return t.sampleOne(rng.Float64()), true
 }
 
 // SampleN draws k neighbors with replacement into dst (allocated if nil).
@@ -533,10 +616,33 @@ func (t *Tree) SampleN(rng *rand.Rand, k int, dst []uint64) []uint64 {
 	if dst == nil {
 		dst = make([]uint64, 0, k)
 	}
-	for i := 0; i < k; i++ {
-		if v, ok := t.SampleOne(rng); ok {
-			dst = append(dst, v)
+	return AppendSamples(t, rng, k, dst)
+}
+
+// AppendSamples draws k neighbors of t with replacement, weighted by edge
+// weight, and appends them to dst. It consumes exactly k rng.Float64 values
+// in order, the i-th selecting the i-th neighbor appended, or none when t is
+// empty.
+func AppendSamples[T ~uint64](t *Tree, rng *rand.Rand, k int, dst []T) []T {
+	if t.size == 0 {
+		return dst
+	}
+	if k == 1 {
+		// Random walks and rejection loops draw one at a time.
+		return append(dst, T(t.sampleOne(rng.Float64())))
+	}
+	var us [SampleBatch]float64
+	var ids [SampleBatch]uint64
+	for k > 0 {
+		c := min(k, SampleBatch)
+		for i := range us[:c] {
+			us[i] = rng.Float64()
 		}
+		t.SampleMany(us[:c], ids[:c])
+		for _, id := range ids[:c] {
+			dst = append(dst, T(id))
+		}
+		k -= c
 	}
 	return dst
 }

@@ -13,10 +13,7 @@
 // that only touch suffixes.
 package cstable
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // CSTable is a strict prefix-sum table. The zero value is an empty table
 // ready to use. Not safe for concurrent mutation.
@@ -129,11 +126,16 @@ func (t *CSTable) Sample(r float64) int {
 	if n == 0 {
 		return -1
 	}
-	i := sort.Search(n, func(j int) bool { return t.c[j] > r })
-	if i == n {
-		i = n - 1
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.c[mid] > r {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
-	return i
+	return min(lo, n-1)
 }
 
 // Weights reconstructs the raw weight array in O(n).

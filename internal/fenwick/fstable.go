@@ -17,7 +17,11 @@
 // structure costs exactly one float64 per neighbor, like a plain weight list.
 package fenwick
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // FSTable is a Fenwick-tree sum table over a sequence of non-negative edge
 // weights. The zero value is an empty table ready to use.
@@ -133,44 +137,105 @@ func (t *FSTable) Delete(i int) {
 	t.f = t.f[:n-1]
 }
 
-// Sample performs the FTS range-narrow search (Algorithm 5): it returns the
-// smallest index p such that the strict prefix sum through p exceeds r.
-// r must lie in [0, Total()); values at or beyond Total() clamp to the last
-// index. Sampling with r drawn uniformly from [0, Total()) selects index i
-// with probability weight(i)/Total(). Returns -1 on an empty table.
+// Sample performs the FTS search (Algorithm 5): it returns the smallest index
+// p such that the strict prefix sum through p exceeds r. r must lie in
+// [0, Total()); values at or beyond Total() clamp to the last index. Sampling
+// with r drawn uniformly from [0, Total()) selects index i with probability
+// weight(i)/Total(). Returns -1 on an empty table. O(log n).
+func (t *FSTable) Sample(r float64) int {
+	rs := [1]float64{r}
+	var out [1]int
+	t.SampleMany(rs[:], out[:])
+	return out[0]
+}
+
+// SampleMany runs the Sample search for every rs[i], writing its index to
+// out[i]. rs is overwritten with the residuals the search leaves behind.
 //
 // The search walks a virtual complete binary tree of size 2^m >= n: by the
-// sub-tree-sum property (Theorem 4), the midpoint entry of any power-of-two
-// aligned range holds exactly the total weight of the range's left half, so
-// each comparison either descends left or subtracts F[mid] and descends
-// right. O(log n).
-func (t *FSTable) Sample(r float64) int {
-	n := len(t.f)
+// sub-tree-sum property (Theorem 4), the entry F[p+s-1] at the midpoint of an
+// aligned range [p, p+2s) holds exactly the total weight of the range's left
+// half [p, p+s), so each level either keeps p or subtracts F[p+s-1] and
+// advances p by s (searchStep). All draws advance one level at a time, so
+// their independent load-compare-subtract chains overlap.
+func (t *FSTable) SampleMany(rs []float64, out []int) {
+	f := t.f
+	n := len(f)
+	out = out[:len(rs)]
 	if n == 0 {
-		return -1
-	}
-	m := 1
-	for m < n {
-		m <<= 1
-	}
-	left, right := 0, m-1
-	for left < right {
-		mid := (left + right) / 2
-		if mid >= n {
-			right = mid
-			continue
+		for i := range out {
+			out[i] = -1
 		}
-		if t.f[mid] > r {
-			right = mid
-		} else {
-			r -= t.f[mid]
-			left = mid + 1
+		return
+	}
+	for i := range out {
+		out[i] = 0
+	}
+	for step := firstStep(n); step > 0; step >>= 1 {
+		for i, p := range out {
+			out[i], rs[i] = searchStep(f, p, step, rs[i])
 		}
 	}
-	if left >= n {
-		left = n - 1
+	// p reaches n only when r >= Total().
+	for i, p := range out {
+		out[i] = min(p, n-1)
 	}
-	return left
+}
+
+// SampleEach is SampleMany with draw i searching its own table ts[i]: the
+// draws still advance level by level together, so draws that land in
+// different samtree leaves overlap their searches. Every table must be
+// non-empty.
+func SampleEach(ts []*FSTable, rs []float64, out []int) {
+	out = out[:len(ts)]
+	rs = rs[:len(ts)]
+	top := 0
+	for i, t := range ts {
+		top = max(top, firstStep(len(t.f)))
+		out[i] = 0
+	}
+	for step := top; step > 0; step >>= 1 {
+		for i, t := range ts {
+			out[i], rs[i] = searchStep(t.f, out[i], step, rs[i])
+		}
+	}
+	for i, t := range ts {
+		out[i] = min(out[i], len(t.f)-1)
+	}
+}
+
+// searchStep takes one level of the Sample search in f: from position p with
+// residual r, it advances p by step, subtracting F[p+step-1], when that entry
+// is covered by r. Whether to advance is computed as a 0/1 value rather than
+// branched on, since the comparison is a coin flip the branch predictor
+// cannot learn. Besides next <= len(f), advancing needs step < len(f), which
+// holds from f's own first step down, so a table with fewer levels than
+// SampleEach's largest sits the extra levels out; max folds the two bounds
+// into one comparison, which keeps searchStep small enough to inline.
+func searchStep(f []float64, p, step int, r float64) (int, float64) {
+	next := p + step
+	v := f[min(next, len(f))-1]
+	take := b2i(max(next, step+1) <= len(f)) & b2i(v <= r)
+	return p + step*take, r - masked(v, take)
+}
+
+// firstStep is the search's first step for n entries: half the smallest
+// power of two >= n, the midpoint of Algorithm 5's first range.
+func firstStep(n int) int { return 1 << bits.Len(uint(n-1)) >> 1 }
+
+// b2i converts a comparison to 0 or 1 without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// masked returns v when take is 1 and +0 when it is 0. Masking v's bits keeps
+// an integer-to-float conversion and a multiply off the residual's
+// dependency chain, which is what a single draw waits on at every level.
+func masked(v float64, take int) float64 {
+	return math.Float64frombits(math.Float64bits(v) & -uint64(take))
 }
 
 // Weights reconstructs the raw weight array in O(n) total: every index is

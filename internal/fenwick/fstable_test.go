@@ -1,6 +1,7 @@
 package fenwick
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -232,6 +233,146 @@ func TestSampleMatchesNaiveRandom(t *testing.T) {
 	}
 }
 
+// rangeNarrowSample is the FTS search as Algorithm 5 states it, a
+// left/right range narrowed over the virtual complete tree of size 2^m >= n.
+// SampleMany must pick exactly the index it picks for every r.
+func rangeNarrowSample(f []float64, r float64) int {
+	n := len(f)
+	if n == 0 {
+		return -1
+	}
+	m := 1
+	for m < n {
+		m <<= 1
+	}
+	left, right := 0, m-1
+	for left < right {
+		mid := (left + right) / 2
+		if mid >= n {
+			right = mid
+			continue
+		}
+		if f[mid] > r {
+			right = mid
+		} else {
+			r -= f[mid]
+			left = mid + 1
+		}
+	}
+	if left >= n {
+		left = n - 1
+	}
+	return left
+}
+
+// checkAgainstRangeNarrow requires Sample, SampleMany and, on a non-empty
+// table, SampleEach to return the reference index for every r in rs.
+// SampleEach runs each r twice, once on f and once on a two-entry table
+// beside it, so f's search also runs next to a table with a different number
+// of levels.
+func checkAgainstRangeNarrow(t *testing.T, f *FSTable, rs []float64) {
+	t.Helper()
+	out := make([]int, len(rs))
+	f.SampleMany(append([]float64(nil), rs...), out)
+	pair := New([]float64{1, 1})
+	var ts []*FSTable
+	var eachRs []float64
+	if f.Len() > 0 {
+		for _, r := range rs {
+			ts = append(ts, f, pair)
+			eachRs = append(eachRs, r, r)
+		}
+	}
+	each := make([]int, len(ts))
+	SampleEach(ts, append([]float64(nil), eachRs...), each)
+	for i, r := range rs {
+		want := rangeNarrowSample(f.f, r)
+		if got := f.Sample(r); got != want {
+			t.Fatalf("n=%d Sample(%v) = %d, range-narrow search gives %d", f.Len(), r, got, want)
+		}
+		if out[i] != want {
+			t.Fatalf("n=%d SampleMany draw %d (r=%v) = %d, range-narrow search gives %d", f.Len(), i, r, out[i], want)
+		}
+	}
+	for i, r := range eachRs {
+		if want := rangeNarrowSample(ts[i].f, r); each[i] != want {
+			t.Fatalf("n=%d SampleEach draw %d (r=%v) = %d, range-narrow search gives %d", ts[i].Len(), i, r, each[i], want)
+		}
+	}
+}
+
+func TestSampleManyMatchesRangeNarrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for n := 0; n <= 300; n++ {
+		weights := make([]float64, n)
+		for i := range weights {
+			switch rng.Intn(5) {
+			case 0:
+				weights[i] = 0
+			case 1:
+				weights[i] = float64(rng.Intn(4)) // exact small integers: ties at range edges
+			default:
+				weights[i] = rng.Float64() * 3
+			}
+		}
+		f := New(weights)
+		total := f.Total()
+		rs := []float64{0, math.Nextafter(total, 0), total, total + 1, 2 * total}
+		for j := 0; j < 64; j++ {
+			rs = append(rs, rng.Float64()*total)
+		}
+		for j := 0; j < n; j++ {
+			rs = append(rs, f.Prefix(j)) // r exactly on a prefix boundary
+		}
+		checkAgainstRangeNarrow(t, f, rs)
+	}
+	// All-zero weights: every r clamps the same way in both searches.
+	checkAgainstRangeNarrow(t, New(make([]float64, 37)), []float64{0, 1})
+}
+
+// TestSampleEachMixedTables batches draws over tables of every size up to
+// 300, a third of their weights zero, so residuals meet trailing zero
+// weights and rounding at the clamp edge.
+func TestSampleEachMixedTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var tables []*FSTable
+	for n := 1; n <= 300; n++ {
+		weights := make([]float64, n)
+		for i := range weights {
+			weights[i] = float64(rng.Intn(3)) * rng.Float64()
+		}
+		tables = append(tables, New(weights))
+	}
+	for trial := 0; trial < 500; trial++ {
+		k := 1 + rng.Intn(40)
+		ts := make([]*FSTable, k)
+		rs := make([]float64, k)
+		for i := range ts {
+			ts[i] = tables[rng.Intn(len(tables))]
+			total := ts[i].Total()
+			switch rng.Intn(4) {
+			case 0:
+				rs[i] = total // the clamp case
+			case 1:
+				rs[i] = ts[i].Prefix(rng.Intn(ts[i].Len()))
+			default:
+				rs[i] = rng.Float64() * total
+			}
+		}
+		out := make([]int, k)
+		SampleEach(ts, append([]float64(nil), rs...), out)
+		for i, r := range rs {
+			want := rangeNarrowSample(ts[i].f, r)
+			if out[i] != want {
+				t.Fatalf("trial %d: draw %d on n=%d (r=%v) = %d, range-narrow search gives %d", trial, i, ts[i].Len(), r, out[i], want)
+			}
+			if got := ts[i].Sample(r); got != want {
+				t.Fatalf("trial %d: n=%d Sample(%v) = %d, range-narrow search gives %d", trial, ts[i].Len(), r, got, want)
+			}
+		}
+	}
+}
+
 func TestSampleDistribution(t *testing.T) {
 	// Chi-square goodness of fit: sampled frequencies should follow the
 	// weight distribution.
@@ -445,5 +586,31 @@ func BenchmarkSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Sample(rng.Float64() * total)
+	}
+}
+
+// BenchmarkSampleMany draws in batches of 32, the chunk the storage layer
+// hands down per seed, over a table the size of a full default leaf (256)
+// and a large one.
+func BenchmarkSampleMany(b *testing.B) {
+	for _, n := range []int{256, 1 << 12} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			f := NewWithCapacity(n)
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < n; i++ {
+				f.Append(rng.Float64() + 0.1)
+			}
+			total := f.Total()
+			var rs [32]float64
+			var out [32]int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range rs {
+					rs[j] = rng.Float64() * total
+				}
+				f.SampleMany(rs[:], out[:])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rs)), "ns/draw")
+		})
 	}
 }

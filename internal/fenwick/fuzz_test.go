@@ -55,5 +55,13 @@ func FuzzOps(f *testing.F) {
 			}
 			prev = p
 		}
+		// The batched search must pick what the range-narrow search picks,
+		// inside the table's weight range and at and past its end.
+		total := fs.Total()
+		rs := []float64{0, math.Nextafter(total, 0), total, total + 1}
+		for _, b := range tape {
+			rs = append(rs, float64(b)/255*total)
+		}
+		checkAgainstRangeNarrow(t, fs, rs)
 	})
 }

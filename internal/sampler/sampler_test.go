@@ -191,6 +191,43 @@ func BenchmarkNeighborSamplingBatch1024(b *testing.B) {
 	}
 }
 
+// BenchmarkRandomWalk times weighted random-walk steps, each one
+// single-draw SampleNeighbors call, over 720k weighted edges on 100k
+// vertices. Every vertex has an out-edge; the rest go to Zipf-chosen hubs
+// whose trees are taller than one leaf. Walks move to uniform destinations,
+// so most steps land in a tree that is out of cache.
+func BenchmarkRandomWalk(b *testing.B) {
+	const vertices, edges, walkLen = 100_000, 720_000, 16
+	st := storage.NewDynamicStore(storage.Options{Tree: core.Options{Compress: true}})
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, vertices-1)
+	events := make([]graph.Event, 0, 8192)
+	for i := 0; i < edges; i++ {
+		src := uint64(i)
+		if i >= vertices {
+			src = zipf.Uint64()
+		}
+		events = append(events, graph.Event{Kind: graph.AddEdge, Edge: graph.Edge{
+			Src: graph.VertexID(src), Dst: graph.VertexID(rng.Intn(vertices)),
+			Weight: 1 + rng.Float64(),
+		}})
+		if len(events) == cap(events) || i == edges-1 {
+			st.ApplyBatch(events)
+			events = events[:0]
+		}
+	}
+	seeds := make([]graph.VertexID, 1024)
+	for i := range seeds {
+		seeds[i] = graph.VertexID(rng.Intn(vertices))
+	}
+	s := New(st, Options{Seed: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.RandomWalk(seeds, 0, walkLen)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(seeds)*walkLen), "ns/step")
+}
+
 func TestSampleNeighborsUniformIgnoresWeights(t *testing.T) {
 	st := storage.NewDynamicStore(storage.Options{})
 	st.AddEdge(graph.Edge{Src: 1, Dst: 10, Weight: 1000})

@@ -25,7 +25,7 @@ type Metrics struct {
 
 	InsertLatency obs.Histogram // nanoseconds per AddEdge
 	DeleteLatency obs.Histogram // nanoseconds per DeleteEdge
-	SampleLatency obs.Histogram // nanoseconds per k-sample call (FTS/ITS descent)
+	SampleLatency obs.Histogram // nanoseconds per k-draw sampling call, not per draw
 	BatchLatency  obs.Histogram // nanoseconds per ApplyBatch (all workers)
 }
 
@@ -86,7 +86,7 @@ func (m *Metrics) Register(r *obs.Registry) {
 	r.RegisterHistogram("platod2gl_storage_delete_latency_seconds",
 		"Samtree single-edge delete latency.", nil, 1e-9, &m.DeleteLatency)
 	r.RegisterHistogram("platod2gl_storage_sample_latency_seconds",
-		"Per-call neighbor-sampling latency (k draws, FTS/ITS descent).", nil, 1e-9, &m.SampleLatency)
+		"Neighbor-sampling latency per k-draw call (all k draws, not one).", nil, 1e-9, &m.SampleLatency)
 	r.RegisterHistogram("platod2gl_storage_batch_latency_seconds",
 		"PALM batch application latency (all workers).", nil, 1e-9, &m.BatchLatency)
 }

@@ -91,20 +91,14 @@ func (cr *crcReader) ReadByte() (byte, error) {
 func (s *DynamicStore) Save(w io.Writer) error {
 	cw := &crcWriter{w: w}
 	enc := gob.NewEncoder(cw)
-	s.relsMu.RLock()
-	types := make([]graph.EdgeType, 0, len(s.rels))
-	for et := range s.rels {
-		types = append(types, et)
-	}
-	s.relsMu.RUnlock()
-	if err := enc.Encode(snapHeader{Magic: snapshotMagic, Version: snapshotVersion, NumRelations: len(types)}); err != nil {
+	rels := s.relations()
+	if err := enc.Encode(snapHeader{Magic: snapshotMagic, Version: snapshotVersion, NumRelations: len(rels)}); err != nil {
 		return fmt.Errorf("storage: encode header: %w", err)
 	}
-	for _, et := range types {
-		r := s.rel(et, false)
+	for _, r := range rels {
 		srcs := r.trees.Keys()
-		if err := enc.Encode(snapRelation{Type: et, NumSources: len(srcs)}); err != nil {
-			return fmt.Errorf("storage: encode relation %d: %w", et, err)
+		if err := enc.Encode(snapRelation{Type: r.et, NumSources: len(srcs)}); err != nil {
+			return fmt.Errorf("storage: encode relation %d: %w", r.et, err)
 		}
 		for _, src := range srcs {
 			ent, _ := r.trees.Get(src)

@@ -11,7 +11,6 @@ package storage
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -80,14 +79,17 @@ type treeEntry struct {
 
 // relation is the per-edge-type topology: source vertex → samtree.
 type relation struct {
+	et    graph.EdgeType
 	trees *cuckoo.Map[*treeEntry]
 }
 
 // DynamicStore is the PlatoD2GL topology store.
 type DynamicStore struct {
-	opt      Options
-	relsMu   sync.RWMutex
-	rels     map[graph.EdgeType]*relation
+	opt Options
+	// rels holds one relation per edge type. Readers load it without a
+	// lock; relsMu only serializes relation creation against Reset.
+	rels     [256]atomic.Pointer[relation]
+	relsMu   sync.Mutex
 	numEdges atomic.Int64
 }
 
@@ -95,7 +97,7 @@ var _ TopologyStore = (*DynamicStore)(nil)
 
 // NewDynamicStore returns an empty store.
 func NewDynamicStore(opt Options) *DynamicStore {
-	return &DynamicStore{opt: opt, rels: make(map[graph.EdgeType]*relation)}
+	return &DynamicStore{opt: opt}
 }
 
 // Reset drops every relation and zeroes the edge count, returning the store
@@ -106,7 +108,9 @@ func NewDynamicStore(opt Options) *DynamicStore {
 // updates during Reset are lost or land in the fresh state unpredictably.
 func (s *DynamicStore) Reset() {
 	s.relsMu.Lock()
-	s.rels = make(map[graph.EdgeType]*relation)
+	for i := range s.rels {
+		s.rels[i].Store(nil)
+	}
 	s.relsMu.Unlock()
 	s.numEdges.Store(0)
 }
@@ -123,19 +127,28 @@ func (s *DynamicStore) Name() string {
 func (s *DynamicStore) Counters() *core.Counters { return s.opt.Tree.Counters }
 
 func (s *DynamicStore) rel(et graph.EdgeType, create bool) *relation {
-	s.relsMu.RLock()
-	r := s.rels[et]
-	s.relsMu.RUnlock()
-	if r != nil || !create {
+	if r := s.rels[et].Load(); r != nil || !create {
 		return r
 	}
 	s.relsMu.Lock()
 	defer s.relsMu.Unlock()
-	if r = s.rels[et]; r == nil {
-		r = &relation{trees: cuckoo.New[*treeEntry]()}
-		s.rels[et] = r
+	r := s.rels[et].Load()
+	if r == nil {
+		r = &relation{et: et, trees: cuckoo.New[*treeEntry]()}
+		s.rels[et].Store(r)
 	}
 	return r
+}
+
+// relations lists the relations present, ordered by edge type.
+func (s *DynamicStore) relations() []*relation {
+	var out []*relation
+	for i := range s.rels {
+		if r := s.rels[i].Load(); r != nil {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func (s *DynamicStore) entry(src graph.VertexID, et graph.EdgeType, create bool) *treeEntry {
@@ -221,7 +234,8 @@ func (s *DynamicStore) Degree(src graph.VertexID, et graph.EdgeType) int {
 }
 
 // SampleNeighbors implements TopologyStore: the combined ITS-over-internal /
-// FTS-at-leaf descent of Sec. V-C, k times with replacement.
+// FTS-at-leaf descent of Sec. V-C, k times with replacement, batched so the
+// tree total and the leaf search are shared by up to core.SampleBatch draws.
 func (s *DynamicStore) SampleNeighbors(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID {
 	start := s.opt.Metrics.startTimer()
 	ent := s.entry(src, et, false)
@@ -229,11 +243,7 @@ func (s *DynamicStore) SampleNeighbors(src graph.VertexID, et graph.EdgeType, k 
 		return dst
 	}
 	ent.mu.RLock()
-	for i := 0; i < k; i++ {
-		if v, ok := ent.tree.SampleOne(rng); ok {
-			dst = append(dst, graph.VertexID(v))
-		}
-	}
+	dst = core.AppendSamples(ent.tree, rng, k, dst)
 	ent.mu.RUnlock()
 	s.opt.Metrics.observeSample(start)
 	return dst
@@ -348,13 +358,7 @@ func (s *DynamicStore) NumEdges() int64 { return s.numEdges.Load() }
 // MemoryBytes implements TopologyStore: the cuckoo index plus every samtree.
 func (s *DynamicStore) MemoryBytes() int64 {
 	var total int64
-	s.relsMu.RLock()
-	rels := make([]*relation, 0, len(s.rels))
-	for _, r := range s.rels {
-		rels = append(rels, r)
-	}
-	s.relsMu.RUnlock()
-	for _, r := range rels {
+	for _, r := range s.relations() {
 		total += r.trees.MemoryBytes(8) // 8-byte tree pointer per slot
 		r.trees.Range(func(_ uint64, ent *treeEntry) bool {
 			ent.mu.RLock()
@@ -418,16 +422,10 @@ func (s *DynamicStore) RelationStats(et graph.EdgeType) RelationStats {
 // AllStats summarizes every relation present in the store, ordered by edge
 // type.
 func (s *DynamicStore) AllStats() []RelationStats {
-	s.relsMu.RLock()
-	types := make([]graph.EdgeType, 0, len(s.rels))
-	for et := range s.rels {
-		types = append(types, et)
-	}
-	s.relsMu.RUnlock()
-	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-	out := make([]RelationStats, 0, len(types))
-	for _, et := range types {
-		out = append(out, s.RelationStats(et))
+	rels := s.relations()
+	out := make([]RelationStats, 0, len(rels))
+	for _, r := range rels {
+		out = append(out, s.RelationStats(r.et))
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -120,6 +122,38 @@ func TestSampleNeighborsDistribution(t *testing.T) {
 	// Unknown source: no samples.
 	if out := s.SampleNeighbors(12345, 0, 5, rng, nil); len(out) != 0 {
 		t.Fatalf("sampled from unknown source: %v", out)
+	}
+}
+
+func TestSampleNeighborsConsumesKFloat64s(t *testing.T) {
+	s := newStore() // capacity 16: degree 5 is one leaf, degree 200 a taller tree
+	for i := 0; i < 200; i++ {
+		if i < 5 {
+			s.AddEdge(graph.Edge{Src: 1, Dst: graph.VertexID(i), Weight: float64(i + 1)})
+		}
+		s.AddEdge(graph.Edge{Src: 2, Dst: graph.VertexID(i), Weight: float64(i%7 + 1)})
+	}
+	s.AddEdge(graph.Edge{Src: 3, Dst: 1, Weight: 1})
+	s.DeleteEdge(3, 1, 0) // source 3 keeps an empty tree
+	for _, src := range []graph.VertexID{1, 2, 3} {
+		for _, k := range []int{1, 10, 33, 64} {
+			rng := rand.New(rand.NewSource(int64(k)))
+			twin := rand.New(rand.NewSource(int64(k)))
+			got := s.SampleNeighbors(src, 0, k, rng, nil)
+			want := k
+			if src == 3 {
+				want = 0
+			}
+			if len(got) != want {
+				t.Fatalf("src %v k=%d: %d samples, want %d", src, k, len(got), want)
+			}
+			for i := 0; i < want; i++ {
+				twin.Float64()
+			}
+			if a, b := rng.Int63(), twin.Int63(); a != b {
+				t.Fatalf("src %v k=%d: SampleNeighbors did not consume exactly %d Float64 values", src, k, want)
+			}
+		}
 	}
 }
 
@@ -278,5 +312,89 @@ func TestRelationStats(t *testing.T) {
 	}
 	if empty := s.RelationStats(9); empty.Sources != 0 {
 		t.Fatalf("unknown relation stats = %+v", empty)
+	}
+}
+
+// TestConcurrentRelationTable creates relations and finally resets the store
+// while readers sample, list, measure and snapshot it; run under -race.
+func TestConcurrentRelationTable(t *testing.T) {
+	s := newStore()
+	const types = 24
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		rng := rand.New(rand.NewSource(1))
+		for et := 0; et < types; et++ {
+			batch := make([]graph.Event, 64)
+			for i := range batch {
+				batch[i] = graph.Event{Kind: graph.AddEdge, Edge: graph.Edge{
+					Src: graph.VertexID(rng.Intn(8)), Dst: graph.VertexID(rng.Intn(100)),
+					Type: graph.EdgeType(et * 10), Weight: rng.Float64() + 0.1,
+				}}
+			}
+			s.ApplyBatch(batch)
+		}
+		if got := len(s.AllStats()); got != types {
+			t.Errorf("%d relations after the writer finished, want %d", got, types)
+		}
+		s.Reset()
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(10 + g)))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				et := graph.EdgeType(rng.Intn(types) * 10)
+				for _, v := range s.SampleNeighbors(graph.VertexID(rng.Intn(8)), et, 5, rng, nil) {
+					if v >= 100 {
+						t.Errorf("sampled unknown neighbor %v", v)
+					}
+				}
+				switch i % 3 {
+				case 0:
+					s.Sources(et)
+				case 1:
+					s.MemoryBytes()
+				case 2:
+					if err := s.Save(io.Discard); err != nil {
+						t.Errorf("Save: %v", err)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s.NumEdges() != 0 || len(s.AllStats()) != 0 || s.Sources(0) != nil {
+		t.Fatalf("store not empty after Reset: %d edges, %d relations", s.NumEdges(), len(s.AllStats()))
+	}
+}
+
+// BenchmarkSampleNeighbors times SampleNeighbors with fan-out 10 from one
+// source of each degree and reports the cost per draw.
+func BenchmarkSampleNeighbors(b *testing.B) {
+	for _, degree := range []int{8, 44, 256, 4096} {
+		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {
+			const k = 10
+			s := NewDynamicStore(Options{Tree: core.Options{Compress: true}})
+			rng := rand.New(rand.NewSource(1))
+			for s.Degree(1, 0) < degree {
+				s.AddEdge(graph.Edge{Src: 1, Dst: graph.MakeVertexID(1, uint64(rng.Intn(1<<20))), Weight: rng.Float64() + 0.1})
+			}
+			dst := make([]graph.VertexID, 0, k)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = s.SampleNeighbors(1, 0, k, rng, dst[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/draw")
+		})
 	}
 }
