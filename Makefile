@@ -84,9 +84,9 @@ fuzz-smoke: build
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Codec micro-benchmarks: gob vs wire encode/decode with B/op + allocs/op.
-# The same comparison feeds BENCH_<rev>.json via the perf experiment's
-# codec_* metrics; this target is the interactive form.
+# Codec micro-benchmarks: wire encode/decode with B/op + allocs/op. The
+# same measurements feed BENCH_<rev>.json via the perf experiment's codec_*
+# metrics; this target is the interactive form.
 bench-codec: build
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec' -benchmem ./internal/cluster/
 

@@ -162,7 +162,6 @@ func main() {
 		timeout  = flag.Duration("call-timeout", 5*time.Second, "per-RPC-attempt timeout (0 = none)")
 		retries  = flag.Int("retries", 4, "retry attempts per failed call (batches are at-most-once)")
 		replicas = flag.Int("replicas", 1, "replica-group size R; servers are grouped in consecutive runs of R")
-		protocol = flag.String("protocol", "auto", "RPC codec: auto (wire with per-peer gob fallback), wire, gob")
 		qps      = flag.Int("qps", 0, "open-loop offered load in batches/sec, not waiting for completions (0 = closed loop)")
 		budget   = flag.Duration("call-budget", 0, "end-to-end deadline per batch, propagated to servers as remaining budget (0 = none)")
 		inflight = flag.Int("max-outstanding", 256, "open-loop cap on concurrently in-flight batches; beyond it offered batches are dropped client-side")
@@ -196,16 +195,6 @@ func main() {
 		opts.MaxRetries = *retries
 		opts.Replicas = *replicas
 		opts.Metrics = metrics
-		switch *protocol {
-		case "auto":
-			opts.Protocol = cluster.ProtoAuto
-		case "wire":
-			opts.Protocol = cluster.ProtoWire
-		case "gob":
-			opts.Protocol = cluster.ProtoGob
-		default:
-			log.Fatalf("unknown -protocol %q (auto, wire, gob)", *protocol)
-		}
 		var err error
 		client, err = cluster.Dial(addrs, opts)
 		if err != nil {

@@ -1,6 +1,6 @@
 // Command platod2gl-server runs one PlatoD2GL graph server: a samtree-backed
-// dynamic topology store plus an attribute store, served over net/rpc. A
-// cluster is N of these processes; clients partition sources across them
+// dynamic topology store plus an attribute store, served over the binary
+// wire protocol (internal/wire). A cluster is N of these processes; clients partition sources across them
 // hash-by-source (see internal/cluster).
 //
 // Usage:

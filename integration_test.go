@@ -2,7 +2,6 @@ package platod2gl_test
 
 import (
 	"bufio"
-	"net/rpc"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -121,6 +120,16 @@ func startServer(t *testing.T, bin string, extraArgs ...string) (string, *exec.C
 	}
 }
 
+// dialServer connects a fault-tolerant client to one running server.
+func dialServer(t *testing.T, addr string) *cluster.Client {
+	t.Helper()
+	c, err := cluster.Dial([]string{addr}, cluster.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestEndToEndProcesses runs the real binaries: a graph server with
 // snapshotting, the load generator pushing a dataset over TCP, a direct RPC
 // sanity check, then a SIGTERM + restart to verify the snapshot restores
@@ -148,11 +157,7 @@ func TestEndToEndProcesses(t *testing.T) {
 	}
 
 	// Direct RPC: confirm the server holds edges.
-	conn, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := cluster.NewClient([]*rpc.Client{conn})
+	client := dialServer(t, addr)
 	stats, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -180,12 +185,8 @@ func TestEndToEndProcesses(t *testing.T) {
 	// Restart from the snapshot and verify the edge count survived.
 	addr2, srv2 := startServer(t, serverBin, "-snapshot", snap)
 	defer srv2.Process.Kill()
-	conn2, err := rpc.Dial("tcp", addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	client2 := cluster.NewClient([]*rpc.Client{conn2})
+	client2 := dialServer(t, addr2)
+	defer client2.Close()
 	stats2, err := client2.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -245,11 +246,7 @@ func TestWALCrashRecovery(t *testing.T) {
 	if out, err := lg.CombinedOutput(); err != nil {
 		t.Fatalf("loadgen: %v\n%s", err, out)
 	}
-	conn, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := cluster.NewClient([]*rpc.Client{conn})
+	client := dialServer(t, addr)
 	stats, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -265,12 +262,8 @@ func TestWALCrashRecovery(t *testing.T) {
 
 	addr2, srv2 := startServer(t, serverBin, "-wal", wal)
 	defer srv2.Process.Kill()
-	conn2, err := rpc.Dial("tcp", addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	client2 := cluster.NewClient([]*rpc.Client{conn2})
+	client2 := dialServer(t, addr2)
+	defer client2.Close()
 	stats2, err := client2.Stats()
 	if err != nil {
 		t.Fatal(err)

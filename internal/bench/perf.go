@@ -66,13 +66,10 @@ func RunPerf(cfg Config) PerfResult {
 }
 
 // perfRPC measures remote sampling throughput through an in-process cluster
-// under both RPC codecs — the binary wire protocol and the legacy gob
-// fallback — at a pinned workload size. One round is one training-loop
-// remote sampling step: a seed-batch neighbor fan-out followed by the
-// feature fetch for every sampled neighbor (what Trainer.SampleBatch does
-// against a cluster view). The wire/gob pair gates codec regressions from
-// either direction; rpc_wire_speedup is the headline ratio (informational:
-// it moves when either side does).
+// over the binary wire protocol at a pinned workload size. One round is one
+// training-loop remote sampling step: a seed-batch neighbor fan-out followed
+// by the feature fetch for every sampled neighbor (what Trainer.SampleBatch
+// does against a cluster view).
 func perfRPC(cfg Config, out map[string]float64) {
 	const (
 		servers   = 4
@@ -82,113 +79,98 @@ func perfRPC(cfg Config, out map[string]float64) {
 		featDim   = 64
 		rounds    = 30
 	)
-	run := func(proto cluster.Protocol) (perSec, payloadAvg float64) {
-		srvM := &cluster.Metrics{}
-		opts := cluster.DefaultOptions()
-		opts.Protocol = proto
-		lc := cluster.NewLocalClusterOptions(servers, cluster.LocalOptions{
-			ServiceFactory: func(int) *cluster.Service {
-				svc := cluster.NewService(storage.NewDynamicStore(storage.Options{
-					Tree: core.Options{Compress: true}, Workers: cfg.Workers}), kvstore.New())
-				svc.SetMetrics(srvM)
-				return svc
-			},
-			Client: opts,
-		})
-		defer lc.Shutdown()
-		client := lc.Client()
+	srvM := &cluster.Metrics{}
+	lc := cluster.NewLocalClusterOptions(servers, cluster.LocalOptions{
+		ServiceFactory: func(int) *cluster.Service {
+			svc := cluster.NewService(storage.NewDynamicStore(storage.Options{
+				Tree: core.Options{Compress: true}, Workers: cfg.Workers}), kvstore.New())
+			svc.SetMetrics(srvM)
+			return svc
+		},
+		Client: cluster.DefaultOptions(),
+	})
+	defer lc.Shutdown()
+	client := lc.Client()
 
-		spec := WeChatScaled(rpcEdges)
-		gen := dataset.NewGenerator(spec, dataset.BuildMix, cfg.Seed)
-		remaining := int64(rpcEdges)
-		for remaining > 0 {
-			b := int64(cfg.BatchSize)
-			if b > remaining {
-				b = remaining
-			}
-			if err := client.ApplyBatch(gen.Next(int(b))); err != nil {
-				panic(fmt.Sprintf("bench: perfRPC ingest: %v", err))
-			}
-			remaining -= b
+	spec := WeChatScaled(rpcEdges)
+	gen := dataset.NewGenerator(spec, dataset.BuildMix, cfg.Seed)
+	remaining := int64(rpcEdges)
+	for remaining > 0 {
+		b := int64(cfg.BatchSize)
+		if b > remaining {
+			b = remaining
 		}
-		probe := dataset.NewGenerator(spec, dataset.BuildMix, cfg.Seed)
-		seeds := make([]graph.VertexID, seedBatch)
-		events := probe.Next(seedBatch)
-		for i := range seeds {
-			seeds[i] = events[i].Edge.Src
+		if err := client.ApplyBatch(gen.Next(int(b))); err != nil {
+			panic(fmt.Sprintf("bench: perfRPC ingest: %v", err))
 		}
-		// Populate real feature rows for every node the measured rounds will
-		// touch (sampling is seeded, so a warmup pass visits the same
-		// frontier). Unpopulated features would come back as all-zero rows,
-		// which gob run-length-compresses — not representative of trained
-		// embeddings.
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		frontier := map[graph.VertexID]bool{}
-		for _, s := range seeds {
-			frontier[s] = true
-		}
-		for r := 0; r < rounds; r++ {
-			neigh, err := client.SampleNeighbors(seeds, 0, fanout, cfg.Seed+int64(r))
-			if err != nil {
-				panic(fmt.Sprintf("bench: perfRPC warmup: %v", err))
-			}
-			for _, n := range neigh {
-				frontier[n] = true
-			}
-		}
-		const setChunk = 4096
-		nodes := make([]graph.VertexID, 0, len(frontier))
-		for n := range frontier {
-			nodes = append(nodes, n)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		for lo := 0; lo < len(nodes); lo += setChunk {
-			hi := lo + setChunk
-			if hi > len(nodes) {
-				hi = len(nodes)
-			}
-			chunk := nodes[lo:hi]
-			data := make([]float32, len(chunk)*featDim)
-			for i := range data {
-				data[i] = rng.Float32()
-			}
-			if err := client.SetFeatures(chunk, featDim, data, nil); err != nil {
-				panic(fmt.Sprintf("bench: perfRPC set features: %v", err))
-			}
-		}
-		// (Warmup SampleNeighbors calls repeat the measured rounds exactly, so
-		// they do not skew the per-call payload average.)
-
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			neigh, err := client.SampleNeighbors(seeds, 0, fanout, cfg.Seed+int64(r))
-			if err != nil {
-				panic(fmt.Sprintf("bench: perfRPC sample: %v", err))
-			}
-			if _, err := client.Features(neigh, featDim); err != nil {
-				panic(fmt.Sprintf("bench: perfRPC features: %v", err))
-			}
-		}
-		perSec = rate(rounds*seedBatch, time.Since(start))
-		var sum, count int64
-		for _, method := range []string{"SampleNeighbors", "Features"} {
-			s := srvM.PayloadBytes.With(method).Snapshot()
-			sum += s.Sum
-			count += s.Count
-		}
-		if count > 0 {
-			payloadAvg = float64(sum) / float64(count)
-		}
-		return perSec, payloadAvg
+		remaining -= b
 	}
-	wirePS, wireBytes := run(cluster.ProtoWire)
-	gobPS, gobBytes := run(cluster.ProtoGob)
-	out["rpc_sample_wire_per_sec"] = wirePS
-	out["rpc_sample_gob_per_sec"] = gobPS
-	out["rpc_sample_wire_payload_bytes"] = wireBytes
-	out["rpc_sample_gob_payload_bytes"] = gobBytes
-	if gobPS > 0 {
-		out["rpc_wire_speedup"] = wirePS / gobPS
+	probe := dataset.NewGenerator(spec, dataset.BuildMix, cfg.Seed)
+	seeds := make([]graph.VertexID, seedBatch)
+	events := probe.Next(seedBatch)
+	for i := range seeds {
+		seeds[i] = events[i].Edge.Src
+	}
+	// Populate real feature rows for every node the measured rounds will
+	// touch (sampling is seeded, so a warmup pass visits the same
+	// frontier). Unpopulated features would come back as all-zero rows —
+	// not representative of trained embeddings.
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	frontier := map[graph.VertexID]bool{}
+	for _, s := range seeds {
+		frontier[s] = true
+	}
+	for r := 0; r < rounds; r++ {
+		neigh, err := client.SampleNeighbors(seeds, 0, fanout, cfg.Seed+int64(r))
+		if err != nil {
+			panic(fmt.Sprintf("bench: perfRPC warmup: %v", err))
+		}
+		for _, n := range neigh {
+			frontier[n] = true
+		}
+	}
+	const setChunk = 4096
+	nodes := make([]graph.VertexID, 0, len(frontier))
+	for n := range frontier {
+		nodes = append(nodes, n)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	for lo := 0; lo < len(nodes); lo += setChunk {
+		hi := lo + setChunk
+		if hi > len(nodes) {
+			hi = len(nodes)
+		}
+		chunk := nodes[lo:hi]
+		data := make([]float32, len(chunk)*featDim)
+		for i := range data {
+			data[i] = rng.Float32()
+		}
+		if err := client.SetFeatures(chunk, featDim, data, nil); err != nil {
+			panic(fmt.Sprintf("bench: perfRPC set features: %v", err))
+		}
+	}
+	// (Warmup SampleNeighbors calls repeat the measured rounds exactly, so
+	// they do not skew the per-call payload average.)
+
+	start := time.Now()
+	for r := 0; r < rounds; r++ {
+		neigh, err := client.SampleNeighbors(seeds, 0, fanout, cfg.Seed+int64(r))
+		if err != nil {
+			panic(fmt.Sprintf("bench: perfRPC sample: %v", err))
+		}
+		if _, err := client.Features(neigh, featDim); err != nil {
+			panic(fmt.Sprintf("bench: perfRPC features: %v", err))
+		}
+	}
+	out["rpc_sample_wire_per_sec"] = rate(rounds*seedBatch, time.Since(start))
+	var sum, count int64
+	for _, method := range []string{"SampleNeighbors", "Features"} {
+		s := srvM.PayloadBytes.With(method).Snapshot()
+		sum += s.Sum
+		count += s.Count
+	}
+	if count > 0 {
+		out["rpc_sample_wire_payload_bytes"] = float64(sum) / float64(count)
 	}
 }
 

@@ -97,7 +97,7 @@ func (e *OverloadedError) Error() string {
 }
 
 // IsOverloaded reports whether err is a shed response — typed locally or
-// carried across either transport as an rpc.ServerError string.
+// carried across the wire as an rpc.ServerError string.
 func IsOverloaded(err error) bool {
 	if err == nil {
 		return false

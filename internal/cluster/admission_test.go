@@ -54,7 +54,7 @@ func TestPriorityStringAndContext(t *testing.T) {
 
 // TestOverloadedErrorRoundTrip: the typed error and its rpc.ServerError wire
 // form must classify identically and both carry the retry-after hint —
-// that is what keeps a shed from tripping breakers on either transport.
+// that is what keeps a shed from tripping breakers after it crosses the wire.
 func TestOverloadedErrorRoundTrip(t *testing.T) {
 	oe := &OverloadedError{Method: "SampleNeighbors", Priority: PriorityPrefetch, RetryAfter: 42 * time.Millisecond}
 	if !IsOverloaded(oe) {
@@ -66,7 +66,7 @@ func TestOverloadedErrorRoundTrip(t *testing.T) {
 	if got := OverloadRetryAfter(oe); got != 42*time.Millisecond {
 		t.Errorf("OverloadRetryAfter(typed) = %v, want 42ms", got)
 	}
-	// The form the error takes after crossing either transport.
+	// The form the error takes after crossing the wire.
 	se := rpc.ServerError(oe.Error())
 	if !IsOverloaded(se) {
 		t.Errorf("IsOverloaded(rpc.ServerError %q) = false", se)

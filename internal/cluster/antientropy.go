@@ -271,7 +271,7 @@ type PeerDigest struct {
 	Digest DigestReply
 }
 
-// RoundReport is one scrub round's outcome, gob-encodable for the Scrub RPC.
+// RoundReport is one scrub round's outcome, carried by the Scrub RPC.
 type RoundReport struct {
 	DurationNanos int64
 	Local         DigestReply

@@ -358,9 +358,9 @@ func TestScrubberStartStop(t *testing.T) {
 	}
 }
 
-func TestRoundReportGobEncodable(t *testing.T) {
-	// The Scrub RPC ships RoundReport over net/rpc gob; a field that gob
-	// cannot encode would break the verify verb at runtime.
+func TestRoundReportWireRoundTrip(t *testing.T) {
+	// The Scrub RPC ships RoundReport over the wire codec; a field the codec
+	// drops would break the verify verb at runtime.
 	lc := NewLocalClusterOptions(1, LocalOptions{
 		Client: Options{CallTimeout: 2 * time.Second, Seed: 1},
 		ServiceFactory: func(i int) *Service {

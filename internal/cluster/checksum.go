@@ -1,5 +1,5 @@
-// End-to-end payload checksums for the hot RPC surface. gob and TCP each
-// have their own framing checks, but neither protects against corruption
+// End-to-end payload checksums for the hot RPC surface. The wire framing
+// and TCP each have their own checks, but neither protects against corruption
 // that happens before encoding or after decoding (a flipped bit in a
 // buffer, a bad NIC offload, a heap error) — and a corrupted topology batch
 // silently poisons training. Every bulk payload (ApplyBatch events,

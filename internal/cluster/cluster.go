@@ -5,8 +5,9 @@
 // AliGraph), plus a fan-out client that partitions update batches and
 // reassembles sampling results.
 //
-// Transport is net/rpc over any net.Conn: TCP for the standalone server
-// binary, in-memory pipes for tests and single-process clusters — the
+// The RPCs travel over the binary wire protocol (internal/wire, see
+// transport.go and dispatch.go) on any net.Conn: TCP for the standalone
+// server binary, in-memory pipes for tests and single-process clusters — the
 // paper's cluster of 54 storage servers is simulated as N in-process servers
 // (see DESIGN.md, substitutions).
 //
@@ -33,7 +34,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/rpc"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,7 +46,8 @@ import (
 	"platod2gl/internal/wire"
 )
 
-// ServiceName is the registered RPC receiver name.
+// ServiceName prefixes every method name ("PlatoD2GL.Stats") — the form the
+// call sites use and the wire method table resolves.
 const ServiceName = "PlatoD2GL"
 
 // BatchArgs carries a topology update batch. ClientID and Seq identify the
@@ -237,9 +238,8 @@ func (s *Service) Pause() (resume func()) {
 	return func() { once.Do(s.pauseMu.Unlock) }
 }
 
-// guard converts a handler panic into an RPC error so one poisoned request
-// cannot kill the connection goroutine (and with it every multiplexed
-// in-flight call on that conn).
+// guard converts a handler panic into an RPC error naming the method, so one
+// poisoned request fails alone instead of killing its connection.
 func guard(method string, err *error) {
 	if r := recover(); r != nil {
 		*err = fmt.Errorf("cluster: %s: recovered panic: %v", method, r)
@@ -459,34 +459,32 @@ func (s *Service) Stats(_ *StatsArgs, reply *StatsReply) (err error) {
 	return nil
 }
 
-// Server serves the RPC service over accepted connections, speaking either
-// the binary wire protocol or legacy net/rpc gob per connection — the codec
-// is sniffed from the first bytes (see dispatch.go). Wire connections pass
-// through the admission gate (see admission.go); gob connections bypass it —
-// a legacy peer negotiated down to exactly today's behavior.
+// Server serves the RPC service over accepted connections in the binary
+// wire protocol (see dispatch.go). Every request passes through the
+// admission gate (see admission.go) except the control-plane methods
+// exempt from it.
 type Server struct {
-	rpcServer *rpc.Server
-	svc       *Service
-	admit     *admissionGate
-	limits    ServerLimits
-	maxWire   atomic.Uint32 // negotiation cap; 0 = wire.Version
-	conns     atomic.Int64  // live sniffed-or-serving connections
-	hsSem     chan struct{} // in-flight handshake tokens; nil = unlimited
+	svc     *Service
+	admit   *admissionGate
+	limits  ServerLimits
+	maxWire atomic.Uint32 // negotiation cap; 0 = wire.Version
+	conns   atomic.Int64  // live handshaking-or-serving connections
+	hsSem   chan struct{} // in-flight handshake tokens; nil = unlimited
 }
 
 // ServerLimits bounds the server's accept-side resources. Connections past
 // MaxConns, and connections that cannot get a handshake token when
-// MaxHandshakes are already sniffing/negotiating, are closed immediately —
+// MaxHandshakes are already negotiating, are closed immediately —
 // a clean refusal the client sees as a dial/handshake failure — instead of
 // each occupying a goroutine forever. The zero value disables all caps
 // (in-process pipe clusters want that).
 type ServerLimits struct {
 	// MaxConns caps concurrently served connections. <= 0: unlimited.
 	MaxConns int
-	// MaxHandshakes caps connections simultaneously inside the
-	// sniff/handshake phase. <= 0: unlimited.
+	// MaxHandshakes caps connections simultaneously inside the handshake
+	// phase. <= 0: unlimited.
 	MaxHandshakes int
-	// HandshakeTimeout bounds the sniff + version negotiation of one fresh
+	// HandshakeTimeout bounds the hello + version negotiation of one fresh
 	// connection, so a peer that connects and goes silent cannot pin a
 	// handshake token. <= 0: no deadline.
 	HandshakeTimeout time.Duration
@@ -497,16 +495,10 @@ func DefaultServerLimits() ServerLimits {
 	return ServerLimits{MaxConns: 1024, MaxHandshakes: 128, HandshakeTimeout: 5 * time.Second}
 }
 
-// NewServer registers the service. The admission gate starts at
-// DefaultAdmission; accept-side limits start disabled (SetLimits).
+// NewServer serves svc. The admission gate starts at DefaultAdmission;
+// accept-side limits start disabled (SetLimits).
 func NewServer(svc *Service) *Server {
-	rs := rpc.NewServer()
-	if err := rs.RegisterName(ServiceName, svc); err != nil {
-		panic(fmt.Sprintf("cluster: register: %v", err))
-	}
-	s := &Server{rpcServer: rs, svc: svc}
-	s.admit = newAdmissionGate(DefaultAdmission(), svc.metrics)
-	return s
+	return &Server{svc: svc, admit: newAdmissionGate(DefaultAdmission(), svc.metrics)}
 }
 
 // SetAdmission replaces the admission gate's configuration.
@@ -574,7 +566,7 @@ func (s *Server) Serve(lis net.Listener) {
 	}
 }
 
-// ServeConn serves a single connection (blocking), sniffing the codec.
+// ServeConn serves a single connection (blocking).
 func (s *Server) ServeConn(conn net.Conn) { s.serveConn(conn) }
 
 // ShardError is one shard's failure inside a degraded fan-out.
@@ -650,21 +642,16 @@ func newClientID(rng *rand.Rand) uint64 {
 	}
 }
 
-// NewClient wraps established per-server RPC connections with legacy
-// semantics: no timeouts, no retries, no redial. Prefer Dial or
-// NewClientOptions for fault tolerance.
-func NewClient(peers []*rpc.Client) *Client {
-	return NewClientOptions(peers, nil, Options{})
-}
-
-// NewClientOptions builds a fault-tolerant client from established
-// connections plus optional per-peer dialers for reconnection. conns[i] may
-// be nil when dialers[i] can establish the connection lazily; dialers may be
-// nil (no redial) or hold nil entries. With Options.Replicas = R > 1 the
-// peer list must be grouped consecutively by shard — shard s's replicas at
-// indices [s*R, (s+1)*R) — and its length must be a multiple of R.
-func NewClientOptions(conns []*rpc.Client, dialers []Dialer, opts Options) *Client {
-	n := len(conns)
+// NewClientOptions builds a fault-tolerant client over per-peer dialers.
+// Connections are made lazily on first use and redialed when they die.
+// transports holds connections Dial has already handshaked; callers outside
+// the package pass nil. transports[i] may be nil, and dialers may hold nil
+// entries (a peer with no dialer is never redialed). With Options.Replicas =
+// R > 1 the peer list must be grouped consecutively by shard — shard s's
+// replicas at indices [s*R, (s+1)*R) — and its length must be a multiple of
+// R.
+func NewClientOptions(transports []*wireTransport, dialers []Dialer, opts Options) *Client {
+	n := len(transports)
 	if n == 0 {
 		n = len(dialers)
 	}
@@ -694,9 +681,8 @@ func NewClientOptions(conns []*rpc.Client, dialers []Dialer, opts Options) *Clie
 			idx: i, shard: i / r, replica: i % r,
 			br: newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, c.metrics),
 		}
-		if i < len(conns) && conns[i] != nil {
-			// Pre-established rpc.Clients are by construction gob sessions.
-			p.tc = &gobTransport{rc: conns[i], m: c.metrics}
+		if i < len(transports) {
+			p.tc = transports[i]
 		}
 		if i < len(dialers) {
 			p.dial = dialers[i]
@@ -725,11 +711,11 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 		return nil, fmt.Errorf("cluster: %d addresses not divisible into replica groups of %d", len(addrs), r)
 	}
 	if opts.Metrics == nil {
-		// Allocate before the eager dials so handshake/negotiation metrics
-		// from them land in the same Metrics the client will use.
+		// Allocate before the eager dials so handshake metrics from them
+		// land in the same Metrics the client will use.
 		opts.Metrics = &Metrics{}
 	}
-	fail := func(transports []Transport, err error) (*Client, error) {
+	fail := func(transports []*wireTransport, err error) (*Client, error) {
 		for _, t := range transports {
 			if t != nil {
 				t.Close()
@@ -737,11 +723,11 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 		}
 		return nil, err
 	}
-	transports := make([]Transport, len(addrs))
+	transports := make([]*wireTransport, len(addrs))
 	dialers := make([]Dialer, len(addrs))
 	for i, addr := range addrs {
 		dialers[i] = TCPDialer(addr, opts.CallTimeout)
-		t, err := dialTransport(dialers[i], opts.Protocol, opts.CallTimeout, opts.Metrics, opts.MaxWireVersion)
+		t, err := dialTransport(dialers[i], opts.CallTimeout, opts.Metrics, opts.MaxWireVersion)
 		if err != nil {
 			if r == 1 {
 				return fail(transports, fmt.Errorf("cluster: dial %s: %w", addr, err))
@@ -761,12 +747,7 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 			return fail(transports, fmt.Errorf("cluster: no live replica for shard %d (%v)", s, addrs[s*r:(s+1)*r]))
 		}
 	}
-	c := NewClientOptions(nil, dialers, opts)
-	for i, t := range transports {
-		if t != nil {
-			c.peers[i].tc = t
-		}
-	}
+	c := NewClientOptions(transports, dialers, opts)
 	c.SetPeerAddrs(addrs)
 	// Routing handshake: learn the cluster's shard map (if it has one) and
 	// fail fast on a torn or stale map instead of silently mis-routing.
@@ -973,7 +954,7 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 			continue
 		}
 		if !degraded {
-			c.recycleSampleScratch(scratch)
+			sampleScratchPool.Put(scratch)
 			return nil, nil, err
 		}
 		report.Errors = append(report.Errors, ShardError{Shard: p, Err: err})
@@ -989,7 +970,7 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 			}
 		}
 	}
-	c.recycleSampleScratch(scratch)
+	sampleScratchPool.Put(scratch)
 	return out, report, nil
 }
 
@@ -1047,7 +1028,7 @@ func (c *Client) DegreeCtx(ctx context.Context, nodes []graph.VertexID, et graph
 		}
 		return nil
 	})
-	c.recycleFanoutScratch(scratch)
+	fanoutScratchPool.Put(scratch)
 	return out, err
 }
 
@@ -1161,7 +1142,7 @@ func (c *Client) featuresLabels(ctx context.Context, nodes []graph.VertexID, dim
 		}
 		return nil
 	})
-	c.recycleFanoutScratch(scratch)
+	fanoutScratchPool.Put(scratch)
 	return out, labels, err
 }
 

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"net"
-	"net/rpc"
 	"testing"
 
 	"platod2gl/internal/core"
@@ -302,22 +300,13 @@ func TestDistributedTrainingDataPath(t *testing.T) {
 func TestServerFailureSurfacesError(t *testing.T) {
 	// Kill one of three servers mid-session: calls routed to it must fail
 	// loudly rather than silently dropping data.
-	peers := make([]*rpc.Client, 3)
-	var conns []net.Conn
-	for i := 0; i < 3; i++ {
-		store := storage.NewDynamicStore(storage.Options{})
-		srv := NewServer(NewService(store, kvstore.New()))
-		cliConn, srvConn := net.Pipe()
-		go srv.ServeConn(srvConn)
-		peers[i] = rpc.NewClient(cliConn)
-		conns = append(conns, cliConn, srvConn)
-	}
-	client := NewClient(peers)
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
+	lc := NewLocalClusterOptions(3, LocalOptions{
+		StoreFactory: func(int) (storage.TopologyStore, *kvstore.Store) {
+			return storage.NewDynamicStore(storage.Options{}), kvstore.New()
+		},
+	})
+	defer lc.Shutdown()
+	client := lc.Client()
 
 	var events []graph.Event
 	for i := uint64(0); i < 300; i++ {
@@ -327,8 +316,7 @@ func TestServerFailureSurfacesError(t *testing.T) {
 	if err := client.ApplyBatch(events); err != nil {
 		t.Fatal(err)
 	}
-	// Kill server 1.
-	peers[1].Close()
+	lc.StopShard(1)
 	if err := client.ApplyBatch(events); err == nil {
 		t.Fatal("ApplyBatch succeeded with a dead server")
 	}

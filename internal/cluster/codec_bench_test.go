@@ -1,16 +1,13 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
-	"io"
 	"testing"
 
 	"platod2gl/internal/graph"
 	"platod2gl/internal/wire"
 )
 
-// Codec micro-benchmarks: gob vs the hand-rolled wire codec over the hot
+// Codec micro-benchmarks: the hand-rolled wire codec over the hot
 // payloads (sampling fan-out, batch ingest, feature pull). Run with
 // -benchmem; B/op and allocs/op are the point. The bytes/msg metric is the
 // encoded size — the wire protocol's density claim, measured.
@@ -82,28 +79,6 @@ func BenchmarkCodecEncodeWire(b *testing.B) {
 	}
 }
 
-func BenchmarkCodecEncodeGob(b *testing.B) {
-	for _, c := range codecBenchMessages() {
-		b.Run(c.name, func(b *testing.B) {
-			var size bytes.Buffer
-			if err := gob.NewEncoder(&size).Encode(c.msg); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(size.Len()), "bytes/msg")
-			// One persistent encoder, like one net/rpc connection: type
-			// descriptors are paid once and amortized over b.N.
-			enc := gob.NewEncoder(io.Discard)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := enc.Encode(c.msg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkCodecDecodeWire(b *testing.B) {
 	for _, c := range codecBenchMessages() {
 		b.Run(c.name, func(b *testing.B) {
@@ -117,39 +92,6 @@ func BenchmarkCodecDecodeWire(b *testing.B) {
 				if err := r.Done(); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-func BenchmarkCodecDecodeGob(b *testing.B) {
-	const chunk = 1024 // values per pre-encoded stream
-	for _, c := range codecBenchMessages() {
-		b.Run(c.name, func(b *testing.B) {
-			var stream bytes.Buffer
-			enc := gob.NewEncoder(&stream)
-			for i := 0; i < chunk; i++ {
-				if err := enc.Encode(c.msg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			data := stream.Bytes()
-			dec := gob.NewDecoder(bytes.NewReader(data))
-			left := chunk
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if left == 0 {
-					b.StopTimer()
-					dec = gob.NewDecoder(bytes.NewReader(data))
-					left = chunk
-					b.StartTimer()
-				}
-				out := freshWireLike(c.msg)
-				if err := dec.Decode(out); err != nil {
-					b.Fatal(err)
-				}
-				left--
 			}
 		})
 	}

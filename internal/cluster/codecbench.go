@@ -1,14 +1,11 @@
 // In-process codec micro-benchmark, exported so the machine-readable
-// performance report (cmd/platod2gl-bench -json) can carry gob-vs-wire
+// performance report (cmd/platod2gl-bench -json) can carry the wire codec's
 // encode/decode cost alongside the end-to-end RPC numbers. The Go benchmark
 // variants in codec_bench_test.go cover the same ground interactively; this
 // hook exists because BENCH_<rev>.json is what CI's regression gate reads.
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
-	"io"
 	"reflect"
 	"runtime"
 	"time"
@@ -23,10 +20,10 @@ func freshWireLike(msg wireMessage) wireMessage {
 }
 
 // codecBenchIters is small enough to keep the perf experiment fast and
-// large enough to amortize timer and descriptor overhead.
+// large enough to amortize timer overhead.
 const codecBenchIters = 500
 
-// CodecBenchMetrics times both codecs over the two payload shapes that
+// CodecBenchMetrics times the wire codec over the two payload shapes that
 // dominate training traffic: a 2560-neighbor SampleReply (id-heavy) and an
 // 8K-float FeatureReply (bulk-heavy). Keys follow the regression-gate
 // naming: *_ns gates lower-better; the *_per_op allocation metrics are
@@ -51,7 +48,7 @@ func CodecBenchMetrics() map[string]float64 {
 }
 
 // benchCodecMessage fills out with encode/decode timings, allocation
-// counts, and bytes allocated per op for msg under both codecs.
+// counts, and bytes allocated per op for msg.
 func benchCodecMessage(out map[string]float64, prefix string, msg wireMessage) {
 	// Wire encode: buffer reused across iterations, as the transport does.
 	var buf []byte
@@ -68,34 +65,12 @@ func benchCodecMessage(out map[string]float64, prefix string, msg wireMessage) {
 			panic(err)
 		}
 	})
-	// Gob encode on a persistent encoder, like one net/rpc connection.
-	enc := gob.NewEncoder(io.Discard)
-	measure(out, prefix+"_encode_gob", func() {
-		if err := enc.Encode(msg); err != nil {
-			panic(err)
-		}
-	})
-	// Gob decode from a pre-encoded stream of the same value.
-	var stream bytes.Buffer
-	senc := gob.NewEncoder(&stream)
-	for i := 0; i < codecBenchIters+1; i++ {
-		if err := senc.Encode(msg); err != nil {
-			panic(err)
-		}
-	}
-	dec := gob.NewDecoder(bytes.NewReader(stream.Bytes()))
-	measure(out, prefix+"_decode_gob", func() {
-		dst := freshWireLike(msg)
-		if err := dec.Decode(dst); err != nil {
-			panic(err)
-		}
-	})
 }
 
 // measure runs fn codecBenchIters times and records ns/op, allocs/op, and
 // bytes-allocated/op under name.
 func measure(out map[string]float64, name string, fn func()) {
-	fn() // warm up: pool fills, gob type descriptors transmit
+	fn() // warm up: buffer pools fill
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()

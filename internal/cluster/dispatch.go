@@ -1,9 +1,6 @@
-// Server-side transport seam: one accept loop that serves both codecs. The
-// first four bytes of a connection decide its fate — the wire magic opens a
-// version-negotiated binary-protocol session, anything else is replayed into
-// a legacy net/rpc gob session — so a mixed-version cluster (old clients,
-// new server) keeps working through a rolling upgrade with zero
-// configuration.
+// Server side of the binary wire protocol: the per-connection handshake and
+// the frame loop that decodes requests, runs them through the admission
+// gate, and dispatches them to the Service handlers.
 //
 // The wireMethods table is the binary protocol's method numbering. Ids are
 // frame-level protocol surface: APPEND ONLY — reordering or removing entries
@@ -11,14 +8,9 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
-	"sync"
 	"time"
 
 	"platod2gl/internal/wire"
@@ -197,8 +189,11 @@ var wireMethods = []wireMethod{
 }
 
 // wireMethodID maps the fully-qualified method name ("PlatoD2GL.Stats", the
-// form every call site already uses) to its frame id.
-var wireMethodID = make(map[string]int, len(wireMethods))
+// form every call site already uses) to its frame id. Filled by init; it must
+// not mention wireMethods in its initializer, because the client call path
+// reads it and wireMethods reaches that path through its handlers (Scrub
+// probes peers), which would be an initialization cycle.
+var wireMethodID = map[string]int{}
 
 // wireMethodPri is the per-id default admission class, resolved from
 // wireMethodPriorities at init — used when a request carries no envelope
@@ -217,97 +212,78 @@ func init() {
 	}
 }
 
-// serveConn sniffs the codec from the first bytes of a fresh connection and
-// serves it to completion: wire magic opens a binary-protocol session,
-// anything else (in practice a gob length prefix, which can never start with
-// the 0x00 magic byte) replays into a legacy net/rpc session. The sniff +
-// negotiation phase runs under a handshake token and read deadline when
-// ServerLimits configures them, so silent or slow-connecting peers cannot
+// serveConn handshakes a fresh connection and then serves request frames
+// until it dies. One frame at a time per connection; concurrency comes from
+// the client's connection pool. The handshake runs under a handshake token
+// (ServerLimits.MaxHandshakes), so silent or slow-connecting peers cannot
 // pin unbounded accept-side resources.
 func (s *Server) serveConn(conn net.Conn) {
-	hsDone := func() {}
+	defer conn.Close()
 	if s.hsSem != nil {
 		select {
 		case s.hsSem <- struct{}{}:
-			var once sync.Once
-			hsDone = func() { once.Do(func() { <-s.hsSem }) }
 		default:
 			s.svc.metrics.incConnRejected()
-			conn.Close()
 			return
 		}
 	}
-	defer hsDone()
-	if to := s.limits.HandshakeTimeout; to > 0 {
-		conn.SetReadDeadline(time.Now().Add(to))
+	ver := s.handshake(conn)
+	if s.hsSem != nil {
+		<-s.hsSem
 	}
-	var prefix [4]byte
-	if _, err := io.ReadFull(conn, prefix[:]); err != nil {
-		conn.Close()
+	if ver == 0 {
 		return
 	}
-	if prefix == wire.Magic {
-		s.serveWire(conn, hsDone)
-		return
-	}
-	if s.limits.HandshakeTimeout > 0 {
-		conn.SetReadDeadline(time.Time{})
-	}
-	hsDone()
-	s.svc.metrics.incGobFallback()
-	rwc := &replayConn{Reader: io.MultiReader(bytes.NewReader(prefix[:]), conn), conn: conn}
-	s.rpcServer.ServeCodec(newCountingGobCodec(rwc, s.svc.metrics))
-}
-
-// serveWire completes the handshake (the magic is already consumed) and then
-// serves request frames until the connection dies. One frame at a time per
-// connection; concurrency comes from the client's connection pool. hsDone
-// releases the handshake token once negotiation finishes (either way).
-func (s *Server) serveWire(conn net.Conn, hsDone func()) {
-	defer conn.Close()
-	hsStart := time.Now()
-	var hello [8]byte
-	copy(hello[:4], wire.Magic[:])
-	if _, err := io.ReadFull(conn, hello[4:]); err != nil {
-		return
-	}
-	minVer, maxVer, err := wire.ParseHello(hello)
-	if err != nil {
-		return
-	}
-	ver := wire.NegotiateCapped(minVer, maxVer, s.maxWireVersion())
-	ack := wire.Ack(ver)
-	if _, err := conn.Write(ack[:]); err != nil || ver == 0 {
-		// ver == 0: no overlapping version range (a future-only client);
-		// the ack tells it so before we hang up.
-		return
-	}
-	if s.limits.HandshakeTimeout > 0 {
-		conn.SetReadDeadline(time.Time{})
-	}
-	hsDone()
 	m := s.svc.metrics
-	m.incWireHandshake()
-	m.observeServed("Handshake", hsStart)
-	m.observePayload("Handshake", 16) // hello + ack, both 8 bytes
 	for {
 		req, err := wire.ReadFrame(conn)
 		if err != nil {
 			return
 		}
-		reqBytes := int64(len(req)) + 4
 		resp, method := s.handleWireFrame(req, ver)
+		if method != "" {
+			// Recorded before the reply goes out, so a caller holding its
+			// reply also sees the call here. 4+4: the two length prefixes.
+			m.observePayload(method, int64(len(req)+len(resp))+8)
+		}
 		wire.PutBuf(req)
 		err = wire.WriteFrame(conn, resp)
-		respBytes := int64(len(resp)) + 4
 		wire.PutBuf(resp)
 		if err != nil {
 			return
 		}
-		if method != "" {
-			m.observePayload(method, reqBytes+respBytes)
-		}
 	}
+}
+
+// handshake reads the client's 8-byte hello and acks the negotiated version,
+// within ServerLimits.HandshakeTimeout when one is set. It returns 0 when
+// the connection must be closed: the hello could not be read, it does not
+// start with wire.Magic, or the version ranges do not overlap (the ack tells
+// the client so before we hang up).
+func (s *Server) handshake(conn net.Conn) byte {
+	start := time.Now()
+	if to := s.limits.HandshakeTimeout; to > 0 {
+		conn.SetReadDeadline(start.Add(to))
+		defer conn.SetReadDeadline(time.Time{})
+	}
+	var hello [8]byte
+	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+		return 0
+	}
+	minVer, maxVer, err := wire.ParseHello(hello)
+	if err != nil {
+		return 0
+	}
+	ver := wire.NegotiateCapped(minVer, maxVer, s.maxWireVersion())
+	ack := wire.Ack(ver)
+	if _, err := conn.Write(ack[:]); err != nil || ver == 0 {
+		return 0
+	}
+	m := s.svc.metrics
+	m.incWireHandshake()
+	m.observeServed("Handshake", start)
+	m.observePayload("Handshake", 16) // hello + ack, both 8 bytes
+	return ver
 }
 
 // handleWireFrame decodes one request frame, runs it through the admission
@@ -383,145 +359,10 @@ func (s *Server) handleWireFrame(req []byte, ver byte) (resp []byte, method stri
 	reply := wm.newReply()
 	if err := wm.invoke(s.svc, args, reply); err != nil {
 		// Handler errors cross as error frames and resurface client-side as
-		// rpc.ServerError — same classification as the gob transport.
+		// rpc.ServerError, which the retry and routing layers classify.
 		return fail(err.Error()), method
 	}
 	b := wire.GetBuf(0)
 	b = append(b, wire.KindResponse)
 	return reply.appendWire(b), method
-}
-
-// replayConn splices already-sniffed bytes back in front of a connection's
-// read stream for the gob fallback path.
-type replayConn struct {
-	io.Reader
-	conn net.Conn
-}
-
-func (r *replayConn) Write(p []byte) (int, error) { return r.conn.Write(p) }
-func (r *replayConn) Close() error                { return r.conn.Close() }
-
-// countReader / countWriter meter exact bytes through the gob codec so the
-// fallback path reports true wire payload sizes, not approximations.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// countingGobCodec is net/rpc's stock gob ServerCodec plus byte metering:
-// request bytes are measured across header+body reads, parked by sequence
-// number (net/rpc pipelines reads ahead of writes), and attributed together
-// with the response bytes when the reply for that sequence flushes.
-type countingGobCodec struct {
-	rwc    io.ReadWriteCloser
-	cr     *countReader
-	cw     *countWriter
-	dec    *gob.Decoder
-	enc    *gob.Encoder
-	encBuf *bufio.Writer
-	m      *Metrics
-
-	readStart  int64  // cr.n when the current request's header began
-	readSeq    uint64 // sequence of the request being read
-	readMethod string
-
-	mu      sync.Mutex
-	pending map[uint64]pendingGobReq
-	closed  bool
-}
-
-type pendingGobReq struct {
-	method   string
-	reqBytes int64
-}
-
-func newCountingGobCodec(rwc io.ReadWriteCloser, m *Metrics) *countingGobCodec {
-	cr := &countReader{r: rwc}
-	buf := bufio.NewWriter(nil)
-	cw := &countWriter{w: rwc}
-	buf.Reset(cw)
-	return &countingGobCodec{
-		rwc:     rwc,
-		cr:      cr,
-		cw:      cw,
-		dec:     gob.NewDecoder(cr),
-		enc:     gob.NewEncoder(buf),
-		encBuf:  buf,
-		m:       m,
-		pending: make(map[uint64]pendingGobReq),
-	}
-}
-
-func (c *countingGobCodec) ReadRequestHeader(r *rpc.Request) error {
-	c.readStart = c.cr.n
-	if err := c.dec.Decode(r); err != nil {
-		return err
-	}
-	c.readSeq = r.Seq
-	c.readMethod = shortMethod(r.ServiceMethod)
-	return nil
-}
-
-func (c *countingGobCodec) ReadRequestBody(body any) error {
-	if err := c.dec.Decode(body); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.pending[c.readSeq] = pendingGobReq{method: c.readMethod, reqBytes: c.cr.n - c.readStart}
-	c.mu.Unlock()
-	return nil
-}
-
-func (c *countingGobCodec) WriteResponse(r *rpc.Response, body any) error {
-	// net/rpc serializes WriteResponse calls under its sending mutex, so the
-	// write counter needs no extra locking; only the pending map is shared
-	// with the read goroutine.
-	start := c.cw.n
-	if err := c.enc.Encode(r); err != nil {
-		c.encBuf.Flush()
-		return err
-	}
-	if err := c.enc.Encode(body); err != nil {
-		c.encBuf.Flush()
-		return err
-	}
-	if err := c.encBuf.Flush(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	req, ok := c.pending[r.Seq]
-	delete(c.pending, r.Seq)
-	c.mu.Unlock()
-	if ok {
-		c.m.observePayload(req.method, req.reqBytes+(c.cw.n-start))
-	}
-	return nil
-}
-
-func (c *countingGobCodec) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	return c.rwc.Close()
 }

@@ -117,6 +117,23 @@ func (b *breaker) failure(now time.Time, err error) {
 	}
 }
 
+// inconclusive records an attempt that ended without saying anything about
+// the peer's health (the caller's budget ran out first). Closed and open
+// circuits are left as they are; a half-open probe that ends this way is
+// handed back — the circuit returns to open with its original openedAt, so
+// the next call is admitted as a fresh probe instead of every call being
+// rejected as "probe in flight" forever.
+func (b *breaker) inconclusive() {
+	if b == nil || b.threshold <= 0 {
+		return
+	}
+	b.mu.Lock()
+	if b.state == breakerHalfOpen {
+		b.state = breakerOpen
+	}
+	b.mu.Unlock()
+}
+
 // snapshot returns the current state for health reporting.
 func (b *breaker) snapshot() (state breakerState, consecutiveFailures int, lastErr error) {
 	if b == nil || b.threshold <= 0 {

@@ -10,7 +10,6 @@ package cluster
 import (
 	"expvar"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"platod2gl/internal/obs"
@@ -75,9 +74,7 @@ type Metrics struct {
 	RepairBytes        obs.Counter // snapshot+attr bytes pulled by repairs
 
 	// Wire-protocol negotiation (see transport.go, dispatch.go).
-	WireHandshakes     obs.Counter // successful binary-protocol handshakes (both sides)
-	GobFallbacks       obs.Counter // server connections sniffed as legacy gob
-	WireNegotiateDowns obs.Counter // client dials downgraded to gob after a refused hello
+	WireHandshakes obs.Counter // successful binary-protocol handshakes (both sides)
 
 	// Overload protection (see admission.go). Server side: shed requests by
 	// method and priority, budget fast-rejects, refused connections, queue
@@ -97,8 +94,7 @@ type Metrics struct {
 	// Per-method histograms. Client latency covers one network attempt
 	// (dial + call, excluding backoff sleeps); server latency covers one
 	// handler execution; payload bytes are the exact framed request+reply
-	// wire size per served call (transport-recorded; gob connections count
-	// codec bytes through a counting ServerCodec).
+	// wire size per served call (transport-recorded).
 	ClientLatency obs.HistogramVec // nanoseconds, label = method
 	ServerLatency obs.HistogramVec // nanoseconds, label = method
 	PayloadBytes  obs.HistogramVec // bytes, label = method
@@ -106,13 +102,6 @@ type Metrics struct {
 	// ScrubLatency tracks whole scrub-round duration (digest fetches +
 	// disk verification, excluding any repair it triggers), nanoseconds.
 	ScrubLatency obs.Histogram
-
-	// encInflight counts gob-encoder goroutines that may still be reading a
-	// call's args after the caller's deadline fired. Pooled-scratch callers
-	// consult encBusy before recycling buffers an abandoned encoder could
-	// still see. The wire transport encodes synchronously and never
-	// contributes here.
-	encInflight atomic.Int64
 }
 
 // MetricsSnapshot is a plain-value copy of the counters for printing and
@@ -145,8 +134,6 @@ type MetricsSnapshot struct {
 	RepairsTriggered   int64
 	RepairBytes        int64
 	WireHandshakes     int64
-	GobFallbacks       int64
-	WireNegotiateDowns int64
 	RequestsShed       int64
 	DeadlineExpired    int64
 	ConnsRejected      int64
@@ -188,8 +175,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		RepairsTriggered:   m.RepairsTriggered.Load(),
 		RepairBytes:        m.RepairBytes.Load(),
 		WireHandshakes:     m.WireHandshakes.Load(),
-		GobFallbacks:       m.GobFallbacks.Load(),
-		WireNegotiateDowns: m.WireNegotiateDowns.Load(),
 		RequestsShed:       m.RequestsShed.Sum(),
 		DeadlineExpired:    m.DeadlineExpired.Load(),
 		ConnsRejected:      m.ConnectionsRejected.Load(),
@@ -205,7 +190,7 @@ func (s MetricsSnapshot) String() string {
 		"attempts=%d timeouts=%d retries=%d breaker_opens=%d failovers=%d stale_marks=%d coalesced_seeds=%d coalesced_bytes=%d catchups=%d catchup_bytes=%d catchup_batches=%d "+
 			"reroutes=%d routing_refreshes=%d not_owner_rejects=%d shards_migrated=%d migration_bytes=%d migration_batches=%d migration_aborts=%d cutover_ms=%d "+
 			"scrub_rounds=%d digest_mismatches=%d corruption_detected=%d repairs_triggered=%d repair_bytes=%d "+
-			"wire_handshakes=%d gob_fallbacks=%d wire_negotiate_downs=%d "+
+			"wire_handshakes=%d "+
 			"shed=%d deadline_expired=%d conns_rejected=%d shed_seen=%d client_saturations=%d budget_exhausted=%d",
 		s.RPCAttempts, s.RPCTimeouts, s.RPCRetries, s.BreakerOpens,
 		s.ReadFailovers, s.StaleMarks, s.CoalescedSeeds, s.CoalescedBytes,
@@ -215,7 +200,7 @@ func (s MetricsSnapshot) String() string {
 		s.CutoverNanos/int64(time.Millisecond),
 		s.ScrubRounds, s.DigestMismatches, s.CorruptionDetected,
 		s.RepairsTriggered, s.RepairBytes,
-		s.WireHandshakes, s.GobFallbacks, s.WireNegotiateDowns,
+		s.WireHandshakes,
 		s.RequestsShed, s.DeadlineExpired, s.ConnsRejected,
 		s.ShedSeen, s.ClientSaturations, s.BudgetExhausted)
 }
@@ -266,8 +251,6 @@ func (m *Metrics) Register(r *obs.Registry) {
 		{"platod2gl_cluster_repairs_triggered_total", "Replica repairs launched by the scrubber.", &m.RepairsTriggered},
 		{"platod2gl_cluster_repair_bytes_total", "Snapshot and attribute bytes pulled by repairs.", &m.RepairBytes},
 		{"platod2gl_cluster_wire_handshakes_total", "Successful binary wire-protocol handshakes.", &m.WireHandshakes},
-		{"platod2gl_cluster_gob_fallbacks_total", "Server connections served as legacy net/rpc gob.", &m.GobFallbacks},
-		{"platod2gl_cluster_wire_negotiate_downs_total", "Client dials downgraded from wire to gob.", &m.WireNegotiateDowns},
 		{"platod2gl_cluster_deadline_expired_total", "Requests fast-rejected because the propagated budget was below observed service time.", &m.DeadlineExpired},
 		{"platod2gl_cluster_connections_rejected_total", "Connections refused at the server's accept-side caps.", &m.ConnectionsRejected},
 		{"platod2gl_cluster_shed_seen_total", "Shed responses observed by the client.", &m.ShedSeen},
@@ -486,8 +469,7 @@ func (m *Metrics) observeServed(method string, start time.Time) {
 }
 
 // observePayload records the exact request+reply wire bytes of one served
-// RPC: frame prefixes + kind + method id + payload for wire connections,
-// codec-counted bytes for gob connections.
+// RPC: frame prefixes + kind + method id + payload.
 func (m *Metrics) observePayload(method string, bytes int64) {
 	if m != nil {
 		m.PayloadBytes.With(method).Observe(bytes)
@@ -497,18 +479,6 @@ func (m *Metrics) observePayload(method string, bytes int64) {
 func (m *Metrics) incWireHandshake() {
 	if m != nil {
 		m.WireHandshakes.Add(1)
-	}
-}
-
-func (m *Metrics) incGobFallback() {
-	if m != nil {
-		m.GobFallbacks.Add(1)
-	}
-}
-
-func (m *Metrics) incNegotiateDown() {
-	if m != nil {
-		m.WireNegotiateDowns.Add(1)
 	}
 }
 
@@ -564,20 +534,6 @@ func (m *Metrics) setAdaptiveLimit(limit float64) {
 	if m != nil {
 		m.AdaptiveLimitMilli.Set(int64(limit * 1000))
 	}
-}
-
-// encAdd adjusts the gob-encoder inflight count (see Metrics.encInflight).
-func (m *Metrics) encAdd(d int64) {
-	if m != nil {
-		m.encInflight.Add(d)
-	}
-}
-
-// encBusy reports whether an abandoned gob encoder goroutine may still be
-// reading some call's args. A nil Metrics cannot track encoders, so it
-// conservatively reports busy — pooled scratch is then never recycled.
-func (m *Metrics) encBusy() bool {
-	return m == nil || m.encInflight.Load() != 0
 }
 
 // shortMethod strips the RPC receiver prefix: "PlatoD2GL.Stats" -> "Stats".

@@ -450,13 +450,13 @@ func (s *Service) PullShard(args *PullShardArgs, reply *PullShardReply) (err err
 		return err
 	}
 	timeout := time.Duration(args.CallTimeoutMillis) * time.Millisecond
-	tc, err := dialTransport(dial, ProtoAuto, timeout, s.metrics, 0)
+	tc, err := dialTransport(dial, timeout, s.metrics, 0)
 	if err != nil {
 		return fmt.Errorf("cluster: migration dial %s: %w", args.Source, err)
 	}
 	defer tc.Close()
 	call := func(method string, a, r any) error {
-		return tc.Call(ServiceName+"."+method, a, r, timeout)
+		return tc.Call(ServiceName+"."+method, a, r, timeout, callEnv{})
 	}
 
 	after := args.AfterSeq

@@ -1,10 +1,10 @@
 // Fault-tolerant call path for the cluster client: per-call timeouts on top
-// of rpc.Client.Go, exponential backoff with jitter, bounded retries for
-// idempotent calls, and automatic redial of dead peers through a pluggable
-// Dialer. The paper's deployment (54 storage servers under continuous
-// training traffic, Sec. VI) makes slow or crashed shards an expected
-// condition, not an exception: without this layer one wedged shard stalls
-// every training step forever.
+// of the pooled wire transport, exponential backoff with jitter, bounded
+// retries for idempotent calls, and automatic redial of dead peers through a
+// pluggable Dialer. The paper's deployment (54 storage servers under
+// continuous training traffic, Sec. VI) makes slow or crashed shards an
+// expected condition, not an exception: without this layer one wedged shard
+// stalls every training step forever.
 package cluster
 
 import (
@@ -88,9 +88,9 @@ type Options struct {
 	// client dialed. Defaults to TCP with CallTimeout as the connect
 	// timeout; in-process clusters plug their pipe factory in here.
 	DialServer func(addr string) Dialer
-	// Protocol selects the codec negotiated with peers: ProtoAuto (default)
-	// probes the binary wire protocol and falls back to gob per peer,
-	// ProtoWire requires it, ProtoGob forces legacy gob. See transport.go.
+	// Protocol is ignored: every connection speaks the binary wire protocol.
+	//
+	// Deprecated: leave unset.
 	Protocol Protocol
 	// MaxWireVersion caps the wire-protocol version advertised in the
 	// handshake — a rollback hook (pin a cluster to v1 if a v2 feature
@@ -144,12 +144,12 @@ type peer struct {
 	lastProbe  atomic.Int64 // unix nanos of the last stale probe, rate-limiting
 
 	mu sync.Mutex
-	tc Transport
+	tc *wireTransport
 }
 
-// transportFor returns peer p's established transport, dialing (and codec
-// handshaking, per Options.Protocol) if necessary.
-func (c *Client) transportFor(p *peer) (Transport, error) {
+// transportFor returns peer p's established transport, dialing (and
+// handshaking) if necessary.
+func (c *Client) transportFor(p *peer) (*wireTransport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.tc != nil {
@@ -158,7 +158,7 @@ func (c *Client) transportFor(p *peer) (Transport, error) {
 	if p.dial == nil {
 		return nil, fmt.Errorf("cluster: peer %d: connection closed and no dialer configured", p.idx)
 	}
-	t, err := dialTransport(p.dial, c.opts.Protocol, c.opts.CallTimeout, c.metrics, c.opts.MaxWireVersion)
+	t, err := dialTransport(p.dial, c.opts.CallTimeout, c.metrics, c.opts.MaxWireVersion)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: redial peer %d: %w", p.idx, err)
 	}
@@ -169,9 +169,8 @@ func (c *Client) transportFor(p *peer) (Transport, error) {
 // fail discards tc if it is still the peer's current transport, closing it
 // so any stuck goroutines unblock. Safe to call with an already-replaced
 // transport: a concurrent call that failed on the old one must not kill the
-// new one. The next dial re-negotiates the codec, so a peer upgraded while
-// we were speaking gob gets picked back up on wire.
-func (p *peer) fail(tc Transport) {
+// new one.
+func (p *peer) fail(tc *wireTransport) {
 	p.mu.Lock()
 	if p.tc == tc {
 		p.tc = nil
@@ -262,10 +261,11 @@ func (c *Client) callPe(pe *peer, method string, args, reply any, maxRetries int
 // time — per-attempt timeouts are clipped to the remaining budget, backoff
 // sleeps never overrun the deadline, and an attempt whose budget is already
 // spent fails fast before dialing — so a 500ms caller can never be held for
-// MaxRetries × CallTimeout. Two outcomes are backpressure, not failure, and
-// never feed the circuit breaker: a server shed (OverloadedError — the
-// retry delay honors its retry-after hint) and the client's own adaptive
-// concurrency limit (errClientSaturated).
+// MaxRetries × CallTimeout. Three outcomes never feed the circuit breaker:
+// a server shed (OverloadedError — backpressure; the retry delay honors its
+// retry-after hint), the client's own adaptive concurrency limit
+// (errClientSaturated), and a timeout clipped short of CallTimeout by the
+// caller's budget (the budget expired, which says nothing about the peer).
 func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, reply any, maxRetries int) error {
 	pri, hasPri := PriorityFromContext(ctx)
 	deadline, hasDL := ctx.Deadline()
@@ -328,11 +328,7 @@ func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, r
 		if budget > 0 && (timeout <= 0 || budget < timeout) {
 			timeout = budget
 		}
-		if et, ok := tc.(envTransport); ok && (hasPri || budget > 0) {
-			err = et.CallEnv(method, args, reply, timeout, callEnv{pri: pri, hasPri: hasPri, budget: budget})
-		} else {
-			err = tc.Call(method, args, reply, timeout)
-		}
+		err = tc.Call(method, args, reply, timeout, callEnv{pri: pri, hasPri: hasPri, budget: budget})
 		c.metrics.observeClientCall(method, attemptStart)
 		if err == nil {
 			pe.br.success()
@@ -341,6 +337,15 @@ func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, r
 		lastErr = err
 		if errors.Is(err, ErrCallTimeout) {
 			c.metrics.incTimeout()
+			if timeout != c.opts.CallTimeout {
+				// The caller's budget ran out before the peer's CallTimeout
+				// did: a slow-but-healthy peer looks exactly like this, so the
+				// attempt says nothing about peer health. The transport has
+				// already closed the one timed-out connection; keep the rest
+				// of the pool and leave the breaker alone.
+				pe.br.inconclusive()
+				continue
+			}
 		}
 		if errors.Is(err, errClientSaturated) {
 			// Our own adaptive limit, not the peer: back off and retry

@@ -1,17 +1,14 @@
 // Pooled per-fan-out scratch state. Every sampling / degree / feature
 // fan-out used to allocate its per-shard partition slices and the seed
-// coalescing map afresh; with gob's reflection garbage gone those
-// allocations became the client hot path's dominant source of GC pressure.
+// coalescing map afresh, and those allocations were the client hot path's
+// dominant source of GC pressure.
 // The pools recycle the whole scratch structure, including the inner
 // per-shard slices and occurrence lists, so a steady-state training loop's
 // fan-outs run allocation-free on the client side.
 //
 // Safety: scratch slices are referenced by the args structs handed to the
-// transport. The wire transport encodes args synchronously inside Call, so
-// by the time a fan-out returns no reference survives. The gob transport,
-// however, abandons its encoder goroutine on timeout — that goroutine may
-// still be reading args — so recycling is gated on Metrics.encBusy, which
-// counts abandoned-encoder windows. False "busy" just skips one recycle.
+// transport, which encodes args synchronously inside Call, so by the time a
+// fan-out returns no reference survives.
 package cluster
 
 import (
@@ -63,15 +60,6 @@ func (s *sampleScratch) addOcc(p int) int {
 	return len(occ) - 1
 }
 
-// recycleSampleScratch returns the scratch to the pool unless an abandoned
-// gob encoder may still hold references into it.
-func (c *Client) recycleSampleScratch(s *sampleScratch) {
-	if c.metrics.encBusy() {
-		return
-	}
-	sampleScratchPool.Put(s)
-}
-
 // fanoutScratch is the partitioning state of a Degree/Features fan-out:
 // per-shard node slices plus the original index of each partitioned node.
 type fanoutScratch struct {
@@ -102,13 +90,4 @@ func getFanoutScratch(shards int) *fanoutScratch {
 func (s *fanoutScratch) add(p int, n graph.VertexID, i int) {
 	s.partNodes[p] = append(s.partNodes[p], n)
 	s.partIdx[p] = append(s.partIdx[p], i)
-}
-
-// recycleFanoutScratch returns the scratch to the pool unless an abandoned
-// gob encoder may still hold references into it.
-func (c *Client) recycleFanoutScratch(s *fanoutScratch) {
-	if c.metrics.encBusy() {
-		return
-	}
-	fanoutScratchPool.Put(s)
 }

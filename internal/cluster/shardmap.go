@@ -777,14 +777,14 @@ func (c *Client) handshake(addrs []string) error {
 }
 
 // roundTrip dials one control RPC to addr outside the peer machinery (used
-// by the rebalance driver and join mode, where no Client exists yet). The
-// codec is auto-negotiated per dial, so these control paths work against
-// both upgraded and legacy servers.
+// by the rebalance driver and join mode, where no Client exists yet). Each
+// dial negotiates the wire version afresh, so these control paths work
+// against servers of any wire version.
 func roundTrip(dial Dialer, method string, args, reply any, timeout time.Duration) error {
-	tc, err := dialTransport(dial, ProtoAuto, timeout, nil, 0)
+	tc, err := dialTransport(dial, timeout, nil, 0)
 	if err != nil {
 		return err
 	}
 	defer tc.Close()
-	return tc.Call(ServiceName+"."+method, args, reply, timeout)
+	return tc.Call(ServiceName+"."+method, args, reply, timeout, callEnv{})
 }

@@ -314,13 +314,13 @@ func SyncFromPeer(svc *Service, dial Dialer, opts SyncOptions) error {
 func SyncFromPeerStats(svc *Service, dial Dialer, opts SyncOptions) (SyncStats, error) {
 	var stats SyncStats
 	svc.BeginCatchUp()
-	tc, err := dialTransport(dial, ProtoAuto, opts.CallTimeout, opts.Metrics, 0)
+	tc, err := dialTransport(dial, opts.CallTimeout, opts.Metrics, 0)
 	if err != nil {
 		return stats, fmt.Errorf("cluster: sync dial: %w", err)
 	}
 	defer tc.Close()
 	call := func(method string, args, reply any) error {
-		return tc.Call(ServiceName+"."+method, args, reply, opts.CallTimeout)
+		return tc.Call(ServiceName+"."+method, args, reply, opts.CallTimeout, callEnv{})
 	}
 
 	var snap SnapshotReply

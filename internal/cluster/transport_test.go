@@ -2,16 +2,17 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"net"
-	"net/rpc"
 	"testing"
 	"time"
 
 	"platod2gl/internal/graph"
+	"platod2gl/internal/wire"
 )
 
-// startWireServer runs the sniffing Server (wire + gob fallback) on a real
-// TCP listener and returns its address plus the service's metrics.
+// startWireServer runs a Server on a real TCP listener and returns its
+// address plus the service's metrics.
 func startWireServer(t *testing.T) (addr string, m *Metrics, svc *Service) {
 	t.Helper()
 	return startConfiguredWireServer(t, nil)
@@ -35,32 +36,6 @@ func startConfiguredWireServer(t *testing.T, configure func(*Server)) (addr stri
 	go srv.Serve(lis)
 	t.Cleanup(func() { lis.Close() })
 	return lis.Addr().String(), m, svc
-}
-
-// startLegacyGobServer runs a plain net/rpc gob server — a pre-wire binary.
-// It has no sniffing: a wire hello is garbage to it and kills the conn.
-func startLegacyGobServer(t *testing.T) (addr string) {
-	t.Helper()
-	svc := newTestService(t)
-	rs := rpc.NewServer()
-	if err := rs.RegisterName(ServiceName, svc); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go rs.ServeConn(conn)
-		}
-	}()
-	t.Cleanup(func() { lis.Close() })
-	return lis.Addr().String()
 }
 
 func testEvents(n int) []graph.Event {
@@ -116,95 +91,16 @@ func TestInteropWireToWire(t *testing.T) {
 	if n := sm.WireHandshakes.Load(); n == 0 {
 		t.Fatal("server recorded no wire handshakes")
 	}
-	if n := cm.WireNegotiateDowns.Load(); n != 0 {
-		t.Fatalf("client negotiated down %d times against a wire server", n)
-	}
-	if n := sm.GobFallbacks.Load(); n != 0 {
-		t.Fatalf("server sniffed %d gob conns from a wire client", n)
-	}
 	for _, method := range []string{"Handshake", "ApplyBatch", "SampleNeighbors", "Stats"} {
 		if sm.PayloadBytes.With(method).Count() == 0 {
 			t.Errorf("no payload bytes recorded for %s", method)
 		}
 	}
-	// A 200-event batch is ~20 bytes/event on the wire; the gob equivalent
-	// is ~34 bytes/event plus type descriptors. Assert the wire encoding
+	// A 200-event batch is ~20 bytes/event on the wire. Assert the encoding
 	// actually landed in the compact range.
 	snap := sm.PayloadBytes.With("ApplyBatch").Snapshot()
 	if snap.Sum > 200*25 {
 		t.Errorf("ApplyBatch payload %d bytes for 200 events — wire codec not in effect?", snap.Sum)
-	}
-}
-
-// TestInteropAutoClientLegacyServer: a ProtoAuto client dialing a pre-wire
-// gob server must negotiate down per peer and serve identically — the
-// rolling-upgrade path where clients upgrade first.
-func TestInteropAutoClientLegacyServer(t *testing.T) {
-	addr := startLegacyGobServer(t)
-	cm := &Metrics{}
-	opts := DefaultOptions()
-	opts.CallTimeout = 5 * time.Second
-	opts.Metrics = cm
-	c, err := Dial([]string{addr}, opts)
-	if err != nil {
-		t.Fatalf("dial legacy server: %v", err)
-	}
-	defer c.Close()
-	exerciseClient(t, c)
-
-	if n := cm.WireNegotiateDowns.Load(); n == 0 {
-		t.Fatal("client never negotiated down against a gob-only server")
-	}
-	if n := cm.WireHandshakes.Load(); n != 0 {
-		t.Fatalf("client recorded %d wire handshakes against a gob-only server", n)
-	}
-}
-
-// TestInteropLegacyClientWireServer: a pre-wire gob rpc.Client against the
-// sniffing server — the rolling-upgrade path where servers upgrade first.
-func TestInteropLegacyClientWireServer(t *testing.T) {
-	addr, sm, _ := startWireServer(t)
-	rc, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("gob dial: %v", err)
-	}
-	defer rc.Close()
-
-	var br BatchReply
-	if err := rc.Call(ServiceName+".ApplyBatch", &BatchArgs{Events: testEvents(50)}, &br); err != nil {
-		t.Fatalf("gob ApplyBatch: %v", err)
-	}
-	var sr StatsReply
-	if err := rc.Call(ServiceName+".Stats", &StatsArgs{}, &sr); err != nil {
-		t.Fatalf("gob Stats: %v", err)
-	}
-	if sr.NumEdges != 50 {
-		t.Fatalf("gob Stats = %d edges, want 50", sr.NumEdges)
-	}
-	if n := sm.GobFallbacks.Load(); n == 0 {
-		t.Fatal("server never sniffed the gob connection")
-	}
-	if n := sm.WireHandshakes.Load(); n != 0 {
-		t.Fatalf("server recorded %d wire handshakes from a gob client", n)
-	}
-	// The counting codec must still deliver per-method payload sizes.
-	for _, method := range []string{"ApplyBatch", "Stats"} {
-		if sm.PayloadBytes.With(method).Count() == 0 {
-			t.Errorf("no payload bytes recorded for gob-served %s", method)
-		}
-	}
-}
-
-// TestInteropWireOnlyClientLegacyServer: ProtoWire pins the binary protocol;
-// against a gob-only server the dial must fail instead of degrading.
-func TestInteropWireOnlyClientLegacyServer(t *testing.T) {
-	addr := startLegacyGobServer(t)
-	opts := DefaultOptions()
-	opts.CallTimeout = 2 * time.Second
-	opts.Protocol = ProtoWire
-	if c, err := Dial([]string{addr}, opts); err == nil {
-		c.Close()
-		t.Fatal("ProtoWire dial of a gob-only server succeeded")
 	}
 }
 
@@ -247,9 +143,6 @@ func TestInteropV2ClientV1Server(t *testing.T) {
 	exerciseClientWithEnvelope(t, c)
 	if n := sm.WireHandshakes.Load(); n == 0 {
 		t.Fatal("server recorded no wire handshakes")
-	}
-	if n := sm.GobFallbacks.Load(); n != 0 {
-		t.Fatalf("server sniffed %d gob conns — version cap must not force gob", n)
 	}
 }
 
@@ -341,20 +234,73 @@ func TestServerHandshakeTimeout(t *testing.T) {
 	}
 }
 
-// TestInteropGobOnlyClientWireServer: ProtoGob skips the wire handshake
-// entirely — the escape hatch if a wire regression ships.
-func TestInteropGobOnlyClientWireServer(t *testing.T) {
-	addr, sm, _ := startWireServer(t)
-	opts := DefaultOptions()
-	opts.CallTimeout = 5 * time.Second
-	opts.Protocol = ProtoGob
-	c, err := Dial([]string{addr}, opts)
-	if err != nil {
-		t.Fatalf("ProtoGob dial: %v", err)
-	}
-	defer c.Close()
-	exerciseClient(t, c)
-	if n := sm.GobFallbacks.Load(); n == 0 {
-		t.Fatal("server never sniffed the forced-gob connection")
+// TestWireRefusesForeignPeers: every connection speaks the wire protocol, in
+// both directions. A server closes a connection whose hello does not start
+// with wire.Magic before dispatching anything — even a well-formed request
+// frame behind the bad hello — and a client dial fails, within its timeout,
+// against a peer that never acks or hangs up on the hello.
+func TestWireRefusesForeignPeers(t *testing.T) {
+	t.Run("server", func(t *testing.T) {
+		addr, sm, _ := startWireServer(t)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		hello := wire.Hello(1, wire.Version)
+		hello[0] ^= 0xff
+		frame := append([]byte{wire.KindRequest}, byte(wireMethodID[ServiceName+".Stats"]))
+		if _, err := conn.Write(hello[:]); err != nil {
+			t.Fatalf("write hello: %v", err)
+		}
+		// The server may already have hung up; the write's outcome is moot.
+		wire.WriteFrame(conn, frame)
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if n, err := conn.Read(make([]byte, 16)); err == nil || n != 0 {
+			t.Fatalf("server answered %d bytes (err %v) to a foreign hello", n, err)
+		}
+		if n := sm.WireHandshakes.Load(); n != 0 {
+			t.Fatalf("server counted %d handshakes for a foreign hello", n)
+		}
+		for _, method := range rpcMethods {
+			if n := sm.ServerLatency.With(method).Count(); n != 0 {
+				t.Fatalf("server ran %d %s handlers for a foreign hello", n, method)
+			}
+		}
+	})
+	for _, tc := range []struct {
+		name  string
+		serve func(net.Conn)
+	}{
+		{"client/silent", func(c net.Conn) { io.Copy(io.Discard, c) }},
+		{"client/hangs-up", func(c net.Conn) { c.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			defer lis.Close()
+			go func() {
+				for {
+					conn, err := lis.Accept()
+					if err != nil {
+						return
+					}
+					go tc.serve(conn)
+				}
+			}()
+			opts := DefaultOptions()
+			opts.CallTimeout = 200 * time.Millisecond
+			start := time.Now()
+			c, err := Dial([]string{lis.Addr().String()}, opts)
+			if err == nil {
+				c.Close()
+				t.Fatal("dial of a peer that never acks succeeded")
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("dial took %v to fail, want about the 200ms call timeout", d)
+			}
+		})
 	}
 }

@@ -115,7 +115,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 
 // TestWireCodecZeroRoundTrip: the zero value of every payload must encode
 // and decode back to itself (nil slices stay nil — important because
-// DeepEqual-based tests elsewhere and gob both distinguish nil from empty).
+// DeepEqual-based tests elsewhere distinguish nil from empty).
 func TestWireCodecZeroRoundTrip(t *testing.T) {
 	for _, msg := range wireFixtures() {
 		zero := freshWireLike(msg)

@@ -1,9 +1,9 @@
-// Package wire implements PlatoD2GL's binary RPC framing: the replacement
-// for net/rpc + gob on every cluster hot path (remote sampling, feature
-// pulls, batch ingest, replication, migration, anti-entropy).
+// Package wire implements PlatoD2GL's binary RPC framing, the one protocol
+// every cluster RPC speaks (remote sampling, feature pulls, batch ingest,
+// replication, migration, anti-entropy, control plane).
 //
-// Motivation (ROADMAP item 4, and the DistDGL/AliGraph observation that
-// serialization dominates remote GNN sampling): gob re-encodes type
+// Motivation (the DistDGL/AliGraph observation that serialization dominates
+// remote GNN sampling): a reflective codec such as gob re-encodes type
 // metadata per stream, reflects over every struct, and boxes every slice
 // element. The payloads here are flat numeric records — vertex ids, float32
 // feature rows, event tuples — so a hand-rolled little-endian layout with
@@ -13,11 +13,11 @@
 // # Stream layout
 //
 // A wire connection starts with an 8-byte client hello and an 8-byte server
-// acceptance (see Hello/Ack), negotiating a protocol version. The first
-// hello byte is 0x00, which can never begin a net/rpc gob stream (gob
-// messages are length-prefixed and never empty), so a server can sniff the
-// first bytes of any accepted connection and fall back to serving legacy
-// gob clients — the rolling-upgrade path.
+// acceptance (see Hello/Ack), negotiating a protocol version: each side
+// states the range it speaks and the server acks the highest common one,
+// which is what lets builds of different versions share a cluster through a
+// rolling upgrade. A server closes any connection whose hello does not
+// start with Magic.
 //
 // After the handshake, each direction carries length-prefixed frames:
 //
@@ -55,10 +55,8 @@ import (
 // KindRequest frames.
 const Version = 2
 
-// Magic is the first hello byte sequence. The leading 0x00 is deliberate:
-// a gob message starts with its uvarint byte length, which is never zero,
-// so sniffing these four bytes cleanly separates wire clients from legacy
-// net/rpc gob clients on the same listener.
+// Magic opens every hello and ack. A connection that does not start with
+// it is not speaking this protocol and is refused during the handshake.
 var Magic = [4]byte{0x00, 'D', '2', 'G'}
 
 // Frame kinds.
