@@ -106,9 +106,9 @@ train-smoke: build
 	$(GO) run ./cmd/platod2gl-train -local -nodes 400 -epochs 2 -batch 32 -workers 2
 	$(GO) run ./cmd/platod2gl-train -shards 2 -nodes 400 -epochs 2 -batch 32 -workers 4 -depth 8
 
-# Training chaos drill: kill a shard mid-epoch, ride it out through view
-# retries + sampling degradation, SIGTERM-checkpoint, and resume — under the
-# race detector.
+# Training chaos drill: kill a shard mid-epoch, ride it out through the
+# cluster client's retries + sampling degradation, SIGTERM-checkpoint, and
+# resume — under the race detector.
 train-chaos: build
 	$(GO) test -race -count=1 -run 'TestTrainChaosKillShardAndResume|TestGracefulSigterm' ./cmd/platod2gl-train/
 

@@ -181,7 +181,7 @@ func buildView(cfg config) (gv, refreshGV view.GraphView, src serve.ChangeSource
 
 	case cfg.servers != "":
 		addrs := strings.Split(cfg.servers, ",")
-		client, err := cluster.Dial(addrs, cluster.Options{})
+		client, err := cluster.Dial(addrs, cluster.DefaultOptions())
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}

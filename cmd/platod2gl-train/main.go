@@ -25,9 +25,11 @@
 //	-checkpoint-every N   checkpoint after every N epochs (default 1)
 //	-checkpoint-keep K    retain the K newest checkpoints (default 3)
 //	-resume               resume from the newest usable checkpoint in d
-//	-view-retries R       retry transient view errors R extra times
-//	-degrade-sampling     answer retry-exhausted sampling with self-loops
-//	-batch-retries B      rebuild a failed batch up to B times
+//	-degrade-sampling     answer a dead shard's sampling with self-loops
+//
+// The cluster client (cluster.DefaultOptions) is the only retry layer: it
+// retries transient errors, waits out open circuit breakers and fails reads
+// over to sibling replicas.
 //
 // SIGTERM (or Ctrl-C) drains the batch being trained, writes a final
 // checkpoint, and exits cleanly; a later -resume run continues mid-epoch.
@@ -91,11 +93,8 @@ type config struct {
 	checkpointEvery int
 	checkpointKeep  int
 	resume          bool
-	viewRetries     int
 	degradeSampling bool
-	batchRetries    int
 	callBudget      time.Duration
-	batchBudget     time.Duration
 
 	// Test hooks. onCluster receives the in-process cluster built for
 	// -shards (chaos tests stop/restart shards through it); onStep fires
@@ -129,11 +128,8 @@ func main() {
 	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 1, "checkpoint after every N epochs")
 	flag.IntVar(&cfg.checkpointKeep, "checkpoint-keep", 3, "retain the newest N checkpoints")
 	flag.BoolVar(&cfg.resume, "resume", false, "resume from the newest checkpoint in -checkpoint-dir")
-	flag.IntVar(&cfg.viewRetries, "view-retries", 2, "extra attempts per view call on transient storage errors")
-	flag.BoolVar(&cfg.degradeSampling, "degrade-sampling", false, "answer retry-exhausted sampling calls with self-loop batches instead of failing")
-	flag.IntVar(&cfg.batchRetries, "batch-retries", 1, "extra build attempts per failed mini-batch")
+	flag.BoolVar(&cfg.degradeSampling, "degrade-sampling", false, "answer a dead shard's sampling with self-loops instead of failing the batch")
 	flag.DurationVar(&cfg.callBudget, "call-budget", 0, "end-to-end deadline per view call, propagated to servers (0 = none)")
-	flag.DurationVar(&cfg.batchBudget, "batch-budget", 0, "total wall-clock cap per mini-batch build across retries (0 = none)")
 	flag.Parse()
 	if err := run(cfg, os.Stdout); err != nil {
 		log.Fatal(err)
@@ -174,6 +170,8 @@ func synthGraph(cfg config) (nodes []graph.VertexID, events []graph.Event, feats
 // the GraphView to train against, plus the cluster client (nil for -local)
 // and a cleanup func.
 func buildView(cfg config, nodes []graph.VertexID, events []graph.Event, feats []float32, labels []int32) (view.GraphView, *cluster.Client, func(), error) {
+	opts := cluster.DefaultOptions()
+	opts.Degraded = cfg.degradeSampling
 	switch {
 	case cfg.local:
 		store := storage.NewDynamicStore(storage.Options{Tree: core.Options{Compress: true}})
@@ -188,6 +186,7 @@ func buildView(cfg config, nodes []graph.VertexID, events []graph.Event, feats [
 
 	case cfg.shards > 0:
 		lc := cluster.NewLocalClusterOptions(cfg.shards, cluster.LocalOptions{
+			Client: opts,
 			StoreFactory: func(int) (storage.TopologyStore, *kvstore.Store) {
 				return storage.NewDynamicStore(storage.Options{Tree: core.Options{Compress: true}}), kvstore.New()
 			},
@@ -204,7 +203,7 @@ func buildView(cfg config, nodes []graph.VertexID, events []graph.Event, feats [
 
 	case cfg.servers != "":
 		addrs := strings.Split(cfg.servers, ",")
-		client, err := cluster.Dial(addrs, cluster.Options{})
+		client, err := cluster.Dial(addrs, opts)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -279,23 +278,11 @@ func run(cfg config, out io.Writer) error {
 	}
 
 	pm := &pipeline.Metrics{}
-	vm := &view.Metrics{}
 	cm := &checkpoint.Metrics{}
 	vcm := &view.CallMetrics{}
 	wrapView := func(g view.GraphView) view.GraphView {
 		if cfg.sampleDelay > 0 {
 			g = view.WithLatency(g, cfg.sampleDelay)
-		}
-		if cfg.viewRetries > 0 || cfg.degradeSampling {
-			rcfg := view.ResilientConfig{
-				Attempts:        cfg.viewRetries + 1,
-				DegradeSampling: cfg.degradeSampling,
-				Metrics:         vm,
-			}
-			if client != nil {
-				rcfg.Transient = cluster.Transient
-			}
-			g = view.NewResilient(g, rcfg)
 		}
 		if cfg.metricsAddr != "" {
 			// Per-call view latency sits outermost so it measures what the
@@ -312,14 +299,12 @@ func run(cfg config, out io.Writer) error {
 	if cfg.metricsAddr != "" {
 		reg := obs.NewRegistry()
 		pm.Register(reg)
-		vm.Register(reg)
 		cm.Register(reg)
 		vcm.Register(reg)
 		if client != nil {
 			client.Metrics().Register(reg)
 		}
 		publishOnce("platod2gl_pipeline", pm.Expvar())
-		publishOnce("platod2gl_view", vm.Expvar())
 		publishOnce("platod2gl_checkpoint", cm.Expvar())
 		if client != nil {
 			publishOnce("platod2gl_cluster", client.Metrics().Expvar())
@@ -422,7 +407,7 @@ func run(cfg config, out io.Writer) error {
 	signal.Notify(sigCh, syscall.SIGTERM, os.Interrupt)
 	defer signal.Stop(sigCh)
 
-	pcfg := pipeline.Config{Depth: cfg.depth, Workers: cfg.workers, Retries: cfg.batchRetries, BatchBudget: cfg.batchBudget, Metrics: pm}
+	pcfg := pipeline.Config{Depth: cfg.depth, Workers: cfg.workers, Metrics: pm}
 	start := time.Now()
 	for e := startEpoch; e < cfg.epochs; e++ {
 		batches := pipeline.SeedBatches(train, cfg.batch, epochRNG(cfg.seed, e))
@@ -500,9 +485,6 @@ func run(cfg config, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "trained %d epochs in %s\n", cfg.epochs-startEpoch, time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(out, "pipeline: %s\n", pm.Snapshot())
-	if cfg.viewRetries > 0 || cfg.degradeSampling {
-		fmt.Fprintf(out, "view: %s\n", vm.Snapshot())
-	}
 	if cfg.checkpointDir != "" {
 		fmt.Fprintf(out, "checkpoint: %s\n", cm.Snapshot())
 	}

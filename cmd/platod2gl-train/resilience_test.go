@@ -145,8 +145,8 @@ func TestGracefulSigterm(t *testing.T) {
 }
 
 // TestTrainChaosKillShardAndResume is the training chaos proof: a shard dies
-// mid-epoch and training rides it out through view retries and sampling
-// degradation; a SIGTERM then checkpoints the session and a resumed run
+// mid-epoch and training rides it out through the cluster client's retries
+// and sampling degradation; a SIGTERM then checkpoints the session and a resumed run
 // completes the schedule.
 func TestTrainChaosKillShardAndResume(t *testing.T) {
 	dir := t.TempDir()
@@ -156,9 +156,7 @@ func TestTrainChaosKillShardAndResume(t *testing.T) {
 	cfg.depth = 4
 	cfg.epochs = 2
 	cfg.checkpointDir = dir
-	cfg.viewRetries = 6 // retry budget spans the 80ms outage below
 	cfg.degradeSampling = true
-	cfg.batchRetries = 2
 
 	var lc *cluster.LocalCluster
 	cfg.onCluster = func(c *cluster.LocalCluster) { lc = c }
@@ -207,7 +205,7 @@ func TestTrainChaosKillShardAndResume(t *testing.T) {
 		t.Fatalf("resume after chaos failed: %v\n%s", err, out2.String())
 	}
 	got2 := out2.String()
-	for _, want := range []string{"resumed from", "epoch 1:", "trained", "view: retries=", "checkpoint: saves="} {
+	for _, want := range []string{"resumed from", "epoch 1:", "trained", "cluster:", "checkpoint: saves="} {
 		if !strings.Contains(got2, want) {
 			t.Fatalf("post-chaos output missing %q:\n%s", want, got2)
 		}

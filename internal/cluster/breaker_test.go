@@ -140,3 +140,82 @@ func TestInconclusiveProbeDoesNotWedgeBreaker(t *testing.T) {
 		t.Fatalf("breaker = %q after a successful probe, want closed", h.Breaker)
 	}
 }
+
+// localClient builds an in-process cluster of n empty servers.
+func localClient(t *testing.T, n int, opts Options) (*LocalCluster, *Client) {
+	t.Helper()
+	lc := NewLocalClusterOptions(n, LocalOptions{
+		Client: opts,
+		StoreFactory: func(int) (storage.TopologyStore, *kvstore.Store) {
+			return storage.NewDynamicStore(storage.Options{}), kvstore.New()
+		},
+	})
+	t.Cleanup(lc.Shutdown)
+	return lc, lc.Client()
+}
+
+// TestCallWaitsOutBreakerCooldown: with R = 1 no replica can take a call an
+// open breaker rejects, so the call waits out the cooldown and its next
+// attempt is the probe. A shard back inside the cooldown is reached by a
+// call started while the breaker was open, although the call's whole
+// backoff schedule is far shorter than the cooldown.
+func TestCallWaitsOutBreakerCooldown(t *testing.T) {
+	opts := Options{CallTimeout: time.Second, MaxRetries: 4, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond,
+		BreakerThreshold: 2, BreakerCooldown: 200 * time.Millisecond, Seed: 1}
+	lc, c := localClient(t, 1, opts)
+	if _, err := c.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	lc.StopShard(0)
+	// The short budget ends the call once the breaker is open, before the
+	// cooldown wait.
+	if err := statsWithin(c, 50*time.Millisecond); err == nil {
+		t.Fatal("call reached a stopped shard")
+	}
+	if h := c.Health()[0]; h.Breaker != "open" {
+		t.Fatalf("breaker = %q after the shard stopped, want open", h.Breaker)
+	}
+	lc.RestartShard(0)
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("call started with the breaker open = %v, want success once the cooldown passed", err)
+	}
+	if h := c.Health()[0]; h.Breaker != "closed" {
+		t.Fatalf("breaker = %q after the probe succeeded, want closed", h.Breaker)
+	}
+}
+
+// TestReadFailsOverPastOpenBreaker: with R = 2 a read never waits on one
+// replica's open breaker. Every read, whichever replica the rotation starts
+// at, returns from the live sibling in far less than the cooldown and far
+// less than the backoff a retry against the open breaker would cost.
+func TestReadFailsOverPastOpenBreaker(t *testing.T) {
+	opts := Options{CallTimeout: time.Second, MaxRetries: 4, RetryBaseDelay: 100 * time.Millisecond, RetryMaxDelay: time.Second,
+		BreakerThreshold: 1, BreakerCooldown: 10 * time.Second, Replicas: 2, Seed: 1}
+	lc, c := localClient(t, 2, opts)
+	if err := c.ApplyBatch([]graph.Event{{Kind: graph.AddEdge, Edge: graph.Edge{Src: 1, Dst: 2, Weight: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	lc.StopShard(0)
+	for i := 0; c.Health()[0].Breaker != "open"; i++ {
+		if i == 4 {
+			t.Fatal("replica 0's breaker never opened")
+		}
+		if _, err := c.Degree([]graph.VertexID{1}, 0); err != nil {
+			t.Fatalf("read with one replica down: %v", err)
+		}
+	}
+	failovers := c.Metrics().ReadFailovers.Load()
+	for i := 0; i < 4; i++ {
+		start := time.Now()
+		deg, err := c.Degree([]graph.VertexID{1}, 0)
+		if err != nil || deg[0] != 1 {
+			t.Fatalf("read %d = %v, %v; want degree 1 from the live replica", i, deg, err)
+		}
+		if d := time.Since(start); d > 50*time.Millisecond {
+			t.Fatalf("read %d took %s with one replica's breaker open", i, d)
+		}
+	}
+	if got := c.Metrics().ReadFailovers.Load() - failovers; got != 2 {
+		t.Fatalf("failovers = %d over 4 rotating reads, want 2 (one per read that started at the open replica)", got)
+	}
+}

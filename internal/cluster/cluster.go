@@ -856,9 +856,9 @@ func (c *Client) ApplyBatchCtx(ctx context.Context, events []graph.Event) error 
 			return nil
 		}
 		args := &BatchArgs{Events: parts[s], ClientID: c.clientID, Seq: seqs[s], Sum: checksumEvents(parts[s])}
-		return c.writeShard(ctx, s, args, func(ctx context.Context, pe *peer, maxRetries int) error {
+		return c.writeShard(ctx, s, args, func(ctx context.Context, pe *peer, maxRetries int, failover bool) error {
 			var reply BatchReply
-			return c.callPeCtx(ctx, pe, ServiceName+".ApplyBatch", args, &reply, maxRetries)
+			return c.callPeCtx(ctx, pe, ServiceName+".ApplyBatch", args, &reply, maxRetries, failover)
 		})
 	})
 }
@@ -958,6 +958,7 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 			return nil, nil, err
 		}
 		report.Errors = append(report.Errors, ShardError{Shard: p, Err: err})
+		c.metrics.incDegradedShard()
 		// Graceful degradation: the dead shard's seeds fall back to
 		// themselves, keeping the result full-length so training proceeds
 		// on partial neighborhoods.
@@ -1065,9 +1066,9 @@ func (c *Client) SetFeaturesCtx(ctx context.Context, nodes []graph.VertexID, dim
 			return nil
 		}
 		args := &SetFeaturesArgs{Nodes: parts[s].nodes, Dim: dim, Data: parts[s].data, Labels: parts[s].labels}
-		return c.writeShard(ctx, s, args, func(ctx context.Context, pe *peer, maxRetries int) error {
+		return c.writeShard(ctx, s, args, func(ctx context.Context, pe *peer, maxRetries int, failover bool) error {
 			var reply SetFeaturesReply
-			return c.callPeCtx(ctx, pe, ServiceName+".SetFeatures", args, &reply, maxRetries)
+			return c.callPeCtx(ctx, pe, ServiceName+".SetFeatures", args, &reply, maxRetries, failover)
 		})
 	})
 }

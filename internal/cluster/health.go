@@ -77,6 +77,21 @@ func (b *breaker) allow(now time.Time) error {
 	return nil
 }
 
+// reopensIn returns how long an open breaker will keep rejecting calls, or
+// 0 when it would admit a call (or a probe) now. A half-open breaker
+// reports 0: its probe may finish at any moment.
+func (b *breaker) reopensIn(now time.Time) time.Duration {
+	if b == nil || b.threshold <= 0 {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state != breakerOpen {
+		return 0
+	}
+	return max(b.cooldown-now.Sub(b.openedAt), 0)
+}
+
 // success records a completed call, closing the circuit.
 func (b *breaker) success() {
 	if b == nil || b.threshold <= 0 {

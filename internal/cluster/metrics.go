@@ -41,6 +41,10 @@ type Metrics struct {
 	ReadFailovers obs.Counter // reads that moved on past a failed replica
 	StaleMarks    obs.Counter // replicas marked stale after a missed write
 
+	// DegradedShards counts shard sub-requests of a sampling fan-out that
+	// Options.Degraded answered with self-loops.
+	DegradedShards obs.Counter
+
 	// Sampling-payload coalescing: duplicate seeds deduplicated out of
 	// SampleNeighbors/SampleSubgraph fan-outs (multi-hop frontiers repeat
 	// vertices heavily) and the approximate wire bytes that saved.
@@ -113,6 +117,7 @@ type MetricsSnapshot struct {
 	BreakerOpens       int64
 	ReadFailovers      int64
 	StaleMarks         int64
+	DegradedShards     int64
 	CoalescedSeeds     int64
 	CoalescedBytes     int64
 	CatchUps           int64
@@ -154,6 +159,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		BreakerOpens:       m.BreakerOpens.Load(),
 		ReadFailovers:      m.ReadFailovers.Load(),
 		StaleMarks:         m.StaleMarks.Load(),
+		DegradedShards:     m.DegradedShards.Load(),
 		CoalescedSeeds:     m.CoalescedSeeds.Load(),
 		CoalescedBytes:     m.CoalescedBytes.Load(),
 		CatchUps:           m.CatchUps.Load(),
@@ -187,13 +193,13 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 // String renders the snapshot compactly for loadgen summaries and logs.
 func (s MetricsSnapshot) String() string {
 	return fmt.Sprintf(
-		"attempts=%d timeouts=%d retries=%d breaker_opens=%d failovers=%d stale_marks=%d coalesced_seeds=%d coalesced_bytes=%d catchups=%d catchup_bytes=%d catchup_batches=%d "+
+		"attempts=%d timeouts=%d retries=%d breaker_opens=%d failovers=%d stale_marks=%d degraded_shards=%d coalesced_seeds=%d coalesced_bytes=%d catchups=%d catchup_bytes=%d catchup_batches=%d "+
 			"reroutes=%d routing_refreshes=%d not_owner_rejects=%d shards_migrated=%d migration_bytes=%d migration_batches=%d migration_aborts=%d cutover_ms=%d "+
 			"scrub_rounds=%d digest_mismatches=%d corruption_detected=%d repairs_triggered=%d repair_bytes=%d "+
 			"wire_handshakes=%d "+
 			"shed=%d deadline_expired=%d conns_rejected=%d shed_seen=%d client_saturations=%d budget_exhausted=%d",
 		s.RPCAttempts, s.RPCTimeouts, s.RPCRetries, s.BreakerOpens,
-		s.ReadFailovers, s.StaleMarks, s.CoalescedSeeds, s.CoalescedBytes,
+		s.ReadFailovers, s.StaleMarks, s.DegradedShards, s.CoalescedSeeds, s.CoalescedBytes,
 		s.CatchUps, s.CatchUpBytes, s.CatchUpBatches,
 		s.Reroutes, s.RoutingRefreshes, s.NotOwnerRejects, s.ShardsMigrated,
 		s.MigrationBytes, s.MigrationBatches, s.MigrationAborts,
@@ -230,6 +236,7 @@ func (m *Metrics) Register(r *obs.Registry) {
 		{"platod2gl_cluster_breaker_opens_total", "Circuit-breaker closed-to-open transitions.", &m.BreakerOpens},
 		{"platod2gl_cluster_read_failovers_total", "Reads that moved past a failed replica.", &m.ReadFailovers},
 		{"platod2gl_cluster_stale_marks_total", "Replicas marked stale after a missed write.", &m.StaleMarks},
+		{"platod2gl_cluster_degraded_shards_total", "Shard sub-requests of a sampling fan-out answered with self-loops.", &m.DegradedShards},
 		{"platod2gl_cluster_coalesced_seeds_total", "Duplicate seeds removed from sampling payloads.", &m.CoalescedSeeds},
 		{"platod2gl_cluster_coalesced_bytes_total", "Approximate wire bytes saved by seed coalescing.", &m.CoalescedBytes},
 		{"platod2gl_cluster_catchups_total", "Completed SyncFromPeer catch-up runs.", &m.CatchUps},
@@ -326,6 +333,12 @@ func (m *Metrics) incFailover() {
 func (m *Metrics) incStaleMark() {
 	if m != nil {
 		m.StaleMarks.Add(1)
+	}
+}
+
+func (m *Metrics) incDegradedShard() {
+	if m != nil {
+		m.DegradedShards.Add(1)
 	}
 }
 

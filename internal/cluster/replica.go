@@ -128,7 +128,9 @@ func (c *Client) readGroup(ctx context.Context, s int, group []*peer, rrc *atomi
 			lastErr = fmt.Errorf("cluster: replica %d (shard %d) is stale", pe.idx, pe.shard)
 			continue
 		}
-		err := c.callPeCtx(ctx, pe, method, args, reply, c.opts.MaxRetries)
+		// Only the last replica waits out an open breaker; the others fail
+		// over to a sibling at once.
+		err := c.callPeCtx(ctx, pe, method, args, reply, c.opts.MaxRetries, k < len(group)-1)
 		if err == nil {
 			return nil
 		}
@@ -146,12 +148,16 @@ func (c *Client) readGroup(ctx context.Context, s int, group []*peer, rrc *atomi
 	return fmt.Errorf("cluster: shard %d: all %d replicas failed: %w", s, len(group), lastErr)
 }
 
+// writeCall sends one write to replica pe with callPeCtx's retry budget and
+// failover flag.
+type writeCall func(ctx context.Context, pe *peer, maxRetries int, failover bool) error
+
 // writeShard routes one write to logical shard s, re-routing on NotOwner
 // exactly like readShard: args is re-stamped with the refreshed epoch before
 // every hop, and the server-side (ClientID, Seq) dedup makes the repeated
 // delivery at-most-once even when the first attempt did apply before the
 // reply was lost.
-func (c *Client) writeShard(ctx context.Context, s int, args any, call func(ctx context.Context, pe *peer, maxRetries int) error) error {
+func (c *Client) writeShard(ctx context.Context, s int, args any, call writeCall) error {
 	var lastErr error
 	for hop := 0; ; hop++ {
 		group, _, epoch := c.shardTarget(s)
@@ -182,8 +188,9 @@ func (c *Client) writeShard(ctx context.Context, s int, args any, call func(ctx 
 //
 // call is invoked with the replica peer and that peer's retry budget;
 // already-stale replicas get a single attempt so a down replica does not
-// tax every batch with a full retry cycle.
-func (c *Client) writeGroup(ctx context.Context, s int, group []*peer, call func(ctx context.Context, pe *peer, maxRetries int) error) error {
+// tax every batch with a full retry cycle. In a group of two or more no
+// replica waits out an open breaker: the write needs only one ack.
+func (c *Client) writeGroup(ctx context.Context, s int, group []*peer, call writeCall) error {
 	errs := make([]error, len(group))
 	var wg sync.WaitGroup
 	for r, pe := range group {
@@ -194,7 +201,7 @@ func (c *Client) writeGroup(ctx context.Context, s int, group []*peer, call func
 			if pe.stale.Load() {
 				budget = 0
 			}
-			errs[r] = call(ctx, pe, budget)
+			errs[r] = call(ctx, pe, budget, len(group) > 1)
 		}(r, pe)
 	}
 	wg.Wait()

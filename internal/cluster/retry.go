@@ -193,26 +193,19 @@ func (p *peer) close() error {
 	return nil
 }
 
-// Transient reports whether err is plausibly transient — a transport
-// failure, per-call timeout, failed dial, or open circuit breaker — as
-// opposed to a deterministic application rejection (rpc.ServerError), which
-// no amount of retrying fixes. Higher layers (view.Resilient, the training
-// pipeline's batch retry) use it to decide whether a failed call is worth
-// repeating.
-func Transient(err error) bool {
+// retryable reports whether err is worth retrying: a transport failure,
+// per-call timeout, failed dial, or open circuit breaker. Application errors
+// returned by the service (rpc.ServerError) are deterministic — retrying
+// them wastes a round trip — with one exception: a payload checksum
+// rejection means the bytes were damaged in flight, and a retry re-sends
+// them intact.
+func retryable(err error) bool {
 	if err == nil {
 		return false
 	}
 	var serverErr rpc.ServerError
-	return !errors.As(err, &serverErr)
+	return !errors.As(err, &serverErr) || isChecksumMismatch(err)
 }
-
-// retryable reports whether err is a transport-level failure worth retrying
-// on a fresh connection. Application errors returned by the service
-// (rpc.ServerError) are deterministic — retrying them wastes a round trip —
-// with one exception: a payload checksum rejection means the bytes were
-// damaged in flight, and a retry re-sends them intact.
-func retryable(err error) bool { return Transient(err) || isChecksumMismatch(err) }
 
 // backoff returns the delay before retry attempt (1-based): full jitter,
 // i.e. uniform in [0, ceiling) where the ceiling grows exponentially from
@@ -253,7 +246,7 @@ func (c *Client) callPeerBudget(p int, method string, args, reply any, maxRetrie
 // callPe is callPeerBudget addressed by peer object — the form routing-aware
 // call sites use, since a shard map resolves to peers, not indices.
 func (c *Client) callPe(pe *peer, method string, args, reply any, maxRetries int) error {
-	return c.callPeCtx(context.Background(), pe, method, args, reply, maxRetries)
+	return c.callPeCtx(context.Background(), pe, method, args, reply, maxRetries, false)
 }
 
 // callPeCtx is the fault-tolerant call loop with end-to-end deadline and
@@ -266,7 +259,11 @@ func (c *Client) callPe(pe *peer, method string, args, reply any, maxRetries int
 // retry-after hint), the client's own adaptive concurrency limit
 // (errClientSaturated), and a timeout clipped short of CallTimeout by the
 // caller's budget (the budget expired, which says nothing about the peer).
-func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, reply any, maxRetries int) error {
+//
+// failover says a sibling replica can take the call: an open breaker then
+// fails the call at once. Otherwise the loop waits out the breaker's
+// cooldown, so a lone peer survives an outage shorter than its retry budget.
+func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, reply any, maxRetries int, failover bool) error {
 	pri, hasPri := PriorityFromContext(ctx)
 	deadline, hasDL := ctx.Deadline()
 	var lastErr error
@@ -280,6 +277,13 @@ func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, r
 				// The server told us when to come back; our jittered backoff
 				// would either hammer it early or waste budget.
 				delay = ra
+			}
+			if !failover {
+				// An open breaker admits nothing before its cooldown ends, so
+				// a retry sooner only burns the budget. The jitter stays on
+				// top: waiters that all woke at the reopen instant would race
+				// for the single probe and all but one would be rejected again.
+				delay += pe.br.reopensIn(time.Now())
 			}
 			if hasDL && time.Until(deadline) <= delay {
 				c.metrics.incBudgetExhausted()
@@ -310,10 +314,13 @@ func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, r
 			}
 		}
 		if err := pe.br.allow(time.Now()); err != nil {
-			lastErr = err
+			if failover {
+				return err
+			}
 			// An open breaker rejects without consuming a network attempt,
-			// but still honors the retry budget: the cooldown may expire
-			// between attempts, letting a later probe through.
+			// but still honors the retry budget; the next attempt waits out
+			// the cooldown and may be the probe.
+			lastErr = err
 			continue
 		}
 		c.metrics.incAttempt()

@@ -19,16 +19,14 @@ import (
 // value is ready to use; all methods are safe on a nil receiver so metrics
 // stay optional.
 type Metrics struct {
-	BatchesBuilt  obs.Counter // batch build attempts completed by workers
-	BuildNanos    obs.Counter // total time spent building batches
-	PrefetchHits  obs.Counter // Next() served an already-buffered batch
-	Stalls        obs.Counter // Next() had to wait for the batch
-	StallNanos    obs.Counter // total time the consumer spent waiting
-	BatchRetries  obs.Counter // failed builds retried within Config.Retries
-	BatchFailures obs.Counter // batches whose retry budget ran out
+	BatchesBuilt obs.Counter // batch builds completed by workers
+	BuildNanos   obs.Counter // total time spent building batches
+	PrefetchHits obs.Counter // Next() served an already-buffered batch
+	Stalls       obs.Counter // Next() had to wait for the batch
+	StallNanos   obs.Counter // total time the consumer spent waiting
 
 	// Per-stage latency histograms (nanoseconds). Build covers one load()
-	// attempt; Wait covers a built batch sitting queued until the consumer
+	// call; Wait covers a built batch sitting queued until the consumer
 	// takes it; Deliver covers the consumer-visible stall inside Next().
 	BuildLatency   obs.Histogram
 	WaitLatency    obs.Histogram
@@ -37,13 +35,11 @@ type Metrics struct {
 
 // MetricsSnapshot is a plain-value copy for printing and JSON encoding.
 type MetricsSnapshot struct {
-	BatchesBuilt  int64
-	BuildNanos    int64
-	PrefetchHits  int64
-	Stalls        int64
-	StallNanos    int64
-	BatchRetries  int64
-	BatchFailures int64
+	BatchesBuilt int64
+	BuildNanos   int64
+	PrefetchHits int64
+	Stalls       int64
+	StallNanos   int64
 }
 
 // Snapshot copies the current counter values.
@@ -52,13 +48,11 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		return MetricsSnapshot{}
 	}
 	return MetricsSnapshot{
-		BatchesBuilt:  m.BatchesBuilt.Load(),
-		BuildNanos:    m.BuildNanos.Load(),
-		PrefetchHits:  m.PrefetchHits.Load(),
-		Stalls:        m.Stalls.Load(),
-		StallNanos:    m.StallNanos.Load(),
-		BatchRetries:  m.BatchRetries.Load(),
-		BatchFailures: m.BatchFailures.Load(),
+		BatchesBuilt: m.BatchesBuilt.Load(),
+		BuildNanos:   m.BuildNanos.Load(),
+		PrefetchHits: m.PrefetchHits.Load(),
+		Stalls:       m.Stalls.Load(),
+		StallNanos:   m.StallNanos.Load(),
 	}
 }
 
@@ -73,9 +67,9 @@ func (s MetricsSnapshot) HitRate() float64 {
 
 // String renders the snapshot compactly for logs and epoch reports.
 func (s MetricsSnapshot) String() string {
-	return fmt.Sprintf("built=%d build_time=%s hits=%d stalls=%d stall_time=%s hit_rate=%.2f retries=%d failures=%d",
+	return fmt.Sprintf("built=%d build_time=%s hits=%d stalls=%d stall_time=%s hit_rate=%.2f",
 		s.BatchesBuilt, time.Duration(s.BuildNanos), s.PrefetchHits, s.Stalls,
-		time.Duration(s.StallNanos), s.HitRate(), s.BatchRetries, s.BatchFailures)
+		time.Duration(s.StallNanos), s.HitRate())
 }
 
 // Expvar returns an expvar.Var rendering the counters as a JSON object, for
@@ -94,13 +88,11 @@ func (m *Metrics) Register(r *obs.Registry) {
 		name, help string
 		c          *obs.Counter
 	}{
-		{"platod2gl_pipeline_batches_built_total", "Batch build attempts completed by prefetch workers.", &m.BatchesBuilt},
+		{"platod2gl_pipeline_batches_built_total", "Batch builds completed by prefetch workers.", &m.BatchesBuilt},
 		{"platod2gl_pipeline_build_nanos_total", "Total nanoseconds spent building batches.", &m.BuildNanos},
 		{"platod2gl_pipeline_prefetch_hits_total", "Consumer reads served from an already-buffered batch.", &m.PrefetchHits},
 		{"platod2gl_pipeline_stalls_total", "Consumer reads that had to wait for the batch.", &m.Stalls},
 		{"platod2gl_pipeline_stall_nanos_total", "Total nanoseconds the consumer spent waiting.", &m.StallNanos},
-		{"platod2gl_pipeline_batch_retries_total", "Failed builds retried within the retry budget.", &m.BatchRetries},
-		{"platod2gl_pipeline_batch_failures_total", "Batches whose retry budget ran out.", &m.BatchFailures},
 	} {
 		r.RegisterCounter(c.name, c.help, nil, c.c)
 	}
@@ -137,17 +129,5 @@ func (m *Metrics) addStall(d time.Duration) {
 		m.Stalls.Add(1)
 		m.StallNanos.Add(int64(d))
 		m.DeliverLatency.Observe(int64(d))
-	}
-}
-
-func (m *Metrics) incBatchRetry() {
-	if m != nil {
-		m.BatchRetries.Add(1)
-	}
-}
-
-func (m *Metrics) incBatchFailure() {
-	if m != nil {
-		m.BatchFailures.Add(1)
 	}
 }

@@ -38,17 +38,6 @@ type Config struct {
 	// Depth is raised to Workers when smaller, so every worker can make
 	// progress.
 	Workers int
-	// Retries is how many extra build attempts a failed batch gets before
-	// its error is delivered in order. Transient storage errors (a shard
-	// flapping, a timed-out fan-out) then cost a rebuild instead of the
-	// epoch. Default 0: first failure is final.
-	Retries int
-	// BatchBudget caps the total wall clock one batch may spend across all
-	// of its build attempts. Once exceeded, remaining retries are forfeited
-	// and the last error is delivered in order — under cluster overload the
-	// prefetcher degrades to the caller's budget instead of multiplying the
-	// shed traffic by Retries. Zero means no cap (the default).
-	BatchBudget time.Duration
 	// Metrics, if set, receives prefetch-hit/stall counters (may be shared
 	// across epochs and published via expvar).
 	Metrics *Metrics
@@ -127,30 +116,9 @@ func Run(seedBatches [][]graph.VertexID, load Loader, cfg Config) *Pipeline {
 					return
 				case <-tokens[w]:
 				}
-				var b *gnn.Batch
-				var err error
-				firstAttempt := time.Now()
-				for attempt := 0; ; attempt++ {
-					start := time.Now()
-					b, err = load(seedBatches[i])
-					p.metrics.addBuild(time.Since(start))
-					if err == nil || attempt >= cfg.Retries {
-						break
-					}
-					if cfg.BatchBudget > 0 && time.Since(firstAttempt) >= cfg.BatchBudget {
-						break
-					}
-					p.metrics.incBatchRetry()
-					// A halted pipeline must not burn the remaining budget.
-					select {
-					case <-p.stop:
-						return
-					default:
-					}
-				}
-				if err != nil {
-					p.metrics.incBatchFailure()
-				}
+				start := time.Now()
+				b, err := load(seedBatches[i])
+				p.metrics.addBuild(time.Since(start))
 				select {
 				case <-p.stop:
 					return

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -188,98 +187,6 @@ func TestPipelineStopReleasesWorkers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop did not return")
 	}
-}
-
-// TestPipelineBatchRetryRecovers fails each batch's first build attempts a
-// scripted number of times; with a sufficient retry budget every batch must
-// still be delivered in order with no error.
-func TestPipelineBatchRetryRecovers(t *testing.T) {
-	seedBatches := make([][]graph.VertexID, 8)
-	for i := range seedBatches {
-		seedBatches[i] = []graph.VertexID{graph.VertexID(i)}
-	}
-	var mu sync.Mutex
-	attempts := make(map[int]int)
-	load := func(seeds []graph.VertexID) (*gnn.Batch, error) {
-		i := int(seeds[0])
-		mu.Lock()
-		attempts[i]++
-		n := attempts[i]
-		mu.Unlock()
-		// Batches 2 and 5 fail twice before succeeding.
-		if (i == 2 || i == 5) && n <= 2 {
-			return nil, fmt.Errorf("transient build failure %d/%d", i, n)
-		}
-		return fakeLoader(seeds)
-	}
-	var m pipeline.Metrics
-	p := pipeline.Run(seedBatches, load, pipeline.Config{Depth: 3, Workers: 2, Retries: 2, Metrics: &m})
-	defer p.Stop()
-	next := 0
-	for {
-		r, ok := p.Next()
-		if !ok {
-			break
-		}
-		if r.Err != nil {
-			t.Fatalf("batch %d error despite retry budget: %v", r.Index, r.Err)
-		}
-		if r.Index != next {
-			t.Fatalf("out of order: %d vs %d", r.Index, next)
-		}
-		next++
-	}
-	if next != len(seedBatches) {
-		t.Fatalf("delivered %d batches, want %d", next, len(seedBatches))
-	}
-	s := m.Snapshot()
-	if s.BatchRetries != 4 {
-		t.Fatalf("BatchRetries = %d, want 4 (2 batches x 2 retries)", s.BatchRetries)
-	}
-	if s.BatchFailures != 0 {
-		t.Fatalf("BatchFailures = %d", s.BatchFailures)
-	}
-}
-
-// TestPipelineRetryBudgetExhausted checks a persistently failing batch still
-// surfaces its error in order once the budget runs out.
-func TestPipelineRetryBudgetExhausted(t *testing.T) {
-	boom := errors.New("shard gone for good")
-	seedBatches := make([][]graph.VertexID, 6)
-	for i := range seedBatches {
-		seedBatches[i] = []graph.VertexID{graph.VertexID(i)}
-	}
-	load := func(seeds []graph.VertexID) (*gnn.Batch, error) {
-		if int(seeds[0]) == 3 {
-			return nil, boom
-		}
-		return fakeLoader(seeds)
-	}
-	var m pipeline.Metrics
-	p := pipeline.Run(seedBatches, load, pipeline.Config{Depth: 2, Workers: 2, Retries: 3, Metrics: &m})
-	defer p.Stop()
-	seen := 0
-	for {
-		r, ok := p.Next()
-		if !ok {
-			break
-		}
-		if r.Err != nil {
-			if r.Index != 3 || seen != 3 {
-				t.Fatalf("error at index %d after %d batches, want 3/3", r.Index, seen)
-			}
-			if !errors.Is(r.Err, boom) {
-				t.Fatalf("wrong error: %v", r.Err)
-			}
-			s := m.Snapshot()
-			if s.BatchRetries != 3 || s.BatchFailures != 1 {
-				t.Fatalf("metrics: %s", s)
-			}
-			return
-		}
-		seen++
-	}
-	t.Fatal("error never delivered")
 }
 
 // TestPipelineAbandonNoGoroutineLeak is the shutdown-leak regression test:

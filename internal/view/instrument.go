@@ -1,8 +1,7 @@
 // Per-call GraphView latency instrumentation: a transparent wrapper that
 // times every view call into a per-method histogram family. It composes with
-// any backend (Local, Cluster, Resilient) and sits wherever the caller wants
-// the measurement taken — outside Resilient it measures what the trainer
-// experiences (retries included), inside it measures raw backend latency.
+// any backend (Local, Cluster) and, wrapped around a Cluster view, measures
+// what the trainer experiences, the client's retries included.
 package view
 
 import (

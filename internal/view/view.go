@@ -102,7 +102,7 @@ type sampleCursor interface {
 	SetSamplePos(int64)
 }
 
-// unwrapper is implemented by wrapper views (Resilient, WithLatency) so
+// unwrapper is implemented by wrapper views (Instrument, WithLatency) so
 // cursor helpers can reach the backing view through a wrapper chain.
 type unwrapper interface {
 	Unwrap() GraphView
