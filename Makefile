@@ -1,7 +1,6 @@
 GO ?= go
-REV := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: build test vet lint race chaos chaos-smoke migration-chaos migration-chaos-smoke integrity-chaos integrity-chaos-smoke overload-chaos overload-chaos-smoke tier1 bench bench-json bench-regress bench-codec fuzz-smoke train-smoke train-chaos serve-smoke serve-chaos serve-chaos-smoke
+.PHONY: build test vet lint race chaos chaos-smoke migration-chaos migration-chaos-smoke integrity-chaos integrity-chaos-smoke overload-chaos overload-chaos-smoke tier1 bench fuzz-smoke train-smoke train-chaos serve-smoke serve-chaos serve-chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -83,22 +82,6 @@ fuzz-smoke: build
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Codec micro-benchmarks: wire encode/decode with B/op + allocs/op. The
-# same measurements feed BENCH_<rev>.json via the perf experiment's codec_*
-# metrics; this target is the interactive form.
-bench-codec: build
-	$(GO) test -run '^$$' -bench 'BenchmarkCodec' -benchmem ./internal/cluster/
-
-# Machine-readable perf benchmark at pinned size and seed: writes
-# BENCH_<rev>.json for the CI regression gate (and for keeping
-# bench/baseline.json fresh — copy the output over it to rebaseline).
-bench-json: build
-	$(GO) run ./cmd/platod2gl-bench -experiment perf -edges 100000 -seed 1 -json BENCH_$(REV).json -rev $(REV)
-
-# Gate BENCH_<rev>.json against the committed baseline (>25% = fail).
-bench-regress: bench-json
-	$(GO) run ./cmd/bench-regress -baseline bench/baseline.json -current BENCH_$(REV).json
 
 # End-to-end training smoke: one small pipelined run against the in-process
 # store and one against a 2-shard in-process cluster.

@@ -5,16 +5,14 @@
 //
 //	platod2gl-bench -experiment all                 # everything, default scale
 //	platod2gl-bench -experiment fig9 -edges 500000  # one experiment, bigger graphs
-//	platod2gl-bench -experiment perf -json BENCH_$(git rev-parse --short HEAD).json
 //
 // Experiment IDs match DESIGN.md's per-experiment index: table2, fig8,
-// table4, fig9, table5, fig10, fig11, gnn, perf, all. The perf experiment
-// additionally supports -json, writing the machine-readable report that
-// cmd/bench-regress gates CI on.
+// table4, fig9, table5, fig10, fig11, gnn, ablation, cluster, all. The
+// repository benchmark (benchmark/README.md) is the tool for performance
+// claims; this command only reproduces the paper's evaluation.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,8 +28,6 @@ func main() {
 		batch      = flag.Int("batch", 8192, "event batch size during graph building")
 		workers    = flag.Int("workers", 0, "update worker threads (0 = all CPUs)")
 		seed       = flag.Int64("seed", 1, "generator seed")
-		jsonPath   = flag.String("json", "", "write the perf experiment's machine-readable report here")
-		rev        = flag.String("rev", "", "revision label recorded in the -json report")
 	)
 	flag.Parse()
 
@@ -41,26 +37,6 @@ func main() {
 		Workers:     *workers,
 		Seed:        *seed,
 		Out:         os.Stdout,
-	}
-	if *jsonPath != "" {
-		if *experiment != "perf" {
-			fmt.Fprintln(os.Stderr, "-json requires -experiment perf")
-			os.Exit(2)
-		}
-		res := bench.RunPerf(cfg)
-		res.Rev = *rev
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(*jsonPath, b, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d metrics)\n", *jsonPath, len(res.Metrics))
-		return
 	}
 	if *experiment == "all" {
 		bench.RunAll(cfg)

@@ -15,7 +15,6 @@ var Experiments = map[string]func(Config){
 	"gnn":      RunGNN,
 	"ablation": RunAblations,
 	"cluster":  RunCluster,
-	"perf":     RunPerfTable,
 }
 
 // Order is the presentation order for RunAll.

@@ -96,6 +96,11 @@ func wireFixtures() []wireMessage {
 	}
 }
 
+// freshWireLike allocates a zero value of msg's concrete type.
+func freshWireLike(msg wireMessage) wireMessage {
+	return reflect.New(reflect.TypeOf(msg).Elem()).Interface().(wireMessage)
+}
+
 func TestWireCodecRoundTrip(t *testing.T) {
 	for _, msg := range wireFixtures() {
 		name := fmt.Sprintf("%T", msg)
