@@ -23,7 +23,7 @@
 //	GET /knn?id=42&k=10    nearest indexed vertices to id's live embedding
 //	GET /healthz           readiness + index size
 //
-// -metrics-addr serves /metrics (Prometheus) and /debug/vars (expvar) with
+// -metrics-addr serves /metrics (Prometheus) and /debug/vars (JSON) with
 // the platod2gl_serve_* family: request/shed counters, latency histograms,
 // serve_embeddings_stale, serve_refresh_lag_seconds, and index size. See
 // docs/OPERATIONS.md, "Serving".
@@ -36,7 +36,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -194,15 +193,6 @@ func buildView(cfg config) (gv, refreshGV view.GraphView, src serve.ChangeSource
 	return nil, nil, nil, nil, fmt.Errorf("pick a backend: -local or -servers a,b,c")
 }
 
-// publishOnce registers an expvar only if the name is still free — run may
-// be invoked repeatedly in one process (tests) and Publish panics on
-// duplicates.
-func publishOnce(name string, v expvar.Var) {
-	if expvar.Get(name) == nil {
-		expvar.Publish(name, v)
-	}
-}
-
 func run(cfg config, out io.Writer) error {
 	if cfg.checkpointDir == "" {
 		return fmt.Errorf("-checkpoint-dir is required: serving loads a trained model")
@@ -240,32 +230,21 @@ func run(cfg config, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "warmed index: %d vertices in %s\n", indexed, time.Since(warmStart).Round(time.Millisecond))
 
-	// Metrics endpoint: /metrics (Prometheus) + /debug/vars (expvar) on a
-	// dedicated mux, shut down with the process.
+	// Metrics endpoint: /metrics and /debug/vars, shut down with the run.
 	if cfg.metricsAddr != "" {
 		reg := obs.NewRegistry()
 		metrics.Register(reg)
 		cm.Register(reg)
 		eng.RegisterIndexGauges(reg)
-		publishOnce("platod2gl_serve", metrics.Expvar())
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/debug/vars", expvar.Handler())
-		mlis, err := net.Listen("tcp", cfg.metricsAddr)
+		bound, shutdown, err := obs.Serve(cfg.metricsAddr, reg)
 		if err != nil {
 			return fmt.Errorf("metrics listen: %w", err)
 		}
-		cfg.metricsAddr = mlis.Addr().String()
-		metricsSrv := &http.Server{Handler: mux}
-		go func() {
-			if err := metricsSrv.Serve(mlis); err != nil && err != http.ErrServerClosed {
-				log.Printf("metrics server: %v", err)
-			}
-		}()
+		cfg.metricsAddr = bound
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			if err := metricsSrv.Shutdown(ctx); err != nil {
+			if err := shutdown(ctx); err != nil {
 				log.Printf("metrics shutdown: %v", err)
 			}
 		}()

@@ -323,6 +323,16 @@ func TestServeSmokeCluster(t *testing.T) {
 			t.Fatalf("metrics exposition missing %s", want)
 		}
 	}
+	// /debug/vars carries the same registry under "platod2gl".
+	var vars struct {
+		Platod2gl map[string]any `json:"platod2gl"`
+	}
+	if code := getJSON(t, hc, "http://"+h.ready.metricsAddr+"/debug/vars", &vars); code != http.StatusOK {
+		t.Fatalf("/debug/vars = %d", code)
+	}
+	if n, ok := vars.Platod2gl["platod2gl_serve_knn_requests_total"].(float64); !ok || n == 0 {
+		t.Fatalf("/debug/vars platod2gl.platod2gl_serve_knn_requests_total = %v, want the served count", vars.Platod2gl["platod2gl_serve_knn_requests_total"])
+	}
 
 	h.shutdown(t)
 	if !strings.Contains(h.out.String(), "shutdown: served") {

@@ -32,11 +32,9 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -78,7 +76,7 @@ func main() {
 		noCP      = flag.Bool("no-compress", false, "disable CP-IDs prefix compression")
 		workers   = flag.Int("workers", 0, "batch update workers (0 = all CPUs)")
 		snapshot  = flag.String("snapshot", "", "snapshot file: loaded at startup if present, written on SIGINT/SIGTERM")
-		metrics   = flag.String("metrics-addr", "", "HTTP address serving /debug/vars metrics (empty = disabled)")
+		metrics   = flag.String("metrics-addr", "", "HTTP address serving /metrics (Prometheus) and /debug/vars (JSON) (empty = disabled)")
 		walPath   = flag.String("wal", "", "write-ahead log: replayed at startup, appended per batch")
 		walSync   = flag.String("wal-sync", "always", "WAL fsync policy: always (fsync per batch), interval (background fsync), never (OS decides)")
 		walEvery  = flag.Duration("wal-sync-interval", 200*time.Millisecond, "fsync period for -wal-sync=interval")
@@ -262,10 +260,8 @@ func main() {
 		HandshakeTimeout: *hsTimeout,
 	})
 
-	// Metrics endpoint: one registry serving Prometheus text at /metrics and
-	// the legacy expvar JSON at /debug/vars, on a dedicated http.Server so
-	// shutdown can close the listener cleanly instead of leaking it.
-	var metricsSrv *http.Server
+	// Metrics endpoint: one registry behind /metrics and /debug/vars.
+	stopMetrics := func(context.Context) error { return nil }
 	if *metrics != "" {
 		reg := obs.NewRegistry()
 		cm.Register(reg)
@@ -281,22 +277,12 @@ func main() {
 				}
 				return 0
 			})
-		// Keep the established /debug/vars names alongside the registry.
-		expvar.Publish("platod2gl_edges", expvar.Func(func() any { return store.NumEdges() }))
-		expvar.Publish("platod2gl_memory_bytes", expvar.Func(func() any { return store.MemoryBytes() }))
-		expvar.Publish("platod2gl_cluster", cm.Expvar())
-		expvar.Publish("platod2gl_storage", storeMetrics.Expvar())
-		expvar.Publish("platod2gl_sync_ready", expvar.Func(func() any { return svc.Ready() }))
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/debug/vars", expvar.Handler())
-		metricsSrv = &http.Server{Addr: *metrics, Handler: mux}
-		go func() {
-			if err := metricsSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("metrics server: %v", err)
-			}
-		}()
-		log.Printf("metrics at http://%s/metrics (Prometheus) and /debug/vars (expvar)", *metrics)
+		bound, shutdown, err := obs.Serve(*metrics, reg)
+		if err != nil {
+			log.Fatalf("metrics listen %s: %v", *metrics, err)
+		}
+		stopMetrics = shutdown
+		log.Printf("metrics at http://%s/metrics (Prometheus) and /debug/vars (JSON)", bound)
 	}
 
 	if *catchup != "" {
@@ -344,13 +330,11 @@ func main() {
 		// migration dies with this process, and a parked client call must
 		// get its error before the listener goes away.
 		svc.ReleaseAllShards()
-		if metricsSrv != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			if err := metricsSrv.Shutdown(ctx); err != nil {
-				log.Printf("metrics shutdown: %v", err)
-			}
-			cancel()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		if err := stopMetrics(ctx); err != nil {
+			log.Printf("metrics shutdown: %v", err)
 		}
+		cancel()
 		if *snapshot != "" {
 			// Quiesce: drain in-flight batches and block new ones so the
 			// snapshot and the truncated WAL describe the same state.

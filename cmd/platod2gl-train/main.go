@@ -39,13 +39,11 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"math/rand"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -123,7 +121,7 @@ func main() {
 	flag.IntVar(&cfg.depth, "depth", 4, "prefetch pipeline depth (batches in flight)")
 	flag.IntVar(&cfg.workers, "workers", 2, "concurrent batch builders (1 = deterministic)")
 	flag.DurationVar(&cfg.sampleDelay, "sample-delay", 0, "injected per-call view latency (demonstrates overlap)")
-	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "HTTP address serving /debug/vars (empty = disabled)")
+	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "HTTP address serving /metrics (Prometheus) and /debug/vars (JSON) (empty = disabled)")
 	flag.StringVar(&cfg.checkpointDir, "checkpoint-dir", "", "directory for durable training checkpoints (empty = disabled)")
 	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 1, "checkpoint after every N epochs")
 	flag.IntVar(&cfg.checkpointKeep, "checkpoint-keep", 3, "retain the newest N checkpoints")
@@ -238,15 +236,6 @@ func epochRNG(seed int64, epoch int) *rand.Rand {
 	return rand.New(rand.NewSource(seed + 3 + int64(epoch)*1_000_003))
 }
 
-// publishOnce registers an expvar only if the name is still free — run may
-// be invoked repeatedly in one process (tests) and Publish panics on
-// duplicates.
-func publishOnce(name string, v expvar.Var) {
-	if expvar.Get(name) == nil {
-		expvar.Publish(name, v)
-	}
-}
-
 func run(cfg config, out io.Writer) error {
 	if cfg.epochs <= 0 || cfg.batch <= 0 || cfg.nodes < 10 {
 		return fmt.Errorf("need epochs > 0, batch > 0, nodes >= 10")
@@ -304,27 +293,16 @@ func run(cfg config, out io.Writer) error {
 		if client != nil {
 			client.Metrics().Register(reg)
 		}
-		publishOnce("platod2gl_pipeline", pm.Expvar())
-		publishOnce("platod2gl_checkpoint", cm.Expvar())
-		if client != nil {
-			publishOnce("platod2gl_cluster", client.Metrics().Expvar())
+		// The endpoint lives as long as this run: a repeated run in one
+		// process gets a fresh one over its own registry.
+		_, shutdown, err := obs.Serve(cfg.metricsAddr, reg)
+		if err != nil {
+			return fmt.Errorf("metrics listen: %w", err)
 		}
-		// A dedicated mux + server: /metrics (Prometheus) and /debug/vars
-		// (expvar) side by side, and a shutdown on exit so repeated runs in
-		// one process never leak the listener.
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/debug/vars", expvar.Handler())
-		metricsSrv := &http.Server{Addr: cfg.metricsAddr, Handler: mux}
-		go func() {
-			if err := metricsSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("metrics server: %v", err)
-			}
-		}()
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			if err := metricsSrv.Shutdown(ctx); err != nil {
+			if err := shutdown(ctx); err != nil {
 				log.Printf("metrics shutdown: %v", err)
 			}
 		}()

@@ -49,7 +49,8 @@ type Config struct {
 	// MaxTombstoneShare triggers an automatic Compact when tombstoned nodes
 	// exceed this share of the arena. <= 0 means 0.5.
 	MaxTombstoneShare float64
-	// Metrics, if set, receives insert/delete/search/compaction counters.
+	// Metrics receives insert/delete/search/compaction counters. nil: a
+	// private instance.
 	Metrics *Metrics
 }
 
@@ -65,6 +66,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTombstoneShare <= 0 {
 		c.MaxTombstoneShare = 0.5
+	}
+	if c.Metrics == nil {
+		c.Metrics = &Metrics{}
 	}
 	return c
 }
@@ -339,7 +343,7 @@ func (ix *Index) Insert(id uint64, vec []float32) error {
 		ix.tombstones++
 	}
 	ix.insertLocked(id, append([]float32(nil), vec...))
-	ix.cfg.Metrics.incInsert()
+	ix.cfg.Metrics.Inserts.Inc()
 	ix.maybeCompactLocked()
 	return nil
 }
@@ -401,7 +405,7 @@ func (ix *Index) Delete(id uint64) bool {
 	delete(ix.byID, id)
 	ix.nodes[ref].dead = true
 	ix.tombstones++
-	ix.cfg.Metrics.incDelete()
+	ix.cfg.Metrics.Deletes.Inc()
 	ix.maybeCompactLocked()
 	return true
 }
@@ -424,7 +428,7 @@ func (ix *Index) Search(q []float32, k int) ([]Result, error) {
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ix.cfg.Metrics.incSearch()
+	ix.cfg.Metrics.Searches.Inc()
 	if ix.entry < 0 {
 		return nil, nil
 	}
@@ -539,5 +543,5 @@ func (ix *Index) compactLocked() {
 		}
 		ix.insertLocked(old[i].id, old[i].vec)
 	}
-	ix.cfg.Metrics.incCompaction()
+	ix.cfg.Metrics.Compactions.Inc()
 }

@@ -1,15 +1,11 @@
 package ann
 
-import (
-	"expvar"
+import "platod2gl/internal/obs"
 
-	"platod2gl/internal/obs"
-)
-
-// Metrics counts index mutations and queries. All methods are nil-safe so an
-// unmetered index pays nothing. Size and tombstone gauges are registered by
-// the embedding owner via Registry.GaugeFunc over Index.Len/Tombstones (the
-// index itself already tracks them; a second copy here would drift).
+// Metrics counts index mutations and queries. Size and tombstone gauges are
+// registered by the embedding owner via Registry.GaugeFunc over
+// Index.Len/Tombstones (the index itself already tracks them; a second copy
+// here would drift).
 type Metrics struct {
 	Inserts     obs.Counter // vectors inserted or upserted
 	Deletes     obs.Counter // tombstone operations
@@ -17,64 +13,11 @@ type Metrics struct {
 	Compactions obs.Counter // full graph rebuilds (manual + automatic)
 }
 
-// MetricsSnapshot is a plain-value copy for printing and JSON encoding.
-type MetricsSnapshot struct {
-	Inserts     int64
-	Deletes     int64
-	Searches    int64
-	Compactions int64
-}
-
-// Snapshot copies the current counter values.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	if m == nil {
-		return MetricsSnapshot{}
-	}
-	return MetricsSnapshot{
-		Inserts:     m.Inserts.Load(),
-		Deletes:     m.Deletes.Load(),
-		Searches:    m.Searches.Load(),
-		Compactions: m.Compactions.Load(),
-	}
-}
-
-// Expvar exposes the counters as one JSON object.
-func (m *Metrics) Expvar() expvar.Var {
-	return expvar.Func(func() any { return m.Snapshot() })
-}
-
 // Register attaches the counters to r under the stable platod2gl_ann_*
 // names documented in docs/OPERATIONS.md.
 func (m *Metrics) Register(r *obs.Registry) {
-	if m == nil {
-		return
-	}
 	r.RegisterCounter("platod2gl_ann_inserts_total", "Vectors inserted or upserted into the HNSW index.", nil, &m.Inserts)
 	r.RegisterCounter("platod2gl_ann_deletes_total", "Vectors tombstoned in the HNSW index.", nil, &m.Deletes)
 	r.RegisterCounter("platod2gl_ann_searches_total", "k-NN searches served by the HNSW index.", nil, &m.Searches)
 	r.RegisterCounter("platod2gl_ann_compactions_total", "Full HNSW graph rebuilds (manual and tombstone-triggered).", nil, &m.Compactions)
-}
-
-func (m *Metrics) incInsert() {
-	if m != nil {
-		m.Inserts.Add(1)
-	}
-}
-
-func (m *Metrics) incDelete() {
-	if m != nil {
-		m.Deletes.Add(1)
-	}
-}
-
-func (m *Metrics) incSearch() {
-	if m != nil {
-		m.Searches.Add(1)
-	}
-}
-
-func (m *Metrics) incCompaction() {
-	if m != nil {
-		m.Compactions.Add(1)
-	}
 }

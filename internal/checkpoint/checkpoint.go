@@ -193,7 +193,7 @@ type SaveOptions struct {
 	// Keep bounds how many checkpoint files remain after a successful save
 	// (newest first). <= 0 keeps everything.
 	Keep int
-	// Metrics, if set, receives save/prune counters.
+	// Metrics receives save/prune counters. nil: a private instance.
 	Metrics *Metrics
 }
 
@@ -201,18 +201,21 @@ type SaveOptions struct {
 // prunes rotation beyond opts.Keep. The returned path names the new file.
 func Save(dir string, s *State, opts SaveOptions) (string, error) {
 	start := time.Now()
+	if opts.Metrics == nil {
+		opts.Metrics = &Metrics{}
+	}
 	b, err := encode(s)
 	if err != nil {
-		opts.Metrics.incSaveError()
+		opts.Metrics.SaveErrors.Inc()
 		return "", err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		opts.Metrics.incSaveError()
+		opts.Metrics.SaveErrors.Inc()
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}
 	seqs, err := listSeqs(dir)
 	if err != nil {
-		opts.Metrics.incSaveError()
+		opts.Metrics.SaveErrors.Inc()
 		return "", err
 	}
 	next := 1
@@ -221,11 +224,12 @@ func Save(dir string, s *State, opts SaveOptions) (string, error) {
 	}
 	final := filepath.Join(dir, fmt.Sprintf("%s%09d%s", filePrefix, next, fileSuffix))
 	if err := writeAtomic(dir, final, b); err != nil {
-		opts.Metrics.incSaveError()
+		opts.Metrics.SaveErrors.Inc()
 		return "", err
 	}
-	opts.Metrics.addSave(int64(len(b)))
-	opts.Metrics.observeSave(int64(time.Since(start)))
+	opts.Metrics.Saves.Inc()
+	opts.Metrics.SaveBytes.Add(int64(len(b)))
+	opts.Metrics.SaveLatency.ObserveSince(start)
 	if opts.Keep > 0 {
 		// Prune oldest-first so the newest Keep files (including the one just
 		// written) survive. Prune failures are non-fatal: the new checkpoint
@@ -233,7 +237,7 @@ func Save(dir string, s *State, opts SaveOptions) (string, error) {
 		for i := 0; i < len(seqs)-(opts.Keep-1); i++ {
 			path := filepath.Join(dir, fmt.Sprintf("%s%09d%s", filePrefix, seqs[i], fileSuffix))
 			if os.Remove(path) == nil {
-				opts.Metrics.incPruned()
+				opts.Metrics.Pruned.Inc()
 			}
 		}
 	}
@@ -290,6 +294,9 @@ func Load(path string) (*State, error) {
 // directory — or one with only corrupt files — returns ErrNoCheckpoint.
 func LoadLatest(dir string, m *Metrics) (*State, string, error) {
 	start := time.Now()
+	if m == nil {
+		m = &Metrics{}
+	}
 	seqs, err := listSeqs(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -301,11 +308,11 @@ func LoadLatest(dir string, m *Metrics) (*State, string, error) {
 		path := filepath.Join(dir, fmt.Sprintf("%s%09d%s", filePrefix, seqs[i], fileSuffix))
 		st, err := Load(path)
 		if err != nil {
-			m.incSkipped()
+			m.Skipped.Inc()
 			continue
 		}
-		m.incLoad()
-		m.observeLoad(int64(time.Since(start)))
+		m.Loads.Inc()
+		m.LoadLatency.ObserveSince(start)
 		return st, path, nil
 	}
 	return nil, "", ErrNoCheckpoint

@@ -1,19 +1,18 @@
 // Checkpoint observability: how often the session persisted, how much it
-// wrote, and whether resume ever had to skip a torn file. Counters follow
-// the repo's conventions: cheap atomics, nil-safe helpers, expvar-ready —
-// plus save/load latency histograms on the unified internal/obs registry.
+// wrote, and whether resume ever had to skip a torn file. Counters are cheap
+// atomics, plus save/load latency histograms, all exposed through the
+// unified internal/obs registry.
 package checkpoint
 
 import (
-	"expvar"
 	"fmt"
 
 	"platod2gl/internal/obs"
 )
 
 // Metrics aggregates checkpoint counters and latency histograms. The zero
-// value is ready to use; all methods are safe on a nil receiver so metrics
-// stay optional.
+// value is ready to use; Save and LoadLatest allocate a private one when
+// none is passed.
 type Metrics struct {
 	Saves      obs.Counter // checkpoints written successfully
 	SaveErrors obs.Counter // failed save attempts
@@ -38,9 +37,6 @@ type MetricsSnapshot struct {
 
 // Snapshot copies the current counter values.
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	if m == nil {
-		return MetricsSnapshot{}
-	}
 	return MetricsSnapshot{
 		Saves:      m.Saves.Load(),
 		SaveErrors: m.SaveErrors.Load(),
@@ -57,18 +53,9 @@ func (s MetricsSnapshot) String() string {
 		s.Saves, s.SaveErrors, s.SaveBytes, s.Pruned, s.Loads, s.Skipped)
 }
 
-// Expvar returns an expvar.Var rendering the counters as a JSON object, for
-// expvar.Publish under the caller's chosen name.
-func (m *Metrics) Expvar() expvar.Var {
-	return expvar.Func(func() any { return m.Snapshot() })
-}
-
 // Register attaches every counter and histogram to r under the stable
 // platod2gl_checkpoint_* names documented in docs/OPERATIONS.md.
 func (m *Metrics) Register(r *obs.Registry) {
-	if m == nil {
-		return
-	}
 	for _, c := range []struct {
 		name, help string
 		c          *obs.Counter
@@ -86,47 +73,4 @@ func (m *Metrics) Register(r *obs.Registry) {
 		"Latency of one successful checkpoint save (write + fsync + rename).", nil, 1e-9, &m.SaveLatency)
 	r.RegisterHistogram("platod2gl_checkpoint_load_latency_seconds",
 		"Latency of one successful checkpoint resume.", nil, 1e-9, &m.LoadLatency)
-}
-
-func (m *Metrics) addSave(bytes int64) {
-	if m != nil {
-		m.Saves.Add(1)
-		m.SaveBytes.Add(bytes)
-	}
-}
-
-func (m *Metrics) incSaveError() {
-	if m != nil {
-		m.SaveErrors.Add(1)
-	}
-}
-
-func (m *Metrics) incPruned() {
-	if m != nil {
-		m.Pruned.Add(1)
-	}
-}
-
-func (m *Metrics) incLoad() {
-	if m != nil {
-		m.Loads.Add(1)
-	}
-}
-
-func (m *Metrics) incSkipped() {
-	if m != nil {
-		m.Skipped.Add(1)
-	}
-}
-
-func (m *Metrics) observeSave(d int64) {
-	if m != nil {
-		m.SaveLatency.Observe(d)
-	}
-}
-
-func (m *Metrics) observeLoad(d int64) {
-	if m != nil {
-		m.LoadLatency.Observe(d)
-	}
 }

@@ -262,7 +262,7 @@ func (g *admissionGate) acquire(method string, pri Priority, budget time.Duratio
 	if budget > 0 {
 		if est := g.svcTime[method]; est > 0 && budget < est {
 			g.mu.Unlock()
-			g.m.incDeadlineExpired()
+			g.m.DeadlineExpired.Inc()
 			return &BudgetExpiredError{Method: method, Budget: budget, Expected: est}
 		}
 	}
@@ -426,7 +426,7 @@ func (l *aimdLimiter) acquire(maxWait time.Duration) error {
 			if w == ch {
 				l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
 				l.mu.Unlock()
-				l.m.incClientSaturation()
+				l.m.ClientSaturations.Inc()
 				return errClientSaturated
 			}
 		}

@@ -102,7 +102,7 @@ func TestBudgetExpiredErrorRoundTrip(t *testing.T) {
 // TestAdmissionGateDisabled: a nil gate (MaxConcurrent <= 0) admits
 // everything and all methods are nil-safe.
 func TestAdmissionGateDisabled(t *testing.T) {
-	g := newAdmissionGate(AdmissionConfig{MaxConcurrent: 0}, nil)
+	g := newAdmissionGate(AdmissionConfig{MaxConcurrent: 0}, &Metrics{})
 	if g != nil {
 		t.Fatal("MaxConcurrent 0 built a live gate")
 	}
@@ -113,7 +113,7 @@ func TestAdmissionGateDisabled(t *testing.T) {
 }
 
 func TestAdmissionImmediateAdmit(t *testing.T) {
-	g := newAdmissionGate(AdmissionConfig{MaxConcurrent: 2}, nil)
+	g := newAdmissionGate(AdmissionConfig{MaxConcurrent: 2}, &Metrics{})
 	for i := 0; i < 2; i++ {
 		if err := g.acquire("X", PriorityInteractive, 0); err != nil {
 			t.Fatalf("acquire %d under capacity: %v", i, err)
@@ -126,7 +126,7 @@ func TestAdmissionImmediateAdmit(t *testing.T) {
 // TestAdmissionQueueFullShed: with one slot held and the queue full, the
 // next arrival is shed immediately with a retry-after hint.
 func TestAdmissionQueueFullShed(t *testing.T) {
-	g := newAdmissionGate(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1, MaxQueueWait: 30 * time.Second}, nil)
+	g := newAdmissionGate(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1, MaxQueueWait: 30 * time.Second}, &Metrics{})
 	if err := g.acquire("X", PriorityInteractive, 0); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 // TestAdmissionQueueWaitShed: a waiter that outlives MaxQueueWait is shed
 // as overloaded rather than parked forever.
 func TestAdmissionQueueWaitShed(t *testing.T) {
-	g := newAdmissionGate(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 4, MaxQueueWait: 20 * time.Millisecond}, nil)
+	g := newAdmissionGate(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 4, MaxQueueWait: 20 * time.Millisecond}, &Metrics{})
 	if err := g.acquire("X", PriorityInteractive, 0); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestAdmissionQueueWaitShed(t *testing.T) {
 // cap is 1, so a single busy slot already starves further background work
 // while interactive requests still sail through — the brownout ordering.
 func TestAdmissionBackgroundYieldsFirst(t *testing.T) {
-	g := newAdmissionGate(AdmissionConfig{MaxConcurrent: 4, MaxQueue: 4, MaxQueueWait: 15 * time.Millisecond}, nil)
+	g := newAdmissionGate(AdmissionConfig{MaxConcurrent: 4, MaxQueue: 4, MaxQueueWait: 15 * time.Millisecond}, &Metrics{})
 	if err := g.acquire("Scrub", PriorityBackground, 0); err != nil {
 		t.Fatalf("first background acquire: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestAdmissionBackgroundYieldsFirst(t *testing.T) {
 // TestAdmissionFastReject: once a method's observed service time exceeds a
 // request's remaining budget, the gate sheds it before it burns a slot.
 func TestAdmissionFastReject(t *testing.T) {
-	g := newAdmissionGate(AdmissionConfig{MaxConcurrent: 4}, nil)
+	g := newAdmissionGate(AdmissionConfig{MaxConcurrent: 4}, &Metrics{})
 	// Seed the EWMA: one release observing ~50ms of service time.
 	if err := g.acquire("Slow", PriorityInteractive, 0); err != nil {
 		t.Fatalf("seed acquire: %v", err)
@@ -239,7 +239,7 @@ func TestAdmissionFastReject(t *testing.T) {
 // TestAIMDLimiterSaturation: past the limit, acquire parks and then fails
 // with errClientSaturated — the client's own backpressure signal.
 func TestAIMDLimiterSaturation(t *testing.T) {
-	l := newAIMDLimiter(nil)
+	l := newAIMDLimiter(&Metrics{})
 	for i := 0; i < int(aimdMaxLimit); i++ {
 		if err := l.acquire(time.Millisecond); err != nil {
 			t.Fatalf("acquire %d under the limit: %v", i, err)
@@ -256,7 +256,7 @@ func TestAIMDLimiterSaturation(t *testing.T) {
 // TestAIMDLimiterAdaptation: multiplicative decrease on degrade, additive
 // increase on success, clamped to [aimdMinLimit, aimdMaxLimit].
 func TestAIMDLimiterAdaptation(t *testing.T) {
-	l := newAIMDLimiter(nil)
+	l := newAIMDLimiter(&Metrics{})
 	if got := l.current(); got != aimdMaxLimit {
 		t.Fatalf("initial limit = %v, want %v", got, aimdMaxLimit)
 	}
@@ -290,7 +290,7 @@ func TestAIMDLimiterAdaptation(t *testing.T) {
 // TestAIMDLimiterHandoff: a release hands its slot to the oldest parked
 // waiter instead of dropping inflight — no thundering herd, no lost slot.
 func TestAIMDLimiterHandoff(t *testing.T) {
-	l := &aimdLimiter{limit: 1}
+	l := &aimdLimiter{m: &Metrics{}, limit: 1}
 	if err := l.acquire(time.Second); err != nil {
 		t.Fatalf("acquire: %v", err)
 	}

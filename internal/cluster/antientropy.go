@@ -169,7 +169,7 @@ func (c *Client) ShardDigestCtx(ctx context.Context, shard int) (DigestReply, er
 // probing a catching-up sibling must not error out the whole round.
 func (s *Service) ShardDigest(args *DigestArgs, reply *DigestReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("ShardDigest", start) }()
+	defer s.metrics.ServerLatency.With("ShardDigest").ObserveSince(start)
 	defer guard("ShardDigest", &err)
 	*reply, err = s.localDigest(args.Shard, args.NumShards)
 	return err
@@ -193,7 +193,7 @@ type AttrsReply struct {
 // features too — the topology WAL does not cover them.
 func (s *Service) FetchAttrs(_ *AttrsArgs, reply *AttrsReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("FetchAttrs", start) }()
+	defer s.metrics.ServerLatency.With("FetchAttrs").ObserveSince(start)
 	defer guard("FetchAttrs", &err)
 	if !s.ready.Load() {
 		return ErrReplicaNotReady
@@ -258,7 +258,7 @@ type ScrubConfig struct {
 	// to write a fresh snapshot and reset the WAL so the repaired state is
 	// also what disk recovers to.
 	PostRepair func() error
-	// Metrics receives scrub counters. May be nil.
+	// Metrics receives scrub counters. nil: a private instance.
 	Metrics *Metrics
 	// Logf receives human-oriented scrub lines. nil: silent.
 	Logf func(format string, args ...any)
@@ -321,6 +321,9 @@ func NewScrubber(svc *Service, cfg ScrubConfig) *Scrubber {
 	}
 	if cfg.SettleDelay <= 0 {
 		cfg.SettleDelay = 100 * time.Millisecond
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = &Metrics{}
 	}
 	return &Scrubber{svc: svc, cfg: cfg}
 }
@@ -400,8 +403,8 @@ func (sc *Scrubber) RunRound() RoundReport {
 
 	// Latency covers detection only; a triggered repair is accounted by its
 	// own counters.
-	sc.cfg.Metrics.observeScrub(start)
-	sc.cfg.Metrics.incScrubRound()
+	sc.cfg.Metrics.ScrubLatency.ObserveSince(start)
+	sc.cfg.Metrics.ScrubRounds.Inc()
 
 	if (rep.Diverged || rep.Corrupt) && sc.cfg.AutoRepair {
 		sc.repair(&rep)
@@ -425,7 +428,7 @@ func (sc *Scrubber) checkDisk(rep *RoundReport) {
 		} else if vr.Corrupt {
 			rep.Corrupt = true
 			rep.DiskErrors = append(rep.DiskErrors, fmt.Sprintf("wal %s: corrupt frame at offset %d (last good seq %d)", p, vr.BadOffset, vr.LastSeq))
-			sc.cfg.Metrics.incCorruptionDetected()
+			sc.cfg.Metrics.CorruptionDetected.Inc()
 		}
 	}
 	if p := sc.cfg.SnapshotPath; p != "" {
@@ -441,7 +444,7 @@ func (sc *Scrubber) checkDisk(rep *RoundReport) {
 			if verr != nil {
 				rep.Corrupt = true
 				rep.DiskErrors = append(rep.DiskErrors, fmt.Sprintf("snapshot %s: %v", p, verr))
-				sc.cfg.Metrics.incCorruptionDetected()
+				sc.cfg.Metrics.CorruptionDetected.Inc()
 			}
 		}
 	}
@@ -485,7 +488,7 @@ func (sc *Scrubber) compareDigests(rep *RoundReport) {
 		}
 		time.Sleep(sc.cfg.SettleDelay)
 	}
-	sc.cfg.Metrics.incDigestMismatch()
+	sc.cfg.Metrics.DigestMismatches.Inc()
 	sc.classify(rep)
 }
 
@@ -633,7 +636,7 @@ func (sc *Scrubber) repair(rep *RoundReport) {
 		return
 	}
 	rep.RepairPeer = peer
-	sc.cfg.Metrics.incRepairTriggered()
+	sc.cfg.Metrics.RepairsTriggered.Inc()
 	sc.logf("scrub: repairing from %s (diverged=%v corrupt=%v)", peer, rep.Diverged, rep.Corrupt)
 
 	svc := sc.svc
@@ -664,7 +667,7 @@ func (sc *Scrubber) repair(rep *RoundReport) {
 		return
 	}
 	rep.RepairBytes = stats.SnapshotBytes + stats.AttrBytes
-	sc.cfg.Metrics.addRepairBytes(rep.RepairBytes)
+	sc.cfg.Metrics.RepairBytes.Add(rep.RepairBytes)
 	if sc.cfg.PostRepair != nil {
 		if err := sc.cfg.PostRepair(); err != nil {
 			rep.RepairErr = fmt.Sprintf("post-repair: %v", err)
@@ -695,7 +698,7 @@ type ScrubReply struct {
 // tests use it) and returns the report.
 func (s *Service) Scrub(_ *ScrubArgs, reply *ScrubReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("Scrub", start) }()
+	defer s.metrics.ServerLatency.With("Scrub").ObserveSince(start)
 	defer guard("Scrub", &err)
 	sc := s.scrubber.Load()
 	if sc == nil {

@@ -122,6 +122,6 @@ func verifySum(m *Metrics, what string, have, want uint64) error {
 	if want == 0 || have == want {
 		return nil
 	}
-	m.incCorruptionDetected()
+	m.CorruptionDetected.Inc()
 	return checksumError(what, have, want)
 }

@@ -176,7 +176,7 @@ type Service struct {
 	attrs   *kvstore.Store
 	onBatch BatchHook
 	dedup   *batchDedup
-	metrics *Metrics     // catch-up/snapshot counters; may be nil
+	metrics *Metrics     // never nil: NewService allocates one
 	pauseMu sync.RWMutex // held for writing while the server drains for shutdown
 
 	// Replica sync state (see sync.go). ready gates reads: a replica that is
@@ -214,7 +214,8 @@ type Service struct {
 // starts ready (serving reads); replicated deployments that must catch up
 // first call BeginCatchUp before exposing it.
 func NewService(store storage.TopologyStore, attrs *kvstore.Store) *Service {
-	s := &Service{store: store, attrs: attrs, dedup: newBatchDedup(), parked: make(map[int]*shardGate)}
+	s := &Service{store: store, attrs: attrs, dedup: newBatchDedup(), metrics: &Metrics{},
+		parked: make(map[int]*shardGate)}
 	s.ready.Store(true)
 	s.syncEpoch.Store(nextSyncEpoch())
 	return s
@@ -251,7 +252,7 @@ func guard(method string, err *error) {
 // reported as success.
 func (s *Service) ApplyBatch(args *BatchArgs, reply *BatchReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("ApplyBatch", start) }()
+	defer s.metrics.ServerLatency.With("ApplyBatch").ObserveSince(start)
 	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
 		return err
 	}
@@ -312,7 +313,7 @@ func (s *Service) applyBatch(args *BatchArgs, reply *BatchReply) (err error) {
 // SampleNeighbors draws weighted neighbor samples for each seed.
 func (s *Service) SampleNeighbors(args *SampleArgs, reply *SampleReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("SampleNeighbors", start) }()
+	defer s.metrics.ServerLatency.With("SampleNeighbors").ObserveSince(start)
 	defer guard("SampleNeighbors", &err)
 	if !s.ready.Load() {
 		return ErrReplicaNotReady
@@ -331,7 +332,7 @@ func (s *Service) SampleNeighbors(args *SampleArgs, reply *SampleReply) (err err
 // Degree returns out-degrees.
 func (s *Service) Degree(args *DegreeArgs, reply *DegreeReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("Degree", start) }()
+	defer s.metrics.ServerLatency.With("Degree").ObserveSince(start)
 	defer guard("Degree", &err)
 	if !s.ready.Load() {
 		return ErrReplicaNotReady
@@ -349,7 +350,7 @@ func (s *Service) Degree(args *DegreeArgs, reply *DegreeReply) (err error) {
 // Features gathers feature rows.
 func (s *Service) Features(args *FeatureArgs, reply *FeatureReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("Features", start) }()
+	defer s.metrics.ServerLatency.With("Features").ObserveSince(start)
 	defer guard("Features", &err)
 	if !s.ready.Load() {
 		return ErrReplicaNotReady
@@ -373,7 +374,7 @@ func (s *Service) Features(args *FeatureArgs, reply *FeatureReply) (err error) {
 // until cutover) are never reported early.
 func (s *Service) Sources(args *SourcesArgs, reply *SourcesReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("Sources", start) }()
+	defer s.metrics.ServerLatency.With("Sources").ObserveSince(start)
 	defer guard("Sources", &err)
 	if !s.ready.Load() {
 		return ErrReplicaNotReady
@@ -400,7 +401,7 @@ func (s *Service) Sources(args *SourcesArgs, reply *SourcesReply) (err error) {
 // SetFeatures stores feature rows (and optional labels) on this server.
 func (s *Service) SetFeatures(args *SetFeaturesArgs, _ *SetFeaturesReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("SetFeatures", start) }()
+	defer s.metrics.ServerLatency.With("SetFeatures").ObserveSince(start)
 	defer guard("SetFeatures", &err)
 	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
 		return err
@@ -442,7 +443,7 @@ func (s *Service) SetFeatures(args *SetFeaturesArgs, _ *SetFeaturesReply) (err e
 // per-relation stats (DynamicStore does).
 func (s *Service) Stats(_ *StatsArgs, reply *StatsReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("Stats", start) }()
+	defer s.metrics.ServerLatency.With("Stats").ObserveSince(start)
 	defer guard("Stats", &err)
 	if !s.ready.Load() {
 		return ErrReplicaNotReady
@@ -554,7 +555,7 @@ func (s *Server) Serve(lis net.Listener) {
 		}
 		delay = 0
 		if maxC := s.limits.MaxConns; maxC > 0 && s.conns.Load() >= int64(maxC) {
-			s.svc.metrics.incConnRejected()
+			s.svc.metrics.ConnectionsRejected.Inc()
 			conn.Close()
 			continue
 		}
@@ -920,7 +921,8 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 	if dups := len(seeds) - uniq; dups > 0 {
 		// Savings: 8 bytes per duplicate seed on the request, 8*fanout
 		// bytes per duplicate's sample block on the reply.
-		c.metrics.addCoalesced(int64(dups), int64(dups)*8*int64(1+fanout))
+		c.metrics.CoalescedSeeds.Add(int64(dups))
+		c.metrics.CoalescedBytes.Add(int64(dups) * 8 * int64(1+fanout))
 	}
 	report := &FanoutReport{}
 	for p := range partSeeds {
@@ -958,7 +960,7 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 			return nil, nil, err
 		}
 		report.Errors = append(report.Errors, ShardError{Shard: p, Err: err})
-		c.metrics.incDegradedShard()
+		c.metrics.DegradedShards.Inc()
 		// Graceful degradation: the dead shard's seeds fall back to
 		// themselves, keeping the result full-length so training proceeds
 		// on partial neighborhoods.

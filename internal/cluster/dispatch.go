@@ -223,7 +223,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		select {
 		case s.hsSem <- struct{}{}:
 		default:
-			s.svc.metrics.incConnRejected()
+			s.svc.metrics.ConnectionsRejected.Inc()
 			return
 		}
 	}
@@ -244,7 +244,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if method != "" {
 			// Recorded before the reply goes out, so a caller holding its
 			// reply also sees the call here. 4+4: the two length prefixes.
-			m.observePayload(method, int64(len(req)+len(resp))+8)
+			m.PayloadBytes.With(method).Observe(int64(len(req)+len(resp)) + 8)
 		}
 		wire.PutBuf(req)
 		err = wire.WriteFrame(conn, resp)
@@ -280,9 +280,9 @@ func (s *Server) handshake(conn net.Conn) byte {
 		return 0
 	}
 	m := s.svc.metrics
-	m.incWireHandshake()
-	m.observeServed("Handshake", start)
-	m.observePayload("Handshake", 16) // hello + ack, both 8 bytes
+	m.WireHandshakes.Inc()
+	m.ServerLatency.With("Handshake").ObserveSince(start)
+	m.PayloadBytes.With("Handshake").Observe(16) // hello + ack, both 8 bytes
 	return ver
 }
 

@@ -42,7 +42,7 @@ type breaker struct {
 	mu        sync.Mutex
 	threshold int
 	cooldown  time.Duration
-	metrics   *Metrics // counts open transitions; may be nil
+	metrics   *Metrics // counts open transitions
 	state     breakerState
 	failures  int       // consecutive failures while closed
 	openedAt  time.Time // when the circuit last tripped
@@ -117,13 +117,13 @@ func (b *breaker) failure(now time.Time, err error) {
 	case breakerHalfOpen:
 		b.state = breakerOpen
 		b.openedAt = now
-		b.metrics.incBreakerOpen()
+		b.metrics.BreakerOpens.Inc()
 	case breakerClosed:
 		b.failures++
 		if b.failures >= b.threshold {
 			b.state = breakerOpen
 			b.openedAt = now
-			b.metrics.incBreakerOpen()
+			b.metrics.BreakerOpens.Inc()
 		}
 	case breakerOpen:
 		// Already open (e.g. a call that started before the trip); keep the

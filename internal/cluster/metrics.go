@@ -8,7 +8,6 @@
 package cluster
 
 import (
-	"expvar"
 	"fmt"
 	"time"
 
@@ -28,8 +27,10 @@ var rpcMethods = []string{
 }
 
 // Metrics aggregates fault-tolerance counters and RPC histograms. The zero
-// value is ready to use; all methods are safe on a nil receiver so metrics
-// stay optional on every path.
+// value is ready to use. Every holder in this package has a non-nil one:
+// NewService, NewClientOptions, SyncFromPeer, NewScrubber and MigrateShard
+// allocate a private instance when none is configured, so call sites update
+// the fields directly.
 type Metrics struct {
 	// Client call path.
 	RPCAttempts  obs.Counter // network attempts (including retries)
@@ -149,9 +150,6 @@ type MetricsSnapshot struct {
 
 // Snapshot copies the current counter values.
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	if m == nil {
-		return MetricsSnapshot{}
-	}
 	return MetricsSnapshot{
 		RPCAttempts:        m.RPCAttempts.Load(),
 		RPCTimeouts:        m.RPCTimeouts.Load(),
@@ -211,21 +209,11 @@ func (s MetricsSnapshot) String() string {
 		s.ShedSeen, s.ClientSaturations, s.BudgetExhausted)
 }
 
-// Expvar returns an expvar.Var rendering the counters as a JSON object, for
-// expvar.Publish under the server's or loadgen's chosen name. (Histograms
-// are exposed through Register + the obs registry's /metrics endpoint.)
-func (m *Metrics) Expvar() expvar.Var {
-	return expvar.Func(func() any { return m.Snapshot() })
-}
-
 // Register attaches every counter and histogram to r under the stable
 // platod2gl_cluster_* names documented in docs/OPERATIONS.md. The per-method
 // histogram families are pre-seeded with the full RPC surface so /metrics
 // exposes every series from the first scrape.
 func (m *Metrics) Register(r *obs.Registry) {
-	if m == nil {
-		return
-	}
 	for _, c := range []struct {
 		name, help string
 		c          *obs.Counter
@@ -298,255 +286,28 @@ func (m *Metrics) Register(r *obs.Registry) {
 		"Whole scrub-round duration, excluding triggered repairs.", nil, 1e-9, &m.ScrubLatency)
 }
 
-// Nil-tolerant increment helpers keep call sites unconditional about
-// whether metrics were configured.
-func (m *Metrics) incAttempt() {
-	if m != nil {
-		m.RPCAttempts.Add(1)
-	}
-}
-
-func (m *Metrics) incTimeout() {
-	if m != nil {
-		m.RPCTimeouts.Add(1)
-	}
-}
-
-func (m *Metrics) incRetry() {
-	if m != nil {
-		m.RPCRetries.Add(1)
-	}
-}
-
-func (m *Metrics) incBreakerOpen() {
-	if m != nil {
-		m.BreakerOpens.Add(1)
-	}
-}
-
-func (m *Metrics) incFailover() {
-	if m != nil {
-		m.ReadFailovers.Add(1)
-	}
-}
-
-func (m *Metrics) incStaleMark() {
-	if m != nil {
-		m.StaleMarks.Add(1)
-	}
-}
-
-func (m *Metrics) incDegradedShard() {
-	if m != nil {
-		m.DegradedShards.Add(1)
-	}
-}
-
-func (m *Metrics) addCoalesced(seeds, bytes int64) {
-	if m != nil {
-		m.CoalescedSeeds.Add(seeds)
-		m.CoalescedBytes.Add(bytes)
-	}
-}
-
-func (m *Metrics) incCatchUp() {
-	if m != nil {
-		m.CatchUps.Add(1)
-	}
-}
-
-func (m *Metrics) addCatchUpBytes(n int64) {
-	if m != nil {
-		m.CatchUpBytes.Add(n)
-	}
-}
-
-func (m *Metrics) addCatchUpBatches(n int64) {
-	if m != nil {
-		m.CatchUpBatches.Add(n)
-	}
-}
-
-func (m *Metrics) incSnapshotServed() {
-	if m != nil {
-		m.SnapshotsServed.Add(1)
-	}
-}
-
-func (m *Metrics) addTailServed(n int64) {
-	if m != nil {
-		m.TailBatchesServed.Add(n)
-	}
-}
-
-func (m *Metrics) incReroute() {
-	if m != nil {
-		m.Reroutes.Add(1)
-	}
-}
-
-func (m *Metrics) incRoutingRefresh() {
-	if m != nil {
-		m.RoutingRefreshes.Add(1)
-	}
-}
-
-func (m *Metrics) incNotOwnerReject() {
-	if m != nil {
-		m.NotOwnerRejects.Add(1)
-	}
-}
-
-func (m *Metrics) incShardMigrated() {
-	if m != nil {
-		m.ShardsMigrated.Add(1)
-	}
-}
-
-func (m *Metrics) addMigrationBytes(n int64) {
-	if m != nil {
-		m.MigrationBytes.Add(n)
-	}
-}
-
-func (m *Metrics) addMigrationBatches(n int64) {
-	if m != nil {
-		m.MigrationBatches.Add(n)
-	}
-}
-
-func (m *Metrics) incMigrationAbort() {
-	if m != nil {
-		m.MigrationAborts.Add(1)
-	}
-}
-
-func (m *Metrics) addCutover(d time.Duration) {
-	if m != nil {
-		m.CutoverNanos.Add(int64(d))
-	}
-}
-
-func (m *Metrics) incScrubRound() {
-	if m != nil {
-		m.ScrubRounds.Add(1)
-	}
-}
-
-func (m *Metrics) incDigestMismatch() {
-	if m != nil {
-		m.DigestMismatches.Add(1)
-	}
-}
-
-func (m *Metrics) incCorruptionDetected() {
-	if m != nil {
-		m.CorruptionDetected.Add(1)
-	}
-}
-
-func (m *Metrics) incRepairTriggered() {
-	if m != nil {
-		m.RepairsTriggered.Add(1)
-	}
-}
-
-func (m *Metrics) addRepairBytes(n int64) {
-	if m != nil {
-		m.RepairBytes.Add(n)
-	}
-}
-
-// observeScrub records one completed scrub round's duration.
-func (m *Metrics) observeScrub(start time.Time) {
-	if m != nil {
-		m.ScrubLatency.ObserveSince(start)
-	}
-}
-
 // observeClientCall records one client-side network attempt's latency.
 // method carries the ServiceName prefix ("PlatoD2GL.ApplyBatch").
 func (m *Metrics) observeClientCall(method string, start time.Time) {
-	if m != nil {
-		m.ClientLatency.With(shortMethod(method)).ObserveSince(start)
-	}
-}
-
-// observeServed records one served RPC handler's latency. Payload bytes are
-// recorded separately by the transport (observePayload), which sees the
-// exact framed wire size; the handler does not.
-func (m *Metrics) observeServed(method string, start time.Time) {
-	if m != nil {
-		m.ServerLatency.With(method).ObserveSince(start)
-	}
-}
-
-// observePayload records the exact request+reply wire bytes of one served
-// RPC: frame prefixes + kind + method id + payload.
-func (m *Metrics) observePayload(method string, bytes int64) {
-	if m != nil {
-		m.PayloadBytes.With(method).Observe(bytes)
-	}
-}
-
-func (m *Metrics) incWireHandshake() {
-	if m != nil {
-		m.WireHandshakes.Add(1)
-	}
+	m.ClientLatency.With(shortMethod(method)).ObserveSince(start)
 }
 
 func (m *Metrics) incShed(method string, pri Priority) {
-	if m != nil {
-		m.RequestsShed.With(method + "|" + pri.String()).Add(1)
-	}
-}
-
-func (m *Metrics) incDeadlineExpired() {
-	if m != nil {
-		m.DeadlineExpired.Add(1)
-	}
-}
-
-func (m *Metrics) incConnRejected() {
-	if m != nil {
-		m.ConnectionsRejected.Add(1)
-	}
+	m.RequestsShed.With(method + "|" + pri.String()).Add(1)
 }
 
 func (m *Metrics) setQueueDepth(pri Priority, n int64) {
-	if m != nil && int(pri) < len(m.AdmissionQueueDepth) {
+	if int(pri) < len(m.AdmissionQueueDepth) {
 		m.AdmissionQueueDepth[pri].Set(n)
 	}
 }
 
 func (m *Metrics) observeAdmissionWait(pri Priority, d time.Duration) {
-	if m != nil {
-		m.AdmissionWait.With(pri.String()).Observe(int64(d))
-	}
-}
-
-func (m *Metrics) incShedSeen() {
-	if m != nil {
-		m.ShedSeen.Add(1)
-	}
-}
-
-func (m *Metrics) incClientSaturation() {
-	if m != nil {
-		m.ClientSaturations.Add(1)
-	}
-}
-
-func (m *Metrics) incBudgetExhausted() {
-	if m != nil {
-		m.BudgetExhausted.Add(1)
-	}
+	m.AdmissionWait.With(pri.String()).Observe(int64(d))
 }
 
 func (m *Metrics) setAdaptiveLimit(limit float64) {
-	if m != nil {
-		m.AdaptiveLimitMilli.Set(int64(limit * 1000))
-	}
+	m.AdaptiveLimitMilli.Set(int64(limit * 1000))
 }
 
 // shortMethod strips the RPC receiver prefix: "PlatoD2GL.Stats" -> "Stats".

@@ -155,7 +155,7 @@ type ShardSnapshotReply struct {
 // would stage a stale or partial copy.
 func (s *Service) FetchShardSnapshot(args *ShardSnapshotArgs, reply *ShardSnapshotReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("FetchShardSnapshot", start) }()
+	defer s.metrics.ServerLatency.With("FetchShardSnapshot").ObserveSince(start)
 	defer guard("FetchShardSnapshot", &err)
 	if !s.ready.Load() {
 		return ErrReplicaNotReady
@@ -231,7 +231,7 @@ func (r *ShardFeaturesReply) approxBytes() int64 {
 // making park-time copy the only loss-free window.
 func (s *Service) FetchShardFeatures(args *ShardFeaturesArgs, reply *ShardFeaturesReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("FetchShardFeatures", start) }()
+	defer s.metrics.ServerLatency.With("FetchShardFeatures").ObserveSince(start)
 	defer guard("FetchShardFeatures", &err)
 	rt := s.routing.Load()
 	if rt == nil {
@@ -286,7 +286,7 @@ type ParkShardReply struct {
 // position. Idempotent; re-parking does not extend a pending TTL.
 func (s *Service) ParkShard(args *ParkShardArgs, reply *ParkShardReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("ParkShard", start) }()
+	defer s.metrics.ServerLatency.With("ParkShard").ObserveSince(start)
 	defer guard("ParkShard", &err)
 	if s.syncWAL == nil {
 		return fmt.Errorf("cluster: cannot park shard %d: server has no WAL to drain against", args.Shard)
@@ -312,7 +312,7 @@ type ReleaseShardReply struct{}
 // this server under the unchanged routing. Idempotent.
 func (s *Service) ReleaseShard(args *ReleaseShardArgs, _ *ReleaseShardReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("ReleaseShard", start) }()
+	defer s.metrics.ServerLatency.With("ReleaseShard").ObserveSince(start)
 	defer guard("ReleaseShard", &err)
 	s.releaseShard(args.Shard)
 	return nil
@@ -337,7 +337,7 @@ type DropShardReply struct {
 // so a restart does not resurrect the dropped shard.
 func (s *Service) DropShard(args *DropShardArgs, reply *DropShardReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("DropShard", start) }()
+	defer s.metrics.ServerLatency.With("DropShard").ObserveSince(start)
 	defer guard("DropShard", &err)
 	rt := s.routing.Load()
 	if rt == nil {
@@ -433,7 +433,7 @@ type PullShardReply struct {
 // routed Sources requests filter by ownership. One pull runs at a time.
 func (s *Service) PullShard(args *PullShardArgs, reply *PullShardReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("PullShard", start) }()
+	defer s.metrics.ServerLatency.With("PullShard").ObserveSince(start)
 	defer guard("PullShard", &err)
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
@@ -601,7 +601,8 @@ type Driver struct {
 	// the copy is unreachable — routing points elsewhere — but occupies
 	// memory until dropped).
 	KeepSource bool
-	// Metrics receives migration counters. May be nil.
+	// Metrics receives migration counters. nil: a private instance per
+	// MigrateShard call.
 	Metrics *Metrics
 	// Logf receives human-oriented progress lines. nil: silent.
 	Logf func(format string, args ...any)
@@ -792,10 +793,14 @@ func (d *Driver) MigrateShard(m *ShardMap, shard, toGroup int) (*ShardMap, error
 	}
 	src := m.Group(from)[0]
 	dst := m.Group(toGroup)[0]
+	metrics := d.Metrics
+	if metrics == nil {
+		metrics = &Metrics{}
+	}
 	d.logf("migration: shard %d: %s -> %s (from epoch %d)", shard, src, dst, m.Epoch)
 
 	abort := func(stage string, cause error) error {
-		d.Metrics.incMigrationAbort()
+		metrics.MigrationAborts.Inc()
 		var rel ReleaseShardReply
 		if rerr := d.call(src, "ReleaseShard", &ReleaseShardArgs{Shard: shard}, &rel, d.ctlTimeout()); rerr != nil {
 			d.logf("migration: shard %d: abort: release on %s failed (park TTL will self-release): %v", shard, src, rerr)
@@ -817,8 +822,8 @@ func (d *Driver) MigrateShard(m *ShardMap, shard, toGroup int) (*ShardMap, error
 		&PullShardArgs{Shard: shard, Source: src, CallTimeoutMillis: ctlMillis}, &bulk, d.pullTimeout()); err != nil {
 		return nil, abort("bulk copy", err)
 	}
-	d.Metrics.addMigrationBytes(bulk.Bytes)
-	d.Metrics.addMigrationBatches(bulk.Batches)
+	metrics.MigrationBytes.Add(bulk.Bytes)
+	metrics.MigrationBatches.Add(bulk.Batches)
 	d.logf("migration: shard %d: bulk copy done (%d bytes, %d tail batches, wal seq %d)", shard, bulk.Bytes, bulk.Batches, bulk.EndSeq)
 
 	// Phase 2: park the shard's writes on the source, drain the tail to the
@@ -835,8 +840,8 @@ func (d *Driver) MigrateShard(m *ShardMap, shard, toGroup int) (*ShardMap, error
 			Features: true, CallTimeoutMillis: ctlMillis}, &fin, d.pullTimeout()); err != nil {
 		return nil, abort("final drain", err)
 	}
-	d.Metrics.addMigrationBytes(fin.Bytes)
-	d.Metrics.addMigrationBatches(fin.Batches)
+	metrics.MigrationBytes.Add(fin.Bytes)
+	metrics.MigrationBatches.Add(fin.Batches)
 
 	next := m.Clone()
 	next.Epoch++
@@ -859,11 +864,11 @@ func (d *Driver) MigrateShard(m *ShardMap, shard, toGroup int) (*ShardMap, error
 		// The destination already owns the shard at epoch+1; the old map on
 		// the source will keep bouncing clients (via its park TTL and their
 		// refresh scans) until a re-push lands. Not abortable — surface it.
-		d.Metrics.addCutover(time.Since(cutStart))
+		metrics.CutoverNanos.Add(int64(time.Since(cutStart)))
 		return next, fmt.Errorf("cluster: migrate shard %d: cutover installed on %s but push to source %s failed (re-run a routing push): %w",
 			shard, dst, src, err)
 	}
-	d.Metrics.addCutover(time.Since(cutStart))
+	metrics.CutoverNanos.Add(int64(time.Since(cutStart)))
 	for _, addr := range next.Servers {
 		if addr == src || addr == dst {
 			continue
@@ -874,7 +879,7 @@ func (d *Driver) MigrateShard(m *ShardMap, shard, toGroup int) (*ShardMap, error
 				shard, addr, next.Epoch, err)
 		}
 	}
-	d.Metrics.incShardMigrated()
+	metrics.ShardsMigrated.Inc()
 	d.logf("migration: shard %d: cutover to %s at epoch %d (%.1fms park-to-flip)",
 		shard, dst, next.Epoch, float64(time.Since(cutStart))/float64(time.Millisecond))
 

@@ -102,7 +102,7 @@ func (c *Client) readShard(ctx context.Context, s int, method string, args, repl
 		if _, ok := notOwnerEpoch(err); !ok || epoch == 0 || hop >= maxReroutes {
 			break
 		}
-		c.metrics.incReroute()
+		c.metrics.Reroutes.Inc()
 		if !c.RefreshRouting(epoch + 1) {
 			// Rejected, but no newer map visible yet: the cutover push is
 			// mid-flight across the server set. Let it land.
@@ -139,7 +139,7 @@ func (c *Client) readGroup(ctx context.Context, s int, group []*peer, rrc *atomi
 		}
 		lastErr = err
 		if k < len(group)-1 {
-			c.metrics.incFailover()
+			c.metrics.ReadFailovers.Inc()
 		}
 	}
 	if lastErr == nil {
@@ -170,7 +170,7 @@ func (c *Client) writeShard(ctx context.Context, s int, args any, call writeCall
 		if _, ok := notOwnerEpoch(err); !ok || epoch == 0 || hop >= maxReroutes {
 			break
 		}
-		c.metrics.incReroute()
+		c.metrics.Reroutes.Inc()
 		if !c.RefreshRouting(epoch + 1) {
 			time.Sleep(rerouteSettleDelay)
 		}
@@ -249,7 +249,7 @@ func (c *Client) markStale(pe *peer) {
 	if pe.stale.Swap(true) {
 		return // already stale; keep the original epoch requirement
 	}
-	c.metrics.incStaleMark()
+	c.metrics.StaleMarks.Inc()
 	pe.staleEpoch.Store(0)
 	var reply SyncStateReply
 	if err := c.callPeerBudget(pe.idx, ServiceName+".SyncState", &SyncStateArgs{}, &reply, 0); err == nil {

@@ -99,7 +99,8 @@ type Options struct {
 	MaxWireVersion byte
 	// Metrics, if set, receives fault-tolerance counters (attempts,
 	// timeouts, retries, breaker opens, failovers, catch-up traffic). May
-	// be shared with a Service and published via expvar.
+	// be shared with a Service and registered in an obs.Registry. nil: a
+	// private instance (Client.Metrics).
 	Metrics *Metrics
 	// Seed seeds the retry-jitter RNG and the client's dedup identity.
 	// 0 draws an unpredictable seed.
@@ -286,17 +287,17 @@ func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, r
 				delay += pe.br.reopensIn(time.Now())
 			}
 			if hasDL && time.Until(deadline) <= delay {
-				c.metrics.incBudgetExhausted()
+				c.metrics.BudgetExhausted.Inc()
 				return fmt.Errorf("cluster: %s: %w (budget spent after %d attempts, last: %v)",
 					method, context.DeadlineExceeded, attempt, lastErr)
 			}
-			c.metrics.incRetry()
+			c.metrics.RPCRetries.Inc()
 			t := time.NewTimer(delay)
 			select {
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				c.metrics.incBudgetExhausted()
+				c.metrics.BudgetExhausted.Inc()
 				return fmt.Errorf("cluster: %s: %w (last: %v)", method, ctx.Err(), lastErr)
 			}
 		}
@@ -306,7 +307,7 @@ func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, r
 		if hasDL {
 			budget = time.Until(deadline)
 			if budget <= 0 {
-				c.metrics.incBudgetExhausted()
+				c.metrics.BudgetExhausted.Inc()
 				if lastErr != nil {
 					return fmt.Errorf("cluster: %s: %w (last: %v)", method, context.DeadlineExceeded, lastErr)
 				}
@@ -323,7 +324,7 @@ func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, r
 			lastErr = err
 			continue
 		}
-		c.metrics.incAttempt()
+		c.metrics.RPCAttempts.Inc()
 		attemptStart := time.Now()
 		tc, err := c.transportFor(pe)
 		if err != nil {
@@ -343,7 +344,7 @@ func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, r
 		}
 		lastErr = err
 		if errors.Is(err, ErrCallTimeout) {
-			c.metrics.incTimeout()
+			c.metrics.RPCTimeouts.Inc()
 			if timeout != c.opts.CallTimeout {
 				// The caller's budget ran out before the peer's CallTimeout
 				// did: a slow-but-healthy peer looks exactly like this, so the
@@ -363,7 +364,7 @@ func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, r
 			// Server shed: the transport and the peer are healthy, the
 			// server is just full. Count it as a breaker success so load
 			// can never cascade into breaker trips.
-			c.metrics.incShedSeen()
+			c.metrics.ShedSeen.Inc()
 			pe.br.success()
 			continue
 		}

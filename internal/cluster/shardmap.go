@@ -380,7 +380,7 @@ func (s *Service) checkRoute(shard int, epoch uint64) error {
 		return fmt.Errorf("cluster: shard %d out of range (%d logical shards)", shard, rt.m.NumShards)
 	}
 	if !rt.owned[shard] {
-		s.metrics.incNotOwnerReject()
+		s.metrics.NotOwnerRejects.Inc()
 		return notOwnerError(shard, rt.m.Epoch)
 	}
 	return nil
@@ -492,7 +492,7 @@ type RoutingReply struct {
 // Always served, even while catching up: routing state is control-plane.
 func (s *Service) Routing(_ *RoutingArgs, reply *RoutingReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("Routing", start) }()
+	defer s.metrics.ServerLatency.With("Routing").ObserveSince(start)
 	defer guard("Routing", &err)
 	if rt := s.routing.Load(); rt != nil {
 		reply.Has = true
@@ -520,7 +520,7 @@ type UpdateRoutingReply struct {
 // driver's fan-out push idempotent and unordered-safe.
 func (s *Service) UpdateRouting(args *UpdateRoutingArgs, reply *UpdateRoutingReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("UpdateRouting", start) }()
+	defer s.metrics.ServerLatency.With("UpdateRouting").ObserveSince(start)
 	defer guard("UpdateRouting", &err)
 	m := args.Map.Clone()
 	if verr := m.Validate(); verr != nil {
@@ -713,7 +713,7 @@ func (c *Client) RefreshRouting(minEpoch uint64) bool {
 			}
 			if reply.Map.Epoch > cur.m.Epoch {
 				if err := c.adoptLocked(&reply.Map); err == nil {
-					c.metrics.incRoutingRefresh()
+					c.metrics.RoutingRefreshes.Inc()
 					return true
 				}
 			}
@@ -781,7 +781,7 @@ func (c *Client) handshake(addrs []string) error {
 // dial negotiates the wire version afresh, so these control paths work
 // against servers of any wire version.
 func roundTrip(dial Dialer, method string, args, reply any, timeout time.Duration) error {
-	tc, err := dialTransport(dial, timeout, nil, 0)
+	tc, err := dialTransport(dial, timeout, &Metrics{}, 0)
 	if err != nil {
 		return err
 	}

@@ -52,7 +52,12 @@ func nextSyncEpoch() uint64 { return syncEpochBase + syncEpochCounter.Add(1) }
 
 // SetMetrics installs shared fault-tolerance counters (snapshots served,
 // WAL batches streamed). May be the same Metrics instance a Client uses.
-func (s *Service) SetMetrics(m *Metrics) { s.metrics = m }
+// Call before NewServer; nil keeps the current instance.
+func (s *Service) SetMetrics(m *Metrics) {
+	if m != nil {
+		s.metrics = m
+	}
+}
 
 // EnableSync designates wal as the WAL this server streams to catching-up
 // replicas (FetchWALTail re-reads its file, so the writer must keep
@@ -135,7 +140,7 @@ type SyncStateReply struct {
 // while not ready — it is how clients and siblings probe progress.
 func (s *Service) SyncState(_ *SyncStateArgs, reply *SyncStateReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("SyncState", start) }()
+	defer s.metrics.ServerLatency.With("SyncState").ObserveSince(start)
 	defer guard("SyncState", &err)
 	reply.Ready = s.ready.Load()
 	reply.SyncEpoch = s.syncEpoch.Load()
@@ -170,7 +175,7 @@ type SnapshotReply struct {
 // from each other.
 func (s *Service) FetchSnapshot(_ *SnapshotArgs, reply *SnapshotReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("FetchSnapshot", start) }()
+	defer s.metrics.ServerLatency.With("FetchSnapshot").ObserveSince(start)
 	defer guard("FetchSnapshot", &err)
 	if !s.ready.Load() {
 		return ErrReplicaNotReady
@@ -191,7 +196,7 @@ func (s *Service) FetchSnapshot(_ *SnapshotArgs, reply *SnapshotReply) (err erro
 	reply.Snapshot = buf.Bytes()
 	reply.Sum = checksumBytes(reply.Snapshot)
 	reply.Dedup = s.dedup.export()
-	s.metrics.incSnapshotServed()
+	s.metrics.SnapshotsServed.Inc()
 	return nil
 }
 
@@ -219,7 +224,7 @@ type WALTailReply struct {
 // and a later call picks it up once complete.
 func (s *Service) FetchWALTail(args *WALTailArgs, reply *WALTailReply) (err error) {
 	start := time.Now()
-	defer func() { s.metrics.observeServed("FetchWALTail", start) }()
+	defer s.metrics.ServerLatency.With("FetchWALTail").ObserveSince(start)
 	defer guard("FetchWALTail", &err)
 	if s.syncWAL == nil {
 		return fmt.Errorf("cluster: server has no WAL to stream")
@@ -237,7 +242,7 @@ func (s *Service) FetchWALTail(args *WALTailArgs, reply *WALTailReply) (err erro
 	// Read the writer position after the file scan: anything appended in
 	// between just makes the caller loop once more.
 	reply.WriterSeq = s.syncWAL.Seq()
-	s.metrics.addTailServed(int64(len(recs)))
+	s.metrics.TailBatchesServed.Add(int64(len(recs)))
 	return nil
 }
 
@@ -261,7 +266,7 @@ type SyncOptions struct {
 	// paths set Attrs so the replica converges byte-identically, features
 	// included.
 	Attrs bool
-	// Metrics receives catch-up counters. May be nil.
+	// Metrics receives catch-up counters. nil: a private instance.
 	Metrics *Metrics
 }
 
@@ -313,6 +318,9 @@ func SyncFromPeer(svc *Service, dial Dialer, opts SyncOptions) error {
 // SyncFromPeerStats is SyncFromPeer reporting what it moved.
 func SyncFromPeerStats(svc *Service, dial Dialer, opts SyncOptions) (SyncStats, error) {
 	var stats SyncStats
+	if opts.Metrics == nil {
+		opts.Metrics = &Metrics{}
+	}
 	svc.BeginCatchUp()
 	tc, err := dialTransport(dial, opts.CallTimeout, opts.Metrics, 0)
 	if err != nil {
@@ -415,8 +423,8 @@ func SyncFromPeerStats(svc *Service, dial Dialer, opts SyncOptions) (SyncStats, 
 		stats.AttrBytes = attrs.Attrs.approxBytes()
 	}
 	svc.MarkSynced()
-	opts.Metrics.incCatchUp()
-	opts.Metrics.addCatchUpBytes(stats.SnapshotBytes)
-	opts.Metrics.addCatchUpBatches(stats.Batches)
+	opts.Metrics.CatchUps.Inc()
+	opts.Metrics.CatchUpBytes.Add(stats.SnapshotBytes)
+	opts.Metrics.CatchUpBatches.Add(stats.Batches)
 	return stats, nil
 }

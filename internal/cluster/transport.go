@@ -332,7 +332,7 @@ func dialTransport(dial Dialer, hsTimeout time.Duration, m *Metrics, maxVer byte
 		return nil, err
 	}
 	m.observeClientCall("Handshake", start)
-	m.incWireHandshake()
+	m.WireHandshakes.Inc()
 	t := &wireTransport{dial: dial, maxVer: maxVer, hsTO: hsTimeout, lim: newAIMDLimiter(m)}
 	t.idle = append(t.idle, &wireConn{conn: conn, version: ver})
 	return t, nil

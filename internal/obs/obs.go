@@ -1,10 +1,10 @@
 // Package obs is the repo's unified observability layer: lock-cheap metric
 // primitives (atomic counters, gauges, bounded log-scale latency histograms)
-// plus a Registry that exposes everything in Prometheus text format and
-// bridges to expvar. Every layer with a hot path — cluster RPC, the samtree
-// store, the sampling views, the prefetch pipeline, checkpointing — records
-// into these primitives; the binaries mount one Registry per process on
-// -metrics-addr.
+// plus a Registry that exposes everything in Prometheus text format and as
+// JSON. Every layer with a hot path — cluster RPC, the samtree store, the
+// sampling views, the prefetch pipeline, checkpointing — records into these
+// primitives; the binaries serve one Registry per process on -metrics-addr
+// through Serve.
 //
 // Design constraints, in order:
 //

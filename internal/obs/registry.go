@@ -303,9 +303,9 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Expvar bridges the whole registry to expvar as one JSON object: counters
-// and gauges as numbers, histograms as {count, sum, p50, p95, p99} summaries
-// — keyed by name plus label signature.
+// Expvar renders the whole registry as one JSON object: counters and gauges
+// as numbers, histograms as {count, sum, p50, p95, p99} summaries — keyed by
+// name plus label signature. Serve mounts it at /debug/vars.
 func (r *Registry) Expvar() expvar.Var {
 	return expvar.Func(func() any {
 		out := make(map[string]any)

@@ -2,13 +2,11 @@
 // A healthy pipelined epoch shows mostly prefetch hits (the next batch was
 // ready before the trainer asked) and little stall time; a stall-dominated
 // epoch means depth/workers are too low for the backend's latency. Counters
-// follow internal/cluster's conventions: cheap atomics, nil-safe helpers,
-// expvar-publishable — plus per-stage latency histograms (build / queue wait
-// / consumer stall) on the unified internal/obs registry.
+// are cheap atomics, plus per-stage latency histograms (build / queue wait /
+// consumer stall), all exposed through the unified internal/obs registry.
 package pipeline
 
 import (
-	"expvar"
 	"fmt"
 	"time"
 
@@ -16,8 +14,8 @@ import (
 )
 
 // Metrics aggregates prefetch counters and per-stage histograms. The zero
-// value is ready to use; all methods are safe on a nil receiver so metrics
-// stay optional.
+// value is ready to use; Run allocates a private one when Config.Metrics is
+// nil.
 type Metrics struct {
 	BatchesBuilt obs.Counter // batch builds completed by workers
 	BuildNanos   obs.Counter // total time spent building batches
@@ -43,6 +41,7 @@ type MetricsSnapshot struct {
 }
 
 // Snapshot copies the current counter values.
+// A nil m reads as zero, for callers that left Config.Metrics unset.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	if m == nil {
 		return MetricsSnapshot{}
@@ -72,18 +71,9 @@ func (s MetricsSnapshot) String() string {
 		time.Duration(s.StallNanos), s.HitRate())
 }
 
-// Expvar returns an expvar.Var rendering the counters as a JSON object, for
-// expvar.Publish under the caller's chosen name.
-func (m *Metrics) Expvar() expvar.Var {
-	return expvar.Func(func() any { return m.Snapshot() })
-}
-
 // Register attaches every counter and histogram to r under the stable
 // platod2gl_pipeline_* names documented in docs/OPERATIONS.md.
 func (m *Metrics) Register(r *obs.Registry) {
-	if m == nil {
-		return
-	}
 	for _, c := range []struct {
 		name, help string
 		c          *obs.Counter
@@ -105,29 +95,19 @@ func (m *Metrics) Register(r *obs.Registry) {
 }
 
 func (m *Metrics) addBuild(d time.Duration) {
-	if m != nil {
-		m.BatchesBuilt.Add(1)
-		m.BuildNanos.Add(int64(d))
-		m.BuildLatency.Observe(int64(d))
-	}
+	m.BatchesBuilt.Add(1)
+	m.BuildNanos.Add(int64(d))
+	m.BuildLatency.Observe(int64(d))
 }
 
 func (m *Metrics) observeWait(builtAt time.Time) {
-	if m != nil && !builtAt.IsZero() {
+	if !builtAt.IsZero() {
 		m.WaitLatency.ObserveSince(builtAt)
 	}
 }
 
-func (m *Metrics) incHit() {
-	if m != nil {
-		m.PrefetchHits.Add(1)
-	}
-}
-
 func (m *Metrics) addStall(d time.Duration) {
-	if m != nil {
-		m.Stalls.Add(1)
-		m.StallNanos.Add(int64(d))
-		m.DeliverLatency.Observe(int64(d))
-	}
+	m.Stalls.Add(1)
+	m.StallNanos.Add(int64(d))
+	m.DeliverLatency.Observe(int64(d))
 }

@@ -38,8 +38,8 @@ type Config struct {
 	// Depth is raised to Workers when smaller, so every worker can make
 	// progress.
 	Workers int
-	// Metrics, if set, receives prefetch-hit/stall counters (may be shared
-	// across epochs and published via expvar).
+	// Metrics receives prefetch-hit/stall counters (may be shared across
+	// epochs and registered in an obs.Registry). nil: a private instance.
 	Metrics *Metrics
 }
 
@@ -52,6 +52,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Depth < c.Workers {
 		c.Depth = c.Workers
+	}
+	if c.Metrics == nil {
+		c.Metrics = &Metrics{}
 	}
 	return c
 }
@@ -173,7 +176,7 @@ func (p *Pipeline) Next() (Result, bool) {
 	select {
 	case r, ok := <-p.out:
 		if ok {
-			p.metrics.incHit()
+			p.metrics.PrefetchHits.Inc()
 		}
 		return r, ok
 	default:

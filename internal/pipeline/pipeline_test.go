@@ -272,7 +272,7 @@ func TestPipelineMetricsHitsAndStalls(t *testing.T) {
 	if got := s2.HitRate(); got <= 0.5 {
 		t.Fatalf("HitRate = %.2f", got)
 	}
-	if s2.String() == "" || (&m2).Expvar().String() == "" {
+	if s2.String() == "" {
 		t.Fatal("empty metrics renderings")
 	}
 }

@@ -97,7 +97,8 @@ type Config struct {
 	Timeout time.Duration
 	// IndexSeed seeds the HNSW level generator (reproducible tests).
 	IndexSeed int64
-	// Metrics receives request counters and latencies (nil = unmetered).
+	// Metrics receives request counters and latencies. nil: a private
+	// instance.
 	Metrics *Metrics
 }
 
@@ -137,7 +138,10 @@ func New(cfg Config) (*Engine, error) {
 	if timeout == 0 {
 		timeout = 2 * time.Second
 	}
-	ix, err := ann.New(ann.Config{Dim: mdl.hidden, Seed: cfg.IndexSeed, Metrics: cfg.Metrics.annMetrics()})
+	if cfg.Metrics == nil {
+		cfg.Metrics = &Metrics{}
+	}
+	ix, err := ann.New(ann.Config{Dim: mdl.hidden, Seed: cfg.IndexSeed, Metrics: &cfg.Metrics.Ann})
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +175,7 @@ func (e *Engine) acquire(ctx context.Context) (context.Context, context.CancelFu
 		return ctx, cancel, nil
 	case <-ctx.Done():
 		cancel()
-		e.metrics.incShed()
+		e.metrics.Shed.Inc()
 		return nil, nil, fmt.Errorf("serve: request shed waiting for a worker: %w", ctx.Err())
 	}
 }

@@ -150,8 +150,8 @@ func TestKNNSameClassAffinity(t *testing.T) {
 		t.Fatalf("KNNRequests = %d, want 40", m.KNNRequests.Load())
 	}
 	snap := m.Snapshot()
-	if snap.Errors != 0 || snap.Ann.Searches == 0 {
-		t.Fatalf("unexpected metrics: %+v", snap)
+	if snap.Errors != 0 || m.Ann.Searches.Load() == 0 {
+		t.Fatalf("unexpected metrics: %+v, ann searches %d", snap, m.Ann.Searches.Load())
 	}
 }
 

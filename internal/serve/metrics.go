@@ -1,15 +1,14 @@
 package serve
 
 import (
-	"expvar"
 	"time"
 
 	"platod2gl/internal/ann"
 	"platod2gl/internal/obs"
 )
 
-// Metrics is the serving tier's instrumentation. All inc/observe helpers are
-// nil-safe so tests can run unmetered engines. The staleness pair is the
+// Metrics is the serving tier's instrumentation. New and NewRefresher
+// allocate a private one when none is configured. The staleness pair is the
 // contract the nightly churn drill asserts on: EmbeddingsStale counts
 // vertices known-dirty but not yet re-embedded, RefreshLag measures how long
 // each one stayed dirty.
@@ -31,14 +30,6 @@ type Metrics struct {
 	Ann ann.Metrics
 }
 
-// annMetrics returns the embedded index counters, nil-safely.
-func (m *Metrics) annMetrics() *ann.Metrics {
-	if m == nil {
-		return nil
-	}
-	return &m.Ann
-}
-
 // MetricsSnapshot is a plain-value copy for printing and JSON encoding.
 type MetricsSnapshot struct {
 	EmbedRequests   int64
@@ -52,14 +43,10 @@ type MetricsSnapshot struct {
 	Refreshed       int64
 	RefreshPolls    int64
 	RefreshErrors   int64
-	Ann             ann.MetricsSnapshot
 }
 
 // Snapshot copies the current values.
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	if m == nil {
-		return MetricsSnapshot{}
-	}
 	return MetricsSnapshot{
 		EmbedRequests:   m.EmbedRequests.Load(),
 		KNNRequests:     m.KNNRequests.Load(),
@@ -72,13 +59,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Refreshed:       m.Refreshed.Load(),
 		RefreshPolls:    m.RefreshPolls.Load(),
 		RefreshErrors:   m.RefreshErrors.Load(),
-		Ann:             m.Ann.Snapshot(),
 	}
-}
-
-// Expvar exposes the snapshot as one JSON object.
-func (m *Metrics) Expvar() expvar.Var {
-	return expvar.Func(func() any { return m.Snapshot() })
 }
 
 // Register attaches everything to r under the stable platod2gl_serve_*
@@ -86,9 +67,6 @@ func (m *Metrics) Expvar() expvar.Var {
 // nanoseconds and exposed in seconds (scale 1e-9), matching the repo's
 // exposition convention.
 func (m *Metrics) Register(r *obs.Registry) {
-	if m == nil {
-		return
-	}
 	r.RegisterCounter("platod2gl_serve_embed_requests_total", "Embed requests admitted.", nil, &m.EmbedRequests)
 	r.RegisterCounter("platod2gl_serve_knn_requests_total", "k-NN requests admitted.", nil, &m.KNNRequests)
 	r.RegisterCounter("platod2gl_serve_errors_total", "Serving requests that returned an error.", nil, &m.Errors)
@@ -113,9 +91,6 @@ func (e *Engine) RegisterIndexGauges(r *obs.Registry) {
 }
 
 func (m *Metrics) observeEmbed(start time.Time, err error) {
-	if m == nil {
-		return
-	}
 	m.EmbedRequests.Inc()
 	m.EmbedLatency.ObserveSince(start)
 	if err != nil {
@@ -124,43 +99,9 @@ func (m *Metrics) observeEmbed(start time.Time, err error) {
 }
 
 func (m *Metrics) observeKNN(start time.Time, err error) {
-	if m == nil {
-		return
-	}
 	m.KNNRequests.Inc()
 	m.KNNLatency.ObserveSince(start)
 	if err != nil {
 		m.Errors.Inc()
-	}
-}
-
-func (m *Metrics) incShed() {
-	if m != nil {
-		m.Shed.Inc()
-	}
-}
-
-func (m *Metrics) setStale(n int) {
-	if m != nil {
-		m.EmbeddingsStale.Set(int64(n))
-	}
-}
-
-func (m *Metrics) observeRefresh(lag time.Duration, n int) {
-	if m != nil {
-		m.RefreshLag.Observe(lag.Nanoseconds())
-		m.Refreshed.Add(int64(n))
-	}
-}
-
-func (m *Metrics) incPoll() {
-	if m != nil {
-		m.RefreshPolls.Inc()
-	}
-}
-
-func (m *Metrics) incRefreshErr() {
-	if m != nil {
-		m.RefreshErrors.Inc()
 	}
 }

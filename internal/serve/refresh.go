@@ -59,7 +59,8 @@ type RefreshConfig struct {
 	// Interval between digest polls (default 2s).
 	Interval time.Duration
 	// Batch bounds vertices per re-embed call (default 128).
-	Batch   int
+	Batch int
+	// Metrics receives refresh counters and lag. nil: a private instance.
 	Metrics *Metrics
 }
 
@@ -99,6 +100,9 @@ func NewRefresher(cfg RefreshConfig) (*Refresher, error) {
 	if batch <= 0 {
 		batch = 128
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = &Metrics{}
+	}
 	return &Refresher{
 		engine: cfg.Engine, src: cfg.Source, view: v,
 		interval: interval, batch: batch, metrics: cfg.Metrics,
@@ -128,11 +132,11 @@ func (r *Refresher) poll(ctx context.Context) {
 	digests, err := r.src.Digests(ctx)
 	if err != nil {
 		if ctx.Err() == nil {
-			r.metrics.incRefreshErr()
+			r.metrics.RefreshErrors.Inc()
 		}
 		return
 	}
-	r.metrics.incPoll()
+	r.metrics.RefreshPolls.Inc()
 	if !r.primed || len(digests) != len(r.lastSeen) {
 		r.lastSeen = digests
 		r.primed = true
@@ -147,13 +151,13 @@ func (r *Refresher) poll(ctx context.Context) {
 	r.lastSeen = digests
 	if len(changed) > 0 {
 		if err := r.mark(changed, len(digests)); err != nil {
-			r.metrics.incRefreshErr()
+			r.metrics.RefreshErrors.Inc()
 		}
 	}
-	r.metrics.setStale(len(r.dirty))
+	r.metrics.EmbeddingsStale.Set(int64(len(r.dirty)))
 	if len(r.dirty) > 0 {
 		r.sweep(ctx)
-		r.metrics.setStale(len(r.dirty))
+		r.metrics.EmbeddingsStale.Set(int64(len(r.dirty)))
 	}
 }
 
@@ -210,13 +214,14 @@ func (r *Refresher) sweep(ctx context.Context) {
 		batch := ids[lo:hi]
 		if err := r.engine.IndexVertices(ctx, r.view, batch); err != nil {
 			if ctx.Err() == nil {
-				r.metrics.incRefreshErr()
+				r.metrics.RefreshErrors.Inc()
 			}
 			return
 		}
 		now := time.Now()
 		for _, id := range batch {
-			r.metrics.observeRefresh(now.Sub(r.dirty[id]), 1)
+			r.metrics.RefreshLag.Observe(now.Sub(r.dirty[id]).Nanoseconds())
+			r.metrics.Refreshed.Inc()
 			delete(r.dirty, id)
 		}
 	}

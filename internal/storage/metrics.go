@@ -1,21 +1,19 @@
 // Samtree operation observability: latency histograms and op counters for
 // the store's hot paths (insert, delete, weighted/uniform sampling, PALM
-// batches). Metrics stay strictly optional — a nil *Metrics costs one branch
-// per operation and no clock read — following the repo's nil-safe metrics
-// convention.
+// batches). Metrics stay strictly optional on this hot path: a nil *Metrics
+// costs one branch per operation and no clock read, which keeps the sampling
+// loop clock-free when nothing scrapes it.
 package storage
 
 import (
-	"expvar"
-	"fmt"
 	"time"
 
 	"platod2gl/internal/obs"
 )
 
 // Metrics aggregates per-operation counters and latency histograms for a
-// DynamicStore. The zero value is ready to use; all methods are safe on a
-// nil receiver.
+// DynamicStore. The zero value is ready to use; the timing helpers are safe
+// on a nil receiver.
 type Metrics struct {
 	Inserts     obs.Counter // AddEdge calls
 	Deletes     obs.Counter // DeleteEdge calls
@@ -29,46 +27,9 @@ type Metrics struct {
 	BatchLatency  obs.Histogram // nanoseconds per ApplyBatch (all workers)
 }
 
-// MetricsSnapshot is a plain-value copy of the counters.
-type MetricsSnapshot struct {
-	Inserts     int64
-	Deletes     int64
-	Samples     int64
-	Batches     int64
-	BatchEvents int64
-}
-
-// Snapshot copies the current counter values.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	if m == nil {
-		return MetricsSnapshot{}
-	}
-	return MetricsSnapshot{
-		Inserts:     m.Inserts.Load(),
-		Deletes:     m.Deletes.Load(),
-		Samples:     m.Samples.Load(),
-		Batches:     m.Batches.Load(),
-		BatchEvents: m.BatchEvents.Load(),
-	}
-}
-
-// String renders the snapshot compactly for logs.
-func (s MetricsSnapshot) String() string {
-	return fmt.Sprintf("inserts=%d deletes=%d samples=%d batches=%d batch_events=%d",
-		s.Inserts, s.Deletes, s.Samples, s.Batches, s.BatchEvents)
-}
-
-// Expvar returns an expvar.Var rendering the counters as a JSON object.
-func (m *Metrics) Expvar() expvar.Var {
-	return expvar.Func(func() any { return m.Snapshot() })
-}
-
 // Register attaches every counter and histogram to r under the stable
 // platod2gl_storage_* names documented in docs/OPERATIONS.md.
 func (m *Metrics) Register(r *obs.Registry) {
-	if m == nil {
-		return
-	}
 	for _, c := range []struct {
 		name, help string
 		c          *obs.Counter

@@ -18,7 +18,7 @@ var viewCalls = []string{
 }
 
 // CallMetrics holds the per-call latency family plus call/error counters.
-// The zero value is ready to use; methods are nil-safe.
+// The zero value is ready to use.
 type CallMetrics struct {
 	Calls   obs.Counter      // view calls completed (any outcome)
 	Errors  obs.Counter      // view calls that returned an error
@@ -28,9 +28,6 @@ type CallMetrics struct {
 // Register attaches the family to r under the stable platod2gl_view_call_*
 // names, pre-seeded with every GraphView call.
 func (m *CallMetrics) Register(r *obs.Registry) {
-	if m == nil {
-		return
-	}
 	r.RegisterCounter("platod2gl_view_calls_total", "GraphView calls completed.", nil, &m.Calls)
 	r.RegisterCounter("platod2gl_view_call_errors_total", "GraphView calls that returned an error.", nil, &m.Errors)
 	for _, c := range viewCalls {
@@ -41,9 +38,6 @@ func (m *CallMetrics) Register(r *obs.Registry) {
 }
 
 func (m *CallMetrics) observe(call string, start time.Time, err error) {
-	if m == nil {
-		return
-	}
 	m.Calls.Add(1)
 	if err != nil {
 		m.Errors.Add(1)
