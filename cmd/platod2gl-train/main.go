@@ -469,7 +469,8 @@ func run(cfg config, out io.Writer) error {
 	if client != nil {
 		s := client.Metrics().Snapshot()
 		fmt.Fprintf(out, "cluster: %s\n", s)
-		fmt.Fprintf(out, "coalescing saved %d duplicate seeds / %d wire bytes\n", s.CoalescedSeeds, s.CoalescedBytes)
+		fmt.Fprintf(out, "coalescing saved %d duplicate seeds / %d wire bytes, %d duplicate feature and label rows\n",
+			s.CoalescedSeeds, s.CoalescedBytes, s.CoalescedRows)
 	}
 	return nil
 }

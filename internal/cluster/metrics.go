@@ -52,6 +52,11 @@ type Metrics struct {
 	CoalescedSeeds obs.Counter // duplicate seeds removed from payloads
 	CoalescedBytes obs.Counter // request+reply bytes saved by coalescing
 
+	// CoalescedRows counts duplicate ids deduplicated out of Features,
+	// FeaturesLabels, Labels and Degree fan-outs. It is kept apart from
+	// CoalescedSeeds, which counts sampling seeds only.
+	CoalescedRows obs.Counter
+
 	// Catch-up (both directions: served by a live peer, pulled by a
 	// rejoining replica).
 	CatchUps          obs.Counter // completed SyncFromPeer runs
@@ -121,6 +126,7 @@ type MetricsSnapshot struct {
 	DegradedShards     int64
 	CoalescedSeeds     int64
 	CoalescedBytes     int64
+	CoalescedRows      int64
 	CatchUps           int64
 	CatchUpBytes       int64
 	CatchUpBatches     int64
@@ -160,6 +166,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		DegradedShards:     m.DegradedShards.Load(),
 		CoalescedSeeds:     m.CoalescedSeeds.Load(),
 		CoalescedBytes:     m.CoalescedBytes.Load(),
+		CoalescedRows:      m.CoalescedRows.Load(),
 		CatchUps:           m.CatchUps.Load(),
 		CatchUpBytes:       m.CatchUpBytes.Load(),
 		CatchUpBatches:     m.CatchUpBatches.Load(),
@@ -191,13 +198,13 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 // String renders the snapshot compactly for loadgen summaries and logs.
 func (s MetricsSnapshot) String() string {
 	return fmt.Sprintf(
-		"attempts=%d timeouts=%d retries=%d breaker_opens=%d failovers=%d stale_marks=%d degraded_shards=%d coalesced_seeds=%d coalesced_bytes=%d catchups=%d catchup_bytes=%d catchup_batches=%d "+
+		"attempts=%d timeouts=%d retries=%d breaker_opens=%d failovers=%d stale_marks=%d degraded_shards=%d coalesced_seeds=%d coalesced_bytes=%d coalesced_rows=%d catchups=%d catchup_bytes=%d catchup_batches=%d "+
 			"reroutes=%d routing_refreshes=%d not_owner_rejects=%d shards_migrated=%d migration_bytes=%d migration_batches=%d migration_aborts=%d cutover_ms=%d "+
 			"scrub_rounds=%d digest_mismatches=%d corruption_detected=%d repairs_triggered=%d repair_bytes=%d "+
 			"wire_handshakes=%d "+
 			"shed=%d deadline_expired=%d conns_rejected=%d shed_seen=%d client_saturations=%d budget_exhausted=%d",
 		s.RPCAttempts, s.RPCTimeouts, s.RPCRetries, s.BreakerOpens,
-		s.ReadFailovers, s.StaleMarks, s.DegradedShards, s.CoalescedSeeds, s.CoalescedBytes,
+		s.ReadFailovers, s.StaleMarks, s.DegradedShards, s.CoalescedSeeds, s.CoalescedBytes, s.CoalescedRows,
 		s.CatchUps, s.CatchUpBytes, s.CatchUpBatches,
 		s.Reroutes, s.RoutingRefreshes, s.NotOwnerRejects, s.ShardsMigrated,
 		s.MigrationBytes, s.MigrationBatches, s.MigrationAborts,
@@ -227,6 +234,7 @@ func (m *Metrics) Register(r *obs.Registry) {
 		{"platod2gl_cluster_degraded_shards_total", "Shard sub-requests of a sampling fan-out answered with self-loops.", &m.DegradedShards},
 		{"platod2gl_cluster_coalesced_seeds_total", "Duplicate seeds removed from sampling payloads.", &m.CoalescedSeeds},
 		{"platod2gl_cluster_coalesced_bytes_total", "Approximate wire bytes saved by seed coalescing.", &m.CoalescedBytes},
+		{"platod2gl_cluster_coalesced_rows_total", "Duplicate ids removed from feature, label and degree payloads.", &m.CoalescedRows},
 		{"platod2gl_cluster_catchups_total", "Completed SyncFromPeer catch-up runs.", &m.CatchUps},
 		{"platod2gl_cluster_catchup_bytes_total", "Snapshot bytes pulled during catch-up.", &m.CatchUpBytes},
 		{"platod2gl_cluster_catchup_batches_total", "WAL-tail batches applied during catch-up.", &m.CatchUpBatches},

@@ -1,9 +1,10 @@
 // Tests for the GraphView-facing RPC surface: the labels round-trip added
-// to the Features RPC, the Sources fan-out, and duplicate-seed coalescing
-// in the sampling payloads.
+// to the Features RPC, the Sources fan-out, and duplicate-id coalescing in
+// the sampling, feature, label and degree payloads.
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 
 	"platod2gl/internal/graph"
@@ -189,4 +190,134 @@ func TestSampleNeighborsCoalescesDuplicateSeeds(t *testing.T) {
 	if len(layers[0]) != len(distinct)*4 || len(layers[1]) != len(distinct)*4*2 {
 		t.Fatalf("layer sizes %d/%d", len(layers[0]), len(layers[1]))
 	}
+}
+
+// TestFeaturesLabelsDegreeCoalesceDuplicateIDs asks for a 10×-duplicated id
+// list, shuffled, and checks every answer against the same call on the
+// distinct ids one at a time: coalescing must be invisible except in
+// CoalescedRows.
+func TestFeaturesLabelsDegreeCoalesceDuplicateIDs(t *testing.T) {
+	client, shutdown := newCluster(t, 3)
+	defer shutdown()
+	const dim, reps = 4, 10
+	var distinct []graph.VertexID
+	var events []graph.Event
+	for i := uint64(0); i < 12; i++ {
+		id := graph.MakeVertexID(0, i)
+		distinct = append(distinct, id)
+		for j := uint64(0); j < i%5; j++ {
+			events = append(events, graph.Event{
+				Kind: graph.AddEdge,
+				Edge: graph.Edge{Src: id, Dst: graph.MakeVertexID(1, j), Weight: 1},
+			})
+		}
+	}
+	// One id the cluster has never seen: zero row, label 0, degree 0.
+	distinct = append(distinct, graph.MakeVertexID(7, 99))
+	if err := client.ApplyBatch(events); err != nil {
+		t.Fatal(err)
+	}
+	data := make([]float32, 12*dim)
+	labels := make([]int32, 12)
+	for i := range data {
+		data[i] = float32(i) + 0.5
+	}
+	for i := range labels {
+		labels[i] = int32(i%3 + 1)
+	}
+	if err := client.SetFeatures(distinct[:12], dim, data, labels); err != nil {
+		t.Fatal(err)
+	}
+
+	ids := make([]graph.VertexID, 0, reps*len(distinct))
+	for r := 0; r < reps; r++ {
+		ids = append(ids, distinct...)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	dups := int64(len(ids) - len(distinct))
+
+	type answer struct {
+		row   []float32
+		label int32
+		deg   int
+	}
+	want := map[graph.VertexID]answer{}
+	for _, id := range distinct {
+		row, lbl, err := client.FeaturesLabels([]graph.VertexID{id}, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deg, err := client.Degree([]graph.VertexID{id}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = answer{row, lbl[0], deg[0]}
+	}
+
+	rowsMoved := func(name string, call func() error) {
+		t.Helper()
+		before := client.Metrics().Snapshot()
+		if err := call(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		after := client.Metrics().Snapshot()
+		if got := after.CoalescedRows - before.CoalescedRows; got != dups {
+			t.Fatalf("%s: CoalescedRows += %d, want %d", name, got, dups)
+		}
+		if after.CoalescedSeeds != before.CoalescedSeeds {
+			t.Fatalf("%s: CoalescedSeeds moved by %d", name, after.CoalescedSeeds-before.CoalescedSeeds)
+		}
+	}
+	checkRows := func(name string, got []float32) {
+		t.Helper()
+		for i, id := range ids {
+			for d, v := range want[id].row {
+				if got[i*dim+d] != v {
+					t.Fatalf("%s: id %v (index %d) col %d = %v, want %v", name, id, i, d, got[i*dim+d], v)
+				}
+			}
+		}
+	}
+	checkLabels := func(name string, got []int32) {
+		t.Helper()
+		for i, id := range ids {
+			if got[i] != want[id].label {
+				t.Fatalf("%s: id %v (index %d) label %d, want %d", name, id, i, got[i], want[id].label)
+			}
+		}
+	}
+
+	rowsMoved("Features", func() error {
+		got, err := client.Features(ids, dim)
+		if err == nil {
+			checkRows("Features", got)
+		}
+		return err
+	})
+	rowsMoved("FeaturesLabels", func() error {
+		got, lbl, err := client.FeaturesLabels(ids, dim)
+		if err == nil {
+			checkRows("FeaturesLabels", got)
+			checkLabels("FeaturesLabels", lbl)
+		}
+		return err
+	})
+	rowsMoved("Labels", func() error {
+		lbl, err := client.Labels(ids)
+		if err == nil {
+			checkLabels("Labels", lbl)
+		}
+		return err
+	})
+	rowsMoved("Degree", func() error {
+		deg, err := client.Degree(ids, 0)
+		if err == nil {
+			for i, id := range ids {
+				if deg[i] != want[id].deg {
+					t.Fatalf("Degree: id %v (index %d) = %d, want %d", id, i, deg[i], want[id].deg)
+				}
+			}
+		}
+		return err
+	})
 }

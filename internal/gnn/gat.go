@@ -123,6 +123,15 @@ func (l *GATLayer) Forward(xSelf, xNeigh *Matrix, fanout int) *Matrix {
 // Backward consumes dL/doutput, accumulates parameter gradients, and
 // returns (dL/dxSelf, dL/dxNeigh).
 func (l *GATLayer) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
+	dHs, dHn := l.BackwardWeights(dOut)
+	return MatMulBT(dHs, l.W), MatMulBT(dHn, l.W)
+}
+
+// BackwardWeights consumes dL/doutput and accumulates the parameter
+// gradients. It returns the gradients at the projected self and neighbor
+// rows (x·W), which only Backward needs: a first layer, whose inputs are
+// constant features, calls this and skips the two input-gradient products.
+func (l *GATLayer) BackwardWeights(dOut *Matrix) (dHs, dHn *Matrix) {
 	n := l.xSelf.Rows
 	o := l.W.Cols
 	f := l.fanout
@@ -131,8 +140,8 @@ func (l *GATLayer) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
 		dz = dOut.Clone()
 		MulMaskInPlace(dz, l.outMask)
 	}
-	dHs := NewMatrix(n, o)
-	dHn := NewMatrix(n*f, o)
+	dHs = NewMatrix(n, o)
+	dHn = NewMatrix(n*f, o)
 	for i := 0; i < n; i++ {
 		dzRow := dz.Row(i)
 		// Bias and self projection.
@@ -177,7 +186,7 @@ func (l *GATLayer) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
 	// Through the shared projection W.
 	AddInPlace(l.GW, MatMulAT(l.xSelf, dHs))
 	AddInPlace(l.GW, MatMulAT(l.xNeigh, dHn))
-	return MatMulBT(dHs, l.W), MatMulBT(dHn, l.W)
+	return dHs, dHn
 }
 
 // Params returns the trainable tensors.

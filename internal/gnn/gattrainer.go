@@ -114,7 +114,8 @@ func (t *GATTrainer) TrainStep(b *Batch) float64 {
 	loss, dLogits := SoftmaxCrossEntropy(logits, b.Labels)
 	dH1Seeds, dH1Hop1 := t.Model.L2.Backward(dLogits)
 	dH1 := VStack(dH1Seeds, dH1Hop1)
-	t.Model.L1.Backward(dH1)
+	// Features are constants, so layer 1 needs its weight gradients only.
+	t.Model.L1.BackwardWeights(dH1)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }

@@ -17,7 +17,7 @@ type SAGELayer struct {
 	Bias          *Matrix // 1×out
 	Act           bool    // apply ReLU
 
-	// Gradients, accumulated by Backward.
+	// Gradients, accumulated by BackwardWeights (and so by Backward).
 	GWself, GWneigh, GBias *Matrix
 
 	// Forward cache.
@@ -54,10 +54,12 @@ func (l *SAGELayer) Forward(xSelf, xNeigh *Matrix) *Matrix {
 	return z
 }
 
-// Backward consumes dL/doutput and returns (dL/dxSelf, dL/dxNeigh),
-// accumulating the weight gradients.
-func (l *SAGELayer) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
-	dz := dOut
+// BackwardWeights consumes dL/doutput and accumulates the weight and bias
+// gradients. It returns dL/dz, the gradient before the activation, which
+// only Backward needs: a first layer, whose inputs are constant features,
+// calls this and skips the two input-gradient products.
+func (l *SAGELayer) BackwardWeights(dOut *Matrix) (dz *Matrix) {
+	dz = dOut
 	if l.mask != nil {
 		dz = dOut.Clone()
 		MulMaskInPlace(dz, l.mask)
@@ -65,6 +67,13 @@ func (l *SAGELayer) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
 	AddInPlace(l.GWself, MatMulAT(l.xSelf, dz))
 	AddInPlace(l.GWneigh, MatMulAT(l.xNeigh, dz))
 	AddInPlace(l.GBias, ColSum(dz))
+	return dz
+}
+
+// Backward consumes dL/doutput and returns (dL/dxSelf, dL/dxNeigh),
+// accumulating the weight gradients.
+func (l *SAGELayer) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
+	dz := l.BackwardWeights(dOut)
 	return MatMulBT(dz, l.Wself), MatMulBT(dz, l.Wneigh)
 }
 

@@ -142,7 +142,8 @@ func (t *LinkTrainer) TrainStep(positives []graph.Edge) (float64, error) {
 			dd[k] += g * hs[k]
 		}
 	}
-	t.Model.Enc.Backward(dh)
+	// Features are constants: the encoder needs its weight gradients only.
+	t.Model.Enc.BackwardWeights(dh)
 	t.Opt.Step(t.Model.Enc.Params(), t.Model.Enc.Grads())
 	return loss * inv, nil // mean over the 2n scored pairs
 }

@@ -64,49 +64,112 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// MatMul computes a·b into a fresh (a.Rows × b.Cols) matrix.
+// MatMul computes a·b into a fresh (a.Rows × b.Cols) matrix. Each output
+// element sums a[i][k]·b[k][j] in ascending k, one float32 add per term.
+// Rows go in pairs and k in fours through addTile; a last odd row or k
+// takes addRow.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("gnn: matmul shape mismatch (%dx%d)·(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
+	i := 0
+	for ; i+2 <= a.Rows; i += 2 {
+		a0, a1 := a.Row(i), a.Row(i+1)
+		o0, o1 := out.Row(i), out.Row(i+1)
+		k := 0
+		for ; k+4 <= len(a0); k += 4 {
+			addTile(o0, o1, a0[k], a0[k+1], a0[k+2], a0[k+3], a1[k], a1[k+1], a1[k+2], a1[k+3],
+				b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
+		}
+		for ; k < len(a0); k++ {
+			addRow(o0, a0[k], b.Row(k))
+			addRow(o1, a1[k], b.Row(k))
+		}
+	}
+	if i < a.Rows {
 		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+		for k, av := range a.Row(i) {
+			addRow(orow, av, b.Row(k))
 		}
 	}
 	return out
 }
 
 // MatMulAT computes aᵀ·b (a is k×m, b is k×n, result m×n) — the weight
-// gradient shape in backprop.
+// gradient shape in backprop. Each output element sums a[k][i]·b[k][j] in
+// ascending k, one float32 add per term, tiled like MatMul.
 func MatMulAT(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("gnn: matmulAT shape mismatch (%dx%d)ᵀ·(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(a.Cols, b.Cols)
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
+	k := 0
+	for ; k+4 <= a.Rows; k += 4 {
+		a0, a1, a2, a3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
+		b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
+		i := 0
+		for ; i+2 <= a.Cols; i += 2 {
+			addTile(out.Row(i), out.Row(i+1), a0[i], a1[i], a2[i], a3[i], a0[i+1], a1[i+1], a2[i+1], a3[i+1],
+				b0, b1, b2, b3)
+		}
+		if i < a.Cols {
+			addRows4(out.Row(i), a0[i], a1[i], a2[i], a3[i], b0, b1, b2, b3)
+		}
+	}
+	for ; k < a.Rows; k++ {
+		arow, brow := a.Row(k), b.Row(k)
 		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			addRow(out.Row(i), av, brow)
 		}
 	}
 	return out
+}
+
+// addTile is the register-blocked step of MatMul and MatMulAT: it adds
+// x0·b0[j], x1·b1[j], x2·b2[j], x3·b3[j] to o0[j] and y0·b0[j] … y3·b3[j]
+// to o1[j], one float32 add at a time in that order, loading and storing
+// each output element once and each b element once for both rows. Every
+// output element sees the same adds, in the same order, as four addRow
+// calls, so the result is bit-identical to them.
+func addTile(o0, o1 []float32, x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3 []float32) {
+	n := len(o0)
+	o1, b0, b1, b2, b3 = o1[:n], b0[:n], b1[:n], b2[:n], b3[:n]
+	for j := range o0 {
+		s, t := o0[j], o1[j]
+		v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
+		s += x0 * v0
+		t += y0 * v0
+		s += x1 * v1
+		t += y1 * v1
+		s += x2 * v2
+		t += y2 * v2
+		s += x3 * v3
+		t += y3 * v3
+		o0[j], o1[j] = s, t
+	}
+}
+
+// addRows4 is addTile for one output row: it adds x0·b0[j] … x3·b3[j] to
+// o[j] in that order, loading and storing o[j] once.
+func addRows4(o []float32, x0, x1, x2, x3 float32, b0, b1, b2, b3 []float32) {
+	n := len(o)
+	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
+	for j, s := range o {
+		s += x0 * b0[j]
+		s += x1 * b1[j]
+		s += x2 * b2[j]
+		s += x3 * b3[j]
+		o[j] = s
+	}
+}
+
+// addRow adds av·b[j] to o[j].
+func addRow(o []float32, av float32, b []float32) {
+	b = b[:len(o)]
+	for j, bv := range b {
+		o[j] += av * bv
+	}
 }
 
 // MatMulBT computes a·bᵀ (a is m×k, b is n×k, result m×n) — the input
@@ -191,37 +254,43 @@ func MulMaskInPlace(m, mask *Matrix) {
 
 // MeanPool groups the rows of child ((n*fanout)×d) into n groups of fanout
 // consecutive rows and returns their means (n×d) — the ⊕ neighbor
-// aggregation of Eq. (1) with a mean aggregator.
+// aggregation of Eq. (1) with a mean aggregator. Each output element is a
+// running sum of (1/fanout)·child over its group in row order, four rows
+// per pass through addRows4.
 func MeanPool(child *Matrix, fanout int) *Matrix {
 	if fanout <= 0 || child.Rows%fanout != 0 {
 		panic(fmt.Sprintf("gnn: MeanPool fanout %d does not divide %d rows", fanout, child.Rows))
 	}
-	n := child.Rows / fanout
-	out := NewMatrix(n, child.Cols)
+	out := NewMatrix(child.Rows/fanout, child.Cols)
 	inv := 1 / float32(fanout)
-	for i := 0; i < n; i++ {
+	for i := 0; i < out.Rows; i++ {
 		orow := out.Row(i)
-		for j := 0; j < fanout; j++ {
-			crow := child.Row(i*fanout + j)
-			for k, v := range crow {
-				orow[k] += v * inv
-			}
+		r, end := i*fanout, (i+1)*fanout
+		for ; r+4 <= end; r += 4 {
+			addRows4(orow, inv, inv, inv, inv, child.Row(r), child.Row(r+1), child.Row(r+2), child.Row(r+3))
+		}
+		for ; r < end; r++ {
+			addRow(orow, inv, child.Row(r))
 		}
 	}
 	return out
 }
 
-// MeanPoolBackward scatters the pooled gradient back to the child rows.
+// MeanPoolBackward scatters the pooled gradient back to the child rows:
+// every row of group i is dPooled's row i times 1/fanout.
 func MeanPoolBackward(dPooled *Matrix, fanout int) *Matrix {
 	out := NewMatrix(dPooled.Rows*fanout, dPooled.Cols)
+	if fanout == 0 {
+		return out
+	}
 	inv := 1 / float32(fanout)
 	for i := 0; i < dPooled.Rows; i++ {
-		drow := dPooled.Row(i)
-		for j := 0; j < fanout; j++ {
-			orow := out.Row(i*fanout + j)
-			for k, v := range drow {
-				orow[k] = v * inv
-			}
+		first := out.Row(i * fanout)
+		for k, v := range dPooled.Row(i) {
+			first[k] = v * inv
+		}
+		for j := 1; j < fanout; j++ {
+			copy(out.Row(i*fanout+j), first)
 		}
 	}
 	return out

@@ -55,6 +55,121 @@ func TestMatMulTransposes(t *testing.T) {
 	}
 }
 
+// The kernels' reference implementations: one float32 add per term, from
+// zero, in ascending summation index, with no skipped terms. The kernels
+// must match them bit for bit.
+
+func naiveMatMul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float32
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+func naiveMatMulAT(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Cols, b.Cols)
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float32
+			for k := 0; k < a.Rows; k++ {
+				s += a.At(k, i) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+func naiveMeanPool(child *Matrix, fanout int) *Matrix {
+	out := NewMatrix(child.Rows/fanout, child.Cols)
+	inv := 1 / float32(fanout)
+	for i := 0; i < out.Rows; i++ {
+		for k := 0; k < out.Cols; k++ {
+			var s float32
+			for j := 0; j < fanout; j++ {
+				s += child.At(i*fanout+j, k) * inv
+			}
+			out.Set(i, k, s)
+		}
+	}
+	return out
+}
+
+func naiveMeanPoolBackward(dPooled *Matrix, fanout int) *Matrix {
+	out := NewMatrix(dPooled.Rows*fanout, dPooled.Cols)
+	inv := 1 / float32(fanout)
+	for r := 0; r < out.Rows; r++ {
+		for k := 0; k < out.Cols; k++ {
+			out.Set(r, k, dPooled.At(r/fanout, k)*inv)
+		}
+	}
+	return out
+}
+
+// kernelInput is a rows×cols Glorot matrix in which every third element is
+// an exact zero and every seventh a negative zero.
+func kernelInput(rng *rand.Rand, rows, cols int) *Matrix {
+	m := NewMatrix(rows, cols).Glorot(rng)
+	for i := range m.Data {
+		switch {
+		case i%3 == 0:
+			m.Data[i] = 0
+		case i%7 == 0:
+			m.Data[i] = float32(math.Copysign(0, -1))
+		}
+	}
+	return m
+}
+
+// sameBits fails unless got and want have the same shape and every element
+// the same float32 bits.
+func sameBits(t *testing.T, name string, got, want *Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", name, i,
+				got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
+func TestKernelsMatchNaiveBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	// k covers 0-3 remainder rows after the four-row blocks and the
+	// train-cluster widths (64 features, 32 hidden).
+	for _, rows := range []int{1, 3, 17} {
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 32, 64, 67} {
+			for _, n := range []int{1, 5, 32} {
+				a := kernelInput(rng, rows, k)
+				b := kernelInput(rng, k, n)
+				sameBits(t, "MatMul", MatMul(a, b), naiveMatMul(a, b))
+				at := kernelInput(rng, k, rows)
+				sameBits(t, "MatMulAT", MatMulAT(at, b), naiveMatMulAT(at, b))
+			}
+		}
+	}
+	for _, fanout := range []int{1, 3, 5, 10} {
+		for _, rows := range []int{1, 4} {
+			for _, d := range []int{1, 7, 64} {
+				child := kernelInput(rng, rows*fanout, d)
+				sameBits(t, "MeanPool", MeanPool(child, fanout), naiveMeanPool(child, fanout))
+				dPooled := kernelInput(rng, rows, d)
+				sameBits(t, "MeanPoolBackward", MeanPoolBackward(dPooled, fanout), naiveMeanPoolBackward(dPooled, fanout))
+			}
+		}
+	}
+}
+
 func TestShapePanics(t *testing.T) {
 	a := NewMatrix(2, 3)
 	b := NewMatrix(2, 3)
@@ -198,6 +313,37 @@ func TestSAGELayerGradientNumerically(t *testing.T) {
 	check("Bias", l.Bias, l.GBias)
 	check("xSelf", xs, dXs)
 	check("xNeigh", xn, dXn)
+}
+
+// TestBackwardWeightsMatchesBackward pins the weights-only cut: on twin
+// layers, BackwardWeights leaves every gradient bit-equal to Backward's.
+func TestBackwardWeightsMatchesBackward(t *testing.T) {
+	const n, in, out, f = 5, 6, 4, 3
+	for _, act := range []bool{true, false} {
+		full := NewSAGELayer(in, out, act, rand.New(rand.NewSource(21)))
+		cut := NewSAGELayer(in, out, act, rand.New(rand.NewSource(21)))
+		rng := rand.New(rand.NewSource(22))
+		xs, xn := kernelInput(rng, n, in), kernelInput(rng, n, in)
+		dOut := NewMatrix(n, out).Glorot(rng)
+		full.Forward(xs, xn)
+		cut.Forward(xs, xn)
+		full.Backward(dOut)
+		cut.BackwardWeights(dOut)
+		for i, g := range full.Grads() {
+			sameBits(t, "SAGE grad", cut.Grads()[i], g)
+		}
+
+		gFull := NewGATLayer(in, out, act, rand.New(rand.NewSource(23)))
+		gCut := NewGATLayer(in, out, act, rand.New(rand.NewSource(23)))
+		xn = kernelInput(rng, n*f, in)
+		gFull.Forward(xs, xn, f)
+		gCut.Forward(xs, xn, f)
+		gFull.Backward(dOut)
+		gCut.BackwardWeights(dOut)
+		for i, g := range gFull.Grads() {
+			sameBits(t, "GAT grad", gCut.Grads()[i], g)
+		}
+	}
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {

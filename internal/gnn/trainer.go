@@ -145,9 +145,8 @@ func (t *Trainer) backward(b *Batch, dLogits *Matrix) {
 	dH1Seeds, dH1Hop1Pooled := t.Model.L2.Backward(dLogits)
 	dH1Hop1 := MeanPoolBackward(dH1Hop1Pooled, b.F1)
 	dH1 := VStack(dH1Seeds, dH1Hop1)
-	// Layer-1 input gradients are not needed (features are constants), but
-	// Backward also accumulates the layer-1 weight gradients.
-	t.Model.L1.Backward(dH1)
+	// Features are constants, so layer 1 needs its weight gradients only.
+	t.Model.L1.BackwardWeights(dH1)
 }
 
 // Loss computes the batch loss without updating parameters.

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -159,12 +160,58 @@ func TestEpochResultString(t *testing.T) {
 	}
 }
 
+// syntheticBatch is a batch at train-cluster's shape — seeds seed rows,
+// fan-outs f1×f2, dim-wide features — built from random matrices with no
+// store behind it. TrainStep reads only the matrices, labels and fan-outs.
+func syntheticBatch(rng *rand.Rand, seeds, f1, f2, dim, classes int) *Batch {
+	labels := make([]int32, seeds)
+	for i := range labels {
+		labels[i] = int32(rng.Intn(classes))
+	}
+	return &Batch{
+		Seeds:  make([]graph.VertexID, seeds),
+		F1:     f1,
+		F2:     f2,
+		XSeeds: NewMatrix(seeds, dim).Glorot(rng),
+		XHop1:  NewMatrix(seeds*f1, dim).Glorot(rng),
+		XHop2:  NewMatrix(seeds*f1*f2, dim).Glorot(rng),
+		Labels: labels,
+	}
+}
+
+// TestTrainStepMatchesFullBackward pins the trainer's weights-only first
+// layer: steps with a full layer-1 Backward leave the same loss and
+// parameter bits.
+func TestTrainStepMatchesFullBackward(t *testing.T) {
+	cut := NewTrainer(NewModel(16, 8, 4, rand.New(rand.NewSource(31))), nil, 0, 4, 3, 0.01)
+	full := NewTrainer(NewModel(16, 8, 4, rand.New(rand.NewSource(31))), nil, 0, 4, 3, 0.01)
+	rng := rand.New(rand.NewSource(32))
+	for step := 0; step < 5; step++ {
+		b := syntheticBatch(rng, 12, 4, 3, 16, 4)
+		lossCut := cut.TrainStep(b)
+
+		full.Model.ZeroGrads()
+		lossFull, dLogits := SoftmaxCrossEntropy(full.Forward(b), b.Labels)
+		dH1Seeds, dH1Hop1Pooled := full.Model.L2.Backward(dLogits)
+		full.Model.L1.Backward(VStack(dH1Seeds, MeanPoolBackward(dH1Hop1Pooled, b.F1)))
+		full.Opt.Step(full.Model.Params(), full.Model.Grads())
+
+		if math.Float64bits(lossCut) != math.Float64bits(lossFull) {
+			t.Fatalf("step %d: loss %v, want %v", step, lossCut, lossFull)
+		}
+		for i, p := range full.Model.Params() {
+			sameBits(t, "param", cut.Model.Params()[i], p)
+		}
+	}
+}
+
+// BenchmarkGNNTrainStep times one TrainStep at train-cluster's shape: 256
+// seeds, fan-outs 10×5, 64 features → 32 hidden → 8 classes.
 func BenchmarkGNNTrainStep(b *testing.B) {
-	store, attrs, ids := buildClassGraph(b, 1000, 4)
 	rng := rand.New(rand.NewSource(8))
-	model := NewModel(8, 32, 4, rng)
-	tr := NewTrainer(model, testView(store, attrs, 4, 1), 0, 10, 5, 0.01)
-	batch := mustBatch(b, tr.SampleBatch, ids[:64])
+	tr := NewTrainer(NewModel(64, 32, 8, rng), nil, 0, 10, 5, 0.01)
+	batch := syntheticBatch(rng, 256, 10, 5, 64, 8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.TrainStep(batch)
