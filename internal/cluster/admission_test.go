@@ -352,7 +352,7 @@ func TestAdmissionControlPlaneExempt(t *testing.T) {
 	if method != "Routing" {
 		t.Errorf("method = %q, want Routing", method)
 	}
-	if len(resp) == 0 || resp[0] != wire.KindResponse {
+	if len(resp) <= wire.HeaderSize || resp[wire.HeaderSize] != wire.KindResponse {
 		t.Fatalf("saturated gate shed an exempt control RPC: frame %q", resp)
 	}
 	s.admit.release("Stats", time.Now())
@@ -367,7 +367,7 @@ func TestHandleWireFrameEnvelopeOnV1(t *testing.T) {
 	if method != "" {
 		t.Errorf("method = %q, want empty for a rejected frame", method)
 	}
-	if len(resp) == 0 || resp[0] != wire.KindError {
+	if len(resp) <= wire.HeaderSize || resp[wire.HeaderSize] != wire.KindError {
 		t.Fatalf("response kind = %v, want KindError", resp)
 	}
 	if !strings.Contains(string(resp), "envelope frame on a version-1 connection") {
@@ -381,7 +381,7 @@ func TestHandleWireFrameUnknownPriority(t *testing.T) {
 	s := NewServer(newTestService(t))
 	frame := []byte{wire.KindRequestEnv, numPriorities + 1, 0x00, 0x00}
 	resp, _ := s.handleWireFrame(frame, 2)
-	if len(resp) == 0 || resp[0] != wire.KindError {
+	if len(resp) <= wire.HeaderSize || resp[wire.HeaderSize] != wire.KindError {
 		t.Fatalf("response kind = %v, want KindError", resp)
 	}
 	if !strings.Contains(string(resp), "unknown priority class") {
@@ -402,7 +402,7 @@ func TestHandleWireFrameShedCrossesAsError(t *testing.T) {
 	}
 	frame := []byte{wire.KindRequest, 0x00} // method id 0 — sheds before arg decode
 	resp, _ := s.handleWireFrame(frame, 2)
-	if len(resp) == 0 || resp[0] != wire.KindError {
+	if len(resp) <= wire.HeaderSize || resp[wire.HeaderSize] != wire.KindError {
 		t.Fatalf("response kind = %v, want KindError", resp)
 	}
 	if !strings.Contains(string(resp), overloadedPrefix) {

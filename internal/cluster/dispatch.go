@@ -243,8 +243,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		resp, method := s.handleWireFrame(req, ver)
 		if method != "" {
 			// Recorded before the reply goes out, so a caller holding its
-			// reply also sees the call here. 4+4: the two length prefixes.
-			m.PayloadBytes.With(method).Observe(int64(len(req)+len(resp)) + 8)
+			// reply also sees the call here. resp holds its length prefix
+			// already; + 4 adds the request's.
+			m.PayloadBytes.With(method).Observe(int64(len(req)+len(resp)) + wire.HeaderSize)
 		}
 		wire.PutBuf(req)
 		err = wire.WriteFrame(conn, resp)
@@ -287,7 +288,8 @@ func (s *Server) handshake(conn net.Conn) byte {
 }
 
 // handleWireFrame decodes one request frame, runs it through the admission
-// gate, invokes the handler, and encodes the response (or error) frame. ver
+// gate, invokes the handler, and encodes the response (or error) frame in a
+// wire.GetFrame buffer, ready for wire.WriteFrame. ver
 // is the connection's negotiated protocol version: envelope frames
 // (KindRequestEnv) are only legal on v2+ connections, so a version-1 peer
 // can never smuggle priority or budget metadata the negotiation said it
@@ -297,8 +299,7 @@ func (s *Server) handshake(conn net.Conn) byte {
 // half-written frame.
 func (s *Server) handleWireFrame(req []byte, ver byte) (resp []byte, method string) {
 	fail := func(msg string) []byte {
-		b := wire.GetBuf(0)
-		b = append(b, wire.KindError)
+		b := append(wire.GetFrame(), wire.KindError)
 		return wire.AppendString(b, msg)
 	}
 	defer func() {
@@ -362,7 +363,6 @@ func (s *Server) handleWireFrame(req []byte, ver byte) (resp []byte, method stri
 		// rpc.ServerError, which the retry and routing layers classify.
 		return fail(err.Error()), method
 	}
-	b := wire.GetBuf(0)
-	b = append(b, wire.KindResponse)
+	b := append(wire.GetFrame(), wire.KindResponse)
 	return reply.appendWire(b), method
 }

@@ -164,7 +164,7 @@ func (t *wireTransport) exchange(method string, args, reply any, d time.Duration
 	// The envelope kind exists only in protocol v2; on a v1-negotiated
 	// connection the call degrades to a bare request — exactly the
 	// "negotiate down to today's behavior" contract.
-	frame := wire.GetBuf(0)
+	frame := wire.GetFrame()
 	if wc.version >= 2 && (env.hasPri || env.budget > 0) {
 		frame = append(frame, wire.KindRequestEnv)
 		if env.hasPri {

@@ -104,6 +104,43 @@ func TestInteropWireToWire(t *testing.T) {
 	}
 }
 
+// TestPayloadBytesCountFramedSizes: rpc_payload_bytes records exactly the
+// bytes of the framed request and the framed reply, length prefixes
+// included.
+func TestPayloadBytesCountFramedSizes(t *testing.T) {
+	addr, sm, _ := startWireServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	hello := wire.Hello(1, wire.Version)
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatalf("write hello: %v", err)
+	}
+	var ack [8]byte
+	if _, err := io.ReadFull(conn, ack[:]); err != nil {
+		t.Fatalf("read ack: %v", err)
+	}
+	id := wireMethodID[ServiceName+".Stats"]
+	frame := append(wire.GetFrame(), wire.KindRequest, byte(id))
+	frame = wireMethods[id].newArgs().appendWire(frame)
+	if err := wire.WriteFrame(conn, frame); err != nil {
+		t.Fatalf("write request: %v", err)
+	}
+	resp, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("read reply: %v", err)
+	}
+	if resp[0] != wire.KindResponse {
+		t.Fatalf("reply kind 0x%02x", resp[0])
+	}
+	want := int64(len(frame) + wire.HeaderSize + len(resp))
+	if got := sm.PayloadBytes.With("Stats").Snapshot().Sum; got != want {
+		t.Fatalf("rpc_payload_bytes{Stats} = %d, want %d framed bytes", got, want)
+	}
+}
+
 // exerciseClientWithEnvelope drives the calls that would carry a v2 request
 // envelope — a deadline-bearing context and an explicit priority tag — and
 // requires them to succeed. Against a v1 peer the envelope must be
@@ -249,7 +286,7 @@ func TestWireRefusesForeignPeers(t *testing.T) {
 		defer conn.Close()
 		hello := wire.Hello(1, wire.Version)
 		hello[0] ^= 0xff
-		frame := append([]byte{wire.KindRequest}, byte(wireMethodID[ServiceName+".Stats"]))
+		frame := append(wire.GetFrame(), wire.KindRequest, byte(wireMethodID[ServiceName+".Stats"]))
 		if _, err := conn.Write(hello[:]); err != nil {
 			t.Fatalf("write hello: %v", err)
 		}

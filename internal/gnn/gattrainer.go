@@ -1,7 +1,6 @@
 package gnn
 
 import (
-	"fmt"
 	"math/rand"
 
 	"platod2gl/internal/graph"
@@ -63,44 +62,21 @@ func NewGATTrainer(model *GATModel, v view.GraphView, rel graph.EdgeType, fanout
 	}
 }
 
-// SampleBatch expands seeds two hops (both at Fanout) and gathers features
-// for all three node sets in one view call, plus the seeds' labels.
+// SampleBatch expands seeds two hops (both at Fanout) and builds the same
+// block as Trainer.SampleBatch: one feature call over the distinct
+// vertices, plus the seeds' labels.
 func (t *GATTrainer) SampleBatch(seeds []graph.VertexID) (*Batch, error) {
-	layers, err := t.View.SampleSubgraph(seeds, graph.MetaPath{t.Rel, t.Rel}, []int{t.Fanout, t.Fanout})
-	if err != nil {
-		return nil, fmt.Errorf("gnn: sample subgraph: %w", err)
-	}
-	hop1, hop2 := layers[0], layers[1]
-	dim := t.Model.InDim
-	nodes := make([]graph.VertexID, 0, len(seeds)+len(hop1)+len(hop2))
-	nodes = append(nodes, seeds...)
-	nodes = append(nodes, hop1...)
-	nodes = append(nodes, hop2...)
-	x, err := t.View.Features(nodes, dim)
-	if err != nil {
-		return nil, fmt.Errorf("gnn: gather features: %w", err)
-	}
-	labels, err := t.View.Labels(seeds)
-	if err != nil {
-		return nil, fmt.Errorf("gnn: gather labels: %w", err)
-	}
-	nS, n1 := len(seeds)*dim, len(hop1)*dim
-	return &Batch{
-		Seeds: seeds, Hop1: hop1, Hop2: hop2, F1: t.Fanout, F2: t.Fanout,
-		XSeeds: NewMatrixFrom(len(seeds), dim, x[:nS]),
-		XHop1:  NewMatrixFrom(len(hop1), dim, x[nS:nS+n1]),
-		XHop2:  NewMatrixFrom(len(hop2), dim, x[nS+n1:]),
-		Labels: labels,
-	}, nil
+	return sampleBlock(t.View, seeds, t.Rel, t.Fanout, t.Fanout, t.Model.InDim)
 }
 
 // Forward runs the 2-layer attention model, returning seed logits. Layer 1
 // attends jointly for [seeds; hop1] over their raw neighbor rows
-// [hop1; hop2]; layer 2 attends for the seeds over the hop-1 hidden states.
+// [hop1; hop2], gathered from the block; layer 2 attends for the seeds over
+// the hop-1 hidden states.
 func (t *GATTrainer) Forward(b *Batch) *Matrix {
 	nSeeds := len(b.Seeds)
-	selfX := VStack(b.XSeeds, b.XHop1)
-	neighX := VStack(b.XHop1, b.XHop2)
+	selfX := GatherRows(b.X, b.selfRows())
+	neighX := GatherRows(b.X, b.childRows())
 	h1 := t.Model.L1.Forward(selfX, neighX, t.Fanout)
 	h1Seeds := SliceRows(h1, 0, nSeeds)
 	h1Hop1 := SliceRows(h1, nSeeds, h1.Rows)

@@ -22,6 +22,7 @@ type SAGELayer struct {
 
 	// Forward cache.
 	xSelf, xNeigh *Matrix
+	selfRows      []int32 // nil: row i's self input is xSelf's row i
 	mask          *Matrix
 }
 
@@ -42,8 +43,20 @@ func NewSAGELayer(in, out int, act bool, rng *rand.Rand) *SAGELayer {
 // embeddings (n×in) into the next representations (n×out), caching
 // intermediates for Backward.
 func (l *SAGELayer) Forward(xSelf, xNeigh *Matrix) *Matrix {
-	l.xSelf, l.xNeigh = xSelf, xNeigh
+	return l.ForwardRows(xSelf, nil, xNeigh)
+}
+
+// ForwardRows is Forward for a block whose self inputs repeat: row i's self
+// input is xSelf's row selfRows[i], and xSelf holds each distinct input
+// once. x·Wself is row-wise, so it projects every row of xSelf once and
+// gathers the products; each output row gets the same bits as Forward on
+// the gathered inputs. A nil selfRows means row i reads row i.
+func (l *SAGELayer) ForwardRows(xSelf *Matrix, selfRows []int32, xNeigh *Matrix) *Matrix {
+	l.xSelf, l.selfRows, l.xNeigh = xSelf, selfRows, xNeigh
 	z := MatMul(xSelf, l.Wself)
+	if selfRows != nil {
+		z = GatherRows(z, selfRows)
+	}
 	AddInPlace(z, MatMul(xNeigh, l.Wneigh))
 	AddBiasRow(z, l.Bias)
 	if l.Act {
@@ -57,21 +70,27 @@ func (l *SAGELayer) Forward(xSelf, xNeigh *Matrix) *Matrix {
 // BackwardWeights consumes dL/doutput and accumulates the weight and bias
 // gradients. It returns dL/dz, the gradient before the activation, which
 // only Backward needs: a first layer, whose inputs are constant features,
-// calls this and skips the two input-gradient products.
+// calls this and skips the two input-gradient products. After ForwardRows,
+// dz is summed into the distinct self rows before the Wself product.
 func (l *SAGELayer) BackwardWeights(dOut *Matrix) (dz *Matrix) {
 	dz = dOut
 	if l.mask != nil {
 		dz = dOut.Clone()
 		MulMaskInPlace(dz, l.mask)
 	}
-	AddInPlace(l.GWself, MatMulAT(l.xSelf, dz))
+	dzSelf := dz
+	if l.selfRows != nil {
+		dzSelf = ScatterAddRows(dz, l.selfRows, l.xSelf.Rows)
+	}
+	AddInPlace(l.GWself, MatMulAT(l.xSelf, dzSelf))
 	AddInPlace(l.GWneigh, MatMulAT(l.xNeigh, dz))
 	AddInPlace(l.GBias, ColSum(dz))
 	return dz
 }
 
 // Backward consumes dL/doutput and returns (dL/dxSelf, dL/dxNeigh),
-// accumulating the weight gradients.
+// accumulating the weight gradients. After ForwardRows, dL/dxSelf has one
+// row per output row, not per row of xSelf.
 func (l *SAGELayer) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
 	dz := l.BackwardWeights(dOut)
 	return MatMulBT(dz, l.Wself), MatMulBT(dz, l.Wneigh)

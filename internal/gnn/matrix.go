@@ -258,19 +258,57 @@ func MulMaskInPlace(m, mask *Matrix) {
 // running sum of (1/fanout)·child over its group in row order, four rows
 // per pass through addRows4.
 func MeanPool(child *Matrix, fanout int) *Matrix {
-	if fanout <= 0 || child.Rows%fanout != 0 {
-		panic(fmt.Sprintf("gnn: MeanPool fanout %d does not divide %d rows", fanout, child.Rows))
+	return meanPool(child.Rows, child.Cols, fanout, child.Row)
+}
+
+// MeanPoolRows is MeanPool over the rows x[rows[0]], x[rows[1]], … read in
+// place through the index: the same adds in the same order as MeanPool of
+// GatherRows(x, rows), without materializing the gathered matrix.
+func MeanPoolRows(x *Matrix, rows []int32, fanout int) *Matrix {
+	return meanPool(len(rows), x.Cols, fanout, func(r int) []float32 { return x.Row(int(rows[r])) })
+}
+
+// meanPool is MeanPool over n child rows of width cols, child row r being
+// row(r).
+func meanPool(n, cols, fanout int, row func(int) []float32) *Matrix {
+	if fanout <= 0 || n%fanout != 0 {
+		panic(fmt.Sprintf("gnn: MeanPool fanout %d does not divide %d rows", fanout, n))
 	}
-	out := NewMatrix(child.Rows/fanout, child.Cols)
+	out := NewMatrix(n/fanout, cols)
 	inv := 1 / float32(fanout)
 	for i := 0; i < out.Rows; i++ {
 		orow := out.Row(i)
 		r, end := i*fanout, (i+1)*fanout
 		for ; r+4 <= end; r += 4 {
-			addRows4(orow, inv, inv, inv, inv, child.Row(r), child.Row(r+1), child.Row(r+2), child.Row(r+3))
+			addRows4(orow, inv, inv, inv, inv, row(r), row(r+1), row(r+2), row(r+3))
 		}
 		for ; r < end; r++ {
-			addRow(orow, inv, child.Row(r))
+			addRow(orow, inv, row(r))
+		}
+	}
+	return out
+}
+
+// GatherRows returns the matrix whose row i is a copy of m's row rows[i].
+func GatherRows(m *Matrix, rows []int32) *Matrix {
+	out := NewMatrix(len(rows), m.Cols)
+	for i, r := range rows {
+		copy(out.Row(i), m.Row(int(r)))
+	}
+	return out
+}
+
+// ScatterAddRows is GatherRows' adjoint: it returns the n×m.Cols matrix
+// whose row r sums, in ascending i, every row i of m with rows[i] == r.
+func ScatterAddRows(m *Matrix, rows []int32, n int) *Matrix {
+	if len(rows) != m.Rows {
+		panic(fmt.Sprintf("gnn: ScatterAddRows has %d indices for %d rows", len(rows), m.Rows))
+	}
+	out := NewMatrix(n, m.Cols)
+	for i, r := range rows {
+		orow := out.Row(int(r))
+		for j, v := range m.Row(i) {
+			orow[j] += v
 		}
 	}
 	return out

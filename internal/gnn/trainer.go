@@ -42,18 +42,79 @@ func (m *Model) ZeroGrads() {
 	m.L2.ZeroGrads()
 }
 
-// Batch is one sampled mini-batch: seeds plus their 2-hop neighborhood and
-// gathered features.
+// Batch is one sampled mini-batch as a block (DGL's unique-node block):
+// seeds plus their 2-hop neighborhood, with one feature row per distinct
+// vertex. Multi-hop frontiers repeat vertices heavily, so X is much shorter
+// than the position lists, and every position reads its row through Rows.
 type Batch struct {
 	Seeds  []graph.VertexID
 	Hop1   []graph.VertexID // len(Seeds) * F1
 	Hop2   []graph.VertexID // len(Seeds) * F1 * F2
 	F1, F2 int
 
-	XSeeds *Matrix
-	XHop1  *Matrix
-	XHop2  *Matrix
+	// X holds one feature row per distinct vertex: those of Seeds ∪ Hop1
+	// first, then the remaining ones of Hop2, each part in first-occurrence
+	// order.
+	X *Matrix
+	// NSelf is the number of leading rows of X that belong to Seeds ∪ Hop1,
+	// the rows layer 1 projects through Wself.
+	NSelf int
+	// Rows maps every position to its row of X: the seed positions, then the
+	// hop-1 positions, then the hop-2 positions.
+	Rows   []int32
 	Labels []int32
+}
+
+// selfRows are the rows of the seed and hop-1 positions, layer 1's self
+// inputs.
+func (b *Batch) selfRows() []int32 { return b.Rows[:len(b.Seeds)+len(b.Hop1)] }
+
+// childRows are the rows of the hop-1 and hop-2 positions, the neighbors of
+// the self positions in the same order.
+func (b *Batch) childRows() []int32 { return b.Rows[len(b.Seeds):] }
+
+// hop1Rows and hop2Rows are the rows of the hop-1 and the hop-2 positions.
+func (b *Batch) hop1Rows() []int32 { return b.Rows[len(b.Seeds) : len(b.Seeds)+len(b.Hop1)] }
+
+func (b *Batch) hop2Rows() []int32 { return b.Rows[len(b.Seeds)+len(b.Hop1):] }
+
+// sampleBlock expands the seeds two hops over rel and gathers the block's
+// features and the seeds' labels, in one view round trip each. One map
+// deduplicates the position lists, so the view is asked for each distinct
+// vertex's features once.
+func sampleBlock(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f1, f2, dim int) (*Batch, error) {
+	layers, err := v.SampleSubgraph(seeds, graph.MetaPath{rel, rel}, []int{f1, f2})
+	if err != nil {
+		return nil, fmt.Errorf("gnn: sample subgraph: %w", err)
+	}
+	b := &Batch{Seeds: seeds, Hop1: layers[0], Hop2: layers[1], F1: f1, F2: f2}
+	b.Rows = make([]int32, 0, len(seeds)+len(b.Hop1)+len(b.Hop2))
+	index := make(map[graph.VertexID]int32, len(seeds)+len(b.Hop1))
+	var distinct []graph.VertexID
+	add := func(ids []graph.VertexID) {
+		for _, id := range ids {
+			r, ok := index[id]
+			if !ok {
+				r = int32(len(distinct))
+				index[id] = r
+				distinct = append(distinct, id)
+			}
+			b.Rows = append(b.Rows, r)
+		}
+	}
+	add(seeds)
+	add(b.Hop1)
+	b.NSelf = len(distinct)
+	add(b.Hop2)
+	x, err := v.Features(distinct, dim)
+	if err != nil {
+		return nil, fmt.Errorf("gnn: gather features: %w", err)
+	}
+	b.X = NewMatrixFrom(len(distinct), dim, x)
+	if b.Labels, err = v.Labels(seeds); err != nil {
+		return nil, fmt.Errorf("gnn: gather labels: %w", err)
+	}
+	return b, nil
 }
 
 // Trainer drives mini-batch GNN training against a GraphView — it never
@@ -81,50 +142,27 @@ func NewTrainer(model *Model, v view.GraphView, rel graph.EdgeType, f1, f2 int, 
 	}
 }
 
-// SampleBatch expands the seeds two hops and gathers features and labels in
-// one view round-trip each (the feature pull covers seeds and both hops in
-// a single call, so a remote backend pays one fan-out, not three). Seeds
-// without labels get label 0 — callers training on labeled sets should pass
-// labeled seeds.
+// SampleBatch expands the seeds two hops and builds the batch's block: the
+// features of every distinct vertex of seeds and both hops in one view
+// call (a remote backend pays one fan-out, not three), and the seeds'
+// labels in another. Seeds without labels get label 0 — callers training
+// on labeled sets should pass labeled seeds.
 func (t *Trainer) SampleBatch(seeds []graph.VertexID) (*Batch, error) {
-	layers, err := t.View.SampleSubgraph(seeds, graph.MetaPath{t.Rel, t.Rel}, []int{t.F1, t.F2})
-	if err != nil {
-		return nil, fmt.Errorf("gnn: sample subgraph: %w", err)
-	}
-	hop1, hop2 := layers[0], layers[1]
-	dim := t.Model.InDim
-	nodes := make([]graph.VertexID, 0, len(seeds)+len(hop1)+len(hop2))
-	nodes = append(nodes, seeds...)
-	nodes = append(nodes, hop1...)
-	nodes = append(nodes, hop2...)
-	x, err := t.View.Features(nodes, dim)
-	if err != nil {
-		return nil, fmt.Errorf("gnn: gather features: %w", err)
-	}
-	labels, err := t.View.Labels(seeds)
-	if err != nil {
-		return nil, fmt.Errorf("gnn: gather labels: %w", err)
-	}
-	nS, n1 := len(seeds)*dim, len(hop1)*dim
-	return &Batch{
-		Seeds: seeds, Hop1: hop1, Hop2: hop2, F1: t.F1, F2: t.F2,
-		XSeeds: NewMatrixFrom(len(seeds), dim, x[:nS]),
-		XHop1:  NewMatrixFrom(len(hop1), dim, x[nS:nS+n1]),
-		XHop2:  NewMatrixFrom(len(hop2), dim, x[nS+n1:]),
-		Labels: labels,
-	}, nil
+	return sampleBlock(t.View, seeds, t.Rel, t.F1, t.F2, t.Model.InDim)
 }
 
 // Forward runs the 2-layer model on a batch, returning seed logits.
 //
 // Layer 1 is applied jointly to [seeds; hop1] (self inputs) against their
 // pooled children ([hop1 means; hop2 means]); layer 2 then combines the
-// seeds' hidden states with the pooled hop-1 hidden states.
+// seeds' hidden states with the pooled hop-1 hidden states. Layer 1
+// projects each distinct self row of X once, and the pools read their
+// children straight out of X.
 func (t *Trainer) Forward(b *Batch) *Matrix {
 	nSeeds := len(b.Seeds)
-	selfX := VStack(b.XSeeds, b.XHop1)
-	neighX := VStack(MeanPool(b.XHop1, b.F1), MeanPool(b.XHop2, b.F2))
-	h1 := t.Model.L1.Forward(selfX, neighX)
+	selfX := NewMatrixFrom(b.NSelf, b.X.Cols, b.X.Data[:b.NSelf*b.X.Cols])
+	neighX := VStack(MeanPoolRows(b.X, b.hop1Rows(), b.F1), MeanPoolRows(b.X, b.hop2Rows(), b.F2))
+	h1 := t.Model.L1.ForwardRows(selfX, b.selfRows(), neighX)
 	h1Seeds := SliceRows(h1, 0, nSeeds)
 	h1Hop1 := SliceRows(h1, nSeeds, h1.Rows)
 	return t.Model.L2.Forward(h1Seeds, MeanPool(h1Hop1, b.F1))

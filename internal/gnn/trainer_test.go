@@ -160,21 +160,31 @@ func TestEpochResultString(t *testing.T) {
 	}
 }
 
-// syntheticBatch is a batch at train-cluster's shape — seeds seed rows,
-// fan-outs f1×f2, dim-wide features — built from random matrices with no
-// store behind it. TrainStep reads only the matrices, labels and fan-outs.
+// syntheticBatch is a block at train-cluster's shape — seeds seed rows,
+// fan-outs f1×f2, dim-wide features — with no repeated vertex, built from
+// random matrices with no store behind it: X has one row per position, in
+// position order. TrainStep reads only the block, labels and fan-outs.
 func syntheticBatch(rng *rand.Rand, seeds, f1, f2, dim, classes int) *Batch {
+	n1, n2 := seeds*f1, seeds*f1*f2
+	ids := make([]graph.VertexID, seeds+n1+n2)
+	rows := make([]int32, len(ids))
+	for i := range ids {
+		ids[i] = graph.MakeVertexID(0, uint64(i))
+		rows[i] = int32(i)
+	}
 	labels := make([]int32, seeds)
 	for i := range labels {
 		labels[i] = int32(rng.Intn(classes))
 	}
 	return &Batch{
-		Seeds:  make([]graph.VertexID, seeds),
+		Seeds:  ids[:seeds],
+		Hop1:   ids[seeds : seeds+n1],
+		Hop2:   ids[seeds+n1:],
 		F1:     f1,
 		F2:     f2,
-		XSeeds: NewMatrix(seeds, dim).Glorot(rng),
-		XHop1:  NewMatrix(seeds*f1, dim).Glorot(rng),
-		XHop2:  NewMatrix(seeds*f1*f2, dim).Glorot(rng),
+		X:      NewMatrix(len(ids), dim).Glorot(rng),
+		NSelf:  seeds + n1,
+		Rows:   rows,
 		Labels: labels,
 	}
 }
@@ -202,18 +212,5 @@ func TestTrainStepMatchesFullBackward(t *testing.T) {
 		for i, p := range full.Model.Params() {
 			sameBits(t, "param", cut.Model.Params()[i], p)
 		}
-	}
-}
-
-// BenchmarkGNNTrainStep times one TrainStep at train-cluster's shape: 256
-// seeds, fan-outs 10×5, 64 features → 32 hidden → 8 classes.
-func BenchmarkGNNTrainStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	tr := NewTrainer(NewModel(64, 32, 8, rng), nil, 0, 10, 5, 0.01)
-	batch := syntheticBatch(rng, 256, 10, 5, 64, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.TrainStep(batch)
 	}
 }

@@ -151,18 +151,26 @@ func NegotiateCapped(minVer, maxVer, localMax byte) byte {
 	return maxVer
 }
 
-// WriteFrame writes one length-prefixed frame. payload must already start
-// with the frame-kind byte.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
+// HeaderSize is the length of the prefix that opens every frame.
+const HeaderSize = 4
+
+// GetFrame returns a pooled buffer holding only a reserved length prefix.
+// Append the frame-kind byte and the payload to it, send it with
+// WriteFrame, and return it with PutBuf.
+func GetFrame() []byte { return GetBuf(HeaderSize) }
+
+// WriteFrame fills in the length prefix of frame, a GetFrame buffer with the
+// frame-kind byte and payload appended, and sends it in a single Write, so
+// a frame costs one syscall.
+func WriteFrame(w io.Writer, frame []byte) error {
+	if len(frame) < HeaderSize {
+		return fmt.Errorf("wire: %d-byte frame has no length prefix", len(frame))
+	}
+	if len(frame)-HeaderSize > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-HeaderSize))
+	_, err := w.Write(frame)
 	return err
 }
 
@@ -177,7 +185,7 @@ const frameChunk = 1 << 20
 // allocating, and memory for a large frame is committed only as its bytes
 // stream in.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
+	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -220,8 +228,7 @@ const maxPooledBuf = 1 << 20
 
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// GetBuf returns a pooled buffer of length n (zero-length when building an
-// append-style frame).
+// GetBuf returns a pooled buffer of length n.
 func GetBuf(n int) []byte {
 	bp := bufPool.Get().(*[]byte)
 	b := *bp

@@ -87,7 +87,7 @@ func TestNegotiateCapped(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte{KindRequest, 1, 2, 3, 4, 5}
-	if err := WriteFrame(&buf, payload); err != nil {
+	if err := WriteFrame(&buf, frameOf(payload)); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
 	got, err := ReadFrame(&buf)
@@ -98,6 +98,68 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("frame round trip = %v, want %v", got, payload)
 	}
 	PutBuf(got)
+}
+
+// frameOf builds a frame around payload the way senders do: appended to a
+// GetFrame buffer.
+func frameOf(payload []byte) []byte { return append(GetFrame(), payload...) }
+
+// countingWriter counts the Write calls made on it.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameSingleWrite: WriteFrame hands a frame, length prefix and
+// payload, to the writer in one Write call, and ReadFrame reads back
+// exactly the payload.
+func TestWriteFrameSingleWrite(t *testing.T) {
+	var w countingWriter
+	payloads := [][]byte{{KindResponse}, {KindRequest, 7, 8, 9}, append([]byte{KindResponse}, make([]byte, 5000)...)}
+	for i, payload := range payloads {
+		frame := frameOf(payload)
+		if err := WriteFrame(&w, frame); err != nil {
+			t.Fatalf("WriteFrame: %v", err)
+		}
+		PutBuf(frame)
+		if w.writes != i+1 {
+			t.Fatalf("%d Write calls after %d frames", w.writes, i+1)
+		}
+	}
+	for _, payload := range payloads {
+		got, err := ReadFrame(&w.Buffer)
+		if err != nil {
+			t.Fatalf("ReadFrame: %v", err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("frame round trip = %d bytes, want %d", len(got), len(payload))
+		}
+		PutBuf(got)
+	}
+	if err := WriteFrame(&w, []byte{0, 0, 0}); err == nil || w.writes != len(payloads) {
+		t.Fatalf("WriteFrame of a buffer shorter than the prefix = %v after %d writes", err, w.writes)
+	}
+}
+
+// BenchmarkWriteFrame builds a 4 KiB response frame in a pooled buffer and
+// writes it.
+func BenchmarkWriteFrame(b *testing.B) {
+	payload := make([]byte, 4096)
+	b.SetBytes(int64(HeaderSize + 1 + len(payload)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		frame := append(GetFrame(), KindResponse)
+		frame = append(frame, payload...)
+		if err := WriteFrame(io.Discard, frame); err != nil {
+			b.Fatal(err)
+		}
+		PutBuf(frame)
+	}
 }
 
 func TestReadFrameRejectsOversized(t *testing.T) {
@@ -111,7 +173,7 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte{KindResponse, 9, 9, 9}); err != nil {
+	if err := WriteFrame(&buf, frameOf([]byte{KindResponse, 9, 9, 9})); err != nil {
 		t.Fatal(err)
 	}
 	short := buf.Bytes()[:buf.Len()-2]
@@ -132,7 +194,7 @@ func TestReadFrameLargeRoundTrip(t *testing.T) {
 	}
 	payload[0] = KindResponse
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload); err != nil {
+	if err := WriteFrame(&buf, frameOf(payload)); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
 	got, err := ReadFrame(&buf)
@@ -329,7 +391,7 @@ func FuzzFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Interpretation 1: data is a payload. Must round-trip exactly.
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, data); err == nil {
+		if err := WriteFrame(&buf, frameOf(data)); err == nil {
 			got, err := ReadFrame(&buf)
 			if err != nil {
 				t.Fatalf("ReadFrame after WriteFrame: %v", err)
