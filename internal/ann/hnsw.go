@@ -436,10 +436,9 @@ func (ix *Index) Search(q []float32, k int) ([]Result, error) {
 	for lc := ix.maxLevel; lc > 0; lc-- {
 		ep = ix.greedyDescend(q, ep, lc)
 	}
-	ef := ix.cfg.EfSearch
-	if ef < k {
-		ef = k
-	}
+	// A beam wider than the arena finds nothing more, and capping it keeps
+	// a huge k from overflowing the widening below.
+	ef := max(ix.cfg.EfSearch, min(k, len(ix.nodes)))
 	// Tombstones route but never land in results, so widen the beam enough
 	// to see past them.
 	if t := ix.tombstones; t > 0 {
@@ -451,7 +450,7 @@ func (ix *Index) Search(q []float32, k int) ([]Result, error) {
 	}
 	visited := make([]uint32, len(ix.nodes))
 	best := ix.searchLayer(q, ep, ef, 0, visited, 1)
-	out := make([]Result, 0, k)
+	out := make([]Result, 0, min(k, len(best)))
 	sort.Slice(best, func(i, j int) bool { return best[i].dist < best[j].dist })
 	for _, c := range best {
 		if ix.nodes[c.ref].dead {

@@ -307,3 +307,106 @@ func TestEmptyAndErrors(t *testing.T) {
 		t.Fatal("NaN distance")
 	}
 }
+
+// TestSearchHugeK: a k past the index size, up to math.MaxInt and with
+// tombstones widening the beam, returns every live vector, closest first,
+// instead of sizing its results by k.
+func TestSearchHugeK(t *testing.T) {
+	const dim = 8
+	vecs := clusteredVecs(10, dim, 2, 31)
+	ix, err := New(Config{Dim: dim, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vecs {
+		if err := ix.Insert(uint64(i), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix.Delete(3)
+	ix.Delete(7)
+	for _, k := range []int{1 << 40, math.MaxInt} {
+		res, err := ix.Search(vecs[0], k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != ix.Len() {
+			t.Fatalf("k=%d: %d results, want all %d live vectors", k, len(res), ix.Len())
+		}
+		for i, r := range res {
+			if r.ID == 3 || r.ID == 7 || (i > 0 && r.Dist < res[i-1].Dist) {
+				t.Fatalf("k=%d: result %d is %+v after %+v", k, i, r, res[max(i-1, 0)])
+			}
+		}
+	}
+}
+
+// TestRecallUnderChurn runs several rounds of deleting a third of the
+// vectors and re-inserting them elsewhere, each round closed by a
+// compaction. Recall@10 against the brute-force oracle must hold at 0.9
+// after the re-inserts, over the tombstones, and again after the
+// compaction, in every round.
+func TestRecallUnderChurn(t *testing.T) {
+	const (
+		n      = 1000
+		dim    = 16
+		k      = 10
+		rounds = 4
+	)
+	// Few links and a narrow beam keep recall off its ceiling, so a graph
+	// the churn degrades shows; the high tombstone share leaves each round's
+	// compaction to the test.
+	m := &Metrics{}
+	ix, err := New(Config{Dim: dim, Seed: 41, M: 6, EfSearch: 12, EfConstruction: 40, MaxTombstoneShare: 0.9, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := make(map[uint64][]float32, n)
+	for i, v := range clusteredVecs(n, dim, 8, 41) {
+		if err := ix.Insert(uint64(i), v); err != nil {
+			t.Fatal(err)
+		}
+		corpus[uint64(i)] = v
+	}
+	rng := rand.New(rand.NewSource(42))
+	queries := func() [][]float32 {
+		qs := make([][]float32, 100)
+		for i := range qs {
+			base := corpus[uint64(rng.Intn(n))]
+			qs[i] = make([]float32, dim)
+			for j := range qs[i] {
+				qs[i][j] = base[j] + float32(rng.NormFloat64()*0.25)
+			}
+		}
+		return qs
+	}
+	for round := 0; round < rounds; round++ {
+		moved := clusteredVecs(n, dim, 8, int64(100+round))
+		for _, i := range rng.Perm(n)[:n/3] {
+			id := uint64(i)
+			if !ix.Delete(id) {
+				t.Fatalf("round %d: id %d was not live", round, id)
+			}
+			if err := ix.Insert(id, moved[i]); err != nil {
+				t.Fatal(err)
+			}
+			corpus[id] = moved[i]
+		}
+		if ix.Tombstones() == 0 {
+			t.Fatalf("round %d: no tombstones before the compaction", round)
+		}
+		if r := recallAt(t, ix, corpus, queries(), k); r < 0.9 {
+			t.Fatalf("round %d: recall@%d over tombstones = %.3f, want >= 0.9", round, k, r)
+		}
+		ix.Compact()
+		if ix.Tombstones() != 0 || ix.Len() != n {
+			t.Fatalf("round %d: after compaction %d tombstones, %d live, want 0 and %d", round, ix.Tombstones(), ix.Len(), n)
+		}
+		if r := recallAt(t, ix, corpus, queries(), k); r < 0.9 {
+			t.Fatalf("round %d: recall@%d after compaction = %.3f, want >= 0.9", round, k, r)
+		}
+	}
+	if got := m.Compactions.Load(); got != rounds {
+		t.Fatalf("%d compactions, want one per round (%d)", got, rounds)
+	}
+}

@@ -202,83 +202,3 @@ func (l *GATLayer) ZeroGrads() {
 	l.GAN.Zero()
 	l.GBias.Zero()
 }
-
-// MultiHeadGAT runs H independent attention heads and concatenates their
-// outputs (the standard multi-head formulation; output width = heads × out).
-type MultiHeadGAT struct {
-	Heads []*GATLayer
-}
-
-// NewMultiHeadGAT builds heads independent attention heads of width out
-// each.
-func NewMultiHeadGAT(heads, in, out int, act bool, rng *rand.Rand) *MultiHeadGAT {
-	if heads < 1 {
-		panic("gnn: need at least one attention head")
-	}
-	m := &MultiHeadGAT{Heads: make([]*GATLayer, heads)}
-	for h := range m.Heads {
-		m.Heads[h] = NewGATLayer(in, out, act, rng)
-	}
-	return m
-}
-
-// OutDim returns the concatenated output width.
-func (m *MultiHeadGAT) OutDim() int { return len(m.Heads) * m.Heads[0].W.Cols }
-
-// Forward concatenates every head's output column-wise.
-func (m *MultiHeadGAT) Forward(xSelf, xNeigh *Matrix, fanout int) *Matrix {
-	per := m.Heads[0].W.Cols
-	out := NewMatrix(xSelf.Rows, m.OutDim())
-	for h, head := range m.Heads {
-		y := head.Forward(xSelf, xNeigh, fanout)
-		for i := 0; i < y.Rows; i++ {
-			copy(out.Row(i)[h*per:(h+1)*per], y.Row(i))
-		}
-	}
-	return out
-}
-
-// Backward splits the concatenated gradient per head and sums the input
-// gradients.
-func (m *MultiHeadGAT) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
-	per := m.Heads[0].W.Cols
-	for h, head := range m.Heads {
-		dHead := NewMatrix(dOut.Rows, per)
-		for i := 0; i < dOut.Rows; i++ {
-			copy(dHead.Row(i), dOut.Row(i)[h*per:(h+1)*per])
-		}
-		ds, dn := head.Backward(dHead)
-		if dSelf == nil {
-			dSelf, dNeigh = ds, dn
-		} else {
-			AddInPlace(dSelf, ds)
-			AddInPlace(dNeigh, dn)
-		}
-	}
-	return dSelf, dNeigh
-}
-
-// Params returns every head's trainable tensors.
-func (m *MultiHeadGAT) Params() []*Matrix {
-	var out []*Matrix
-	for _, h := range m.Heads {
-		out = append(out, h.Params()...)
-	}
-	return out
-}
-
-// Grads returns every head's gradient tensors, aligned with Params.
-func (m *MultiHeadGAT) Grads() []*Matrix {
-	var out []*Matrix
-	for _, h := range m.Heads {
-		out = append(out, h.Grads()...)
-	}
-	return out
-}
-
-// ZeroGrads clears all heads' gradients.
-func (m *MultiHeadGAT) ZeroGrads() {
-	for _, h := range m.Heads {
-		h.ZeroGrads()
-	}
-}

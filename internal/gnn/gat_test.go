@@ -183,71 +183,3 @@ func TestGATTrainerBatchShapes(t *testing.T) {
 		t.Fatalf("logits %dx%d", logits.Rows, logits.Cols)
 	}
 }
-
-func TestMultiHeadGATShapesAndGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	const n, in, per, heads, f = 3, 4, 2, 3, 2
-	m := NewMultiHeadGAT(heads, in, per, true, rng)
-	if m.OutDim() != heads*per {
-		t.Fatalf("OutDim = %d", m.OutDim())
-	}
-	xs := NewMatrix(n, in).Glorot(rng)
-	xn := NewMatrix(n*f, in).Glorot(rng)
-	labels := []int32{0, 1, 2}
-
-	lossOf := func() float64 {
-		y := m.Forward(xs, xn, f)
-		loss, _ := SoftmaxCrossEntropy(y, labels)
-		return loss
-	}
-	m.ZeroGrads()
-	y := m.Forward(xs, xn, f)
-	if y.Rows != n || y.Cols != heads*per {
-		t.Fatalf("forward shape %dx%d", y.Rows, y.Cols)
-	}
-	_, dOut := SoftmaxCrossEntropy(y, labels)
-	dXs, dXn := m.Backward(dOut)
-
-	const h = 1e-3
-	params, grads := m.Params(), m.Grads()
-	if len(params) != heads*4 {
-		t.Fatalf("params = %d", len(params))
-	}
-	for pi, p := range params {
-		for i := range p.Data {
-			orig := p.Data[i]
-			p.Data[i] = orig + h
-			lp := lossOf()
-			p.Data[i] = orig - h
-			lm := lossOf()
-			p.Data[i] = orig
-			numeric := (lp - lm) / (2 * h)
-			if !approx(numeric, float64(grads[pi].Data[i]), 3e-3) {
-				t.Fatalf("param %d grad[%d]: numeric %v vs analytic %v",
-					pi, i, numeric, grads[pi].Data[i])
-			}
-		}
-	}
-	// Input gradients too.
-	for i := range xs.Data {
-		orig := xs.Data[i]
-		xs.Data[i] = orig + h
-		lp := lossOf()
-		xs.Data[i] = orig - h
-		lm := lossOf()
-		xs.Data[i] = orig
-		if numeric := (lp - lm) / (2 * h); !approx(numeric, float64(dXs.Data[i]), 3e-3) {
-			t.Fatalf("dXs[%d]: %v vs %v", i, numeric, dXs.Data[i])
-		}
-	}
-	_ = dXn
-}
-
-func TestMultiHeadGATPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero heads")
-		}
-	}()
-	NewMultiHeadGAT(0, 4, 2, true, rand.New(rand.NewSource(1)))
-}

@@ -66,7 +66,7 @@ func NewGATTrainer(model *GATModel, v view.GraphView, rel graph.EdgeType, fanout
 // block as Trainer.SampleBatch: one feature call over the distinct
 // vertices, plus the seeds' labels.
 func (t *GATTrainer) SampleBatch(seeds []graph.VertexID) (*Batch, error) {
-	return sampleBlock(t.View, seeds, t.Rel, t.Fanout, t.Fanout, t.Model.InDim)
+	return sampleBatch(t.View, seeds, t.Rel, t.Fanout, t.Fanout, t.Model.InDim)
 }
 
 // Forward runs the 2-layer attention model, returning seed logits. Layer 1

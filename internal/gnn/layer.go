@@ -48,23 +48,31 @@ func (l *SAGELayer) Forward(xSelf, xNeigh *Matrix) *Matrix {
 
 // ForwardRows is Forward for a block whose self inputs repeat: row i's self
 // input is xSelf's row selfRows[i], and xSelf holds each distinct input
-// once. x·Wself is row-wise, so it projects every row of xSelf once and
-// gathers the products; each output row gets the same bits as Forward on
-// the gathered inputs. A nil selfRows means row i reads row i.
+// once. It is Apply plus the caches Backward reads.
 func (l *SAGELayer) ForwardRows(xSelf *Matrix, selfRows []int32, xNeigh *Matrix) *Matrix {
 	l.xSelf, l.selfRows, l.xNeigh = xSelf, selfRows, xNeigh
-	z := MatMul(xSelf, l.Wself)
-	if selfRows != nil {
-		z = GatherRows(z, selfRows)
-	}
-	AddInPlace(z, MatMul(xNeigh, l.Wneigh))
-	AddBiasRow(z, l.Bias)
-	if l.Act {
-		l.mask = ReluInPlace(z)
-	} else {
-		l.mask = nil
-	}
+	var z *Matrix
+	z, l.mask = l.Apply(xSelf, selfRows, xNeigh)
 	return z
+}
+
+// Apply computes ForwardRows' output from the weights alone, caching
+// nothing, so concurrent callers may share the layer. It also returns the
+// ReLU mask, nil when the layer has no activation. x·Wself is row-wise, so
+// it projects every row of xSelf once and gathers the products; each output
+// row gets the same bits as Forward on the gathered inputs. A nil selfRows
+// means row i reads row i.
+func (l *SAGELayer) Apply(xSelf *Matrix, selfRows []int32, xNeigh *Matrix) (out, mask *Matrix) {
+	out = MatMul(xSelf, l.Wself)
+	if selfRows != nil {
+		out = GatherRows(out, selfRows)
+	}
+	AddInPlace(out, MatMul(xNeigh, l.Wneigh))
+	AddBiasRow(out, l.Bias)
+	if l.Act {
+		mask = ReluInPlace(out)
+	}
+	return out, mask
 }
 
 // BackwardWeights consumes dL/doutput and accumulates the weight and bias

@@ -62,34 +62,35 @@ func NewLinkTrainer(model *LinkModel, v view.GraphView,
 }
 
 // embed encodes nodes from their features and 1-hop sampled neighborhoods.
-// The self and neighbor feature pulls share one view call, so a remote
-// backend pays a single feature fan-out per step. Forward caches live in
-// the encoder, so callers must embed all nodes of a step in ONE call for
-// backprop to see them.
+// Like SampleBlock, it fetches the features of each distinct vertex of the
+// nodes and their samples once, in one view call, projects each distinct
+// node through Wself once, and pools the neighbors straight out of the
+// fetched rows. Forward caches live in the encoder, so callers must embed
+// all nodes of a step in ONE call for backprop to see them.
 func (t *LinkTrainer) embed(nodes []graph.VertexID) (*Matrix, error) {
 	neigh, err := t.View.SampleNeighbors(nodes, t.Rel, t.Fanout)
 	if err != nil {
 		return nil, fmt.Errorf("gnn: sample neighbors: %w", err)
 	}
-	all := make([]graph.VertexID, 0, len(nodes)+len(neigh))
-	all = append(all, nodes...)
-	all = append(all, neigh...)
-	x, err := t.View.Features(all, t.Model.Dim)
+	distinct, rows, nSelf := dedupe([][]graph.VertexID{nodes}, neigh)
+	x, err := features(t.View, distinct, t.Model.Dim)
 	if err != nil {
-		return nil, fmt.Errorf("gnn: gather features: %w", err)
+		return nil, err
 	}
-	n := len(nodes) * t.Model.Dim
-	xSelf := NewMatrixFrom(len(nodes), t.Model.Dim, x[:n])
-	xNeigh := NewMatrixFrom(len(neigh), t.Model.Dim, x[n:])
-	return t.Model.Enc.Forward(xSelf, MeanPool(xNeigh, t.Fanout)), nil
+	xNeigh := MeanPoolRows(x, rows[len(nodes):], t.Fanout)
+	return t.Model.Enc.ForwardRows(headRows(x, nSelf), rows[:len(nodes)], xNeigh), nil
 }
 
 // TrainStep trains on a batch of positive edges plus one uniform negative
-// per positive, returning the mean logistic loss.
+// per positive, returning the mean logistic loss. It fails on a non-empty
+// batch when NegativePool is empty.
 func (t *LinkTrainer) TrainStep(positives []graph.Edge) (float64, error) {
 	n := len(positives)
 	if n == 0 {
 		return 0, nil
+	}
+	if len(t.NegativePool) == 0 {
+		return 0, fmt.Errorf("gnn: link trainer has no negative pool to sample from")
 	}
 	// Layout: rows [0,n) = sources, [n,2n) = positive dsts, [2n,3n) =
 	// negative dsts — one encoder pass over the concatenation.

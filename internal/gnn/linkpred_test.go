@@ -9,6 +9,7 @@ import (
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
 	"platod2gl/internal/storage"
+	"platod2gl/internal/view"
 )
 
 // mustLinkStep trains one link-prediction step, failing the test on error.
@@ -182,4 +183,59 @@ func TestRecommendRanksOwnCommunity(t *testing.T) {
 	if empty, err := tr.Recommend(u, nil, 5); err != nil || empty != nil {
 		t.Fatalf("empty candidates: recs=%v err=%v", empty, err)
 	}
+}
+
+func TestLinkTrainerEmptyNegativePool(t *testing.T) {
+	store, attrs, edges, _, _ := buildBipartite(t)
+	tr := NewLinkTrainer(NewLinkModel(8, 8, rand.New(rand.NewSource(5))), testView(store, attrs, 2, 1), 0, 4, 0.01, nil, 9)
+	if _, err := tr.TrainStep(edges[:4]); err == nil {
+		t.Fatal("TrainStep with an empty negative pool succeeded")
+	}
+}
+
+// neighborView records the sample of every SampleNeighbors call made
+// through it.
+type neighborView struct {
+	view.GraphView
+	samples [][]graph.VertexID
+}
+
+func (v *neighborView) SampleNeighbors(seeds []graph.VertexID, rel graph.EdgeType, fanout int) ([]graph.VertexID, error) {
+	out, err := v.GraphView.SampleNeighbors(seeds, rel, fanout)
+	v.samples = append(v.samples, out)
+	return out, err
+}
+
+// TestLinkEmbedMatchesDense: on nodes that repeat, and whose samples repeat
+// them, the encoder's block forward gives the dense layout's embeddings bit
+// for bit: a feature row per position and Wself over all of them.
+func TestLinkEmbedMatchesDense(t *testing.T) {
+	store, attrs, edges, pool, _ := buildBipartite(t)
+	inner := testView(store, attrs, 2, 1)
+	nv := &neighborView{GraphView: inner}
+	cv := &countingView{GraphView: nv}
+	tr := NewLinkTrainer(NewLinkModel(8, 16, rand.New(rand.NewSource(12))), cv, 0, 5, 0.05, pool, 13)
+	for step := 0; step < 5; step++ {
+		mustLinkStep(t, tr, edges[step*32:(step+1)*32])
+	}
+	var nodes []graph.VertexID
+	for _, e := range edges[:40] {
+		nodes = append(nodes, e.Src, e.Dst, e.Src)
+	}
+	nv.samples, cv.features = nil, nil
+	got, err := tr.Embed(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cv.features) != 1 || len(cv.features[0]) >= len(nodes)+len(nv.samples[0]) {
+		t.Fatalf("%d Features calls, the first for %d ids of %d positions", len(cv.features), len(cv.features[0]), len(nodes)+len(nv.samples[0]))
+	}
+	x, err := inner.Features(append(append([]graph.VertexID(nil), nodes...), nv.samples[0]...), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(nodes) * 8
+	xSelf := NewMatrixFrom(len(nodes), 8, x[:n])
+	xNeigh := NewMatrixFrom(len(nv.samples[0]), 8, x[n:])
+	sameBits(t, "embedding", got, tr.Model.Enc.Forward(xSelf, MeanPool(xNeigh, 5)))
 }

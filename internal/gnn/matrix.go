@@ -408,65 +408,5 @@ func SliceRows(m *Matrix, lo, hi int) *Matrix {
 	return out
 }
 
-// MaxPool groups the rows of child ((n*fanout)×d) into n groups and takes
-// the elementwise maximum — GraphSAGE's pooling aggregator alternative to
-// the mean. The returned argmax matrix records, per output cell, which row
-// within the group supplied the max (for backprop).
-func MaxPool(child *Matrix, fanout int) (*Matrix, *Matrix) {
-	if fanout <= 0 || child.Rows%fanout != 0 {
-		panic(fmt.Sprintf("gnn: MaxPool fanout %d does not divide %d rows", fanout, child.Rows))
-	}
-	n := child.Rows / fanout
-	out := NewMatrix(n, child.Cols)
-	arg := NewMatrix(n, child.Cols)
-	for i := 0; i < n; i++ {
-		orow := out.Row(i)
-		arow := arg.Row(i)
-		copy(orow, child.Row(i*fanout))
-		for j := 1; j < fanout; j++ {
-			crow := child.Row(i*fanout + j)
-			for k, v := range crow {
-				if v > orow[k] {
-					orow[k] = v
-					arow[k] = float32(j)
-				}
-			}
-		}
-	}
-	return out, arg
-}
-
-// MaxPoolBackward routes the pooled gradient to the argmax rows.
-func MaxPoolBackward(dPooled, arg *Matrix, fanout int) *Matrix {
-	out := NewMatrix(dPooled.Rows*fanout, dPooled.Cols)
-	for i := 0; i < dPooled.Rows; i++ {
-		drow := dPooled.Row(i)
-		arow := arg.Row(i)
-		for k, v := range drow {
-			j := int(arow[k])
-			out.Row(i*fanout + j)[k] = v
-		}
-	}
-	return out
-}
-
-// Dropout zeroes each element with probability p (training-time
-// regularization), scaling survivors by 1/(1-p) so expectations match
-// inference. Returns the mask (already scaled) for backprop via
-// MulMaskInPlace.
-func Dropout(m *Matrix, p float64, rng *rand.Rand) *Matrix {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("gnn: dropout p=%v out of [0,1)", p))
-	}
-	mask := NewMatrix(m.Rows, m.Cols)
-	scale := float32(1 / (1 - p))
-	for i := range m.Data {
-		if rng.Float64() >= p {
-			mask.Data[i] = scale
-			m.Data[i] *= scale
-		} else {
-			m.Data[i] = 0
-		}
-	}
-	return mask
-}
+// headRows returns m's first n rows, sharing m's storage.
+func headRows(m *Matrix, n int) *Matrix { return NewMatrixFrom(n, m.Cols, m.Data[:n*m.Cols]) }

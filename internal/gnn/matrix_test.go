@@ -364,116 +364,3 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		}
 	}
 }
-
-func TestMaxPoolForwardBackward(t *testing.T) {
-	child := NewMatrixFrom(4, 2, []float32{
-		1, 9,
-		5, 2,
-		0, 0,
-		3, 7,
-	})
-	pooled, arg := MaxPool(child, 2)
-	if pooled.Rows != 2 || pooled.At(0, 0) != 5 || pooled.At(0, 1) != 9 ||
-		pooled.At(1, 0) != 3 || pooled.At(1, 1) != 7 {
-		t.Fatalf("MaxPool = %v", pooled.Data)
-	}
-	dPooled := NewMatrixFrom(2, 2, []float32{10, 20, 30, 40})
-	back := MaxPoolBackward(dPooled, arg, 2)
-	want := []float32{
-		0, 20, // row 0: col 1 max
-		10, 0, // row 1: col 0 max
-		0, 0,
-		30, 40, // row 3: both maxes
-	}
-	for i := range want {
-		if back.Data[i] != want[i] {
-			t.Fatalf("MaxPoolBackward = %v, want %v", back.Data, want)
-		}
-	}
-}
-
-func TestMaxPoolGradientNumerically(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	child := NewMatrix(6, 3).Glorot(rng)
-	labels := []int32{1, 0}
-	lossOf := func() float64 {
-		pooled, _ := MaxPool(child, 3)
-		loss, _ := SoftmaxCrossEntropy(pooled, labels)
-		return loss
-	}
-	pooled, arg := MaxPool(child, 3)
-	_, dPooled := SoftmaxCrossEntropy(pooled, labels)
-	dChild := MaxPoolBackward(dPooled, arg, 3)
-	const h = 1e-3
-	for i := range child.Data {
-		orig := child.Data[i]
-		child.Data[i] = orig + h
-		lp := lossOf()
-		child.Data[i] = orig - h
-		lm := lossOf()
-		child.Data[i] = orig
-		numeric := (lp - lm) / (2 * h)
-		if !approx(numeric, float64(dChild.Data[i]), 2e-3) {
-			t.Fatalf("dChild[%d]: numeric %v vs analytic %v", i, numeric, dChild.Data[i])
-		}
-	}
-}
-
-func TestMaxPoolPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MaxPool(NewMatrix(5, 2), 2)
-}
-
-func TestDropout(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := NewMatrix(100, 100)
-	for i := range m.Data {
-		m.Data[i] = 1
-	}
-	mask := Dropout(m, 0.3, rng)
-	zeros, kept := 0, 0
-	var sum float64
-	for i, v := range m.Data {
-		if v == 0 {
-			zeros++
-			if mask.Data[i] != 0 {
-				t.Fatal("mask nonzero where output zero")
-			}
-		} else {
-			kept++
-			if !approx(float64(v), 1/0.7, 1e-5) {
-				t.Fatalf("survivor not scaled: %v", v)
-			}
-		}
-		sum += float64(v)
-	}
-	frac := float64(zeros) / float64(len(m.Data))
-	if frac < 0.27 || frac > 0.33 {
-		t.Fatalf("dropout rate %.3f, want ~0.30", frac)
-	}
-	// Expectation preserved: mean stays ~1.
-	if mean := sum / float64(len(m.Data)); mean < 0.95 || mean > 1.05 {
-		t.Fatalf("mean after dropout = %v", mean)
-	}
-	// Gradient masking matches forward masking.
-	g := NewMatrix(100, 100)
-	for i := range g.Data {
-		g.Data[i] = 1
-	}
-	MulMaskInPlace(g, mask)
-	for i := range g.Data {
-		if (g.Data[i] == 0) != (m.Data[i] == 0) {
-			t.Fatal("gradient mask diverges from forward mask")
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for p=1")
-		}
-	}()
-	Dropout(m, 1, rng)
-}

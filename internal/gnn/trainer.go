@@ -78,19 +78,48 @@ func (b *Batch) hop1Rows() []int32 { return b.Rows[len(b.Seeds) : len(b.Seeds)+l
 
 func (b *Batch) hop2Rows() []int32 { return b.Rows[len(b.Seeds)+len(b.Hop1):] }
 
-// sampleBlock expands the seeds two hops over rel and gathers the block's
-// features and the seeds' labels, in one view round trip each. One map
-// deduplicates the position lists, so the view is asked for each distinct
-// vertex's features once.
-func sampleBlock(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f1, f2, dim int) (*Batch, error) {
+// SampleBlock expands the seeds two hops over rel and builds their block,
+// with one view round trip for the sample and one for the features of the
+// distinct vertices. It fetches no labels, so inference builds the same
+// block training does.
+func SampleBlock(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f1, f2, dim int) (*Batch, error) {
 	layers, err := v.SampleSubgraph(seeds, graph.MetaPath{rel, rel}, []int{f1, f2})
 	if err != nil {
 		return nil, fmt.Errorf("gnn: sample subgraph: %w", err)
 	}
 	b := &Batch{Seeds: seeds, Hop1: layers[0], Hop2: layers[1], F1: f1, F2: f2}
-	b.Rows = make([]int32, 0, len(seeds)+len(b.Hop1)+len(b.Hop2))
-	index := make(map[graph.VertexID]int32, len(seeds)+len(b.Hop1))
 	var distinct []graph.VertexID
+	distinct, b.Rows, b.NSelf = dedupe([][]graph.VertexID{seeds, b.Hop1}, b.Hop2)
+	if b.X, err = features(v, distinct, dim); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// sampleBatch is SampleBlock plus the seeds' labels, in one more view round
+// trip: a training batch.
+func sampleBatch(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f1, f2, dim int) (*Batch, error) {
+	b, err := SampleBlock(v, seeds, rel, f1, f2, dim)
+	if err != nil {
+		return nil, err
+	}
+	if b.Labels, err = v.Labels(seeds); err != nil {
+		return nil, fmt.Errorf("gnn: gather labels: %w", err)
+	}
+	return b, nil
+}
+
+// dedupe lists the distinct vertices of the self position lists, then those
+// of rest that self lacks, each part in first-occurrence order. rows maps
+// every position, self's lists first and rest last, to its vertex's index
+// in distinct, and nSelf is the number of distinct self vertices.
+func dedupe(self [][]graph.VertexID, rest []graph.VertexID) (distinct []graph.VertexID, rows []int32, nSelf int) {
+	n := len(rest)
+	for _, ids := range self {
+		n += len(ids)
+	}
+	rows = make([]int32, 0, n)
+	index := make(map[graph.VertexID]int32, n-len(rest))
 	add := func(ids []graph.VertexID) {
 		for _, id := range ids {
 			r, ok := index[id]
@@ -99,22 +128,42 @@ func sampleBlock(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f
 				index[id] = r
 				distinct = append(distinct, id)
 			}
-			b.Rows = append(b.Rows, r)
+			rows = append(rows, r)
 		}
 	}
-	add(seeds)
-	add(b.Hop1)
-	b.NSelf = len(distinct)
-	add(b.Hop2)
-	x, err := v.Features(distinct, dim)
+	for _, ids := range self {
+		add(ids)
+	}
+	nSelf = len(distinct)
+	add(rest)
+	return distinct, rows, nSelf
+}
+
+// features fetches the rows of ids, in order, in one view call.
+func features(v view.GraphView, ids []graph.VertexID, dim int) (*Matrix, error) {
+	x, err := v.Features(ids, dim)
 	if err != nil {
 		return nil, fmt.Errorf("gnn: gather features: %w", err)
 	}
-	b.X = NewMatrixFrom(len(distinct), dim, x)
-	if b.Labels, err = v.Labels(seeds); err != nil {
-		return nil, fmt.Errorf("gnn: gather labels: %w", err)
-	}
-	return b, nil
+	return NewMatrixFrom(len(ids), dim, x), nil
+}
+
+// layer1Inputs are layer 1's inputs for the block: the distinct self rows
+// of X, which it projects through Wself once each, and the neighbor means
+// of the seed and hop-1 positions, pooled straight out of X.
+func (b *Batch) layer1Inputs() (selfX, neighX *Matrix) {
+	selfX = headRows(b.X, b.NSelf)
+	neighX = VStack(MeanPoolRows(b.X, b.hop1Rows(), b.F1), MeanPoolRows(b.X, b.hop2Rows(), b.F2))
+	return selfX, neighX
+}
+
+// Layer1 returns layer 1's hidden states for the block's seed positions,
+// then its hop-1 positions: the representation Forward feeds layer 2. It
+// reads only the weights, so concurrent callers may share the model.
+func (m *Model) Layer1(b *Batch) *Matrix {
+	selfX, neighX := b.layer1Inputs()
+	h, _ := m.L1.Apply(selfX, b.selfRows(), neighX)
+	return h
 }
 
 // Trainer drives mini-batch GNN training against a GraphView — it never
@@ -148,20 +197,18 @@ func NewTrainer(model *Model, v view.GraphView, rel graph.EdgeType, f1, f2 int, 
 // labels in another. Seeds without labels get label 0 — callers training
 // on labeled sets should pass labeled seeds.
 func (t *Trainer) SampleBatch(seeds []graph.VertexID) (*Batch, error) {
-	return sampleBlock(t.View, seeds, t.Rel, t.F1, t.F2, t.Model.InDim)
+	return sampleBatch(t.View, seeds, t.Rel, t.F1, t.F2, t.Model.InDim)
 }
 
 // Forward runs the 2-layer model on a batch, returning seed logits.
 //
 // Layer 1 is applied jointly to [seeds; hop1] (self inputs) against their
-// pooled children ([hop1 means; hop2 means]); layer 2 then combines the
-// seeds' hidden states with the pooled hop-1 hidden states. Layer 1
-// projects each distinct self row of X once, and the pools read their
-// children straight out of X.
+// pooled children ([hop1 means; hop2 means]), as in Layer1 but caching for
+// backprop; layer 2 then combines the seeds' hidden states with the pooled
+// hop-1 hidden states.
 func (t *Trainer) Forward(b *Batch) *Matrix {
 	nSeeds := len(b.Seeds)
-	selfX := NewMatrixFrom(b.NSelf, b.X.Cols, b.X.Data[:b.NSelf*b.X.Cols])
-	neighX := VStack(MeanPoolRows(b.X, b.hop1Rows(), b.F1), MeanPoolRows(b.X, b.hop2Rows(), b.F2))
+	selfX, neighX := b.layer1Inputs()
 	h1 := t.Model.L1.ForwardRows(selfX, b.selfRows(), neighX)
 	h1Seeds := SliceRows(h1, 0, nSeeds)
 	h1Hop1 := SliceRows(h1, nSeeds, h1.Rows)

@@ -11,17 +11,18 @@
 // going stale as the graph mutates underneath it.
 //
 // The engine is safe for concurrent use: weights are read-only after New,
-// the per-request forward pass runs on gnn's free matrix functions (layer
-// objects cache intermediates and are not shareable), and admission is a
-// bounded worker pool with a per-request deadline — the same
-// budget-and-shed discipline the cluster's RPC tier applies, so an
-// overloaded serving process degrades by rejecting, not by collapsing.
+// the per-request forward pass is gnn's block forward (Model.Layer1, which
+// reads only the weights), and admission is a bounded worker pool with a
+// per-request deadline — the same budget-and-shed discipline the cluster's
+// RPC tier applies, so an overloaded serving process degrades by
+// rejecting, not by collapsing.
 package serve
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"time"
 
 	"platod2gl/internal/ann"
@@ -31,50 +32,20 @@ import (
 	"platod2gl/internal/view"
 )
 
-// model is a frozen 2-layer GraphSAGE parameter set. Unlike gnn.SAGELayer it
-// carries no forward caches or gradients, so any number of goroutines can
-// run inference against it.
-type model struct {
-	w1self, w1neigh, b1 *gnn.Matrix
-	w2self, w2neigh, b2 *gnn.Matrix
-	inDim, hidden       int
-	classes             int
-}
-
-// modelFromState freezes a training checkpoint into an inference model,
-// inferring every dimension from the tensor shapes — serving needs no
-// -hidden/-classes flags that could drift from what was actually trained.
-// The tensor order is Model.Params(): L1.{Wself,Wneigh,Bias},
-// L2.{Wself,Wneigh,Bias}.
-func modelFromState(st *checkpoint.State) (*model, error) {
+// modelFromState builds a 2-layer GraphSAGE model shaped like the
+// checkpoint's tensors and loads them, so serving needs no -hidden/-classes
+// flags that could drift from what was actually trained. The tensor order
+// is Model.Params(): L1.{Wself,Wneigh,Bias}, L2.{Wself,Wneigh,Bias};
+// State.Apply checks every shape.
+func modelFromState(st *checkpoint.State) (*gnn.Model, error) {
 	if len(st.Params) != 6 {
 		return nil, fmt.Errorf("serve: checkpoint has %d tensors, a 2-layer SAGE model has 6", len(st.Params))
 	}
-	mat := func(t checkpoint.Tensor) *gnn.Matrix {
-		return gnn.NewMatrixFrom(t.Rows, t.Cols, append([]float32(nil), t.Data...))
-	}
-	m := &model{
-		w1self: mat(st.Params[0]), w1neigh: mat(st.Params[1]), b1: mat(st.Params[2]),
-		w2self: mat(st.Params[3]), w2neigh: mat(st.Params[4]), b2: mat(st.Params[5]),
-	}
-	m.inDim, m.hidden = m.w1self.Rows, m.w1self.Cols
-	m.classes = m.b2.Cols
-	if m.w1neigh.Rows != m.inDim || m.w1neigh.Cols != m.hidden || m.b1.Cols != m.hidden ||
-		m.w2self.Rows != m.hidden || m.w2neigh.Rows != m.hidden {
-		return nil, fmt.Errorf("serve: checkpoint tensor shapes are not a consistent 2-layer SAGE model")
+	m := gnn.NewModel(st.Params[0].Rows, st.Params[0].Cols, st.Params[5].Cols, rand.New(rand.NewSource(0)))
+	if err := st.Apply(m.Params(), nil); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return m, nil
-}
-
-// layer applies one frozen SAGE layer with the stateless matrix kernels.
-func layer(xSelf, xNeigh, wSelf, wNeigh, bias *gnn.Matrix, relu bool) *gnn.Matrix {
-	z := gnn.MatMul(xSelf, wSelf)
-	gnn.AddInPlace(z, gnn.MatMul(xNeigh, wNeigh))
-	gnn.AddBiasRow(z, bias)
-	if relu {
-		gnn.ReluInPlace(z)
-	}
-	return z
 }
 
 // Config wires an Engine.
@@ -105,7 +76,7 @@ type Config struct {
 // Engine computes embeddings and serves k-NN over them.
 type Engine struct {
 	view    view.GraphView
-	mdl     *model
+	model   *gnn.Model
 	rel     graph.EdgeType
 	f1, f2  int
 	sem     chan struct{}
@@ -123,7 +94,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.State == nil {
 		return nil, fmt.Errorf("serve: Config.State is required")
 	}
-	mdl, err := modelFromState(cfg.State)
+	model, err := modelFromState(cfg.State)
 	if err != nil {
 		return nil, err
 	}
@@ -141,22 +112,22 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = &Metrics{}
 	}
-	ix, err := ann.New(ann.Config{Dim: mdl.hidden, Seed: cfg.IndexSeed, Metrics: &cfg.Metrics.Ann})
+	ix, err := ann.New(ann.Config{Dim: model.Hidden, Seed: cfg.IndexSeed, Metrics: &cfg.Metrics.Ann})
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{
-		view: cfg.View, mdl: mdl, rel: cfg.Rel, f1: cfg.F1, f2: cfg.F2,
+		view: cfg.View, model: model, rel: cfg.Rel, f1: cfg.F1, f2: cfg.F2,
 		sem: make(chan struct{}, workers), timeout: timeout,
 		index: ix, metrics: cfg.Metrics,
 	}, nil
 }
 
 // Dim is the embedding dimensionality (the model's hidden width).
-func (e *Engine) Dim() int { return e.mdl.hidden }
+func (e *Engine) Dim() int { return e.model.Hidden }
 
 // Classes is the label-space width the checkpoint was trained with.
-func (e *Engine) Classes() int { return e.mdl.classes }
+func (e *Engine) Classes() int { return e.model.Out }
 
 // Index exposes the underlying ANN index (for gauges and tests).
 func (e *Engine) Index() *ann.Index { return e.index }
@@ -207,43 +178,24 @@ func (e *Engine) embedLocked(ctx context.Context, v view.GraphView, ids []graph.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	layers, err := v.SampleSubgraph(ids, graph.MetaPath{e.rel, e.rel}, []int{e.f1, e.f2})
+	b, err := gnn.SampleBlock(v, ids, e.rel, e.f1, e.f2, e.model.InDim)
 	if err != nil {
-		return nil, fmt.Errorf("serve: sample subgraph: %w", err)
-	}
-	hop1, hop2 := layers[0], layers[1]
-	nodes := make([]graph.VertexID, 0, len(ids)+len(hop1)+len(hop2))
-	nodes = append(nodes, ids...)
-	nodes = append(nodes, hop1...)
-	nodes = append(nodes, hop2...)
-	x, err := v.Features(nodes, e.mdl.inDim)
-	if err != nil {
-		return nil, fmt.Errorf("serve: gather features: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	dim := e.mdl.inDim
-	nS, n1 := len(ids)*dim, len(hop1)*dim
-	xSeeds := gnn.NewMatrixFrom(len(ids), dim, x[:nS])
-	xHop1 := gnn.NewMatrixFrom(len(hop1), dim, x[nS:nS+n1])
-	xHop2 := gnn.NewMatrixFrom(len(hop2), dim, x[nS+n1:])
-
-	// Layer 1 jointly over [seeds; hop1] against their pooled children —
-	// the same dataflow Trainer.Forward uses, minus layer 2's projection to
-	// logits: the embedding is the hidden representation, combining each
-	// seed's own hidden state with its pooled hop-1 hidden states so two
-	// hops of structure land in the vector.
-	selfX := gnn.VStack(xSeeds, xHop1)
-	neighX := gnn.VStack(gnn.MeanPool(xHop1, e.f1), gnn.MeanPool(xHop2, e.f2))
-	h1 := layer(selfX, neighX, e.mdl.w1self, e.mdl.w1neigh, e.mdl.b1, true)
-	h1Seeds := gnn.SliceRows(h1, 0, len(ids))
-	h1Pooled := gnn.MeanPool(gnn.SliceRows(h1, len(ids), h1.Rows), e.f1)
-
+	// The embedding is layer 1's hidden representation (layer 2 projects to
+	// logits), mixing each seed's own hidden state with its pooled hop-1
+	// hidden states so two hops of structure land in the vector.
+	h1 := e.model.Layer1(b)
+	pooled := gnn.MeanPool(gnn.SliceRows(h1, len(ids), h1.Rows), e.f1)
+	d := h1.Cols
+	flat := make([]float32, len(ids)*d)
 	out := make([][]float32, len(ids))
 	for i := range out {
-		row := make([]float32, e.mdl.hidden)
-		s, p := h1Seeds.Row(i), h1Pooled.Row(i)
+		row := flat[i*d : (i+1)*d : (i+1)*d]
+		s, p := h1.Row(i), pooled.Row(i)
 		for j := range row {
 			row[j] = 0.5 * (s[j] + p[j])
 		}
@@ -320,11 +272,11 @@ func (e *Engine) searchIndex(vec []float32, k int, exclude graph.VertexID, hasEx
 	if k <= 0 {
 		return nil, fmt.Errorf("serve: k must be positive, got %d", k)
 	}
-	hits, err := e.index.Search(vec, k+1)
+	hits, err := e.index.Search(vec, min(k, math.MaxInt-1)+1)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, k)
+	out := make([]Result, 0, len(hits))
 	for _, h := range hits {
 		if hasExclude && graph.VertexID(h.ID) == exclude {
 			continue

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ type fixture struct {
 	cls   int
 }
 
-func newFixture(t *testing.T, n, dim, classes, epochs int, seed int64) *fixture {
+func newFixture(t testing.TB, n, dim, classes, epochs int, seed int64) *fixture {
 	t.Helper()
 	store := storage.NewDynamicStore(storage.Options{Tree: core.Options{Compress: true}, Workers: 2})
 	attrs := kvstore.New()
@@ -67,7 +68,7 @@ func newFixture(t *testing.T, n, dim, classes, epochs int, seed int64) *fixture 
 	}
 }
 
-func (f *fixture) engine(t *testing.T, m *Metrics) *Engine {
+func (f *fixture) engine(t testing.TB, m *Metrics) *Engine {
 	t.Helper()
 	e, err := New(Config{View: f.view, State: f.state, Rel: 0, F1: 4, F2: 3, IndexSeed: 5, Metrics: m})
 	if err != nil {
@@ -219,4 +220,224 @@ func TestModelFromStateRejectsGarbage(t *testing.T) {
 	if _, err := modelFromState(bad); err == nil {
 		t.Fatal("inconsistent shapes accepted")
 	}
+}
+
+// recordingView records the sample of every SampleSubgraph call and the id
+// list of every Features call made through it.
+type recordingView struct {
+	view.GraphView
+	samples  [][][]graph.VertexID
+	features [][]graph.VertexID
+}
+
+func (v *recordingView) SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fanouts []int) ([][]graph.VertexID, error) {
+	layers, err := v.GraphView.SampleSubgraph(seeds, path, fanouts)
+	v.samples = append(v.samples, layers)
+	return layers, err
+}
+
+func (v *recordingView) Features(nodes []graph.VertexID, dim int) ([]float32, error) {
+	v.features = append(v.features, append([]graph.VertexID(nil), nodes...))
+	return v.GraphView.Features(nodes, dim)
+}
+
+// denseEmbed is the dense formula the block forward replaced, kept as the
+// oracle: the checkpoint's layer-1 tensors applied with the free matrix
+// functions to a feature row per position of ids and their sample, then
+// the mix of each seed's hidden state with its pooled hop-1 hidden states.
+func denseEmbed(t *testing.T, st *checkpoint.State, v view.GraphView, ids []graph.VertexID, layers [][]graph.VertexID, f1, f2 int) [][]float32 {
+	t.Helper()
+	tensor := func(i int) *gnn.Matrix {
+		p := st.Params[i]
+		return gnn.NewMatrixFrom(p.Rows, p.Cols, p.Data)
+	}
+	wSelf, wNeigh, bias := tensor(0), tensor(1), tensor(2)
+	hop1, hop2 := layers[0], layers[1]
+	nodes := append(append(append([]graph.VertexID(nil), ids...), hop1...), hop2...)
+	dim := wSelf.Rows
+	x, err := v.Features(nodes, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nS, n1 := len(ids)*dim, len(hop1)*dim
+	xSeeds := gnn.NewMatrixFrom(len(ids), dim, x[:nS])
+	xHop1 := gnn.NewMatrixFrom(len(hop1), dim, x[nS:nS+n1])
+	xHop2 := gnn.NewMatrixFrom(len(hop2), dim, x[nS+n1:])
+	h1 := gnn.MatMul(gnn.VStack(xSeeds, xHop1), wSelf)
+	gnn.AddInPlace(h1, gnn.MatMul(gnn.VStack(gnn.MeanPool(xHop1, f1), gnn.MeanPool(xHop2, f2)), wNeigh))
+	gnn.AddBiasRow(h1, bias)
+	gnn.ReluInPlace(h1)
+	h1Pooled := gnn.MeanPool(gnn.SliceRows(h1, len(ids), h1.Rows), f1)
+	out := make([][]float32, len(ids))
+	for i := range out {
+		row := make([]float32, h1.Cols)
+		s, p := h1.Row(i), h1Pooled.Row(i)
+		for j := range row {
+			row[j] = 0.5 * (s[j] + p[j])
+		}
+		normalize(row)
+		out[i] = row
+	}
+	return out
+}
+
+// sameBits fails unless got and want hold the same float32 bits.
+func sameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for j := range want {
+		if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+			t.Fatalf("%s[%d] = %v, dense oracle %v", what, j, got[j], want[j])
+		}
+	}
+}
+
+// TestEmbedMatchesDenseOracle: Embed and IndexVertices give the dense
+// formula's embeddings bit for bit, on a trained checkpoint and on every
+// batch Warm would index. IndexVertices asks the view for features once per
+// call, each id at most once.
+func TestEmbedMatchesDenseOracle(t *testing.T) {
+	f := newFixture(t, 400, 8, 4, 2, 3)
+	rv := &recordingView{GraphView: f.view}
+	e, err := New(Config{View: rv, State: f.state, Rel: 0, F1: 4, F2: 3, IndexSeed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ids := f.ids[:64]
+	embs, err := e.Embed(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := denseEmbed(t, f.state, f.view, ids, rv.samples[0], 4, 3)
+	for i := range ids {
+		sameBits(t, "Embed", embs[i], want[i])
+	}
+
+	srcs, err := f.view.Sources(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(srcs); lo += 128 {
+		batch := srcs[lo:min(lo+128, len(srcs))]
+		rv.samples, rv.features = nil, nil
+		if err := e.IndexVertices(ctx, rv, batch); err != nil {
+			t.Fatal(err)
+		}
+		if len(rv.features) != 1 {
+			t.Fatalf("IndexVertices made %d Features calls, want 1", len(rv.features))
+		}
+		seen := map[graph.VertexID]bool{}
+		for _, id := range rv.features[0] {
+			if seen[id] {
+				t.Fatalf("Features asked for %v twice", id)
+			}
+			seen[id] = true
+		}
+		positions := len(batch) + len(rv.samples[0][0]) + len(rv.samples[0][1])
+		if len(seen) >= positions {
+			t.Fatalf("%d feature rows for %d positions: no vertex repeats", len(seen), positions)
+		}
+		want := denseEmbed(t, f.state, f.view, batch, rv.samples[0], 4, 3)
+		for i, id := range batch {
+			got, ok := e.Index().Vector(uint64(id))
+			if !ok {
+				t.Fatalf("%v not indexed", id)
+			}
+			sameBits(t, "IndexVertices", got, want[i])
+		}
+	}
+}
+
+// TestConcurrentEmbedSharesModel: the engine's workers share one model,
+// whose forward reads only the weights, so concurrent Embed and
+// IndexVertices calls race on nothing (run it under -race).
+func TestConcurrentEmbedSharesModel(t *testing.T) {
+	f := newFixture(t, 200, 8, 2, 0, 7)
+	e := f.engine(t, nil)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				ids := f.ids[(w*10+i)*4%190:][:8]
+				if _, err := e.Embed(ctx, ids); err != nil {
+					errs <- err
+					return
+				}
+				if err := e.IndexVertices(ctx, f.view, ids); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestKNNHugeK: a k past the index size, up to math.MaxInt, returns at most
+// every other indexed vertex instead of sizing its results by k.
+func TestKNNHugeK(t *testing.T) {
+	f := newFixture(t, 100, 8, 2, 0, 6)
+	e := f.engine(t, nil)
+	ctx := context.Background()
+	if _, err := e.Warm(ctx, 64); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1 << 40, math.MaxInt} {
+		res, _, err := e.KNN(ctx, f.ids[0], k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) == 0 || len(res) > e.Index().Len()-1 {
+			t.Fatalf("k=%d: %d hits from an index of %d", k, len(res), e.Index().Len())
+		}
+		vres, err := e.KNNVector(ctx, make([]float32, e.Dim()), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vres) == 0 || len(vres) > e.Index().Len() {
+			t.Fatalf("KNNVector k=%d: %d hits from an index of %d", k, len(vres), e.Index().Len())
+		}
+	}
+}
+
+// BenchmarkEngineEmbed times one Embed of 256 seeds at serve-knn's
+// fan-outs (8×5) and widths (64 features, 32 hidden) through view.Local, on
+// a 5 000-vertex graph. rows/call is the feature rows fetched per call.
+func BenchmarkEngineEmbed(b *testing.B) {
+	f := newFixture(b, 5000, 64, 8, 0, 9)
+	rv := &recordingView{GraphView: f.view}
+	e, err := New(Config{View: rv, State: f.state, Rel: 0, F1: 8, F2: 5, Timeout: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	batches := make([][]graph.VertexID, 8)
+	for i := range batches {
+		for _, k := range rng.Perm(f.n)[:256] {
+			batches[i] = append(batches[i], f.ids[k])
+		}
+	}
+	ctx := context.Background()
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rv.samples, rv.features = nil, nil
+		if _, err := e.Embed(ctx, batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
+		rows += len(rv.features[0])
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/call")
 }
