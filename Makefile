@@ -19,10 +19,11 @@ lint:
 # the cluster client, the storage engine the chaos tests hammer, the WAL the
 # replica catch-up tails, the fault-injection transport, the
 # trainer/prefetch-pipeline concurrency, the checkpoint store, the metrics
-# registry every hot path writes into, and the serving tier's engine pool +
-# HNSW index (concurrent insert/search/delete).
+# registry every hot path writes into, the serving tier's engine pool +
+# HNSW index (concurrent insert/search/delete), the attribute store, the
+# lock-free relation table on the sampling path, and the wire codec.
 race: vet
-	$(GO) test -race ./internal/cluster/... ./internal/storage/... ./internal/eventlog/... ./internal/faultinject/... ./internal/gnn/... ./internal/pipeline/... ./internal/view/... ./internal/checkpoint/... ./internal/obs/... ./internal/serve/... ./internal/ann/...
+	$(GO) test -race ./internal/cluster/... ./internal/storage/... ./internal/eventlog/... ./internal/faultinject/... ./internal/gnn/... ./internal/pipeline/... ./internal/view/... ./internal/checkpoint/... ./internal/obs/... ./internal/serve/... ./internal/ann/... ./internal/kvstore/... ./internal/cuckoo/... ./internal/wire/...
 
 # Replication chaos drill: replica kill + failover + WAL-shipped rejoin,
 # twice, under the race detector.

@@ -317,8 +317,8 @@ func main() {
 			goodput := float64(ack) / elapsed.Seconds()
 			fmt.Printf("open-loop: offered %d batches (%.0f/s), acked %d (%.0f/s goodput, %.1f%%), failed %d, dropped %d at client cap\n",
 				off, float64(off)/elapsed.Seconds(), ack, goodput, 100*float64(ack)/float64(max(off, 1)), failed.Load(), droppedCap.Load())
-			fmt.Printf("overload: shed_seen=%d budget_exhausted=%d client_saturations=%d deadline_expired=%d\n",
-				snap.ShedSeen, snap.BudgetExhausted, snap.ClientSaturations, snap.DeadlineExpired)
+			fmt.Printf("overload: shed_seen=%d budget_exhausted=%d deadline_expired=%d\n",
+				snap.ShedSeen, snap.BudgetExhausted, snap.DeadlineExpired)
 		}
 		fmt.Printf("rpc: %s\n", metrics.Snapshot())
 	}

@@ -1,8 +1,7 @@
 // Overload protection for the cluster tier: priority classes carried in the
-// protocol-v2 request envelope, a server-side admission gate with weighted
+// wire request envelope, a server-side admission gate with weighted
 // per-priority concurrency limits and bounded queues, typed shed errors that
-// clients treat as backpressure rather than failure, and a per-peer AIMD
-// concurrency limiter on the client transport pool. Together these keep
+// clients treat as backpressure rather than failure. Together these keep
 // interactive sampling latency bounded when offered load exceeds capacity:
 // background traffic (migration copy, WAL catch-up, scrub) yields first,
 // then prefetch, and only then are interactive requests shed — with a
@@ -368,105 +367,4 @@ func (g *admissionGate) retryAfterLocked(method string) time.Duration {
 		ra = maxRetryAfter
 	}
 	return ra
-}
-
-// errClientSaturated is returned by the client transport when a call could
-// not acquire a slot under the peer's adaptive concurrency limit within its
-// budget. It is self-inflicted backpressure: the retry loop backs off and
-// retries without feeding the circuit breaker or tearing down connections.
-var errClientSaturated = errors.New("cluster: client concurrency limit saturated")
-
-const (
-	aimdMinLimit = 1.0
-	aimdMaxLimit = 64.0
-	aimdBackoff  = 0.7
-)
-
-// aimdLimiter is the per-peer adaptive concurrency limiter: additive
-// increase (+1/limit per success, so one full limit's worth of successes
-// grows it by ~1), multiplicative decrease (×0.7 on timeout or shed).
-// It converges on the concurrency the peer can actually absorb, which
-// keeps a saturated server's queues short enough that its retry-after
-// hints stay honest.
-type aimdLimiter struct {
-	m *Metrics
-
-	mu       sync.Mutex
-	limit    float64
-	inflight int
-	waiters  []chan struct{}
-}
-
-func newAIMDLimiter(m *Metrics) *aimdLimiter {
-	return &aimdLimiter{m: m, limit: aimdMaxLimit}
-}
-
-// acquire claims a concurrency slot, waiting up to maxWait for one.
-func (l *aimdLimiter) acquire(maxWait time.Duration) error {
-	l.mu.Lock()
-	if l.inflight < int(l.limit) {
-		l.inflight++
-		l.mu.Unlock()
-		return nil
-	}
-	ch := make(chan struct{}, 1)
-	l.waiters = append(l.waiters, ch)
-	l.mu.Unlock()
-	if maxWait <= 0 {
-		maxWait = time.Second
-	}
-	tm := time.NewTimer(maxWait)
-	defer tm.Stop()
-	select {
-	case <-ch:
-		return nil // slot transferred by a releaser
-	case <-tm.C:
-		l.mu.Lock()
-		for i, w := range l.waiters {
-			if w == ch {
-				l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
-				l.mu.Unlock()
-				l.m.ClientSaturations.Inc()
-				return errClientSaturated
-			}
-		}
-		// Already granted between timer fire and lock: keep the slot.
-		l.mu.Unlock()
-		return nil
-	}
-}
-
-// release returns the slot; degrade is true when the call ended in a
-// timeout or a shed response (the peer signalled overload).
-func (l *aimdLimiter) release(degrade bool) {
-	l.mu.Lock()
-	if degrade {
-		l.limit *= aimdBackoff
-		if l.limit < aimdMinLimit {
-			l.limit = aimdMinLimit
-		}
-	} else {
-		l.limit += 1 / l.limit
-		if l.limit > aimdMaxLimit {
-			l.limit = aimdMaxLimit
-		}
-	}
-	if len(l.waiters) > 0 && l.inflight <= int(l.limit) {
-		// Hand the slot to the oldest waiter instead of releasing it.
-		ch := l.waiters[0]
-		l.waiters = l.waiters[1:]
-		ch <- struct{}{}
-	} else {
-		l.inflight--
-	}
-	lim := l.limit
-	l.mu.Unlock()
-	l.m.setAdaptiveLimit(lim)
-}
-
-// current returns the present limit, for summaries and tests.
-func (l *aimdLimiter) current() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.limit
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/rpc"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -236,98 +235,6 @@ func TestAdmissionFastReject(t *testing.T) {
 	g.release("Slow", time.Now())
 }
 
-// TestAIMDLimiterSaturation: past the limit, acquire parks and then fails
-// with errClientSaturated — the client's own backpressure signal.
-func TestAIMDLimiterSaturation(t *testing.T) {
-	l := newAIMDLimiter(&Metrics{})
-	for i := 0; i < int(aimdMaxLimit); i++ {
-		if err := l.acquire(time.Millisecond); err != nil {
-			t.Fatalf("acquire %d under the limit: %v", i, err)
-		}
-	}
-	if err := l.acquire(10 * time.Millisecond); !errors.Is(err, errClientSaturated) {
-		t.Fatalf("acquire past the limit = %v, want errClientSaturated", err)
-	}
-	for i := 0; i < int(aimdMaxLimit); i++ {
-		l.release(false)
-	}
-}
-
-// TestAIMDLimiterAdaptation: multiplicative decrease on degrade, additive
-// increase on success, clamped to [aimdMinLimit, aimdMaxLimit].
-func TestAIMDLimiterAdaptation(t *testing.T) {
-	l := newAIMDLimiter(&Metrics{})
-	if got := l.current(); got != aimdMaxLimit {
-		t.Fatalf("initial limit = %v, want %v", got, aimdMaxLimit)
-	}
-	if err := l.acquire(time.Second); err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	l.release(true)
-	if got := l.current(); got >= aimdMaxLimit || got < aimdMaxLimit*aimdBackoff-0.01 {
-		t.Fatalf("limit after one degrade = %v, want ~%v", got, aimdMaxLimit*aimdBackoff)
-	}
-	// Hammer degrades: the limit must floor at aimdMinLimit, never below.
-	for i := 0; i < 50; i++ {
-		if err := l.acquire(time.Second); err != nil {
-			t.Fatalf("acquire %d: %v", i, err)
-		}
-		l.release(true)
-	}
-	if got := l.current(); got != aimdMinLimit {
-		t.Fatalf("limit after degrade storm = %v, want floor %v", got, aimdMinLimit)
-	}
-	// Successes grow it back (additive, so just check direction).
-	if err := l.acquire(time.Second); err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	l.release(false)
-	if got := l.current(); got <= aimdMinLimit {
-		t.Fatalf("limit after success = %v, want > %v", got, aimdMinLimit)
-	}
-}
-
-// TestAIMDLimiterHandoff: a release hands its slot to the oldest parked
-// waiter instead of dropping inflight — no thundering herd, no lost slot.
-func TestAIMDLimiterHandoff(t *testing.T) {
-	l := &aimdLimiter{m: &Metrics{}, limit: 1}
-	if err := l.acquire(time.Second); err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	got := make(chan error, 1)
-	go func() {
-		defer wg.Done()
-		got <- l.acquire(30 * time.Second)
-	}()
-	// Wait until the goroutine is parked in the waiter list.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		l.mu.Lock()
-		n := len(l.waiters)
-		l.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("second acquire never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	l.release(false)
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatalf("parked waiter got %v, want handed-off slot", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked waiter never received the released slot")
-	}
-	wg.Wait()
-	l.release(false)
-}
-
 // TestAdmissionControlPlaneExempt: with the gate fully saturated, control
 // RPCs like Routing must still serve. Shedding them turns overload into an
 // unrecoverable state — the priority inversion the brownout drill caught,
@@ -348,7 +255,7 @@ func TestAdmissionControlPlaneExempt(t *testing.T) {
 		t.Fatal("Routing has no wire method id")
 	}
 	frame := []byte{wire.KindRequest, byte(id)}
-	resp, method := s.handleWireFrame(frame, 2)
+	resp, method := s.handleWireFrame(frame)
 	if method != "Routing" {
 		t.Errorf("method = %q, want Routing", method)
 	}
@@ -358,29 +265,12 @@ func TestAdmissionControlPlaneExempt(t *testing.T) {
 	s.admit.release("Stats", time.Now())
 }
 
-// TestHandleWireFrameEnvelopeOnV1: a negotiated-v1 connection must reject
-// envelope frames — the negotiation said they would not be sent.
-func TestHandleWireFrameEnvelopeOnV1(t *testing.T) {
-	s := NewServer(newTestService(t))
-	frame := []byte{wire.KindRequestEnv, 0x01, 0x00, 0x00} // pri=interactive, no budget, method 0
-	resp, method := s.handleWireFrame(frame, 1)
-	if method != "" {
-		t.Errorf("method = %q, want empty for a rejected frame", method)
-	}
-	if len(resp) <= wire.HeaderSize || resp[wire.HeaderSize] != wire.KindError {
-		t.Fatalf("response kind = %v, want KindError", resp)
-	}
-	if !strings.Contains(string(resp), "envelope frame on a version-1 connection") {
-		t.Errorf("error frame %q does not name the version violation", resp)
-	}
-}
-
 // TestHandleWireFrameUnknownPriority: a priority byte past the known classes
 // is a protocol error, not a silent default.
 func TestHandleWireFrameUnknownPriority(t *testing.T) {
 	s := NewServer(newTestService(t))
 	frame := []byte{wire.KindRequestEnv, numPriorities + 1, 0x00, 0x00}
-	resp, _ := s.handleWireFrame(frame, 2)
+	resp, _ := s.handleWireFrame(frame)
 	if len(resp) <= wire.HeaderSize || resp[wire.HeaderSize] != wire.KindError {
 		t.Fatalf("response kind = %v, want KindError", resp)
 	}
@@ -401,7 +291,7 @@ func TestHandleWireFrameShedCrossesAsError(t *testing.T) {
 		t.Fatalf("hold slot: %v", err)
 	}
 	frame := []byte{wire.KindRequest, 0x00} // method id 0 — sheds before arg decode
-	resp, _ := s.handleWireFrame(frame, 2)
+	resp, _ := s.handleWireFrame(frame)
 	if len(resp) <= wire.HeaderSize || resp[wire.HeaderSize] != wire.KindError {
 		t.Fatalf("response kind = %v, want KindError", resp)
 	}

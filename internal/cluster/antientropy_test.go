@@ -234,13 +234,16 @@ func TestChecksumMismatchIsRetryable(t *testing.T) {
 func TestApplyBatchRejectsCorruptPayloadBeforeDedup(t *testing.T) {
 	svc, store, _ := newAntiEntropyService()
 	events := []graph.Event{{Kind: graph.AddEdge, Edge: graph.Edge{Src: 1, Dst: 2, Weight: 1}}}
-	bad := &BatchArgs{Events: events, ClientID: 7, Seq: 1, Sum: checksumEvents(events) ^ 0xdead}
 	var reply BatchReply
-	if err := svc.ApplyBatch(bad, &reply); !isChecksumMismatch(err) {
-		t.Fatalf("corrupt batch error = %v, want checksum mismatch", err)
-	}
-	if store.NumEdges() != 0 {
-		t.Fatal("corrupt batch mutated the store")
+	// A wrong Sum and a missing one (0) are both rejected.
+	for _, sum := range []uint64{checksumEvents(events) ^ 0xdead, 0} {
+		bad := &BatchArgs{Events: events, ClientID: 7, Seq: 1, Sum: sum}
+		if err := svc.ApplyBatch(bad, &reply); !isChecksumMismatch(err) {
+			t.Fatalf("batch with Sum %016x: error = %v, want checksum mismatch", sum, err)
+		}
+		if store.NumEdges() != 0 {
+			t.Fatalf("batch with Sum %016x mutated the store", sum)
+		}
 	}
 	// The clean retry must apply — the corrupt attempt must not have
 	// consumed the (ClientID, Seq) dedup identity.
@@ -273,7 +276,7 @@ func TestReleaseAllShardsUnparksWrites(t *testing.T) {
 	go func() {
 		var reply BatchReply
 		events := []graph.Event{{Kind: graph.AddEdge, Edge: graph.Edge{Src: idForShard(t, m.NumShards, 0), Dst: 2, Weight: 1}}}
-		done <- svc.ApplyBatch(&BatchArgs{Events: events, Shard: 0, RouteEpoch: m.Epoch}, &reply)
+		done <- svc.ApplyBatch(&BatchArgs{Events: events, Shard: 0, RouteEpoch: m.Epoch, Sum: checksumEvents(events)}, &reply)
 	}()
 	select {
 	case err := <-done:

@@ -397,7 +397,7 @@ func TestApplyBatchAtMostOnce(t *testing.T) {
 	svc := NewService(store, nil)
 	apply := func(seq uint64, events []graph.Event) *BatchReply {
 		var reply BatchReply
-		if err := svc.ApplyBatch(&BatchArgs{Events: events, ClientID: 77, Seq: seq}, &reply); err != nil {
+		if err := svc.ApplyBatch(&BatchArgs{Events: events, ClientID: 77, Seq: seq, Sum: checksumEvents(events)}, &reply); err != nil {
 			t.Fatalf("seq %d: %v", seq, err)
 		}
 		return &reply
@@ -426,7 +426,7 @@ func TestApplyBatchAtMostOnce(t *testing.T) {
 	}
 	// Legacy batches (no identity) bypass dedup entirely.
 	var reply BatchReply
-	if err := svc.ApplyBatch(&BatchArgs{Events: del}, &reply); err != nil {
+	if err := svc.ApplyBatch(&BatchArgs{Events: del, Sum: checksumEvents(del)}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply.Duplicate || store.NumEdges() != 0 {

@@ -4,9 +4,8 @@
 // buffer, a bad NIC offload, a heap error) — and a corrupted topology batch
 // silently poisons training. Every bulk payload (ApplyBatch events,
 // snapshots, WAL tails, shard exports) therefore carries a checksum the
-// receiver recomputes before applying anything. A zero Sum means "sender
-// did not checksum" (legacy peer) and skips verification, so mixed-version
-// clusters interoperate.
+// receiver recomputes before applying anything; a payload without a
+// matching Sum is rejected.
 package cluster
 
 import (
@@ -34,14 +33,6 @@ func isChecksumMismatch(err error) bool {
 	return err != nil && strings.Contains(err.Error(), checksumMismatchMsg)
 }
 
-// nonZero keeps valid checksums out of the "no checksum" sentinel.
-func nonZero(h uint64) uint64 {
-	if h == 0 {
-		return 1
-	}
-	return h
-}
-
 // checksumEvents folds an event batch into one checksum. Order-dependent by
 // design: this verifies a specific payload, not logical state (state
 // comparison is the digests' job).
@@ -56,7 +47,7 @@ func checksumEvents(events []graph.Event) uint64 {
 		h = mix64(h ^ math.Float64bits(ev.Edge.Weight))
 		h = mix64(h ^ uint64(ev.Timestamp))
 	}
-	return nonZero(h)
+	return h
 }
 
 // checksumRecords folds a WAL-tail chunk — each record's identity plus its
@@ -70,7 +61,7 @@ func checksumRecords(recs []eventlog.BatchRecord) uint64 {
 		h = mix64(h ^ rec.ClientSeq)
 		h = mix64(h ^ checksumEvents(rec.Events))
 	}
-	return nonZero(h)
+	return h
 }
 
 // checksumFeatures folds an attribute export into one checksum.
@@ -96,14 +87,14 @@ func checksumFeatures(r *ShardFeaturesReply) uint64 {
 	for _, v := range r.EdgeData {
 		h = mix64(h ^ uint64(math.Float32bits(v)))
 	}
-	return nonZero(h)
+	return h
 }
 
 var payloadCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // checksumBytes checksums an opaque payload (snapshot images).
 func checksumBytes(b []byte) uint64 {
-	return nonZero(uint64(crc32.Checksum(b, payloadCRCTable)))
+	return uint64(crc32.Checksum(b, payloadCRCTable))
 }
 
 // mix64 is the splitmix64 finalizer.
@@ -117,9 +108,9 @@ func mix64(x uint64) uint64 {
 }
 
 // verifySum checks a received payload's checksum against the sender's,
-// counting a mismatch as detected corruption. Sum 0 (legacy sender) skips.
+// counting a mismatch as detected corruption.
 func verifySum(m *Metrics, what string, have, want uint64) error {
-	if want == 0 || have == want {
+	if have == want {
 		return nil
 	}
 	m.CorruptionDetected.Inc()

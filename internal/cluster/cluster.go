@@ -43,7 +43,6 @@ import (
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
 	"platod2gl/internal/storage"
-	"platod2gl/internal/wire"
 )
 
 // ServiceName prefixes every method name ("PlatoD2GL.Stats") — the form the
@@ -65,7 +64,7 @@ type BatchArgs struct {
 	RouteEpoch uint64
 	// Sum is the sender's checksum over Events (checksumEvents); the server
 	// recomputes it before applying so a batch corrupted in flight is
-	// rejected instead of poisoning the store. 0 = unchecksummed (legacy).
+	// rejected instead of poisoning the store.
 	Sum uint64
 }
 
@@ -465,12 +464,11 @@ func (s *Service) Stats(_ *StatsArgs, reply *StatsReply) (err error) {
 // admission gate (see admission.go) except the control-plane methods
 // exempt from it.
 type Server struct {
-	svc     *Service
-	admit   *admissionGate
-	limits  ServerLimits
-	maxWire atomic.Uint32 // negotiation cap; 0 = wire.Version
-	conns   atomic.Int64  // live handshaking-or-serving connections
-	hsSem   chan struct{} // in-flight handshake tokens; nil = unlimited
+	svc    *Service
+	admit  *admissionGate
+	limits ServerLimits
+	conns  atomic.Int64  // live handshaking-or-serving connections
+	hsSem  chan struct{} // in-flight handshake tokens; nil = unlimited
 }
 
 // ServerLimits bounds the server's accept-side resources. Connections past
@@ -485,7 +483,7 @@ type ServerLimits struct {
 	// MaxHandshakes caps connections simultaneously inside the handshake
 	// phase. <= 0: unlimited.
 	MaxHandshakes int
-	// HandshakeTimeout bounds the hello + version negotiation of one fresh
+	// HandshakeTimeout bounds the hello/ack exchange of one fresh
 	// connection, so a peer that connects and goes silent cannot pin a
 	// handshake token. <= 0: no deadline.
 	HandshakeTimeout time.Duration
@@ -517,18 +515,6 @@ func (s *Server) SetLimits(l ServerLimits) {
 	} else {
 		s.hsSem = nil
 	}
-}
-
-// SetMaxWireVersion caps the protocol version the server negotiates —
-// a rollback hook, and the lever interop tests use to stand up a "v1
-// server" from current code. 0 restores the default (wire.Version).
-func (s *Server) SetMaxWireVersion(v byte) { s.maxWire.Store(uint32(v)) }
-
-func (s *Server) maxWireVersion() byte {
-	if v := s.maxWire.Load(); v != 0 {
-		return byte(v)
-	}
-	return wire.Version
 }
 
 // acceptBackoffMax caps the accept-loop retry delay.
@@ -728,7 +714,7 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 	dialers := make([]Dialer, len(addrs))
 	for i, addr := range addrs {
 		dialers[i] = TCPDialer(addr, opts.CallTimeout)
-		t, err := dialTransport(dialers[i], opts.CallTimeout, opts.Metrics, opts.MaxWireVersion)
+		t, err := dialTransport(dialers[i], opts.CallTimeout, opts.Metrics)
 		if err != nil {
 			if r == 1 {
 				return fail(transports, fmt.Errorf("cluster: dial %s: %w", addr, err))

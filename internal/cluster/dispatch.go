@@ -3,8 +3,8 @@
 // gate, and dispatches them to the Service handlers.
 //
 // The wireMethods table is the binary protocol's method numbering. Ids are
-// frame-level protocol surface: APPEND ONLY — reordering or removing entries
-// breaks every peer speaking protocol version 1.
+// frame-level protocol surface: they change only together with a
+// wire.Version bump, since peers of one version share one numbering.
 package cluster
 
 import (
@@ -197,8 +197,8 @@ var wireMethodID = map[string]int{}
 
 // wireMethodPri is the per-id default admission class, resolved from
 // wireMethodPriorities at init — used when a request carries no envelope
-// (bare v1 frames, or an envelope whose priority byte is the "method
-// default" sentinel 0).
+// (a bare KindRequest frame, or an envelope whose priority byte is the
+// "method default" sentinel 0).
 var wireMethodPri = make([]Priority, len(wireMethods))
 
 // wireMethodExempt is admissionExempt resolved to frame ids.
@@ -227,11 +227,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
-	ver := s.handshake(conn)
+	ok := s.handshake(conn)
 	if s.hsSem != nil {
 		<-s.hsSem
 	}
-	if ver == 0 {
+	if !ok {
 		return
 	}
 	m := s.svc.metrics
@@ -240,7 +240,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		resp, method := s.handleWireFrame(req, ver)
+		resp, method := s.handleWireFrame(req)
 		if method != "" {
 			// Recorded before the reply goes out, so a caller holding its
 			// reply also sees the call here. resp holds its length prefix
@@ -256,12 +256,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handshake reads the client's 8-byte hello and acks the negotiated version,
-// within ServerLimits.HandshakeTimeout when one is set. It returns 0 when
-// the connection must be closed: the hello could not be read, it does not
-// start with wire.Magic, or the version ranges do not overlap (the ack tells
-// the client so before we hang up).
-func (s *Server) handshake(conn net.Conn) byte {
+// handshake reads the client's 8-byte hello and acks wire.Version, within
+// ServerLimits.HandshakeTimeout when one is set. It returns false when the
+// connection must be closed: the hello could not be read, it does not start
+// with wire.Magic, or its version range excludes wire.Version (an ack of 0
+// tells the client so before we hang up).
+func (s *Server) handshake(conn net.Conn) bool {
 	start := time.Now()
 	if to := s.limits.HandshakeTimeout; to > 0 {
 		conn.SetReadDeadline(start.Add(to))
@@ -269,35 +269,31 @@ func (s *Server) handshake(conn net.Conn) byte {
 	}
 	var hello [8]byte
 	if _, err := io.ReadFull(conn, hello[:]); err != nil {
-		return 0
+		return false
 	}
 	minVer, maxVer, err := wire.ParseHello(hello)
 	if err != nil {
-		return 0
+		return false
 	}
-	ver := wire.NegotiateCapped(minVer, maxVer, s.maxWireVersion())
+	ver := wire.Negotiate(minVer, maxVer)
 	ack := wire.Ack(ver)
 	if _, err := conn.Write(ack[:]); err != nil || ver == 0 {
-		return 0
+		return false
 	}
 	m := s.svc.metrics
 	m.WireHandshakes.Inc()
 	m.ServerLatency.With("Handshake").ObserveSince(start)
 	m.PayloadBytes.With("Handshake").Observe(16) // hello + ack, both 8 bytes
-	return ver
+	return true
 }
 
 // handleWireFrame decodes one request frame, runs it through the admission
 // gate, invokes the handler, and encodes the response (or error) frame in a
-// wire.GetFrame buffer, ready for wire.WriteFrame. ver
-// is the connection's negotiated protocol version: envelope frames
-// (KindRequestEnv) are only legal on v2+ connections, so a version-1 peer
-// can never smuggle priority or budget metadata the negotiation said it
-// would not send. It never panics: corrupt frames fail the bounds-checked
-// reader, and a recover backstop converts anything that slips through into
-// an error frame so one bad request cannot kill the connection loop with a
-// half-written frame.
-func (s *Server) handleWireFrame(req []byte, ver byte) (resp []byte, method string) {
+// wire.GetFrame buffer, ready for wire.WriteFrame. It never panics: corrupt
+// frames fail the bounds-checked reader, and a recover backstop converts
+// anything that slips through into an error frame so one bad request cannot
+// kill the connection loop with a half-written frame.
+func (s *Server) handleWireFrame(req []byte) (resp []byte, method string) {
 	fail := func(msg string) []byte {
 		b := append(wire.GetFrame(), wire.KindError)
 		return wire.AppendString(b, msg)
@@ -317,9 +313,6 @@ func (s *Server) handleWireFrame(req []byte, ver byte) (resp []byte, method stri
 	switch req[0] {
 	case wire.KindRequest:
 	case wire.KindRequestEnv:
-		if ver < 2 {
-			return fail("cluster: envelope frame on a version-1 connection"), ""
-		}
 		pb := r.Byte()
 		budget = time.Duration(r.Uvarint()) * time.Millisecond
 		if r.Err() != nil {

@@ -16,7 +16,7 @@ import (
 
 // rpcMethods is the full RPC surface, used to pre-seed the per-method
 // histogram families so a scrape sees every series from the first request.
-// "Handshake" is the wire-protocol version negotiation (see transport.go),
+// "Handshake" is the wire-protocol hello/ack exchange (see transport.go),
 // which has client latency and a fixed 16-byte payload but no server handler.
 var rpcMethods = []string{
 	"ApplyBatch", "SampleNeighbors", "Degree", "Features", "SetFeatures",
@@ -83,23 +83,20 @@ type Metrics struct {
 	RepairsTriggered   obs.Counter // SyncFromPeer repairs launched by the scrubber
 	RepairBytes        obs.Counter // snapshot+attr bytes pulled by repairs
 
-	// Wire-protocol negotiation (see transport.go, dispatch.go).
+	// Wire-protocol handshakes (see transport.go, dispatch.go).
 	WireHandshakes obs.Counter // successful binary-protocol handshakes (both sides)
 
 	// Overload protection (see admission.go). Server side: shed requests by
 	// method and priority, budget fast-rejects, refused connections, queue
-	// depth and wait per priority class. Client side: shed responses seen,
-	// adaptive-limit saturations, calls fast-failed on an exhausted budget,
-	// and the current AIMD limit (most recent peer to change it).
+	// depth and wait per priority class. Client side: shed responses seen
+	// and calls fast-failed on an exhausted budget.
 	RequestsShed        obs.CounterVec   // key "method|priority"
 	DeadlineExpired     obs.Counter      // requests fast-rejected: budget < observed service time
 	ConnectionsRejected obs.Counter      // connections refused at the accept-side caps
 	AdmissionQueueDepth [3]obs.Gauge     // queued requests, indexed by Priority
 	AdmissionWait       obs.HistogramVec // admission queue wait, ns, label = priority
 	ShedSeen            obs.Counter      // shed responses observed by the client
-	ClientSaturations   obs.Counter      // calls that hit the client-side adaptive limit
 	BudgetExhausted     obs.Counter      // calls fast-failed client-side, deadline spent
-	AdaptiveLimitMilli  obs.Gauge        // current per-peer AIMD limit ×1000
 
 	// Per-method histograms. Client latency covers one network attempt
 	// (dial + call, excluding backoff sleeps); server latency covers one
@@ -150,7 +147,6 @@ type MetricsSnapshot struct {
 	DeadlineExpired    int64
 	ConnsRejected      int64
 	ShedSeen           int64
-	ClientSaturations  int64
 	BudgetExhausted    int64
 }
 
@@ -190,7 +186,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		DeadlineExpired:    m.DeadlineExpired.Load(),
 		ConnsRejected:      m.ConnectionsRejected.Load(),
 		ShedSeen:           m.ShedSeen.Load(),
-		ClientSaturations:  m.ClientSaturations.Load(),
 		BudgetExhausted:    m.BudgetExhausted.Load(),
 	}
 }
@@ -202,7 +197,7 @@ func (s MetricsSnapshot) String() string {
 			"reroutes=%d routing_refreshes=%d not_owner_rejects=%d shards_migrated=%d migration_bytes=%d migration_batches=%d migration_aborts=%d cutover_ms=%d "+
 			"scrub_rounds=%d digest_mismatches=%d corruption_detected=%d repairs_triggered=%d repair_bytes=%d "+
 			"wire_handshakes=%d "+
-			"shed=%d deadline_expired=%d conns_rejected=%d shed_seen=%d client_saturations=%d budget_exhausted=%d",
+			"shed=%d deadline_expired=%d conns_rejected=%d shed_seen=%d budget_exhausted=%d",
 		s.RPCAttempts, s.RPCTimeouts, s.RPCRetries, s.BreakerOpens,
 		s.ReadFailovers, s.StaleMarks, s.DegradedShards, s.CoalescedSeeds, s.CoalescedBytes, s.CoalescedRows,
 		s.CatchUps, s.CatchUpBytes, s.CatchUpBatches,
@@ -213,7 +208,7 @@ func (s MetricsSnapshot) String() string {
 		s.RepairsTriggered, s.RepairBytes,
 		s.WireHandshakes,
 		s.RequestsShed, s.DeadlineExpired, s.ConnsRejected,
-		s.ShedSeen, s.ClientSaturations, s.BudgetExhausted)
+		s.ShedSeen, s.BudgetExhausted)
 }
 
 // Register attaches every counter and histogram to r under the stable
@@ -257,7 +252,6 @@ func (m *Metrics) Register(r *obs.Registry) {
 		{"platod2gl_cluster_deadline_expired_total", "Requests fast-rejected because the propagated budget was below observed service time.", &m.DeadlineExpired},
 		{"platod2gl_cluster_connections_rejected_total", "Connections refused at the server's accept-side caps.", &m.ConnectionsRejected},
 		{"platod2gl_cluster_shed_seen_total", "Shed responses observed by the client.", &m.ShedSeen},
-		{"platod2gl_cluster_client_saturations_total", "Calls that hit the client-side adaptive concurrency limit.", &m.ClientSaturations},
 		{"platod2gl_cluster_budget_exhausted_total", "Calls fast-failed client-side because the caller's deadline budget was spent.", &m.BudgetExhausted},
 	} {
 		r.RegisterCounter(c.name, c.help, nil, c.c)
@@ -281,9 +275,6 @@ func (m *Metrics) Register(r *obs.Registry) {
 		r.RegisterGauge("platod2gl_cluster_admission_queue_depth",
 			"Requests queued at the admission gate.", obs.Labels{"priority": pri}, &m.AdmissionQueueDepth[i])
 	}
-	r.GaugeFunc("platod2gl_cluster_adaptive_limit",
-		"Client-side AIMD concurrency limit (most recent peer to change it).", nil,
-		func() float64 { return float64(m.AdaptiveLimitMilli.Load()) / 1000 })
 	r.RegisterHistogramVec("platod2gl_cluster_rpc_client_latency_seconds",
 		"Per-attempt client-side RPC latency.", "method", 1e-9, &m.ClientLatency)
 	r.RegisterHistogramVec("platod2gl_cluster_rpc_server_latency_seconds",
@@ -312,10 +303,6 @@ func (m *Metrics) setQueueDepth(pri Priority, n int64) {
 
 func (m *Metrics) observeAdmissionWait(pri Priority, d time.Duration) {
 	m.AdmissionWait.With(pri.String()).Observe(int64(d))
-}
-
-func (m *Metrics) setAdaptiveLimit(limit float64) {
-	m.AdaptiveLimitMilli.Set(int64(limit * 1000))
 }
 
 // shortMethod strips the RPC receiver prefix: "PlatoD2GL.Stats" -> "Stats".

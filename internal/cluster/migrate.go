@@ -140,7 +140,7 @@ type ShardSnapshotArgs struct {
 // ShardSnapshotReply carries one shard's topology as AddEdge events, the
 // WAL position the export is consistent with (tail streaming starts past
 // it), the hash space it was filtered under, and the source's dedup table.
-// Sum checksums Events end-to-end (0 = legacy sender).
+// Sum checksums Events end-to-end.
 type ShardSnapshotReply struct {
 	Events    []graph.Event
 	WALSeq    uint64
@@ -236,6 +236,9 @@ func (s *Service) FetchShardFeatures(args *ShardFeaturesArgs, reply *ShardFeatur
 	rt := s.routing.Load()
 	if rt == nil {
 		return fmt.Errorf("cluster: cannot export shard %d features: server has no shard map installed", args.Shard)
+	}
+	if args.Shard < 0 || args.Shard >= rt.m.NumShards {
+		return fmt.Errorf("cluster: shard %d out of range (%d logical shards)", args.Shard, rt.m.NumShards)
 	}
 	if !rt.owned[args.Shard] {
 		return notOwnerError(args.Shard, rt.m.Epoch)
@@ -450,7 +453,7 @@ func (s *Service) PullShard(args *PullShardArgs, reply *PullShardReply) (err err
 		return err
 	}
 	timeout := time.Duration(args.CallTimeoutMillis) * time.Millisecond
-	tc, err := dialTransport(dial, timeout, s.metrics, 0)
+	tc, err := dialTransport(dial, timeout, s.metrics)
 	if err != nil {
 		return fmt.Errorf("cluster: migration dial %s: %w", args.Source, err)
 	}

@@ -372,7 +372,7 @@ func TestChaosOverloadBrownout(t *testing.T) {
 // TestOverloadGoroutineLeakRegression storms a deliberately slow server with
 // short-budget calls so nearly everything times out or sheds, then requires
 // the goroutine count to return to baseline — the regression test for
-// leaked admission waiters, AIMD waiters, timed-out call goroutines, and
+// leaked admission waiters, timed-out call goroutines, and
 // abandoned connections.
 func TestOverloadGoroutineLeakRegression(t *testing.T) {
 	dir := t.TempDir()

@@ -92,11 +92,6 @@ type Options struct {
 	//
 	// Deprecated: leave unset.
 	Protocol Protocol
-	// MaxWireVersion caps the wire-protocol version advertised in the
-	// handshake — a rollback hook (pin a cluster to v1 if a v2 feature
-	// misbehaves) and the lever interop tests use to stand up a v1 client
-	// from current code. 0 advertises the newest version.
-	MaxWireVersion byte
 	// Metrics, if set, receives fault-tolerance counters (attempts,
 	// timeouts, retries, breaker opens, failovers, catch-up traffic). May
 	// be shared with a Service and registered in an obs.Registry. nil: a
@@ -159,7 +154,7 @@ func (c *Client) transportFor(p *peer) (*wireTransport, error) {
 	if p.dial == nil {
 		return nil, fmt.Errorf("cluster: peer %d: connection closed and no dialer configured", p.idx)
 	}
-	t, err := dialTransport(p.dial, c.opts.CallTimeout, c.metrics, c.opts.MaxWireVersion)
+	t, err := dialTransport(p.dial, c.opts.CallTimeout, c.metrics)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: redial peer %d: %w", p.idx, err)
 	}
@@ -255,10 +250,9 @@ func (c *Client) callPe(pe *peer, method string, args, reply any, maxRetries int
 // time — per-attempt timeouts are clipped to the remaining budget, backoff
 // sleeps never overrun the deadline, and an attempt whose budget is already
 // spent fails fast before dialing — so a 500ms caller can never be held for
-// MaxRetries × CallTimeout. Three outcomes never feed the circuit breaker:
+// MaxRetries × CallTimeout. Two outcomes never feed the circuit breaker:
 // a server shed (OverloadedError — backpressure; the retry delay honors its
-// retry-after hint), the client's own adaptive concurrency limit
-// (errClientSaturated), and a timeout clipped short of CallTimeout by the
+// retry-after hint), and a timeout clipped short of CallTimeout by the
 // caller's budget (the budget expired, which says nothing about the peer).
 //
 // failover says a sibling replica can take the call: an open breaker then
@@ -354,11 +348,6 @@ func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, r
 				pe.br.inconclusive()
 				continue
 			}
-		}
-		if errors.Is(err, errClientSaturated) {
-			// Our own adaptive limit, not the peer: back off and retry
-			// without touching the connection or the breaker.
-			continue
 		}
 		if IsOverloaded(err) {
 			// Server shed: the transport and the peer are healthy, the

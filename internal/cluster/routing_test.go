@@ -195,6 +195,29 @@ func TestUpdateRoutingSemantics(t *testing.T) {
 	}
 }
 
+// TestShardExportsRejectOutOfRangeShard: both shard exports answer a shard
+// id outside the map's [0, NumShards) with a range error, never an index
+// panic.
+func TestShardExportsRejectOutOfRangeShard(t *testing.T) {
+	svc := newTestService(t)
+	svc.SetAdvertise("a")
+	m, _ := IdentityMap([]string{"a"}, 1, 4)
+	if err := svc.UpdateRouting(&UpdateRoutingArgs{Map: *m}, &UpdateRoutingReply{}); err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	for _, shard := range []int{-1, 4, 9} {
+		errs := map[string]error{
+			"FetchShardFeatures": svc.FetchShardFeatures(&ShardFeaturesArgs{Shard: shard}, &ShardFeaturesReply{}),
+			"FetchShardSnapshot": svc.FetchShardSnapshot(&ShardSnapshotArgs{Shard: shard}, &ShardSnapshotReply{}),
+		}
+		for name, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "out of range (4 logical shards)") {
+				t.Errorf("%s(shard %d) = %v, want an out-of-range error", name, shard, err)
+			}
+		}
+	}
+}
+
 // TestClientReRouteOnCutover drives a live migration and asserts a client
 // holding the pre-cutover map transparently follows the shard: its next
 // operations hit the old owner, bounce with NotOwner, refresh the map, and

@@ -777,11 +777,9 @@ func (c *Client) handshake(addrs []string) error {
 }
 
 // roundTrip dials one control RPC to addr outside the peer machinery (used
-// by the rebalance driver and join mode, where no Client exists yet). Each
-// dial negotiates the wire version afresh, so these control paths work
-// against servers of any wire version.
+// by the rebalance driver and join mode, where no Client exists yet).
 func roundTrip(dial Dialer, method string, args, reply any, timeout time.Duration) error {
-	tc, err := dialTransport(dial, timeout, &Metrics{}, 0)
+	tc, err := dialTransport(dial, timeout, &Metrics{})
 	if err != nil {
 		return err
 	}

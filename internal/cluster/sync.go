@@ -164,7 +164,7 @@ type SnapshotReply struct {
 	Dedup    []DedupEntry
 	// Sum checksums Snapshot end-to-end (the image also carries its own
 	// internal CRC trailer; this one catches corruption of the byte slice in
-	// flight before the loader even parses it). 0 = legacy sender.
+	// flight before the loader even parses it).
 	Sum uint64
 }
 
@@ -215,7 +215,7 @@ type WALTailReply struct {
 	Records   []eventlog.BatchRecord
 	EndSeq    uint64
 	WriterSeq uint64
-	// Sum checksums Records (checksumRecords). 0 = legacy sender.
+	// Sum checksums Records (checksumRecords).
 	Sum uint64
 }
 
@@ -322,7 +322,7 @@ func SyncFromPeerStats(svc *Service, dial Dialer, opts SyncOptions) (SyncStats, 
 		opts.Metrics = &Metrics{}
 	}
 	svc.BeginCatchUp()
-	tc, err := dialTransport(dial, opts.CallTimeout, opts.Metrics, 0)
+	tc, err := dialTransport(dial, opts.CallTimeout, opts.Metrics)
 	if err != nil {
 		return stats, fmt.Errorf("cluster: sync dial: %w", err)
 	}

@@ -1,9 +1,8 @@
 // Client-side transport: the cluster's call sites (fan-out client, replica
 // catch-up, migration pulls, scrubber probes, control-plane round trips)
 // reach a server through a pool of handshaked internal/wire connections.
-// Every connection speaks the binary wire protocol; the handshake's
-// version-range negotiation is what lets wire builds of different versions
-// share a cluster through a rolling upgrade.
+// Every connection speaks the binary wire protocol at wire.Version; a peer
+// of another version is refused at the handshake.
 //
 // Application errors cross the wire as rpc.ServerError, so the
 // error-classification invariants the retry/failover/rerouting layers rely
@@ -44,25 +43,17 @@ type callEnv struct {
 	budget time.Duration
 }
 
-// wireConn is one handshaked binary-protocol connection carrying a single
-// outstanding call at a time.
-type wireConn struct {
-	conn    net.Conn
-	version byte
-}
-
-// wireTransport pools handshaked connections to one server. Concurrency
-// comes from the pool (each in-flight call owns a connection), not from
-// multiplexing — which keeps frames sequence-number-free and makes a
-// timeout's blast radius a single connection.
+// wireTransport pools handshaked connections to one server, each carrying a
+// single outstanding call at a time. Concurrency comes from the pool (each
+// in-flight call owns a connection), not from multiplexing — which keeps
+// frames sequence-number-free and makes a timeout's blast radius a single
+// connection.
 type wireTransport struct {
-	dial   Dialer
-	maxVer byte // handshake cap (Options.MaxWireVersion); 0 = wire.Version
-	hsTO   time.Duration
-	lim    *aimdLimiter // per-peer adaptive concurrency
+	dial Dialer
+	hsTO time.Duration
 
 	mu     sync.Mutex
-	idle   []*wireConn
+	idle   []net.Conn
 	closed bool
 }
 
@@ -73,41 +64,40 @@ const maxIdleWireConns = 8
 var errTransportClosed = errors.New("cluster: transport closed")
 
 // get pops an idle connection or handshakes a fresh one.
-func (t *wireTransport) get() (*wireConn, error) {
+func (t *wireTransport) get() (net.Conn, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return nil, errTransportClosed
 	}
 	if n := len(t.idle); n > 0 {
-		wc := t.idle[n-1]
+		conn := t.idle[n-1]
 		t.idle = t.idle[:n-1]
 		t.mu.Unlock()
-		return wc, nil
+		return conn, nil
 	}
 	t.mu.Unlock()
 	conn, err := t.dial()
 	if err != nil {
 		return nil, err
 	}
-	ver, err := clientHandshake(conn, t.hsTO, t.maxVer)
-	if err != nil {
+	if err := clientHandshake(conn, t.hsTO); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: wire handshake: %w", err)
 	}
-	return &wireConn{conn: conn, version: ver}, nil
+	return conn, nil
 }
 
 // put returns a healthy connection to the pool.
-func (t *wireTransport) put(wc *wireConn) {
+func (t *wireTransport) put(conn net.Conn) {
 	t.mu.Lock()
 	if !t.closed && len(t.idle) < maxIdleWireConns {
-		t.idle = append(t.idle, wc)
+		t.idle = append(t.idle, conn)
 		t.mu.Unlock()
 		return
 	}
 	t.mu.Unlock()
-	wc.conn.Close()
+	conn.Close()
 }
 
 func (t *wireTransport) Close() error {
@@ -116,36 +106,19 @@ func (t *wireTransport) Close() error {
 	t.idle = nil
 	t.closed = true
 	t.mu.Unlock()
-	for _, wc := range idle {
-		wc.conn.Close()
+	for _, conn := range idle {
+		conn.Close()
 	}
 	return nil
 }
 
 // Call encodes args, performs one request/response exchange carrying the
-// admission envelope env, and decodes into reply. The call first claims a
-// slot under the peer's adaptive concurrency limit — waiting at most the
-// smaller of the call timeout and the remaining budget — so a client facing
-// a saturated peer queues locally (cheap) instead of remotely (a held
-// connection and an admission-queue seat). The encode happens synchronously
-// in the caller (so callers may recycle args-backing buffers once Call
-// returns) and a timed-out attempt decodes into a private value that is
-// discarded (so callers may retry into the same reply struct without racing
-// an abandoned decoder).
+// admission envelope env, and decodes into reply. The encode happens
+// synchronously in the caller (so callers may recycle args-backing buffers
+// once Call returns) and a timed-out attempt decodes into a private value
+// that is discarded (so callers may retry into the same reply struct
+// without racing an abandoned decoder).
 func (t *wireTransport) Call(method string, args, reply any, d time.Duration, env callEnv) error {
-	maxWait := d
-	if env.budget > 0 && env.budget < maxWait {
-		maxWait = env.budget
-	}
-	if err := t.lim.acquire(maxWait); err != nil {
-		return err
-	}
-	err := t.exchange(method, args, reply, d, env)
-	t.lim.release(errors.Is(err, ErrCallTimeout) || IsOverloaded(err))
-	return err
-}
-
-func (t *wireTransport) exchange(method string, args, reply any, d time.Duration, env callEnv) error {
 	wa, ok := args.(wireMessage)
 	if !ok {
 		return fmt.Errorf("cluster: %T does not implement the wire codec", args)
@@ -157,15 +130,12 @@ func (t *wireTransport) exchange(method string, args, reply any, d time.Duration
 	if !ok {
 		return fmt.Errorf("cluster: unknown wire method %q", method)
 	}
-	wc, err := t.get()
+	conn, err := t.get()
 	if err != nil {
 		return err
 	}
-	// The envelope kind exists only in protocol v2; on a v1-negotiated
-	// connection the call degrades to a bare request — exactly the
-	// "negotiate down to today's behavior" contract.
 	frame := wire.GetFrame()
-	if wc.version >= 2 && (env.hasPri || env.budget > 0) {
+	if env.hasPri || env.budget > 0 {
 		frame = append(frame, wire.KindRequestEnv)
 		if env.hasPri {
 			frame = append(frame, byte(env.pri)+1)
@@ -184,9 +154,9 @@ func (t *wireTransport) exchange(method string, args, reply any, d time.Duration
 	frame = wa.appendWire(frame)
 
 	if d <= 0 {
-		err := roundTripWire(wc, frame, reply.(wireMessage))
+		err := roundTripWire(conn, frame, reply.(wireMessage))
 		wire.PutBuf(frame)
-		t.finish(wc, err)
+		t.finish(conn, err)
 		return err
 	}
 	// The exchange runs in a goroutine so a blackholed connection cannot
@@ -201,7 +171,7 @@ func (t *wireTransport) exchange(method string, args, reply any, d time.Duration
 	done := make(chan result, 1)
 	go func() {
 		tmp := reflect.New(reflect.TypeOf(reply).Elem()).Interface().(wireMessage)
-		err := roundTripWire(wc, frame, tmp)
+		err := roundTripWire(conn, frame, tmp)
 		wire.PutBuf(frame)
 		done <- result{tmp, err}
 	}()
@@ -209,13 +179,13 @@ func (t *wireTransport) exchange(method string, args, reply any, d time.Duration
 	defer tm.Stop()
 	select {
 	case <-tm.C:
-		wc.conn.Close() // unblocks the goroutine; the conn is not reusable
+		conn.Close() // unblocks the goroutine; the conn is not reusable
 		return ErrCallTimeout
 	case res := <-done:
 		if res.err == nil {
 			reflect.ValueOf(reply).Elem().Set(reflect.ValueOf(res.tmp).Elem())
 		}
-		t.finish(wc, res.err)
+		t.finish(conn, res.err)
 		return res.err
 	}
 }
@@ -223,21 +193,21 @@ func (t *wireTransport) exchange(method string, args, reply any, d time.Duration
 // finish recycles or discards the connection depending on how the exchange
 // ended: application errors leave a healthy framing stream, transport
 // errors do not.
-func (t *wireTransport) finish(wc *wireConn, err error) {
+func (t *wireTransport) finish(conn net.Conn, err error) {
 	var serverErr rpc.ServerError
 	if err == nil || errors.As(err, &serverErr) {
-		t.put(wc)
+		t.put(conn)
 		return
 	}
-	wc.conn.Close()
+	conn.Close()
 }
 
 // roundTripWire writes one request frame and decodes the response.
-func roundTripWire(wc *wireConn, frame []byte, reply wireMessage) error {
-	if err := wire.WriteFrame(wc.conn, frame); err != nil {
+func roundTripWire(conn net.Conn, frame []byte, reply wireMessage) error {
+	if err := wire.WriteFrame(conn, frame); err != nil {
 		return fmt.Errorf("cluster: wire write: %w", err)
 	}
-	resp, err := wire.ReadFrame(wc.conn)
+	resp, err := wire.ReadFrame(conn)
 	if err != nil {
 		return fmt.Errorf("cluster: wire read: %w", err)
 	}
@@ -266,74 +236,62 @@ func roundTripWire(wc *wireConn, frame []byte, reply wireMessage) error {
 	}
 }
 
-// clientHandshake negotiates the wire protocol on a fresh connection,
-// bounded by timeout via close-on-timer (deadline-free for wrapped conns).
-// maxVer caps the advertised range (Options.MaxWireVersion); 0 means the
-// newest we speak.
-func clientHandshake(conn net.Conn, timeout time.Duration, maxVer byte) (byte, error) {
-	if maxVer == 0 || maxVer > wire.Version {
-		maxVer = wire.Version
-	}
-	exchange := func() (byte, error) {
-		h := wire.Hello(1, maxVer)
+// clientHandshake offers wire.Version on a fresh connection and requires the
+// server to accept it, bounded by timeout via close-on-timer (deadline-free
+// for wrapped conns).
+func clientHandshake(conn net.Conn, timeout time.Duration) error {
+	exchange := func() error {
+		h := wire.Hello(wire.Version, wire.Version)
 		if _, err := conn.Write(h[:]); err != nil {
-			return 0, err
+			return err
 		}
 		var ack [8]byte
 		if _, err := io.ReadFull(conn, ack[:]); err != nil {
-			return 0, err
+			return err
 		}
 		ver, err := wire.ParseAck(ack)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if ver == 0 {
-			return 0, fmt.Errorf("%w: server rejected versions [1,%d]", wire.ErrBadHandshake, maxVer)
+		if ver != wire.Version {
+			return fmt.Errorf("%w: server answered version %d to %d", wire.ErrBadHandshake, ver, wire.Version)
 		}
-		return ver, nil
+		return nil
 	}
 	if timeout <= 0 {
 		return exchange()
 	}
-	type result struct {
-		ver byte
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		ver, err := exchange()
-		done <- result{ver, err}
-	}()
+	done := make(chan error, 1)
+	go func() { done <- exchange() }()
 	tm := time.NewTimer(timeout)
 	defer tm.Stop()
 	select {
 	case <-tm.C:
 		conn.Close()
-		return 0, fmt.Errorf("cluster: wire handshake: %w", ErrCallTimeout)
-	case res := <-done:
-		return res.ver, res.err
+		return fmt.Errorf("cluster: wire handshake: %w", ErrCallTimeout)
+	case err := <-done:
+		return err
 	}
 }
 
 // dialTransport dials one server and handshakes the wire protocol, returning
-// a pooled transport that already holds the handshaked connection. maxVer
-// caps the advertised protocol range (0 = newest). A peer that does not
-// answer the hello with a wire ack — a pre-wire binary, or anything else —
-// fails the dial.
-func dialTransport(dial Dialer, hsTimeout time.Duration, m *Metrics, maxVer byte) (*wireTransport, error) {
+// a pooled transport that already holds the handshaked connection. A peer
+// that does not answer the hello with a wire.Version ack — a pre-wire
+// binary, a build of another wire version, or anything else — fails the
+// dial.
+func dialTransport(dial Dialer, hsTimeout time.Duration, m *Metrics) (*wireTransport, error) {
 	conn, err := dial()
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	ver, err := clientHandshake(conn, hsTimeout, maxVer)
-	if err != nil {
+	if err := clientHandshake(conn, hsTimeout); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	m.observeClientCall("Handshake", start)
 	m.WireHandshakes.Inc()
-	t := &wireTransport{dial: dial, maxVer: maxVer, hsTO: hsTimeout, lim: newAIMDLimiter(m)}
-	t.idle = append(t.idle, &wireConn{conn: conn, version: ver})
+	t := &wireTransport{dial: dial, hsTO: hsTimeout}
+	t.idle = append(t.idle, conn)
 	return t, nil
 }

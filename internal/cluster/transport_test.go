@@ -19,7 +19,7 @@ func startWireServer(t *testing.T) (addr string, m *Metrics, svc *Service) {
 }
 
 // startConfiguredWireServer is startWireServer with a hook to tune the
-// Server (version cap, admission gate, accept limits) before it serves.
+// Server (admission gate, accept limits) before it serves.
 func startConfiguredWireServer(t *testing.T, configure func(*Server)) (addr string, m *Metrics, svc *Service) {
 	t.Helper()
 	svc = newTestService(t)
@@ -70,8 +70,28 @@ func exerciseClient(t *testing.T, c *Client) {
 	}
 }
 
+// exerciseClientWithEnvelope drives calls that carry the request envelope —
+// a deadline-bearing context and an explicit priority tag — and requires
+// them to succeed.
+func exerciseClientWithEnvelope(t *testing.T, c *Client) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.ApplyBatchCtx(WithPriority(ctx, PriorityPrefetch), testEvents(100)); err != nil {
+		t.Fatalf("ApplyBatchCtx with budget+priority: %v", err)
+	}
+	if _, err := c.SampleNeighborsCtx(ctx, []graph.VertexID{1, 2}, 0, 4, 7); err != nil {
+		t.Fatalf("SampleNeighborsCtx with budget: %v", err)
+	}
+	bg := WithPriority(context.Background(), PriorityBackground)
+	if _, err := c.StatsCtx(bg); err != nil {
+		t.Fatalf("StatsCtx with background priority: %v", err)
+	}
+}
+
 // TestInteropWireToWire: current client against current server negotiates
-// the binary protocol, serves traffic, and records exact payload bytes.
+// the binary protocol, serves bare and envelope requests, and records exact
+// payload bytes.
 func TestInteropWireToWire(t *testing.T) {
 	addr, sm, _ := startWireServer(t)
 	cm := &Metrics{}
@@ -84,6 +104,7 @@ func TestInteropWireToWire(t *testing.T) {
 	}
 	defer c.Close()
 	exerciseClient(t, c)
+	exerciseClientWithEnvelope(t, c)
 
 	if n := cm.WireHandshakes.Load(); n == 0 {
 		t.Fatal("client recorded no wire handshakes")
@@ -138,71 +159,6 @@ func TestPayloadBytesCountFramedSizes(t *testing.T) {
 	want := int64(len(frame) + wire.HeaderSize + len(resp))
 	if got := sm.PayloadBytes.With("Stats").Snapshot().Sum; got != want {
 		t.Fatalf("rpc_payload_bytes{Stats} = %d, want %d framed bytes", got, want)
-	}
-}
-
-// exerciseClientWithEnvelope drives the calls that would carry a v2 request
-// envelope — a deadline-bearing context and an explicit priority tag — and
-// requires them to succeed. Against a v1 peer the envelope must be
-// suppressed, not sent-and-rejected.
-func exerciseClientWithEnvelope(t *testing.T, c *Client) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := c.ApplyBatchCtx(WithPriority(ctx, PriorityPrefetch), testEvents(100)); err != nil {
-		t.Fatalf("ApplyBatchCtx with budget+priority: %v", err)
-	}
-	if _, err := c.SampleNeighborsCtx(ctx, []graph.VertexID{1, 2}, 0, 4, 7); err != nil {
-		t.Fatalf("SampleNeighborsCtx with budget: %v", err)
-	}
-	bg := WithPriority(context.Background(), PriorityBackground)
-	if _, err := c.StatsCtx(bg); err != nil {
-		t.Fatalf("StatsCtx with background priority: %v", err)
-	}
-}
-
-// TestInteropV2ClientV1Server: a current client against a server pinned to
-// protocol version 1 (the rollback lever) negotiates down to v1 and must
-// suppress the request envelope — deadline- and priority-tagged calls still
-// succeed, with the metadata simply not propagated.
-func TestInteropV2ClientV1Server(t *testing.T) {
-	addr, sm, _ := startConfiguredWireServer(t, func(s *Server) { s.SetMaxWireVersion(1) })
-	cm := &Metrics{}
-	opts := DefaultOptions()
-	opts.CallTimeout = 5 * time.Second
-	opts.Metrics = cm
-	c, err := Dial([]string{addr}, opts)
-	if err != nil {
-		t.Fatalf("dial v1-capped server: %v", err)
-	}
-	defer c.Close()
-	exerciseClient(t, c)
-	exerciseClientWithEnvelope(t, c)
-	if n := sm.WireHandshakes.Load(); n == 0 {
-		t.Fatal("server recorded no wire handshakes")
-	}
-}
-
-// TestInteropV1ClientV2Server: a client capped at version 1 (an old binary)
-// against a current server — the other rolling-upgrade direction. The
-// client never emits envelope frames; the server classifies by method
-// default and serves identically.
-func TestInteropV1ClientV2Server(t *testing.T) {
-	addr, sm, _ := startWireServer(t)
-	cm := &Metrics{}
-	opts := DefaultOptions()
-	opts.CallTimeout = 5 * time.Second
-	opts.MaxWireVersion = 1
-	opts.Metrics = cm
-	c, err := Dial([]string{addr}, opts)
-	if err != nil {
-		t.Fatalf("v1-capped dial: %v", err)
-	}
-	defer c.Close()
-	exerciseClient(t, c)
-	exerciseClientWithEnvelope(t, c)
-	if n := sm.WireHandshakes.Load(); n == 0 {
-		t.Fatal("server recorded no wire handshakes")
 	}
 }
 
@@ -271,11 +227,27 @@ func TestServerHandshakeTimeout(t *testing.T) {
 	}
 }
 
-// TestWireRefusesForeignPeers: every connection speaks the wire protocol, in
-// both directions. A server closes a connection whose hello does not start
-// with wire.Magic before dispatching anything — even a well-formed request
-// frame behind the bad hello — and a client dial fails, within its timeout,
-// against a peer that never acks or hangs up on the hello.
+// requireNoHandlerRan fails t if the server completed a handshake or ran
+// any RPC handler.
+func requireNoHandlerRan(t *testing.T, sm *Metrics) {
+	t.Helper()
+	if n := sm.WireHandshakes.Load(); n != 0 {
+		t.Fatalf("server counted %d handshakes for a refused hello", n)
+	}
+	for _, method := range rpcMethods {
+		if n := sm.ServerLatency.With(method).Count(); n != 0 {
+			t.Fatalf("server ran %d %s handlers for a refused hello", n, method)
+		}
+	}
+}
+
+// TestWireRefusesForeignPeers: every connection speaks the wire protocol at
+// wire.Version, in both directions. A server closes a connection whose
+// hello does not start with wire.Magic, or whose version range excludes
+// wire.Version, before dispatching anything — even a well-formed request
+// frame behind the hello — and a client dial fails, within its timeout,
+// against a peer that never acks, hangs up on the hello, or acks another
+// version.
 func TestWireRefusesForeignPeers(t *testing.T) {
 	t.Run("server", func(t *testing.T) {
 		addr, sm, _ := startWireServer(t)
@@ -296,13 +268,37 @@ func TestWireRefusesForeignPeers(t *testing.T) {
 		if n, err := conn.Read(make([]byte, 16)); err == nil || n != 0 {
 			t.Fatalf("server answered %d bytes (err %v) to a foreign hello", n, err)
 		}
-		if n := sm.WireHandshakes.Load(); n != 0 {
-			t.Fatalf("server counted %d handshakes for a foreign hello", n)
+		requireNoHandlerRan(t, sm)
+	})
+	t.Run("server/v1-only", func(t *testing.T) {
+		addr, sm, svc := startWireServer(t)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
 		}
-		for _, method := range rpcMethods {
-			if n := sm.ServerLatency.With(method).Count(); n != 0 {
-				t.Fatalf("server ran %d %s handlers for a foreign hello", n, method)
-			}
+		defer conn.Close()
+		hello := wire.Hello(1, 1)
+		id := wireMethodID[ServiceName+".ApplyBatch"]
+		frame := append(wire.GetFrame(), wire.KindRequest, byte(id))
+		frame = (&BatchArgs{Events: testEvents(10)}).appendWire(frame)
+		if _, err := conn.Write(hello[:]); err != nil {
+			t.Fatalf("write hello: %v", err)
+		}
+		wire.WriteFrame(conn, frame) // the server may already have hung up
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		var ack [8]byte
+		if _, err := io.ReadFull(conn, ack[:]); err != nil {
+			t.Fatalf("read ack: %v", err)
+		}
+		if ver, err := wire.ParseAck(ack); err != nil || ver != 0 {
+			t.Fatalf("ack to a v1-only hello = %d (err %v), want 0", ver, err)
+		}
+		if n, err := conn.Read(make([]byte, 16)); err == nil || n != 0 {
+			t.Fatalf("server sent %d more bytes (err %v) after rejecting the hello", n, err)
+		}
+		requireNoHandlerRan(t, sm)
+		if n := svc.store.NumEdges(); n != 0 {
+			t.Fatalf("store holds %d edges from a rejected connection's frame", n)
 		}
 	})
 	for _, tc := range []struct {
@@ -311,6 +307,15 @@ func TestWireRefusesForeignPeers(t *testing.T) {
 	}{
 		{"client/silent", func(c net.Conn) { io.Copy(io.Discard, c) }},
 		{"client/hangs-up", func(c net.Conn) { c.Close() }},
+		{"client/acks-v1", func(c net.Conn) {
+			var hello [8]byte
+			if _, err := io.ReadFull(c, hello[:]); err != nil {
+				return
+			}
+			ack := wire.Ack(1)
+			c.Write(ack[:])
+			io.Copy(io.Discard, c)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lis, err := net.Listen("tcp", "127.0.0.1:0")

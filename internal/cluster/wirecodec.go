@@ -8,8 +8,8 @@
 //
 // Every struct encodes with appendWire and decodes with decodeWire against
 // a bounds-checked wire.Reader; decode failures surface through
-// Reader.Err/Done, never panics. The layouts are protocol version 1; a
-// future version bump negotiates at handshake and switches here.
+// Reader.Err/Done, never panics. The layouts belong to wire.Version; they
+// change only together with a version bump.
 package cluster
 
 import (

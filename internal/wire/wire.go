@@ -13,11 +13,10 @@
 // # Stream layout
 //
 // A wire connection starts with an 8-byte client hello and an 8-byte server
-// acceptance (see Hello/Ack), negotiating a protocol version: each side
-// states the range it speaks and the server acks the highest common one,
-// which is what lets builds of different versions share a cluster through a
-// rolling upgrade. A server closes any connection whose hello does not
-// start with Magic.
+// acceptance (see Hello/Ack). The hello states a version range and the
+// server acks Version if the range holds it, or 0 otherwise: a build speaks
+// exactly one version, so builds of different versions refuse each other.
+// A server closes any connection whose hello does not start with Magic.
 //
 // After the handshake, each direction carries length-prefixed frames:
 //
@@ -46,13 +45,9 @@ import (
 	"sync"
 )
 
-// Version is the newest protocol version this build speaks. Version 1 is
-// the initial binary framing; version 2 adds the request envelope
-// (KindRequestEnv) carrying the caller's remaining deadline budget and
-// priority class for server-side admission control. The handshake lets old
-// and new builds agree on the highest version both sides support, so a v2
-// client on a v1-negotiated connection simply keeps sending bare
-// KindRequest frames.
+// Version is the one protocol version this build speaks. Version 2 carries
+// the request envelope (KindRequestEnv) with the caller's remaining deadline
+// budget and priority class for server-side admission control.
 const Version = 2
 
 // Magic opens every hello and ack. A connection that does not start with
@@ -64,11 +59,10 @@ const (
 	KindRequest  = 0x01
 	KindResponse = 0x02 // successful reply payload
 	KindError    = 0x03 // application error string
-	// KindRequestEnv (protocol >= 2) is a request with an admission
-	// envelope: `byte priority | uvarint budget-millis | uvarint method-id |
-	// args`. priority 0 means "use the method's default class"; budget 0
-	// means "no deadline propagated". Only valid on connections that
-	// negotiated version >= 2.
+	// KindRequestEnv is a request with an admission envelope: `byte
+	// priority | uvarint budget-millis | uvarint method-id | args`. priority
+	// 0 means "use the method's default class"; budget 0 means "no deadline
+	// propagated".
 	KindRequestEnv = 0x04
 )
 
@@ -128,27 +122,12 @@ func ParseAck(a [helloSize]byte) (version byte, err error) {
 }
 
 // Negotiate picks the version a server should answer a [minVer, maxVer]
-// hello with: the highest version both sides speak, or 0 when the ranges
-// are disjoint.
+// hello with: Version when the range holds it, or 0 (rejected) otherwise.
 func Negotiate(minVer, maxVer byte) byte {
-	return NegotiateCapped(minVer, maxVer, Version)
-}
-
-// NegotiateCapped is Negotiate with the local side's maximum pinned below
-// the build's Version — the rollback escape hatch (and test hook) for
-// serving as an older protocol generation without recompiling. localMax 0
-// or above Version means Version.
-func NegotiateCapped(minVer, maxVer, localMax byte) byte {
-	if localMax == 0 || localMax > Version {
-		localMax = Version
+	if minVer <= Version && Version <= maxVer {
+		return Version
 	}
-	if minVer > localMax {
-		return 0
-	}
-	if maxVer > localMax {
-		return localMax
-	}
-	return maxVer
+	return 0
 }
 
 // HeaderSize is the length of the prefix that opens every frame.

@@ -54,32 +54,16 @@ func TestNegotiate(t *testing.T) {
 	cases := []struct {
 		min, max, want byte
 	}{
-		{1, Version, Version},         // exact overlap
-		{1, Version + 5, Version},     // future client: clamp to ours
-		{Version + 1, Version + 5, 0}, // future-only client: reject
-		{1, 1, 1},                     // old client pinned to v1
+		{1, Version, Version},         // range ending at ours
+		{1, Version + 5, Version},     // range spanning ours
+		{Version, Version, Version},   // exactly ours: what every client sends
+		{Version + 1, Version + 5, 0}, // newer-only client: reject
+		{Version + 1, Version + 1, 0}, // next version's client: reject
+		{1, 1, 0},                     // v1-only client: reject
 	}
 	for _, c := range cases {
 		if got := Negotiate(c.min, c.max); got != c.want {
 			t.Errorf("Negotiate(%d,%d) = %d, want %d", c.min, c.max, got, c.want)
-		}
-	}
-}
-
-func TestNegotiateCapped(t *testing.T) {
-	cases := []struct {
-		min, max, localMax, want byte
-	}{
-		{1, Version, 1, 1}, // server capped at v1: v2 client lands on v1
-		{1, Version, Version, Version},
-		{1, 1, Version, 1},                 // old client against uncapped server
-		{2, Version, 1, 0},                 // client requires >= 2, server capped at 1
-		{1, Version, 0, Version},           // zero cap means "no cap"
-		{1, Version, Version + 9, Version}, // cap above our max clamps to Version
-	}
-	for _, c := range cases {
-		if got := NegotiateCapped(c.min, c.max, c.localMax); got != c.want {
-			t.Errorf("NegotiateCapped(%d,%d,%d) = %d, want %d", c.min, c.max, c.localMax, got, c.want)
 		}
 	}
 }
