@@ -168,7 +168,7 @@ func status(d *cluster.Driver, addrs []string) {
 		case sr.Err != nil:
 			fmt.Printf("%-24s unreachable: %v\n", sr.Addr, sr.Err)
 		case !sr.Has:
-			fmt.Printf("%-24s no shard map (legacy frozen placement)\n", sr.Addr)
+			fmt.Printf("%-24s no shard map (unrouted; clients use their frozen placement)\n", sr.Addr)
 		default:
 			fmt.Printf("%-24s routing epoch %d (%d shards x %d replicas)\n",
 				sr.Addr, sr.Epoch, sr.Map.NumShards, sr.Map.Replicas)

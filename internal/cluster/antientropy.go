@@ -159,8 +159,9 @@ func (s *Service) localDigest(shard, numShards int) (DigestReply, error) {
 // without walking edges over the wire.
 func (c *Client) ShardDigestCtx(ctx context.Context, shard int) (DigestReply, error) {
 	var reply DigestReply
-	args := &DigestArgs{Shard: shard, NumShards: c.numShards()}
-	err := c.readShard(ctx, shard, ServiceName+".ShardDigest", args, &reply)
+	rt := c.route.Load()
+	args := &DigestArgs{Shard: shard, NumShards: rt.m.NumShards}
+	err := c.readShard(ctx, rt, shard, ServiceName+".ShardDigest", args, &reply)
 	return reply, err
 }
 

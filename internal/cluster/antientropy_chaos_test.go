@@ -187,8 +187,8 @@ func (h *antiEntropyHarness) writeCleanDisk(i int) error {
 // digest equal.
 func (h *antiEntropyHarness) verifyConverged(t *testing.T, phase string, i int) {
 	t.Helper()
-	got := canonicalDump(h.stores[i], nil)
-	want := canonicalDump(h.oracle, nil)
+	got := canonicalDump(t, h.stores[i], nil)
+	want := canonicalDump(t, h.oracle, nil)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: replica %d topology diverged from oracle (%d vs %d bytes)", phase, i, len(got), len(want))
 	}

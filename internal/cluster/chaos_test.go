@@ -224,7 +224,7 @@ func TestChaosDegradedSampling(t *testing.T) {
 	}
 	deadSeeds, liveSeeds := 0, 0
 	for i, seed := range seeds {
-		owner := client.shardFor(seed)
+		owner := ShardOf(seed, client.NumShards())
 		for j := 0; j < fanout; j++ {
 			got := out[i*fanout+j]
 			if owner == deadShard {
@@ -424,13 +424,13 @@ func TestApplyBatchAtMostOnce(t *testing.T) {
 	if store.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d after stale retry, want 1", store.NumEdges())
 	}
-	// Legacy batches (no identity) bypass dedup entirely.
+	// Identity-less batches (migration replays) bypass dedup entirely.
 	var reply BatchReply
 	if err := svc.ApplyBatch(&BatchArgs{Events: del, Sum: checksumEvents(del)}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply.Duplicate || store.NumEdges() != 0 {
-		t.Fatalf("legacy batch: dup=%v edges=%d", reply.Duplicate, store.NumEdges())
+		t.Fatalf("identity-less batch: dup=%v edges=%d", reply.Duplicate, store.NumEdges())
 	}
 }
 

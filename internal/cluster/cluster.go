@@ -51,11 +51,11 @@ const ServiceName = "PlatoD2GL"
 
 // BatchArgs carries a topology update batch. ClientID and Seq identify the
 // batch for server-side at-most-once deduplication: a retried batch carries
-// the same pair and is applied at most once. Zero values bypass dedup
-// (legacy clients). Shard and RouteEpoch route the batch under an adopted
-// shard map (see shardmap.go): a server that does not own Shard at
-// RouteEpoch rejects with NotOwner instead of applying. RouteEpoch 0 is the
-// legacy unrouted protocol.
+// the same pair and is applied at most once. Zero values bypass dedup (the
+// server's own migration replays). Shard and RouteEpoch route the batch (see
+// shardmap.go): a routed server that does not own Shard at RouteEpoch
+// rejects with NotOwner instead of applying. RouteEpoch 0 is the client's
+// frozen placement, which only an unrouted server accepts.
 type BatchArgs struct {
 	Events     []graph.Event
 	ClientID   uint64
@@ -124,11 +124,10 @@ type FeatureReply struct {
 	Labels []int32
 }
 
-// SourcesArgs requests the source vertices of one relation. Routed requests
-// (RouteEpoch > 0) ask per logical shard and the server filters its answer
-// to sources hashing into Shard — which keeps a migration destination's
-// staged copy invisible until cutover, and lets one server own several
-// logical shards without double-reporting.
+// SourcesArgs requests the source vertices of one logical shard's relation.
+// A routed server filters its answer to sources hashing into Shard — which
+// keeps a migration destination's staged copy invisible until cutover, and
+// lets one server own several logical shards without double-reporting.
 type SourcesArgs struct {
 	Type       graph.EdgeType
 	Shard      int
@@ -192,7 +191,7 @@ type Service struct {
 	syncWAL   *eventlog.Writer
 
 	// Routing and migration state (see shardmap.go, migrate.go). routing is
-	// the installed shard map view (nil: unrouted legacy server); parked maps
+	// the installed shard map view (nil: unrouted server); parked maps
 	// mid-cutover shards to their write gates; dialFor resolves a migration
 	// source address to a transport for PullShard.
 	advertise atomic.Pointer[string]
@@ -382,16 +381,14 @@ func (s *Service) Sources(args *SourcesArgs, reply *SourcesReply) (err error) {
 		return err
 	}
 	all := s.store.Sources(args.Type)
-	if args.RouteEpoch != 0 {
-		if v := s.routedNumShards(); v > 0 {
-			kept := make([]graph.VertexID, 0, len(all))
-			for _, n := range all {
-				if ShardOf(n, v) == args.Shard {
-					kept = append(kept, n)
-				}
+	if rt := s.routing.Load(); rt != nil {
+		kept := make([]graph.VertexID, 0, len(all))
+		for _, n := range all {
+			if ShardOf(n, rt.m.NumShards) == args.Shard {
+				kept = append(kept, n)
 			}
-			all = kept
 		}
+		all = kept
 	}
 	reply.Nodes = all
 	return nil
@@ -595,23 +592,17 @@ type Client struct {
 	// (elastic scale-out), so every indexed access goes through peerAt or a
 	// locked section. Existing entries are never mutated or removed.
 	peerMu     sync.RWMutex
-	peers      []*peer // grouped: shard s owns peers[s*replicas:(s+1)*replicas]
+	peers      []*peer // dialed peers grouped: group g owns peers[g*replicas:(g+1)*replicas]
 	peerByAddr map[string]int
 
-	shards   int
 	replicas int
 	opts     Options
 	metrics  *Metrics
 	clientID uint64
 	seq      atomic.Uint64
-	// rr holds one read-rotation counter per logical shard. Per-shard (not
-	// global) counters matter: a fan-out touching every shard advances a
-	// global counter by exactly NumShards, so with stable goroutine
-	// scheduling each shard would see a constant rotation phase — starving
-	// some replicas of reads (and stale replicas of re-sync probes) forever.
-	rr []atomic.Uint64
 
-	// route is the adopted shard map view (nil: legacy frozen placement);
+	// route is the shard map every operation routes through: the frozen
+	// placement at epoch 0 (shard g = dialed group g), an adopted map after.
 	// refreshMu single-flights map refreshes and adoption.
 	route     atomic.Pointer[clientRoute]
 	refreshMu sync.Mutex
@@ -653,7 +644,7 @@ func NewClientOptions(transports []*wireTransport, dialers []Dialer, opts Option
 		panic(fmt.Sprintf("cluster: %d peers not divisible into replica groups of %d", n, r))
 	}
 	jitter := newJitterRNG(opts.Seed)
-	c := &Client{opts: opts, metrics: opts.Metrics, jitter: jitter, shards: n / r, replicas: r,
+	c := &Client{opts: opts, metrics: opts.Metrics, jitter: jitter, replicas: r,
 		peerByAddr: make(map[string]int)}
 	if c.metrics == nil {
 		// Allocate eagerly so counters recorded before the first Metrics()
@@ -661,11 +652,10 @@ func NewClientOptions(transports []*wireTransport, dialers []Dialer, opts Option
 		c.metrics = &Metrics{}
 	}
 	c.clientID = newClientID(jitter)
-	c.rr = make([]atomic.Uint64, c.shards)
 	c.peers = make([]*peer, n)
 	for i := range c.peers {
 		p := &peer{
-			idx: i, shard: i / r, replica: i % r,
+			idx: i, replica: i % r,
 			br: newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, c.metrics),
 		}
 		if i < len(transports) {
@@ -676,6 +666,15 @@ func NewClientOptions(transports []*wireTransport, dialers []Dialer, opts Option
 		}
 		c.peers[i] = p
 	}
+	// The frozen placement is the epoch-0 map: shard g lives on dialed
+	// group g, until the first map adopted from the cluster replaces it.
+	frozen := &ShardMap{NumShards: n / r, Replicas: r, Assign: make([]int, n/r)}
+	groups := make([][]*peer, n/r)
+	for g := range groups {
+		frozen.Assign[g] = g
+		groups[g] = c.peers[g*r : (g+1)*r : (g+1)*r]
+	}
+	c.route.Store(&clientRoute{m: frozen, groups: groups, rr: make([]atomic.Uint64, len(groups))})
 	return c
 }
 
@@ -792,23 +791,6 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// numShards returns the logical shard count requests partition under: the
-// adopted shard map's fixed hash space when routed, one shard per replica
-// group otherwise.
-func (c *Client) numShards() int {
-	if rt := c.route.Load(); rt != nil {
-		return rt.m.NumShards
-	}
-	return c.shards
-}
-
-// shardFor maps a source vertex to its owning logical shard. Replication
-// and routing do not change the hash: the shard map only changes which
-// server group a shard resolves to, never which shard a vertex hashes to.
-func (c *Client) shardFor(src graph.VertexID) int {
-	return ShardOf(src, c.numShards())
-}
-
 // ApplyBatch partitions events by source shard and applies the per-shard
 // sub-batches in parallel, fanning each sub-batch out to every replica of
 // its shard. All replicas receive the same (ClientID, Seq) identity, so
@@ -826,10 +808,11 @@ func (c *Client) ApplyBatch(events []graph.Event) error {
 // bounds the retry loop end to end, and a WithPriority annotation overrides
 // the method's default admission class.
 func (c *Client) ApplyBatchCtx(ctx context.Context, events []graph.Event) error {
-	shards := c.numShards()
+	rt := c.route.Load()
+	shards := rt.m.NumShards
 	parts := make([][]graph.Event, shards)
 	for _, ev := range events {
-		p := c.shardFor(ev.Edge.Src)
+		p := ShardOf(ev.Edge.Src, shards)
 		parts[p] = append(parts[p], ev)
 	}
 	seqs := make([]uint64, shards)
@@ -843,7 +826,7 @@ func (c *Client) ApplyBatchCtx(ctx context.Context, events []graph.Event) error 
 			return nil
 		}
 		args := &BatchArgs{Events: parts[s], ClientID: c.clientID, Seq: seqs[s], Sum: checksumEvents(parts[s])}
-		return c.writeShard(ctx, s, args, func(ctx context.Context, pe *peer, maxRetries int, failover bool) error {
+		return c.writeShard(ctx, rt, s, args, func(ctx context.Context, pe *peer, maxRetries int, failover bool) error {
 			var reply BatchReply
 			return c.callPeCtx(ctx, pe, ServiceName+".ApplyBatch", args, &reply, maxRetries, failover)
 		})
@@ -883,7 +866,8 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 		return nil, nil, fmt.Errorf("cluster: negative fanout %d", fanout)
 	}
 	out := make([]graph.VertexID, len(seeds)*fanout)
-	shards := c.numShards()
+	rt := c.route.Load()
+	shards := rt.m.NumShards
 	// Each shard samples every distinct seed once and the reply block is
 	// scattered back to all of its occurrences (see scratch.go).
 	scratch := getCoalesceScratch(shards)
@@ -907,7 +891,7 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 		}
 		args := &SampleArgs{Seeds: partSeeds[p], Type: et, Fanout: fanout, Seed: seed + int64(p)}
 		var reply SampleReply
-		if err := c.readShard(ctx, p, ServiceName+".SampleNeighbors", args, &reply); err != nil {
+		if err := c.readShard(ctx, rt, p, ServiceName+".SampleNeighbors", args, &reply); err != nil {
 			return err
 		}
 		if len(reply.Neighbors) != len(partSeeds[p])*fanout {
@@ -983,7 +967,8 @@ func (c *Client) Degree(nodes []graph.VertexID, et graph.EdgeType) ([]int, error
 // propagates cluster-wide as the request budget.
 func (c *Client) DegreeCtx(ctx context.Context, nodes []graph.VertexID, et graph.EdgeType) ([]int, error) {
 	out := make([]int, len(nodes))
-	scratch := getCoalesceScratch(c.numShards())
+	rt := c.route.Load()
+	scratch := getCoalesceScratch(rt.m.NumShards)
 	c.metrics.CoalescedRows.Add(int64(scratch.coalesce(nodes)))
 	partNodes, partOcc := scratch.partIDs, scratch.partOcc
 	err := c.fanOut(len(partNodes), func(p int) error {
@@ -991,7 +976,7 @@ func (c *Client) DegreeCtx(ctx context.Context, nodes []graph.VertexID, et graph
 			return nil
 		}
 		var reply DegreeReply
-		if err := c.readShard(ctx, p, ServiceName+".Degree", &DegreeArgs{Nodes: partNodes[p], Type: et}, &reply); err != nil {
+		if err := c.readShard(ctx, rt, p, ServiceName+".Degree", &DegreeArgs{Nodes: partNodes[p], Type: et}, &reply); err != nil {
 			return err
 		}
 		if len(reply.Degrees) != len(partNodes[p]) {
@@ -1027,10 +1012,11 @@ func (c *Client) SetFeaturesCtx(ctx context.Context, nodes []graph.VertexID, dim
 		data   []float32
 		labels []int32
 	}
-	shards := c.numShards()
+	rt := c.route.Load()
+	shards := rt.m.NumShards
 	parts := make([]part, shards)
 	for i, n := range nodes {
-		p := c.shardFor(n)
+		p := ShardOf(n, shards)
 		parts[p].nodes = append(parts[p].nodes, n)
 		parts[p].data = append(parts[p].data, data[i*dim:(i+1)*dim]...)
 		if len(labels) != 0 {
@@ -1042,7 +1028,7 @@ func (c *Client) SetFeaturesCtx(ctx context.Context, nodes []graph.VertexID, dim
 			return nil
 		}
 		args := &SetFeaturesArgs{Nodes: parts[s].nodes, Dim: dim, Data: parts[s].data, Labels: parts[s].labels}
-		return c.writeShard(ctx, s, args, func(ctx context.Context, pe *peer, maxRetries int, failover bool) error {
+		return c.writeShard(ctx, rt, s, args, func(ctx context.Context, pe *peer, maxRetries int, failover bool) error {
 			var reply SetFeaturesReply
 			return c.callPeCtx(ctx, pe, ServiceName+".SetFeatures", args, &reply, maxRetries, failover)
 		})
@@ -1092,7 +1078,8 @@ func (c *Client) featuresLabels(ctx context.Context, nodes []graph.VertexID, dim
 	// Feature lists repeat the ids of the sampled frontiers they are built
 	// from: each shard reads every distinct id once, and each reply row and
 	// label is scattered to all of its occurrences (see scratch.go).
-	scratch := getCoalesceScratch(c.numShards())
+	rt := c.route.Load()
+	scratch := getCoalesceScratch(rt.m.NumShards)
 	c.metrics.CoalescedRows.Add(int64(scratch.coalesce(nodes)))
 	partNodes, partOcc := scratch.partIDs, scratch.partOcc
 	err := c.fanOut(len(partNodes), func(p int) error {
@@ -1101,7 +1088,7 @@ func (c *Client) featuresLabels(ctx context.Context, nodes []graph.VertexID, dim
 		}
 		var reply FeatureReply
 		args := &FeatureArgs{Nodes: partNodes[p], Dim: dim, WithLabels: withLabels}
-		if err := c.readShard(ctx, p, ServiceName+".Features", args, &reply); err != nil {
+		if err := c.readShard(ctx, rt, p, ServiceName+".Features", args, &reply); err != nil {
 			return err
 		}
 		if len(reply.Data) != len(partNodes[p])*dim {
@@ -1128,9 +1115,9 @@ func (c *Client) featuresLabels(ctx context.Context, nodes []graph.VertexID, dim
 
 // Sources lists the cluster's source vertices for a relation, concatenated
 // across logical shards (one live replica each) and sorted for determinism.
-// Routed clients ask per logical shard and servers filter to the shard's
-// hash slice, so a server owning several shards is asked once per shard and
-// never double-reports, and migration-staged copies stay invisible.
+// Each logical shard is asked once and routed servers filter to the shard's
+// hash slice, so a server owning several shards never double-reports, and
+// migration-staged copies stay invisible.
 func (c *Client) Sources(et graph.EdgeType) ([]graph.VertexID, error) {
 	return c.SourcesCtx(context.Background(), et)
 }
@@ -1140,9 +1127,10 @@ func (c *Client) Sources(et graph.EdgeType) ([]graph.VertexID, error) {
 func (c *Client) SourcesCtx(ctx context.Context, et graph.EdgeType) ([]graph.VertexID, error) {
 	var mu sync.Mutex
 	var all []graph.VertexID
-	err := c.fanOut(c.numShards(), func(p int) error {
+	rt := c.route.Load()
+	err := c.fanOut(rt.m.NumShards, func(p int) error {
 		var reply SourcesReply
-		if err := c.readShard(ctx, p, ServiceName+".Sources", &SourcesArgs{Type: et}, &reply); err != nil {
+		if err := c.readShard(ctx, rt, p, ServiceName+".Sources", &SourcesArgs{Type: et}, &reply); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -1178,32 +1166,10 @@ func (c *Client) StatsCtx(ctx context.Context) (StatsReply, error) {
 		agg.NumSources += reply.NumSources
 		mu.Unlock()
 	}
-	if rt := c.route.Load(); rt != nil {
-		errs := make([]error, len(rt.groups))
-		var wg sync.WaitGroup
-		for g := range rt.groups {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				var reply StatsReply
-				if err := c.readGroup(ctx, g, rt.groups[g], &rt.rr[g], ServiceName+".Stats", &StatsArgs{}, &reply); err != nil {
-					errs[g] = err
-					return
-				}
-				collect(&reply)
-			}(g)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return agg, err
-			}
-		}
-		return agg, nil
-	}
-	err := c.fanOut(c.shards, func(p int) error {
+	rt := c.route.Load()
+	err := c.fanOut(len(rt.groups), func(g int) error {
 		var reply StatsReply
-		if err := c.readShard(ctx, p, ServiceName+".Stats", &StatsArgs{}, &reply); err != nil {
+		if err := c.readGroup(ctx, g, rt.groups[g], &rt.rr[g], ServiceName+".Stats", &StatsArgs{}, &reply); err != nil {
 			return err
 		}
 		collect(&reply)
@@ -1224,8 +1190,8 @@ func (c *Client) Close() error {
 }
 
 // fanOut runs fn(s) for shards logical shards concurrently, returning the
-// first error. The caller passes the shard count it partitioned under so a
-// concurrent first-time routing adoption cannot skew the fan-out width.
+// first error. The caller passes the shard count of the route it partitioned
+// under, so a concurrent adoption cannot skew the fan-out width.
 func (c *Client) fanOut(shards int, fn func(s int) error) error {
 	for _, err := range c.fanOutAll(shards, fn) {
 		if err != nil {

@@ -162,7 +162,7 @@ func (b *breaker) snapshot() (state breakerState, consecutiveFailures int, lastE
 // PeerHealth is one replica's view in a Client health report.
 type PeerHealth struct {
 	Peer      int    // global peer index
-	Shard     int    // logical shard the replica serves
+	Group     int    // Peer / R: the replica group the peer was dialed or learned in
 	Replica   int    // position within the replica group
 	Connected bool   // an RPC connection is currently established
 	Breaker   string // "closed", "open", or "half-open"
@@ -181,7 +181,7 @@ func (c *Client) Health() []PeerHealth {
 		p.mu.Unlock()
 		st, fails, lastErr := p.br.snapshot()
 		out[i] = PeerHealth{
-			Peer: i, Shard: p.shard, Replica: p.replica,
+			Peer: i, Group: i / c.replicas, Replica: p.replica,
 			Connected: connected, Breaker: st.String(), Failures: fails,
 			Stale: p.stale.Load(),
 		}

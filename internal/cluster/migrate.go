@@ -160,12 +160,9 @@ func (s *Service) FetchShardSnapshot(args *ShardSnapshotArgs, reply *ShardSnapsh
 	if !s.ready.Load() {
 		return ErrReplicaNotReady
 	}
-	rt := s.routing.Load()
-	if rt == nil {
-		return fmt.Errorf("cluster: cannot export shard %d: server has no shard map installed", args.Shard)
-	}
-	if args.Shard < 0 || args.Shard >= rt.m.NumShards {
-		return fmt.Errorf("cluster: shard %d out of range (%d logical shards)", args.Shard, rt.m.NumShards)
+	rt, err := s.shardRouting("export", args.Shard)
+	if err != nil {
+		return err
 	}
 	if !rt.owned[args.Shard] {
 		return notOwnerError(args.Shard, rt.m.Epoch)
@@ -233,12 +230,9 @@ func (s *Service) FetchShardFeatures(args *ShardFeaturesArgs, reply *ShardFeatur
 	start := time.Now()
 	defer s.metrics.ServerLatency.With("FetchShardFeatures").ObserveSince(start)
 	defer guard("FetchShardFeatures", &err)
-	rt := s.routing.Load()
-	if rt == nil {
-		return fmt.Errorf("cluster: cannot export shard %d features: server has no shard map installed", args.Shard)
-	}
-	if args.Shard < 0 || args.Shard >= rt.m.NumShards {
-		return fmt.Errorf("cluster: shard %d out of range (%d logical shards)", args.Shard, rt.m.NumShards)
+	rt, err := s.shardRouting("export features of", args.Shard)
+	if err != nil {
+		return err
 	}
 	if !rt.owned[args.Shard] {
 		return notOwnerError(args.Shard, rt.m.Epoch)
@@ -291,6 +285,9 @@ func (s *Service) ParkShard(args *ParkShardArgs, reply *ParkShardReply) (err err
 	start := time.Now()
 	defer s.metrics.ServerLatency.With("ParkShard").ObserveSince(start)
 	defer guard("ParkShard", &err)
+	if _, err := s.shardRouting("park", args.Shard); err != nil {
+		return err
+	}
 	if s.syncWAL == nil {
 		return fmt.Errorf("cluster: cannot park shard %d: server has no WAL to drain against", args.Shard)
 	}
@@ -342,12 +339,9 @@ func (s *Service) DropShard(args *DropShardArgs, reply *DropShardReply) (err err
 	start := time.Now()
 	defer s.metrics.ServerLatency.With("DropShard").ObserveSince(start)
 	defer guard("DropShard", &err)
-	rt := s.routing.Load()
-	if rt == nil {
-		return fmt.Errorf("cluster: refusing to drop shard %d: server has no shard map to verify ownership against", args.Shard)
-	}
-	if args.Shard < 0 || args.Shard >= rt.m.NumShards {
-		return fmt.Errorf("cluster: shard %d out of range (%d logical shards)", args.Shard, rt.m.NumShards)
+	rt, err := s.shardRouting("drop", args.Shard)
+	if err != nil {
+		return err
 	}
 	if rt.owned[args.Shard] {
 		return fmt.Errorf("cluster: refusing to drop shard %d: this server owns it at routing epoch %d", args.Shard, rt.m.Epoch)
@@ -440,14 +434,11 @@ func (s *Service) PullShard(args *PullShardArgs, reply *PullShardReply) (err err
 	defer guard("PullShard", &err)
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
-	rt := s.routing.Load()
-	if rt == nil {
-		return fmt.Errorf("cluster: cannot pull shard %d: server has no shard map installed", args.Shard)
+	rt, err := s.shardRouting("pull", args.Shard)
+	if err != nil {
+		return err
 	}
 	v := rt.m.NumShards
-	if args.Shard < 0 || args.Shard >= v {
-		return fmt.Errorf("cluster: shard %d out of range (%d logical shards)", args.Shard, v)
-	}
 	dial, err := s.resolveDialer(args.Source)
 	if err != nil {
 		return err

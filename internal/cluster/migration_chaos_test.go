@@ -136,8 +136,8 @@ func (h *migHarness) verifyConverged(m *ShardMap, servers []int) {
 		}
 		keep := func(src graph.VertexID) bool { return ownedSet[ShardOf(src, m.NumShards)] }
 		st := h.store(i)
-		want := canonicalDump(h.oracle, keep)
-		got := canonicalDump(st, nil)
+		want := canonicalDump(h.t, h.oracle, keep)
+		got := canonicalDump(h.t, st, nil)
 		if !bytes.Equal(got, want) {
 			h.t.Fatalf("server %d topology diverged from oracle projection (%d vs %d bytes; owns %v)",
 				i, len(got), len(want), m.OwnedBy(g))
@@ -491,7 +491,7 @@ func TestChaosMigrationKillDestMidReplay(t *testing.T) {
 		}
 		drop.DroppedEdges += dr.DroppedEdges
 	}
-	if got := canonicalDump(h.store(destIdx), nil); len(got) != 0 {
+	if got := canonicalDump(t, h.store(destIdx), nil); len(got) != 0 {
 		t.Fatalf("destination not empty after residue drop: %d bytes", len(got))
 	}
 	t.Logf("dropped %d residual staged edges from restarted destination", drop.DroppedEdges)

@@ -25,21 +25,13 @@ import (
 // every read does not re-probe a dead peer.
 const staleProbeMinInterval = 50 * time.Millisecond
 
-// NumShards returns the number of logical shards: the adopted shard map's
-// hash space when routed, one shard per replica group otherwise.
-func (c *Client) NumShards() int { return c.numShards() }
+// NumShards returns the number of logical shards the client partitions
+// under: the adopted shard map's hash space, or one shard per dialed
+// replica group under the epoch-0 frozen placement.
+func (c *Client) NumShards() int { return c.route.Load().m.NumShards }
 
 // NumReplicas returns the replica-group size R.
 func (c *Client) NumReplicas() int { return c.replicas }
-
-// group returns the peers serving logical shard s under the legacy frozen
-// placement (shard s = peer group s). Routed calls resolve groups through
-// the shard map instead.
-func (c *Client) group(s int) []*peer {
-	c.peerMu.RLock()
-	defer c.peerMu.RUnlock()
-	return c.peers[s*c.replicas : (s+1)*c.replicas]
-}
 
 // notReadyMsg is the wire form of a replica rejecting reads mid-catch-up.
 // It travels as an rpc.ServerError string, so detection is by prefix.
@@ -72,44 +64,44 @@ func failoverWorthy(err error) bool {
 	return retryable(err) || isNotReady(err) || IsOverloaded(err)
 }
 
-// shardTarget resolves logical shard s to the peers that serve it right
-// now: the shard map's owning group when routing is adopted, the frozen
-// placement's group s otherwise. It also returns the group's read-rotation
-// counter and the routing epoch to stamp on the request (0 = legacy).
-func (c *Client) shardTarget(s int) (group []*peer, rrc *atomic.Uint64, epoch uint64) {
-	if rt := c.route.Load(); rt != nil {
-		g := rt.m.Assign[s]
-		return rt.groups[g], &rt.rr[g], rt.m.Epoch
-	}
-	return c.group(s), &c.rr[s], 0
-}
-
-// readShard performs one read RPC against logical shard s, resolving it
-// through the shard map (when adopted) and bouncing on NotOwner: a
-// rejection with a newer routing epoch triggers a map refresh and a re-route
-// to the new owner, bounded by maxReroutes hops, so a mid-read cutover
-// costs a transparent retry instead of a failed operation.
-func (c *Client) readShard(ctx context.Context, s int, method string, args, reply any) error {
-	var lastErr error
+// readShard performs one read RPC against logical shard s of the route rt
+// the operation partitioned under, re-routing on NotOwner (see reroute) so a
+// mid-read cutover costs a transparent retry instead of a failed operation.
+func (c *Client) readShard(ctx context.Context, rt *clientRoute, s int, method string, args, reply any) error {
 	for hop := 0; ; hop++ {
-		group, rrc, epoch := c.shardTarget(s)
-		stampRoute(args, s, epoch)
-		err := c.readGroup(ctx, s, group, rrc, method, args, reply)
+		g := rt.m.Assign[s]
+		stampRoute(args, s, rt.m.Epoch)
+		err := c.readGroup(ctx, s, rt.groups[g], &rt.rr[g], method, args, reply)
 		if err == nil {
 			return nil
 		}
-		lastErr = err
-		if _, ok := notOwnerEpoch(err); !ok || epoch == 0 || hop >= maxReroutes {
-			break
-		}
-		c.metrics.Reroutes.Inc()
-		if !c.RefreshRouting(epoch + 1) {
-			// Rejected, but no newer map visible yet: the cutover push is
-			// mid-flight across the server set. Let it land.
-			time.Sleep(rerouteSettleDelay)
+		if rt = c.reroute(rt, err, hop); rt == nil {
+			return err
 		}
 	}
-	return lastErr
+}
+
+// reroute decides whether a shard call pinned to rt that failed with err
+// may try again, and under which route. Only a NotOwner rejection, within
+// maxReroutes hops, is re-routed: the client refreshes its map and retries
+// under the newer one when it keeps rt's hash space. A shard id hashed under
+// another NumShards (the frozen placement, when the first map is adopted)
+// names different vertices there, so the operation fails with the rejection
+// and the caller's next call partitions again. Returns nil to give up.
+func (c *Client) reroute(rt *clientRoute, err error, hop int) *clientRoute {
+	if _, ok := notOwnerEpoch(err); !ok || hop >= maxReroutes {
+		return nil
+	}
+	c.metrics.Reroutes.Inc()
+	if !c.RefreshRouting(rt.m.Epoch + 1) {
+		// Rejected, but no newer map visible yet: the cutover push is
+		// mid-flight across the server set. Let it land.
+		time.Sleep(rerouteSettleDelay)
+	}
+	if next := c.route.Load(); next.m.NumShards == rt.m.NumShards {
+		return next
+	}
+	return nil
 }
 
 // readGroup performs one read RPC against a replica group, load-balancing
@@ -125,7 +117,7 @@ func (c *Client) readGroup(ctx context.Context, s int, group []*peer, rrc *atomi
 	for k := 0; k < len(group); k++ {
 		pe := group[(start+k)%len(group)]
 		if pe.stale.Load() && !c.tryClearStale(pe) {
-			lastErr = fmt.Errorf("cluster: replica %d (shard %d) is stale", pe.idx, pe.shard)
+			lastErr = fmt.Errorf("cluster: replica %d (shard %d) is stale", pe.idx, s)
 			continue
 		}
 		// Only the last replica waits out an open breaker; the others fail
@@ -152,30 +144,22 @@ func (c *Client) readGroup(ctx context.Context, s int, group []*peer, rrc *atomi
 // failover flag.
 type writeCall func(ctx context.Context, pe *peer, maxRetries int, failover bool) error
 
-// writeShard routes one write to logical shard s, re-routing on NotOwner
-// exactly like readShard: args is re-stamped with the refreshed epoch before
-// every hop, and the server-side (ClientID, Seq) dedup makes the repeated
-// delivery at-most-once even when the first attempt did apply before the
-// reply was lost.
-func (c *Client) writeShard(ctx context.Context, s int, args any, call writeCall) error {
-	var lastErr error
+// writeShard routes one write to logical shard s of the route rt, re-routing
+// on NotOwner exactly like readShard: args is re-stamped with the refreshed
+// epoch before every hop, and the server-side (ClientID, Seq) dedup makes the
+// repeated delivery at-most-once even when the first attempt did apply
+// before the reply was lost.
+func (c *Client) writeShard(ctx context.Context, rt *clientRoute, s int, args any, call writeCall) error {
 	for hop := 0; ; hop++ {
-		group, _, epoch := c.shardTarget(s)
-		stampRoute(args, s, epoch)
-		err := c.writeGroup(ctx, s, group, call)
+		stampRoute(args, s, rt.m.Epoch)
+		err := c.writeGroup(ctx, s, rt.groups[rt.m.Assign[s]], call)
 		if err == nil {
 			return nil
 		}
-		lastErr = err
-		if _, ok := notOwnerEpoch(err); !ok || epoch == 0 || hop >= maxReroutes {
-			break
-		}
-		c.metrics.Reroutes.Inc()
-		if !c.RefreshRouting(epoch + 1) {
-			time.Sleep(rerouteSettleDelay)
+		if rt = c.reroute(rt, err, hop); rt == nil {
+			return err
 		}
 	}
-	return lastErr
 }
 
 // writeGroup fans a write out to every replica of a group concurrently. The

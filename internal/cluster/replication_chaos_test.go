@@ -37,8 +37,14 @@ import (
 // projected onto one shard. Zero-degree sources are skipped: a replica
 // rebuilt from a snapshot has no empty tree entries for edges deleted
 // before the snapshot, while a directly-written one does, and both are the
-// same graph.
-func canonicalDump(st *storage.DynamicStore, keep func(graph.VertexID) bool) []byte {
+// same graph. Every dump first checks the store's samtree invariants
+// (storage.DynamicStore.CheckInvariants), so each convergence point also
+// proves the sub-tree sums and routing keys survived the drill.
+func canonicalDump(t testing.TB, st *storage.DynamicStore, keep func(graph.VertexID) bool) []byte {
+	t.Helper()
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatalf("samtree invariants: %v", err)
+	}
 	var buf bytes.Buffer
 	stats := st.AllStats()
 	types := make([]graph.EdgeType, 0, len(stats))
@@ -336,11 +342,11 @@ func TestChaosReplicaFailoverAndCatchUp(t *testing.T) {
 	defer mu.Unlock()
 	for s := 0; s < shards; s++ {
 		shard := s
-		keep := func(src graph.VertexID) bool { return client.shardFor(src) == shard }
-		want := canonicalDump(oracle, keep)
+		keep := func(src graph.VertexID) bool { return ShardOf(src, client.NumShards()) == shard }
+		want := canonicalDump(t, oracle, keep)
 		for r := 0; r < replicas; r++ {
 			st := stores[s*replicas+r]
-			got := canonicalDump(st, nil)
+			got := canonicalDump(t, st, nil)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("shard %d replica %d topology diverged from oracle (%d vs %d bytes)", s, r, len(got), len(want))
 			}

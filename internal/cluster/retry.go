@@ -121,7 +121,6 @@ func DefaultOptions() Options {
 // out of the read rotation until it has demonstrably re-synced.
 type peer struct {
 	idx     int    // global peer index
-	shard   int    // logical shard this replica belongs to (legacy placement)
 	replica int    // position within the replica group
 	addr    string // advertised server address; "" for conn-only legacy peers
 	dial    Dialer // nil: no redial — a dead connection stays dead (legacy mode)

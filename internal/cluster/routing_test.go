@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/rpc"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func TestIdentityMapAndValidate(t *testing.T) {
 	bad := m.Clone()
 	bad.Epoch = 0
 	if err := bad.Validate(); err == nil {
-		t.Fatal("epoch 0 must be invalid (reserved for legacy)")
+		t.Fatal("epoch 0 must be invalid (reserved for the frozen placement)")
 	}
 	bad = m.Clone()
 	bad.Assign[0] = 5
@@ -176,7 +177,8 @@ func TestUpdateRoutingSemantics(t *testing.T) {
 		t.Fatal("NumShards change accepted")
 	}
 
-	// Ownership checks follow the installed map; legacy epoch-0 bypasses.
+	// Ownership checks follow the installed map; epoch 0 (a client's frozen
+	// placement) is rejected even for an owned shard.
 	var owned, notOwned int
 	for s := 0; s < 4; s++ {
 		if err := svc.checkRoute(s, 3); err == nil {
@@ -190,8 +192,11 @@ func TestUpdateRoutingSemantics(t *testing.T) {
 	if owned != 3 || notOwned != 1 { // self=1 owns shards 0 (migrated), 1, 3
 		t.Fatalf("owned=%d notOwned=%d, want 3/1", owned, notOwned)
 	}
-	if err := svc.checkRoute(0, 0); err != nil {
-		t.Fatalf("legacy request rejected: %v", err)
+	if epoch, ok := notOwnerEpoch(svc.checkRoute(0, 0)); !ok || epoch != 3 {
+		t.Fatalf("epoch-0 request on a routed server: NotOwner=%v epoch %d, want NotOwner at epoch 3", ok, epoch)
+	}
+	if err := newTestService(t).checkRoute(0, 0); err != nil {
+		t.Fatalf("epoch-0 request rejected by an unrouted server: %v", err)
 	}
 }
 
@@ -209,12 +214,198 @@ func TestShardExportsRejectOutOfRangeShard(t *testing.T) {
 		errs := map[string]error{
 			"FetchShardFeatures": svc.FetchShardFeatures(&ShardFeaturesArgs{Shard: shard}, &ShardFeaturesReply{}),
 			"FetchShardSnapshot": svc.FetchShardSnapshot(&ShardSnapshotArgs{Shard: shard}, &ShardSnapshotReply{}),
+			"ParkShard":          svc.ParkShard(&ParkShardArgs{Shard: shard}, &ParkShardReply{}),
 		}
 		for name, err := range errs {
 			if err == nil || !strings.Contains(err.Error(), "out of range (4 logical shards)") {
 				t.Errorf("%s(shard %d) = %v, want an out-of-range error", name, shard, err)
 			}
 		}
+	}
+	// An unrouted server has no shards to park: a park there would stall
+	// every frozen-placement write for the park TTL.
+	unrouted := newTestService(t)
+	if err := unrouted.ParkShard(&ParkShardArgs{Shard: 0}, &ParkShardReply{}); err == nil ||
+		!strings.Contains(err.Error(), "no shard map") {
+		t.Errorf("ParkShard on an unrouted server = %v, want a no-shard-map refusal", err)
+	}
+	if n := len(unrouted.parked); n != 0 {
+		t.Errorf("refused park left %d gates installed", n)
+	}
+}
+
+// TestClientDialedBeforeInitFollowsMap: a client built while the cluster was
+// unrouted routes under its epoch-0 frozen placement. After init and a grow
+// moved shards to a new server, its first write to a moved shard must fail
+// with NotOwner instead of landing on the old owner; the client then holds
+// the final map and its retry is visible to routed readers.
+func TestClientDialedBeforeInitFollowsMap(t *testing.T) {
+	const numShards = 4
+	h := newMigHarness(t, 2, &Metrics{})
+	defer h.lc.Shutdown()
+	client := h.lc.Client()
+	if client.RoutingMap() != nil {
+		t.Fatal("client on an unrouted cluster reports a shard map")
+	}
+	d := h.driver()
+	m, err := d.InitRouting([]string{LocalAddr(0), LocalAddr(1)}, 1, numShards)
+	if err != nil {
+		t.Fatalf("init routing: %v", err)
+	}
+	addr := h.lc.AddServer()
+	final, moved, err := d.Grow(m, []string{addr})
+	if err != nil || moved == 0 {
+		t.Fatalf("grow: moved %d, %v", moved, err)
+	}
+	newGroup := final.GroupOf(addr)
+	var srcs []graph.VertexID
+	var events []graph.Event
+	for v := graph.VertexID(0); len(srcs) < 20; v++ {
+		if final.Assign[ShardOf(v, numShards)] == newGroup {
+			srcs = append(srcs, v)
+			events = append(events, graph.Event{Kind: graph.AddEdge,
+				Edge: graph.Edge{Src: v, Dst: v + 1000, Type: 0, Weight: 1}})
+		}
+	}
+	cp := append([]graph.Event(nil), events...)
+	if _, ok := notOwnerEpoch(client.ApplyBatch(cp)); !ok {
+		t.Fatal("first write after init was not rejected with NotOwner")
+	}
+	if rm := client.RoutingMap(); rm == nil || rm.Epoch != final.Epoch {
+		t.Fatalf("client holds %v after the rejection, want epoch %d", rm, final.Epoch)
+	}
+	cp = append([]graph.Event(nil), events...)
+	if err := client.ApplyBatch(cp); err != nil {
+		t.Fatalf("retried write: %v", err)
+	}
+	reader := NewClientOptions(nil, []Dialer{h.lc.DialAddr(LocalAddr(0))}, Options{DialServer: h.lc.DialAddr})
+	defer reader.Close()
+	reader.SetPeerAddrs([]string{LocalAddr(0)})
+	if err := reader.AdoptRouting(final); err != nil {
+		t.Fatalf("reader adopt: %v", err)
+	}
+	degs, err := reader.Degree(srcs, 0)
+	if err != nil {
+		t.Fatalf("routed read: %v", err)
+	}
+	lost := 0
+	for _, deg := range degs {
+		if deg != 1 {
+			lost++
+		}
+	}
+	if lost != 0 {
+		t.Fatalf("%d/%d written sources read degree != 1 through a routed client", lost, len(srcs))
+	}
+}
+
+// TestFirstAdoptionNeverMisroutesReads: a read partitioned under the frozen
+// placement must never be answered under the first adopted map, whose shard
+// ids name another hash space. Reads on fresh epoch-0 clients race the
+// adoption of a grown map; every read that succeeds must be exact, and every
+// one that fails must be a NotOwner rejection.
+func TestFirstAdoptionNeverMisroutesReads(t *testing.T) {
+	const numShards, dim = 4, 2
+	h := newMigHarness(t, 2, &Metrics{})
+	defer h.lc.Shutdown()
+
+	// Load under the frozen 2-way placement before routing: an identity map
+	// with 4 shards over the same 2 servers keeps every source in place.
+	var nodes []graph.VertexID
+	var events []graph.Event
+	var feats []float32
+	var labels []int32
+	for v := graph.VertexID(0); v < 64; v++ {
+		nodes = append(nodes, v)
+		for k := graph.VertexID(0); k <= v%5; k++ {
+			events = append(events, graph.Event{Kind: graph.AddEdge,
+				Edge: graph.Edge{Src: v, Dst: 1000 + 8*v + k, Type: 0, Weight: 1}})
+		}
+		feats = append(feats, float32(v), -float32(v))
+		labels = append(labels, int32(v%7)+1)
+	}
+	loader := h.lc.Client()
+	if err := loader.ApplyBatch(events); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if err := loader.SetFeatures(nodes, dim, feats, labels); err != nil {
+		t.Fatalf("load features: %v", err)
+	}
+	d := h.driver()
+	m, err := d.InitRouting([]string{LocalAddr(0), LocalAddr(1)}, 1, numShards)
+	if err != nil {
+		t.Fatalf("init routing: %v", err)
+	}
+	final, moved, err := d.Grow(m, []string{h.lc.AddServer()})
+	if err != nil || moved == 0 {
+		t.Fatalf("grow: moved %d, %v", moved, err)
+	}
+
+	// Read every vertex many times over: the long id list widens the span
+	// between an operation loading its route and sending its first shard
+	// call, which the adoption below lands in.
+	var ids []graph.VertexID
+	for i := 0; i < 300; i++ {
+		ids = append(ids, nodes...)
+	}
+	check := func(err error, exact bool, what string) (ok bool) {
+		t.Helper()
+		if err != nil {
+			if _, notOwner := notOwnerEpoch(err); !notOwner {
+				t.Fatalf("%s failed with %v, want only NotOwner failures", what, err)
+			}
+			return false
+		}
+		if !exact {
+			t.Fatalf("%s succeeded with a wrong answer", what)
+		}
+		return true
+	}
+	var served, rejected int
+	for round := 0; round < 60; round++ {
+		c := NewClientOptions(nil, []Dialer{h.lc.DialAddr(LocalAddr(0)), h.lc.DialAddr(LocalAddr(1))},
+			Options{DialServer: h.lc.DialAddr})
+		c.SetPeerAddrs([]string{LocalAddr(0), LocalAddr(1)})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func(delay time.Duration) {
+			defer wg.Done()
+			time.Sleep(delay)
+			if err := c.AdoptRouting(final); err != nil {
+				t.Errorf("adopt: %v", err)
+			}
+		}(time.Duration(round%10) * 100 * time.Microsecond)
+		for i := 0; i < 4; i++ {
+			degs, err := c.Degree(ids, 0)
+			exact := err == nil
+			for j, v := range ids {
+				exact = exact && degs[j] == int(v%5)+1
+			}
+			if check(err, exact, "Degree") {
+				served++
+			} else {
+				rejected++
+			}
+			data, labs, err := c.FeaturesLabels(ids, dim)
+			exact = err == nil
+			for j, v := range ids {
+				exact = exact && data[j*dim] == float32(v) && data[j*dim+1] == -float32(v) && labs[j] == int32(v%7)+1
+			}
+			if check(err, exact, "FeaturesLabels") {
+				served++
+			} else {
+				rejected++
+			}
+		}
+		wg.Wait()
+		if rm := c.RoutingMap(); rm == nil || rm.Epoch != final.Epoch {
+			t.Fatalf("round %d: client holds %v, want epoch %d", round, rm, final.Epoch)
+		}
+		c.Close()
+	}
+	t.Logf("%d reads served exactly, %d rejected with NotOwner", served, rejected)
+	if served == 0 {
+		t.Fatal("no read succeeded after adoption")
 	}
 }
 

@@ -6,13 +6,14 @@
 // while the assignment of logical shards to server groups is a versioned,
 // changeable artifact (DistDGL and GLISP both treat placement this way).
 //
-// Every routed request carries its logical shard and the map epoch the
-// client routed under. A server that does not own that shard rejects with a
-// NotOwner error carrying its own epoch; the client refreshes its map from
-// any live server (the Routing RPC) and re-routes with a bounded retry
+// Every per-shard request carries its logical shard and the map epoch the
+// client routed under. A routed server that does not own that shard rejects
+// with a NotOwner error carrying its own epoch; the client refreshes its map
+// from any live server (the Routing RPC) and re-routes with a bounded retry
 // budget, so a cutover is a handful of transparent re-routes rather than a
-// failed operation. Epoch-0 requests bypass the check entirely — that is
-// the legacy protocol, still spoken by unrouted clusters.
+// failed operation. Epoch 0 is the client's frozen placement (shard g =
+// dialed server group g): unrouted servers accept it, routed servers reject
+// it with NotOwner so the client adopts their map.
 package cluster
 
 import (
@@ -47,10 +48,10 @@ type ShardMap struct {
 	Assign    []int    // len NumShards; Assign[s] = owning server group
 }
 
-// IdentityMap builds the epoch-1 map equivalent to the legacy frozen
-// placement: shard s lives on server group s mod groups (with as many
-// logical shards as requested — typically a small multiple of the server
-// count, so there is something to move when the cluster grows).
+// IdentityMap builds the epoch-1 map that first routes a cluster: shard s
+// lives on server group s mod groups (with as many logical shards as
+// requested — typically a small multiple of the server count, so there is
+// something to move when the cluster grows).
 func IdentityMap(servers []string, replicas, numShards int) (*ShardMap, error) {
 	if replicas < 1 {
 		replicas = 1
@@ -131,7 +132,7 @@ func (m *ShardMap) Clone() *ShardMap {
 // Validate checks structural invariants.
 func (m *ShardMap) Validate() error {
 	if m.Epoch == 0 {
-		return fmt.Errorf("cluster: shard map epoch 0 is reserved for unrouted requests")
+		return fmt.Errorf("cluster: shard map epoch 0 is reserved for the client's frozen placement")
 	}
 	r := m.Replicas
 	if r < 1 {
@@ -364,35 +365,37 @@ func notOwnerEpoch(err error) (uint64, bool) {
 	return epoch, true
 }
 
-// checkRoute is the server-side ownership gate: epoch-0 requests (legacy
-// unrouted clients) and unrouted servers pass; otherwise the shard must be
-// owned under the installed map. The rejection carries this server's epoch
-// so a stale client knows to refresh.
+// checkRoute is the server-side ownership gate: an unrouted server passes
+// everything; a routed one requires the shard to be owned under its map and
+// rejects epoch 0 (the frozen placement, whose shard ids name a different
+// hash space) outright. The rejection carries this server's epoch so a
+// stale client knows to refresh.
 func (s *Service) checkRoute(shard int, epoch uint64) error {
-	if epoch == 0 {
-		return nil
-	}
 	rt := s.routing.Load()
-	if rt == nil {
+	switch {
+	case rt == nil:
 		return nil
-	}
-	if shard < 0 || shard >= rt.m.NumShards {
+	case epoch != 0 && (shard < 0 || shard >= rt.m.NumShards):
 		return fmt.Errorf("cluster: shard %d out of range (%d logical shards)", shard, rt.m.NumShards)
-	}
-	if !rt.owned[shard] {
+	case epoch == 0 || !rt.owned[shard]:
 		s.metrics.NotOwnerRejects.Inc()
 		return notOwnerError(shard, rt.m.Epoch)
 	}
 	return nil
 }
 
-// routedNumShards returns the logical shard count the server routes under,
-// or 0 when unrouted.
-func (s *Service) routedNumShards() int {
-	if rt := s.routing.Load(); rt != nil {
-		return rt.m.NumShards
+// shardRouting returns the installed map for a shard control operation
+// (export, park, pull, drop), refusing when the server has no map to check
+// ownership against or shard lies outside the map's hash space.
+func (s *Service) shardRouting(op string, shard int) (*serviceRouting, error) {
+	rt := s.routing.Load()
+	if rt == nil {
+		return nil, fmt.Errorf("cluster: cannot %s shard %d: server has no shard map installed", op, shard)
 	}
-	return 0
+	if shard < 0 || shard >= rt.m.NumShards {
+		return nil, fmt.Errorf("cluster: shard %d out of range (%d logical shards)", shard, rt.m.NumShards)
+	}
+	return rt, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -411,12 +414,8 @@ type shardGate struct {
 // the gate releases (cutover routing push, explicit ReleaseShard, or TTL
 // expiry), then re-checks ownership — after a cutover the shard has a new
 // owner and the parked write must bounce, not apply. Called before pauseMu
-// so parked writes cannot deadlock ParkShard's own drain barrier. Legacy
-// (epoch-0) writes bypass the gate, exactly as they bypass routing.
+// so parked writes cannot deadlock ParkShard's own drain barrier.
 func (s *Service) gateShardWrite(shard int, epoch uint64) error {
-	if epoch == 0 {
-		return nil
-	}
 	s.parkMu.Lock()
 	gate, ok := s.parked[shard]
 	s.parkMu.Unlock()
@@ -482,7 +481,7 @@ func (s *Service) ReleaseAllShards() {
 type RoutingArgs struct{}
 
 // RoutingReply carries the server's installed shard map. Has is false on an
-// unrouted (legacy) server.
+// unrouted server.
 type RoutingReply struct {
 	Has bool
 	Map ShardMap
@@ -515,9 +514,9 @@ type UpdateRoutingReply struct {
 
 // UpdateRouting installs a newer shard map. The server resolves its own
 // group by its advertised address; a server absent from the map owns
-// nothing (it keeps serving legacy traffic and NotOwner-bounces routed
-// requests). Stale pushes (epoch <= installed) are ignored, making the
-// driver's fan-out push idempotent and unordered-safe.
+// nothing and NotOwner-bounces every per-shard request. Stale pushes
+// (epoch <= installed) are ignored, making the driver's fan-out push
+// idempotent and unordered-safe.
 func (s *Service) UpdateRouting(args *UpdateRoutingArgs, reply *UpdateRoutingReply) (err error) {
 	start := time.Now()
 	defer s.metrics.ServerLatency.With("UpdateRouting").ObserveSince(start)
@@ -607,8 +606,9 @@ const rerouteSettleDelay = 10 * time.Millisecond
 // AdoptRouting installs a shard map on the client: peers are created for
 // any servers the client has not dialed yet (via Options.DialServer, TCP by
 // default), and all per-shard operations route through the map from the
-// next call on. NumShards is fixed once adopted; only newer epochs of the
-// same hash space are accepted.
+// next call on. The first map replaces the epoch-0 frozen placement and may
+// change NumShards; after that only newer epochs of the same hash space are
+// accepted.
 func (c *Client) AdoptRouting(m *ShardMap) error {
 	c.refreshMu.Lock()
 	defer c.refreshMu.Unlock()
@@ -622,13 +622,12 @@ func (c *Client) adoptLocked(m *ShardMap) error {
 	if m.Replicas != c.replicas {
 		return fmt.Errorf("cluster: shard map has %d replicas per group, client is configured for %d", m.Replicas, c.replicas)
 	}
-	if cur := c.route.Load(); cur != nil {
-		if m.NumShards != cur.m.NumShards {
-			return fmt.Errorf("cluster: shard map changes NumShards %d -> %d", cur.m.NumShards, m.NumShards)
-		}
-		if m.Epoch <= cur.m.Epoch {
-			return nil // already current
-		}
+	cur := c.route.Load()
+	if cur.m.Epoch != 0 && m.NumShards != cur.m.NumShards {
+		return fmt.Errorf("cluster: shard map changes NumShards %d -> %d", cur.m.NumShards, m.NumShards)
+	}
+	if m.Epoch <= cur.m.Epoch {
+		return nil // already current
 	}
 	m = m.Clone()
 	groups := make([][]*peer, m.NumGroups())
@@ -647,10 +646,10 @@ func (c *Client) adoptLocked(m *ShardMap) error {
 	return nil
 }
 
-// RoutingMap returns the client's adopted shard map (a copy), or nil for an
-// unrouted client.
+// RoutingMap returns the client's adopted shard map (a copy), or nil while
+// it routes under the epoch-0 frozen placement.
 func (c *Client) RoutingMap() *ShardMap {
-	if rt := c.route.Load(); rt != nil {
+	if rt := c.route.Load(); rt.m.Epoch != 0 {
 		return rt.m.Clone()
 	}
 	return nil
@@ -671,7 +670,7 @@ func (c *Client) peerFor(addr string) (*peer, error) {
 	}
 	idx := len(c.peers)
 	pe := &peer{
-		idx: idx, shard: idx / c.replicas, replica: idx % c.replicas,
+		idx: idx, replica: idx % c.replicas,
 		addr: addr, dial: dial,
 		br: newBreaker(c.opts.BreakerThreshold, c.opts.BreakerCooldown, c.metrics),
 	}
@@ -696,9 +695,6 @@ func (c *Client) dialServer(addr string) Dialer {
 // handle multi-step cutovers).
 func (c *Client) RefreshRouting(minEpoch uint64) bool {
 	cur := c.route.Load()
-	if cur == nil {
-		return false
-	}
 	c.refreshMu.Lock()
 	defer c.refreshMu.Unlock()
 	if now := c.route.Load(); now.m.Epoch > cur.m.Epoch && now.m.Epoch >= minEpoch {
@@ -725,7 +721,7 @@ func (c *Client) RefreshRouting(minEpoch uint64) bool {
 
 // handshake validates and adopts routing state at dial time. Every replica
 // group is asked for its map; the cluster must be uniformly routed or
-// uniformly legacy — a mix means some server lost (or never received) the
+// uniformly unrouted — a mix means some server lost (or never received) the
 // map and would silently mis-route writes, so the dial fails fast with the
 // repair instruction instead.
 func (c *Client) handshake(addrs []string) error {
@@ -734,7 +730,7 @@ func (c *Client) handshake(addrs []string) error {
 		m    *ShardMap
 	}
 	var routed []report
-	var legacy []string
+	var unrouted []string
 	groups := len(addrs) / c.replicas
 	for g := 0; g < groups; g++ {
 		answered := false
@@ -748,17 +744,17 @@ func (c *Client) handshake(addrs []string) error {
 			if reply.Has {
 				routed = append(routed, report{addr: addrs[idx], m: &reply.Map})
 			} else {
-				legacy = append(legacy, addrs[idx])
+				unrouted = append(unrouted, addrs[idx])
 			}
 		}
 	}
 	if len(routed) == 0 {
-		return nil // uniformly legacy: frozen hash placement, as before
+		return nil // uniformly unrouted: keep the epoch-0 frozen placement
 	}
-	if len(legacy) > 0 {
+	if len(unrouted) > 0 {
 		return fmt.Errorf("cluster: handshake: server(s) %s have no shard map while %s is at routing epoch %d — "+
 			"re-push the map (platod2gl-rebalance -servers ... push) before serving traffic",
-			strings.Join(legacy, ","), routed[0].addr, routed[0].m.Epoch)
+			strings.Join(unrouted, ","), routed[0].addr, routed[0].m.Epoch)
 	}
 	best := routed[0]
 	for _, rep := range routed[1:] {

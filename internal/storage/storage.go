@@ -10,6 +10,7 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -368,6 +369,33 @@ func (s *DynamicStore) MemoryBytes() int64 {
 		})
 	}
 	return total
+}
+
+// CheckInvariants validates every samtree with core.Tree.CheckInvariants
+// (sub-tree weight sums, routing keys, sizes) and checks that NumEdges
+// equals the edges the trees hold. Writers must be quiescent.
+func (s *DynamicStore) CheckInvariants() error {
+	var total int64
+	var err error
+	for _, r := range s.relations() {
+		r.trees.Range(func(src uint64, ent *treeEntry) bool {
+			ent.mu.RLock()
+			defer ent.mu.RUnlock()
+			if err = ent.tree.CheckInvariants(); err != nil {
+				err = fmt.Errorf("storage: relation %d source %d: %w", r.et, src, err)
+				return false
+			}
+			total += int64(ent.tree.Len())
+			return true
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if n := s.NumEdges(); n != total {
+		return fmt.Errorf("storage: NumEdges %d but the samtrees hold %d edges", n, total)
+	}
+	return nil
 }
 
 // TreeStats summarizes the samtree population (used by the benchmark

@@ -398,3 +398,34 @@ func BenchmarkSampleNeighbors(b *testing.B) {
 		})
 	}
 }
+
+// TestCheckInvariants: a store churned through the batch path passes the
+// whole-store invariant check, and a drifted edge count is caught.
+func TestCheckInvariants(t *testing.T) {
+	s := newStore()
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("empty store: %v", err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for b := 0; b < 20; b++ {
+		events := make([]graph.Event, 500)
+		for i := range events {
+			kind := graph.AddEdge
+			if b > 2 && rng.Intn(4) == 0 {
+				kind = graph.DeleteEdge
+			}
+			events[i] = graph.Event{Kind: kind, Edge: graph.Edge{
+				Src: graph.VertexID(rng.Intn(50)), Dst: graph.VertexID(rng.Intn(400)),
+				Type: graph.EdgeType(rng.Intn(2)), Weight: rng.Float64() + 0.01,
+			}}
+		}
+		s.ApplyBatch(events)
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+	}
+	s.numEdges.Add(1)
+	if err := s.CheckInvariants(); err == nil {
+		t.Fatal("edge count off by one passed CheckInvariants")
+	}
+}
