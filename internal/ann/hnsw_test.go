@@ -1,8 +1,12 @@
 package ann
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -408,5 +412,211 @@ func TestRecallUnderChurn(t *testing.T) {
 	}
 	if got := m.Compactions.Load(); got != rounds {
 		t.Fatalf("%d compactions, want one per round (%d)", got, rounds)
+	}
+}
+
+// scanFarthest and scanSearchLayer are the reference beam search: the same
+// algorithm as searchLayer over a plain-slice result set whose farthest entry
+// is found by a linear scan. The heap search must return the same set.
+func scanFarthest(set []cand) int {
+	fi := 0
+	for i := 1; i < len(set); i++ {
+		if set[i].dist > set[fi].dist {
+			fi = i
+		}
+	}
+	return fi
+}
+
+func scanSearchLayer(ix *Index, q []float32, ep uint32, ef, level int, visited []uint32, epoch uint32) []cand {
+	var frontier candHeap
+	d0 := sqDist(q, ix.nodes[ep].vec)
+	frontier.push(cand{ep, d0})
+	visited[ep] = epoch
+	best := []cand{{ep, d0}}
+	for len(frontier) > 0 {
+		c := frontier.pop()
+		worst := best[scanFarthest(best)].dist
+		if c.dist > worst && len(best) >= ef {
+			break
+		}
+		for _, nb := range ix.nodes[c.ref].links[level] {
+			if visited[nb] == epoch {
+				continue
+			}
+			visited[nb] = epoch
+			d := sqDist(q, ix.nodes[nb].vec)
+			if len(best) < ef {
+				best = append(best, cand{nb, d})
+				frontier.push(cand{nb, d})
+			} else if fi := scanFarthest(best); d < best[fi].dist {
+				best[fi] = cand{nb, d}
+				frontier.push(cand{nb, d})
+			}
+		}
+	}
+	return best
+}
+
+// buildIndex inserts vecs under ids 0..len-1 into a fresh index seeded
+// with 1.
+func buildIndex(tb testing.TB, vecs [][]float32) *Index {
+	tb.Helper()
+	ix, err := New(Config{Dim: len(vecs[0]), Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, v := range vecs {
+		if err := ix.Insert(uint64(i), v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return ix
+}
+
+// TestGoldenGraphAndResults pins the graph and the search results on a
+// tie-free input: the FNV-64a hash of every node's links after inserting
+// clusteredVecs(2000, 32, 20, 1), and of the ids and distances of 300
+// Search(…, 11) calls. The expected hashes were recorded from the linear-scan
+// result set, so a faster search that changes a single link or result fails
+// here.
+func TestGoldenGraphAndResults(t *testing.T) {
+	const (
+		wantLinks   = 0x4a70cfd1af4e4e52
+		wantResults = 0xa9270af6798022a6
+	)
+	vecs := clusteredVecs(2000, 32, 20, 1)
+	ix := buildIndex(t, vecs)
+
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, nd := range ix.nodes {
+		put(nd.id)
+		put(uint64(len(nd.links)))
+		for _, level := range nd.links {
+			put(uint64(len(level)))
+			for _, nb := range level {
+				put(uint64(nb))
+			}
+		}
+	}
+	links := h.Sum64()
+
+	h.Reset()
+	for _, q := range vecs[:300] {
+		res, err := ix.Search(q, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(uint64(len(res)))
+		for _, r := range res {
+			put(r.ID)
+			put(uint64(math.Float32bits(r.Dist)))
+		}
+	}
+	results := h.Sum64()
+
+	if links != wantLinks || results != wantResults {
+		t.Fatalf("links hash %#x, results hash %#x; want %#x, %#x", links, results, uint64(wantLinks), uint64(wantResults))
+	}
+}
+
+// sameCands fails unless got and want hold the same (ref, dist) pairs in any
+// order.
+func sameCands(t *testing.T, what string, got, want []cand) {
+	t.Helper()
+	order := func(a, b cand) int {
+		if c := byDist(a, b); c != 0 {
+			return c
+		}
+		return int(a.ref) - int(b.ref)
+	}
+	g, w := slices.Clone(got), slices.Clone(want)
+	slices.SortFunc(g, order)
+	slices.SortFunc(w, order)
+	if !slices.Equal(g, w) {
+		t.Fatalf("%s: heap search returned %d results %v, scan %d %v", what, len(g), g, len(w), w)
+	}
+}
+
+// TestHeapSearchMatchesScan is the oracle for the max-heap result set: on
+// every level and ef in {1, 16, 64, 200}, searchLayer returns exactly the
+// (ref, dist) set of the linear-scan search it replaced.
+func TestHeapSearchMatchesScan(t *testing.T) {
+	const dim = 32
+	vecs := clusteredVecs(5000, dim, 20, 1)
+	ix := buildIndex(t, vecs)
+	rng := rand.New(rand.NewSource(2))
+	vs := new(visitSet)
+	visited := make([]uint32, len(ix.nodes))
+	for qi := 0; qi < 200; qi++ {
+		base := vecs[rng.Intn(len(vecs))]
+		q := make([]float32, dim)
+		for j := range q {
+			q[j] = base[j] + float32(rng.NormFloat64()*0.25)
+		}
+		ep := uint32(ix.entry)
+		for level := ix.maxLevel; level >= 0; level-- {
+			for _, ef := range []int{1, 16, 64, 200} {
+				clear(visited)
+				want := scanSearchLayer(ix, q, ep, ef, level, visited, 1)
+				got := ix.searchLayer(q, ep, ef, level, vs)
+				sameCands(t, fmt.Sprintf("query %d level %d ef %d", qi, level, ef), got, want)
+			}
+			if level > 0 {
+				ep = ix.greedyDescend(q, ep, level)
+			}
+		}
+	}
+}
+
+// TestVisitSetEpochWrap runs three searches across the epoch wrap of a
+// pooled visit set whose marks hold stale small epochs. Without clearing the
+// marks at the wrap, the searches at epochs 1 and 2 (or 0) would take
+// unvisited nodes for visited and silently skip them.
+func TestVisitSetEpochWrap(t *testing.T) {
+	vecs := clusteredVecs(600, 16, 8, 9)
+	ix := buildIndex(t, vecs)
+	vs := ix.visits.Get().(*visitSet)
+	defer ix.visits.Put(vs)
+	vs.next(len(ix.nodes))
+	for i := range vs.marks {
+		vs.marks[i] = uint32(i % 3)
+	}
+	vs.epoch = math.MaxUint32 - 1
+	ep := uint32(ix.entry)
+	for i, q := range vecs[:3] {
+		want := scanSearchLayer(ix, q, ep, 64, 0, make([]uint32, len(ix.nodes)), 1)
+		got := ix.searchLayer(q, ep, 64, 0, vs)
+		sameCands(t, fmt.Sprintf("search %d at epoch %d", i, vs.epoch), got, want)
+	}
+	if vs.epoch != 2 {
+		t.Fatalf("epoch after three searches from MaxUint32-1 = %d, want 2 (wrapped past 0)", vs.epoch)
+	}
+}
+
+// TestSearchAllocs pins Search's allocations: with the visit set pooled, only
+// the returned []Result allocates. AllocsPerRun averages over 200 calls, so
+// the odd pool miss after a GC does not lift the count; any new per-call
+// allocation does.
+func TestSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	vecs := clusteredVecs(1000, 32, 20, 1)
+	ix := buildIndex(t, vecs)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := ix.Search(vecs[i%len(vecs)], 11); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 1 {
+		t.Fatalf("Search allocates %.0f times per call, want 1", allocs)
 	}
 }

@@ -11,13 +11,17 @@ import (
 // runs: inserters, deleters, upserters, and searchers pound one index
 // concurrently. Correctness here is "no race, no panic, invariants hold";
 // recall under concurrent mutation is covered by the serving churn drill.
+// Compaction shrinks the arena under the searchers' pooled visit sets and
+// inserts grow it back past them, so a visit set that is not resized to the
+// arena at every search panics with an index out of range here.
 func TestConcurrentInsertSearchDeleteHammer(t *testing.T) {
 	const (
 		dim        = 8
 		idSpace    = 512
 		opsPerGoro = 400
 	)
-	ix, err := New(Config{Dim: dim, Seed: 23, M: 8, EfConstruction: 40, EfSearch: 24, MaxTombstoneShare: 0.3})
+	m := &Metrics{}
+	ix, err := New(Config{Dim: dim, Seed: 23, M: 8, EfConstruction: 40, EfSearch: 24, MaxTombstoneShare: 0.3, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +68,11 @@ func TestConcurrentInsertSearchDeleteHammer(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("searcher panicked: %v", r)
+				}
+			}()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < opsPerGoro; i++ {
 				res, err := ix.Search(mkVec(rng), 5)
@@ -86,6 +95,9 @@ func TestConcurrentInsertSearchDeleteHammer(t *testing.T) {
 
 	if searches.Load() == 0 || withResults.Load() == 0 {
 		t.Fatalf("hammer did no useful work: %d searches, %d with results", searches.Load(), withResults.Load())
+	}
+	if m.Compactions.Load() == 0 {
+		t.Fatal("hammer never compacted, so the arena never shrank under a search")
 	}
 	if n := ix.Len(); n < 0 || n > idSpace {
 		t.Fatalf("Len() = %d outside [0, %d]", n, idSpace)

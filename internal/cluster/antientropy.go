@@ -122,7 +122,8 @@ type DigestReply struct {
 
 // localDigest computes this server's digests under a write quiesce, so a
 // digest is never torn mid-batch. The Pause barrier is the same one
-// snapshots use; the walk is O(edges) but only the scrubber cadence pays it.
+// snapshots use; the walk is O(edges), paid on every scrubber round and
+// every serving-refresher poll.
 func (s *Service) localDigest(shard, numShards int) (DigestReply, error) {
 	var reply DigestReply
 	if shard >= 0 && numShards <= 0 {
