@@ -3,6 +3,7 @@ package gnn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"platod2gl/internal/dataset"
@@ -201,24 +202,69 @@ func TestLayer1GradientsWithRepeats(t *testing.T) {
 	}
 }
 
-// BenchmarkGNNTrainStep times one TrainStep on batches sampled, through
-// view.Local, from train-cluster's graph: OGBN-sim scaled to 100 000
-// events, 256 seeds, fan-outs 10×5, 64 features → 32 hidden → 8 classes.
-// rows/batch is the block's distinct vertices per batch.
-func BenchmarkGNNTrainStep(b *testing.B) {
-	v, ids := ogbnView(b, 100_000, 64, 8)
+// trainStepInput is BenchmarkGNNTrainStep's input: a trainer over
+// train-cluster's graph through view.Local — OGBN-sim scaled to 100 000
+// events, fan-outs 10×5, 64 features → 32 hidden → 8 classes — and eight
+// batches of 256 seeds sampled from it, with their total feature rows.
+func trainStepInput(tb testing.TB) (tr *Trainer, batches []*Batch, rows int) {
+	v, ids := ogbnView(tb, 100_000, 64, 8)
 	rng := rand.New(rand.NewSource(8))
-	tr := NewTrainer(NewModel(64, 32, 8, rng), v, 0, 10, 5, 0.01)
-	batches := make([]*Batch, 8)
-	rows := 0
+	tr = NewTrainer(NewModel(64, 32, 8, rng), v, 0, 10, 5, 0.01)
+	batches = make([]*Batch, 8)
 	for i := range batches {
-		batches[i] = mustBatch(b, tr.SampleBatch, seedBatch(rng, ids, 256))
+		batches[i] = mustBatch(tb, tr.SampleBatch, seedBatch(rng, ids, 256))
 		rows += batches[i].X.Rows
 	}
+	return tr, batches, rows
+}
+
+// TestTrainStepAllocs pins the cost of a step on BenchmarkGNNTrainStep's
+// input: its batches hold 2611 feature rows each on average (20 886 in
+// all), and a TrainStep makes at most 39 allocations. The count is exact
+// once AllocsPerRun's warm-up step has allocated Adam's moments, so the
+// ceiling is today's count and one more allocation per step fails. A
+// change that lowers the count lowers the ceiling with it.
+func TestTrainStepAllocs(t *testing.T) {
+	tr, batches, rows := trainStepInput(t)
+	if rows != 20_886 {
+		t.Fatalf("%d feature rows in %d batches, want 20 886 (2611 per batch)", rows, len(batches))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(batches), func() {
+		tr.TrainStep(batches[i%len(batches)])
+		i++
+	})
+	if allocs > 39 {
+		t.Fatalf("TrainStep makes %v allocations, ceiling 39", allocs)
+	}
+}
+
+// BenchmarkGNNTrainStep times one TrainStep on trainStepInput's batches.
+// rows/batch is the block's distinct vertices per batch.
+func BenchmarkGNNTrainStep(b *testing.B) {
+	tr, batches, rows := trainStepInput(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.TrainStep(batches[i%len(batches)])
 	}
 	b.ReportMetric(float64(rows)/float64(len(batches)), "rows/batch")
+}
+
+// TestDedupe: distinct lists the self vertices, then the rest, each in
+// first-occurrence order, vertex 0 included; rows maps every position to
+// its vertex; an empty input gives empty lists.
+func TestDedupe(t *testing.T) {
+	self := [][]graph.VertexID{{7, 0, 7}, {3, 0}}
+	rest := []graph.VertexID{9, 3, 9, 11, 0}
+	distinct, rows, nSelf := dedupe(self, rest)
+	wantDistinct := []graph.VertexID{7, 0, 3, 9, 11}
+	wantRows := []int32{0, 1, 0, 2, 1, 3, 2, 3, 4, 1}
+	if nSelf != 3 || !slices.Equal(distinct, wantDistinct) || !slices.Equal(rows, wantRows) {
+		t.Fatalf("dedupe = %v, %v, %d; want %v, %v, 3", distinct, rows, nSelf, wantDistinct, wantRows)
+	}
+	distinct, rows, nSelf = dedupe([][]graph.VertexID{nil}, nil)
+	if len(distinct) != 0 || len(rows) != 0 || nSelf != 0 {
+		t.Fatalf("dedupe of nothing = %v, %v, %d", distinct, rows, nSelf)
+	}
 }

@@ -29,7 +29,7 @@ type GATLayer struct {
 	hs, hn        *Matrix
 	alpha         *Matrix // n×fanout
 	preMask       *Matrix // LeakyReLU gradient factors, n×fanout
-	outMask       *Matrix
+	out           *Matrix // the activation, which ReLU's backward reads
 	fanout        int
 }
 
@@ -53,6 +53,8 @@ func NewGATLayer(in, out int, act bool, rng *rand.Rand) *GATLayer {
 
 // Forward combines self embeddings (n×in) with their fanout neighbors
 // ((n*fanout)×in) into attention-weighted representations (n×out).
+// Backward reads the returned matrix, so the caller must not modify it
+// before then.
 func (l *GATLayer) Forward(xSelf, xNeigh *Matrix, fanout int) *Matrix {
 	if xNeigh.Rows != xSelf.Rows*fanout {
 		panic("gnn: GAT neighbor rows != n*fanout")
@@ -113,10 +115,9 @@ func (l *GATLayer) Forward(xSelf, xNeigh *Matrix, fanout int) *Matrix {
 		}
 	}
 	if l.Act {
-		l.outMask = ReluInPlace(out)
-	} else {
-		l.outMask = nil
+		ReluInPlace(out)
 	}
+	l.out = out
 	return out
 }
 
@@ -131,14 +132,14 @@ func (l *GATLayer) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
 // gradients. It returns the gradients at the projected self and neighbor
 // rows (x·W), which only Backward needs: a first layer, whose inputs are
 // constant features, calls this and skips the two input-gradient products.
+// With an activation, ReLU's backward scales dOut in place.
 func (l *GATLayer) BackwardWeights(dOut *Matrix) (dHs, dHn *Matrix) {
 	n := l.xSelf.Rows
 	o := l.W.Cols
 	f := l.fanout
 	dz := dOut
-	if l.outMask != nil {
-		dz = dOut.Clone()
-		MulMaskInPlace(dz, l.outMask)
+	if l.Act {
+		reluBackwardInPlace(dz, l.out)
 	}
 	dHs = NewMatrix(n, o)
 	dHn = NewMatrix(n*f, o)

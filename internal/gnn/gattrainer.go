@@ -64,9 +64,9 @@ func NewGATTrainer(model *GATModel, v view.GraphView, rel graph.EdgeType, fanout
 
 // SampleBatch expands seeds two hops (both at Fanout) and builds the same
 // block as Trainer.SampleBatch: one feature call over the distinct
-// vertices, plus the seeds' labels.
+// vertices, plus the seeds' labels, each checked against the classes.
 func (t *GATTrainer) SampleBatch(seeds []graph.VertexID) (*Batch, error) {
-	return sampleBatch(t.View, seeds, t.Rel, t.Fanout, t.Fanout, t.Model.InDim)
+	return sampleBatch(t.View, seeds, t.Rel, t.Fanout, t.Fanout, t.Model.InDim, t.Model.Out)
 }
 
 // Forward runs the 2-layer attention model, returning seed logits. Layer 1

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -23,7 +24,7 @@ type SAGELayer struct {
 	// Forward cache.
 	xSelf, xNeigh *Matrix
 	selfRows      []int32 // nil: row i's self input is xSelf's row i
-	mask          *Matrix
+	out           *Matrix // the activation, which ReLU's backward reads
 }
 
 // NewSAGELayer returns a Glorot-initialized layer.
@@ -41,7 +42,8 @@ func NewSAGELayer(in, out int, act bool, rng *rand.Rand) *SAGELayer {
 
 // Forward combines the self embeddings (n×in) with the pooled neighbor
 // embeddings (n×in) into the next representations (n×out), caching
-// intermediates for Backward.
+// intermediates for Backward. Backward reads the returned matrix, so the
+// caller must not modify it before then.
 func (l *SAGELayer) Forward(xSelf, xNeigh *Matrix) *Matrix {
 	return l.ForwardRows(xSelf, nil, xNeigh)
 }
@@ -51,40 +53,55 @@ func (l *SAGELayer) Forward(xSelf, xNeigh *Matrix) *Matrix {
 // once. It is Apply plus the caches Backward reads.
 func (l *SAGELayer) ForwardRows(xSelf *Matrix, selfRows []int32, xNeigh *Matrix) *Matrix {
 	l.xSelf, l.selfRows, l.xNeigh = xSelf, selfRows, xNeigh
-	var z *Matrix
-	z, l.mask = l.Apply(xSelf, selfRows, xNeigh)
-	return z
+	l.out = l.Apply(xSelf, selfRows, xNeigh)
+	return l.out
 }
 
 // Apply computes ForwardRows' output from the weights alone, caching
-// nothing, so concurrent callers may share the layer. It also returns the
-// ReLU mask, nil when the layer has no activation. x·Wself is row-wise, so
-// it projects every row of xSelf once and gathers the products; each output
-// row gets the same bits as Forward on the gathered inputs. A nil selfRows
-// means row i reads row i.
-func (l *SAGELayer) Apply(xSelf *Matrix, selfRows []int32, xNeigh *Matrix) (out, mask *Matrix) {
-	out = MatMul(xSelf, l.Wself)
-	if selfRows != nil {
-		out = GatherRows(out, selfRows)
+// nothing, so concurrent callers may share the layer. x·Wself is row-wise,
+// so it projects every row of xSelf once, and output row i starts from
+// xNeigh·Wneigh's row i and adds the projection of its self row: one
+// float32 add of the same two values Forward on the gathered inputs adds,
+// so the bits are the same. A nil selfRows means row i reads row i.
+func (l *SAGELayer) Apply(xSelf *Matrix, selfRows []int32, xNeigh *Matrix) *Matrix {
+	out := MatMul(xNeigh, l.Wneigh)
+	self := MatMul(xSelf, l.Wself)
+	if selfRows == nil {
+		AddInPlace(out, self)
+	} else {
+		addRowsOf(out, self, selfRows)
 	}
-	AddInPlace(out, MatMul(xNeigh, l.Wneigh))
 	AddBiasRow(out, l.Bias)
 	if l.Act {
-		mask = ReluInPlace(out)
+		ReluInPlace(out)
 	}
-	return out, mask
+	return out
+}
+
+// addRowsOf adds m's row rows[i] to out's row i, for every row of out.
+func addRowsOf(out, m *Matrix, rows []int32) {
+	if len(rows) != out.Rows || m.Cols != out.Cols {
+		panic(fmt.Sprintf("gnn: adding %d indexed rows of width %d to %dx%d", len(rows), m.Cols, out.Rows, out.Cols))
+	}
+	for i, r := range rows {
+		orow, mrow := out.Row(i), m.Row(int(r))
+		for j := range orow {
+			orow[j] += mrow[j]
+		}
+	}
 }
 
 // BackwardWeights consumes dL/doutput and accumulates the weight and bias
 // gradients. It returns dL/dz, the gradient before the activation, which
 // only Backward needs: a first layer, whose inputs are constant features,
-// calls this and skips the two input-gradient products. After ForwardRows,
-// dz is summed into the distinct self rows before the Wself product.
+// calls this and skips the two input-gradient products. With an
+// activation, dz is dOut scaled in place by ReLU's backward, so dOut is
+// overwritten. After ForwardRows, dz is summed into the distinct self rows
+// before the Wself product.
 func (l *SAGELayer) BackwardWeights(dOut *Matrix) (dz *Matrix) {
 	dz = dOut
-	if l.mask != nil {
-		dz = dOut.Clone()
-		MulMaskInPlace(dz, l.mask)
+	if l.Act {
+		reluBackwardInPlace(dz, l.out)
 	}
 	dzSelf := dz
 	if l.selfRows != nil {

@@ -78,7 +78,7 @@ func (t *LinkTrainer) embed(nodes []graph.VertexID) (*Matrix, error) {
 		return nil, err
 	}
 	xNeigh := MeanPoolRows(x, rows[len(nodes):], t.Fanout)
-	return t.Model.Enc.ForwardRows(headRows(x, nSelf), rows[:len(nodes)], xNeigh), nil
+	return t.Model.Enc.ForwardRows(rowView(x, 0, nSelf), rows[:len(nodes)], xNeigh), nil
 }
 
 // TrainStep trains on a batch of positive edges plus one uniform negative

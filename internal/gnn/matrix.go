@@ -65,14 +65,34 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // MatMul computes a·b into a fresh (a.Rows × b.Cols) matrix. Each output
-// element sums a[i][k]·b[k][j] in ascending k, one float32 add per term.
-// Rows go in pairs and k in fours through addTile; a last odd row or k
-// takes addRow.
+// element sums a[i][k]·b[k][j] in ascending k, one float32 multiply and one
+// float32 add per term, whichever kernel runs.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("gnn: matmul shape mismatch (%dx%d)·(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(a.Rows, b.Cols)
+	matMul(out, a, b)
+	return out
+}
+
+// MatMulAT computes aᵀ·b (a is k×m, b is k×n, result m×n) — the weight
+// gradient shape in backprop. Each output element sums a[k][i]·b[k][j] in
+// ascending k, one float32 multiply and one float32 add per term.
+func MatMulAT(a, b *Matrix) *Matrix {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("gnn: matmulAT shape mismatch (%dx%d)ᵀ·(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	out := NewMatrix(a.Cols, b.Cols)
+	matMulAT(out, a, b)
+	return out
+}
+
+// matMulGo is MatMul's pure-Go kernel, into a zeroed out: the fallback
+// without AVX2 and the oracle the vector kernel is tested against. Rows go
+// in pairs and k in fours through addTile; a last odd row or k takes
+// addRow.
+func matMulGo(out, a, b *Matrix) {
 	i := 0
 	for ; i+2 <= a.Rows; i += 2 {
 		a0, a1 := a.Row(i), a.Row(i+1)
@@ -93,17 +113,11 @@ func MatMul(a, b *Matrix) *Matrix {
 			addRow(orow, av, b.Row(k))
 		}
 	}
-	return out
 }
 
-// MatMulAT computes aᵀ·b (a is k×m, b is k×n, result m×n) — the weight
-// gradient shape in backprop. Each output element sums a[k][i]·b[k][j] in
-// ascending k, one float32 add per term, tiled like MatMul.
-func MatMulAT(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("gnn: matmulAT shape mismatch (%dx%d)ᵀ·(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Cols, b.Cols)
+// matMulATGo is MatMulAT's pure-Go kernel, into a zeroed out, tiled like
+// matMulGo.
+func matMulATGo(out, a, b *Matrix) {
 	k := 0
 	for ; k+4 <= a.Rows; k += 4 {
 		a0, a1, a2, a3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
@@ -123,7 +137,6 @@ func MatMulAT(a, b *Matrix) *Matrix {
 			addRow(out.Row(i), av, brow)
 		}
 	}
-	return out
 }
 
 // addTile is the register-blocked step of MatMul and MatMulAT: it adds
@@ -229,52 +242,86 @@ func ColSum(m *Matrix) *Matrix {
 	return out
 }
 
-// ReluInPlace applies max(0, x) and returns a mask matrix for backprop.
-func ReluInPlace(m *Matrix) *Matrix {
-	mask := NewMatrix(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		if v > 0 {
-			mask.Data[i] = 1
-		} else {
-			m.Data[i] = 0
+// ReluInPlace applies max(0, x): every element not above zero becomes +0.
+func ReluInPlace(m *Matrix) { relu(m.Data) }
+
+// reluGo is ReluInPlace's pure-Go kernel.
+func reluGo(x []float32) {
+	for i, v := range x {
+		if !(v > 0) {
+			x[i] = 0
 		}
 	}
-	return mask
 }
 
-// MulMaskInPlace multiplies m by a 0/1 mask elementwise (ReLU backward).
-func MulMaskInPlace(m, mask *Matrix) {
-	if m.Rows != mask.Rows || m.Cols != mask.Cols {
-		panic("gnn: mask shape mismatch")
+// reluBackwardInPlace is ReLU's backward from its output: it multiplies
+// each element of d by 1 where out, ReluInPlace's result, is above zero
+// and by 0 elsewhere — the 0/1 mask multiply, without the mask. A negative
+// gradient under a zero output becomes −0.
+func reluBackwardInPlace(d, out *Matrix) {
+	if d.Rows != out.Rows || d.Cols != out.Cols {
+		panic("gnn: relu backward shape mismatch")
 	}
-	for i := range m.Data {
-		m.Data[i] *= mask.Data[i]
+	reluBackward(d.Data, out.Data)
+}
+
+// reluBackwardGo is reluBackwardInPlace's pure-Go kernel. Multiplying by 1
+// changes no bits, so it multiplies only by 0.
+func reluBackwardGo(d, out []float32) {
+	d = d[:len(out)]
+	for i, v := range out {
+		if !(v > 0) {
+			d[i] *= 0
+		}
 	}
 }
 
 // MeanPool groups the rows of child ((n*fanout)×d) into n groups of fanout
 // consecutive rows and returns their means (n×d) — the ⊕ neighbor
 // aggregation of Eq. (1) with a mean aggregator. Each output element is a
-// running sum of (1/fanout)·child over its group in row order, four rows
-// per pass through addRows4.
+// running sum of (1/fanout)·child over its group in row order.
 func MeanPool(child *Matrix, fanout int) *Matrix {
-	return meanPool(child.Rows, child.Cols, fanout, child.Row)
+	out := NewMatrix(pooledRows(child.Rows, fanout), child.Cols)
+	meanPool(out, child, nil, fanout)
+	return out
 }
 
 // MeanPoolRows is MeanPool over the rows x[rows[0]], x[rows[1]], … read in
 // place through the index: the same adds in the same order as MeanPool of
 // GatherRows(x, rows), without materializing the gathered matrix.
 func MeanPoolRows(x *Matrix, rows []int32, fanout int) *Matrix {
-	return meanPool(len(rows), x.Cols, fanout, func(r int) []float32 { return x.Row(int(rows[r])) })
+	out := NewMatrix(pooledRows(len(rows), fanout), x.Cols)
+	meanPool(out, x, rows, fanout)
+	return out
 }
 
-// meanPool is MeanPool over n child rows of width cols, child row r being
-// row(r).
-func meanPool(n, cols, fanout int, row func(int) []float32) *Matrix {
+// pooledRows is the number of groups n positions form at fanout, which
+// must divide n.
+func pooledRows(n, fanout int) int {
 	if fanout <= 0 || n%fanout != 0 {
 		panic(fmt.Sprintf("gnn: MeanPool fanout %d does not divide %d rows", fanout, n))
 	}
-	out := NewMatrix(n/fanout, cols)
+	return n / fanout
+}
+
+// checkRows panics unless every index of rows is a row of an n-row matrix,
+// as indexing would, before a vector kernel reads through them.
+func checkRows(rows []int32, n int) {
+	for _, r := range rows {
+		if uint32(r) >= uint32(n) {
+			panic(fmt.Sprintf("gnn: row index %d out of range [0,%d)", r, n))
+		}
+	}
+}
+
+// meanPoolGo is meanPool's pure-Go kernel: out's row g, zeroed, gets the
+// mean of x's rows rows[g·fanout], …, rows[(g+1)·fanout−1] (rows g·fanout
+// onwards when rows is nil), four rows per pass through addRows4.
+func meanPoolGo(out, x *Matrix, rows []int32, fanout int) {
+	row := x.Row
+	if rows != nil {
+		row = func(r int) []float32 { return x.Row(int(rows[r])) }
+	}
 	inv := 1 / float32(fanout)
 	for i := 0; i < out.Rows; i++ {
 		orow := out.Row(i)
@@ -286,7 +333,6 @@ func meanPool(n, cols, fanout int, row func(int) []float32) *Matrix {
 			addRow(orow, inv, row(r))
 		}
 	}
-	return out
 }
 
 // GatherRows returns the matrix whose row i is a copy of m's row rows[i].
@@ -318,8 +364,15 @@ func ScatterAddRows(m *Matrix, rows []int32, n int) *Matrix {
 // every row of group i is dPooled's row i times 1/fanout.
 func MeanPoolBackward(dPooled *Matrix, fanout int) *Matrix {
 	out := NewMatrix(dPooled.Rows*fanout, dPooled.Cols)
+	meanPoolBackward(out, dPooled, fanout)
+	return out
+}
+
+// meanPoolBackward is MeanPoolBackward into out, which has
+// dPooled.Rows·fanout rows.
+func meanPoolBackward(out, dPooled *Matrix, fanout int) {
 	if fanout == 0 {
-		return out
+		return
 	}
 	inv := 1 / float32(fanout)
 	for i := 0; i < dPooled.Rows; i++ {
@@ -331,7 +384,6 @@ func MeanPoolBackward(dPooled *Matrix, fanout int) *Matrix {
 			copy(out.Row(i*fanout+j), first)
 		}
 	}
-	return out
 }
 
 // SoftmaxCrossEntropy computes the mean cross-entropy of logits (n×classes)
@@ -408,5 +460,7 @@ func SliceRows(m *Matrix, lo, hi int) *Matrix {
 	return out
 }
 
-// headRows returns m's first n rows, sharing m's storage.
-func headRows(m *Matrix, n int) *Matrix { return NewMatrixFrom(n, m.Cols, m.Data[:n*m.Cols]) }
+// rowView returns rows [lo, hi) of m, sharing m's storage.
+func rowView(m *Matrix, lo, hi int) *Matrix {
+	return NewMatrixFrom(hi-lo, m.Cols, m.Data[lo*m.Cols:hi*m.Cols])
+}

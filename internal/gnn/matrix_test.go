@@ -143,30 +143,93 @@ func sameBits(t *testing.T, name string, got, want *Matrix) {
 	}
 }
 
+// TestKernelsMatchNaiveBitForBit checks the kernels MatMul, MatMulAT and
+// the pools run on this host (the AVX2 ones where the processor has it),
+// and the pure-Go kernels beside them, against the naive references bit for
+// bit. Widths cross the vector kernels' boundaries: below, at and past 8
+// and 32 columns, so the 32-column blocks, the 8-column blocks and the
+// scalar tail all run; k covers no terms, the 0-3 remainder after the
+// four-row Go tiles and the train-cluster widths (64 features, 32 hidden);
+// odd row counts leave a row outside the pairs.
 func TestKernelsMatchNaiveBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	// k covers 0-3 remainder rows after the four-row blocks and the
-	// train-cluster widths (64 features, 32 hidden).
-	for _, rows := range []int{1, 3, 17} {
-		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 32, 64, 67} {
-			for _, n := range []int{1, 5, 32} {
+	widths := []int{1, 5, 7, 8, 9, 16, 31, 32, 33, 40, 64}
+	for _, rows := range []int{1, 2, 3, 17} {
+		for _, k := range []int{0, 1, 2, 3, 4, 5, 7, 8, 32, 64, 67} {
+			for _, n := range widths {
 				a := kernelInput(rng, rows, k)
 				b := kernelInput(rng, k, n)
-				sameBits(t, "MatMul", MatMul(a, b), naiveMatMul(a, b))
+				want := naiveMatMul(a, b)
+				sameBits(t, "MatMul", MatMul(a, b), want)
+				got := NewMatrix(rows, n)
+				matMulGo(got, a, b)
+				sameBits(t, "matMulGo", got, want)
+
 				at := kernelInput(rng, k, rows)
-				sameBits(t, "MatMulAT", MatMulAT(at, b), naiveMatMulAT(at, b))
+				want = naiveMatMulAT(at, b)
+				sameBits(t, "MatMulAT", MatMulAT(at, b), want)
+				got = NewMatrix(rows, n)
+				matMulATGo(got, at, b)
+				sameBits(t, "matMulATGo", got, want)
 			}
 		}
 	}
 	for _, fanout := range []int{1, 3, 5, 10} {
-		for _, rows := range []int{1, 4} {
-			for _, d := range []int{1, 7, 64} {
+		for _, rows := range []int{1, 4, 5} {
+			for _, d := range widths {
 				child := kernelInput(rng, rows*fanout, d)
-				sameBits(t, "MeanPool", MeanPool(child, fanout), naiveMeanPool(child, fanout))
+				want := naiveMeanPool(child, fanout)
+				sameBits(t, "MeanPool", MeanPool(child, fanout), want)
+				got := NewMatrix(rows, d)
+				meanPoolGo(got, child, nil, fanout)
+				sameBits(t, "meanPoolGo", got, want)
+
+				// The same child rows scattered over a larger x, read
+				// through an index that repeats some of them.
+				x := kernelInput(rng, 2*rows*fanout+3, d)
+				idx := make([]int32, rows*fanout)
+				for i := range idx {
+					idx[i] = int32(rng.Intn(x.Rows))
+				}
+				want = naiveMeanPool(GatherRows(x, idx), fanout)
+				sameBits(t, "MeanPoolRows", MeanPoolRows(x, idx, fanout), want)
+				got = NewMatrix(rows, d)
+				meanPoolGo(got, x, idx, fanout)
+				sameBits(t, "meanPoolGo rows", got, want)
+
 				dPooled := kernelInput(rng, rows, d)
 				sameBits(t, "MeanPoolBackward", MeanPoolBackward(dPooled, fanout), naiveMeanPoolBackward(dPooled, fanout))
 			}
 		}
+	}
+	// ReLU and its backward, against the 0/1 mask they replace: the
+	// elements past the last multiple of 8 take the Go kernel.
+	for _, n := range append(widths, 0, 100) {
+		x := kernelInput(rng, 1, n)
+		want, mask := NewMatrix(1, n), NewMatrix(1, n)
+		for i, v := range x.Data {
+			if v > 0 {
+				want.Data[i], mask.Data[i] = v, 1
+			}
+		}
+		ReluInPlace(x)
+		sameBits(t, "ReluInPlace", x, want)
+
+		d := kernelInput(rng, 1, n)
+		for i := range d.Data {
+			if i%2 == 1 {
+				d.Data[i] = -d.Data[i]
+			}
+		}
+		dWant := d.Clone()
+		for i := range dWant.Data {
+			dWant.Data[i] *= mask.Data[i]
+		}
+		dGo := d.Clone()
+		reluBackwardGo(dGo.Data, x.Data)
+		sameBits(t, "reluBackwardGo", dGo, dWant)
+		reluBackwardInPlace(d, x)
+		sameBits(t, "reluBackwardInPlace", d, dWant)
 	}
 }
 
@@ -191,16 +254,24 @@ func TestShapePanics(t *testing.T) {
 	}
 }
 
+// TestReluAndMask: ReLU zeroes what is not above zero, and its backward,
+// read from the output, multiplies the gradient by the 0/1 mask: −10·0 is
+// −0, as the mask multiply gives.
 func TestReluAndMask(t *testing.T) {
-	m := NewMatrixFrom(1, 4, []float32{-1, 2, -3, 4})
-	mask := ReluInPlace(m)
-	if m.Data[0] != 0 || m.Data[1] != 2 || m.Data[2] != 0 || m.Data[3] != 4 {
-		t.Fatalf("relu = %v", m.Data)
+	negZero := float32(math.Copysign(0, -1))
+	m := NewMatrixFrom(1, 5, []float32{-1, 2, -3, 4, negZero})
+	ReluInPlace(m)
+	for i, w := range []float32{0, 2, 0, 4, 0} {
+		if math.Float32bits(m.Data[i]) != math.Float32bits(w) {
+			t.Fatalf("relu = %v", m.Data)
+		}
 	}
-	g := NewMatrixFrom(1, 4, []float32{10, 10, 10, 10})
-	MulMaskInPlace(g, mask)
-	if g.Data[0] != 0 || g.Data[1] != 10 || g.Data[2] != 0 || g.Data[3] != 10 {
-		t.Fatalf("masked grad = %v", g.Data)
+	g := NewMatrixFrom(1, 5, []float32{10, 10, -10, 10, 10})
+	reluBackwardInPlace(g, m)
+	for i, w := range []float32{0, 10, negZero, 10, 0} {
+		if math.Float32bits(g.Data[i]) != math.Float32bits(w) {
+			t.Fatalf("relu backward = %v", g.Data)
+		}
 	}
 }
 

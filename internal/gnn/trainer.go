@@ -97,14 +97,20 @@ func SampleBlock(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f
 }
 
 // sampleBatch is SampleBlock plus the seeds' labels, in one more view round
-// trip: a training batch.
-func sampleBatch(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f1, f2, dim int) (*Batch, error) {
+// trip: a training batch. A label outside [0, classes) is an error, since
+// the loss would index past the logits' row.
+func sampleBatch(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f1, f2, dim, classes int) (*Batch, error) {
 	b, err := SampleBlock(v, seeds, rel, f1, f2, dim)
 	if err != nil {
 		return nil, err
 	}
 	if b.Labels, err = v.Labels(seeds); err != nil {
 		return nil, fmt.Errorf("gnn: gather labels: %w", err)
+	}
+	for i, l := range b.Labels {
+		if l < 0 || int(l) >= classes {
+			return nil, fmt.Errorf("gnn: vertex %v has label %d, outside the model's %d classes", seeds[i], l, classes)
+		}
 	}
 	return b, nil
 }
@@ -113,22 +119,35 @@ func sampleBatch(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f
 // of rest that self lacks, each part in first-occurrence order. rows maps
 // every position, self's lists first and rest last, to its vertex's index
 // in distinct, and nSelf is the number of distinct self vertices.
+//
+// The index is an open-addressing table of int32 slots with linear
+// probing, at most half full, hashed by a fixed mixer: three allocations
+// sized by the input alone, where a map's growth depends on its random
+// seed.
 func dedupe(self [][]graph.VertexID, rest []graph.VertexID) (distinct []graph.VertexID, rows []int32, nSelf int) {
 	n := len(rest)
 	for _, ids := range self {
 		n += len(ids)
 	}
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	mask := uint64(size - 1)
+	slot := make([]int32, size) // 1 + the vertex's index in distinct; 0 is empty
+	distinct = make([]graph.VertexID, 0, n)
 	rows = make([]int32, 0, n)
-	index := make(map[graph.VertexID]int32, n-len(rest))
 	add := func(ids []graph.VertexID) {
 		for _, id := range ids {
-			r, ok := index[id]
-			if !ok {
-				r = int32(len(distinct))
-				index[id] = r
-				distinct = append(distinct, id)
+			h := mix64(uint64(id)) & mask
+			for slot[h] != 0 && distinct[slot[h]-1] != id {
+				h = (h + 1) & mask
 			}
-			rows = append(rows, r)
+			if slot[h] == 0 {
+				distinct = append(distinct, id)
+				slot[h] = int32(len(distinct))
+			}
+			rows = append(rows, slot[h]-1)
 		}
 	}
 	for _, ids := range self {
@@ -137,6 +156,16 @@ func dedupe(self [][]graph.VertexID, rest []graph.VertexID) (distinct []graph.Ve
 	nSelf = len(distinct)
 	add(rest)
 	return distinct, rows, nSelf
+}
+
+// mix64 is SplitMix64's finalizer: every input bit reaches every output
+// bit, so consecutive vertex ids spread over the table.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // features fetches the rows of ids, in order, in one view call.
@@ -150,10 +179,14 @@ func features(v view.GraphView, ids []graph.VertexID, dim int) (*Matrix, error) 
 
 // layer1Inputs are layer 1's inputs for the block: the distinct self rows
 // of X, which it projects through Wself once each, and the neighbor means
-// of the seed and hop-1 positions, pooled straight out of X.
+// of the seed and hop-1 positions, pooled straight out of X into one
+// matrix.
 func (b *Batch) layer1Inputs() (selfX, neighX *Matrix) {
-	selfX = headRows(b.X, b.NSelf)
-	neighX = VStack(MeanPoolRows(b.X, b.hop1Rows(), b.F1), MeanPoolRows(b.X, b.hop2Rows(), b.F2))
+	selfX = rowView(b.X, 0, b.NSelf)
+	n1 := pooledRows(len(b.Hop1), b.F1)
+	neighX = NewMatrix(n1+pooledRows(len(b.Hop2), b.F2), b.X.Cols)
+	meanPool(rowView(neighX, 0, n1), b.X, b.hop1Rows(), b.F1)
+	meanPool(rowView(neighX, n1, neighX.Rows), b.X, b.hop2Rows(), b.F2)
 	return selfX, neighX
 }
 
@@ -162,8 +195,7 @@ func (b *Batch) layer1Inputs() (selfX, neighX *Matrix) {
 // reads only the weights, so concurrent callers may share the model.
 func (m *Model) Layer1(b *Batch) *Matrix {
 	selfX, neighX := b.layer1Inputs()
-	h, _ := m.L1.Apply(selfX, b.selfRows(), neighX)
-	return h
+	return m.L1.Apply(selfX, b.selfRows(), neighX)
 }
 
 // Trainer drives mini-batch GNN training against a GraphView — it never
@@ -195,24 +227,24 @@ func NewTrainer(model *Model, v view.GraphView, rel graph.EdgeType, f1, f2 int, 
 // features of every distinct vertex of seeds and both hops in one view
 // call (a remote backend pays one fan-out, not three), and the seeds'
 // labels in another. Seeds without labels get label 0 — callers training
-// on labeled sets should pass labeled seeds.
+// on labeled sets should pass labeled seeds. A label outside the model's
+// classes is an error naming the vertex.
 func (t *Trainer) SampleBatch(seeds []graph.VertexID) (*Batch, error) {
-	return sampleBatch(t.View, seeds, t.Rel, t.F1, t.F2, t.Model.InDim)
+	return sampleBatch(t.View, seeds, t.Rel, t.F1, t.F2, t.Model.InDim, t.Model.Out)
 }
 
-// Forward runs the 2-layer model on a batch, returning seed logits.
+// Forward runs the 2-layer model on a batch, returning seed logits, which
+// the caller owns.
 //
 // Layer 1 is applied jointly to [seeds; hop1] (self inputs) against their
 // pooled children ([hop1 means; hop2 means]), as in Layer1 but caching for
 // backprop; layer 2 then combines the seeds' hidden states with the pooled
-// hop-1 hidden states.
+// hop-1 hidden states, both read in place from layer 1's output.
 func (t *Trainer) Forward(b *Batch) *Matrix {
 	nSeeds := len(b.Seeds)
 	selfX, neighX := b.layer1Inputs()
 	h1 := t.Model.L1.ForwardRows(selfX, b.selfRows(), neighX)
-	h1Seeds := SliceRows(h1, 0, nSeeds)
-	h1Hop1 := SliceRows(h1, nSeeds, h1.Rows)
-	return t.Model.L2.Forward(h1Seeds, MeanPool(h1Hop1, b.F1))
+	return t.Model.L2.Forward(rowView(h1, 0, nSeeds), MeanPool(rowView(h1, nSeeds, h1.Rows), b.F1))
 }
 
 // TrainStep runs one forward/backward/update pass and returns the batch
@@ -226,10 +258,15 @@ func (t *Trainer) TrainStep(b *Batch) float64 {
 	return loss
 }
 
+// backward takes dL/dlogits back through both layers. Layer 1's upstream
+// gradient is one matrix: the seeds' rows copied from layer 2's self
+// gradient, and the hop-1 rows written by the pool's backward in place.
 func (t *Trainer) backward(b *Batch, dLogits *Matrix) {
+	nSeeds := len(b.Seeds)
 	dH1Seeds, dH1Hop1Pooled := t.Model.L2.Backward(dLogits)
-	dH1Hop1 := MeanPoolBackward(dH1Hop1Pooled, b.F1)
-	dH1 := VStack(dH1Seeds, dH1Hop1)
+	dH1 := NewMatrix(nSeeds+len(b.Hop1), dH1Seeds.Cols)
+	copy(dH1.Data, dH1Seeds.Data)
+	meanPoolBackward(rowView(dH1, nSeeds, dH1.Rows), dH1Hop1Pooled, b.F1)
 	// Features are constants, so layer 1 needs its weight gradients only.
 	t.Model.L1.BackwardWeights(dH1)
 }

@@ -1,8 +1,10 @@
 package gnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"platod2gl/internal/core"
@@ -211,6 +213,44 @@ func TestTrainStepMatchesFullBackward(t *testing.T) {
 		}
 		for i, p := range full.Model.Params() {
 			sameBits(t, "param", cut.Model.Params()[i], p)
+		}
+	}
+}
+
+// TestSampleBatchRejectsOutOfRangeLabels: labels written for more classes
+// than the model has make both trainers' SampleBatch fail with an error
+// naming the vertex and its label, instead of a panic inside the loss.
+func TestSampleBatchRejectsOutOfRangeLabels(t *testing.T) {
+	v, ids := ogbnView(t, 20_000, 16, 8) // labels in [0, 8)
+	labels, err := v.Labels(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad graph.VertexID
+	var badLabel int32 = -1
+	for i, l := range labels {
+		if l >= 4 {
+			bad, badLabel = ids[i], l
+			break
+		}
+	}
+	if badLabel < 0 {
+		t.Fatal("no vertex has a label of 4 or more")
+	}
+	rng := rand.New(rand.NewSource(6))
+	sage := NewTrainer(NewModel(16, 8, 4, rng), v, 0, 10, 5, 0.01)
+	gat := NewGATTrainer(NewGATModel(16, 8, 4, rng), v, 0, 5, 0.01)
+	for name, sample := range map[string]func([]graph.VertexID) (*Batch, error){
+		"sage": sage.SampleBatch, "gat": gat.SampleBatch,
+	} {
+		b, err := sample([]graph.VertexID{bad})
+		if err == nil {
+			t.Fatalf("%s: SampleBatch accepted label %d for a 4-class model: %+v", name, badLabel, b.Labels)
+		}
+		for _, want := range []string{fmt.Sprint(bad), fmt.Sprintf("label %d", badLabel)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not name %q", name, err, want)
+			}
 		}
 	}
 }

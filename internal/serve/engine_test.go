@@ -411,15 +411,15 @@ func TestKNNHugeK(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineEmbed times one Embed of 256 seeds at serve-knn's
-// fan-outs (8×5) and widths (64 features, 32 hidden) through view.Local, on
-// a 5 000-vertex graph. rows/call is the feature rows fetched per call.
-func BenchmarkEngineEmbed(b *testing.B) {
-	f := newFixture(b, 5000, 64, 8, 0, 9)
-	rv := &recordingView{GraphView: f.view}
-	e, err := New(Config{View: rv, State: f.state, Rel: 0, F1: 8, F2: 5, Timeout: -1})
+// embedInput is BenchmarkEngineEmbed's input: an engine at serve-knn's
+// fan-outs (8×5) and widths (64 features, 32 hidden) over a 5 000-vertex
+// graph, reading it through wrap(view.Local), and eight batches of 256
+// seeds.
+func embedInput(tb testing.TB, wrap func(view.GraphView) view.GraphView) (*Engine, [][]graph.VertexID) {
+	f := newFixture(tb, 5000, 64, 8, 0, 9)
+	e, err := New(Config{View: wrap(f.view), State: f.state, Rel: 0, F1: 8, F2: 5, Timeout: -1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(10))
 	batches := make([][]graph.VertexID, 8)
@@ -428,6 +428,67 @@ func BenchmarkEngineEmbed(b *testing.B) {
 			batches[i] = append(batches[i], f.ids[k])
 		}
 	}
+	return e, batches
+}
+
+// replayView answers every SampleSubgraph and Features call after the
+// first with the first call's reply, so repeated Embeds of one batch
+// allocate only in the engine and gnn, not in the sampler or the store,
+// whose counts vary with what is sampled.
+type replayView struct {
+	view.GraphView
+	layers [][]graph.VertexID
+	x      []float32
+}
+
+func (v *replayView) SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fanouts []int) ([][]graph.VertexID, error) {
+	if v.layers == nil {
+		layers, err := v.GraphView.SampleSubgraph(seeds, path, fanouts)
+		if err != nil {
+			return nil, err
+		}
+		v.layers = layers
+	}
+	return v.layers, nil
+}
+
+func (v *replayView) Features(nodes []graph.VertexID, dim int) ([]float32, error) {
+	if v.x == nil {
+		x, err := v.GraphView.Features(nodes, dim)
+		if err != nil {
+			return nil, err
+		}
+		v.x = x
+	}
+	return v.x, nil
+}
+
+// TestEmbedAllocs pins the engine's and gnn's allocations in an Embed of
+// one of BenchmarkEngineEmbed's batches, with the view's replies replayed.
+// The count is exact, so the ceiling is today's count, 22, and one more
+// allocation per call fails. A change that lowers the count lowers the
+// ceiling with it.
+func TestEmbedAllocs(t *testing.T) {
+	e, batches := embedInput(t, func(v view.GraphView) view.GraphView { return &replayView{GraphView: v} })
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := e.Embed(ctx, batches[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 22 {
+		t.Fatalf("Embed makes %v allocations, ceiling 22", allocs)
+	}
+}
+
+// BenchmarkEngineEmbed times one Embed on embedInput's batches. rows/call
+// is the feature rows fetched per call.
+func BenchmarkEngineEmbed(b *testing.B) {
+	var rv *recordingView
+	e, batches := embedInput(b, func(v view.GraphView) view.GraphView {
+		rv = &recordingView{GraphView: v}
+		return rv
+	})
 	ctx := context.Background()
 	rows := 0
 	b.ReportAllocs()
