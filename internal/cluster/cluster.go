@@ -32,6 +32,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"net"
 	"sort"
@@ -43,6 +45,7 @@ import (
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
 	"platod2gl/internal/storage"
+	"platod2gl/internal/wire"
 )
 
 // ServiceName prefixes every method name ("PlatoD2GL.Stats") — the form the
@@ -117,11 +120,33 @@ type FeatureArgs struct {
 	RouteEpoch uint64
 }
 
-// FeatureReply returns a row-major (len(Nodes) × Dim) matrix, plus one
-// label per node (unlabeled = 0) when WithLabels was set.
+// FeatureReply carries one shard's feature rows, plus one label per node
+// (unlabeled = 0) when WithLabels was set, from the server's store into the
+// caller's batch with one copy each way. Service.Features points it at the
+// store and appendWire encodes each row straight from there; the caller
+// points it at its destination and decodeWire writes each row straight
+// into it. The frame holds a row-major (len(Nodes) × Dim) float block —
+// a missing vertex is a zero row, a stored vector is cut to Dim or padded
+// with zeros — then the label block, empty without WithLabels: the bytes
+// of AppendFloat32s(GatherFeatures) and AppendInt32s(GatherLabels).
 type FeatureReply struct {
-	Data   []float32
-	Labels []int32
+	dim int // floats per row, on both sides
+
+	// Encoding side, set by Service.Features.
+	attrs      *kvstore.Store
+	nodes      []graph.VertexID
+	withLabels bool
+
+	// Decoding side, set by the caller: row j of the frame goes to rows
+	// occ[j] of out, and label j to the same indices of labels (nil when
+	// labels were not asked for).
+	out    []float32
+	labels []int32
+	occ    [][]int
+	// floats and nLabels are the element counts the frame carried.
+	// decodeWire writes only when they fit the destination, so a lying
+	// reply writes nothing and the caller reports the mismatch.
+	floats, nLabels int
 }
 
 // SourcesArgs requests the source vertices of one logical shard's relation.
@@ -359,12 +384,35 @@ func (s *Service) Features(args *FeatureArgs, reply *FeatureReply) (err error) {
 	if s.attrs == nil {
 		return fmt.Errorf("cluster: server has no attribute store")
 	}
-	reply.Data = s.attrs.GatherFeatures(args.Nodes, args.Dim)
-	if args.WithLabels {
-		reply.Labels = s.attrs.GatherLabels(args.Nodes)
+	if args.Dim < 0 {
+		return fmt.Errorf("cluster: negative feature dim %d", args.Dim)
 	}
+	if size := featureReplySize(len(args.Nodes), args.Dim, args.WithLabels); size > wire.MaxFrame {
+		return fmt.Errorf("cluster: %d rows of dim %d make a %d-byte reply, over the %d-byte frame limit",
+			len(args.Nodes), args.Dim, size, wire.MaxFrame)
+	}
+	// The rows are read from the store as the reply frame is encoded.
+	*reply = FeatureReply{dim: args.Dim, attrs: s.attrs, nodes: args.Nodes, withLabels: args.WithLabels}
 	return nil
 }
+
+// featureReplySize is the payload size of a Features response frame: the
+// kind byte, then the float and label blocks, each a count and 4 bytes per
+// element. It saturates instead of overflowing.
+func featureReplySize(nodes, dim int, withLabels bool) uint64 {
+	if uint64(dim) > wire.MaxFrame {
+		return math.MaxUint64
+	}
+	floats := uint64(nodes) * uint64(dim)
+	var labels uint64
+	if withLabels {
+		labels = uint64(nodes)
+	}
+	return 1 + uvarintLen(floats) + 4*floats + uvarintLen(labels) + 4*labels
+}
+
+// uvarintLen is the encoded length of x as a uvarint.
+func uvarintLen(x uint64) uint64 { return uint64(bits.Len64(x|1)+6) / 7 }
 
 // Sources lists this server's source vertices for a relation. A routed
 // request is answered with only the sources hashing into the requested
@@ -1077,7 +1125,8 @@ func (c *Client) featuresLabels(ctx context.Context, nodes []graph.VertexID, dim
 	}
 	// Feature lists repeat the ids of the sampled frontiers they are built
 	// from: each shard reads every distinct id once, and each reply row and
-	// label is scattered to all of its occurrences (see scratch.go).
+	// label is decoded into the first of its occurrences and copied to the
+	// rest (see scratch.go and FeatureReply).
 	rt := c.route.Load()
 	scratch := getCoalesceScratch(rt.m.NumShards)
 	c.metrics.CoalescedRows.Add(int64(scratch.coalesce(nodes)))
@@ -1086,26 +1135,17 @@ func (c *Client) featuresLabels(ctx context.Context, nodes []graph.VertexID, dim
 		if len(partNodes[p]) == 0 {
 			return nil
 		}
-		var reply FeatureReply
+		reply := FeatureReply{dim: dim, out: out, labels: labels, occ: partOcc[p]}
 		args := &FeatureArgs{Nodes: partNodes[p], Dim: dim, WithLabels: withLabels}
 		if err := c.readShard(ctx, rt, p, ServiceName+".Features", args, &reply); err != nil {
 			return err
 		}
-		if len(reply.Data) != len(partNodes[p])*dim {
-			return fmt.Errorf("cluster: shard %d returned %d floats", p, len(reply.Data))
+		if reply.floats != len(partNodes[p])*dim {
+			return fmt.Errorf("cluster: shard %d returned %d floats", p, reply.floats)
 		}
-		if withLabels && len(reply.Labels) != len(partNodes[p]) {
+		if withLabels && reply.nLabels != len(partNodes[p]) {
 			return fmt.Errorf("cluster: shard %d returned %d labels for %d nodes",
-				p, len(reply.Labels), len(partNodes[p]))
-		}
-		for j, occ := range partOcc[p] {
-			row := reply.Data[j*dim : (j+1)*dim]
-			for _, origIdx := range occ {
-				copy(out[origIdx*dim:(origIdx+1)*dim], row)
-				if withLabels {
-					labels[origIdx] = reply.Labels[j]
-				}
-			}
+				p, reply.nLabels, len(partNodes[p]))
 		}
 		return nil
 	})

@@ -8,6 +8,7 @@ import (
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
 	"platod2gl/internal/storage"
+	"platod2gl/internal/wire"
 )
 
 func newCluster(t testing.TB, n int) (*Client, func()) {
@@ -158,14 +159,19 @@ func TestFeaturesRPC(t *testing.T) {
 		a.SetFeatures(id, []float32{1, 2, 3})
 	}
 	var reply FeatureReply
-	// Direct service-level call through one peer.
+	// Direct service-level call through one peer, read through the codec:
+	// the reply is encoded from the store and decoded into a destination.
 	svcStore := storage.NewDynamicStore(storage.Options{})
 	svc := NewService(svcStore, attrsByServer[0])
 	if err := svc.Features(&FeatureArgs{Nodes: []graph.VertexID{id}, Dim: 3}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	if len(reply.Data) != 3 || reply.Data[2] != 3 {
-		t.Fatalf("Features = %v", reply.Data)
+	data := make([]float32, 3)
+	got := FeatureReply{dim: 3, out: data, occ: [][]int{{0}}}
+	r := wire.NewReader(reply.appendWire(nil))
+	got.decodeWire(r)
+	if err := r.Done(); err != nil || got.floats != 3 || data[2] != 3 {
+		t.Fatalf("Features = %v (%d floats, %v)", data, got.floats, err)
 	}
 	// Missing attribute store errors.
 	noAttrs := NewService(svcStore, nil)

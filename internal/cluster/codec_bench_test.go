@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"platod2gl/internal/graph"
+	"platod2gl/internal/kvstore"
 	"platod2gl/internal/wire"
 )
 
@@ -38,30 +39,44 @@ func benchBatchArgs() *BatchArgs {
 	return &BatchArgs{Events: evs, ClientID: 7, Seq: 99, Shard: 1, RouteEpoch: 4, Sum: 0xfeed}
 }
 
-func benchFeatureReply() *FeatureReply {
-	data := make([]float32, 128*64)
-	for i := range data {
-		data[i] = float32(i) * 0.5
+// benchFeatureReply is a 128-row, 64-dim Features reply with labels: its
+// encoder reading the rows from a store, and a destination for its
+// decoder.
+func benchFeatureReply() (enc, dec *FeatureReply) {
+	const rows, dim = 128, 64
+	attrs := kvstore.New()
+	nodes := make([]graph.VertexID, rows)
+	occ := make([][]int, rows)
+	for i := range nodes {
+		nodes[i] = graph.MakeVertexID(0, uint64(i))
+		f := make([]float32, dim)
+		for d := range f {
+			f[d] = float32(i*dim+d) * 0.5
+		}
+		attrs.SetFeatures(nodes[i], f)
+		attrs.SetLabel(nodes[i], int32(i%40))
+		occ[i] = []int{i}
 	}
-	labels := make([]int32, 128)
-	for i := range labels {
-		labels[i] = int32(i % 40)
-	}
-	return &FeatureReply{Data: data, Labels: labels}
+	enc = &FeatureReply{dim: dim, attrs: attrs, nodes: nodes, withLabels: true}
+	dec = &FeatureReply{dim: dim, out: make([]float32, rows*dim), labels: make([]int32, rows), occ: occ}
+	return enc, dec
 }
 
 func codecBenchMessages() []struct {
 	name string
 	msg  wireMessage
+	into wireMessage
 } {
+	enc, dec := benchFeatureReply()
 	return []struct {
 		name string
 		msg  wireMessage
+		into wireMessage // decode target; nil means a fresh value
 	}{
-		{"SampleArgs", benchSampleArgs()},
-		{"SampleReply", benchSampleReply()},
-		{"BatchArgs", benchBatchArgs()},
-		{"FeatureReply", benchFeatureReply()},
+		{"SampleArgs", benchSampleArgs(), nil},
+		{"SampleReply", benchSampleReply(), nil},
+		{"BatchArgs", benchBatchArgs(), nil},
+		{"FeatureReply", enc, dec},
 	}
 }
 
@@ -86,7 +101,10 @@ func BenchmarkCodecDecodeWire(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out := freshWireLike(c.msg)
+				out := c.into
+				if out == nil {
+					out = freshWireLike(c.msg)
+				}
 				r := wire.NewReader(buf)
 				out.decodeWire(r)
 				if err := r.Done(); err != nil {

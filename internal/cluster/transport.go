@@ -16,7 +16,6 @@ import (
 	"io"
 	"net"
 	"net/rpc"
-	"reflect"
 	"sync"
 	"time"
 
@@ -114,16 +113,19 @@ func (t *wireTransport) Close() error {
 
 // Call encodes args, performs one request/response exchange carrying the
 // admission envelope env, and decodes into reply. The encode happens
-// synchronously in the caller (so callers may recycle args-backing buffers
-// once Call returns) and a timed-out attempt decodes into a private value
-// that is discarded (so callers may retry into the same reply struct
-// without racing an abandoned decoder).
+// synchronously in the caller, so callers may recycle args-backing buffers
+// once Call returns. With a timeout d, a goroutine only writes the request
+// and reads the response frame; the caller decodes it into reply after
+// winning the race against the timer. So an attempt abandoned to its
+// timeout never writes the caller's reply, and a retry may decode into the
+// same reply (and the destination it points at) without racing it.
 func (t *wireTransport) Call(method string, args, reply any, d time.Duration, env callEnv) error {
 	wa, ok := args.(wireMessage)
 	if !ok {
 		return fmt.Errorf("cluster: %T does not implement the wire codec", args)
 	}
-	if _, ok := reply.(wireMessage); !ok {
+	wr, ok := reply.(wireMessage)
+	if !ok {
 		return fmt.Errorf("cluster: %T does not implement the wire codec", reply)
 	}
 	id, ok := wireMethodID[method]
@@ -154,26 +156,26 @@ func (t *wireTransport) Call(method string, args, reply any, d time.Duration, en
 	frame = wa.appendWire(frame)
 
 	if d <= 0 {
-		err := roundTripWire(conn, frame, reply.(wireMessage))
+		resp, err := exchangeWire(conn, frame)
 		wire.PutBuf(frame)
+		if err == nil {
+			err = decodeResponse(resp, wr)
+		}
 		t.finish(conn, err)
 		return err
 	}
 	// The exchange runs in a goroutine so a blackholed connection cannot
 	// outlive the deadline (conns may be wrapped — fault injection, pipes —
-	// so SetDeadline is not universally honored; closing the conn is). The
-	// goroutine decodes into a fresh struct and the winner of the select
-	// copies it out, so an abandoned attempt never writes the caller's reply.
+	// so SetDeadline is not universally honored; closing the conn is).
 	type result struct {
-		tmp wireMessage
-		err error
+		resp []byte
+		err  error
 	}
 	done := make(chan result, 1)
 	go func() {
-		tmp := reflect.New(reflect.TypeOf(reply).Elem()).Interface().(wireMessage)
-		err := roundTripWire(conn, frame, tmp)
+		resp, err := exchangeWire(conn, frame)
 		wire.PutBuf(frame)
-		done <- result{tmp, err}
+		done <- result{resp, err}
 	}()
 	tm := time.NewTimer(d)
 	defer tm.Stop()
@@ -182,11 +184,12 @@ func (t *wireTransport) Call(method string, args, reply any, d time.Duration, en
 		conn.Close() // unblocks the goroutine; the conn is not reusable
 		return ErrCallTimeout
 	case res := <-done:
-		if res.err == nil {
-			reflect.ValueOf(reply).Elem().Set(reflect.ValueOf(res.tmp).Elem())
+		err := res.err
+		if err == nil {
+			err = decodeResponse(res.resp, wr)
 		}
-		t.finish(conn, res.err)
-		return res.err
+		t.finish(conn, err)
+		return err
 	}
 }
 
@@ -202,15 +205,22 @@ func (t *wireTransport) finish(conn net.Conn, err error) {
 	conn.Close()
 }
 
-// roundTripWire writes one request frame and decodes the response.
-func roundTripWire(conn net.Conn, frame []byte, reply wireMessage) error {
+// exchangeWire writes one request frame and reads the response frame, a
+// wire.GetBuf buffer for decodeResponse.
+func exchangeWire(conn net.Conn, frame []byte) ([]byte, error) {
 	if err := wire.WriteFrame(conn, frame); err != nil {
-		return fmt.Errorf("cluster: wire write: %w", err)
+		return nil, fmt.Errorf("cluster: wire write: %w", err)
 	}
 	resp, err := wire.ReadFrame(conn)
 	if err != nil {
-		return fmt.Errorf("cluster: wire read: %w", err)
+		return nil, fmt.Errorf("cluster: wire read: %w", err)
 	}
+	return resp, nil
+}
+
+// decodeResponse decodes a response frame into reply, or returns the
+// server's error frame as an rpc.ServerError, and recycles the frame.
+func decodeResponse(resp []byte, reply wireMessage) error {
 	defer wire.PutBuf(resp)
 	if len(resp) == 0 {
 		return errors.New("cluster: empty wire response")

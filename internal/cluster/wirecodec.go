@@ -8,11 +8,15 @@
 //
 // Every struct encodes with appendWire and decodes with decodeWire against
 // a bounds-checked wire.Reader; decode failures surface through
-// Reader.Err/Done, never panics. The layouts belong to wire.Version; they
-// change only together with a version bump.
+// Reader.Err/Done, never panics. A decoder assigns every field it carries,
+// since the transport decodes straight into the caller's reply. The layouts
+// belong to wire.Version; they change only together with a version bump.
 package cluster
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"platod2gl/internal/eventlog"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
@@ -149,6 +153,7 @@ func readShardMap(r *wire.Reader, m *ShardMap) {
 	m.Epoch = r.Uvarint()
 	m.NumShards = int(r.Varint())
 	m.Replicas = int(r.Varint())
+	m.Servers, m.Assign = nil, nil
 	if n := r.Count(1); r.Err() == nil && n > 0 {
 		m.Servers = make([]string, n)
 		for i := range m.Servers {
@@ -258,6 +263,7 @@ func (a *DegreeReply) appendWire(b []byte) []byte {
 }
 
 func (a *DegreeReply) decodeWire(r *wire.Reader) {
+	a.Degrees = nil
 	n := r.Count(1)
 	if r.Err() != nil || n == 0 {
 		return
@@ -284,14 +290,63 @@ func (a *FeatureArgs) decodeWire(r *wire.Reader) {
 	a.RouteEpoch = r.Uvarint()
 }
 
+// appendWire grows the frame by the whole float block once and copies each
+// stored vector into its row, cut to dim, zeroing what the vector does not
+// cover: GatherFeatures' layout, written into the frame.
 func (a *FeatureReply) appendWire(b []byte) []byte {
-	b = wire.AppendFloat32s(b, a.Data)
-	return wire.AppendInt32s(b, a.Labels)
+	n := len(a.nodes) * a.dim
+	b = wire.AppendUvarint(b, uint64(n))
+	off := len(b)
+	b = slices.Grow(b, 4*n)[:off+4*n]
+	for i, id := range a.nodes {
+		row := b[off+4*i*a.dim : off+4*(i+1)*a.dim]
+		f, _ := a.attrs.Features(id)
+		f = f[:min(len(f), a.dim)]
+		wire.PutFloat32s(row, f)
+		clear(row[4*len(f):])
+	}
+	if !a.withLabels {
+		return wire.AppendUvarint(b, 0)
+	}
+	b = wire.AppendUvarint(b, uint64(len(a.nodes)))
+	for _, id := range a.nodes {
+		l, _ := a.attrs.Label(id)
+		b = wire.AppendUint32(b, uint32(l))
+	}
+	return b
 }
 
+// decodeWire writes row j into the first of occ[j]'s rows of out and
+// copies it to the others, and label j to all of them. It writes nothing
+// unless the whole frame is well formed and its counts fit the
+// destination.
 func (a *FeatureReply) decodeWire(r *wire.Reader) {
-	a.Data = r.Float32s()
-	a.Labels = r.Int32s()
+	var rows, labels []byte
+	a.floats, rows = r.Block32()
+	a.nLabels, labels = r.Block32()
+	if r.Err() != nil || r.Remaining() != 0 || !a.fits() {
+		return
+	}
+	for j, occ := range a.occ {
+		first := a.out[occ[0]*a.dim : (occ[0]+1)*a.dim]
+		wire.DecodeFloat32s(first, rows[4*j*a.dim:])
+		for _, o := range occ[1:] {
+			copy(a.out[o*a.dim:(o+1)*a.dim], first)
+		}
+		if a.labels != nil {
+			l := int32(binary.LittleEndian.Uint32(labels[4*j:]))
+			for _, o := range occ {
+				a.labels[o] = l
+			}
+		}
+	}
+}
+
+// fits reports whether the decoded counts are what the destination holds:
+// dim floats per distinct row and, when labels were asked for, one label
+// each.
+func (a *FeatureReply) fits() bool {
+	return a.floats == len(a.occ)*a.dim && (a.labels == nil || a.nLabels == len(a.occ))
 }
 
 func (a *SourcesArgs) appendWire(b []byte) []byte {
@@ -410,6 +465,7 @@ func (a *WALTailReply) appendWire(b []byte) []byte {
 }
 
 func (a *WALTailReply) decodeWire(r *wire.Reader) {
+	a.Records = nil
 	n := r.Count(4)
 	if n > 0 {
 		a.Records = make([]eventlog.BatchRecord, n)
@@ -498,6 +554,7 @@ func (a *ShardFeaturesReply) decodeWire(r *wire.Reader) {
 	a.Labels = r.Int32s()
 	a.HasLabel = r.Bools()
 	// Minimum edge key: two 2-byte ids + the type byte.
+	a.EdgeKeys = nil
 	n := r.Count(5)
 	if n > 0 {
 		a.EdgeKeys = make([]kvstore.EdgeKey, n)
@@ -655,6 +712,7 @@ func (a *ScrubReply) decodeWire(r *wire.Reader) {
 	rep := &a.Report
 	rep.DurationNanos = r.Varint()
 	readDigest(r, &rep.Local)
+	rep.Peers = nil
 	n := r.Count(20)
 	if n > 0 {
 		rep.Peers = make([]PeerDigest, n)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -37,6 +38,11 @@ func wireFixtures() []wireMessage {
 		EdgeData: []float32{0.25, 0.125},
 	}
 	dig := DigestReply{Topology: 11, Attrs: 22, NumEdges: 33, WALSeq: 44, SyncEpoch: 55, Ready: true}
+	attrs := kvstore.New()
+	attrs.SetFeatures(ids[0], []float32{1, 2.5})
+	attrs.SetFeatures(ids[1], []float32{-3})
+	attrs.SetLabel(ids[1], -1)
+	attrs.SetLabel(ids[2], 7)
 	return []wireMessage{
 		&BatchArgs{Events: evs, ClientID: 7, Seq: 9, Shard: 2, RouteEpoch: 5, Sum: 0xdeadbeef},
 		&BatchReply{NumEdges: 42, Duplicate: true},
@@ -45,7 +51,7 @@ func wireFixtures() []wireMessage {
 		&DegreeArgs{Nodes: ids, Type: 2, Shard: 3, RouteEpoch: 1},
 		&DegreeReply{Degrees: []int{0, 5, 123456}},
 		&FeatureArgs{Nodes: ids, Dim: 64, WithLabels: true, Shard: 3, RouteEpoch: 2},
-		&FeatureReply{Data: []float32{1, 2.5, -3}, Labels: []int32{-1, 0, 7}},
+		&FeatureReply{dim: 2, attrs: attrs, nodes: ids, withLabels: true},
 		&SourcesArgs{Type: 1, Shard: 2, RouteEpoch: 3},
 		&SourcesReply{Nodes: ids},
 		&SetFeaturesArgs{Nodes: ids, Dim: 2, Data: []float32{1, 2, 3, 4, 5, 6}, Labels: []int32{1, 2, 3}, Shard: 1, RouteEpoch: 4},
@@ -104,6 +110,11 @@ func freshWireLike(msg wireMessage) wireMessage {
 func TestWireCodecRoundTrip(t *testing.T) {
 	for _, msg := range wireFixtures() {
 		name := fmt.Sprintf("%T", msg)
+		if _, ok := msg.(*FeatureReply); ok {
+			// Encoded from a store, decoded into a destination: see
+			// TestFeatureReplyGolden and TestFeatureReplyDecodesIntoDestination.
+			continue
+		}
 		b := msg.appendWire(nil)
 		out := freshWireLike(msg)
 		r := wire.NewReader(b)
@@ -197,13 +208,118 @@ func TestWireMethodIDsStable(t *testing.T) {
 	}
 }
 
+// Fuzz destination of a Features reply: fuzzRows distinct rows of fuzzDim
+// floats, row 0 repeated at the last index, inside guard floats on both
+// sides that no decode may touch.
+const (
+	fuzzRows  = 3
+	fuzzDim   = 2
+	fuzzGuard = 4
+)
+
+var fuzzOcc = [][]int{{0, fuzzRows}, {1}, {2}}
+
+// decodeFeaturesIntoGuarded decodes data as a Features reply into a
+// guarded fuzz destination and fails t if a guard changed, or if a frame
+// that did not decode cleanly with fitting counts wrote anything.
+func decodeFeaturesIntoGuarded(t *testing.T, data []byte) {
+	buf := make([]float32, fuzzGuard+(fuzzRows+1)*fuzzDim+fuzzGuard)
+	lbuf := make([]int32, fuzzGuard+fuzzRows+1+fuzzGuard)
+	for i := range buf {
+		buf[i] = math.Float32frombits(0x7fc0dead) // a NaN no decode below writes unless asked
+	}
+	for i := range lbuf {
+		lbuf[i] = -99
+	}
+	out := buf[fuzzGuard : len(buf)-fuzzGuard]
+	labels := lbuf[fuzzGuard : len(lbuf)-fuzzGuard]
+	reply := FeatureReply{dim: fuzzDim, out: out, labels: labels, occ: fuzzOcc}
+	r := wire.NewReader(data)
+	reply.decodeWire(r)
+	ok := r.Done() == nil && reply.fits()
+	for i := 0; i < fuzzGuard; i++ {
+		if math.Float32bits(buf[i]) != 0x7fc0dead || math.Float32bits(buf[len(buf)-1-i]) != 0x7fc0dead ||
+			lbuf[i] != -99 || lbuf[len(lbuf)-1-i] != -99 {
+			t.Fatalf("decode wrote outside its destination: %v / %v", buf, lbuf)
+		}
+	}
+	if !ok {
+		for i, x := range out {
+			if math.Float32bits(x) != 0x7fc0dead {
+				t.Fatalf("a failed decode wrote out[%d] = %v", i, x)
+			}
+		}
+		for i, l := range labels {
+			if l != -99 {
+				t.Fatalf("a failed decode wrote labels[%d] = %d", i, l)
+			}
+		}
+		return
+	}
+	r = wire.NewReader(data)
+	rows, want := r.Float32s(), r.Int32s()
+	for j, occ := range fuzzOcc {
+		for _, o := range occ {
+			for d := 0; d < fuzzDim; d++ {
+				if g, w := math.Float32bits(out[o*fuzzDim+d]), math.Float32bits(rows[j*fuzzDim+d]); g != w {
+					t.Fatalf("out[%d][%d] = %08x, want row %d's %08x", o, d, g, j, w)
+				}
+			}
+			if labels[o] != want[j] {
+				t.Fatalf("labels[%d] = %d, want %d", o, labels[o], want[j])
+			}
+		}
+	}
+}
+
+// featureFuzzSeeds are Features reply bodies for the fuzz destination: a
+// fitting one, one a row short, one with a count larger than its bytes,
+// one cut inside the label block, and one with trailing bytes.
+func featureFuzzSeeds() [][]byte {
+	floats := make([]float32, fuzzRows*fuzzDim)
+	for i := range floats {
+		floats[i] = float32(i) + 0.5
+	}
+	labels := []int32{4, -5, 6}
+	fit := wire.AppendInt32s(wire.AppendFloat32s(nil, floats), labels)
+	lying := wire.AppendUvarint(nil, fuzzRows*fuzzDim+1)
+	lying = append(lying, fit[1:]...)
+	return [][]byte{
+		fit,
+		wire.AppendInt32s(wire.AppendFloat32s(nil, floats[fuzzDim:]), labels[1:]),
+		lying,
+		fit[:len(fit)-2],
+		append(append([]byte(nil), fit...), 0),
+	}
+}
+
+// TestFeatureFuzzSeeds runs the Features seeds through the guarded
+// destination outside fuzzing, and checks that only the fitting one
+// decodes.
+func TestFeatureFuzzSeeds(t *testing.T) {
+	for i, seed := range featureFuzzSeeds() {
+		decodeFeaturesIntoGuarded(t, seed)
+		reply := FeatureReply{dim: fuzzDim, out: make([]float32, (fuzzRows+1)*fuzzDim), labels: make([]int32, fuzzRows+1), occ: fuzzOcc}
+		r := wire.NewReader(seed)
+		reply.decodeWire(r)
+		if ok := r.Done() == nil && reply.fits(); ok != (i == 0) {
+			t.Fatalf("seed %d: decode ok = %v", i, ok)
+		}
+	}
+}
+
 // FuzzWireDecode feeds arbitrary bytes to every payload decoder. Corrupt
 // frames must surface as Reader errors — never panics, never multi-GiB
 // allocations from forged counts (Count bounds every slice length against
-// the bytes actually present).
+// the bytes actually present). The bytes are also decoded as a Features
+// reply into a guarded destination: a short or lying count fails the
+// decode, writes nothing, and nothing is ever written out of range.
 func FuzzWireDecode(f *testing.F) {
 	for _, msg := range wireFixtures() {
 		f.Add(msg.appendWire(nil))
+	}
+	for _, seed := range featureFuzzSeeds() {
+		f.Add(seed)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
@@ -215,5 +331,6 @@ func FuzzWireDecode(f *testing.F) {
 				_ = r.Done()
 			}
 		}
+		decodeFeaturesIntoGuarded(t, data)
 	})
 }

@@ -298,6 +298,19 @@ func TestSoftmaxCrossEntropy(t *testing.T) {
 	if !approx(float64(grad.At(0, 0)), 0, 1e-6) {
 		t.Fatalf("grad = %v", grad.Data)
 	}
+	// The wrong classes' probabilities, e^-100, are below minGradProb: the
+	// gradient is exactly zero, with no subnormal entry.
+	for i, g := range grad.Data {
+		if g != 0 {
+			t.Fatalf("confident grad[%d] = %g, want 0", i, g)
+		}
+	}
+	// A probability of about 2^-60 (logit gap 60 ln 2) stays.
+	gap := float32(60 * math.Ln2)
+	_, grad = SoftmaxCrossEntropy(NewMatrixFrom(1, 2, []float32{gap, 0}), []int32{0})
+	if p := float64(grad.At(0, 1)); p < 0x1p-61 || p > 0x1p-59 {
+		t.Fatalf("grad of a 2^-60 probability = %g, want about 2^-60", p)
+	}
 	// Uniform logits: loss = ln(3).
 	logits = NewMatrix(1, 3)
 	loss, _ = SoftmaxCrossEntropy(logits, []int32{2})

@@ -399,6 +399,27 @@ func BenchmarkSampleNeighbors(b *testing.B) {
 	}
 }
 
+// TestSampleNeighborsAllocs pins SampleNeighbors at zero allocations per
+// call into a reused destination, at each of BenchmarkSampleNeighbors'
+// degrees (the flat leaf, a few leaves, and a deep tree).
+func TestSampleNeighborsAllocs(t *testing.T) {
+	for _, degree := range []int{8, 44, 256, 4096} {
+		const k = 10
+		s := NewDynamicStore(Options{Tree: core.Options{Compress: true}})
+		rng := rand.New(rand.NewSource(1))
+		for s.Degree(1, 0) < degree {
+			s.AddEdge(graph.Edge{Src: 1, Dst: graph.MakeVertexID(1, uint64(rng.Intn(1<<20))), Weight: rng.Float64() + 0.1})
+		}
+		dst := make([]graph.VertexID, 0, k)
+		allocs := testing.AllocsPerRun(200, func() {
+			dst = s.SampleNeighbors(1, 0, k, rng, dst[:0])
+		})
+		if allocs > 0 || len(dst) != k {
+			t.Fatalf("degree %d: SampleNeighbors drew %d and allocates %.0f times per call, want %d and 0", degree, len(dst), allocs, k)
+		}
+	}
+}
+
 // TestCheckInvariants: a store churned through the batch path passes the
 // whole-store invariant check, and a drifted edge count is caught.
 func TestCheckInvariants(t *testing.T) {

@@ -42,7 +42,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Version is the one protocol version this build speaks. Version 2 carries
@@ -280,19 +282,99 @@ func AppendUint64s(b []byte, v []uint64) []byte {
 // the bulk layout for feature matrices.
 func AppendFloat32s(b []byte, v []float32) []byte {
 	b = AppendUvarint(b, uint64(len(v)))
-	for _, x := range v {
-		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
-	}
+	n := len(b)
+	b = slices.Grow(b, 4*len(v))[:n+4*len(v)]
+	PutFloat32s(b[n:], v)
 	return b
 }
 
 // AppendInt32s appends a uvarint count followed by fixed 4-byte elements.
 func AppendInt32s(b []byte, v []int32) []byte {
 	b = AppendUvarint(b, uint64(len(v)))
-	for _, x := range v {
-		b = binary.LittleEndian.AppendUint32(b, uint32(x))
-	}
+	n := len(b)
+	b = slices.Grow(b, 4*len(v))[:n+4*len(v)]
+	putInt32s(b[n:], v)
 	return b
+}
+
+// hostLittleEndian reports whether this host stores a uint32 least
+// significant byte first, the wire's byte order. On such a host a float32
+// or int32 slice is already its own encoding, so the bulk codecs below are
+// one memory copy; elsewhere they fall back to the per-element loop.
+var hostLittleEndian = func() bool {
+	x := uint32(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// bytesOf views the memory of a 4-byte-element slice as bytes.
+func bytesOf[T float32 | int32](v []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
+}
+
+// PutFloat32s writes v into b as fixed 4-byte little-endian elements, with
+// no count. b must hold at least 4*len(v) bytes.
+func PutFloat32s(b []byte, v []float32) {
+	if hostLittleEndian {
+		copy(b[:4*len(v)], bytesOf(v))
+		return
+	}
+	putFloat32sLoop(b, v)
+}
+
+// putInt32s is PutFloat32s for int32s.
+func putInt32s(b []byte, v []int32) {
+	if hostLittleEndian {
+		copy(b[:4*len(v)], bytesOf(v))
+		return
+	}
+	putInt32sLoop(b, v)
+}
+
+// DecodeFloat32s fills dst from b, fixed 4-byte little-endian elements
+// with no count (a block from Reader.Block32). b must hold at least
+// 4*len(dst) bytes.
+func DecodeFloat32s(dst []float32, b []byte) {
+	if hostLittleEndian {
+		copy(bytesOf(dst), b[:4*len(dst)])
+		return
+	}
+	decodeFloat32sLoop(dst, b)
+}
+
+// decodeInt32s is DecodeFloat32s for int32s.
+func decodeInt32s(dst []int32, b []byte) {
+	if hostLittleEndian {
+		copy(bytesOf(dst), b[:4*len(dst)])
+		return
+	}
+	decodeInt32sLoop(dst, b)
+}
+
+// The per-element loops: the codec of a big-endian host, and the oracle
+// the bulk copies are tested against.
+
+func putFloat32sLoop(b []byte, v []float32) {
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(x))
+	}
+}
+
+func putInt32sLoop(b []byte, v []int32) {
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
+	}
+}
+
+func decodeFloat32sLoop(dst []float32, b []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+}
+
+func decodeInt32sLoop(dst []int32, b []byte) {
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
 }
 
 // AppendBools appends a uvarint count followed by one byte per element.
@@ -461,31 +543,39 @@ func (r *Reader) Uint64s() []uint64 {
 	return v
 }
 
+// Block32 reads the count prefix of a bulk slice of fixed 4-byte elements
+// (the layout of AppendFloat32s and AppendInt32s) and returns the element
+// count and the still-encoded elements, a view into the frame: decode them
+// with DecodeFloat32s straight into their destination.
+func (r *Reader) Block32() (n int, raw []byte) {
+	n = r.Count(4)
+	if r.err != nil || n == 0 {
+		return 0, nil
+	}
+	raw = r.b[r.off : r.off+4*n]
+	r.off += 4 * n
+	return n, raw
+}
+
 // Float32s reads a count-prefixed bulk slice of fixed 4-byte elements.
 func (r *Reader) Float32s() []float32 {
-	n := r.Count(4)
-	if r.err != nil || n == 0 {
+	n, raw := r.Block32()
+	if n == 0 {
 		return nil
 	}
 	v := make([]float32, n)
-	for i := range v {
-		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(r.b[r.off:]))
-		r.off += 4
-	}
+	DecodeFloat32s(v, raw)
 	return v
 }
 
 // Int32s reads a count-prefixed bulk slice of fixed 4-byte elements.
 func (r *Reader) Int32s() []int32 {
-	n := r.Count(4)
-	if r.err != nil || n == 0 {
+	n, raw := r.Block32()
+	if n == 0 {
 		return nil
 	}
 	v := make([]int32, n)
-	for i := range v {
-		v[i] = int32(binary.LittleEndian.Uint32(r.b[r.off:]))
-		r.off += 4
-	}
+	decodeInt32s(v, raw)
 	return v
 }
 

@@ -392,3 +392,111 @@ func FuzzFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestBulkCodecMatchesLoop: the bulk copies give the per-element loop's
+// bytes and values bit for bit, at every length and at odd offsets into the
+// frame, for NaN payloads, signed zeros, infinities and subnormals.
+func TestBulkCodecMatchesLoop(t *testing.T) {
+	if hostLittleEndian != (binary.NativeEndian.Uint16([]byte{1, 0}) == 1) {
+		t.Fatalf("hostLittleEndian = %v disagrees with binary.NativeEndian", hostLittleEndian)
+	}
+	special := []uint32{
+		0x7fc00000, 0x7fc00001, 0xffbfffff, 0x7f800001, // quiet and signalling NaNs with payloads
+		0x80000000, 0x00000000, 0x7f800000, 0xff800000, // -0, +0, ±Inf
+		0x00000001, 0x807fffff, 0x3f800000, 0xc2f6e979, // subnormals, 1, -123.456
+	}
+	rng := uint32(12345)
+	next := func() uint32 { rng = rng*1664525 + 1013904223; return rng }
+	for _, n := range []int{0, 1, 2, 3, 7, 12, 64, 1001} {
+		fv := make([]float32, n)
+		iv := make([]int32, n)
+		for i := range fv {
+			bits := next()
+			if i < len(special) {
+				bits = special[i]
+			}
+			fv[i] = math.Float32frombits(bits)
+			iv[i] = int32(next())
+		}
+		for _, pre := range []int{0, 1, 3} {
+			prefix := bytes.Repeat([]byte{0xa5}, pre)
+			want := append([]byte(nil), prefix...)
+			want = AppendUvarint(want, uint64(n))
+			loop := make([]byte, 4*n)
+			putFloat32sLoop(loop, fv)
+			if got := AppendFloat32s(append([]byte(nil), prefix...), fv); !bytes.Equal(got, append(want, loop...)) {
+				t.Fatalf("n=%d pre=%d: AppendFloat32s differs from the loop", n, pre)
+			}
+			putInt32sLoop(loop, iv)
+			if got := AppendInt32s(append([]byte(nil), prefix...), iv); !bytes.Equal(got, append(want, loop...)) {
+				t.Fatalf("n=%d pre=%d: AppendInt32s differs from the loop", n, pre)
+			}
+		}
+		// Decode from an odd offset, so the block is unaligned.
+		raw := make([]byte, 1+4*n)[1:]
+		putFloat32sLoop(raw, fv)
+		gotF, loopF := make([]float32, n), make([]float32, n)
+		DecodeFloat32s(gotF, raw)
+		decodeFloat32sLoop(loopF, raw)
+		for i := range fv {
+			if b := math.Float32bits(fv[i]); math.Float32bits(gotF[i]) != b || math.Float32bits(loopF[i]) != b {
+				t.Fatalf("n=%d: float %d decodes to %08x (bulk) and %08x (loop), want %08x",
+					n, i, math.Float32bits(gotF[i]), math.Float32bits(loopF[i]), b)
+			}
+		}
+		putInt32sLoop(raw, iv)
+		gotI, loopI := make([]int32, n), make([]int32, n)
+		decodeInt32s(gotI, raw)
+		decodeInt32sLoop(loopI, raw)
+		if !reflect.DeepEqual(gotI, iv) || !reflect.DeepEqual(loopI, iv) {
+			t.Fatalf("n=%d: int32 decode differs", n)
+		}
+		// The count-prefixed readers round-trip through the same blocks.
+		r := NewReader(AppendInt32s(AppendFloat32s(nil, fv), iv))
+		rf, ri := r.Float32s(), r.Int32s()
+		if err := r.Done(); err != nil || len(rf) != n || (n > 0 && !reflect.DeepEqual(ri, iv)) {
+			t.Fatalf("n=%d: reader round trip: %v", n, err)
+		}
+		for i := range rf {
+			if math.Float32bits(rf[i]) != math.Float32bits(fv[i]) {
+				t.Fatalf("n=%d: Float32s element %d changed bits", n, i)
+			}
+		}
+	}
+}
+
+// TestBlock32: Block32 returns the encoded elements without copying them
+// out of the frame, and fails on a count the frame cannot hold.
+func TestBlock32(t *testing.T) {
+	frame := AppendFloat32s(nil, []float32{1, 2, 3})
+	r := NewReader(frame)
+	n, raw := r.Block32()
+	if err := r.Done(); err != nil || n != 3 || len(raw) != 12 || &raw[0] != &frame[1] {
+		t.Fatalf("Block32 = %d, %d bytes, %v", n, len(raw), err)
+	}
+	r = NewReader(frame[:len(frame)-1])
+	if n, raw := r.Block32(); n != 0 || raw != nil || r.Err() == nil {
+		t.Fatalf("Block32 of a short block = %d, %d bytes, %v", n, len(raw), r.Err())
+	}
+}
+
+// TestWriteFrameAllocs pins BenchmarkWriteFrame's body at one allocation:
+// PutBuf boxes the slice header it hands the pool. The frame itself comes
+// from the pool.
+func TestWriteFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	payload := make([]byte, 4096)
+	allocs := testing.AllocsPerRun(200, func() {
+		frame := append(GetFrame(), KindResponse)
+		frame = append(frame, payload...)
+		if err := WriteFrame(io.Discard, frame); err != nil {
+			t.Fatal(err)
+		}
+		PutBuf(frame)
+	})
+	if allocs > 1 {
+		t.Fatalf("GetFrame + WriteFrame + PutBuf allocates %.2f times, want 1", allocs)
+	}
+}
