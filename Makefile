@@ -74,14 +74,15 @@ overload-chaos-smoke: build
 tier1: test race
 
 # Short fuzz pass over the wire protocol for PR CI: frame/handshake parsing,
-# the bounds-checked reader, and every RPC payload decoder. go test allows
-# one -fuzz pattern per invocation, hence three runs. Corpus findings land
-# in testdata/fuzz/ — commit them as regression seeds.
+# the bounds-checked reader, every RPC payload decoder, and the WAL's record
+# decoder. go test allows one -fuzz pattern per invocation, hence four runs.
+# Corpus findings land in testdata/fuzz/ — commit them as regression seeds.
 FUZZTIME ?= 15s
 fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzFrame -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzRecord -fuzztime $(FUZZTIME) ./internal/eventlog/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -11,6 +11,9 @@
 // Reader.Err/Done, never panics. A decoder assigns every field it carries,
 // since the transport decodes straight into the caller's reply. The layouts
 // belong to wire.Version; they change only together with a version bump.
+// Vertex ids and events use internal/wire's codecs, and FetchWALTail's
+// records eventlog's record layout, so the RPCs and the write-ahead log
+// share one byte layout for both.
 package cluster
 
 import (
@@ -30,87 +33,6 @@ type wireMessage interface {
 }
 
 // --- shared sub-codecs ---------------------------------------------------
-
-// appendVertexID packs id as its type byte plus a varint local id.
-func appendVertexID(b []byte, id graph.VertexID) []byte {
-	b = append(b, byte(id.Type()))
-	return wire.AppendUvarint(b, id.Local())
-}
-
-func readVertexID(r *wire.Reader) graph.VertexID {
-	t := r.Byte()
-	local := r.Uvarint()
-	if local > graph.MaxLocalID {
-		// Poison the decode instead of letting MakeVertexID panic on a
-		// corrupt frame.
-		r.Invalidate()
-		return 0
-	}
-	return graph.VertexID(uint64(t)<<56 | local)
-}
-
-func appendVertexIDs(b []byte, ids []graph.VertexID) []byte {
-	b = wire.AppendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		b = appendVertexID(b, id)
-	}
-	return b
-}
-
-func readVertexIDs(r *wire.Reader) []graph.VertexID {
-	// Each id is at least 2 bytes (type byte + 1 varint byte).
-	n := r.Count(2)
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	ids := make([]graph.VertexID, n)
-	for i := range ids {
-		ids[i] = readVertexID(r)
-	}
-	return ids
-}
-
-// appendEvent lays an event out in ~15-21 bytes (vs ~34 under gob): kind,
-// edge type, packed src/dst, fixed weight, varint timestamp.
-func appendEvent(b []byte, ev graph.Event) []byte {
-	b = append(b, byte(ev.Kind), byte(ev.Edge.Type))
-	b = appendVertexID(b, ev.Edge.Src)
-	b = appendVertexID(b, ev.Edge.Dst)
-	b = wire.AppendFloat64(b, ev.Edge.Weight)
-	return wire.AppendVarint(b, ev.Timestamp)
-}
-
-func readEvent(r *wire.Reader) graph.Event {
-	var ev graph.Event
-	ev.Kind = graph.EventKind(r.Byte())
-	ev.Edge.Type = graph.EdgeType(r.Byte())
-	ev.Edge.Src = readVertexID(r)
-	ev.Edge.Dst = readVertexID(r)
-	ev.Edge.Weight = r.Float64()
-	ev.Timestamp = r.Varint()
-	return ev
-}
-
-func appendEvents(b []byte, evs []graph.Event) []byte {
-	b = wire.AppendUvarint(b, uint64(len(evs)))
-	for _, ev := range evs {
-		b = appendEvent(b, ev)
-	}
-	return b
-}
-
-func readEvents(r *wire.Reader) []graph.Event {
-	// Minimum event size: kind + type + two 2-byte ids + weight + timestamp.
-	n := r.Count(15)
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	evs := make([]graph.Event, n)
-	for i := range evs {
-		evs[i] = readEvent(r)
-	}
-	return evs
-}
 
 func appendDedup(b []byte, entries []DedupEntry) []byte {
 	b = wire.AppendUvarint(b, uint64(len(entries)))
@@ -191,7 +113,7 @@ func readStrings(r *wire.Reader) []string {
 // --- data plane ----------------------------------------------------------
 
 func (a *BatchArgs) appendWire(b []byte) []byte {
-	b = appendEvents(b, a.Events)
+	b = wire.AppendEvents(b, a.Events)
 	b = wire.AppendUvarint(b, a.ClientID)
 	b = wire.AppendUvarint(b, a.Seq)
 	b = wire.AppendVarint(b, int64(a.Shard))
@@ -200,7 +122,7 @@ func (a *BatchArgs) appendWire(b []byte) []byte {
 }
 
 func (a *BatchArgs) decodeWire(r *wire.Reader) {
-	a.Events = readEvents(r)
+	a.Events = r.Events()
 	a.ClientID = r.Uvarint()
 	a.Seq = r.Uvarint()
 	a.Shard = int(r.Varint())
@@ -219,7 +141,7 @@ func (a *BatchReply) decodeWire(r *wire.Reader) {
 }
 
 func (a *SampleArgs) appendWire(b []byte) []byte {
-	b = appendVertexIDs(b, a.Seeds)
+	b = wire.AppendVertexIDs(b, a.Seeds)
 	b = append(b, byte(a.Type))
 	b = wire.AppendVarint(b, int64(a.Fanout))
 	b = wire.AppendVarint(b, a.Seed)
@@ -228,7 +150,7 @@ func (a *SampleArgs) appendWire(b []byte) []byte {
 }
 
 func (a *SampleArgs) decodeWire(r *wire.Reader) {
-	a.Seeds = readVertexIDs(r)
+	a.Seeds = r.VertexIDs()
 	a.Type = graph.EdgeType(r.Byte())
 	a.Fanout = int(r.Varint())
 	a.Seed = r.Varint()
@@ -236,19 +158,19 @@ func (a *SampleArgs) decodeWire(r *wire.Reader) {
 	a.RouteEpoch = r.Uvarint()
 }
 
-func (a *SampleReply) appendWire(b []byte) []byte { return appendVertexIDs(b, a.Neighbors) }
+func (a *SampleReply) appendWire(b []byte) []byte { return wire.AppendVertexIDs(b, a.Neighbors) }
 
-func (a *SampleReply) decodeWire(r *wire.Reader) { a.Neighbors = readVertexIDs(r) }
+func (a *SampleReply) decodeWire(r *wire.Reader) { a.Neighbors = r.VertexIDs() }
 
 func (a *DegreeArgs) appendWire(b []byte) []byte {
-	b = appendVertexIDs(b, a.Nodes)
+	b = wire.AppendVertexIDs(b, a.Nodes)
 	b = append(b, byte(a.Type))
 	b = wire.AppendVarint(b, int64(a.Shard))
 	return wire.AppendUvarint(b, a.RouteEpoch)
 }
 
 func (a *DegreeArgs) decodeWire(r *wire.Reader) {
-	a.Nodes = readVertexIDs(r)
+	a.Nodes = r.VertexIDs()
 	a.Type = graph.EdgeType(r.Byte())
 	a.Shard = int(r.Varint())
 	a.RouteEpoch = r.Uvarint()
@@ -275,7 +197,7 @@ func (a *DegreeReply) decodeWire(r *wire.Reader) {
 }
 
 func (a *FeatureArgs) appendWire(b []byte) []byte {
-	b = appendVertexIDs(b, a.Nodes)
+	b = wire.AppendVertexIDs(b, a.Nodes)
 	b = wire.AppendVarint(b, int64(a.Dim))
 	b = wire.AppendBool(b, a.WithLabels)
 	b = wire.AppendVarint(b, int64(a.Shard))
@@ -283,7 +205,7 @@ func (a *FeatureArgs) appendWire(b []byte) []byte {
 }
 
 func (a *FeatureArgs) decodeWire(r *wire.Reader) {
-	a.Nodes = readVertexIDs(r)
+	a.Nodes = r.VertexIDs()
 	a.Dim = int(r.Varint())
 	a.WithLabels = r.Bool()
 	a.Shard = int(r.Varint())
@@ -361,12 +283,12 @@ func (a *SourcesArgs) decodeWire(r *wire.Reader) {
 	a.RouteEpoch = r.Uvarint()
 }
 
-func (a *SourcesReply) appendWire(b []byte) []byte { return appendVertexIDs(b, a.Nodes) }
+func (a *SourcesReply) appendWire(b []byte) []byte { return wire.AppendVertexIDs(b, a.Nodes) }
 
-func (a *SourcesReply) decodeWire(r *wire.Reader) { a.Nodes = readVertexIDs(r) }
+func (a *SourcesReply) decodeWire(r *wire.Reader) { a.Nodes = r.VertexIDs() }
 
 func (a *SetFeaturesArgs) appendWire(b []byte) []byte {
-	b = appendVertexIDs(b, a.Nodes)
+	b = wire.AppendVertexIDs(b, a.Nodes)
 	b = wire.AppendVarint(b, int64(a.Dim))
 	b = wire.AppendFloat32s(b, a.Data)
 	b = wire.AppendInt32s(b, a.Labels)
@@ -375,7 +297,7 @@ func (a *SetFeaturesArgs) appendWire(b []byte) []byte {
 }
 
 func (a *SetFeaturesArgs) decodeWire(r *wire.Reader) {
-	a.Nodes = readVertexIDs(r)
+	a.Nodes = r.VertexIDs()
 	a.Dim = int(r.Varint())
 	a.Data = r.Float32s()
 	a.Labels = r.Int32s()
@@ -454,10 +376,7 @@ func (a *WALTailArgs) decodeWire(r *wire.Reader) {
 func (a *WALTailReply) appendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(a.Records)))
 	for _, rec := range a.Records {
-		b = wire.AppendUvarint(b, rec.Seq)
-		b = wire.AppendUvarint(b, rec.ClientID)
-		b = wire.AppendUvarint(b, rec.ClientSeq)
-		b = appendEvents(b, rec.Events)
+		b = eventlog.AppendRecord(b, rec)
 	}
 	b = wire.AppendUvarint(b, a.EndSeq)
 	b = wire.AppendUvarint(b, a.WriterSeq)
@@ -470,10 +389,7 @@ func (a *WALTailReply) decodeWire(r *wire.Reader) {
 	if n > 0 {
 		a.Records = make([]eventlog.BatchRecord, n)
 		for i := range a.Records {
-			a.Records[i].Seq = r.Uvarint()
-			a.Records[i].ClientID = r.Uvarint()
-			a.Records[i].ClientSeq = r.Uvarint()
-			a.Records[i].Events = readEvents(r)
+			a.Records[i] = eventlog.ReadRecord(r)
 		}
 	}
 	a.EndSeq = r.Uvarint()
@@ -512,7 +428,7 @@ func (a *ShardSnapshotArgs) appendWire(b []byte) []byte { return wire.AppendVari
 func (a *ShardSnapshotArgs) decodeWire(r *wire.Reader) { a.Shard = int(r.Varint()) }
 
 func (a *ShardSnapshotReply) appendWire(b []byte) []byte {
-	b = appendEvents(b, a.Events)
+	b = wire.AppendEvents(b, a.Events)
 	b = wire.AppendUvarint(b, a.WALSeq)
 	b = wire.AppendVarint(b, int64(a.NumShards))
 	b = appendDedup(b, a.Dedup)
@@ -520,7 +436,7 @@ func (a *ShardSnapshotReply) appendWire(b []byte) []byte {
 }
 
 func (a *ShardSnapshotReply) decodeWire(r *wire.Reader) {
-	a.Events = readEvents(r)
+	a.Events = r.Events()
 	a.WALSeq = r.Uvarint()
 	a.NumShards = int(r.Varint())
 	a.Dedup = readDedup(r)
@@ -532,15 +448,15 @@ func (a *ShardFeaturesArgs) appendWire(b []byte) []byte { return wire.AppendVari
 func (a *ShardFeaturesArgs) decodeWire(r *wire.Reader) { a.Shard = int(r.Varint()) }
 
 func (a *ShardFeaturesReply) appendWire(b []byte) []byte {
-	b = appendVertexIDs(b, a.Nodes)
+	b = wire.AppendVertexIDs(b, a.Nodes)
 	b = wire.AppendInt32s(b, a.RowLens)
 	b = wire.AppendFloat32s(b, a.Data)
 	b = wire.AppendInt32s(b, a.Labels)
 	b = wire.AppendBools(b, a.HasLabel)
 	b = wire.AppendUvarint(b, uint64(len(a.EdgeKeys)))
 	for _, k := range a.EdgeKeys {
-		b = appendVertexID(b, k.Src)
-		b = appendVertexID(b, k.Dst)
+		b = wire.AppendVertexID(b, k.Src)
+		b = wire.AppendVertexID(b, k.Dst)
 		b = append(b, byte(k.Type))
 	}
 	b = wire.AppendInt32s(b, a.EdgeLens)
@@ -548,7 +464,7 @@ func (a *ShardFeaturesReply) appendWire(b []byte) []byte {
 }
 
 func (a *ShardFeaturesReply) decodeWire(r *wire.Reader) {
-	a.Nodes = readVertexIDs(r)
+	a.Nodes = r.VertexIDs()
 	a.RowLens = r.Int32s()
 	a.Data = r.Float32s()
 	a.Labels = r.Int32s()
@@ -559,8 +475,8 @@ func (a *ShardFeaturesReply) decodeWire(r *wire.Reader) {
 	if n > 0 {
 		a.EdgeKeys = make([]kvstore.EdgeKey, n)
 		for i := range a.EdgeKeys {
-			a.EdgeKeys[i].Src = readVertexID(r)
-			a.EdgeKeys[i].Dst = readVertexID(r)
+			a.EdgeKeys[i].Src = r.VertexID()
+			a.EdgeKeys[i].Dst = r.VertexID()
 			a.EdgeKeys[i].Type = graph.EdgeType(r.Byte())
 		}
 	}

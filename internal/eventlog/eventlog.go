@@ -4,27 +4,30 @@
 // restart load the snapshot then replay the log tail — the standard
 // recovery recipe for in-memory stores serving a live update stream.
 //
-// Wire format: a text header line, then length-framed records — 4-byte
-// big-endian payload length followed by a self-contained gob encoding of the
-// record. Framing (rather than one long gob stream) keeps the file
-// appendable across process restarts and makes torn tails (a crash mid
-// append) detectable: replay stops at the first incomplete frame.
+// File layout (v3): the header line "platod2gl-eventlog v3\n", then one
+// frame per batch:
 //
-// Version 2 files additionally carry a CRC-32C checksum per frame (4 bytes
-// between the length prefix and the payload), so silent on-disk corruption —
-// a bit flip inside an otherwise complete frame — is detected rather than
-// fed to gob and (worse) possibly decoded into wrong events. New files are
-// written as v2; v1 files remain readable and are appended in v1 format so a
-// version upgrade never mixes frame layouts within one file. Verify reports
-// a file's integrity, distinguishing an expected torn tail from mid-file
-// corruption.
+//	uint32 BE  payload length (≤ wire.MaxFrame)
+//	uint32 BE  CRC-32C of the payload
+//	...        payload (AppendRecord): uvarint seq | uvarint clientID |
+//	           uvarint clientSeq | events (wire.AppendEvents)
+//
+// Events are in the layout every cluster RPC uses, and FetchWALTail ships
+// records in this same payload layout. Framing keeps the file appendable
+// across restarts and makes a torn tail (a crash mid-append) detectable:
+// replay stops at the first incomplete frame, and Create truncates it away.
+// The CRC catches silent corruption inside a complete frame, which Verify
+// reports apart from a torn tail.
+//
+// Each build reads one format. A v1/v2 (gob) log with anything past its
+// header is refused with ErrOldFormat: stop the old build with SIGTERM
+// first, which snapshots the store and empties the log. The header-only
+// file that leaves is read as empty, and Create rewrites it as v3.
 package eventlog
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -33,35 +36,31 @@ import (
 	"sync"
 
 	"platod2gl/internal/graph"
+	"platod2gl/internal/wire"
 )
 
-// Header lines. Both are the same length, so frame offsets are comparable
-// across versions.
+// Header lines. All are the same length, so a header-only old log is told
+// apart from one with records by its size.
 const (
+	header   = "platod2gl-eventlog v3\n"
 	headerV1 = "platod2gl-eventlog v1\n"
 	headerV2 = "platod2gl-eventlog v2\n"
 )
 
+// frameHeader is the length prefix plus the CRC that open every frame.
+const frameHeader = 8
+
 // crcTable is the Castagnoli polynomial — hardware-accelerated on amd64/arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// maxFrame bounds a single record's encoded size (a corrupt length prefix
-// must not trigger a huge allocation).
-const maxFrame = 1 << 30
+// ErrOldFormat refuses a log with records in a format this build does not
+// read. The upgrade step is in the package comment.
+var ErrOldFormat = errors.New("eventlog: log holds records of an older format")
 
-type logRecord struct {
-	Seq    uint64
-	Events []graph.Event
-	// ClientID/ClientSeq carry the cluster batch's at-most-once identity
-	// (zero for batches without one). Persisting them lets a restarted
-	// server rebuild its dedup table, so a client retry that straddles the
-	// restart is still applied at most once. Gob tolerates their absence in
-	// logs written before these fields existed.
-	ClientID  uint64
-	ClientSeq uint64
-}
-
-// BatchRecord is one replayed WAL record with its dedup identity.
+// BatchRecord is one WAL record. ClientID/ClientSeq are the cluster batch's
+// at-most-once identity, which lets a restarted server rebuild its dedup
+// table, so a client retry that straddles the restart is applied at most
+// once.
 type BatchRecord struct {
 	Seq       uint64 // log sequence number
 	ClientID  uint64 // cluster client identity (0 = none)
@@ -69,65 +68,107 @@ type BatchRecord struct {
 	Events    []graph.Event
 }
 
-// Writer appends event batches to a log file.
-type Writer struct {
-	mu      sync.Mutex
-	f       *os.File
-	path    string // canonical log path; f.Name() goes stale after Reset's rename
-	seq     uint64
-	open    bool
-	version int // frame format of the underlying file (1 or 2)
+// AppendRecord appends rec in the v3 record layout.
+func AppendRecord(b []byte, rec BatchRecord) []byte {
+	b = wire.AppendUvarint(b, rec.Seq)
+	b = wire.AppendUvarint(b, rec.ClientID)
+	b = wire.AppendUvarint(b, rec.ClientSeq)
+	return wire.AppendEvents(b, rec.Events)
 }
 
-// Create opens (or creates) the log at path for appending. A new file gets
-// the current (v2, CRC-framed) header; an existing file is validated, its
-// tail sequence recovered, its frame version remembered so appends match,
-// and any torn final frame truncated away.
+// ReadRecord reads a record written by AppendRecord. Failures surface
+// through r.Err.
+func ReadRecord(r *wire.Reader) BatchRecord {
+	return BatchRecord{Seq: r.Uvarint(), ClientID: r.Uvarint(), ClientSeq: r.Uvarint(), Events: r.Events()}
+}
+
+// decodeRecord decodes a frame's payload, which must hold exactly one record.
+func decodeRecord(payload []byte) (BatchRecord, bool) {
+	r := wire.NewReader(payload)
+	rec := ReadRecord(r)
+	return rec, r.Done() == nil
+}
+
+// logFile is what a Writer needs of its file; tests substitute failing ones.
+type logFile interface {
+	io.Writer
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
+// Writer appends event batches to a log file.
+type Writer struct {
+	mu   sync.Mutex
+	f    logFile
+	path string // canonical log path; the file's own name goes stale after Reset's rename
+	seq  uint64
+	size int64 // end of the last complete frame
+	// err, once set, refuses every append: a failed append left a partial
+	// frame that could not be cut off, and the next Create would truncate
+	// any later frame away with it.
+	err  error
+	open bool
+}
+
+// Create opens (or creates) the log at path for appending. A new file, or
+// the header-only file an older build's reset leaves, becomes an empty v3
+// log. An existing v3 log is validated, its tail sequence recovered, and a
+// torn final frame truncated away. An older log with records is refused
+// with ErrOldFormat.
 func Create(path string) (*Writer, error) {
+	var res scanResult
 	fi, err := os.Stat(path)
-	fresh := errors.Is(err, os.ErrNotExist) || (err == nil && fi.Size() == 0)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("eventlog: stat %s: %w", path, err)
-	}
-	version := 2
-	var lastSeq uint64
-	var goodSize int64
-	if !fresh {
-		var res scanResult
-		res, err = scanFull(path, nil)
-		if err != nil {
+	if err == nil && fi.Size() > 0 {
+		if res, err = scan(path, nil); err != nil {
 			return nil, err
 		}
-		version, lastSeq, goodSize = res.version, res.lastSeq, res.goodSize
-		if fi.Size() > goodSize {
-			// Torn tail from a crash mid-append: drop it before appending.
-			if err := os.Truncate(path, goodSize); err != nil {
-				return nil, fmt.Errorf("eventlog: truncate torn tail: %w", err)
-			}
-		}
+	} else if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("eventlog: stat %s: %w", path, err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	w := &Writer{path: path, seq: res.lastSeq, size: res.goodSize, open: true}
+	if res.version != 3 {
+		w.f, err = writeEmpty(path)
+		w.size = int64(len(header))
+	} else if err = os.Truncate(path, res.goodSize); err == nil { // drop a torn tail
+		w.f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: open %s: %w", path, err)
 	}
-	w := &Writer{f: f, path: path, seq: lastSeq, open: true, version: version}
-	if fresh {
-		if _, err := f.WriteString(headerV2); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("eventlog: write header: %w", err)
+	return w, nil
+}
+
+// writeEmpty replaces the file at path with a header-only log and returns
+// it open for appending. The file is written beside path and renamed over
+// it, so a crash leaves either the old file or the new empty one — never a
+// torn file.
+func writeEmpty(path string) (*os.File, error) {
+	tmp := path + ".reset"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if _, err = f.WriteString(header); err == nil {
+		if err = f.Sync(); err == nil {
+			err = os.Rename(tmp, path)
 		}
 	}
-	return w, nil
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return nil, err
+	}
+	return f, nil
 }
 
 // stopCause classifies why a scan stopped before the file's end.
 type stopCause int
 
 const (
-	stopEOF      stopCause = iota // clean end of file
-	stopTorn                      // incomplete final frame (crash mid-append)
-	stopCorrupt                   // complete frame failed CRC or decode
-	stopCallback                  // the per-record callback returned an error
+	stopEOF     stopCause = iota // clean end of file
+	stopTorn                     // incomplete final frame (crash mid-append)
+	stopCorrupt                  // complete frame failed CRC or decode
 )
 
 // scanResult summarizes one pass over a log file.
@@ -140,90 +181,89 @@ type scanResult struct {
 }
 
 // scan validates the log, invoking fn (if non-nil) per complete record, and
-// returns the last sequence number plus the byte offset of the end of the
-// last complete frame. Replay stops silently at the first torn or corrupt
-// frame — Verify exposes the distinction to callers that need it.
-func scan(path string, fn func(rec BatchRecord) error) (uint64, int64, error) {
-	res, err := scanFull(path, fn)
-	return res.lastSeq, res.goodSize, err
-}
-
-// scanFull is scan with the stop cause and frame version exposed.
-func scanFull(path string, fn func(rec BatchRecord) error) (scanResult, error) {
+// reports how far the valid frames reach and why the scan stopped. A torn
+// or corrupt frame ends the scan without an error — Verify exposes the
+// distinction to callers that need it.
+//
+// Frames appended after the scan starts read as a torn tail: the scan stops
+// at the file size it saw on opening, which also lets it classify a frame
+// that claims more bytes than the file holds as torn without allocating
+// for it.
+func scan(path string, fn func(rec BatchRecord) error) (scanResult, error) {
 	var res scanResult
 	f, err := os.Open(path)
 	if err != nil {
 		return res, fmt.Errorf("eventlog: open %s: %w", path, err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return res, fmt.Errorf("eventlog: stat %s: %w", path, err)
+	}
+	size := fi.Size()
 	br := bufio.NewReader(f)
-	head := make([]byte, len(headerV1))
-	if _, err := io.ReadFull(br, head); err != nil {
+	var head [len(header)]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return res, fmt.Errorf("eventlog: %s is not an event log", path)
 	}
-	switch string(head) {
-	case headerV1:
-		res.version = 1
-	case headerV2:
-		res.version = 2
+	switch string(head[:]) {
+	case header:
+		res.version = 3
+	case headerV1, headerV2:
+		res.version = int(head[len(head)-2] - '0')
+		if size > int64(len(head)) {
+			return res, fmt.Errorf("%w: %s is a v%d log; this build reads only v3. "+
+				"Stop the old build with SIGTERM, which snapshots the store and empties the log, then start this one",
+				ErrOldFormat, path, res.version)
+		}
 	default:
 		return res, fmt.Errorf("eventlog: %s is not an event log", path)
 	}
-	res.goodSize = int64(len(headerV1))
-	frameOverhead := int64(4)
-	if res.version >= 2 {
-		frameOverhead = 8 // length + CRC
-	}
-	var lenBuf [4]byte
+	res.goodSize = int64(len(head))
+	var hdr [frameHeader]byte
+	var payload []byte
 	for {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				res.cause = stopEOF
-			} else {
-				res.cause = stopTorn // partial length prefix
-			}
+		k, err := io.ReadFull(br, hdr[:])
+		if k == 0 && errors.Is(err, io.EOF) {
+			res.cause = stopEOF
 			return res, nil
 		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > maxFrame {
+		n := int64(binary.BigEndian.Uint32(hdr[:4]))
+		switch {
+		case k >= 4 && (n == 0 || n > wire.MaxFrame):
 			// A fully written length prefix with an impossible value is
 			// corruption, not a torn append.
 			res.cause = stopCorrupt
 			return res, nil
+		case err != nil, res.goodSize+frameHeader+n > size:
+			res.cause = stopTorn
+			return res, nil
 		}
-		var wantCRC uint32
-		if res.version >= 2 {
-			var crcBuf [4]byte
-			if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-				res.cause = stopTorn
-				return res, nil
-			}
-			wantCRC = binary.BigEndian.Uint32(crcBuf[:])
+		if int64(cap(payload)) < n {
+			payload = make([]byte, n)
 		}
-		payload := make([]byte, n)
+		payload = payload[:n]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			res.cause = stopTorn
 			return res, nil
 		}
-		if res.version >= 2 && crc32.Checksum(payload, crcTable) != wantCRC {
+		if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(hdr[4:]) {
 			res.cause = stopCorrupt
 			return res, nil
 		}
-		var rec logRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+		rec, ok := decodeRecord(payload)
+		if !ok {
 			res.cause = stopCorrupt
 			return res, nil
 		}
 		if fn != nil {
-			br := BatchRecord{Seq: rec.Seq, ClientID: rec.ClientID, ClientSeq: rec.ClientSeq, Events: rec.Events}
-			if err := fn(br); err != nil {
-				res.cause = stopCallback
+			if err := fn(rec); err != nil {
 				return res, err
 			}
 		}
 		res.frames++
 		res.lastSeq = rec.Seq
-		res.goodSize += frameOverhead + int64(n)
+		res.goodSize += frameHeader + n
 	}
 }
 
@@ -235,33 +275,39 @@ func (w *Writer) Append(events []graph.Event) (uint64, error) {
 
 // AppendBatch writes one event batch stamped with its cluster at-most-once
 // identity (clientID, clientSeq); zeros mean "no identity". Returns the
-// record's log sequence number.
+// record's log sequence number. The frame is built in a pooled buffer and
+// written with one Write call, so a steady-state append allocates nothing.
+//
+// If the write fails, the file is cut back to the end of the last complete
+// frame, so a partial frame never sits in front of later acknowledged
+// batches. If that fails too, every later append returns the error.
 func (w *Writer) AppendBatch(clientID, clientSeq uint64, events []graph.Event) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !w.open {
 		return 0, errors.New("eventlog: writer closed")
 	}
-	var payload bytes.Buffer
-	rec := logRecord{Seq: w.seq + 1, Events: events, ClientID: clientID, ClientSeq: clientSeq}
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
-		return 0, fmt.Errorf("eventlog: encode: %w", err)
+	if w.err != nil {
+		return 0, w.err
 	}
-	var frame bytes.Buffer
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(payload.Len()))
-	frame.Write(lenBuf[:])
-	if w.version >= 2 {
-		var crcBuf [4]byte
-		binary.BigEndian.PutUint32(crcBuf[:], crc32.Checksum(payload.Bytes(), crcTable))
-		frame.Write(crcBuf[:])
+	frame := wire.GetBuf(frameHeader)
+	frame = AppendRecord(frame, BatchRecord{Seq: w.seq + 1, ClientID: clientID, ClientSeq: clientSeq, Events: events})
+	defer wire.PutBuf(frame)
+	payload := frame[frameHeader:]
+	if len(payload) > wire.MaxFrame {
+		return 0, fmt.Errorf("eventlog: %d-byte record exceeds the frame limit", len(payload))
 	}
-	frame.Write(payload.Bytes())
-	// One Write call per frame keeps appends atomic with respect to
-	// concurrent Writers on POSIX O_APPEND semantics.
-	if _, err := w.f.Write(frame.Bytes()); err != nil {
-		return 0, fmt.Errorf("eventlog: append: %w", err)
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
+	if _, err := w.f.Write(frame); err != nil {
+		err = fmt.Errorf("eventlog: append: %w", err)
+		if terr := w.f.Truncate(w.size); terr != nil {
+			w.err = fmt.Errorf("%w (cutting off the partial frame failed: %v; the log takes no more appends)", err, terr)
+			return 0, w.err
+		}
+		return 0, err
 	}
+	w.size += int64(len(frame))
 	w.seq++
 	return w.seq, nil
 }
@@ -307,15 +353,8 @@ func Replay(path string, fn func(seq uint64, events []graph.Event) error) (int, 
 // at-most-once identity — what a recovering server uses to rebuild its
 // dedup table alongside its topology.
 func ReplayBatches(path string, fn func(rec BatchRecord) error) (int, error) {
-	n := 0
-	_, _, err := scan(path, func(rec BatchRecord) error {
-		if err := fn(rec); err != nil {
-			return err
-		}
-		n++
-		return nil
-	})
-	return n, err
+	res, err := scan(path, fn)
+	return res.frames, err
 }
 
 // errStopScan aborts a scan early from inside the per-record callback
@@ -337,7 +376,7 @@ var errStopScan = errors.New("eventlog: stop scan")
 // snapshot/truncate cycle.
 func ReadTail(path string, afterSeq uint64, limit int) ([]BatchRecord, error) {
 	var out []BatchRecord
-	_, _, err := scan(path, func(rec BatchRecord) error {
+	_, err := scan(path, func(rec BatchRecord) error {
 		if rec.Seq <= afterSeq {
 			return nil
 		}
@@ -366,51 +405,36 @@ func (w *Writer) Path() string {
 // batches the snapshot already contains (re-applying deletes of re-added
 // edges is not idempotent). The fresh file is created beside the log and
 // renamed over it, so a crash during Reset leaves either the old complete
-// log or the new empty one — never a torn file.
+// log or the new empty one — never a torn file. A fresh file also clears a
+// failed append's refusal.
 func (w *Writer) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !w.open {
 		return errors.New("eventlog: writer closed")
 	}
-	// The canonical path, NOT w.f.Name(): after a previous Reset, w.f is the
-	// file that was created at the tmp path and renamed into place, so its
-	// Name() still reports "<path>.reset" — resetting by that name would
-	// swap the fresh file in beside the log instead of over it, and every
-	// append after that would land in the orphan.
-	path := w.path
-	tmp := path + ".reset"
-	nf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	// The canonical path, not the file's own name: after a previous Reset
+	// the open file is the one created at "<path>.reset" and renamed into
+	// place, so its name is stale — resetting by it would swap the fresh
+	// file in beside the log instead of over it, and every append after
+	// that would land in the orphan.
+	nf, err := writeEmpty(w.path)
 	if err != nil {
 		return fmt.Errorf("eventlog: reset: %w", err)
 	}
-	// A reset file is fresh, so it always upgrades to the current format.
-	if _, err := nf.WriteString(headerV2); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("eventlog: reset header: %w", err)
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("eventlog: reset sync: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("eventlog: reset rename: %w", err)
-	}
-	old := w.f
+	w.f.Close()
 	w.f = nf
 	w.seq = 0
-	w.version = 2
-	old.Close()
+	w.size = int64(len(header))
+	w.err = nil
 	return nil
 }
 
 // VerifyReport is the result of an offline integrity pass over a log file.
 type VerifyReport struct {
-	Version  int    // frame format (1 = no per-frame CRC, 2 = CRC-32C framed)
+	// Version is the header's format: 3, or 1/2 for the header-only file
+	// an older build's reset leaves behind.
+	Version  int
 	Frames   int    // complete, valid frames
 	LastSeq  uint64 // sequence number of the last valid frame
 	GoodSize int64  // byte offset of the end of the last valid frame
@@ -418,7 +442,7 @@ type VerifyReport struct {
 	// expected residue of a crash mid-append, repaired automatically by the
 	// next Create.
 	TornTail bool
-	// Corrupt is true when a complete frame failed its CRC (v2) or decode:
+	// Corrupt is true when a complete frame failed its CRC or decode:
 	// on-disk corruption, not a torn append. BadOffset is where the bad
 	// frame starts.
 	Corrupt   bool
@@ -435,14 +459,14 @@ func (r VerifyReport) Err() error {
 	return nil
 }
 
-// Verify walks the log at path checking every frame (length bounds, CRC-32C
-// on v2 files, gob decodability) without applying anything, and classifies
-// any early stop: a torn final frame is expected crash residue, while a
-// complete frame that fails verification is corruption that a scrubber
-// should repair from a peer. Safe to run against a live writer's file —
-// concurrent appends read as a torn tail at worst.
+// Verify walks the log at path checking every frame (length bounds, CRC-32C,
+// record decodability) without applying anything, and classifies any early
+// stop: a torn final frame is expected crash residue, while a complete frame
+// that fails verification is corruption that a scrubber should repair from a
+// peer. Safe to run against a live writer's file — concurrent appends read
+// as a torn tail at worst.
 func Verify(path string) (VerifyReport, error) {
-	res, err := scanFull(path, nil)
+	res, err := scan(path, nil)
 	if err != nil {
 		return VerifyReport{}, err
 	}

@@ -1,11 +1,12 @@
 package eventlog
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"platod2gl/internal/graph"
@@ -28,22 +29,22 @@ func writeLog(t *testing.T, path string, n int) {
 	}
 }
 
-// frameOffsets scans a v2 file and returns the start offset of each frame.
+// frameOffsets scans a v3 file and returns the start offset of each frame.
 func frameOffsets(t *testing.T, path string) []int64 {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data[:len(headerV2)]) != headerV2 {
-		t.Fatalf("not a v2 log")
+	if string(data[:len(header)]) != header {
+		t.Fatalf("not a v3 log")
 	}
 	var offs []int64
-	off := int64(len(headerV2))
+	off := int64(len(header))
 	for off < int64(len(data)) {
 		offs = append(offs, off)
 		n := binary.BigEndian.Uint32(data[off:])
-		off += 8 + int64(n)
+		off += frameHeader + int64(n)
 	}
 	return offs
 }
@@ -151,68 +152,105 @@ func TestVerifyTornTailIsNotCorruption(t *testing.T) {
 	}
 }
 
-// writeV1Log hand-writes a version-1 (no CRC) log file.
-func writeV1Log(t *testing.T, path string, n int) {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(headerV1)
-	for i := 1; i <= n; i++ {
-		var payload bytes.Buffer
-		rec := logRecord{Seq: uint64(i), Events: mkEvents(uint64(i), 4)}
-		if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
-			t.Fatal(err)
-		}
-		var lenBuf [4]byte
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(payload.Len()))
-		buf.Write(lenBuf[:])
-		buf.Write(payload.Bytes())
+// TestVerifyHugeLengthIsTornWithoutAllocating: a last frame whose length
+// prefix claims 512 MiB, in a file that holds far less, is a torn tail, and
+// the scan must see that from the file size instead of allocating the
+// claimed payload first.
+func TestVerifyHugeLengthIsTornWithoutAllocating(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	writeLog(t, path, 2)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	tail := binary.BigEndian.AppendUint32(nil, 1<<29)
+	tail = append(tail, make([]byte, 4+100)...) // CRC and a little payload
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Verify(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.TornTail || rep.Corrupt || rep.Frames != 2 {
+		t.Fatalf("Verify = %+v, want a torn tail after 2 frames", rep)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("Verify allocated %d bytes for a frame that claims 1<<29", grew)
+	}
+}
+
+// oldLog hand-writes a log an older build left: the header of the given
+// version, then extra (nothing, or bytes standing in for its gob frames).
+func oldLog(t *testing.T, path, head string, extra []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, append([]byte(head), extra...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestV1Compatibility: a v1 file replays, appends stay in v1 format (no
-// mixed frame layouts within one file), and Reset upgrades it to v2.
-func TestV1Compatibility(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	writeV1Log(t, path, 3)
+// TestOldFormatWithRecordsRefused: a v1 or v2 log with anything past its
+// header is refused by every entry point with ErrOldFormat and an error
+// that names the upgrade step, and the file is left as it was.
+func TestOldFormatWithRecordsRefused(t *testing.T) {
+	for _, head := range []string{headerV1, headerV2} {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		frame := binary.BigEndian.AppendUint32(nil, 12)
+		frame = append(frame, make([]byte, 4+12)...)
+		oldLog(t, path, head, frame)
 
-	rep, err := Verify(path)
-	if err != nil {
-		t.Fatal(err)
+		_, errCreate := Create(path)
+		_, errReplay := Replay(path, func(uint64, []graph.Event) error { return nil })
+		_, errTail := ReadTail(path, 0, 0)
+		_, errVerify := Verify(path)
+		for name, err := range map[string]error{"Create": errCreate, "Replay": errReplay, "ReadTail": errTail, "Verify": errVerify} {
+			if !errors.Is(err, ErrOldFormat) {
+				t.Fatalf("%q: %s = %v, want ErrOldFormat", head, name, err)
+			}
+			if !strings.Contains(err.Error(), "SIGTERM") {
+				t.Fatalf("%q: %s error does not name the upgrade step: %v", head, name, err)
+			}
+		}
+		if data, _ := os.ReadFile(path); string(data) != head+string(frame) {
+			t.Fatalf("%q: refused log was modified", head)
+		}
 	}
-	if rep.Version != 1 || rep.Frames != 3 || rep.Corrupt {
-		t.Fatalf("v1 Verify = %+v", rep)
-	}
+}
 
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Seq() != 3 {
-		t.Fatalf("recovered seq = %d, want 3", w.Seq())
-	}
-	if _, err := w.Append(mkEvents(4, 4)); err != nil {
-		t.Fatal(err)
-	}
-	n, err := Replay(path, func(uint64, []graph.Event) error { return nil })
-	if err != nil || n != 4 {
-		t.Fatalf("v1 replay after append: %d batches, err %v", n, err)
-	}
-	if rep, _ := Verify(path); rep.Version != 1 || rep.Frames != 4 {
-		t.Fatalf("appended v1 file: Verify = %+v", rep)
-	}
-
-	// Reset rewrites the file fresh, which upgrades the format.
-	if err := w.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Append(mkEvents(5, 2)); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	if rep, _ := Verify(path); rep.Version != 2 || rep.Frames != 1 || rep.Corrupt {
-		t.Fatalf("post-reset: Verify = %+v", rep)
+// TestOldHeaderOnlyLogUpgrades: the header-only v1/v2 file an older build's
+// SIGTERM reset leaves behind reads as an empty log, and Create rewrites it
+// as v3 and appends to it.
+func TestOldHeaderOnlyLogUpgrades(t *testing.T) {
+	for i, head := range []string{headerV1, headerV2} {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		oldLog(t, path, head, nil)
+		if rep, err := Verify(path); err != nil || rep.Version != i+1 || rep.Frames != 0 || rep.TornTail || rep.Corrupt {
+			t.Fatalf("%q: Verify = %+v, %v", head, rep, err)
+		}
+		if n, err := Replay(path, func(uint64, []graph.Event) error { return nil }); err != nil || n != 0 {
+			t.Fatalf("%q: Replay = %d, %v", head, n, err)
+		}
+		w, err := Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data, _ := os.ReadFile(path); string(data) != header {
+			t.Fatalf("%q: Create left %q, want the v3 header", head, data)
+		}
+		if seq, err := w.Append(mkEvents(1, 3)); err != nil || seq != 1 {
+			t.Fatalf("%q: Append = %d, %v", head, seq, err)
+		}
+		w.Close()
+		if rep, err := Verify(path); err != nil || rep.Version != 3 || rep.Frames != 1 || rep.TornTail || rep.Corrupt {
+			t.Fatalf("%q: after upgrade Verify = %+v, %v", head, rep, err)
+		}
+		if _, err := os.Stat(path + ".reset"); !os.IsNotExist(err) {
+			t.Fatalf("%q: upgrade left %s.reset behind (err %v)", head, path, err)
+		}
 	}
 }

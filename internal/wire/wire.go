@@ -207,7 +207,13 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // gigabyte in the pool.
 const maxPooledBuf = 1 << 20
 
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+// bufPool holds buffers, each in a *[]byte box since a pool stores
+// pointers. GetBuf hands the emptied box to boxPool and PutBuf takes one
+// back from there, so a steady Get/Put cycle allocates nothing.
+var (
+	bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+	boxPool sync.Pool
+)
 
 // GetBuf returns a pooled buffer of length n.
 func GetBuf(n int) []byte {
@@ -217,6 +223,8 @@ func GetBuf(n int) []byte {
 		bufPool.Put(bp)
 		return make([]byte, n)
 	}
+	*bp = nil
+	boxPool.Put(bp)
 	return b[:n]
 }
 
@@ -225,8 +233,12 @@ func PutBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledBuf {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	bp, _ := boxPool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	*bp = b[:0]
+	bufPool.Put(bp)
 }
 
 // --- Append-style encoding primitives -----------------------------------
