@@ -31,13 +31,13 @@ var AllowedZ = [...]uint8{7, 6, 4, 0}
 //
 // IDVec is not safe for concurrent mutation.
 type IDVec struct {
-	z        uint8 // shared prefix length in bytes (0, 4, 6 or 7)
-	prefix   uint64
-	suffixes []byte // n * (8-z) big-endian suffixes
-	n        int
-	inited   bool
+	z      uint8 // shared prefix length in bytes (0, 4, 6 or 7)
+	inited bool
 	// noCompress pins z to 0 permanently (the "w/o CP" ablation).
 	noCompress bool
+	prefix     uint64
+	suffixes   []byte // n * (8-z) big-endian suffixes
+	n          int
 }
 
 // suffixBytes returns the per-element suffix width for prefix length z.
@@ -86,7 +86,14 @@ func fitZ(ref uint64, ids []uint64) uint8 {
 // NewIDVec builds a compressed vector from ids, choosing the widest prefix
 // that covers all of them.
 func NewIDVec(ids []uint64) *IDVec {
-	v := &IDVec{}
+	v := MakeIDVec(ids)
+	return &v
+}
+
+// MakeIDVec is NewIDVec returning the vector by value, for a struct that
+// holds its IDVec in place.
+func MakeIDVec(ids []uint64) IDVec {
+	var v IDVec
 	if len(ids) == 0 {
 		return v
 	}
@@ -107,7 +114,13 @@ func NewIDVec(ids []uint64) *IDVec {
 // NewUncompressed builds a vector that always stores full 8-byte IDs — the
 // "w/o CP" ablation configuration.
 func NewUncompressed(ids []uint64) *IDVec {
-	v := &IDVec{inited: true, z: 0, noCompress: true}
+	v := MakeUncompressed(ids)
+	return &v
+}
+
+// MakeUncompressed is NewUncompressed returning the vector by value.
+func MakeUncompressed(ids []uint64) IDVec {
+	v := IDVec{inited: true, z: 0, noCompress: true}
 	sb := 8
 	v.suffixes = make([]byte, 0, len(ids)*sb)
 	for _, id := range ids {

@@ -70,20 +70,21 @@ func (o Options) withDefaults() Options {
 
 // node is a samtree node: a leaf (ids+fs set) or an internal node
 // (keys+children+cs set). Using one struct avoids interface dispatch on the
-// hot descent path.
+// hot descent path. A leaf holds its ID list and weight table by value, so a
+// one-leaf tree is this node plus the two backing arrays.
 type node struct {
-	// Leaf fields.
-	ids *compress.IDVec // unordered neighbor IDs
-	fs  WeightTable     // weight table over the neighbor weights, same order
-
-	// Internal fields.
-	keys     *compress.IDVec  // keys.Get(i) = smallest ID in children[i]'s subtree; ascending
+	// Internal fields. children is nil exactly when the node is a leaf.
 	children []*node          //
+	keys     *compress.IDVec  // keys.Get(i) = smallest ID in children[i]'s subtree; ascending
 	cs       *cstable.CSTable // cs.Weight(i) = total weight of children[i]'s subtree
 	counts   []int32          // counts[i] = neighbor count in children[i]'s subtree
+
+	// Leaf fields.
+	ids compress.IDVec // unordered neighbor IDs
+	fs  leafTable      // weight table over the neighbor weights, same order
 }
 
-func (n *node) isLeaf() bool { return n.fs != nil }
+func (n *node) isLeaf() bool { return n.children == nil }
 
 // total returns the node's subtree weight.
 func (n *node) total() float64 {
@@ -116,7 +117,8 @@ func (n *node) subtreeCount() int32 {
 
 // Tree is a samtree for a single source vertex. Not safe for concurrent
 // mutation; the batch layer (internal/palm) and the storage layer serialize
-// writers per tree.
+// writers per tree. A Tree may be held by value (MakeTree), but must not be
+// copied once it holds neighbors: the copies would share nodes.
 type Tree struct {
 	root   *node
 	size   int
@@ -126,28 +128,25 @@ type Tree struct {
 
 // NewTree returns an empty samtree.
 func NewTree(opt Options) *Tree {
-	opt = opt.withDefaults()
-	return &Tree{root: newLeaf(opt), height: 1, opt: opt}
+	t := MakeTree(opt)
+	return &t
 }
 
-func newLeaf(opt Options) *node {
-	var ids *compress.IDVec
-	if opt.Compress {
-		ids = compress.NewIDVec(nil)
-	} else {
-		ids = compress.NewUncompressed(nil)
-	}
-	return &node{ids: ids, fs: newLeafTable(opt.LeafTable, nil)}
+// MakeTree is NewTree returning the tree by value, for a struct that holds
+// its samtree in place.
+func MakeTree(opt Options) Tree {
+	opt = opt.withDefaults()
+	return Tree{root: newLeafFrom(opt, nil, nil), height: 1, opt: opt}
 }
 
 func newLeafFrom(opt Options, ids []uint64, weights []float64) *node {
-	var iv *compress.IDVec
+	n := &node{fs: makeLeafTable(opt.LeafTable, weights)}
 	if opt.Compress {
-		iv = compress.NewIDVec(ids)
+		n.ids = compress.MakeIDVec(ids)
 	} else {
-		iv = compress.NewUncompressed(ids)
+		n.ids = compress.MakeUncompressed(ids)
 	}
-	return &node{ids: iv, fs: newLeafTable(opt.LeafTable, weights)}
+	return n
 }
 
 func newInner(opt Options, keys []uint64, children []*node, weights []float64) *node {
@@ -537,10 +536,7 @@ func (t *Tree) SampleMany(us []float64, out []uint64) bool {
 	return true
 }
 
-// sampleBatch draws len(rs) <= SampleBatch neighbors into out. The FSTable
-// searches are called on the concrete type: a slice passed through an
-// interface method escapes to the heap, and the draw buffers live on the
-// sampling caller's stack.
+// sampleBatch draws len(rs) <= SampleBatch neighbors into out.
 func (t *Tree) sampleBatch(rs []float64, total float64, out []uint64) {
 	var posBuf [SampleBatch]int
 	pos := posBuf[:len(rs)]
@@ -548,7 +544,7 @@ func (t *Tree) sampleBatch(rs []float64, total float64, out []uint64) {
 		rs[i] *= total
 	}
 	if root := t.root; root.isLeaf() && t.opt.LeafTable == LeafFTS {
-		root.fs.(*fenwick.FSTable).SampleMany(rs, pos)
+		root.fs.fts.SampleMany(rs, pos)
 		root.ids.GetMany(pos, out)
 		return
 	}
@@ -568,7 +564,7 @@ func (t *Tree) sampleEachLeaf(rs []float64, pos []int, out []uint64) {
 		var tableBuf [SampleBatch]*fenwick.FSTable
 		tables := tableBuf[:len(rs)]
 		for i, n := range leaves {
-			tables[i] = n.fs.(*fenwick.FSTable)
+			tables[i] = &n.fs.fts
 		}
 		fenwick.SampleEach(tables, rs, pos)
 	} else {
@@ -682,8 +678,11 @@ func (t *Tree) Neighbors() ([]uint64, []float64) {
 	return ids, weights
 }
 
-// nodeOverhead approximates the fixed per-node struct cost (three pointers,
-// a slice header, plus allocator slack).
+// nodeOverhead is the fixed per-node charge of MemoryBytes' estimate, not
+// the node struct's size: unsafe.Sizeof(node{}) is larger, and neither the
+// Tree nor allocator rounding is counted. It stays until MemoryBytes counts
+// what the allocator holds, so that the estimate (and bytes per edge) reads
+// the same across node layouts.
 const nodeOverhead = 64
 
 // MemoryBytes returns the structural footprint of the whole tree.

@@ -5,38 +5,6 @@ import (
 	"platod2gl/internal/fenwick"
 )
 
-// WeightTable abstracts the per-leaf weight structure so the FSTable can be
-// ablated against a CSTable-in-the-leaf configuration — the head-to-head of
-// Table II inside a full samtree. Semantics follow the FSTable: Delete is a
-// swap-delete (position i takes the last element's weight), matching the
-// unordered leaf ID list.
-type WeightTable interface {
-	// Len returns the number of weights.
-	Len() int
-	// Total returns the sum of all weights.
-	Total() float64
-	// Weight returns the raw weight at index i.
-	Weight(i int) float64
-	// Update sets the weight at index i.
-	Update(i int, w float64)
-	// Append adds a weight at the end.
-	Append(w float64)
-	// Delete removes index i with swap-delete semantics.
-	Delete(i int)
-	// Sample returns the smallest index whose strict prefix sum exceeds r.
-	Sample(r float64) int
-	// Weights reconstructs the raw weight array.
-	Weights() []float64
-	// MemoryBytes returns the structural footprint.
-	MemoryBytes() int64
-}
-
-// Interface checks.
-var (
-	_ WeightTable = (*fenwick.FSTable)(nil)
-	_ WeightTable = (*itsTable)(nil)
-)
-
 // LeafTableKind selects the leaf weight structure.
 type LeafTableKind uint8
 
@@ -57,29 +25,105 @@ func (k LeafTableKind) String() string {
 	return "FTS"
 }
 
-// itsTable adapts the CSTable to the WeightTable contract by giving Delete
-// the same swap semantics the unordered leaf requires.
-type itsTable struct {
-	cstable.CSTable
+// leafTable is a leaf's weight table, held by value inside its node. The
+// FSTable sits in the node itself, and the FTS sampling paths search it
+// directly. its is set only in the LeafITS ablation — the head-to-head of
+// Table II inside a full samtree — where a CSTable replaces the FSTable.
+// Semantics follow the FSTable: Delete is a swap-delete (position i takes
+// the last element's weight), matching the unordered leaf ID list.
+type leafTable struct {
+	fts fenwick.FSTable
+	its *cstable.CSTable
 }
 
-// Delete implements swap-delete on the strict prefix-sum table: O(n).
-func (t *itsTable) Delete(i int) {
-	n := t.Len()
-	if i != n-1 {
-		t.Update(i, t.Weight(n-1))
-	}
-	t.Truncate(n - 1)
-}
-
-// newLeafTable builds the configured leaf table from raw weights.
-func newLeafTable(kind LeafTableKind, weights []float64) WeightTable {
+// makeLeafTable builds the configured leaf table from raw weights.
+func makeLeafTable(kind LeafTableKind, weights []float64) leafTable {
 	if kind == LeafITS {
-		t := &itsTable{}
+		its := &cstable.CSTable{}
 		for _, w := range weights {
-			t.Append(w)
+			its.Append(w)
 		}
-		return t
+		return leafTable{its: its}
 	}
-	return fenwick.New(weights)
+	return leafTable{fts: fenwick.Make(weights)}
+}
+
+// Len returns the number of weights.
+func (t *leafTable) Len() int {
+	if t.its != nil {
+		return t.its.Len()
+	}
+	return t.fts.Len()
+}
+
+// Total returns the sum of all weights.
+func (t *leafTable) Total() float64 {
+	if t.its != nil {
+		return t.its.Total()
+	}
+	return t.fts.Total()
+}
+
+// Weight returns the raw weight at index i.
+func (t *leafTable) Weight(i int) float64 {
+	if t.its != nil {
+		return t.its.Weight(i)
+	}
+	return t.fts.Weight(i)
+}
+
+// Update sets the weight at index i.
+func (t *leafTable) Update(i int, w float64) {
+	if t.its != nil {
+		t.its.Update(i, w)
+		return
+	}
+	t.fts.Update(i, w)
+}
+
+// Append adds a weight at the end.
+func (t *leafTable) Append(w float64) {
+	if t.its != nil {
+		t.its.Append(w)
+		return
+	}
+	t.fts.Append(w)
+}
+
+// Delete removes index i with swap-delete semantics: O(log n) on the
+// FSTable, O(n) on the CSTable's strict prefix sums.
+func (t *leafTable) Delete(i int) {
+	if t.its == nil {
+		t.fts.Delete(i)
+		return
+	}
+	n := t.its.Len()
+	if i != n-1 {
+		t.its.Update(i, t.its.Weight(n-1))
+	}
+	t.its.Truncate(n - 1)
+}
+
+// Sample returns the smallest index whose strict prefix sum exceeds r.
+func (t *leafTable) Sample(r float64) int {
+	if t.its != nil {
+		return t.its.Sample(r)
+	}
+	return t.fts.Sample(r)
+}
+
+// Weights reconstructs the raw weight array.
+func (t *leafTable) Weights() []float64 {
+	if t.its != nil {
+		return t.its.Weights()
+	}
+	return t.fts.Weights()
+}
+
+// MemoryBytes returns the structural footprint.
+func (t *leafTable) MemoryBytes() int64 {
+	if t.its != nil {
+		return t.its.MemoryBytes()
+	}
+	return t.fts.MemoryBytes()
 }

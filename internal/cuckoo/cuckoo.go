@@ -162,7 +162,8 @@ func (s *shard[V]) put(key uint64, val V) bool {
 			}
 		}
 	}
-	for !s.insertNew(key, val) {
+	if !s.insertNew(key, val) {
+		// key is in the table; the chain's last victim waits in pending.
 		s.grow()
 	}
 	s.size++
@@ -205,8 +206,9 @@ func (s *shard[V]) insertNew(key uint64, val V) bool {
 			bi = s.h1(curKey)
 		}
 	}
-	// Chain failed: put the displaced element back is unnecessary — the
-	// caller grows the table which rehashes everything, including curKey.
+	// Chain failed: key sits in the table, and the one entry left out is
+	// the last victim. The caller grows the table, which rehashes it from
+	// pending; inserting key again would store it twice.
 	s.pending = append(s.pending, pendingEntry[V]{curKey, curVal})
 	return false
 }
@@ -216,51 +218,33 @@ type pendingEntry[V any] struct {
 	val V
 }
 
-// grow doubles the bucket array and rehashes, including any entry displaced
-// out of the table by a failed kick chain.
+// grow doubles the bucket array and rehashes every entry, including the one
+// a failed kick chain displaced into pending. Should a chain fail during the
+// rehash, it starts over at twice the size, so every entry ends up stored
+// exactly once.
 func (s *shard[V]) grow() {
-	old := s.buckets
-	s.buckets = make([]bucket[V], len(old)*2)
-	s.mask = uint64(len(s.buckets) - 1)
-	reinsert := func(k uint64, v V) {
-		for !s.insertNew(k, v) {
-			// Extremely unlikely with a fresh, half-empty table, but keep
-			// growing until it fits.
-			s.growInPlace()
-		}
-	}
-	pend := s.pending
-	s.pending = nil
-	for i := range old {
-		b := &old[i]
+	entries := s.pending
+	for i := range s.buckets {
+		b := &s.buckets[i]
 		for j := 0; j < slotsPerBucket; j++ {
 			if b.used[j] {
-				reinsert(b.keys[j], b.vals[j])
+				entries = append(entries, pendingEntry[V]{b.keys[j], b.vals[j]})
 			}
 		}
 	}
-	for _, p := range pend {
-		reinsert(p.key, p.val)
-	}
-}
-
-// growInPlace doubles the bucket array rehashing existing entries only (no
-// pending handling; used from within grow's reinsertion loop).
-func (s *shard[V]) growInPlace() {
-	old := s.buckets
-	s.buckets = make([]bucket[V], len(old)*2)
-	s.mask = uint64(len(s.buckets) - 1)
-	for i := range old {
-		b := &old[i]
-		for j := 0; j < slotsPerBucket; j++ {
-			if b.used[j] {
-				if !s.insertNew(b.keys[j], b.vals[j]) {
-					// With load factor <= 50% this cannot happen; if it does,
-					// recurse.
-					s.growInPlace()
-					s.insertNew(b.keys[j], b.vals[j])
-				}
+	for n := 2 * len(s.buckets); ; n *= 2 {
+		s.buckets = make([]bucket[V], n)
+		s.mask = uint64(n - 1)
+		s.pending = nil
+		fits := true
+		for _, e := range entries {
+			if !s.insertNew(e.key, e.val) {
+				fits = false
+				break
 			}
+		}
+		if fits {
+			return
 		}
 	}
 }

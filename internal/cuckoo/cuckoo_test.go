@@ -107,6 +107,36 @@ func TestGrowthManyKeys(t *testing.T) {
 	}
 }
 
+// TestGrowthStoresEachKeyOnce: a put whose kick chain fails grows the shard
+// without storing its key a second time, so Range visits every key once and
+// Delete leaves no stale copy behind.
+func TestGrowthStoresEachKeyOnce(t *testing.T) {
+	m := NewWithShards[uint64](4)
+	const n = 20000
+	for i := uint64(0); i < n; i++ {
+		m.Put(i, i)
+	}
+	visits := map[uint64]int{}
+	m.Range(func(k, _ uint64) bool {
+		visits[k]++
+		return true
+	})
+	for k, c := range visits {
+		if c != 1 {
+			t.Fatalf("Range visited key %d %d times", k, c)
+		}
+	}
+	if len(visits) != n {
+		t.Fatalf("Range visited %d keys, want %d", len(visits), n)
+	}
+	for i := uint64(0); i < n; i++ {
+		m.Delete(i)
+	}
+	if _, ok := m.Get(7); ok || len(m.Keys()) != 0 {
+		t.Fatalf("%d keys left after deleting every key", len(m.Keys()))
+	}
+}
+
 func TestAdversarialKeys(t *testing.T) {
 	// Keys crafted to collide in the low bits.
 	m := NewWithShards[int](1)

@@ -37,7 +37,14 @@ func lsb(x int) int { return x & (-x) }
 
 // New builds an FSTable from raw weights in O(n) time.
 func New(weights []float64) *FSTable {
-	t := &FSTable{f: make([]float64, 0, len(weights))}
+	t := Make(weights)
+	return &t
+}
+
+// Make is New returning the table by value, for a struct that holds its
+// FSTable in place.
+func Make(weights []float64) FSTable {
+	t := FSTable{f: make([]float64, 0, len(weights))}
 	for _, w := range weights {
 		t.Append(w)
 	}

@@ -53,6 +53,31 @@ func TestPlanPreservesPerEdgeOrder(t *testing.T) {
 	}
 }
 
+// TestPlanKeepsBatchOrderOnTies: events on one edge with equal timestamps
+// come out of Plan in batch order, here an add before the delete of each of
+// 2048 edges, and Start locates each group in the batch.
+func TestPlanKeepsBatchOrderOnTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var events []graph.Event
+	for i := 0; i < 2048; i++ {
+		add := ev(graph.EdgeType(rng.Intn(2)), uint64(rng.Intn(64)), uint64(i), 0)
+		del := add
+		del.Kind = graph.DeleteEdge
+		events = append(events, add, del)
+	}
+	groups := Plan(events)
+	for _, g := range groups {
+		if &events[g.Start] != &g.Events[0] {
+			t.Fatalf("group of source %d: Start %d does not locate its events", g.Src, g.Start)
+		}
+		for i := 0; i < len(g.Events); i += 2 {
+			if g.Events[i].Kind != graph.AddEdge || g.Events[i+1].Kind != graph.DeleteEdge {
+				t.Fatalf("source %d dst %d: the delete came before the add", g.Src, g.Events[i].Edge.Dst)
+			}
+		}
+	}
+}
+
 func TestPlanEmpty(t *testing.T) {
 	if got := Plan(nil); len(got) != 0 {
 		t.Fatalf("Plan(nil) = %v", got)

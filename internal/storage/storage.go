@@ -12,6 +12,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -72,10 +73,11 @@ type Options struct {
 
 // treeEntry pairs a samtree with its writer lock. Batch updates bypass the
 // lock's contention entirely (one worker per tree); the lock serializes
-// stray single-edge updates against concurrent readers.
+// stray single-edge updates against concurrent readers. The Tree is held by
+// value, so an entry and its tree are one heap object.
 type treeEntry struct {
 	mu   sync.RWMutex
-	tree *core.Tree
+	tree core.Tree
 }
 
 // relation is the per-edge-type topology: source vertex → samtree.
@@ -162,9 +164,13 @@ func (s *DynamicStore) entry(src graph.VertexID, et graph.EdgeType, create bool)
 		return e
 	}
 	e, _ := r.trees.GetOrCreate(uint64(src), func() *treeEntry {
-		return &treeEntry{tree: core.NewTree(s.opt.Tree)}
+		return newEntry(s.opt.Tree)
 	})
 	return e
+}
+
+func newEntry(opt core.Options) *treeEntry {
+	return &treeEntry{tree: core.MakeTree(opt)}
 }
 
 // AddEdge implements TopologyStore.
@@ -244,7 +250,7 @@ func (s *DynamicStore) SampleNeighbors(src graph.VertexID, et graph.EdgeType, k 
 		return dst
 	}
 	ent.mu.RLock()
-	dst = core.AppendSamples(ent.tree, rng, k, dst)
+	dst = core.AppendSamples(&ent.tree, rng, k, dst)
 	ent.mu.RUnlock()
 	s.opt.Metrics.observeSample(start)
 	return dst
@@ -311,32 +317,57 @@ func (s *DynamicStore) ApplyBatch(events []graph.Event) {
 	if workers <= 0 {
 		workers = palm.DefaultWorkers(len(events))
 	}
-	var added, removed atomic.Int64
-	palm.Run(events, workers, func(g palm.Group) {
-		// Translate the group into tree ops and apply them with the
-		// intra-tree batch path (sorted IDs reuse root-to-leaf searches).
-		ops := make([]core.Op, len(g.Events))
-		for i, ev := range g.Events {
-			op := core.Op{ID: uint64(ev.Edge.Dst), Weight: ev.Edge.Weight}
-			switch ev.Kind {
-			case graph.DeleteEdge:
-				op.Kind = core.OpDelete
-			case graph.UpdateWeight:
-				op.Kind = core.OpUpdate
-			default:
-				op.Kind = core.OpInsert
-			}
-			ops[i] = op
-		}
-		ent := s.entry(g.Src, g.Type, true)
-		ent.mu.Lock()
-		a, r := ent.tree.ApplyBatch(ops)
-		ent.mu.Unlock()
-		added.Add(int64(a))
-		removed.Add(int64(r))
-	})
-	s.numEdges.Add(added.Load() - removed.Load())
+	b := batchPool.Get().(*batch)
+	b.s = s
+	b.ops = slices.Grow(b.ops[:0], len(events))[:len(events)]
+	b.added.Store(0)
+	b.removed.Store(0)
+	palm.Run(events, workers, b.apply)
+	s.numEdges.Add(b.added.Load() - b.removed.Load())
+	b.s = nil
+	batchPool.Put(b)
 	s.opt.Metrics.observeBatch(start, len(events))
+}
+
+// batch is the reusable state of one ApplyBatch: the tree ops of the whole
+// batch, cut per group at the group's Start, and the edge-count deltas.
+type batch struct {
+	s              *DynamicStore
+	ops            []core.Op
+	added, removed atomic.Int64
+	// apply is applyGroup bound once, so passing it to palm.Run does not
+	// allocate a closure per batch.
+	apply func(palm.Group)
+}
+
+var batchPool = sync.Pool{New: func() any {
+	b := new(batch)
+	b.apply = b.applyGroup
+	return b
+}}
+
+// applyGroup translates one group into tree ops and applies them with the
+// intra-tree batch path (sorted IDs reuse root-to-leaf searches).
+func (b *batch) applyGroup(g palm.Group) {
+	ops := b.ops[g.Start : g.Start+len(g.Events)]
+	for i, ev := range g.Events {
+		op := core.Op{ID: uint64(ev.Edge.Dst), Weight: ev.Edge.Weight}
+		switch ev.Kind {
+		case graph.DeleteEdge:
+			op.Kind = core.OpDelete
+		case graph.UpdateWeight:
+			op.Kind = core.OpUpdate
+		default:
+			op.Kind = core.OpInsert
+		}
+		ops[i] = op
+	}
+	ent := b.s.entry(g.Src, g.Type, true)
+	ent.mu.Lock()
+	a, r := ent.tree.ApplyBatch(ops)
+	ent.mu.Unlock()
+	b.added.Add(int64(a))
+	b.removed.Add(int64(r))
 }
 
 // Sources implements TopologyStore.

@@ -450,3 +450,62 @@ func TestCheckInvariants(t *testing.T) {
 		t.Fatal("edge count off by one passed CheckInvariants")
 	}
 }
+
+// TestConcurrentApplyBatch: batches applied from several goroutines at once
+// (each ApplyBatch takes its own pooled scratch) leave the store that the same
+// batches leave applied one after another.
+func TestConcurrentApplyBatch(t *testing.T) {
+	const writers, rounds = 4, 20
+	batches := make([][][]graph.Event, writers)
+	for w := range batches {
+		rng := rand.New(rand.NewSource(int64(w)))
+		for r := 0; r < rounds; r++ {
+			events := make([]graph.Event, 300)
+			for i := range events {
+				kind := graph.AddEdge
+				if r > 0 && rng.Intn(4) == 0 {
+					kind = graph.DeleteEdge
+				}
+				// Writer w owns the sources congruent to w, so the final
+				// state does not depend on how the writers interleave.
+				events[i] = graph.Event{Kind: kind, Timestamp: int64(i), Edge: graph.Edge{
+					Src: graph.VertexID(writers*rng.Intn(40) + w), Dst: graph.VertexID(rng.Intn(300)),
+					Weight: rng.Float64() + 0.01,
+				}}
+			}
+			batches[w] = append(batches[w], events)
+		}
+	}
+	concurrent, serial := newStore(), newStore()
+	var wg sync.WaitGroup
+	for w := range batches {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, events := range batches[w] {
+				concurrent.ApplyBatch(append([]graph.Event(nil), events...))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, rounds := range batches {
+		for _, events := range rounds {
+			serial.ApplyBatch(events)
+		}
+	}
+	if err := concurrent.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if concurrent.NumEdges() != serial.NumEdges() {
+		t.Fatalf("concurrent batches left %d edges, serial %d", concurrent.NumEdges(), serial.NumEdges())
+	}
+	for src := graph.VertexID(0); src < writers*40; src++ {
+		ids, _ := serial.Neighbors(src, 0)
+		for _, dst := range ids {
+			w1, _ := serial.EdgeWeight(src, dst, 0)
+			if w2, ok := concurrent.EdgeWeight(src, dst, 0); !ok || w1 != w2 {
+				t.Fatalf("edge %d->%d: concurrent %v (present %v), serial %v", src, dst, w2, ok, w1)
+			}
+		}
+	}
+}

@@ -26,6 +26,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("SampleDistribution", func(t *testing.T) { testSampleDistribution(t, f()) })
 	t.Run("UniformSampleDistribution", func(t *testing.T) { testUniformDistribution(t, f()) })
 	t.Run("BatchEqualsSingles", func(t *testing.T) { testBatchEqualsSingles(t, f(), f()) })
+	t.Run("BatchOrderOnEqualTimestamps", func(t *testing.T) { testBatchOrderOnTies(t, f()) })
 	t.Run("RandomChurn", func(t *testing.T) { testRandomChurn(t, f()) })
 	t.Run("MemoryAccounting", func(t *testing.T) { testMemory(t, f()) })
 }
@@ -216,6 +217,29 @@ func testBatchEqualsSingles(t *testing.T, batched, serial storage.TopologyStore)
 				}
 			}
 		}
+	}
+}
+
+// testBatchOrderOnTies: events on one edge that share a timestamp apply in
+// batch order. Every event here has timestamp 0: a batch of (add, delete)
+// pairs leaves no edge, and one of (delete, add) pairs leaves every edge.
+func testBatchOrderOnTies(t *testing.T, s storage.TopologyStore) {
+	const edges = 2048
+	batch := func(first, second graph.EventKind) []graph.Event {
+		var events []graph.Event
+		for i := 0; i < edges; i++ {
+			e := graph.Edge{Src: graph.VertexID(i % 64), Dst: graph.VertexID(i), Weight: 1}
+			events = append(events, graph.Event{Kind: first, Edge: e}, graph.Event{Kind: second, Edge: e})
+		}
+		return events
+	}
+	s.ApplyBatch(batch(graph.AddEdge, graph.DeleteEdge))
+	if n := s.NumEdges(); n != 0 {
+		t.Fatalf("(add, delete) pairs left %d edges, want 0", n)
+	}
+	s.ApplyBatch(batch(graph.DeleteEdge, graph.AddEdge))
+	if n := s.NumEdges(); n != edges {
+		t.Fatalf("(delete, add) pairs left %d edges, want %d", n, edges)
 	}
 }
 

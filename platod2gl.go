@@ -206,8 +206,8 @@ func (g *Graph) UpdateEdgeWeight(src, dst VertexID, et EdgeType, w float64) bool
 }
 
 // Apply applies a batch of update events with the PALM-style latch-free
-// batch mechanism. Events may be reordered (per-edge order is preserved by
-// timestamp).
+// batch mechanism. Events may be reordered, but per-edge order is preserved:
+// by timestamp, and in batch order among equal timestamps.
 func (g *Graph) Apply(events []Event) { g.store.ApplyBatch(events) }
 
 // EdgeWeight returns the weight of the edge, if present.
