@@ -73,9 +73,10 @@ overload-chaos-smoke: build
 
 tier1: test race
 
-# Short fuzz pass over the wire protocol for PR CI: frame/handshake parsing,
-# the bounds-checked reader, every RPC payload decoder, and the WAL's record
-# decoder. go test allows one -fuzz pattern per invocation, hence four runs.
+# Short fuzz pass for PR CI: frame/handshake parsing, the bounds-checked
+# reader, every RPC payload decoder, the WAL's record decoder, and the PALM
+# planner against its sort-based oracle. go test allows one -fuzz pattern
+# per invocation, hence five runs.
 # Corpus findings land in testdata/fuzz/ — commit them as regression seeds.
 FUZZTIME ?= 15s
 fuzz-smoke: build
@@ -83,6 +84,7 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz FuzzFrame -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzRecord -fuzztime $(FUZZTIME) ./internal/eventlog/
+	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime $(FUZZTIME) ./internal/palm/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

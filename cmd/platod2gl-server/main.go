@@ -43,30 +43,13 @@ import (
 
 	"platod2gl/internal/cluster"
 	"platod2gl/internal/core"
+	"platod2gl/internal/durable"
 	"platod2gl/internal/eventlog"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
 	"platod2gl/internal/obs"
 	"platod2gl/internal/storage"
 )
-
-// saveSnapshot writes the store to path atomically (tmp file + rename). The
-// caller quiesces the service first so the bytes describe one batch boundary.
-func saveSnapshot(store *storage.DynamicStore, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := store.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
 
 func main() {
 	var (
@@ -233,7 +216,7 @@ func main() {
 			resume := svc.Pause()
 			defer resume()
 			if *snapshot != "" {
-				if err := saveSnapshot(store, *snapshot); err != nil {
+				if err := durable.WriteFile(*snapshot, store.Save); err != nil {
 					return err
 				}
 			}
@@ -303,7 +286,7 @@ func main() {
 				// truncate the WAL to match — otherwise a crash now would
 				// recover just the tail.
 				resume := svc.Pause()
-				err := saveSnapshot(store, *snapshot)
+				err := durable.WriteFile(*snapshot, store.Save)
 				if err == nil && wal != nil {
 					err = wal.Reset()
 				}
@@ -339,7 +322,7 @@ func main() {
 			// Quiesce: drain in-flight batches and block new ones so the
 			// snapshot and the truncated WAL describe the same state.
 			svc.Pause()
-			if err := saveSnapshot(store, *snapshot); err != nil {
+			if err := durable.WriteFile(*snapshot, store.Save); err != nil {
 				log.Fatalf("save snapshot %s: %v", *snapshot, err)
 			}
 			log.Printf("saved snapshot %s: %d edges", *snapshot, store.NumEdges())

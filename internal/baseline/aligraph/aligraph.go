@@ -324,34 +324,36 @@ func (s *Store) ApplyBatch(events []graph.Event) {
 		workers = palm.DefaultWorkers(len(events))
 	}
 	var added, removed atomic.Int64
-	palm.Run(events, workers, func(g palm.Group) {
-		r := s.rel(g.Type, true)
-		sh := shardFor(r, g.Src)
-		sh.mu.Lock()
-		for _, ev := range g.Events {
-			switch ev.Kind {
-			case graph.AddEdge:
-				if s.addLocked(sh, ev.Edge.Src, ev.Edge.Dst, ev.Edge.Weight, false) {
-					added.Add(1)
-				}
-			case graph.DeleteEdge:
-				if s.deleteLocked(sh, ev.Edge.Src, ev.Edge.Dst, false) {
-					removed.Add(1)
-				}
-			case graph.UpdateWeight:
-				if a := sh.adj[ev.Edge.Src]; a != nil {
-					if i, ok := a.index[ev.Edge.Dst]; ok {
-						a.weights[i] = ev.Edge.Weight
-						a.table = nil
+	palm.Run(events, workers, func(groups []palm.Group) {
+		for _, g := range groups {
+			r := s.rel(g.Type, true)
+			sh := shardFor(r, g.Src)
+			sh.mu.Lock()
+			for _, ev := range g.Events {
+				switch ev.Kind {
+				case graph.AddEdge:
+					if s.addLocked(sh, ev.Edge.Src, ev.Edge.Dst, ev.Edge.Weight, false) {
+						added.Add(1)
+					}
+				case graph.DeleteEdge:
+					if s.deleteLocked(sh, ev.Edge.Src, ev.Edge.Dst, false) {
+						removed.Add(1)
+					}
+				case graph.UpdateWeight:
+					if a := sh.adj[ev.Edge.Src]; a != nil {
+						if i, ok := a.index[ev.Edge.Dst]; ok {
+							a.weights[i] = ev.Edge.Weight
+							a.table = nil
+						}
 					}
 				}
 			}
+			// Rebuild the static sampling structure for this source.
+			if a := sh.adj[g.Src]; a != nil {
+				a.ensureTable()
+			}
+			sh.mu.Unlock()
 		}
-		// Rebuild the static sampling structure for this source.
-		if a := sh.adj[g.Src]; a != nil {
-			a.ensureTable()
-		}
-		sh.mu.Unlock()
 	})
 	s.numEdges.Add(added.Load() - removed.Load())
 }

@@ -384,31 +384,33 @@ func (s *Store) ApplyBatch(events []graph.Event) {
 		workers = palm.DefaultWorkers(len(events))
 	}
 	var added, removed atomic.Int64
-	palm.Run(events, workers, func(g palm.Group) {
-		r := s.rel(g.Type, true)
-		sh := shardFor(r, g.Src)
-		sh.mu.Lock()
-		for _, ev := range g.Events {
-			switch ev.Kind {
-			case graph.AddEdge:
-				if s.addLocked(sh, ev.Edge.Src, ev.Edge.Dst, ev.Edge.Weight) {
-					added.Add(1)
-				}
-			case graph.DeleteEdge:
-				if s.deleteLocked(sh, ev.Edge.Src, ev.Edge.Dst) {
-					removed.Add(1)
-				}
-			case graph.UpdateWeight:
-				m := sh.meta[ev.Edge.Src]
-				if m == nil {
-					continue
-				}
-				if gidx, ok := m.where[ev.Edge.Dst]; ok {
-					m.cs.Update(int(gidx), ev.Edge.Weight)
+	palm.Run(events, workers, func(groups []palm.Group) {
+		for _, g := range groups {
+			r := s.rel(g.Type, true)
+			sh := shardFor(r, g.Src)
+			sh.mu.Lock()
+			for _, ev := range g.Events {
+				switch ev.Kind {
+				case graph.AddEdge:
+					if s.addLocked(sh, ev.Edge.Src, ev.Edge.Dst, ev.Edge.Weight) {
+						added.Add(1)
+					}
+				case graph.DeleteEdge:
+					if s.deleteLocked(sh, ev.Edge.Src, ev.Edge.Dst) {
+						removed.Add(1)
+					}
+				case graph.UpdateWeight:
+					m := sh.meta[ev.Edge.Src]
+					if m == nil {
+						continue
+					}
+					if gidx, ok := m.where[ev.Edge.Dst]; ok {
+						m.cs.Update(int(gidx), ev.Edge.Weight)
+					}
 				}
 			}
+			sh.mu.Unlock()
 		}
-		sh.mu.Unlock()
 	})
 	s.numEdges.Add(added.Load() - removed.Load())
 }

@@ -8,10 +8,10 @@
 //
 // Durability discipline:
 //
-//   - Writes are atomic: encode to a temp file in the target directory,
-//     fsync, rename into place, fsync the directory. A crash mid-write
-//     leaves at worst an ignorable *.tmp, never a half-written checkpoint
-//     under the real name.
+//   - Writes are atomic (durable.WriteFile): encode to a temp file in the
+//     target directory, fsync, rename into place, fsync the directory. A
+//     crash mid-write leaves at worst an ignorable *.tmp, never a
+//     half-written checkpoint under the real name.
 //   - Every file ends in an 8-byte footer (magic + CRC32 of the payload).
 //     Torn or bit-rotted files fail verification and are skipped.
 //   - Rotation keeps the newest N checkpoints; LoadLatest walks newest to
@@ -26,11 +26,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
+	"platod2gl/internal/durable"
 	"platod2gl/internal/gnn"
 )
 
@@ -223,7 +225,7 @@ func Save(dir string, s *State, opts SaveOptions) (string, error) {
 		next = seqs[len(seqs)-1] + 1
 	}
 	final := filepath.Join(dir, fmt.Sprintf("%s%09d%s", filePrefix, next, fileSuffix))
-	if err := writeAtomic(dir, final, b); err != nil {
+	if err := durable.WriteFile(final, func(w io.Writer) error { _, err := w.Write(b); return err }); err != nil {
 		opts.Metrics.SaveErrors.Inc()
 		return "", err
 	}
@@ -242,38 +244,6 @@ func Save(dir string, s *State, opts SaveOptions) (string, error) {
 		}
 	}
 	return final, nil
-}
-
-// writeAtomic lands b at path via temp file + fsync + rename + dir fsync.
-func writeAtomic(dir, path string, b []byte) error {
-	tmp, err := os.CreateTemp(dir, filePrefix+"*.tmp")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(b); err != nil {
-		cleanup()
-		return fmt.Errorf("checkpoint: write %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("checkpoint: fsync %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: close %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: rename: %w", err)
-	}
-	// Make the rename itself durable.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }
 
 // Load reads and verifies one checkpoint file.

@@ -18,6 +18,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"unsafe"
+
+	"platod2gl/internal/prefetch"
 )
 
 // AllowedZ lists the prefix lengths (bytes) the paper permits, in descending
@@ -345,6 +348,14 @@ func (v *IDVec) All() []uint64 {
 		out[i] = joinID(v.prefix, v.readSuffix(i), v.z)
 	}
 	return out
+}
+
+// Prefetch starts loading the first cache line of the suffix array, where
+// IndexOf's scan begins.
+func (v *IDVec) Prefetch() {
+	if len(v.suffixes) > 0 {
+		prefetch.Line(unsafe.Pointer(&v.suffixes[0]))
+	}
 }
 
 // IndexOf returns the position of id, or -1. Linear scan — leaf ID lists are

@@ -4,10 +4,10 @@ import "sort"
 
 // This file implements intra-tree batch application — the per-tree half of
 // the PALM-style mechanism (Appendix B): a batch of operations destined for
-// one samtree is sorted by neighbor ID, so consecutive operations tend to
+// one samtree is in neighbor-ID order, so consecutive operations tend to
 // land in the same leaf and the root-to-leaf search can be reused across
-// them. The cross-tree half (sort, group, partition across workers) lives
-// in internal/palm.
+// them. The cross-tree half (group per tree, order each group by
+// destination, partition across workers) lives in internal/palm.
 
 // OpKind enumerates tree-level operations.
 type OpKind uint8
@@ -41,7 +41,7 @@ func (t *Tree) ApplyBatch(ops []Op) (added, removed int) {
 	if len(ops) == 0 {
 		return 0, 0
 	}
-	// Groups coming from internal/palm arrive pre-sorted by destination ID;
+	// Groups coming from internal/palm arrive in destination-ID order;
 	// detect that in O(n) rather than re-sorting.
 	sorted := true
 	for i := 1; i < len(ops); i++ {

@@ -23,10 +23,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"unsafe"
 
 	"platod2gl/internal/compress"
 	"platod2gl/internal/cstable"
 	"platod2gl/internal/fenwick"
+	"platod2gl/internal/prefetch"
 )
 
 // DefaultCapacity is the paper's default samtree node size (2^8, Sec. VII-A).
@@ -161,6 +163,24 @@ func newInner(opt Options, keys []uint64, children []*node, weights []float64) *
 		counts[i] = c.subtreeCount()
 	}
 	return &node{keys: kv, children: children, cs: cstable.New(weights), counts: counts}
+}
+
+// Prefetch starts loading the root node into the cache, so that an update
+// or a draw shortly after does not wait on it. Like every read of the tree,
+// it must not race a writer.
+func (t *Tree) Prefetch() { prefetch.Object(unsafe.Pointer(t.root), unsafe.Sizeof(*t.root)) }
+
+// PrefetchLeaf starts loading the heads of the root's ID suffixes and
+// Fenwick weights when the root is a leaf, the whole tree for most sources.
+// It reads the root node, so it pays off once an earlier Prefetch has
+// brought that in.
+func (t *Tree) PrefetchLeaf() {
+	if n := t.root; n.isLeaf() {
+		n.ids.Prefetch()
+		if n.fs.its == nil {
+			n.fs.fts.Prefetch()
+		}
+	}
 }
 
 // Len returns the number of neighbors stored.

@@ -16,6 +16,9 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+
+	"platod2gl/internal/prefetch"
 )
 
 const (
@@ -91,6 +94,18 @@ func (m *Map[V]) Get(key uint64) (V, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.get(key)
+}
+
+// Prefetch starts loading the two buckets key may occupy into the cache, so
+// that a Get or GetOrCreate of key shortly after finds them there. It takes
+// the shard's read lock, since a growing shard replaces its bucket array.
+func (m *Map[V]) Prefetch(key uint64) {
+	s := m.shardFor(key)
+	s.mu.RLock()
+	size := unsafe.Sizeof(s.buckets[0])
+	prefetch.Object(unsafe.Pointer(&s.buckets[s.h1(key)]), size)
+	prefetch.Object(unsafe.Pointer(&s.buckets[s.h2(key)]), size)
+	s.mu.RUnlock()
 }
 
 func (s *shard[V]) get(key uint64) (V, bool) {

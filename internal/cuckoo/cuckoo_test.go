@@ -265,6 +265,31 @@ func TestQuickAgainstBuiltinMap(t *testing.T) {
 	}
 }
 
+// TestPrefetchDuringGrowth: Prefetch of present and absent keys, racing
+// inserts that grow the shards, changes no lookup (and, under -race, reads
+// the bucket array only under the shard lock).
+func TestPrefetchDuringGrowth(t *testing.T) {
+	m := NewWithShards[int](2)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := uint64(0); k < 5000; k++ {
+			m.Put(k, int(k))
+		}
+	}()
+	for k := uint64(0); k < 10000; k++ {
+		m.Prefetch(k)
+	}
+	wg.Wait()
+	for k := uint64(0); k < 10000; k++ {
+		m.Prefetch(k)
+		if v, ok := m.Get(k); ok != (k < 5000) || ok && v != int(k) {
+			t.Fatalf("Get(%d) = %d, %v", k, v, ok)
+		}
+	}
+}
+
 func TestBadShardCountPanics(t *testing.T) {
 	for _, n := range []int{0, -1, 3, 6} {
 		func() {

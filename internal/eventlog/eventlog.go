@@ -35,6 +35,7 @@ import (
 	"os"
 	"sync"
 
+	"platod2gl/internal/durable"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/wire"
 )
@@ -139,27 +140,14 @@ func Create(path string) (*Writer, error) {
 	return w, nil
 }
 
-// writeEmpty replaces the file at path with a header-only log and returns
-// it open for appending. The file is written beside path and renamed over
-// it, so a crash leaves either the old file or the new empty one — never a
-// torn file.
+// writeEmpty durably replaces the file at path with a header-only log and
+// returns it open for appending. A crash leaves either the old file or the
+// new empty one — never a torn file.
 func writeEmpty(path string) (*os.File, error) {
-	tmp := path + ".reset"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if err := durable.WriteFile(path, func(w io.Writer) error { _, err := io.WriteString(w, header); return err }); err != nil {
 		return nil, err
 	}
-	if _, err = f.WriteString(header); err == nil {
-		if err = f.Sync(); err == nil {
-			err = os.Rename(tmp, path)
-		}
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	return f, nil
+	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 }
 
 // stopCause classifies why a scan stopped before the file's end.
@@ -403,24 +391,20 @@ func (w *Writer) Path() string {
 // resets the sequence counter. It is the snapshot-barrier primitive: after
 // a snapshot captures the store, Reset guarantees a restart will not replay
 // batches the snapshot already contains (re-applying deletes of re-added
-// edges is not idempotent). The fresh file is created beside the log and
-// renamed over it, so a crash during Reset leaves either the old complete
-// log or the new empty one — never a torn file. A fresh file also clears a
-// failed append's refusal.
+// edges is not idempotent). The fresh file replaces the log durably, so a
+// crash or power loss leaves the old complete log or the new empty one. A
+// fresh file clears a failed append's refusal; a failed Reset refuses
+// appends until a Reset succeeds, as the snapshot covers the old log.
 func (w *Writer) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !w.open {
 		return errors.New("eventlog: writer closed")
 	}
-	// The canonical path, not the file's own name: after a previous Reset
-	// the open file is the one created at "<path>.reset" and renamed into
-	// place, so its name is stale — resetting by it would swap the fresh
-	// file in beside the log instead of over it, and every append after
-	// that would land in the orphan.
 	nf, err := writeEmpty(w.path)
 	if err != nil {
-		return fmt.Errorf("eventlog: reset: %w", err)
+		w.err = fmt.Errorf("eventlog: reset: %w", err)
+		return w.err
 	}
 	w.f.Close()
 	w.f = nf

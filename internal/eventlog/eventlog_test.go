@@ -427,12 +427,39 @@ func TestResetTruncatesAtomically(t *testing.T) {
 	}
 }
 
+// TestFailedResetRefusesAppends: once a Reset fails (here the log's
+// directory is gone, so no fresh file can be made), appends are refused
+// rather than landing in a log the snapshot already covers.
+func TestFailedResetRefusesAppends(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Create(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.Append(mkEvents(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Reset(); err == nil {
+		t.Fatal("Reset without its directory succeeded")
+	}
+	if _, err := w.Append(mkEvents(2, 2)); err == nil {
+		t.Fatal("Append after a failed Reset succeeded")
+	}
+}
+
 // TestResetTwiceKeepsCanonicalPath is the double-reset regression: the
-// writer's fd is the file that was created at "<path>.reset" and renamed
-// into place, so a path derived from f.Name() goes stale after the first
-// Reset. A second Reset must still truncate the log at its canonical path —
-// not swap a fresh file in beside it — and appends must keep landing in the
-// real log, with no ".reset" orphan accumulating frames.
+// fresh file of a Reset is created beside the log and renamed into place,
+// so a path derived from its first name goes stale. A second Reset must
+// still truncate the log at its canonical path — not swap a fresh file in
+// beside it — and appends must keep landing in the real log, with no
+// orphan beside it accumulating frames.
 func TestResetTwiceKeepsCanonicalPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, err := Create(path)
@@ -454,8 +481,8 @@ func TestResetTwiceKeepsCanonicalPath(t *testing.T) {
 		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(headerV2)) {
 			t.Fatalf("cycle %d: post-reset size = %v (err %v), want bare header", cycle, fi.Size(), err)
 		}
-		if _, err := os.Stat(path + ".reset"); !os.IsNotExist(err) {
-			t.Fatalf("cycle %d: orphan %s.reset left behind (err %v)", cycle, path, err)
+		if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+			t.Fatalf("cycle %d: %d files beside the log (err %v), want only the log", cycle, len(entries), err)
 		}
 	}
 	// Appends after the final reset must land in the canonical file.

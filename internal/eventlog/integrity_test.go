@@ -249,8 +249,8 @@ func TestOldHeaderOnlyLogUpgrades(t *testing.T) {
 		if rep, err := Verify(path); err != nil || rep.Version != 3 || rep.Frames != 1 || rep.TornTail || rep.Corrupt {
 			t.Fatalf("%q: after upgrade Verify = %+v, %v", head, rep, err)
 		}
-		if _, err := os.Stat(path + ".reset"); !os.IsNotExist(err) {
-			t.Fatalf("%q: upgrade left %s.reset behind (err %v)", head, path, err)
+		if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+			t.Fatalf("%q: upgrade left %d files in the log's directory (err %v), want only the log", head, len(entries), err)
 		}
 	}
 }

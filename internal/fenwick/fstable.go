@@ -21,6 +21,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
+
+	"platod2gl/internal/prefetch"
 )
 
 // FSTable is a Fenwick-tree sum table over a sequence of non-negative edge
@@ -68,6 +71,13 @@ func (t *FSTable) Total() float64 {
 		s += t.f[i-1]
 	}
 	return s
+}
+
+// Prefetch starts loading the first cache line of the Fenwick array.
+func (t *FSTable) Prefetch() {
+	if len(t.f) > 0 {
+		prefetch.Line(unsafe.Pointer(&t.f[0]))
+	}
 }
 
 // Prefix returns the sum of weights with indices in [0, i]. It panics if i is

@@ -1,11 +1,14 @@
 package palm
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"platod2gl/internal/dataset"
 	"platod2gl/internal/graph"
 )
 
@@ -17,23 +20,139 @@ func ev(et graph.EdgeType, src, dst uint64, ts int64) graph.Event {
 	}
 }
 
+// sortCut is the planner before hash grouping, kept as the oracle: a
+// comparison sort of the whole batch by (Type, Src, Dst, Timestamp,
+// position), cut into runs of one (Type, Src).
+func sortCut(events []graph.Event) []Group {
+	order := make([]int, len(events))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		x, y := &events[i], &events[j]
+		return cmp.Or(
+			cmp.Compare(x.Edge.Type, y.Edge.Type),
+			cmp.Compare(x.Edge.Src, y.Edge.Src),
+			cmp.Compare(x.Edge.Dst, y.Edge.Dst),
+			cmp.Compare(x.Timestamp, y.Timestamp),
+			cmp.Compare(i, j))
+	})
+	sorted := make([]graph.Event, len(events))
+	for k, i := range order {
+		sorted[k] = events[i]
+	}
+	copy(events, sorted)
+	var groups []Group
+	for i := 0; i < len(events); {
+		j := i + 1
+		for j < len(events) && events[j].Edge.Type == events[i].Edge.Type && events[j].Edge.Src == events[i].Edge.Src {
+			j++
+		}
+		groups = append(groups, Group{Type: events[i].Edge.Type, Src: events[i].Edge.Src, Start: i, Events: events[i:j]})
+		i = j
+	}
+	return groups
+}
+
+type treeKey struct {
+	et  graph.EdgeType
+	src graph.VertexID
+}
+
+// checkPlan asserts Plan's contract on groups planned from events: the
+// groups tile the batch in order, each holds the events of one (Type, Src)
+// and no other group holds that pair, and inside a group the events are in
+// (Dst, Timestamp) order.
+func checkPlan(t testing.TB, events []graph.Event, groups []Group) {
+	t.Helper()
+	seen := map[treeKey]bool{}
+	at := 0
+	for _, g := range groups {
+		if g.Start != at || len(g.Events) == 0 || &events[g.Start] != &g.Events[0] {
+			t.Fatalf("group (%d,%d): Start %d with %d events does not continue the tiling at %d",
+				g.Type, g.Src, g.Start, len(g.Events), at)
+		}
+		at += len(g.Events)
+		k := treeKey{g.Type, g.Src}
+		if seen[k] {
+			t.Fatalf("two groups for (%d,%d)", g.Type, g.Src)
+		}
+		seen[k] = true
+		for i, e := range g.Events {
+			if e.Edge.Type != g.Type || e.Edge.Src != g.Src {
+				t.Fatalf("group (%d,%d) holds an event of (%d,%d)", g.Type, g.Src, e.Edge.Type, e.Edge.Src)
+			}
+			if i > 0 {
+				p := g.Events[i-1]
+				if p.Edge.Dst > e.Edge.Dst || p.Edge.Dst == e.Edge.Dst && p.Timestamp > e.Timestamp {
+					t.Fatalf("group (%d,%d): event %d (dst %d, ts %d) after (dst %d, ts %d)",
+						g.Type, g.Src, i, e.Edge.Dst, e.Timestamp, p.Edge.Dst, p.Timestamp)
+				}
+			}
+		}
+	}
+	if at != len(events) {
+		t.Fatalf("groups cover %d of %d events", at, len(events))
+	}
+}
+
+// checkAgainstOracle plans a copy of events with Plan and another with
+// sortCut, and asserts both give the same set of groups with the same
+// event sequence in each.
+func checkAgainstOracle(t testing.TB, events []graph.Event) {
+	t.Helper()
+	got := slices.Clone(events)
+	groups := Plan(got)
+	checkPlan(t, got, groups)
+	want := map[treeKey][]graph.Event{}
+	for _, g := range sortCut(slices.Clone(events)) {
+		want[treeKey{g.Type, g.Src}] = g.Events
+	}
+	if len(groups) != len(want) {
+		t.Fatalf("Plan made %d groups, the sort-based planner %d", len(groups), len(want))
+	}
+	for _, g := range groups {
+		if w := want[treeKey{g.Type, g.Src}]; !slices.Equal(g.Events, w) {
+			t.Fatalf("group (%d,%d): Plan's events %v, the sort-based planner's %v", g.Type, g.Src, g.Events, w)
+		}
+	}
+}
+
+// TestPlanGroupsBySource: one contiguous group per (type, source), in the
+// order the pairs first appear; destination order inside a group, batch
+// order on ties; Start locates each group.
 func TestPlanGroupsBySource(t *testing.T) {
 	events := []graph.Event{
-		ev(0, 5, 1, 0), ev(0, 3, 2, 1), ev(0, 5, 9, 2), ev(1, 5, 1, 3), ev(0, 3, 1, 4),
+		ev(0, 5, 9, 0), ev(0, 3, 2, 1), ev(0, 5, 1, 2), ev(1, 5, 1, 3), ev(0, 3, 1, 4),
+		ev(0, 5, 4, 5), ev(0, 5, 4, 5),
 	}
+	events[5].Kind = graph.DeleteEdge // a tie with events[6], which comes later in the batch
 	groups := Plan(events)
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups, want 3", len(groups))
+	checkPlan(t, events, groups)
+	want := []struct {
+		et   graph.EdgeType
+		src  graph.VertexID
+		dsts []graph.VertexID
+	}{
+		{0, 5, []graph.VertexID{1, 4, 4, 9}},
+		{0, 3, []graph.VertexID{1, 2}},
+		{1, 5, []graph.VertexID{1}},
 	}
-	// Sorted by (type, src): (0,3) then (0,5) then (1,5).
-	if groups[0].Src != 3 || groups[0].Type != 0 || len(groups[0].Events) != 2 {
-		t.Fatalf("group 0 = %+v", groups[0])
+	if len(groups) != len(want) {
+		t.Fatalf("got %d groups, want %d", len(groups), len(want))
 	}
-	if groups[1].Src != 5 || groups[1].Type != 0 || len(groups[1].Events) != 2 {
-		t.Fatalf("group 1 = %+v", groups[1])
+	for i, w := range want {
+		g := groups[i]
+		var dsts []graph.VertexID
+		for _, e := range g.Events {
+			dsts = append(dsts, e.Edge.Dst)
+		}
+		if g.Type != w.et || g.Src != w.src || !slices.Equal(dsts, w.dsts) {
+			t.Fatalf("group %d = (%d,%d) dsts %v, want (%d,%d) dsts %v", i, g.Type, g.Src, dsts, w.et, w.src, w.dsts)
+		}
 	}
-	if groups[2].Src != 5 || groups[2].Type != 1 || len(groups[2].Events) != 1 {
-		t.Fatalf("group 2 = %+v", groups[2])
+	if tie := groups[0].Events[1:3]; tie[0].Kind != graph.DeleteEdge || tie[1].Kind != graph.AddEdge {
+		t.Fatalf("equal (dst, timestamp) events left batch order: %v", tie)
 	}
 }
 
@@ -84,6 +203,58 @@ func TestPlanEmpty(t *testing.T) {
 	}
 }
 
+// randomBatch draws n events over a few hot sources and a long tail, with
+// duplicate edges, equal timestamps, all three kinds and two edge types.
+// Each event's weight is its batch position, so reordering is visible.
+func randomBatch(rng *rand.Rand, n int) []graph.Event {
+	events := make([]graph.Event, n)
+	for i := range events {
+		src := uint64(rng.Intn(4)) // hot
+		if rng.Intn(3) == 0 {
+			src = uint64(rng.Intn(4 * n))
+		}
+		e := ev(graph.EdgeType(rng.Intn(2)), src, uint64(rng.Intn(8)), int64(rng.Intn(3)))
+		e.Kind = graph.EventKind(rng.Intn(3))
+		e.Edge.Weight = float64(i)
+		events[i] = e
+	}
+	return events
+}
+
+// TestPlanMatchesSortOracle: on random batches of many sizes, Plan and the
+// sort-based planner give the same groups with the same events in each.
+func TestPlanMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	p := new(plan) // one plan reused across batches, as the pool reuses it
+	for _, n := range []int{1, 2, 3, 7, 64, 500, 4096} {
+		for rep := 0; rep < 20; rep++ {
+			events := randomBatch(rng, n)
+			checkAgainstOracle(t, events)
+			pooled := slices.Clone(events)
+			checkPlan(t, pooled, p.cut(pooled))
+		}
+	}
+}
+
+// FuzzPlan checks Plan against the sort-based planner on batches decoded
+// from the fuzzer's bytes, three bytes an event: the type and source, the
+// destination, and the kind and timestamp, each from a small range so that
+// sources, edges and timestamps repeat.
+func FuzzPlan(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 1, 0, 16, 1, 4})
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var events []graph.Event
+		for i := 0; i+3 <= len(data); i += 3 {
+			e := ev(graph.EdgeType(data[i]>>7), uint64(data[i]&31), uint64(data[i+1]&15), int64(data[i+2]>>2&3))
+			e.Kind = graph.EventKind(data[i+2] & 3 % 3)
+			e.Edge.Weight = float64(i)
+			events = append(events, e)
+		}
+		checkAgainstOracle(t, events)
+	})
+}
+
 func TestRunAppliesEveryEventExactlyOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var events []graph.Event
@@ -92,8 +263,10 @@ func TestRunAppliesEveryEventExactlyOnce(t *testing.T) {
 			uint64(rng.Intn(500)), uint64(rng.Intn(1000)), int64(i)))
 	}
 	var applied atomic.Int64
-	Run(events, 8, func(g Group) {
-		applied.Add(int64(len(g.Events)))
+	Run(events, 8, func(groups []Group) {
+		for _, g := range groups {
+			applied.Add(int64(len(g.Events)))
+		}
 	})
 	if applied.Load() != 10000 {
 		t.Fatalf("applied %d events, want 10000", applied.Load())
@@ -110,20 +283,22 @@ func TestRunOneTreeOneWorker(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[uint64]int{} // src -> number of groups (should be 1 each)
 	inFlight := map[uint64]bool{}
-	Run(events, 8, func(g Group) {
-		mu.Lock()
-		if inFlight[uint64(g.Src)] {
+	Run(events, 8, func(groups []Group) {
+		for _, g := range groups {
+			mu.Lock()
+			if inFlight[uint64(g.Src)] {
+				mu.Unlock()
+				t.Error("two workers touched the same source concurrently")
+				return
+			}
+			inFlight[uint64(g.Src)] = true
+			seen[uint64(g.Src)]++
 			mu.Unlock()
-			t.Error("two workers touched the same source concurrently")
-			return
-		}
-		inFlight[uint64(g.Src)] = true
-		seen[uint64(g.Src)]++
-		mu.Unlock()
 
-		mu.Lock()
-		inFlight[uint64(g.Src)] = false
-		mu.Unlock()
+			mu.Lock()
+			inFlight[uint64(g.Src)] = false
+			mu.Unlock()
+		}
 	})
 	for src, n := range seen {
 		if n != 1 {
@@ -134,10 +309,16 @@ func TestRunOneTreeOneWorker(t *testing.T) {
 
 func TestRunSingleWorkerSequential(t *testing.T) {
 	events := []graph.Event{ev(0, 1, 1, 0), ev(0, 2, 1, 1)}
-	order := []graph.VertexID{}
-	Run(events, 1, func(g Group) { order = append(order, g.Src) })
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v", order)
+	var order []graph.VertexID
+	calls := 0
+	Run(events, 1, func(groups []Group) {
+		calls++
+		for _, g := range groups {
+			order = append(order, g.Src)
+		}
+	})
+	if calls != 1 || len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("%d calls, order = %v", calls, order)
 	}
 }
 
@@ -148,4 +329,22 @@ func TestDefaultWorkers(t *testing.T) {
 	if w := DefaultWorkers(1 << 20); w < 1 {
 		t.Fatalf("DefaultWorkers(big) = %d", w)
 	}
+}
+
+// BenchmarkPlan plans one ingest-mixed batch (WeChat-sim scaled to 4M
+// forward events, a DynamicMix stream, 2048 forward events and their
+// mirrors) over and over, and reports the cost per event.
+func BenchmarkPlan(b *testing.B) {
+	spec := dataset.WeChatSim()
+	spec = spec.Scale(4_000_000 / float64(spec.TotalEvents()))
+	batch := dataset.NewGenerator(spec, dataset.DynamicMix, 1).Next(2048)
+	work := make([]graph.Event, len(batch))
+	p := new(plan)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, batch)
+		p.cut(work)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/event")
 }

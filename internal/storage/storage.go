@@ -15,11 +15,13 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"platod2gl/internal/core"
 	"platod2gl/internal/cuckoo"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/palm"
+	"platod2gl/internal/prefetch"
 )
 
 // TopologyStore is the storage-engine contract: dynamic topology updates
@@ -309,8 +311,10 @@ func (s *DynamicStore) NeighborsInRange(src graph.VertexID, et graph.EdgeType, l
 }
 
 // ApplyBatch implements TopologyStore using the PALM-style batch mechanism:
-// events are sorted and grouped per samtree, groups are sharded across
-// workers, and each tree is mutated latch-free by its single owner.
+// events are grouped per samtree (each group in destination order), groups
+// are sharded across workers, and each tree is mutated latch-free by its
+// single owner. A worker prefetches the groups ahead of the one it applies,
+// so the cache misses of one tree overlap the work on the others.
 func (s *DynamicStore) ApplyBatch(events []graph.Event) {
 	start := s.opt.Metrics.startTimer()
 	workers := s.opt.Workers
@@ -335,20 +339,63 @@ type batch struct {
 	s              *DynamicStore
 	ops            []core.Op
 	added, removed atomic.Int64
-	// apply is applyGroup bound once, so passing it to palm.Run does not
+	// apply is applyGroups bound once, so passing it to palm.Run does not
 	// allocate a closure per batch.
-	apply func(palm.Group)
+	apply func([]palm.Group)
 }
 
 var batchPool = sync.Pool{New: func() any {
 	b := new(batch)
-	b.apply = b.applyGroup
+	b.apply = b.applyGroups
 	return b
 }}
 
-// applyGroup translates one group into tree ops and applies them with the
-// intra-tree batch path (sorted IDs reuse root-to-leaf searches).
-func (b *batch) applyGroup(g palm.Group) {
+// lookahead is how many groups ahead of the one it applies a worker
+// resolves the tree entry. Each group costs a chain of dependent cache
+// misses — cuckoo bucket, entry, root node, leaf arrays — so the loop starts
+// each link a few groups before it is needed: the buckets at 2·lookahead,
+// the entry at lookahead, the root at lookahead/2 and the leaf arrays at
+// lookahead/4. A power of two.
+const lookahead = 8
+
+// applyGroups applies one worker's groups in order, prefetching ahead. The
+// entries resolved but not yet applied wait in a ring on the stack.
+func (b *batch) applyGroups(groups []palm.Group) {
+	s := b.s
+	var ring [2 * lookahead]*treeEntry
+	const mask = len(ring) - 1
+	for i := -2 * lookahead; i < len(groups); i++ {
+		if j := i + 2*lookahead; j < len(groups) {
+			g := &groups[j]
+			s.rel(g.Type, true).trees.Prefetch(uint64(g.Src))
+		}
+		if j := i + lookahead; j >= 0 && j < len(groups) {
+			ent := s.entry(groups[j].Src, groups[j].Type, true)
+			prefetch.Object(unsafe.Pointer(ent), unsafe.Sizeof(*ent))
+			ring[j&mask] = ent
+		}
+		if j := i + lookahead/2; j >= 0 && j < len(groups) {
+			ent := ring[j&mask]
+			ent.mu.RLock()
+			ent.tree.Prefetch()
+			ent.mu.RUnlock()
+		}
+		if j := i + lookahead/4; j >= 0 && j < len(groups) {
+			ent := ring[j&mask]
+			ent.mu.RLock()
+			ent.tree.PrefetchLeaf()
+			ent.mu.RUnlock()
+		}
+		if i >= 0 {
+			b.applyGroup(&groups[i], ring[i&mask])
+		}
+	}
+}
+
+// applyGroup translates one group into tree ops and applies them to ent's
+// tree with the intra-tree batch path (ops in ID order reuse root-to-leaf
+// searches).
+func (b *batch) applyGroup(g *palm.Group, ent *treeEntry) {
 	ops := b.ops[g.Start : g.Start+len(g.Events)]
 	for i, ev := range g.Events {
 		op := core.Op{ID: uint64(ev.Edge.Dst), Weight: ev.Edge.Weight}
@@ -362,7 +409,6 @@ func (b *batch) applyGroup(g palm.Group) {
 		}
 		ops[i] = op
 	}
-	ent := b.s.entry(g.Src, g.Type, true)
 	ent.mu.Lock()
 	a, r := ent.tree.ApplyBatch(ops)
 	ent.mu.Unlock()
