@@ -41,11 +41,12 @@ migration-chaos: build
 	$(GO) test -race -count=2 -run 'TestChaosElasticGrow|TestChaosMigration' ./internal/cluster/
 
 # One fast elasticity pass for PR CI: the grow drill plus the last-moment
-# abort (the two cutover-adjacent paths), and a client dialed before routing
-# init following the map (its first write after a grow, and reads racing its
-# first adoption).
+# abort (the two cutover-adjacent paths), a source killed mid-copy and a
+# destination killed mid-replay (a resumed pull and a source that dies
+# mid-drain), and a client dialed before routing init following the map
+# (its first write after a grow, and reads racing its first adoption).
 migration-chaos-smoke: build
-	$(GO) test -race -count=1 -run 'TestChaosElasticGrow|TestChaosMigrationAbortBeforeCutover|TestClientDialedBeforeInitFollowsMap|TestFirstAdoptionNeverMisroutesReads' ./internal/cluster/
+	$(GO) test -race -count=1 -run 'TestChaosElasticGrow|TestChaosMigrationAbortBeforeCutover|TestChaosMigrationKillSourceMidCopy|TestChaosMigrationKillDestMidReplay|TestClientDialedBeforeInitFollowsMap|TestFirstAdoptionNeverMisroutesReads' ./internal/cluster/
 
 # Anti-entropy chaos drill: asymmetric partition under write load healed
 # into a scrubber-detected divergence + auto-repair, plus bit-flips in a WAL

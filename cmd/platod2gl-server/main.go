@@ -276,10 +276,12 @@ func main() {
 		go func() {
 			dial := func() (net.Conn, error) { return net.DialTimeout("tcp", peerAddr, 10*time.Second) }
 			start := time.Now()
-			if err := cluster.SyncFromPeer(svc, dial, cluster.SyncOptions{CallTimeout: *catchupT, Metrics: cm}); err != nil {
+			stats, err := cluster.SyncFromPeer(svc, dial, cluster.SyncOptions{CallTimeout: *catchupT, Metrics: cm})
+			if err != nil {
 				log.Fatalf("catch-up from %s: %v", peerAddr, err)
 			}
-			log.Printf("caught up from %s in %v: %d edges", peerAddr, time.Since(start).Round(time.Millisecond), store.NumEdges())
+			log.Printf("caught up from %s in %v: %d edges (%d wal batches, %d attribute bytes)",
+				peerAddr, time.Since(start).Round(time.Millisecond), store.NumEdges(), stats.Batches, stats.AttrBytes)
 			if *snapshot != "" {
 				// The peer's snapshot never touched our disk and the local WAL
 				// holds only the tail, so persist the full synced state and

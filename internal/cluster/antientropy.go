@@ -18,7 +18,7 @@
 //   - A mismatch is classified: if this replica disagrees with the healthy
 //     majority (ties broken by WAL position), it is diverged and — with
 //     AutoRepair — rebuilds itself from a healthy peer via the proven
-//     catch-up path (SyncFromPeer with Attrs), converging byte-identically,
+//     catch-up path (SyncFromPeer), converging byte-identically,
 //     features included. Local disk corruption triggers the same repair:
 //     the PostRepair hook lets the server rewrite a clean snapshot and WAL.
 //
@@ -41,7 +41,6 @@ import (
 
 	"platod2gl/internal/eventlog"
 	"platod2gl/internal/graph"
-	"platod2gl/internal/kvstore"
 	"platod2gl/internal/storage"
 )
 
@@ -65,39 +64,22 @@ func edgeDigest(et graph.EdgeType, src, dst graph.VertexID) uint64 {
 // edge — or a whole source run — in more than one leaf, and which copies a
 // walk reports is not replica-stable (a snapshot save/load cycle
 // redistributes them), so multiplicity — like the weight bits — must stay
-// out of the digest or byte-equal replicas would scrub as diverged. A
-// repeated source is skipped outright: Neighbors is a key lookup, so both
-// occurrences resolve to the same full list.
+// out of the digest or byte-equal replicas would scrub as diverged
+// (forEachSource skips a repeated source).
 func topologyDigest(store storage.TopologyStore, shard, numShards int) (uint64, error) {
-	types, err := relationTypes(store)
-	if err != nil {
-		return 0, err
-	}
 	var d uint64
-	seenSrc := make(map[graph.VertexID]struct{})
-	seenDst := make(map[graph.VertexID]struct{})
-	for _, et := range types {
-		clear(seenSrc)
-		for _, src := range store.Sources(et) {
-			if shard >= 0 && ShardOf(src, numShards) != shard {
+	seen := make(map[graph.VertexID]struct{})
+	err := forEachSource(store, shard, numShards, func(et graph.EdgeType, src graph.VertexID, nbrs []graph.VertexID, _ []float64) {
+		clear(seen)
+		for _, dst := range nbrs {
+			if _, dup := seen[dst]; dup {
 				continue
 			}
-			if _, dup := seenSrc[src]; dup {
-				continue
-			}
-			seenSrc[src] = struct{}{}
-			nbrs, _ := store.Neighbors(src, et)
-			clear(seenDst)
-			for _, dst := range nbrs {
-				if _, dup := seenDst[dst]; dup {
-					continue
-				}
-				seenDst[dst] = struct{}{}
-				d ^= edgeDigest(et, src, dst)
-			}
+			seen[dst] = struct{}{}
+			d ^= edgeDigest(et, src, dst)
 		}
-	}
-	return d, nil
+	})
+	return d, err
 }
 
 // DigestArgs requests a server's state digests. Shard < 0 digests the whole
@@ -140,9 +122,7 @@ func (s *Service) localDigest(shard, numShards int) (DigestReply, error) {
 		if shard < 0 {
 			reply.Attrs = s.attrs.Digest()
 		} else {
-			reply.Attrs = s.attrs.DigestWhere(func(id graph.VertexID) bool {
-				return ShardOf(id, numShards) == shard
-			})
+			reply.Attrs = s.attrs.DigestWhere(inShard(shard, numShards))
 		}
 	}
 	reply.NumEdges = s.store.NumEdges()
@@ -175,52 +155,6 @@ func (s *Service) ShardDigest(args *DigestArgs, reply *DigestReply) (err error) 
 	defer guard("ShardDigest", &err)
 	*reply, err = s.localDigest(args.Shard, args.NumShards)
 	return err
-}
-
-// ---------------------------------------------------------------------------
-// Whole-store attribute export (the repair path's feature transfer).
-
-// AttrsArgs is empty.
-type AttrsArgs struct{}
-
-// AttrsReply carries the server's complete attribute state in the same
-// shape shard migration uses, checksummed end-to-end.
-type AttrsReply struct {
-	Attrs ShardFeaturesReply
-	Sum   uint64
-}
-
-// FetchAttrs exports the whole attribute store under a write quiesce.
-// Repair pulls it after the WAL drain so a rebuilt replica converges on
-// features too — the topology WAL does not cover them.
-func (s *Service) FetchAttrs(_ *AttrsArgs, reply *AttrsReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("FetchAttrs").ObserveSince(start)
-	defer guard("FetchAttrs", &err)
-	if !s.ready.Load() {
-		return ErrReplicaNotReady
-	}
-	resume := s.Pause()
-	defer resume()
-	if s.attrs != nil {
-		r := &reply.Attrs
-		s.attrs.RangeVertices(func(id graph.VertexID, features []float32, label int32, hasLabel bool) bool {
-			r.Nodes = append(r.Nodes, id)
-			r.RowLens = append(r.RowLens, int32(len(features)))
-			r.Data = append(r.Data, features...)
-			r.Labels = append(r.Labels, label)
-			r.HasLabel = append(r.HasLabel, hasLabel)
-			return true
-		})
-		s.attrs.RangeEdges(func(k kvstore.EdgeKey, features []float32) bool {
-			r.EdgeKeys = append(r.EdgeKeys, k)
-			r.EdgeLens = append(r.EdgeLens, int32(len(features)))
-			r.EdgeData = append(r.EdgeData, features...)
-			return true
-		})
-	}
-	reply.Sum = checksumFeatures(&reply.Attrs)
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -628,8 +562,8 @@ func (sc *Scrubber) pickRepairPeer(rep *RoundReport) string {
 
 // repair rebuilds this replica from a healthy peer: reset the local stores
 // (Load and replay merge, so stale local state must go first), then run the
-// full catch-up path with attribute transfer, then let the owner rewrite
-// its durable state via PostRepair.
+// full catch-up path (attributes included), then let the owner rewrite its
+// durable state via PostRepair.
 func (sc *Scrubber) repair(rep *RoundReport) {
 	peer := sc.pickRepairPeer(rep)
 	if peer == "" {
@@ -658,9 +592,8 @@ func (sc *Scrubber) repair(rep *RoundReport) {
 	}
 	resume()
 
-	stats, err := SyncFromPeerStats(svc, sc.dialer(peer), SyncOptions{
+	stats, err := SyncFromPeer(svc, sc.dialer(peer), SyncOptions{
 		CallTimeout: sc.cfg.RepairTimeout,
-		Attrs:       true,
 		Metrics:     sc.cfg.Metrics,
 	})
 	if err != nil {

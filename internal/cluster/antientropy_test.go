@@ -180,24 +180,43 @@ func TestTopologyDigestExcludesWeights(t *testing.T) {
 	}
 }
 
+// TestFetchAttrsRoundTrip: the whole-store export (Shard -1) and a
+// one-shard export each verify their checksum and, imported into a fresh
+// service, reproduce the exporter's digest for what they cover.
 func TestFetchAttrsRoundTrip(t *testing.T) {
+	const numShards = 4
 	svc, _, attrs := newAntiEntropyService()
-	attrs.SetFeatures(1, []float32{1, 2, 3})
-	attrs.SetLabel(1, 9)
-	attrs.SetEdgeFeatures(kvstore.EdgeKey{Src: 1, Dst: 2, Type: 0}, []float32{0.5})
+	svc.SetAdvertise("a")
+	m, _ := IdentityMap([]string{"a"}, 1, numShards)
+	if err := svc.UpdateRouting(&UpdateRoutingArgs{Map: *m}, &UpdateRoutingReply{}); err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	for v := graph.VertexID(1); v <= 16; v++ {
+		attrs.SetFeatures(v, []float32{float32(v), 2, 3})
+		attrs.SetLabel(v, int32(v)%3)
+		attrs.SetEdgeFeatures(kvstore.EdgeKey{Src: v, Dst: v + 1, Type: 0}, []float32{0.5, float32(v)})
+	}
 
-	var reply AttrsReply
-	if err := svc.FetchAttrs(&AttrsArgs{}, &reply); err != nil {
-		t.Fatalf("FetchAttrs: %v", err)
-	}
-	if reply.Sum == 0 || reply.Sum != checksumFeatures(&reply.Attrs) {
-		t.Fatalf("FetchAttrs sum %016x does not verify", reply.Sum)
-	}
-	// Importing the export into a fresh service reproduces the digest.
-	dst, _, dstAttrs := newAntiEntropyService()
-	dst.importAttrs(&reply.Attrs)
-	if dstAttrs.Digest() != attrs.Digest() {
-		t.Fatal("attrs export/import round trip changed the digest")
+	for _, shard := range []int{-1, 0, 3} {
+		var reply AttrsReply
+		if err := svc.FetchAttrs(&AttrsArgs{Shard: shard}, &reply); err != nil {
+			t.Fatalf("FetchAttrs(shard %d): %v", shard, err)
+		}
+		if reply.Sum == 0 || reply.Sum != checksumFeatures(&reply) {
+			t.Fatalf("FetchAttrs(shard %d) sum %016x does not verify", shard, reply.Sum)
+		}
+		want := attrs.Digest()
+		if shard >= 0 {
+			if len(reply.Nodes) == 0 || len(reply.Nodes) == 16 {
+				t.Fatalf("shard %d export holds %d of 16 vertices", shard, len(reply.Nodes))
+			}
+			want = attrs.DigestWhere(inShard(shard, numShards))
+		}
+		dst, _, dstAttrs := newAntiEntropyService()
+		dst.importAttrs(&reply)
+		if got := dstAttrs.Digest(); got != want {
+			t.Fatalf("shard %d: attrs export/import round trip digest %016x, want %016x", shard, got, want)
+		}
 	}
 }
 

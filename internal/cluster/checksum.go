@@ -65,7 +65,7 @@ func checksumRecords(recs []eventlog.BatchRecord) uint64 {
 }
 
 // checksumFeatures folds an attribute export into one checksum.
-func checksumFeatures(r *ShardFeaturesReply) uint64 {
+func checksumFeatures(r *AttrsReply) uint64 {
 	h := mix64(uint64(len(r.Nodes)) ^ 0x6665617473756d21)
 	for i, id := range r.Nodes {
 		h = mix64(h ^ uint64(id))

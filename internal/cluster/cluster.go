@@ -457,8 +457,8 @@ func (s *Service) SetFeatures(args *SetFeaturesArgs, _ *SetFeaturesReply) (err e
 		return err
 	}
 	// Hold pauseMu like topology writes do: ParkShard's Pause barrier must
-	// drain in-flight feature writes too, or FetchShardFeatures could race a
-	// write that passed the gate before the park.
+	// drain in-flight feature writes too, or a migration's FetchAttrs could
+	// race a write that passed the gate before the park.
 	s.pauseMu.RLock()
 	defer s.pauseMu.RUnlock()
 	if s.attrs == nil {

@@ -46,7 +46,6 @@ var wireMethodPriorities = map[string]Priority{
 	"Routing":            PriorityInteractive,
 	"UpdateRouting":      PriorityBackground,
 	"FetchShardSnapshot": PriorityBackground,
-	"FetchShardFeatures": PriorityBackground,
 	"ParkShard":          PriorityBackground,
 	"ReleaseShard":       PriorityBackground,
 	"DropShard":          PriorityBackground,
@@ -141,12 +140,6 @@ var wireMethods = []wireMethod{
 		func() wireMessage { return new(ShardSnapshotReply) },
 		func(s *Service, a, r wireMessage) error {
 			return s.FetchShardSnapshot(a.(*ShardSnapshotArgs), r.(*ShardSnapshotReply))
-		}},
-	{"FetchShardFeatures",
-		func() wireMessage { return new(ShardFeaturesArgs) },
-		func() wireMessage { return new(ShardFeaturesReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.FetchShardFeatures(a.(*ShardFeaturesArgs), r.(*ShardFeaturesReply))
 		}},
 	{"ParkShard",
 		func() wireMessage { return new(ParkShardArgs) },

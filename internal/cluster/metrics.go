@@ -21,9 +21,9 @@ import (
 var rpcMethods = []string{
 	"ApplyBatch", "SampleNeighbors", "Degree", "Features", "SetFeatures",
 	"Sources", "Stats", "FetchSnapshot", "FetchWALTail", "SyncState",
-	"Routing", "UpdateRouting", "FetchShardSnapshot", "FetchShardFeatures",
-	"ParkShard", "ReleaseShard", "DropShard", "PullShard",
-	"ShardDigest", "Scrub", "FetchAttrs", "Handshake",
+	"Routing", "UpdateRouting", "FetchShardSnapshot", "ParkShard",
+	"ReleaseShard", "DropShard", "PullShard", "ShardDigest", "Scrub",
+	"FetchAttrs", "Handshake",
 }
 
 // Metrics aggregates fault-tolerance counters and RPC histograms. The zero

@@ -48,8 +48,6 @@ import (
 	"time"
 
 	"platod2gl/internal/graph"
-	"platod2gl/internal/kvstore"
-	"platod2gl/internal/storage"
 )
 
 // defaultParkTTL is the self-release backstop on a parked shard: if the
@@ -113,22 +111,6 @@ func filterShard(events []graph.Event, shard, numShards int) []graph.Event {
 	return events
 }
 
-// relationTypes lists the store's populated relations, for shard export.
-func relationTypes(store storage.TopologyStore) ([]graph.EdgeType, error) {
-	rs, ok := store.(interface {
-		AllStats() []storage.RelationStats
-	})
-	if !ok {
-		return nil, fmt.Errorf("cluster: store %T cannot enumerate relations for shard export", store)
-	}
-	stats := rs.AllStats()
-	types := make([]graph.EdgeType, 0, len(stats))
-	for _, st := range stats {
-		types = append(types, st.Type)
-	}
-	return types, nil
-}
-
 // ---------------------------------------------------------------------------
 // Source-side migration RPCs.
 
@@ -170,97 +152,22 @@ func (s *Service) FetchShardSnapshot(args *ShardSnapshotArgs, reply *ShardSnapsh
 	if s.syncWAL == nil {
 		return fmt.Errorf("cluster: cannot export shard %d: server has no WAL to stream a tail from", args.Shard)
 	}
-	types, err := relationTypes(s.store)
-	if err != nil {
-		return err
-	}
 	resume := s.Pause()
 	defer resume()
 	reply.WALSeq = s.syncWAL.Seq()
 	reply.NumShards = rt.m.NumShards
-	for _, et := range types {
-		for _, src := range s.store.Sources(et) {
-			if ShardOf(src, rt.m.NumShards) != args.Shard {
-				continue
-			}
-			nbrs, weights := s.store.Neighbors(src, et)
-			for i, dst := range nbrs {
-				reply.Events = append(reply.Events, graph.Event{
-					Kind: graph.AddEdge,
-					Edge: graph.Edge{Src: src, Dst: dst, Type: et, Weight: weights[i]},
-				})
-			}
+	if err := forEachSource(s.store, args.Shard, rt.m.NumShards, func(et graph.EdgeType, src graph.VertexID, nbrs []graph.VertexID, weights []float64) {
+		for i, dst := range nbrs {
+			reply.Events = append(reply.Events, graph.Event{
+				Kind: graph.AddEdge,
+				Edge: graph.Edge{Src: src, Dst: dst, Type: et, Weight: weights[i]},
+			})
 		}
+	}); err != nil {
+		return err
 	}
 	reply.Dedup = s.dedup.export()
 	reply.Sum = checksumEvents(reply.Events)
-	return nil
-}
-
-// ShardFeaturesArgs requests a shard's attribute state.
-type ShardFeaturesArgs struct {
-	Shard int
-}
-
-// ShardFeaturesReply carries one shard's vertex features, labels, and edge
-// features. Nodes aligns with RowLens (0 = the node has a label but no
-// feature vector), Labels, and HasLabel; Data concatenates the rows.
-type ShardFeaturesReply struct {
-	Nodes    []graph.VertexID
-	RowLens  []int32
-	Data     []float32
-	Labels   []int32
-	HasLabel []bool
-	EdgeKeys []kvstore.EdgeKey
-	EdgeLens []int32
-	EdgeData []float32
-}
-
-// approxBytes sizes the reply for metrics.
-func (r *ShardFeaturesReply) approxBytes() int64 {
-	return approxIDs(len(r.Nodes)) + approxFloats(len(r.Data)+len(r.EdgeData)) +
-		approxLabels(len(r.Labels)) + int64(len(r.EdgeKeys))*17
-}
-
-// FetchShardFeatures exports one shard's attribute state. The driver calls
-// it after ParkShard, whose Pause barrier has drained every in-flight
-// feature write, so the export is complete — the feature path has no WAL,
-// making park-time copy the only loss-free window.
-func (s *Service) FetchShardFeatures(args *ShardFeaturesArgs, reply *ShardFeaturesReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("FetchShardFeatures").ObserveSince(start)
-	defer guard("FetchShardFeatures", &err)
-	rt, err := s.shardRouting("export features of", args.Shard)
-	if err != nil {
-		return err
-	}
-	if !rt.owned[args.Shard] {
-		return notOwnerError(args.Shard, rt.m.Epoch)
-	}
-	if s.attrs == nil {
-		return nil // no attribute store: nothing to move
-	}
-	v := rt.m.NumShards
-	s.attrs.RangeVertices(func(id graph.VertexID, features []float32, label int32, hasLabel bool) bool {
-		if ShardOf(id, v) != args.Shard {
-			return true
-		}
-		reply.Nodes = append(reply.Nodes, id)
-		reply.RowLens = append(reply.RowLens, int32(len(features)))
-		reply.Data = append(reply.Data, features...)
-		reply.Labels = append(reply.Labels, label)
-		reply.HasLabel = append(reply.HasLabel, hasLabel)
-		return true
-	})
-	s.attrs.RangeEdges(func(k kvstore.EdgeKey, features []float32) bool {
-		if ShardOf(k.Src, v) != args.Shard {
-			return true
-		}
-		reply.EdgeKeys = append(reply.EdgeKeys, k)
-		reply.EdgeLens = append(reply.EdgeLens, int32(len(features)))
-		reply.EdgeData = append(reply.EdgeData, features...)
-		return true
-	})
 	return nil
 }
 
@@ -347,52 +254,27 @@ func (s *Service) DropShard(args *DropShardArgs, reply *DropShardReply) (err err
 		return fmt.Errorf("cluster: refusing to drop shard %d: this server owns it at routing epoch %d", args.Shard, rt.m.Epoch)
 	}
 	v := rt.m.NumShards
-	types, err := relationTypes(s.store)
-	if err != nil {
-		return err
-	}
 	var dels []graph.Event
-	for _, et := range types {
-		for _, src := range s.store.Sources(et) {
-			if ShardOf(src, v) != args.Shard {
-				continue
-			}
-			nbrs, _ := s.store.Neighbors(src, et)
-			for _, dst := range nbrs {
-				dels = append(dels, graph.Event{
-					Kind: graph.DeleteEdge,
-					Edge: graph.Edge{Src: src, Dst: dst, Type: et},
-				})
-			}
+	if err := forEachSource(s.store, args.Shard, v, func(et graph.EdgeType, src graph.VertexID, nbrs []graph.VertexID, _ []float64) {
+		for _, dst := range nbrs {
+			dels = append(dels, graph.Event{Kind: graph.DeleteEdge, Edge: graph.Edge{Src: src, Dst: dst, Type: et}})
 		}
+	}); err != nil {
+		return err
 	}
 	if err := s.applyChunked(dels); err != nil {
 		return fmt.Errorf("cluster: drop shard %d topology: %w", args.Shard, err)
 	}
 	reply.DroppedEdges = int64(len(dels))
-	if s.attrs != nil {
-		var ids []graph.VertexID
-		s.attrs.RangeVertices(func(id graph.VertexID, _ []float32, _ int32, _ bool) bool {
-			if ShardOf(id, v) == args.Shard {
-				ids = append(ids, id)
-			}
-			return true
-		})
-		for _, id := range ids {
-			s.attrs.DeleteVertex(id)
-		}
-		var keys []kvstore.EdgeKey
-		s.attrs.RangeEdges(func(k kvstore.EdgeKey, _ []float32) bool {
-			if ShardOf(k.Src, v) == args.Shard {
-				keys = append(keys, k)
-			}
-			return true
-		})
-		for _, k := range keys {
-			s.attrs.DeleteEdgeFeatures(k)
-		}
-		reply.DroppedVertices = int64(len(ids))
+	var attrs AttrsReply
+	attrs.collect(s.attrs, inShard(args.Shard, v))
+	for _, id := range attrs.Nodes {
+		s.attrs.DeleteVertex(id)
 	}
+	for _, k := range attrs.EdgeKeys {
+		s.attrs.DeleteEdgeFeatures(k)
+	}
+	reply.DroppedVertices = int64(len(attrs.Nodes))
 	return nil
 }
 
@@ -402,16 +284,14 @@ func (s *Service) DropShard(args *DropShardArgs, reply *DropShardReply) (err err
 // PullShardArgs tell a destination server to pull shard state from Source.
 // AfterSeq 0 starts with a snapshot; nonzero resumes tail draining past it.
 // UntilSeq 0 drains until momentarily caught up with the source's writer;
-// nonzero (the post-park call) drains to exactly that position. Features
-// additionally pulls the shard's attribute state after the drain.
+// nonzero (the post-park call) drains to exactly that position and then
+// copies the shard's attributes.
 type PullShardArgs struct {
 	Shard             int
 	Source            string
 	AfterSeq          uint64
 	UntilSeq          uint64
-	Features          bool
 	CallTimeoutMillis int64
-	MaxBatches        int
 }
 
 // PullShardReply reports the drained WAL position (the next call's
@@ -424,10 +304,11 @@ type PullShardReply struct {
 
 // PullShard stages one shard's state from a source server: shard snapshot
 // (WAL-durable via the batch path, so a destination restart re-recovers the
-// staged copy), then shard-filtered WAL-tail draining, then optionally the
-// feature state. The staged copy is invisible to clients until cutover:
-// routed reads for the shard bounce off this server with NotOwner, and
-// routed Sources requests filter by ownership. One pull runs at a time.
+// staged copy), then shard-filtered WAL-tail draining, then — on the
+// post-park call — the shard's attributes, checksummed like every other
+// transfer. The staged copy is invisible to clients until cutover: routed
+// reads for the shard bounce off this server with NotOwner, and routed
+// Sources requests filter by ownership. One pull runs at a time.
 func (s *Service) PullShard(args *PullShardArgs, reply *PullShardReply) (err error) {
 	start := time.Now()
 	defer s.metrics.ServerLatency.With("PullShard").ObserveSince(start)
@@ -444,19 +325,16 @@ func (s *Service) PullShard(args *PullShardArgs, reply *PullShardReply) (err err
 		return err
 	}
 	timeout := time.Duration(args.CallTimeoutMillis) * time.Millisecond
-	tc, err := dialTransport(dial, timeout, s.metrics)
+	tr, err := dialTransfer(s, dial, timeout, s.metrics, args.Shard, v)
 	if err != nil {
 		return fmt.Errorf("cluster: migration dial %s: %w", args.Source, err)
 	}
-	defer tc.Close()
-	call := func(method string, a, r any) error {
-		return tc.Call(ServiceName+"."+method, a, r, timeout, callEnv{})
-	}
+	defer tr.close()
 
-	after := args.AfterSeq
-	if after == 0 {
+	tr.after = args.AfterSeq
+	if tr.after == 0 {
 		var snap ShardSnapshotReply
-		if err := call("FetchShardSnapshot", &ShardSnapshotArgs{Shard: args.Shard}, &snap); err != nil {
+		if err := tr.call("FetchShardSnapshot", &ShardSnapshotArgs{Shard: args.Shard}, &snap); err != nil {
 			return fmt.Errorf("cluster: fetch shard %d snapshot from %s: %w", args.Shard, args.Source, err)
 		}
 		if err := verifySum(s.metrics, "FetchShardSnapshot events", checksumEvents(snap.Events), snap.Sum); err != nil {
@@ -469,8 +347,8 @@ func (s *Service) PullShard(args *PullShardArgs, reply *PullShardReply) (err err
 			return fmt.Errorf("cluster: stage shard %d snapshot: %w", args.Shard, err)
 		}
 		s.dedup.importEntries(snap.Dedup)
-		reply.Bytes += approxEvents(len(snap.Events))
-		after = snap.WALSeq
+		tr.bytes += approxEvents(len(snap.Events))
+		tr.after = snap.WALSeq
 		if h := s.hooks.AfterShardSnapshot; h != nil {
 			if err := h(args.Shard); err != nil {
 				return fmt.Errorf("cluster: migration hook after snapshot: %w", err)
@@ -478,100 +356,33 @@ func (s *Service) PullShard(args *PullShardArgs, reply *PullShardReply) (err err
 		}
 	}
 
-	limit := args.MaxBatches
-	if limit <= 0 {
-		limit = defaultSyncBatches
-	}
-	polls := 0
 	for {
-		var tail WALTailReply
-		if err := call("FetchWALTail", &WALTailArgs{AfterSeq: after, MaxBatches: limit}, &tail); err != nil {
-			return fmt.Errorf("cluster: fetch shard %d wal tail after %d: %w", args.Shard, after, err)
-		}
-		if err := verifySum(s.metrics, "FetchWALTail records", checksumRecords(tail.Records), tail.Sum); err != nil {
+		n, writer, err := tr.drainStep()
+		if err != nil {
 			return err
 		}
-		if tail.WriterSeq < after {
-			return fmt.Errorf("%w: writer at %d, stream at %d", ErrSyncWALReset, tail.WriterSeq, after)
-		}
-		for i := range tail.Records {
-			rec := &tail.Records[i]
-			evs := filterShard(rec.Events, args.Shard, v)
-			if len(evs) == 0 {
-				continue
-			}
-			var br BatchReply
-			if err := s.applyBatch(&BatchArgs{Events: evs, ClientID: rec.ClientID, Seq: rec.ClientSeq}, &br); err != nil {
-				return fmt.Errorf("cluster: apply shard %d wal record %d: %w", args.Shard, rec.Seq, err)
-			}
-			reply.Batches++
-			reply.Bytes += approxEvents(len(evs))
-		}
-		if len(tail.Records) > 0 {
-			after = tail.EndSeq
-			polls = 0
-			if h := s.hooks.AfterTailChunk; h != nil {
-				if err := h(args.Shard); err != nil {
-					return fmt.Errorf("cluster: migration hook after tail chunk: %w", err)
-				}
+		if h := s.hooks.AfterTailChunk; h != nil && n > 0 {
+			if err := h(args.Shard); err != nil {
+				return fmt.Errorf("cluster: migration hook after tail chunk: %w", err)
 			}
 		}
 		if args.UntilSeq > 0 {
-			if after >= args.UntilSeq {
+			if tr.after >= args.UntilSeq {
 				break // drained to the park point: exactly caught up
 			}
-		} else if tail.WriterSeq <= after {
+		} else if writer <= tr.after {
 			break // momentarily caught up with the live writer
 		}
-		if len(tail.Records) == 0 {
-			polls++
-			if polls > syncTailMaxPolls {
-				return fmt.Errorf("cluster: shard %d wal tail stalled at %d (writer at %d)", args.Shard, after, tail.WriterSeq)
-			}
-			time.Sleep(syncTailPollDelay)
-		}
 	}
-
-	if args.Features {
-		var feats ShardFeaturesReply
-		if err := call("FetchShardFeatures", &ShardFeaturesArgs{Shard: args.Shard}, &feats); err != nil {
-			return fmt.Errorf("cluster: fetch shard %d features from %s: %w", args.Shard, args.Source, err)
+	if args.UntilSeq > 0 {
+		n, err := tr.pullAttrs()
+		if err != nil {
+			return err
 		}
-		s.importAttrs(&feats)
-		reply.Bytes += feats.approxBytes()
+		tr.bytes += n
 	}
-	reply.EndSeq = after
+	reply.EndSeq, reply.Bytes, reply.Batches = tr.after, tr.bytes, tr.batches
 	return nil
-}
-
-// importAttrs merges an attribute export into this server's attribute
-// store — the shared import path for shard migration and whole-store
-// repair. Rows are copied (the decoded reply's backing arrays are shared).
-func (s *Service) importAttrs(feats *ShardFeaturesReply) {
-	if s.attrs == nil {
-		return
-	}
-	off := 0
-	for i, id := range feats.Nodes {
-		n := int(feats.RowLens[i])
-		if n > 0 {
-			row := make([]float32, n)
-			copy(row, feats.Data[off:off+n])
-			s.attrs.SetFeatures(id, row)
-			off += n
-		}
-		if feats.HasLabel[i] {
-			s.attrs.SetLabel(id, feats.Labels[i])
-		}
-	}
-	off = 0
-	for i, k := range feats.EdgeKeys {
-		n := int(feats.EdgeLens[i])
-		row := make([]float32, n)
-		copy(row, feats.EdgeData[off:off+n])
-		s.attrs.SetEdgeFeatures(k, row)
-		off += n
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -831,7 +642,7 @@ func (d *Driver) MigrateShard(m *ShardMap, shard, toGroup int) (*ShardMap, error
 	var fin PullShardReply
 	if err := d.call(dst, "PullShard",
 		&PullShardArgs{Shard: shard, Source: src, AfterSeq: bulk.EndSeq, UntilSeq: park.WALSeq,
-			Features: true, CallTimeoutMillis: ctlMillis}, &fin, d.pullTimeout()); err != nil {
+			CallTimeoutMillis: ctlMillis}, &fin, d.pullTimeout()); err != nil {
 		return nil, abort("final drain", err)
 	}
 	metrics.MigrationBytes.Add(fin.Bytes)

@@ -114,8 +114,9 @@ func weightsMatch(t *testing.T, label string, got, want *storage.DynamicStore, k
 // per shard is killed mid-run (writes keep flowing on single acks, reads
 // fail over), then restarted with an empty store to rejoin via SyncFromPeer
 // while traffic continues. At the end every replica must hold the oracle's
-// exact topology for its shard (and weights within tolerance), and sampling
-// must be exact throughout.
+// exact topology for its shard (and weights within tolerance), both replicas
+// of a shard must hold the same attributes, and sampling must be exact
+// throughout.
 func TestChaosReplicaFailoverAndCatchUp(t *testing.T) {
 	const (
 		shards   = 2
@@ -169,9 +170,8 @@ func TestChaosReplicaFailoverAndCatchUp(t *testing.T) {
 			catchups.Add(1)
 			go func() {
 				defer catchups.Done()
-				err := SyncFromPeer(svc, lc.Dialer(sibling), SyncOptions{
+				_, err := SyncFromPeer(svc, lc.Dialer(sibling), SyncOptions{
 					CallTimeout: 10 * time.Second,
-					MaxBatches:  64,
 					Metrics:     metrics,
 				})
 				if err != nil {
@@ -261,11 +261,22 @@ func TestChaosReplicaFailoverAndCatchUp(t *testing.T) {
 		}
 	}
 
-	// Phase 1: healthy cluster accumulates state.
+	// Phase 1: healthy cluster accumulates state, attributes included.
 	for b := 0; b < 6; b++ {
 		applyBoth(800)
 	}
 	verifyExact("healthy")
+	featNodes := make([]graph.VertexID, 256)
+	featData := make([]float32, 3*len(featNodes))
+	featLabels := make([]int32, len(featNodes))
+	for i := range featNodes {
+		featNodes[i] = graph.VertexID(i)
+		featData[3*i], featData[3*i+1], featData[3*i+2] = float32(i), 0.5, -float32(i)
+		featLabels[i] = int32(i % 7)
+	}
+	if err := client.SetFeatures(featNodes, 3, featData, featLabels); err != nil {
+		t.Fatalf("set features: %v", err)
+	}
 
 	// Phase 2: kill replica 1 of every shard mid-run. Writes must keep
 	// succeeding on the surviving replica's ack, reads must fail over, and
@@ -334,6 +345,22 @@ func TestChaosReplicaFailoverAndCatchUp(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	verifyExact("after rejoin")
+
+	// Catch-up ships attributes: each rejoined replica holds its sibling's
+	// feature and label state, not just its topology.
+	emptyAttrs := kvstore.New().Digest()
+	for s := 0; s < shards; s++ {
+		var d [replicas]DigestReply
+		for r := range d {
+			if err := lc.Service(s*replicas+r).ShardDigest(&DigestArgs{Shard: -1}, &d[r]); err != nil {
+				t.Fatalf("shard %d replica %d digest: %v", s, r, err)
+			}
+		}
+		if d[0].Attrs == emptyAttrs || d[0].Attrs != d[1].Attrs {
+			t.Fatalf("shard %d attribute digests %016x / %016x (empty store %016x): catch-up did not copy attributes",
+				s, d[0].Attrs, d[1].Attrs, emptyAttrs)
+		}
+	}
 
 	// Convergence: each replica's topology must be byte-identical to the
 	// oracle's projection onto its shard (hence to its sibling's), and every

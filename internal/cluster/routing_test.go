@@ -200,9 +200,9 @@ func TestUpdateRoutingSemantics(t *testing.T) {
 	}
 }
 
-// TestShardExportsRejectOutOfRangeShard: both shard exports answer a shard
+// TestShardExportsRejectOutOfRangeShard: the shard exports answer a shard
 // id outside the map's [0, NumShards) with a range error, never an index
-// panic.
+// panic. FetchAttrs reads shard -1 as the whole store, as DigestArgs does.
 func TestShardExportsRejectOutOfRangeShard(t *testing.T) {
 	svc := newTestService(t)
 	svc.SetAdvertise("a")
@@ -212,9 +212,11 @@ func TestShardExportsRejectOutOfRangeShard(t *testing.T) {
 	}
 	for _, shard := range []int{-1, 4, 9} {
 		errs := map[string]error{
-			"FetchShardFeatures": svc.FetchShardFeatures(&ShardFeaturesArgs{Shard: shard}, &ShardFeaturesReply{}),
 			"FetchShardSnapshot": svc.FetchShardSnapshot(&ShardSnapshotArgs{Shard: shard}, &ShardSnapshotReply{}),
 			"ParkShard":          svc.ParkShard(&ParkShardArgs{Shard: shard}, &ParkShardReply{}),
+		}
+		if shard >= 0 {
+			errs["FetchAttrs"] = svc.FetchAttrs(&AttrsArgs{Shard: shard}, &AttrsReply{})
 		}
 		for name, err := range errs {
 			if err == nil || !strings.Contains(err.Error(), "out of range (4 logical shards)") {

@@ -1,9 +1,11 @@
 // WAL-shipped replica catch-up: a rejoining replica converges with its
 // group by pulling a live sibling's snapshot plus the WAL tail past it,
-// instead of requiring the full event history. The protocol is three RPCs —
+// instead of requiring the full event history. The protocol is four RPCs —
 // SyncState (am I converged? which epoch?), FetchSnapshot (quiesced store
 // image + dedup table + WAL position), FetchWALTail (length-framed records
-// past a sequence number) — driven client-side by SyncFromPeer.
+// past a sequence number), FetchAttrs (the attribute store, which the
+// topology WAL does not cover) — driven client-side by SyncFromPeer, on the
+// drain and attribute steps migration shares (transfer.go).
 //
 // Convergence argument. While catching up, the replica is "not ready":
 // reads are rejected (the cluster client fails over to a converged
@@ -18,13 +20,6 @@
 // runs in blocking mode precisely so a write racing the ready transition
 // parks and applies instead of vanishing into the gap between "last tail
 // fetch" and "accepting writes again".
-//
-// Feature attributes are transferred only when SyncOptions.Attrs is set
-// (the FetchAttrs RPC, used by repair paths so replicas converge features
-// included): the repo's durability layer (snapshot + WAL) covers topology
-// only, so by default feature state on a restarted replica — exactly as on
-// a restarted single node — repairs via the next absolute SetFeatures push.
-// See docs/OPERATIONS.md.
 package cluster
 
 import (
@@ -257,15 +252,6 @@ type SyncOptions struct {
 	// store image, so this is typically much larger than the regular
 	// Options.CallTimeout. 0 disables.
 	CallTimeout time.Duration
-	// MaxBatches is the WAL-tail chunk size per fetch. <= 0: 256.
-	MaxBatches int
-	// Attrs additionally transfers the peer's whole attribute store
-	// (features, labels, edge features) after the final drain. The topology
-	// WAL does not cover attributes, so without this a rebuilt replica only
-	// repairs its features via the next absolute SetFeatures push; repair
-	// paths set Attrs so the replica converges byte-identically, features
-	// included.
-	Attrs bool
 	// Metrics receives catch-up counters. nil: a private instance.
 	Metrics *Metrics
 }
@@ -278,12 +264,6 @@ type SyncStats struct {
 }
 
 const (
-	defaultSyncBatches = 256
-	// syncTailPollDelay is the wait between tail polls when the peer's
-	// writer is ahead but no complete frame is readable yet (an append in
-	// flight); syncTailMaxPolls bounds how long that state may persist.
-	syncTailPollDelay = 5 * time.Millisecond
-	syncTailMaxPolls  = 400
 	// The blocking drain requires syncDrainConfirms consecutive drained
 	// fetches spaced by syncDrainPollDelay (~250ms of quiet) before declaring
 	// convergence. At the moment the gate switches to blocking, at most one
@@ -304,35 +284,27 @@ const (
 // also arrived directly at-most-once. The final drain runs with direct
 // writes parked on the catch-up gate (instead of rejected), closing the
 // window where a write could land on the peer after the last tail fetch yet
-// be rejected here; MarkSynced then re-enters the replica into read
-// rotation under a fresh sync epoch.
+// be rejected here. The peer's attributes follow the final drain; MarkSynced
+// then re-enters the replica into read rotation under a fresh sync epoch.
+// The returned stats report what moved.
 //
 // On error the replica stays not ready; the caller may retry against the
 // same or another peer (the store must be discarded and rebuilt empty if a
 // snapshot had already been loaded).
-func SyncFromPeer(svc *Service, dial Dialer, opts SyncOptions) error {
-	_, err := SyncFromPeerStats(svc, dial, opts)
-	return err
-}
-
-// SyncFromPeerStats is SyncFromPeer reporting what it moved.
-func SyncFromPeerStats(svc *Service, dial Dialer, opts SyncOptions) (SyncStats, error) {
+func SyncFromPeer(svc *Service, dial Dialer, opts SyncOptions) (SyncStats, error) {
 	var stats SyncStats
 	if opts.Metrics == nil {
 		opts.Metrics = &Metrics{}
 	}
 	svc.BeginCatchUp()
-	tc, err := dialTransport(dial, opts.CallTimeout, opts.Metrics)
+	tr, err := dialTransfer(svc, dial, opts.CallTimeout, opts.Metrics, -1, 0)
 	if err != nil {
 		return stats, fmt.Errorf("cluster: sync dial: %w", err)
 	}
-	defer tc.Close()
-	call := func(method string, args, reply any) error {
-		return tc.Call(ServiceName+"."+method, args, reply, opts.CallTimeout, callEnv{})
-	}
+	defer tr.close()
 
 	var snap SnapshotReply
-	if err := call("FetchSnapshot", &SnapshotArgs{}, &snap); err != nil {
+	if err := tr.call("FetchSnapshot", &SnapshotArgs{}, &snap); err != nil {
 		return stats, fmt.Errorf("cluster: fetch snapshot: %w", err)
 	}
 	if err := verifySum(opts.Metrics, "FetchSnapshot image", checksumBytes(snap.Snapshot), snap.Sum); err != nil {
@@ -351,76 +323,39 @@ func SyncFromPeerStats(svc *Service, dial Dialer, opts SyncOptions) (SyncStats, 
 	}
 	stats.SnapshotBytes = int64(len(snap.Snapshot))
 
-	limit := opts.MaxBatches
-	if limit <= 0 {
-		limit = defaultSyncBatches
-	}
-	after := snap.WALSeq
-	polls := 0
+	tr.after = snap.WALSeq
 	confirms := 0
 	blocking := false
-	for {
-		var tail WALTailReply
-		if err := call("FetchWALTail", &WALTailArgs{AfterSeq: after, MaxBatches: limit}, &tail); err != nil {
-			return stats, fmt.Errorf("cluster: fetch wal tail after %d: %w", after, err)
-		}
-		if err := verifySum(opts.Metrics, "FetchWALTail records", checksumRecords(tail.Records), tail.Sum); err != nil {
+	for confirms < syncDrainConfirms {
+		n, writer, err := tr.drainStep()
+		if err != nil {
 			return stats, err
 		}
-		if tail.WriterSeq < after {
-			return stats, fmt.Errorf("%w: writer at %d, stream at %d", ErrSyncWALReset, tail.WriterSeq, after)
-		}
-		for i := range tail.Records {
-			rec := &tail.Records[i]
-			var reply BatchReply
-			if err := svc.applyBatch(&BatchArgs{Events: rec.Events, ClientID: rec.ClientID, Seq: rec.ClientSeq}, &reply); err != nil {
-				return stats, fmt.Errorf("cluster: apply wal record %d: %w", rec.Seq, err)
-			}
-			stats.Batches++
-		}
-		if len(tail.Records) > 0 {
-			after = tail.EndSeq
-			polls, confirms = 0, 0
-			continue
-		}
-		if tail.WriterSeq > after {
-			// Writer ahead but no complete frame readable: append in flight.
-			polls++
-			if polls > syncTailMaxPolls {
-				return stats, fmt.Errorf("cluster: wal tail stalled at %d (writer at %d)", after, tail.WriterSeq)
-			}
-			time.Sleep(syncTailPollDelay)
-			continue
-		}
-		if !blocking {
+		switch {
+		case n > 0:
+			confirms = 0
+		case writer > tr.after:
+			// An append in flight: drainStep bounds the wait.
+		case !blocking:
 			// Drained under rejection. Park direct writes and keep draining:
 			// once a write parks here, the client's fan-out for it cannot
 			// complete, so the sibling's WAL quiesces and the remaining tail
 			// is finite.
 			blocking = true
 			svc.beginBlockingDrain()
-			confirms = 0
-			continue
+		default:
+			confirms++
+			if confirms < syncDrainConfirms {
+				time.Sleep(syncDrainPollDelay)
+			}
 		}
-		confirms++
-		if confirms >= syncDrainConfirms {
-			break
-		}
-		time.Sleep(syncDrainPollDelay)
 	}
-	if opts.Attrs {
-		// Pull the peer's full attribute state after the drain, while direct
-		// writes are still parked on the gate: the peer's store is quiescent
-		// modulo in-flight absolute writes, which converge on both sides.
-		var attrs AttrsReply
-		if err := call("FetchAttrs", &AttrsArgs{}, &attrs); err != nil {
-			return stats, fmt.Errorf("cluster: fetch attrs: %w", err)
-		}
-		if err := verifySum(opts.Metrics, "FetchAttrs payload", checksumFeatures(&attrs.Attrs), attrs.Sum); err != nil {
-			return stats, err
-		}
-		svc.importAttrs(&attrs.Attrs)
-		stats.AttrBytes = attrs.Attrs.approxBytes()
+	stats.Batches = tr.batches
+	// Pull the peer's attributes while direct writes are still parked on the
+	// gate: the peer's store is quiescent modulo in-flight absolute writes,
+	// which converge on both sides.
+	if stats.AttrBytes, err = tr.pullAttrs(); err != nil {
+		return stats, err
 	}
 	svc.MarkSynced()
 	opts.Metrics.CatchUps.Inc()

@@ -443,47 +443,6 @@ func (a *ShardSnapshotReply) decodeWire(r *wire.Reader) {
 	a.Sum = r.Uint64()
 }
 
-func (a *ShardFeaturesArgs) appendWire(b []byte) []byte { return wire.AppendVarint(b, int64(a.Shard)) }
-
-func (a *ShardFeaturesArgs) decodeWire(r *wire.Reader) { a.Shard = int(r.Varint()) }
-
-func (a *ShardFeaturesReply) appendWire(b []byte) []byte {
-	b = wire.AppendVertexIDs(b, a.Nodes)
-	b = wire.AppendInt32s(b, a.RowLens)
-	b = wire.AppendFloat32s(b, a.Data)
-	b = wire.AppendInt32s(b, a.Labels)
-	b = wire.AppendBools(b, a.HasLabel)
-	b = wire.AppendUvarint(b, uint64(len(a.EdgeKeys)))
-	for _, k := range a.EdgeKeys {
-		b = wire.AppendVertexID(b, k.Src)
-		b = wire.AppendVertexID(b, k.Dst)
-		b = append(b, byte(k.Type))
-	}
-	b = wire.AppendInt32s(b, a.EdgeLens)
-	return wire.AppendFloat32s(b, a.EdgeData)
-}
-
-func (a *ShardFeaturesReply) decodeWire(r *wire.Reader) {
-	a.Nodes = r.VertexIDs()
-	a.RowLens = r.Int32s()
-	a.Data = r.Float32s()
-	a.Labels = r.Int32s()
-	a.HasLabel = r.Bools()
-	// Minimum edge key: two 2-byte ids + the type byte.
-	a.EdgeKeys = nil
-	n := r.Count(5)
-	if n > 0 {
-		a.EdgeKeys = make([]kvstore.EdgeKey, n)
-		for i := range a.EdgeKeys {
-			a.EdgeKeys[i].Src = r.VertexID()
-			a.EdgeKeys[i].Dst = r.VertexID()
-			a.EdgeKeys[i].Type = graph.EdgeType(r.Byte())
-		}
-	}
-	a.EdgeLens = r.Int32s()
-	a.EdgeData = r.Float32s()
-}
-
 func (a *ParkShardArgs) appendWire(b []byte) []byte {
 	b = wire.AppendVarint(b, int64(a.Shard))
 	return wire.AppendVarint(b, a.TTLMillis)
@@ -525,9 +484,7 @@ func (a *PullShardArgs) appendWire(b []byte) []byte {
 	b = wire.AppendString(b, a.Source)
 	b = wire.AppendUvarint(b, a.AfterSeq)
 	b = wire.AppendUvarint(b, a.UntilSeq)
-	b = wire.AppendBool(b, a.Features)
-	b = wire.AppendVarint(b, a.CallTimeoutMillis)
-	return wire.AppendVarint(b, int64(a.MaxBatches))
+	return wire.AppendVarint(b, a.CallTimeoutMillis)
 }
 
 func (a *PullShardArgs) decodeWire(r *wire.Reader) {
@@ -535,9 +492,7 @@ func (a *PullShardArgs) decodeWire(r *wire.Reader) {
 	a.Source = r.String()
 	a.AfterSeq = r.Uvarint()
 	a.UntilSeq = r.Uvarint()
-	a.Features = r.Bool()
 	a.CallTimeoutMillis = r.Varint()
-	a.MaxBatches = int(r.Varint())
 }
 
 func (a *PullShardReply) appendWire(b []byte) []byte {
@@ -586,18 +541,52 @@ func (a *DigestReply) appendWire(b []byte) []byte { return appendDigest(b, a) }
 
 func (a *DigestReply) decodeWire(r *wire.Reader) { readDigest(r, a) }
 
-func (a *AttrsArgs) appendWire(b []byte) []byte { return b }
+func (a *AttrsArgs) appendWire(b []byte) []byte { return wire.AppendVarint(b, int64(a.Shard)) }
 
-func (a *AttrsArgs) decodeWire(*wire.Reader) {}
+func (a *AttrsArgs) decodeWire(r *wire.Reader) { a.Shard = int(r.Varint()) }
 
 func (a *AttrsReply) appendWire(b []byte) []byte {
-	b = a.Attrs.appendWire(b)
+	b = wire.AppendVertexIDs(b, a.Nodes)
+	b = wire.AppendInt32s(b, a.RowLens)
+	b = wire.AppendFloat32s(b, a.Data)
+	b = wire.AppendInt32s(b, a.Labels)
+	b = wire.AppendBools(b, a.HasLabel)
+	b = wire.AppendUvarint(b, uint64(len(a.EdgeKeys)))
+	for _, k := range a.EdgeKeys {
+		b = wire.AppendVertexID(b, k.Src)
+		b = wire.AppendVertexID(b, k.Dst)
+		b = append(b, byte(k.Type))
+	}
+	b = wire.AppendInt32s(b, a.EdgeLens)
+	b = wire.AppendFloat32s(b, a.EdgeData)
 	return wire.AppendUint64(b, a.Sum)
 }
 
+// decodeWire fails the decode unless the rows line up with their keys and
+// lengths (AttrsReply.aligned), so no receiver indexes past a slice's end.
 func (a *AttrsReply) decodeWire(r *wire.Reader) {
-	a.Attrs.decodeWire(r)
+	a.Nodes = r.VertexIDs()
+	a.RowLens = r.Int32s()
+	a.Data = r.Float32s()
+	a.Labels = r.Int32s()
+	a.HasLabel = r.Bools()
+	// Minimum edge key: two 2-byte ids + the type byte.
+	a.EdgeKeys = nil
+	n := r.Count(5)
+	if n > 0 {
+		a.EdgeKeys = make([]kvstore.EdgeKey, n)
+		for i := range a.EdgeKeys {
+			a.EdgeKeys[i].Src = r.VertexID()
+			a.EdgeKeys[i].Dst = r.VertexID()
+			a.EdgeKeys[i].Type = graph.EdgeType(r.Byte())
+		}
+	}
+	a.EdgeLens = r.Int32s()
+	a.EdgeData = r.Float32s()
 	a.Sum = r.Uint64()
+	if !a.aligned() {
+		r.Invalidate()
+	}
 }
 
 func (a *ScrubArgs) appendWire(b []byte) []byte { return b }

@@ -9,6 +9,7 @@ import (
 	"platod2gl/internal/eventlog"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
+	"platod2gl/internal/storage"
 	"platod2gl/internal/wire"
 )
 
@@ -27,7 +28,7 @@ func wireFixtures() []wireMessage {
 	dedup := []DedupEntry{{ClientID: 1, Seq: 2}, {ClientID: 3, Seq: 4}}
 	sm := ShardMap{Epoch: 9, NumShards: 4, Replicas: 2,
 		Servers: []string{"a:1", "b:2", "c:3", "d:4"}, Assign: []int{0, 1, 1, 0}}
-	sfr := ShardFeaturesReply{
+	attrReply := AttrsReply{
 		Nodes:    ids,
 		RowLens:  []int32{1, 2, 0},
 		Data:     []float32{0.5, -1.25, 3},
@@ -36,6 +37,7 @@ func wireFixtures() []wireMessage {
 		EdgeKeys: []kvstore.EdgeKey{{Src: vid(1, 8), Dst: vid(2, 9), Type: 5}},
 		EdgeLens: []int32{2},
 		EdgeData: []float32{0.25, 0.125},
+		Sum:      9,
 	}
 	dig := DigestReply{Topology: 11, Attrs: 22, NumEdges: 33, WALSeq: 44, SyncEpoch: 55, Ready: true}
 	attrs := kvstore.New()
@@ -71,21 +73,18 @@ func wireFixtures() []wireMessage {
 		&UpdateRoutingReply{Epoch: 6},
 		&ShardSnapshotArgs{Shard: 4},
 		&ShardSnapshotReply{Events: evs, WALSeq: 3, NumShards: 8, Dedup: dedup, Sum: 13},
-		&ShardFeaturesArgs{Shard: 1},
-		&sfr,
 		&ParkShardArgs{Shard: 2, TTLMillis: 5000},
 		&ParkShardReply{WALSeq: 77},
 		&ReleaseShardArgs{Shard: 3},
 		&ReleaseShardReply{},
 		&DropShardArgs{Shard: 6},
 		&DropShardReply{DroppedEdges: 5, DroppedVertices: 2},
-		&PullShardArgs{Shard: 1, Source: "mem://2", AfterSeq: 8, UntilSeq: 9, Features: true,
-			CallTimeoutMillis: 1500, MaxBatches: 32},
+		&PullShardArgs{Shard: 1, Source: "mem://2", AfterSeq: 8, UntilSeq: 9, CallTimeoutMillis: 1500},
 		&PullShardReply{EndSeq: 9, Bytes: 1 << 20, Batches: 4},
 		&DigestArgs{Shard: -1, NumShards: 8},
 		&dig,
-		&AttrsArgs{},
-		&AttrsReply{Attrs: sfr, Sum: 9},
+		&AttrsArgs{Shard: 2},
+		&attrReply,
 		&ScrubArgs{},
 		&ScrubReply{Report: RoundReport{
 			DurationNanos: 100,
@@ -191,9 +190,9 @@ func TestWireMethodIDsStable(t *testing.T) {
 	want := []string{
 		"ApplyBatch", "SampleNeighbors", "Degree", "Features", "SetFeatures",
 		"Sources", "Stats", "FetchSnapshot", "FetchWALTail", "SyncState",
-		"Routing", "UpdateRouting", "FetchShardSnapshot", "FetchShardFeatures",
-		"ParkShard", "ReleaseShard", "DropShard", "PullShard", "ShardDigest",
-		"Scrub", "FetchAttrs",
+		"Routing", "UpdateRouting", "FetchShardSnapshot", "ParkShard",
+		"ReleaseShard", "DropShard", "PullShard", "ShardDigest", "Scrub",
+		"FetchAttrs",
 	}
 	if len(wireMethods) != len(want) {
 		t.Fatalf("wireMethods has %d entries, want %d", len(wireMethods), len(want))
@@ -311,9 +310,12 @@ func TestFeatureFuzzSeeds(t *testing.T) {
 // FuzzWireDecode feeds arbitrary bytes to every payload decoder. Corrupt
 // frames must surface as Reader errors — never panics, never multi-GiB
 // allocations from forged counts (Count bounds every slice length against
-// the bytes actually present). The bytes are also decoded as a Features
-// reply into a guarded destination: a short or lying count fails the
-// decode, writes nothing, and nothing is ever written out of range.
+// the bytes actually present). An attribute export that decodes is also
+// checksummed and imported, which index by its row lengths; misaligned
+// exports are among the seeds. The bytes are
+// also decoded as a Features reply into a guarded destination: a short or
+// lying count fails the decode, writes nothing, and nothing is ever written
+// out of range.
 func FuzzWireDecode(f *testing.F) {
 	for _, msg := range wireFixtures() {
 		f.Add(msg.appendWire(nil))
@@ -323,6 +325,11 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	for _, c := range misalignedAttrs() {
+		f.Add(c.frame)
+	}
+	attrs := kvstore.New()
+	dst := NewService(storage.NewDynamicStore(storage.Options{}), attrs)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, wm := range wireMethods {
 			for _, m := range []wireMessage{wm.newArgs(), wm.newReply()} {
@@ -330,6 +337,15 @@ func FuzzWireDecode(f *testing.F) {
 				m.decodeWire(r)
 				_ = r.Done()
 			}
+		}
+		// An attribute export that decodes is safe to checksum and import.
+		var export AttrsReply
+		r := wire.NewReader(data)
+		export.decodeWire(r)
+		if r.Done() == nil {
+			checksumFeatures(&export)
+			attrs.Reset()
+			dst.importAttrs(&export)
 		}
 		decodeFeaturesIntoGuarded(t, data)
 	})

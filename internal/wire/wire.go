@@ -47,10 +47,12 @@ import (
 	"unsafe"
 )
 
-// Version is the one protocol version this build speaks. Version 2 carries
+// Version is the one protocol version this build speaks. Version 2 added
 // the request envelope (KindRequestEnv) with the caller's remaining deadline
-// budget and priority class for server-side admission control.
-const Version = 2
+// budget and priority class for server-side admission control; version 3
+// has one checksummed attribute export for whole stores and shards, so the
+// cluster's method ids and that payload's layout differ from version 2.
+const Version = 3
 
 // Magic opens every hello and ack. A connection that does not start with
 // it is not speaking this protocol and is refused during the handshake.
