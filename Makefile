@@ -75,15 +75,16 @@ overload-chaos-smoke: build
 tier1: test race
 
 # Short fuzz pass for PR CI: frame/handshake parsing, the bounds-checked
-# reader, every RPC payload decoder, the WAL's record decoder, and the PALM
-# planner against its sort-based oracle. go test allows one -fuzz pattern
-# per invocation, hence five runs.
+# reader, every RPC payload decoder, the server's request dispatch, the
+# WAL's record decoder, and the PALM planner against its sort-based oracle.
+# go test allows one -fuzz pattern per invocation, hence six runs.
 # Corpus findings land in testdata/fuzz/ — commit them as regression seeds.
 FUZZTIME ?= 15s
 fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzFrame -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzHandleWireFrame -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzRecord -fuzztime $(FUZZTIME) ./internal/eventlog/
 	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime $(FUZZTIME) ./internal/palm/
 

@@ -12,25 +12,6 @@ import (
 	"platod2gl/internal/wire"
 )
 
-// TestWireMethodPriorityTableComplete pins the priority table to the method
-// table: a new wire method without an admission class would silently default
-// to interactive (the zero Priority), quietly letting bulk traffic starve
-// real interactive work. Force the author to choose.
-func TestWireMethodPriorityTableComplete(t *testing.T) {
-	names := make(map[string]bool, len(wireMethods))
-	for _, m := range wireMethods {
-		names[m.name] = true
-		if _, ok := wireMethodPriorities[m.name]; !ok {
-			t.Errorf("wire method %s has no entry in wireMethodPriorities", m.name)
-		}
-	}
-	for name := range wireMethodPriorities {
-		if !names[name] {
-			t.Errorf("wireMethodPriorities lists %s, which is not a wire method", name)
-		}
-	}
-}
-
 func TestPriorityStringAndContext(t *testing.T) {
 	for pri, want := range map[Priority]string{
 		PriorityInteractive: "interactive",
@@ -235,34 +216,27 @@ func TestAdmissionFastReject(t *testing.T) {
 	g.release("Slow", time.Now())
 }
 
-// TestAdmissionControlPlaneExempt: with the gate fully saturated, control
-// RPCs like Routing must still serve. Shedding them turns overload into an
-// unrecoverable state — the priority inversion the brownout drill caught,
-// where shedding ReleaseShard left writers parked and slots pinned.
+// TestAdmissionControlPlaneExempt: with the gate fully saturated, the
+// control-plane RPCs must still serve and every other method must shed.
+// Shedding them turns overload into an unrecoverable state — the priority
+// inversion the brownout drill caught, where shedding ReleaseShard left
+// writers parked and slots pinned.
 func TestAdmissionControlPlaneExempt(t *testing.T) {
-	for name := range admissionExempt {
-		if _, ok := wireMethodPriorities[name]; !ok {
-			t.Errorf("admissionExempt lists %s, which is not a wire method", name)
-		}
+	exempt := map[string]bool{
+		"Routing": true, "UpdateRouting": true, "ParkShard": true, "ReleaseShard": true, "SyncState": true,
 	}
 	s := NewServer(newTestService(t))
-	s.SetAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1, MaxQueueWait: 5 * time.Millisecond})
+	s.SetAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1, MaxQueueWait: time.Millisecond})
 	if err := s.admit.acquire("Stats", PriorityInteractive, 0); err != nil {
 		t.Fatalf("hold slot: %v", err)
 	}
-	id, ok := wireMethodID[ServiceName+".Routing"]
-	if !ok {
-		t.Fatal("Routing has no wire method id")
+	defer s.admit.release("Stats", time.Now())
+	for id, wm := range wireMethods {
+		_, msg := callFrame(t, s, id)
+		if shed := strings.Contains(msg, overloadedPrefix); shed == exempt[wm.name] {
+			t.Errorf("%s under a saturated gate: shed = %v, want %v (reply %q)", wm.name, shed, !exempt[wm.name], msg)
+		}
 	}
-	frame := []byte{wire.KindRequest, byte(id)}
-	resp, method := s.handleWireFrame(frame)
-	if method != "Routing" {
-		t.Errorf("method = %q, want Routing", method)
-	}
-	if len(resp) <= wire.HeaderSize || resp[wire.HeaderSize] != wire.KindResponse {
-		t.Fatalf("saturated gate shed an exempt control RPC: frame %q", resp)
-	}
-	s.admit.release("Stats", time.Now())
 }
 
 // TestHandleWireFrameUnknownPriority: a priority byte past the known classes

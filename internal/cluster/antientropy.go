@@ -150,9 +150,6 @@ func (c *Client) ShardDigestCtx(ctx context.Context, shard int) (DigestReply, er
 // ready — the Ready flag tells comparators to skip it — because a scrubber
 // probing a catching-up sibling must not error out the whole round.
 func (s *Service) ShardDigest(args *DigestArgs, reply *DigestReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("ShardDigest").ObserveSince(start)
-	defer guard("ShardDigest", &err)
 	*reply, err = s.localDigest(args.Shard, args.NumShards)
 	return err
 }
@@ -631,10 +628,7 @@ type ScrubReply struct {
 
 // Scrub runs one scrub round on demand (the rebalance CLI's verify verb and
 // tests use it) and returns the report.
-func (s *Service) Scrub(_ *ScrubArgs, reply *ScrubReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("Scrub").ObserveSince(start)
-	defer guard("Scrub", &err)
+func (s *Service) Scrub(_ *ScrubArgs, reply *ScrubReply) error {
 	sc := s.scrubber.Load()
 	if sc == nil {
 		return fmt.Errorf("cluster: no scrubber installed on this server")

@@ -262,20 +262,10 @@ func (s *Service) Pause() (resume func()) {
 	return func() { once.Do(s.pauseMu.Unlock) }
 }
 
-// guard converts a handler panic into an RPC error naming the method, so one
-// poisoned request fails alone instead of killing its connection.
-func guard(method string, err *error) {
-	if r := recover(); r != nil {
-		*err = fmt.Errorf("cluster: %s: recovered panic: %v", method, r)
-	}
-}
-
 // ApplyBatch applies a topology update batch at most once, invoking the
 // durability hook first. Duplicate (ClientID, Seq) pairs are skipped and
 // reported as success.
-func (s *Service) ApplyBatch(args *BatchArgs, reply *BatchReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("ApplyBatch").ObserveSince(start)
+func (s *Service) ApplyBatch(args *BatchArgs, reply *BatchReply) error {
 	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
 		return err
 	}
@@ -317,8 +307,13 @@ func (s *Service) applyBatch(args *BatchArgs, reply *BatchReply) (err error) {
 			return nil
 		}
 	}
+	// Its own recover, not only the dispatcher's: a panicking apply must
+	// still settle its dedup claim, and catch-up and migration call this
+	// outside dispatch.
 	defer func() {
-		guard("ApplyBatch", &err)
+		if p := recover(); p != nil {
+			err = fmt.Errorf("cluster: ApplyBatch: recovered panic: %v", p)
+		}
 		if finish != nil {
 			finish(err)
 		}
@@ -334,18 +329,19 @@ func (s *Service) applyBatch(args *BatchArgs, reply *BatchReply) (err error) {
 }
 
 // SampleNeighbors draws weighted neighbor samples for each seed.
-func (s *Service) SampleNeighbors(args *SampleArgs, reply *SampleReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("SampleNeighbors").ObserveSince(start)
-	defer guard("SampleNeighbors", &err)
-	if !s.ready.Load() {
-		return ErrReplicaNotReady
-	}
+func (s *Service) SampleNeighbors(args *SampleArgs, reply *SampleReply) error {
 	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
 		return err
 	}
 	if args.Fanout < 0 {
 		return fmt.Errorf("cluster: negative fanout %d", args.Fanout)
+	}
+	// The reply holds len(Seeds)*Fanout ids, 8 bytes each in memory, and is
+	// built before anything else can fail: capped at wire.MaxFrame bytes, one
+	// request cannot exhaust the server's memory.
+	if len(args.Seeds) > 0 && args.Fanout > wire.MaxFrame/8/len(args.Seeds) {
+		return fmt.Errorf("cluster: %d seeds x fanout %d is over the %d-id reply limit",
+			len(args.Seeds), args.Fanout, wire.MaxFrame/8)
 	}
 	smp := newServerSampler(s.store, args.Seed)
 	reply.Neighbors = smp.sample(args.Seeds, args.Type, args.Fanout)
@@ -353,13 +349,7 @@ func (s *Service) SampleNeighbors(args *SampleArgs, reply *SampleReply) (err err
 }
 
 // Degree returns out-degrees.
-func (s *Service) Degree(args *DegreeArgs, reply *DegreeReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("Degree").ObserveSince(start)
-	defer guard("Degree", &err)
-	if !s.ready.Load() {
-		return ErrReplicaNotReady
-	}
+func (s *Service) Degree(args *DegreeArgs, reply *DegreeReply) error {
 	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
 		return err
 	}
@@ -371,13 +361,7 @@ func (s *Service) Degree(args *DegreeArgs, reply *DegreeReply) (err error) {
 }
 
 // Features gathers feature rows.
-func (s *Service) Features(args *FeatureArgs, reply *FeatureReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("Features").ObserveSince(start)
-	defer guard("Features", &err)
-	if !s.ready.Load() {
-		return ErrReplicaNotReady
-	}
+func (s *Service) Features(args *FeatureArgs, reply *FeatureReply) error {
 	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
 		return err
 	}
@@ -418,13 +402,7 @@ func uvarintLen(x uint64) uint64 { return uint64(bits.Len64(x|1)+6) / 7 }
 // request is answered with only the sources hashing into the requested
 // shard, so sources staged here by an in-flight migration (owned elsewhere
 // until cutover) are never reported early.
-func (s *Service) Sources(args *SourcesArgs, reply *SourcesReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("Sources").ObserveSince(start)
-	defer guard("Sources", &err)
-	if !s.ready.Load() {
-		return ErrReplicaNotReady
-	}
+func (s *Service) Sources(args *SourcesArgs, reply *SourcesReply) error {
 	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
 		return err
 	}
@@ -443,10 +421,7 @@ func (s *Service) Sources(args *SourcesArgs, reply *SourcesReply) (err error) {
 }
 
 // SetFeatures stores feature rows (and optional labels) on this server.
-func (s *Service) SetFeatures(args *SetFeaturesArgs, _ *SetFeaturesReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("SetFeatures").ObserveSince(start)
-	defer guard("SetFeatures", &err)
+func (s *Service) SetFeatures(args *SetFeaturesArgs, _ *SetFeaturesReply) error {
 	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
 		return err
 	}
@@ -464,7 +439,10 @@ func (s *Service) SetFeatures(args *SetFeaturesArgs, _ *SetFeaturesReply) (err e
 	if s.attrs == nil {
 		return fmt.Errorf("cluster: server has no attribute store")
 	}
-	if len(args.Data) != len(args.Nodes)*args.Dim {
+	// Dim is held to the payload's length first, so the product below cannot
+	// overflow into a match that would size rows past the payload.
+	if len(args.Nodes) > 0 && (args.Dim < 0 || args.Dim > len(args.Data)) ||
+		len(args.Data) != len(args.Nodes)*args.Dim {
 		return fmt.Errorf("cluster: feature payload %d != %d nodes x %d dim",
 			len(args.Data), len(args.Nodes), args.Dim)
 	}
@@ -485,13 +463,7 @@ func (s *Service) SetFeatures(args *SetFeaturesArgs, _ *SetFeaturesReply) (err e
 // Stats reports server statistics. NumSources counts distinct source
 // vertices with out-edges across all relations, when the store exposes
 // per-relation stats (DynamicStore does).
-func (s *Service) Stats(_ *StatsArgs, reply *StatsReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("Stats").ObserveSince(start)
-	defer guard("Stats", &err)
-	if !s.ready.Load() {
-		return ErrReplicaNotReady
-	}
+func (s *Service) Stats(_ *StatsArgs, reply *StatsReply) error {
 	reply.NumEdges = s.store.NumEdges()
 	reply.MemoryBytes = s.store.MemoryBytes()
 	if rs, ok := s.store.(interface {
@@ -893,11 +865,10 @@ func (c *Client) SampleNeighbors(seeds []graph.VertexID, et graph.EdgeType, fano
 // SampleNeighborsCtx is SampleNeighbors with a caller-supplied context whose
 // deadline propagates cluster-wide as the request budget.
 func (c *Client) SampleNeighborsCtx(ctx context.Context, seeds []graph.VertexID, et graph.EdgeType, fanout int, seed int64) ([]graph.VertexID, error) {
-	out, report, err := c.sampleNeighbors(ctx, seeds, et, fanout, seed, c.opts.Degraded)
+	out, _, err := c.sampleNeighbors(ctx, seeds, et, fanout, seed, c.opts.Degraded)
 	if err != nil {
 		return nil, err
 	}
-	_ = report // degradation details available via SampleNeighborsDegraded
 	return out, nil
 }
 

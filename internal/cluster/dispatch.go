@@ -1,10 +1,16 @@
-// Server side of the binary wire protocol: the per-connection handshake and
-// the frame loop that decodes requests, runs them through the admission
-// gate, and dispatches them to the Service handlers.
+// Server side of the binary wire protocol: the per-connection handshake, the
+// method table, and the frame loop that dispatches requests to the Service
+// handlers.
 //
-// The wireMethods table is the binary protocol's method numbering. Ids are
-// frame-level protocol surface: they change only together with a
-// wire.Version bump, since peers of one version share one numbering.
+// Each RPC is declared once, as a wireMethods row: its name, codec types,
+// default admission class, and whether it is exempt from admission or
+// refused mid-catch-up. handleWireFrame does the per-call work every handler
+// shares — admission, argument decode, the catch-up read gate, ServerLatency
+// and panic recovery — so a handler holds only its own logic.
+//
+// A row's index is the method's frame id. Ids are frame-level protocol
+// surface: they change only together with a wire.Version bump, since peers
+// of one version share one numbering.
 package cluster
 
 import (
@@ -17,168 +23,83 @@ import (
 )
 
 // wireMethod is one dispatchable RPC in the binary protocol: its short name
-// (the metrics label), typed constructors for the arg/reply structs, and the
-// bridge into the Service handler.
+// (the metrics label), its default admission class, its dispatch flags, and
+// typed constructors for the arg/reply structs plus the bridge into the
+// Service handler, all built by wireRPC.
 type wireMethod struct {
 	name     string
+	pri      Priority
+	flags    methodFlags
 	newArgs  func() wireMessage
 	newReply func() wireMessage
 	invoke   func(s *Service, args, reply wireMessage) error
 }
 
-// wireMethodPriorities assigns each method its default admission class.
-// Latency-sensitive reads a training step or online lookup blocks on are
+// methodFlags are the per-method dispatch rules handleWireFrame applies.
+type methodFlags uint8
+
+const (
+	// exempt methods bypass the admission gate. They are the control plane:
+	// tiny, rare, and the very RPCs that relieve a saturated or
+	// mid-migration server, so shedding them turns transient overload into
+	// a self-sustaining outage. The concrete inversion the chaos drill
+	// caught: writers parked on a migrating shard pin their handler slots,
+	// the pinned slots starve the background class, and the background
+	// class then sheds the ReleaseShard that would unpark the writers — a
+	// deadlock only the park TTL escapes. The data-moving migration RPCs
+	// (snapshots, WAL tails, pulls) stay gated.
+	exempt methodFlags = 1 << iota
+	// readGated methods are refused with ErrReplicaNotReady while the
+	// replica catches up, so the client fails over to a converged sibling
+	// (and two booting replicas never catch up from each other). Writes
+	// have their own gate (gateWrite), which parks rather than rejects
+	// during the final drain.
+	readGated
+)
+
+// wireRPC builds one wireMethods row from a Service handler; the arg and reply
+// types are inferred from the handler's signature.
+func wireRPC[A, R any, PA interface {
+	*A
+	wireMessage
+}, PR interface {
+	*R
+	wireMessage
+}](name string, pri Priority, flags methodFlags, h func(*Service, PA, PR) error) wireMethod {
+	return wireMethod{name: name, pri: pri, flags: flags,
+		newArgs:  func() wireMessage { return PA(new(A)) },
+		newReply: func() wireMessage { return PR(new(R)) },
+		invoke:   func(s *Service, a, r wireMessage) error { return h(s, a.(PA), r.(PR)) },
+	}
+}
+
+// wireMethods is the RPC surface, one row per method; the row index is the
+// method's frame id, so append only. Default admission classes:
+// latency-sensitive reads a training step or online lookup blocks on are
 // interactive; bulk ingest and feature writes are prefetch; replication,
-// migration, scrub, and control-plane traffic is background. Kept as a
-// separate table (rather than widening every literal below) so the
-// classification is reviewable at a glance.
-var wireMethodPriorities = map[string]Priority{
-	"ApplyBatch":         PriorityPrefetch,
-	"SampleNeighbors":    PriorityInteractive,
-	"Degree":             PriorityInteractive,
-	"Features":           PriorityInteractive,
-	"SetFeatures":        PriorityPrefetch,
-	"Sources":            PriorityInteractive,
-	"Stats":              PriorityInteractive,
-	"FetchSnapshot":      PriorityBackground,
-	"FetchWALTail":       PriorityBackground,
-	"SyncState":          PriorityBackground,
-	"Routing":            PriorityInteractive,
-	"UpdateRouting":      PriorityBackground,
-	"FetchShardSnapshot": PriorityBackground,
-	"ParkShard":          PriorityBackground,
-	"ReleaseShard":       PriorityBackground,
-	"DropShard":          PriorityBackground,
-	"PullShard":          PriorityBackground,
-	"ShardDigest":        PriorityBackground,
-	"Scrub":              PriorityBackground,
-	"FetchAttrs":         PriorityBackground,
-}
-
-// admissionExempt lists the control-plane methods that bypass the admission
-// gate. They are tiny, rare, and — critically — the very RPCs that relieve
-// a saturated or mid-migration server: shedding them turns transient
-// overload into a self-sustaining outage. The concrete inversion the chaos
-// drill caught: writers parked on a migrating shard pin their handler slots,
-// the pinned slots starve the background class, and the background class
-// then sheds the ReleaseShard that would unpark the writers — a deadlock
-// only the park TTL escapes. The data-moving migration RPCs (snapshots, WAL
-// tails, pulls) stay gated; only the control plane is exempt.
-var admissionExempt = map[string]bool{
-	"Routing":       true,
-	"UpdateRouting": true,
-	"ParkShard":     true,
-	"ReleaseShard":  true,
-	"SyncState":     true,
-}
-
-// wireMethods assigns each method its frame id (the slice index). Append
-// only; ids are wire-protocol surface.
+// migration, scrub and control-plane traffic is background. A request's
+// envelope may override the class per call.
 var wireMethods = []wireMethod{
-	{"ApplyBatch",
-		func() wireMessage { return new(BatchArgs) },
-		func() wireMessage { return new(BatchReply) },
-		func(s *Service, a, r wireMessage) error { return s.ApplyBatch(a.(*BatchArgs), r.(*BatchReply)) }},
-	{"SampleNeighbors",
-		func() wireMessage { return new(SampleArgs) },
-		func() wireMessage { return new(SampleReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.SampleNeighbors(a.(*SampleArgs), r.(*SampleReply))
-		}},
-	{"Degree",
-		func() wireMessage { return new(DegreeArgs) },
-		func() wireMessage { return new(DegreeReply) },
-		func(s *Service, a, r wireMessage) error { return s.Degree(a.(*DegreeArgs), r.(*DegreeReply)) }},
-	{"Features",
-		func() wireMessage { return new(FeatureArgs) },
-		func() wireMessage { return new(FeatureReply) },
-		func(s *Service, a, r wireMessage) error { return s.Features(a.(*FeatureArgs), r.(*FeatureReply)) }},
-	{"SetFeatures",
-		func() wireMessage { return new(SetFeaturesArgs) },
-		func() wireMessage { return new(SetFeaturesReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.SetFeatures(a.(*SetFeaturesArgs), r.(*SetFeaturesReply))
-		}},
-	{"Sources",
-		func() wireMessage { return new(SourcesArgs) },
-		func() wireMessage { return new(SourcesReply) },
-		func(s *Service, a, r wireMessage) error { return s.Sources(a.(*SourcesArgs), r.(*SourcesReply)) }},
-	{"Stats",
-		func() wireMessage { return new(StatsArgs) },
-		func() wireMessage { return new(StatsReply) },
-		func(s *Service, a, r wireMessage) error { return s.Stats(a.(*StatsArgs), r.(*StatsReply)) }},
-	{"FetchSnapshot",
-		func() wireMessage { return new(SnapshotArgs) },
-		func() wireMessage { return new(SnapshotReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.FetchSnapshot(a.(*SnapshotArgs), r.(*SnapshotReply))
-		}},
-	{"FetchWALTail",
-		func() wireMessage { return new(WALTailArgs) },
-		func() wireMessage { return new(WALTailReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.FetchWALTail(a.(*WALTailArgs), r.(*WALTailReply))
-		}},
-	{"SyncState",
-		func() wireMessage { return new(SyncStateArgs) },
-		func() wireMessage { return new(SyncStateReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.SyncState(a.(*SyncStateArgs), r.(*SyncStateReply))
-		}},
-	{"Routing",
-		func() wireMessage { return new(RoutingArgs) },
-		func() wireMessage { return new(RoutingReply) },
-		func(s *Service, a, r wireMessage) error { return s.Routing(a.(*RoutingArgs), r.(*RoutingReply)) }},
-	{"UpdateRouting",
-		func() wireMessage { return new(UpdateRoutingArgs) },
-		func() wireMessage { return new(UpdateRoutingReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.UpdateRouting(a.(*UpdateRoutingArgs), r.(*UpdateRoutingReply))
-		}},
-	{"FetchShardSnapshot",
-		func() wireMessage { return new(ShardSnapshotArgs) },
-		func() wireMessage { return new(ShardSnapshotReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.FetchShardSnapshot(a.(*ShardSnapshotArgs), r.(*ShardSnapshotReply))
-		}},
-	{"ParkShard",
-		func() wireMessage { return new(ParkShardArgs) },
-		func() wireMessage { return new(ParkShardReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.ParkShard(a.(*ParkShardArgs), r.(*ParkShardReply))
-		}},
-	{"ReleaseShard",
-		func() wireMessage { return new(ReleaseShardArgs) },
-		func() wireMessage { return new(ReleaseShardReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.ReleaseShard(a.(*ReleaseShardArgs), r.(*ReleaseShardReply))
-		}},
-	{"DropShard",
-		func() wireMessage { return new(DropShardArgs) },
-		func() wireMessage { return new(DropShardReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.DropShard(a.(*DropShardArgs), r.(*DropShardReply))
-		}},
-	{"PullShard",
-		func() wireMessage { return new(PullShardArgs) },
-		func() wireMessage { return new(PullShardReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.PullShard(a.(*PullShardArgs), r.(*PullShardReply))
-		}},
-	{"ShardDigest",
-		func() wireMessage { return new(DigestArgs) },
-		func() wireMessage { return new(DigestReply) },
-		func(s *Service, a, r wireMessage) error {
-			return s.ShardDigest(a.(*DigestArgs), r.(*DigestReply))
-		}},
-	{"Scrub",
-		func() wireMessage { return new(ScrubArgs) },
-		func() wireMessage { return new(ScrubReply) },
-		func(s *Service, a, r wireMessage) error { return s.Scrub(a.(*ScrubArgs), r.(*ScrubReply)) }},
-	{"FetchAttrs",
-		func() wireMessage { return new(AttrsArgs) },
-		func() wireMessage { return new(AttrsReply) },
-		func(s *Service, a, r wireMessage) error { return s.FetchAttrs(a.(*AttrsArgs), r.(*AttrsReply)) }},
+	wireRPC("ApplyBatch", PriorityPrefetch, 0, (*Service).ApplyBatch),
+	wireRPC("SampleNeighbors", PriorityInteractive, readGated, (*Service).SampleNeighbors),
+	wireRPC("Degree", PriorityInteractive, readGated, (*Service).Degree),
+	wireRPC("Features", PriorityInteractive, readGated, (*Service).Features),
+	wireRPC("SetFeatures", PriorityPrefetch, 0, (*Service).SetFeatures),
+	wireRPC("Sources", PriorityInteractive, readGated, (*Service).Sources),
+	wireRPC("Stats", PriorityInteractive, readGated, (*Service).Stats),
+	wireRPC("FetchSnapshot", PriorityBackground, readGated, (*Service).FetchSnapshot),
+	wireRPC("FetchWALTail", PriorityBackground, 0, (*Service).FetchWALTail),
+	wireRPC("SyncState", PriorityBackground, exempt, (*Service).SyncState),
+	wireRPC("Routing", PriorityInteractive, exempt, (*Service).Routing),
+	wireRPC("UpdateRouting", PriorityBackground, exempt, (*Service).UpdateRouting),
+	wireRPC("FetchShardSnapshot", PriorityBackground, readGated, (*Service).FetchShardSnapshot),
+	wireRPC("ParkShard", PriorityBackground, exempt, (*Service).ParkShard),
+	wireRPC("ReleaseShard", PriorityBackground, exempt, (*Service).ReleaseShard),
+	wireRPC("DropShard", PriorityBackground, 0, (*Service).DropShard),
+	wireRPC("PullShard", PriorityBackground, 0, (*Service).PullShard),
+	wireRPC("ShardDigest", PriorityBackground, 0, (*Service).ShardDigest),
+	wireRPC("Scrub", PriorityBackground, 0, (*Service).Scrub),
+	wireRPC("FetchAttrs", PriorityBackground, readGated, (*Service).FetchAttrs),
 }
 
 // wireMethodID maps the fully-qualified method name ("PlatoD2GL.Stats", the
@@ -188,20 +109,9 @@ var wireMethods = []wireMethod{
 // probes peers), which would be an initialization cycle.
 var wireMethodID = map[string]int{}
 
-// wireMethodPri is the per-id default admission class, resolved from
-// wireMethodPriorities at init — used when a request carries no envelope
-// (a bare KindRequest frame, or an envelope whose priority byte is the
-// "method default" sentinel 0).
-var wireMethodPri = make([]Priority, len(wireMethods))
-
-// wireMethodExempt is admissionExempt resolved to frame ids.
-var wireMethodExempt = make([]bool, len(wireMethods))
-
 func init() {
 	for i, m := range wireMethods {
 		wireMethodID[ServiceName+"."+m.name] = i
-		wireMethodPri[i] = wireMethodPriorities[m.name]
-		wireMethodExempt[i] = admissionExempt[m.name]
 	}
 }
 
@@ -280,12 +190,14 @@ func (s *Server) handshake(conn net.Conn) bool {
 	return true
 }
 
-// handleWireFrame decodes one request frame, runs it through the admission
-// gate, invokes the handler, and encodes the response (or error) frame in a
+// handleWireFrame is the one place a request frame becomes a call. It reads
+// the envelope, runs the method's admission, decodes the arguments, invokes
+// the handler (see dispatch), and encodes the response (or error) frame in a
 // wire.GetFrame buffer, ready for wire.WriteFrame. It never panics: corrupt
-// frames fail the bounds-checked reader, and a recover backstop converts
-// anything that slips through into an error frame so one bad request cannot
-// kill the connection loop with a half-written frame.
+// frames fail the bounds-checked reader, and a recover converts a panicking
+// handler or codec into an error frame naming the method, so one poisoned
+// request fails alone instead of killing the connection loop with a
+// half-written frame.
 func (s *Server) handleWireFrame(req []byte) (resp []byte, method string) {
 	fail := func(msg string) []byte {
 		b := append(wire.GetFrame(), wire.KindError)
@@ -293,7 +205,7 @@ func (s *Server) handleWireFrame(req []byte) (resp []byte, method string) {
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			resp = fail(fmt.Sprintf("cluster: %s: internal error: %v", method, p))
+			resp = fail(fmt.Sprintf("cluster: %s: recovered panic: %v", method, p))
 		}
 	}()
 	if len(req) == 0 {
@@ -325,12 +237,12 @@ func (s *Server) handleWireFrame(req []byte) (resp []byte, method string) {
 	if r.Err() != nil || id >= uint64(len(wireMethods)) {
 		return fail("cluster: unknown wire method id"), ""
 	}
-	wm := wireMethods[id]
+	wm := &wireMethods[id]
 	method = wm.name
 	if !hasPri {
-		pri = wireMethodPri[id]
+		pri = wm.pri
 	}
-	if !wireMethodExempt[id] {
+	if wm.flags&exempt == 0 {
 		if err := s.admit.acquire(wm.name, pri, budget); err != nil {
 			// Shed or fast-rejected: the error frame carries the typed message
 			// (retry-after hint included) back to the client's classifiers.
@@ -344,11 +256,22 @@ func (s *Server) handleWireFrame(req []byte) (resp []byte, method string) {
 		return fail(fmt.Sprintf("cluster: decode %s args: %v", wm.name, err)), method
 	}
 	reply := wm.newReply()
-	if err := wm.invoke(s.svc, args, reply); err != nil {
+	if err := s.dispatch(wm, args, reply); err != nil {
 		// Handler errors cross as error frames and resurface client-side as
 		// rpc.ServerError, which the retry and routing layers classify.
 		return fail(err.Error()), method
 	}
 	b := append(wire.GetFrame(), wire.KindResponse)
 	return reply.appendWire(b), method
+}
+
+// dispatch runs one decoded call: the catch-up read gate, then the handler.
+// ServerLatency times both and is observed in a defer, so a call that panics
+// is timed too; the reply's encoding is not part of it.
+func (s *Server) dispatch(wm *wireMethod, args, reply wireMessage) error {
+	defer s.svc.metrics.ServerLatency.With(wm.name).ObserveSince(time.Now())
+	if wm.flags&readGated != 0 && !s.svc.ready.Load() {
+		return ErrReplicaNotReady
+	}
+	return wm.invoke(s.svc, args, reply)
 }

@@ -14,18 +14,6 @@ import (
 	"platod2gl/internal/obs"
 )
 
-// rpcMethods is the full RPC surface, used to pre-seed the per-method
-// histogram families so a scrape sees every series from the first request.
-// "Handshake" is the wire-protocol hello/ack exchange (see transport.go),
-// which has client latency and a fixed 16-byte payload but no server handler.
-var rpcMethods = []string{
-	"ApplyBatch", "SampleNeighbors", "Degree", "Features", "SetFeatures",
-	"Sources", "Stats", "FetchSnapshot", "FetchWALTail", "SyncState",
-	"Routing", "UpdateRouting", "FetchShardSnapshot", "ParkShard",
-	"ReleaseShard", "DropShard", "PullShard", "ShardDigest", "Scrub",
-	"FetchAttrs", "Handshake",
-}
-
 // Metrics aggregates fault-tolerance counters and RPC histograms. The zero
 // value is ready to use. Every holder in this package has a non-nil one:
 // NewService, NewClientOptions, SyncFromPeer, NewScrubber and MigrateShard
@@ -256,7 +244,15 @@ func (m *Metrics) Register(r *obs.Registry) {
 	} {
 		r.RegisterCounter(c.name, c.help, nil, c.c)
 	}
-	for _, meth := range rpcMethods {
+	// Pre-seed the per-method families so a scrape sees every series from
+	// the first request. "Handshake" is the wire-protocol hello/ack exchange
+	// (see transport.go), which has client latency and a fixed 16-byte
+	// payload but no wireMethods row.
+	methods := []string{"Handshake"}
+	for _, wm := range wireMethods {
+		methods = append(methods, wm.name)
+	}
+	for _, meth := range methods {
 		m.ClientLatency.With(meth)
 		m.ServerLatency.With(meth)
 		m.PayloadBytes.With(meth)

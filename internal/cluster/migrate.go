@@ -135,13 +135,7 @@ type ShardSnapshotReply struct {
 // quiesce (Pause), so the event set and the returned WAL position agree.
 // Only the shard's current owner serves this — exporting from a non-owner
 // would stage a stale or partial copy.
-func (s *Service) FetchShardSnapshot(args *ShardSnapshotArgs, reply *ShardSnapshotReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("FetchShardSnapshot").ObserveSince(start)
-	defer guard("FetchShardSnapshot", &err)
-	if !s.ready.Load() {
-		return ErrReplicaNotReady
-	}
+func (s *Service) FetchShardSnapshot(args *ShardSnapshotArgs, reply *ShardSnapshotReply) error {
 	rt, err := s.shardRouting("export", args.Shard)
 	if err != nil {
 		return err
@@ -188,10 +182,7 @@ type ParkShardReply struct {
 // ParkShard gates the shard's writes (they wait, not fail) and drains every
 // in-flight write into the WAL via a Pause barrier before returning the WAL
 // position. Idempotent; re-parking does not extend a pending TTL.
-func (s *Service) ParkShard(args *ParkShardArgs, reply *ParkShardReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("ParkShard").ObserveSince(start)
-	defer guard("ParkShard", &err)
+func (s *Service) ParkShard(args *ParkShardArgs, reply *ParkShardReply) error {
 	if _, err := s.shardRouting("park", args.Shard); err != nil {
 		return err
 	}
@@ -217,10 +208,7 @@ type ReleaseShardReply struct{}
 
 // ReleaseShard opens a parked shard's write gate; parked writes proceed on
 // this server under the unchanged routing. Idempotent.
-func (s *Service) ReleaseShard(args *ReleaseShardArgs, _ *ReleaseShardReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("ReleaseShard").ObserveSince(start)
-	defer guard("ReleaseShard", &err)
+func (s *Service) ReleaseShard(args *ReleaseShardArgs, _ *ReleaseShardReply) error {
 	s.releaseShard(args.Shard)
 	return nil
 }
@@ -242,10 +230,7 @@ type DropShardReply struct {
 // has no map at all): dropping owned data is the one mistake the routing
 // layer exists to prevent. Deletions go through the WAL-durable batch path,
 // so a restart does not resurrect the dropped shard.
-func (s *Service) DropShard(args *DropShardArgs, reply *DropShardReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("DropShard").ObserveSince(start)
-	defer guard("DropShard", &err)
+func (s *Service) DropShard(args *DropShardArgs, reply *DropShardReply) error {
 	rt, err := s.shardRouting("drop", args.Shard)
 	if err != nil {
 		return err
@@ -309,10 +294,7 @@ type PullShardReply struct {
 // transfer. The staged copy is invisible to clients until cutover: routed
 // reads for the shard bounce off this server with NotOwner, and routed
 // Sources requests filter by ownership. One pull runs at a time.
-func (s *Service) PullShard(args *PullShardArgs, reply *PullShardReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("PullShard").ObserveSince(start)
-	defer guard("PullShard", &err)
+func (s *Service) PullShard(args *PullShardArgs, reply *PullShardReply) error {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	rt, err := s.shardRouting("pull", args.Shard)

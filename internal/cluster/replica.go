@@ -236,7 +236,7 @@ func (c *Client) markStale(pe *peer) {
 	c.metrics.StaleMarks.Inc()
 	pe.staleEpoch.Store(0)
 	var reply SyncStateReply
-	if err := c.callPeerBudget(pe.idx, ServiceName+".SyncState", &SyncStateArgs{}, &reply, 0); err == nil {
+	if err := c.callPeCtx(context.Background(), pe, ServiceName+".SyncState", &SyncStateArgs{}, &reply, 0, false); err == nil {
 		pe.staleEpoch.Store(reply.SyncEpoch)
 	}
 }
@@ -252,7 +252,7 @@ func (c *Client) tryClearStale(pe *peer) bool {
 		return false
 	}
 	var reply SyncStateReply
-	if err := c.callPeerBudget(pe.idx, ServiceName+".SyncState", &SyncStateArgs{}, &reply, 0); err != nil {
+	if err := c.callPeCtx(context.Background(), pe, ServiceName+".SyncState", &SyncStateArgs{}, &reply, 0, false); err != nil {
 		return false
 	}
 	if !reply.Ready || reply.SyncEpoch == pe.staleEpoch.Load() {

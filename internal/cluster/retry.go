@@ -223,36 +223,22 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// callPeer performs one fault-tolerant RPC against peer p: breaker check,
-// (re)dial, per-attempt timeout, and bounded retries with backoff for
-// transport failures. Transport outcomes feed the breaker; application
-// errors do not (the peer is healthy, the request was bad).
-func (c *Client) callPeer(p int, method string, args, reply any) error {
-	return c.callPeerBudget(p, method, args, reply, c.opts.MaxRetries)
-}
-
-// callPeerBudget is callPeer with an explicit retry budget, so replica
-// fan-outs can spend fewer retries on a peer already marked stale (the
-// catch-up path will repair it) while reads keep the full budget.
-func (c *Client) callPeerBudget(p int, method string, args, reply any, maxRetries int) error {
-	return c.callPe(c.peerAt(p), method, args, reply, maxRetries)
-}
-
-// callPe is callPeerBudget addressed by peer object — the form routing-aware
-// call sites use, since a shard map resolves to peers, not indices.
-func (c *Client) callPe(pe *peer, method string, args, reply any, maxRetries int) error {
-	return c.callPeCtx(context.Background(), pe, method, args, reply, maxRetries, false)
-}
-
-// callPeCtx is the fault-tolerant call loop with end-to-end deadline and
-// priority propagation. The caller's context bounds the *total* elapsed
-// time — per-attempt timeouts are clipped to the remaining budget, backoff
-// sleeps never overrun the deadline, and an attempt whose budget is already
-// spent fails fast before dialing — so a 500ms caller can never be held for
-// MaxRetries × CallTimeout. Two outcomes never feed the circuit breaker:
-// a server shed (OverloadedError — backpressure; the retry delay honors its
-// retry-after hint), and a timeout clipped short of CallTimeout by the
-// caller's budget (the budget expired, which says nothing about the peer).
+// callPeCtx performs one fault-tolerant RPC against peer pe: breaker check,
+// (re)dial, per-attempt timeout, and up to maxRetries retries with backoff
+// for transport failures. Transport outcomes feed the breaker; application
+// errors do not (the peer is healthy, the request was bad). Replica
+// fan-outs spend fewer retries on a peer already marked stale (the catch-up
+// path will repair it), and probes pass 0.
+//
+// Deadline and priority propagate from ctx. The caller's context bounds the
+// *total* elapsed time — per-attempt timeouts are clipped to the remaining
+// budget, backoff sleeps never overrun the deadline, and an attempt whose
+// budget is already spent fails fast before dialing — so a 500ms caller can
+// never be held for MaxRetries × CallTimeout. Two outcomes never feed the
+// circuit breaker: a server shed (OverloadedError — backpressure; the retry
+// delay honors its retry-after hint), and a timeout clipped short of
+// CallTimeout by the caller's budget (the budget expired, which says nothing
+// about the peer).
 //
 // failover says a sibling replica can take the call: an open breaker then
 // fails the call at once. Otherwise the loop waits out the breaker's

@@ -17,6 +17,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -168,15 +169,9 @@ func (m *ShardMap) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "epoch %d, %d shards x %d replicas over %d groups:", m.Epoch, m.NumShards, m.Replicas, m.NumGroups())
 	for g := 0; g < m.NumGroups(); g++ {
-		owned := m.OwnedBy(g)
 		fmt.Fprintf(&b, " [%s:", strings.Join(m.Group(g), ","))
-		for i, s := range owned {
-			if i > 0 {
-				b.WriteByte(' ')
-			} else {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%d", s)
+		for _, s := range m.OwnedBy(g) {
+			fmt.Fprintf(&b, " %d", s)
 		}
 		b.WriteByte(']')
 	}
@@ -489,10 +484,7 @@ type RoutingReply struct {
 
 // Routing reports this server's shard map — the handshake and refresh RPC.
 // Always served, even while catching up: routing state is control-plane.
-func (s *Service) Routing(_ *RoutingArgs, reply *RoutingReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("Routing").ObserveSince(start)
-	defer guard("Routing", &err)
+func (s *Service) Routing(_ *RoutingArgs, reply *RoutingReply) error {
 	if rt := s.routing.Load(); rt != nil {
 		reply.Has = true
 		reply.Map = *rt.m.Clone()
@@ -517,10 +509,7 @@ type UpdateRoutingReply struct {
 // nothing and NotOwner-bounces every per-shard request. Stale pushes
 // (epoch <= installed) are ignored, making the driver's fan-out push
 // idempotent and unordered-safe.
-func (s *Service) UpdateRouting(args *UpdateRoutingArgs, reply *UpdateRoutingReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("UpdateRouting").ObserveSince(start)
-	defer guard("UpdateRouting", &err)
+func (s *Service) UpdateRouting(args *UpdateRoutingArgs, reply *UpdateRoutingReply) error {
 	m := args.Map.Clone()
 	if verr := m.Validate(); verr != nil {
 		return verr
@@ -704,7 +693,7 @@ func (c *Client) RefreshRouting(minEpoch uint64) bool {
 	for g := 0; g < len(cur.groups); g++ {
 		for _, pe := range cur.groups[g] {
 			var reply RoutingReply
-			if err := c.callPe(pe, ServiceName+".Routing", &RoutingArgs{}, &reply, 0); err != nil || !reply.Has {
+			if err := c.callPeCtx(context.Background(), pe, ServiceName+".Routing", &RoutingArgs{}, &reply, 0, false); err != nil || !reply.Has {
 				continue
 			}
 			if reply.Map.Epoch > cur.m.Epoch {
@@ -737,7 +726,7 @@ func (c *Client) handshake(addrs []string) error {
 		for r := 0; r < c.replicas && !answered; r++ {
 			idx := g*c.replicas + r
 			var reply RoutingReply
-			if err := c.callPeerBudget(idx, ServiceName+".Routing", &RoutingArgs{}, &reply, 0); err != nil {
+			if err := c.callPeCtx(context.Background(), c.peerAt(idx), ServiceName+".Routing", &RoutingArgs{}, &reply, 0, false); err != nil {
 				continue // unreachable replica; Dial already ensured one live per group
 			}
 			answered = true

@@ -133,10 +133,7 @@ type SyncStateReply struct {
 
 // SyncState reports this replica's convergence state. Always served, even
 // while not ready — it is how clients and siblings probe progress.
-func (s *Service) SyncState(_ *SyncStateArgs, reply *SyncStateReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("SyncState").ObserveSince(start)
-	defer guard("SyncState", &err)
+func (s *Service) SyncState(_ *SyncStateArgs, reply *SyncStateReply) error {
 	reply.Ready = s.ready.Load()
 	reply.SyncEpoch = s.syncEpoch.Load()
 	if s.syncWAL != nil {
@@ -168,13 +165,7 @@ type SnapshotReply struct {
 // under the same quiescent point so image and tail agree. A replica that is
 // itself not ready refuses — two empty booting replicas must not "catch up"
 // from each other.
-func (s *Service) FetchSnapshot(_ *SnapshotArgs, reply *SnapshotReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("FetchSnapshot").ObserveSince(start)
-	defer guard("FetchSnapshot", &err)
-	if !s.ready.Load() {
-		return ErrReplicaNotReady
-	}
+func (s *Service) FetchSnapshot(_ *SnapshotArgs, reply *SnapshotReply) error {
 	saver, ok := s.store.(interface{ Save(io.Writer) error })
 	if !ok {
 		return fmt.Errorf("cluster: store %T does not support snapshots", s.store)
@@ -217,10 +208,7 @@ type WALTailReply struct {
 // FetchWALTail streams a chunk of this server's WAL past AfterSeq. Safe
 // against concurrent appends: a torn frame mid-file ends the chunk cleanly
 // and a later call picks it up once complete.
-func (s *Service) FetchWALTail(args *WALTailArgs, reply *WALTailReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("FetchWALTail").ObserveSince(start)
-	defer guard("FetchWALTail", &err)
+func (s *Service) FetchWALTail(args *WALTailArgs, reply *WALTailReply) error {
 	if s.syncWAL == nil {
 		return fmt.Errorf("cluster: server has no WAL to stream")
 	}

@@ -143,13 +143,7 @@ func rowsCover(lens []int32, total int) bool {
 // the topology WAL does not cover attributes. A migration pulls its shard
 // after ParkShard, whose barrier has drained every in-flight feature write:
 // the feature path has no WAL, so the park is the only loss-free window.
-func (s *Service) FetchAttrs(args *AttrsArgs, reply *AttrsReply) (err error) {
-	start := time.Now()
-	defer s.metrics.ServerLatency.With("FetchAttrs").ObserveSince(start)
-	defer guard("FetchAttrs", &err)
-	if !s.ready.Load() {
-		return ErrReplicaNotReady
-	}
+func (s *Service) FetchAttrs(args *AttrsArgs, reply *AttrsReply) error {
 	var keep func(graph.VertexID) bool
 	if args.Shard >= 0 {
 		rt, err := s.shardRouting("export attributes of", args.Shard)

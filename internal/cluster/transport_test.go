@@ -234,9 +234,9 @@ func requireNoHandlerRan(t *testing.T, sm *Metrics) {
 	if n := sm.WireHandshakes.Load(); n != 0 {
 		t.Fatalf("server counted %d handshakes for a refused hello", n)
 	}
-	for _, method := range rpcMethods {
-		if n := sm.ServerLatency.With(method).Count(); n != 0 {
-			t.Fatalf("server ran %d %s handlers for a refused hello", n, method)
+	for _, wm := range wireMethods {
+		if n := sm.ServerLatency.With(wm.name).Count(); n != 0 {
+			t.Fatalf("server ran %d %s handlers for a refused hello", n, wm.name)
 		}
 	}
 }
