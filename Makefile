@@ -23,7 +23,7 @@ lint:
 # HNSW index (concurrent insert/search/delete), the attribute store, the
 # lock-free relation table on the sampling path, and the wire codec.
 race: vet
-	$(GO) test -race ./internal/cluster/... ./internal/storage/... ./internal/eventlog/... ./internal/faultinject/... ./internal/gnn/... ./internal/pipeline/... ./internal/view/... ./internal/checkpoint/... ./internal/obs/... ./internal/serve/... ./internal/ann/... ./internal/kvstore/... ./internal/cuckoo/... ./internal/wire/...
+	$(GO) test -race ./internal/cluster/... ./internal/storage/... ./internal/sampler/... ./internal/eventlog/... ./internal/faultinject/... ./internal/gnn/... ./internal/pipeline/... ./internal/view/... ./internal/checkpoint/... ./internal/obs/... ./internal/serve/... ./internal/ann/... ./internal/kvstore/... ./internal/cuckoo/... ./internal/wire/...
 
 # Replication chaos drill: replica kill + failover + WAL-shipped rejoin,
 # twice, under the race detector.

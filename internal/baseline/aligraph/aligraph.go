@@ -272,6 +272,11 @@ func (s *Store) SampleNeighbors(src graph.VertexID, et graph.EdgeType, k int, rn
 	return dst
 }
 
+// SampleFrontier implements storage.TopologyStore as the per-source loop.
+func (s *Store) SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
+	return storage.SampleFrontierLoop(s, srcs, et, counts, rng, dst, got)
+}
+
 // SampleNeighborsUniform implements storage.TopologyStore: uniform draws
 // over the (retrieved) adjacency.
 func (s *Store) SampleNeighborsUniform(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID {

@@ -44,6 +44,7 @@ import (
 	"platod2gl/internal/eventlog"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
+	"platod2gl/internal/sampler"
 	"platod2gl/internal/storage"
 	"platod2gl/internal/wire"
 )
@@ -343,8 +344,11 @@ func (s *Service) SampleNeighbors(args *SampleArgs, reply *SampleReply) error {
 		return fmt.Errorf("cluster: %d seeds x fanout %d is over the %d-id reply limit",
 			len(args.Seeds), args.Fanout, wire.MaxFrame/8)
 	}
-	smp := newServerSampler(s.store, args.Seed)
-	reply.Neighbors = smp.sample(args.Seeds, args.Type, args.Fanout)
+	// The local sampler's frontier path: the client sends distinct seeds, so
+	// each seed is one store draw of Fanout, in seed order, from a generator
+	// seeded Seed+1.
+	reply.Neighbors = sampler.New(s.store, sampler.Options{Seed: args.Seed}).
+		SampleNeighbors(args.Seeds, args.Type, args.Fanout).Neighbors
 	return nil
 }
 

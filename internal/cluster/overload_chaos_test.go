@@ -44,6 +44,12 @@ func (s *slowStore) SampleNeighbors(src graph.VertexID, et graph.EdgeType, k int
 	return s.DynamicStore.SampleNeighbors(src, et, k, rng, dst)
 }
 
+// SampleFrontier samples each source through the slow SampleNeighbors, so
+// the server's frontier path pays the delay per seed.
+func (s *slowStore) SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
+	return storage.SampleFrontierLoop(s, srcs, et, counts, rng, dst, got)
+}
+
 func (s *slowStore) ApplyBatch(events []graph.Event) {
 	time.Sleep(s.applyDelay)
 	s.DynamicStore.ApplyBatch(events)

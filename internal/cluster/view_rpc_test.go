@@ -5,9 +5,13 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"platod2gl/internal/core"
 	"platod2gl/internal/graph"
+	"platod2gl/internal/kvstore"
+	"platod2gl/internal/storage"
 )
 
 func TestFeaturesLabelsRoundTrip(t *testing.T) {
@@ -320,4 +324,58 @@ func TestFeaturesLabelsDegreeCoalesceDuplicateIDs(t *testing.T) {
 		}
 		return err
 	})
+}
+
+// perSeedSample is the server's sampling loop before it shared the local
+// sampler's frontier path: one generator seeded seed+1, one SampleNeighbors
+// call per seed in order, and the seed itself in the slots of a seed
+// without out-neighbors.
+func perSeedSample(store storage.TopologyStore, seeds []graph.VertexID, et graph.EdgeType, fanout int, seed int64) []graph.VertexID {
+	rng := rand.New(rand.NewSource(seed + 1))
+	out := make([]graph.VertexID, len(seeds)*fanout)
+	for i, s := range seeds {
+		base := i * fanout
+		got := store.SampleNeighbors(s, et, fanout, rng, out[base:base])
+		for j := len(got); j < fanout; j++ {
+			out[base+j] = s
+		}
+	}
+	return out
+}
+
+// TestServiceSampleNeighborsMatchesPerSeedLoop: the client sends distinct
+// seeds, and for those the server's reply is bit for bit what the per-seed
+// loop draws under the same request seed, over trees of one and of several
+// leaves, absent seeds, an absent relation and fan-outs 1 to 25.
+func TestServiceSampleNeighborsMatchesPerSeedLoop(t *testing.T) {
+	store := storage.NewDynamicStore(storage.Options{Tree: core.Options{Capacity: 16, Compress: true}})
+	rng := rand.New(rand.NewSource(3))
+	var seeds []graph.VertexID
+	for i := uint64(0); i < 300; i++ {
+		src := graph.MakeVertexID(0, i)
+		seeds = append(seeds, src)
+		if i%7 == 0 {
+			continue // no out-edges: a self-loop block
+		}
+		for d := 0; d < 1+rng.Intn(120); d++ {
+			store.AddEdge(graph.Edge{Src: src, Dst: graph.MakeVertexID(1, uint64(rng.Intn(5000))), Weight: rng.Float64() + 0.01})
+		}
+	}
+	rng.Shuffle(len(seeds), func(i, j int) { seeds[i], seeds[j] = seeds[j], seeds[i] })
+	svc := NewService(store, kvstore.New())
+	for _, et := range []graph.EdgeType{0, 3} {
+		for _, fanout := range []int{1, 2, 10, 25} {
+			for _, seed := range []int64{0, 42} {
+				args := &SampleArgs{Seeds: seeds, Type: et, Fanout: fanout, Seed: seed}
+				var reply SampleReply
+				if err := svc.SampleNeighbors(args, &reply); err != nil {
+					t.Fatal(err)
+				}
+				want := perSeedSample(store, seeds, et, fanout, seed)
+				if !slices.Equal(reply.Neighbors, want) {
+					t.Fatalf("relation %d, fan-out %d, seed %d: the reply differs from the per-seed loop", et, fanout, seed)
+				}
+			}
+		}
+	}
 }

@@ -7,7 +7,9 @@
 package sampler
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"platod2gl/internal/graph"
@@ -22,7 +24,8 @@ type Options struct {
 	Seed int64
 }
 
-// Sampler executes sampling operators against a topology store.
+// Sampler executes sampling operators against a topology store. It keeps
+// no per-call state, so one Sampler serves many goroutines at once.
 type Sampler struct {
 	store storage.TopologyStore
 	opt   Options
@@ -59,20 +62,18 @@ type NeighborBatch struct {
 }
 
 // SampleNeighbors draws fanout weighted neighbors (with replacement) for
-// each seed under relation et, in parallel for large batches.
+// each seed under relation et, in parallel for large batches. A seed that
+// occurs m times is drawn from once, m·fanout times, and each occurrence
+// gets its own fanout of those draws (see sampleHop).
 func (s *Sampler) SampleNeighbors(seeds []graph.VertexID, et graph.EdgeType, fanout int) *NeighborBatch {
 	out := &NeighborBatch{
 		Seeds:     seeds,
 		Fanout:    fanout,
 		Neighbors: make([]graph.VertexID, len(seeds)*fanout),
 	}
-	s.forEachSeed(len(seeds), func(w int, i int, rng *rand.Rand) {
-		base := i * fanout
-		got := s.store.SampleNeighbors(seeds[i], et, fanout, rng, out.Neighbors[base:base])
-		for j := len(got); j < fanout; j++ {
-			out.Neighbors[base+j] = seeds[i] // self-loop fallback
-		}
-	})
+	h := hops.Get().(*hop)
+	s.sampleHop(h, seeds, et, fanout, out.Neighbors)
+	hops.Put(h)
 	return out
 }
 
@@ -176,41 +177,198 @@ func (g *Subgraph) Compact() (nodes []graph.VertexID, index []int32) {
 
 // SampleSubgraph expands each seed along the meta-path with the given
 // per-hop fanouts (the paper's subgraph-sampling operator; Fig. 10(d-f) uses
-// 2-hop meta-paths). len(path) must equal len(fanouts).
+// 2-hop meta-paths). len(path) must equal len(fanouts). Each hop samples its
+// frontier as SampleNeighbors samples its seeds.
 func (s *Sampler) SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fanouts []int) *Subgraph {
 	if len(path) != len(fanouts) {
 		panic("sampler: meta-path and fanout lengths differ")
 	}
 	sg := &Subgraph{Seeds: seeds, Layers: make([]Layer, len(path))}
+	h := hops.Get().(*hop)
 	frontier := seeds
-	for hop, et := range path {
-		fanout := fanouts[hop]
+	for i, et := range path {
+		fanout := fanouts[i]
 		nodes := make([]graph.VertexID, len(frontier)*fanout)
-		// Capture per-hop loop state for the closure.
-		fr := frontier
-		s.forEachSeed(len(fr), func(w int, i int, rng *rand.Rand) {
-			base := i * fanout
-			got := s.store.SampleNeighbors(fr[i], et, fanout, rng, nodes[base:base])
-			for j := len(got); j < fanout; j++ {
-				nodes[base+j] = fr[i]
-			}
-		})
-		sg.Layers[hop] = Layer{Type: et, Nodes: nodes, Fanout: fanout}
+		s.sampleHop(h, frontier, et, fanout, nodes)
+		sg.Layers[i] = Layer{Type: et, Nodes: nodes, Fanout: fanout}
 		frontier = nodes
 	}
+	hops.Put(h)
 	return sg
 }
 
+// hop is the scratch of one sampled frontier, pooled because a Sampler is
+// shared across goroutines: the frontier grouped by vertex, and the draws.
+type hop struct {
+	table  []int32          // open addressing; 1 + the vertex's index in ids, 0 empty
+	ids    []graph.VertexID // the distinct vertices, in first-occurrence order
+	of     []int32          // of[i] is frontier position i's index in ids
+	ends   []int32          // occ[ends[d-1]:ends[d]] are the positions of ids[d]
+	occ    []int32          // frontier positions grouped by vertex, each group in order
+	counts []int            // draws asked of each distinct vertex
+	got    []int            // draws the store returned for each distinct vertex
+	draws  []graph.VertexID // worker w's draws fill the region of its vertices' positions
+	wg     sync.WaitGroup
+}
+
+var hops = sync.Pool{New: func() any { return new(hop) }}
+
+// rngs pools the per-worker generators. Reseeding one in place gives the
+// stream a fresh rand.New(rand.NewSource(seed)) would, without its 5 KB.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
+// group fills h.ids, h.of, h.ends and h.occ from frontier: an open-addressing
+// table assigns each position its distinct vertex, in first-occurrence
+// order, and a counting sort lists each vertex's positions.
+func (h *hop) group(frontier []graph.VertexID) {
+	n := len(frontier)
+	size := 1 << bits.Len(uint(2*n-1))
+	h.table = slices.Grow(h.table[:0], size)[:size]
+	clear(h.table)
+	mask := uint64(size - 1)
+	h.of = slices.Grow(h.of[:0], n)[:n]
+	// ends counts each vertex's occurrences until the counting sort. There
+	// are at most n distinct vertices, so neither grows in the loop.
+	ids, ends := slices.Grow(h.ids[:0], n), slices.Grow(h.ends[:0], n)
+	for i, v := range frontier {
+		at := mix64(uint64(v)) & mask
+		for h.table[at] != 0 && ids[h.table[at]-1] != v {
+			at = (at + 1) & mask
+		}
+		if h.table[at] == 0 {
+			ids = append(ids, v)
+			ends = append(ends, 0)
+			h.table[at] = int32(len(ids))
+		}
+		d := h.table[at] - 1
+		h.of[i] = d
+		ends[d]++
+	}
+	// Counting sort: placing a position advances its vertex's cursor, which
+	// ends at the vertex's end.
+	at := int32(0)
+	for d, m := range ends {
+		ends[d] = at
+		at += m
+	}
+	h.occ = slices.Grow(h.occ[:0], n)[:n]
+	for i, d := range h.of {
+		h.occ[ends[d]] = int32(i)
+		ends[d]++
+	}
+	h.ids, h.ends = ids, ends
+}
+
+// sampleHop fills nodes (len(frontier)*fanout) with fanout weighted draws
+// for each frontier position, the position's own vertex where it has no
+// out-neighbor under et. It groups the frontier, asks the store for
+// m·fanout draws of each distinct vertex that occurs m times, in one
+// SampleFrontier call per worker, and gives block j of a vertex's draws to
+// its occurrence j. Draws are independent and with replacement, so each
+// occurrence still gets fanout independent samples of its neighbors; no
+// two occurrences share a block.
+//
+// With Parallelism > 1 the distinct vertices are split into runs of about
+// equal draw counts, one per worker, so a hub's occurrences weigh on the
+// split as much as its draws weigh on the work. Worker w draws from a
+// generator seeded Seed+w+1, as every hop does, so the result depends only
+// on the seed, the frontier and the store.
+func (s *Sampler) sampleHop(h *hop, frontier []graph.VertexID, et graph.EdgeType, fanout int, nodes []graph.VertexID) {
+	n := len(frontier)
+	if n == 0 || fanout == 0 {
+		return
+	}
+	h.group(frontier)
+	nd := len(h.ids)
+	h.counts = slices.Grow(h.counts[:0], nd)[:nd]
+	h.got = slices.Grow(h.got[:0], nd)[:nd]
+	start := int32(0)
+	for d, end := range h.ends {
+		h.counts[d] = int(end-start) * fanout
+		start = end
+	}
+	h.draws = slices.Grow(h.draws[:0], n*fanout)[:n*fanout]
+	p := s.opt.Parallelism
+	if p <= 1 || nd < 64 {
+		s.sampleRun(h, 0, 0, nd, et, fanout, nodes)
+		return
+	}
+	lo := 0
+	for w := 0; w < p && lo < nd; w++ {
+		hi := nd
+		if w < p-1 {
+			// Take vertices until the run's positions reach its share.
+			share := int32((w + 1) * n / p)
+			hi = lo + 1
+			for hi < nd && h.ends[hi-1] < share {
+				hi++
+			}
+		}
+		h.wg.Add(1)
+		go func(w, lo, hi int) {
+			defer h.wg.Done()
+			s.sampleRun(h, w, lo, hi, et, fanout, nodes)
+		}(w, lo, hi)
+		lo = hi
+	}
+	h.wg.Wait()
+}
+
+// sampleRun samples distinct vertices [lo, hi) with worker w's generator
+// and scatters their draws to their positions in nodes. The run's draws go
+// to the region of draws its positions span, which no other run touches.
+func (s *Sampler) sampleRun(h *hop, w, lo, hi int, et graph.EdgeType, fanout int, nodes []graph.VertexID) {
+	first, last := 0, int(h.ends[hi-1])
+	if lo > 0 {
+		first = int(h.ends[lo-1])
+	}
+	rng := rngs.Get().(*rand.Rand)
+	rng.Seed(s.opt.Seed + int64(w) + 1)
+	draws := h.draws[first*fanout : first*fanout : last*fanout]
+	draws = s.store.SampleFrontier(h.ids[lo:hi], et, h.counts[lo:hi], rng, draws, h.got[lo:hi])
+	rngs.Put(rng)
+	at := 0
+	for d := lo; d < hi; d++ {
+		occ := h.occ[first:h.ends[d]]
+		first = int(h.ends[d])
+		if h.got[d] == 0 {
+			for _, pos := range occ {
+				slot := nodes[int(pos)*fanout : int(pos+1)*fanout]
+				for j := range slot {
+					slot[j] = h.ids[d] // self-loop fallback
+				}
+			}
+			continue
+		}
+		for _, pos := range occ {
+			copy(nodes[int(pos)*fanout:int(pos+1)*fanout], draws[at:at+fanout])
+			at += fanout
+		}
+	}
+}
+
+// mix64 is SplitMix64's finalizer: every input bit reaches every output
+// bit, so consecutive vertex ids spread over the table.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
 // forEachSeed runs fn(worker, index, rng) for indexes [0, n), either
-// serially or across the configured parallelism. Each worker owns a
-// deterministic rng derived from the seed.
+// serially or across the configured parallelism. Worker w draws from a
+// pooled generator reseeded to Seed+w+1.
 func (s *Sampler) forEachSeed(n int, fn func(w, i int, rng *rand.Rand)) {
 	p := s.opt.Parallelism
 	if p <= 1 || n < 64 {
-		rng := rand.New(rand.NewSource(s.opt.Seed + 1))
+		rng := rngs.Get().(*rand.Rand)
+		rng.Seed(s.opt.Seed + 1)
 		for i := 0; i < n; i++ {
 			fn(0, i, rng)
 		}
+		rngs.Put(rng)
 		return
 	}
 	if p > n {
@@ -230,10 +388,12 @@ func (s *Sampler) forEachSeed(n int, fn func(w, i int, rng *rand.Rand)) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(s.opt.Seed + int64(w) + 1))
+			rng := rngs.Get().(*rand.Rand)
+			rng.Seed(s.opt.Seed + int64(w) + 1)
 			for i := lo; i < hi; i++ {
 				fn(w, i, rng)
 			}
+			rngs.Put(rng)
 		}(w, lo, hi)
 	}
 	wg.Wait()

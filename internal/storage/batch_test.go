@@ -3,6 +3,7 @@ package storage
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -126,6 +127,48 @@ func sameStores(t *testing.T, got, want *DynamicStore, srcs []graph.VertexID) {
 		for i, dst := range ids {
 			if w, ok := got.EdgeWeight(src, dst, 0); !ok || math.Abs(w-ws[i]) > 1e-9 {
 				t.Fatalf("edge %d->%d: weight %v (present %v), want %v", src, dst, w, ok, ws[i])
+			}
+		}
+	}
+}
+
+// TestSampleFrontierPrefetchWindows samples frontiers whose lengths sit at
+// and around SampleFrontier's prefetch distances and checks each against
+// the per-source loop, bit for bit. The frontiers mix one-leaf and split
+// trees, repeated sources, absent sources and emptied ones, and are also
+// sampled under a relation the store does not hold.
+func TestSampleFrontierPrefetchWindows(t *testing.T) {
+	s := NewDynamicStore(Options{Tree: core.Options{Capacity: 4, Compress: true}})
+	rng := rand.New(rand.NewSource(31))
+	for src := graph.VertexID(0); src < 48; src++ {
+		for d := 1 + rng.Intn(3)*rng.Intn(12); d > 0; d-- {
+			s.AddEdge(graph.Edge{Src: src, Dst: graph.VertexID(100 + rng.Intn(60)), Weight: rng.Float64() + 0.01})
+		}
+	}
+	for src := graph.VertexID(0); src < 48; src += 5 {
+		ids, _ := s.Neighbors(src, 0)
+		for _, dst := range ids {
+			s.DeleteEdge(src, dst, 0)
+		}
+	}
+	if h := s.Stats(0).MaxHeight; h < 2 {
+		t.Fatalf("no tree split (max height %d)", h)
+	}
+	const d = lookahead
+	for _, n := range []int{0, 1, d / 4, d / 2, d - 1, d, 2 * d, 2*d + 1} {
+		srcs := make([]graph.VertexID, n)
+		counts := make([]int, n)
+		for i := range srcs {
+			srcs[i] = graph.VertexID(rng.Intn(56)) // 48.. are absent
+			counts[i] = rng.Intn(2 * core.SampleBatch)
+		}
+		for _, et := range []graph.EdgeType{0, 2} {
+			rngF, rngL := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+			gotF, gotL := make([]int, n), make([]int, n)
+			outF := s.SampleFrontier(srcs, et, counts, rngF, nil, gotF)
+			outL := SampleFrontierLoop(s, srcs, et, counts, rngL, nil, gotL)
+			if !slices.Equal(outF, outL) || !slices.Equal(gotF, gotL) || rngF.Int63() != rngL.Int63() {
+				t.Fatalf("%d sources, relation %d: SampleFrontier differs from the per-source loop", n, et)
 			}
 		}
 	}

@@ -45,6 +45,13 @@ type TopologyStore interface {
 	// out-neighbors under et, appending to dst. Returns dst unchanged if
 	// src has no such neighbors.
 	SampleNeighbors(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID
+	// SampleFrontier samples a whole frontier in one call: for each i in
+	// order it appends counts[i] weighted samples of srcs[i]'s out-neighbors
+	// to dst and sets got[i] to how many it appended, 0 or counts[i]. The
+	// result and the rng's state after it are bit-identical to calling
+	// SampleNeighbors(srcs[i], et, counts[i], rng, dst) for each i in order.
+	// counts and got hold at least len(srcs) elements.
+	SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID
 	// SampleNeighborsUniform draws k unweighted samples (each neighbor with
 	// probability 1/degree), appending to dst.
 	SampleNeighborsUniform(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID
@@ -255,6 +262,77 @@ func (s *DynamicStore) SampleNeighbors(src graph.VertexID, et graph.EdgeType, k 
 	dst = core.AppendSamples(&ent.tree, rng, k, dst)
 	ent.mu.RUnlock()
 	s.opt.Metrics.observeSample(start)
+	return dst
+}
+
+// SampleFrontier implements TopologyStore with the apply loop's staged
+// prefetch (see applyGroups): while it samples source i it has started
+// loading the cuckoo buckets of source i+2·lookahead, the entry of
+// i+lookahead, the root of i+lookahead/2 and the leaf arrays of
+// i+lookahead/4, so the first-touch misses of one tree overlap the draws
+// from the others. Prefetching draws no randomness, which keeps the result
+// that of the per-source loop.
+func (s *DynamicStore) SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
+	r := s.rel(et, false)
+	if r == nil {
+		clear(got[:len(srcs)])
+		return dst
+	}
+	var ring [2 * lookahead]*treeEntry
+	const mask = len(ring) - 1
+	for i := -2 * lookahead; i < len(srcs); i++ {
+		if j := i + 2*lookahead; j < len(srcs) {
+			r.trees.Prefetch(uint64(srcs[j]))
+		}
+		if j := i + lookahead; j >= 0 && j < len(srcs) {
+			ent, _ := r.trees.Get(uint64(srcs[j]))
+			if ent != nil {
+				prefetch.Object(unsafe.Pointer(ent), unsafe.Sizeof(*ent))
+			}
+			ring[j&mask] = ent
+		}
+		if j := i + lookahead/2; j >= 0 && j < len(srcs) {
+			if ent := ring[j&mask]; ent != nil {
+				ent.mu.RLock()
+				ent.tree.Prefetch()
+				ent.mu.RUnlock()
+			}
+		}
+		if j := i + lookahead/4; j >= 0 && j < len(srcs) {
+			if ent := ring[j&mask]; ent != nil {
+				ent.mu.RLock()
+				ent.tree.PrefetchLeaf()
+				ent.mu.RUnlock()
+			}
+		}
+		if i < 0 {
+			continue
+		}
+		ent := ring[i&mask]
+		if ent == nil {
+			got[i] = 0
+			continue
+		}
+		start := s.opt.Metrics.startTimer()
+		n := len(dst)
+		ent.mu.RLock()
+		dst = core.AppendSamples(&ent.tree, rng, counts[i], dst)
+		ent.mu.RUnlock()
+		got[i] = len(dst) - n
+		s.opt.Metrics.observeSample(start)
+	}
+	return dst
+}
+
+// SampleFrontierLoop is SampleFrontier as the loop its contract names:
+// SampleNeighbors once per source. Stores without a faster frontier path
+// implement SampleFrontier with it.
+func SampleFrontierLoop(s TopologyStore, srcs []graph.VertexID, et graph.EdgeType, counts []int, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
+	for i, src := range srcs {
+		n := len(dst)
+		dst = s.SampleNeighbors(src, et, counts[i], rng, dst)
+		got[i] = len(dst) - n
+	}
 	return dst
 }
 

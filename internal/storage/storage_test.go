@@ -420,6 +420,33 @@ func TestSampleNeighborsAllocs(t *testing.T) {
 	}
 }
 
+// TestSampleFrontierAllocs pins SampleFrontier at zero allocations per call
+// into a presized destination, over a frontier of sources of every degree
+// BenchmarkSampleNeighbors uses, one absent, each drawn fan-out 10 times.
+func TestSampleFrontierAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const k = 10
+	s := NewDynamicStore(Options{Tree: core.Options{Compress: true}})
+	rng := rand.New(rand.NewSource(1))
+	srcs := []graph.VertexID{1, 2, 3, 4, 5}
+	for i, degree := range []int{8, 44, 256, 4096} {
+		for s.Degree(srcs[i], 0) < degree {
+			s.AddEdge(graph.Edge{Src: srcs[i], Dst: graph.MakeVertexID(1, uint64(rng.Intn(1<<20))), Weight: rng.Float64() + 0.1})
+		}
+	}
+	counts := []int{k, k, k, k, k}
+	got := make([]int, len(srcs))
+	dst := make([]graph.VertexID, 0, len(srcs)*k)
+	allocs := testing.AllocsPerRun(200, func() {
+		dst = s.SampleFrontier(srcs, 0, counts, rng, dst[:0], got)
+	})
+	if allocs > 0 || len(dst) != 4*k {
+		t.Fatalf("SampleFrontier drew %d and allocates %.0f times per call, want %d and 0", len(dst), allocs, 4*k)
+	}
+}
+
 // TestCheckInvariants: a store churned through the batch path passes the
 // whole-store invariant check, and a drifted edge count is caught.
 func TestCheckInvariants(t *testing.T) {

@@ -7,7 +7,9 @@ package storetest
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"platod2gl/internal/graph"
@@ -25,6 +27,9 @@ func Run(t *testing.T, f Factory) {
 	t.Run("EdgeTypeIsolation", func(t *testing.T) { testEdgeTypes(t, f()) })
 	t.Run("SampleDistribution", func(t *testing.T) { testSampleDistribution(t, f()) })
 	t.Run("UniformSampleDistribution", func(t *testing.T) { testUniformDistribution(t, f()) })
+	t.Run("SampleNoneOrK", func(t *testing.T) { testSampleNoneOrK(t, f()) })
+	t.Run("FrontierEqualsLoop", func(t *testing.T) { testFrontierEqualsLoop(t, f()) })
+	t.Run("FrontierDuringApplyBatch", func(t *testing.T) { testFrontierDuringApplyBatch(t, f()) })
 	t.Run("BatchEqualsSingles", func(t *testing.T) { testBatchEqualsSingles(t, f(), f()) })
 	t.Run("BatchOrderOnEqualTimestamps", func(t *testing.T) { testBatchOrderOnTies(t, f()) })
 	t.Run("RandomChurn", func(t *testing.T) { testRandomChurn(t, f()) })
@@ -152,6 +157,164 @@ func testUniformDistribution(t *testing.T, s storage.TopologyStore) {
 	}
 	if got := s.SampleNeighborsUniform(12345, 0, 3, rng, nil); len(got) != 0 {
 		t.Fatalf("uniform sample from unknown source: %v", got)
+	}
+}
+
+// fanGraph gives sources 0..n-1 of relation 0 between 1 and 300 weighted
+// out-edges each, so a store's sources span one-leaf and many-leaf trees,
+// then empties every ninth source again. It returns the sources.
+func fanGraph(s storage.TopologyStore, n int, rng *rand.Rand) []graph.VertexID {
+	var events []graph.Event
+	srcs := make([]graph.VertexID, n)
+	for i := range srcs {
+		srcs[i] = graph.VertexID(i)
+		for d := 1 + rng.Intn(300); d > 0; d-- {
+			events = append(events, graph.Event{Kind: graph.AddEdge, Edge: graph.Edge{
+				Src: srcs[i], Dst: graph.VertexID(1000 + rng.Intn(4000)), Weight: rng.Float64() + 0.01,
+			}})
+		}
+	}
+	s.ApplyBatch(events)
+	for i := 0; i < n; i += 9 {
+		ids, _ := s.Neighbors(srcs[i], 0)
+		for _, dst := range ids {
+			s.DeleteEdge(srcs[i], dst, 0)
+		}
+	}
+	return srcs
+}
+
+// testSampleNoneOrK: SampleNeighbors appends exactly 0 or k draws, never a
+// part of k, whatever the source's degree (frontier sampling scatters a
+// vertex's draws in blocks on that premise).
+func testSampleNoneOrK(t *testing.T, s storage.TopologyStore) {
+	rng := rand.New(rand.NewSource(21))
+	srcs := append(fanGraph(s, 60, rng), 5000, 5001) // two absent sources
+	for _, src := range srcs {
+		deg := s.Degree(src, 0)
+		for _, k := range []int{0, 1, 2, 3, 10, 33, 100} {
+			prefix := []graph.VertexID{7, 7}
+			out := s.SampleNeighbors(src, 0, k, rng, prefix)
+			if n := len(out) - len(prefix); (deg == 0 && n != 0) || (deg > 0 && n != k) {
+				t.Fatalf("source %d of degree %d: %d draws for k=%d, want %d", src, deg, n, k, min(deg, 1)*k)
+			}
+			if !slices.Equal(out[:len(prefix)], prefix) {
+				t.Fatalf("source %d: SampleNeighbors overwrote dst's prefix", src)
+			}
+		}
+	}
+}
+
+// testFrontierEqualsLoop: SampleFrontier is bit for bit the loop of
+// SampleNeighbors its contract names, and leaves the generator where the
+// loop leaves it, over repeated, absent and emptied sources, counts from 0
+// up, an absent relation and a destination with a prefix.
+func testFrontierEqualsLoop(t *testing.T, s storage.TopologyStore) {
+	rng := rand.New(rand.NewSource(22))
+	srcs := fanGraph(s, 120, rng)
+	var frontier []graph.VertexID
+	for i := 0; i < 400; i++ {
+		switch r := rng.Intn(10); {
+		case r == 0:
+			frontier = append(frontier, graph.VertexID(9000+rng.Intn(50))) // absent
+		case r < 4:
+			frontier = append(frontier, srcs[rng.Intn(8)]) // a few hot sources recur
+		default:
+			frontier = append(frontier, srcs[rng.Intn(len(srcs))])
+		}
+	}
+	counts := make([]int, len(frontier))
+	for i := range counts {
+		counts[i] = []int{0, 1, 1, 3, 10, 25, 50, 250}[rng.Intn(8)]
+	}
+	for _, et := range []graph.EdgeType{0, 4} {
+		for _, n := range []int{0, 1, 17, len(frontier)} {
+			for seed := int64(0); seed < 3; seed++ {
+				prefix := []graph.VertexID{1, 2, 3}
+				rngF, rngL := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				gotF, gotL := make([]int, n), make([]int, n)
+				for i := range gotF {
+					gotF[i] = -1 // every element must be written
+				}
+				outF := s.SampleFrontier(frontier[:n], et, counts[:n], rngF, slices.Clone(prefix), gotF)
+				outL := storage.SampleFrontierLoop(s, frontier[:n], et, counts[:n], rngL, slices.Clone(prefix), gotL)
+				if !slices.Equal(outF, outL) || !slices.Equal(gotF, gotL) {
+					t.Fatalf("relation %d, %d sources, seed %d: SampleFrontier differs from the per-source loop", et, n, seed)
+				}
+				if a, b := rngF.Int63(), rngL.Int63(); a != b {
+					t.Fatalf("relation %d, %d sources, seed %d: the generator ends elsewhere than the loop's", et, n, seed)
+				}
+			}
+		}
+	}
+}
+
+// testFrontierDuringApplyBatch samples frontiers from several goroutines
+// while batches add and delete the sampled sources' edges (run it under
+// -race). Every draw must be an edge some batch wrote, and every source
+// must get all of its draws or none.
+func testFrontierDuringApplyBatch(t *testing.T, s storage.TopologyStore) {
+	const sources, rounds, readers = 64, 30, 2
+	frontier := make([]graph.VertexID, 3*sources)
+	counts := make([]int, len(frontier))
+	for i := range frontier {
+		frontier[i] = graph.VertexID(i % (sources + 8)) // 8 sources never get an edge
+		counts[i] = 1 + i%12
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan string, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			got := make([]int, len(frontier))
+			var dst []graph.VertexID
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				dst = s.SampleFrontier(frontier, 0, counts, rng, dst[:0], got)
+				at := 0
+				for i, n := range got {
+					if n != 0 && n != counts[i] {
+						errs <- "a source got part of its draws"
+						return
+					}
+					for _, id := range dst[at : at+n] {
+						if id < 1000 || id >= 1200 {
+							errs <- "a draw is not an edge any batch wrote"
+							return
+						}
+					}
+					at += n
+				}
+			}
+		}(r)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < rounds; round++ {
+		events := make([]graph.Event, 256)
+		for i := range events {
+			kind := graph.AddEdge
+			if round > 0 && rng.Intn(3) == 0 {
+				kind = graph.DeleteEdge
+			}
+			events[i] = graph.Event{Kind: kind, Timestamp: int64(i), Edge: graph.Edge{
+				Src: graph.VertexID(rng.Intn(sources)), Dst: graph.VertexID(1000 + rng.Intn(200)), Weight: rng.Float64() + 0.01,
+			}}
+		}
+		s.ApplyBatch(events)
+	}
+	close(done)
+	wg.Wait()
+	select {
+	case e := <-errs:
+		t.Fatal(e)
+	default:
 	}
 }
 
