@@ -13,11 +13,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/rpc"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"platod2gl/internal/wire"
 )
 
 // Priority classifies a request for admission control. Lower value = more
@@ -367,4 +371,64 @@ func (g *admissionGate) retryAfterLocked(method string) time.Duration {
 		ra = maxRetryAfter
 	}
 	return ra
+}
+
+// replyBudgetBytes is the most bytes of Features and SampleNeighbors
+// replies one server builds and holds at once. It is the largest reply one
+// request may ask for, wire.MaxFrame, so any admissible request can run
+// alone, but the admission gate's handler slots no longer let a few small
+// request frames make the server build GiBs of replies.
+const replyBudgetBytes = wire.MaxFrame
+
+// replyBudget is a server's reply byte budget. handleWireFrame reserves a
+// reply's size before the handler builds it, and the connection loop
+// releases it once the reply's frame is written.
+type replyBudget struct {
+	free atomic.Int64
+}
+
+func newReplyBudget(n int64) *replyBudget {
+	b := &replyBudget{}
+	b.free.Store(n)
+	return b
+}
+
+// reserve takes n bytes and reports true, or reports false when fewer are
+// free.
+func (b *replyBudget) reserve(n int64) bool {
+	for {
+		f := b.free.Load()
+		if n > f {
+			return false
+		}
+		if b.free.CompareAndSwap(f, f-n) {
+			return true
+		}
+	}
+}
+
+// release returns n reserved bytes.
+func (b *replyBudget) release(n int64) { b.free.Add(n) }
+
+// replySized is implemented by the arguments of the calls whose reply the
+// server builds at a size the request picks: replyBytes is that size, or
+// more than wire.MaxFrame when the handler refuses the request outright.
+type replySized interface {
+	replyBytes() uint64
+}
+
+// replyBytes is a Features reply's frame size.
+func (a *FeatureArgs) replyBytes() uint64 {
+	return featureReplySize(len(a.Nodes), a.Dim, a.WithLabels)
+}
+
+// replyBytes is a SampleNeighbors reply's in-memory size, 8 bytes per id.
+func (a *SampleArgs) replyBytes() uint64 {
+	if a.Fanout < 0 {
+		return 0 // refused by the handler
+	}
+	if len(a.Seeds) > 0 && a.Fanout > wire.MaxFrame/8/len(a.Seeds) {
+		return math.MaxUint64
+	}
+	return 8 * uint64(len(a.Seeds)) * uint64(a.Fanout)
 }

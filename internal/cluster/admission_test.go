@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/rpc"
 	"strings"
 	"testing"
 	"time"
 
+	"platod2gl/internal/graph"
 	"platod2gl/internal/wire"
 )
 
@@ -244,7 +246,7 @@ func TestAdmissionControlPlaneExempt(t *testing.T) {
 func TestHandleWireFrameUnknownPriority(t *testing.T) {
 	s := NewServer(newTestService(t))
 	frame := []byte{wire.KindRequestEnv, numPriorities + 1, 0x00, 0x00}
-	resp, _ := s.handleWireFrame(frame)
+	resp, _, _ := s.handleWireFrame(frame)
 	if len(resp) <= wire.HeaderSize || resp[wire.HeaderSize] != wire.KindError {
 		t.Fatalf("response kind = %v, want KindError", resp)
 	}
@@ -265,7 +267,7 @@ func TestHandleWireFrameShedCrossesAsError(t *testing.T) {
 		t.Fatalf("hold slot: %v", err)
 	}
 	frame := []byte{wire.KindRequest, 0x00} // method id 0 — sheds before arg decode
-	resp, _ := s.handleWireFrame(frame)
+	resp, _, _ := s.handleWireFrame(frame)
 	if len(resp) <= wire.HeaderSize || resp[wire.HeaderSize] != wire.KindError {
 		t.Fatalf("response kind = %v, want KindError", resp)
 	}
@@ -276,4 +278,69 @@ func TestHandleWireFrameShedCrossesAsError(t *testing.T) {
 		t.Errorf("shed frame %q carries no retry-after hint", resp)
 	}
 	s.admit.release("Stats", time.Now())
+}
+
+// TestReplyBudgetShedsWhatDoesNotFit runs a server with a 4 KiB reply
+// budget. A Features or SampleNeighbors reply that does not fit what the
+// replies in flight leave is shed with the overload error clients back off
+// on, and counted; one that fits is served, and its reservation is
+// returned once its frame is written.
+func TestReplyBudgetShedsWhatDoesNotFit(t *testing.T) {
+	const budget = 4096
+	var srv *Server
+	addr, m, svc := startConfiguredWireServer(t, func(s *Server) {
+		s.replies = newReplyBudget(budget)
+		srv = s
+	})
+	id := graph.MakeVertexID(0, 3)
+	svc.attrs.SetFeatures(id, []float32{1, 2})
+	tr := &wireTransport{dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }, hsTO: 5 * time.Second}
+	defer tr.Close()
+	nodes := make([]graph.VertexID, 100)
+	for i := range nodes {
+		nodes[i] = id
+	}
+	// 100 rows of dim 8 and 2 seeds × fanout 200: about 3.2 KB each.
+	features := func() error {
+		reply := FeatureReply{dim: 8, out: make([]float32, len(nodes)*8), occ: runsOf(identityOcc(len(nodes)))}
+		return tr.Call(ServiceName+".Features", &FeatureArgs{Nodes: nodes, Dim: 8}, &reply, 5*time.Second, callEnv{})
+	}
+	sample := func() error {
+		return tr.Call(ServiceName+".SampleNeighbors", &SampleArgs{Seeds: nodes[:2], Fanout: 200}, &SampleReply{}, 5*time.Second, callEnv{})
+	}
+	// A reply's reservation is returned once its frame is written, which
+	// the server does just after the client has read it.
+	settle := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.replies.free.Load() != budget {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d budget bytes free after every reply was written", srv.replies.free.Load(), budget)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, call := range []func() error{features, sample} {
+		if err := call(); err != nil {
+			t.Fatalf("a reply that fits the budget: %v", err)
+		}
+		settle()
+	}
+	// Another 2 KiB reply in flight: neither fits until it is written.
+	if !srv.replies.reserve(2048) {
+		t.Fatal("reserve 2 KiB of an idle budget failed")
+	}
+	for name, call := range map[string]func() error{"Features": features, "SampleNeighbors": sample} {
+		if err := call(); !IsOverloaded(err) || OverloadRetryAfter(err) <= 0 {
+			t.Fatalf("%s past the budget: err %v, want an overload error with a retry-after hint", name, err)
+		}
+		if n := m.RequestsShed.With(name + "|interactive").Load(); n != 1 {
+			t.Fatalf("%s sheds counted %d, want 1", name, n)
+		}
+	}
+	srv.replies.release(2048)
+	if err := features(); err != nil {
+		t.Fatalf("Features after the reply in flight was written: %v", err)
+	}
+	settle()
 }

@@ -138,12 +138,12 @@ type FeatureReply struct {
 	nodes      []graph.VertexID
 	withLabels bool
 
-	// Decoding side, set by the caller: row j of the frame goes to rows
-	// occ[j] of out, and label j to the same indices of labels (nil when
-	// labels were not asked for).
+	// Decoding side, set by the caller: row j of the frame goes to the rows
+	// of out in run j of occ, and label j to the same indices of labels (nil
+	// when labels were not asked for).
 	out    []float32
 	labels []int32
-	occ    [][]int
+	occ    occRuns
 	// floats and nLabels are the element counts the frame carried.
 	// decodeWire writes only when they fit the destination, so a lying
 	// reply writes nothing and the caller reports the mismatch.
@@ -485,11 +485,12 @@ func (s *Service) Stats(_ *StatsArgs, reply *StatsReply) error {
 // admission gate (see admission.go) except the control-plane methods
 // exempt from it.
 type Server struct {
-	svc    *Service
-	admit  *admissionGate
-	limits ServerLimits
-	conns  atomic.Int64  // live handshaking-or-serving connections
-	hsSem  chan struct{} // in-flight handshake tokens; nil = unlimited
+	svc     *Service
+	admit   *admissionGate
+	replies *replyBudget // bytes of replies being built or written
+	limits  ServerLimits
+	conns   atomic.Int64  // live handshaking-or-serving connections
+	hsSem   chan struct{} // in-flight handshake tokens; nil = unlimited
 }
 
 // ServerLimits bounds the server's accept-side resources. Connections past
@@ -518,7 +519,8 @@ func DefaultServerLimits() ServerLimits {
 // NewServer serves svc. The admission gate starts at DefaultAdmission;
 // accept-side limits start disabled (SetLimits).
 func NewServer(svc *Service) *Server {
-	return &Server{svc: svc, admit: newAdmissionGate(DefaultAdmission(), svc.metrics)}
+	return &Server{svc: svc, admit: newAdmissionGate(DefaultAdmission(), svc.metrics),
+		replies: newReplyBudget(replyBudgetBytes)}
 }
 
 // SetAdmission replaces the admission gate's configuration.
@@ -895,7 +897,6 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 	// scattered back to all of its occurrences (see scratch.go).
 	scratch := getCoalesceScratch(shards)
 	dups := scratch.coalesce(seeds)
-	partSeeds, partOcc := scratch.partIDs, scratch.partOcc
 	if dups > 0 {
 		// Savings: 8 bytes per duplicate seed on the request, 8*fanout
 		// bytes per duplicate's sample block on the reply.
@@ -903,28 +904,29 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 		c.metrics.CoalescedBytes.Add(int64(dups) * 8 * int64(1+fanout))
 	}
 	report := &FanoutReport{}
-	for p := range partSeeds {
-		if len(partSeeds[p]) != 0 {
+	for p := 0; p < shards; p++ {
+		if ids, _ := scratch.part(p); len(ids) != 0 {
 			report.Shards++
 		}
 	}
 	errs := c.fanOutAll(shards, func(p int) error {
-		if len(partSeeds[p]) == 0 {
+		partSeeds, runs := scratch.part(p)
+		if len(partSeeds) == 0 {
 			return nil
 		}
-		args := &SampleArgs{Seeds: partSeeds[p], Type: et, Fanout: fanout, Seed: seed + int64(p)}
+		args := &SampleArgs{Seeds: partSeeds, Type: et, Fanout: fanout, Seed: seed + int64(p)}
 		var reply SampleReply
 		if err := c.readShard(ctx, rt, p, ServiceName+".SampleNeighbors", args, &reply); err != nil {
 			return err
 		}
-		if len(reply.Neighbors) != len(partSeeds[p])*fanout {
+		if len(reply.Neighbors) != len(partSeeds)*fanout {
 			return fmt.Errorf("cluster: shard %d returned %d samples, want %d",
-				p, len(reply.Neighbors), len(partSeeds[p])*fanout)
+				p, len(reply.Neighbors), len(partSeeds)*fanout)
 		}
-		for j := range partSeeds[p] {
+		for j := range partSeeds {
 			block := reply.Neighbors[j*fanout : (j+1)*fanout]
-			for _, origIdx := range partOcc[p][j] {
-				copy(out[origIdx*fanout:(origIdx+1)*fanout], block)
+			for _, origIdx := range runs.run(j) {
+				copy(out[int(origIdx)*fanout:(int(origIdx)+1)*fanout], block)
 			}
 		}
 		return nil
@@ -942,9 +944,10 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 		// Graceful degradation: the dead shard's seeds fall back to
 		// themselves, keeping the result full-length so training proceeds
 		// on partial neighborhoods.
-		for _, occ := range partOcc[p] {
-			for _, origIdx := range occ {
-				base := origIdx * fanout
+		_, runs := scratch.part(p)
+		for j := 0; j < runs.len(); j++ {
+			for _, origIdx := range runs.run(j) {
+				base := int(origIdx) * fanout
 				for k := 0; k < fanout; k++ {
 					out[base+k] = seeds[origIdx]
 				}
@@ -993,21 +996,21 @@ func (c *Client) DegreeCtx(ctx context.Context, nodes []graph.VertexID, et graph
 	rt := c.route.Load()
 	scratch := getCoalesceScratch(rt.m.NumShards)
 	c.metrics.CoalescedRows.Add(int64(scratch.coalesce(nodes)))
-	partNodes, partOcc := scratch.partIDs, scratch.partOcc
-	err := c.fanOut(len(partNodes), func(p int) error {
-		if len(partNodes[p]) == 0 {
+	err := c.fanOut(rt.m.NumShards, func(p int) error {
+		partNodes, runs := scratch.part(p)
+		if len(partNodes) == 0 {
 			return nil
 		}
 		var reply DegreeReply
-		if err := c.readShard(ctx, rt, p, ServiceName+".Degree", &DegreeArgs{Nodes: partNodes[p], Type: et}, &reply); err != nil {
+		if err := c.readShard(ctx, rt, p, ServiceName+".Degree", &DegreeArgs{Nodes: partNodes, Type: et}, &reply); err != nil {
 			return err
 		}
-		if len(reply.Degrees) != len(partNodes[p]) {
+		if len(reply.Degrees) != len(partNodes) {
 			return fmt.Errorf("cluster: shard %d returned %d degrees for %d nodes",
-				p, len(reply.Degrees), len(partNodes[p]))
+				p, len(reply.Degrees), len(partNodes))
 		}
 		for j, deg := range reply.Degrees {
-			for _, origIdx := range partOcc[p][j] {
+			for _, origIdx := range runs.run(j) {
 				out[origIdx] = deg
 			}
 		}
@@ -1105,22 +1108,22 @@ func (c *Client) featuresLabels(ctx context.Context, nodes []graph.VertexID, dim
 	rt := c.route.Load()
 	scratch := getCoalesceScratch(rt.m.NumShards)
 	c.metrics.CoalescedRows.Add(int64(scratch.coalesce(nodes)))
-	partNodes, partOcc := scratch.partIDs, scratch.partOcc
-	err := c.fanOut(len(partNodes), func(p int) error {
-		if len(partNodes[p]) == 0 {
+	err := c.fanOut(rt.m.NumShards, func(p int) error {
+		partNodes, runs := scratch.part(p)
+		if len(partNodes) == 0 {
 			return nil
 		}
-		reply := FeatureReply{dim: dim, out: out, labels: labels, occ: partOcc[p]}
-		args := &FeatureArgs{Nodes: partNodes[p], Dim: dim, WithLabels: withLabels}
+		reply := FeatureReply{dim: dim, out: out, labels: labels, occ: runs}
+		args := &FeatureArgs{Nodes: partNodes, Dim: dim, WithLabels: withLabels}
 		if err := c.readShard(ctx, rt, p, ServiceName+".Features", args, &reply); err != nil {
 			return err
 		}
-		if reply.floats != len(partNodes[p])*dim {
+		if reply.floats != len(partNodes)*dim {
 			return fmt.Errorf("cluster: shard %d returned %d floats", p, reply.floats)
 		}
-		if withLabels && reply.nLabels != len(partNodes[p]) {
+		if withLabels && reply.nLabels != len(partNodes) {
 			return fmt.Errorf("cluster: shard %d returned %d labels for %d nodes",
-				p, reply.nLabels, len(partNodes[p]))
+				p, reply.nLabels, len(partNodes))
 		}
 		return nil
 	})

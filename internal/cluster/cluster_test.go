@@ -167,7 +167,7 @@ func TestFeaturesRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := make([]float32, 3)
-	got := FeatureReply{dim: 3, out: data, occ: [][]int{{0}}}
+	got := FeatureReply{dim: 3, out: data, occ: runsOf([][]int{{0}})}
 	r := wire.NewReader(reply.appendWire(nil))
 	got.decodeWire(r)
 	if err := r.Done(); err != nil || got.floats != 3 || data[2] != 3 {

@@ -58,7 +58,7 @@ func benchFeatureReply() (enc, dec *FeatureReply) {
 		occ[i] = []int{i}
 	}
 	enc = &FeatureReply{dim: dim, attrs: attrs, nodes: nodes, withLabels: true}
-	dec = &FeatureReply{dim: dim, out: make([]float32, rows*dim), labels: make([]int32, rows), occ: occ}
+	dec = &FeatureReply{dim: dim, out: make([]float32, rows*dim), labels: make([]int32, rows), occ: runsOf(occ)}
 	return enc, dec
 }
 

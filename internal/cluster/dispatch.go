@@ -143,7 +143,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		resp, method := s.handleWireFrame(req)
+		resp, method, held := s.handleWireFrame(req)
 		if method != "" {
 			// Recorded before the reply goes out, so a caller holding its
 			// reply also sees the call here. resp holds its length prefix
@@ -153,6 +153,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		wire.PutBuf(req)
 		err = wire.WriteFrame(conn, resp)
 		wire.PutBuf(resp)
+		s.replies.release(held)
 		if err != nil {
 			return
 		}
@@ -191,14 +192,16 @@ func (s *Server) handshake(conn net.Conn) bool {
 }
 
 // handleWireFrame is the one place a request frame becomes a call. It reads
-// the envelope, runs the method's admission, decodes the arguments, invokes
-// the handler (see dispatch), and encodes the response (or error) frame in a
-// wire.GetFrame buffer, ready for wire.WriteFrame. It never panics: corrupt
+// the envelope, runs the method's admission, decodes the arguments,
+// reserves the reply's size from the reply budget, invokes the handler (see
+// dispatch), and encodes the response (or error) frame in a wire.GetFrame
+// buffer, ready for wire.WriteFrame. held is the reserved size, which the
+// caller releases once the frame is written. It never panics: corrupt
 // frames fail the bounds-checked reader, and a recover converts a panicking
 // handler or codec into an error frame naming the method, so one poisoned
 // request fails alone instead of killing the connection loop with a
 // half-written frame.
-func (s *Server) handleWireFrame(req []byte) (resp []byte, method string) {
+func (s *Server) handleWireFrame(req []byte) (resp []byte, method string, held int64) {
 	fail := func(msg string) []byte {
 		b := append(wire.GetFrame(), wire.KindError)
 		return wire.AppendString(b, msg)
@@ -209,7 +212,7 @@ func (s *Server) handleWireFrame(req []byte) (resp []byte, method string) {
 		}
 	}()
 	if len(req) == 0 {
-		return fail("cluster: malformed request frame"), ""
+		return fail("cluster: malformed request frame"), "", 0
 	}
 	r := wire.NewReader(req[1:])
 	var pri Priority
@@ -221,21 +224,21 @@ func (s *Server) handleWireFrame(req []byte) (resp []byte, method string) {
 		pb := r.Byte()
 		budget = time.Duration(r.Uvarint()) * time.Millisecond
 		if r.Err() != nil {
-			return fail("cluster: malformed request envelope"), ""
+			return fail("cluster: malformed request envelope"), "", 0
 		}
 		if pb > 0 {
 			if pb > numPriorities {
-				return fail("cluster: unknown priority class"), ""
+				return fail("cluster: unknown priority class"), "", 0
 			}
 			pri = Priority(pb - 1)
 			hasPri = true
 		}
 	default:
-		return fail("cluster: malformed request frame"), ""
+		return fail("cluster: malformed request frame"), "", 0
 	}
 	id := r.Uvarint()
 	if r.Err() != nil || id >= uint64(len(wireMethods)) {
-		return fail("cluster: unknown wire method id"), ""
+		return fail("cluster: unknown wire method id"), "", 0
 	}
 	wm := &wireMethods[id]
 	method = wm.name
@@ -246,23 +249,35 @@ func (s *Server) handleWireFrame(req []byte) (resp []byte, method string) {
 		if err := s.admit.acquire(wm.name, pri, budget); err != nil {
 			// Shed or fast-rejected: the error frame carries the typed message
 			// (retry-after hint included) back to the client's classifiers.
-			return fail(err.Error()), method
+			return fail(err.Error()), method, 0
 		}
 		defer s.admit.release(wm.name, time.Now())
 	}
 	args := wm.newArgs()
 	args.decodeWire(r)
 	if err := r.Done(); err != nil {
-		return fail(fmt.Sprintf("cluster: decode %s args: %v", wm.name, err)), method
+		return fail(fmt.Sprintf("cluster: decode %s args: %v", wm.name, err)), method, 0
+	}
+	// A reply past the frame limit is the handler's to refuse; any other
+	// must fit what the replies in flight leave of the budget, or the
+	// request is shed like one the admission gate has no slot for.
+	if rs, ok := args.(replySized); ok {
+		if n := rs.replyBytes(); n <= wire.MaxFrame {
+			if !s.replies.reserve(int64(n)) {
+				s.svc.metrics.incShed(wm.name, pri)
+				return fail((&OverloadedError{Method: wm.name, Priority: pri, RetryAfter: minRetryAfter}).Error()), method, 0
+			}
+			held = int64(n)
+		}
 	}
 	reply := wm.newReply()
 	if err := s.dispatch(wm, args, reply); err != nil {
 		// Handler errors cross as error frames and resurface client-side as
 		// rpc.ServerError, which the retry and routing layers classify.
-		return fail(err.Error()), method
+		return fail(err.Error()), method, held
 	}
 	b := append(wire.GetFrame(), wire.KindResponse)
-	return reply.appendWire(b), method
+	return reply.appendWire(b), method, held
 }
 
 // dispatch runs one decoded call: the catch-up read gate, then the handler.

@@ -21,7 +21,7 @@ func callFrame(t *testing.T, s *Server, id int) (kind byte, msg string) {
 	t.Helper()
 	frame := wire.AppendUvarint([]byte{wire.KindRequest}, uint64(id))
 	frame = wireMethods[id].newArgs().appendWire(frame)
-	resp, method := s.handleWireFrame(frame)
+	resp, method, _ := s.handleWireFrame(frame)
 	defer wire.PutBuf(resp)
 	if method != wireMethods[id].name {
 		t.Errorf("method id %d dispatched as %q, want %q", id, method, wireMethods[id].name)
@@ -125,39 +125,11 @@ func TestSetFeaturesRejectsOverflowingDim(t *testing.T) {
 	}
 }
 
-// fuzzMaxReplyElems bounds the sampled ids or feature floats a fuzzed
-// request may ask for. The server accepts replies up to wire.MaxFrame, and a
-// handful of such requests at once would exhaust the fuzzer's memory.
-const fuzzMaxReplyElems = 1 << 20
-
-// fuzzLargeReply reports whether frame is a SampleNeighbors or Features
-// request that the server would accept with a reply of more than
-// fuzzMaxReplyElems elements. Requests past the server's own reply limits
-// are not skipped: their rejection is part of what is fuzzed.
-func fuzzLargeReply(frame []byte) bool {
-	if len(frame) == 0 {
-		return false
-	}
-	r := wire.NewReader(frame[1:])
-	if frame[0] == wire.KindRequestEnv {
-		r.Byte()
-		r.Uvarint()
-	}
-	large := func(n, per, elemSize int) bool {
-		return n > 0 && per > fuzzMaxReplyElems/n && per <= wire.MaxFrame/elemSize/n
-	}
-	switch id := r.Uvarint(); {
-	case id == uint64(wireMethodID[ServiceName+".SampleNeighbors"]):
-		var a SampleArgs
-		a.decodeWire(r)
-		return large(len(a.Seeds), a.Fanout, 8)
-	case id == uint64(wireMethodID[ServiceName+".Features"]):
-		var a FeatureArgs
-		a.decodeWire(r)
-		return large(len(a.Nodes), a.Dim, 4)
-	}
-	return false
-}
+// fuzzReplyBudget is the fuzzed server's reply budget: a handful of
+// requests whose replies the default budget admits (up to wire.MaxFrame)
+// would exhaust the fuzzer's memory, and past this budget they are shed
+// before their replies are built.
+const fuzzReplyBudget = 8 << 20
 
 // FuzzHandleWireFrame feeds arbitrary request frames to handleWireFrame on
 // a fresh small service. Every frame must come back as a response or an
@@ -196,12 +168,10 @@ func FuzzHandleWireFrame(f *testing.F) {
 		f.Add(c.args.appendWire(wire.AppendUvarint([]byte{wire.KindRequest}, uint64(id))))
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		if fuzzLargeReply(frame) {
-			t.Skip("reply over the fuzzing memory budget")
-		}
 		store := storage.NewDynamicStore(storage.Options{Tree: core.Options{Capacity: 16}})
 		s := NewServer(NewService(store, kvstore.New()))
-		resp, _ := s.handleWireFrame(frame)
+		s.replies = newReplyBudget(fuzzReplyBudget)
+		resp, _, _ := s.handleWireFrame(frame)
 		defer wire.PutBuf(resp)
 		if _, msg := replyKind(t, resp); strings.Contains(msg, ": recovered panic: ") {
 			t.Fatalf("handler panicked: %s", msg)

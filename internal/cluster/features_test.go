@@ -55,7 +55,7 @@ func featuresResponseFrame(t *testing.T, attrs *kvstore.Store, nodes []graph.Ver
 	srv := NewServer(NewService(storage.NewDynamicStore(storage.Options{}), attrs))
 	req := append([]byte{wire.KindRequest}, wire.AppendUvarint(nil, uint64(wireMethodID[ServiceName+".Features"]))...)
 	req = (&FeatureArgs{Nodes: nodes, Dim: dim, WithLabels: withLabels}).appendWire(req)
-	resp, _ := srv.handleWireFrame(req)
+	resp, _, _ := srv.handleWireFrame(req)
 	return append([]byte(nil), resp[wire.HeaderSize:]...)
 }
 
@@ -134,7 +134,7 @@ func TestFeatureReplyDecodesIntoDestination(t *testing.T) {
 	occ := [][]int{{0, 9}, {1}, {2, 7}, {3}, {4}, {5}, {6, 8}}
 	out := make([]float32, 10*dim)
 	labels := make([]int32, 10)
-	reply := FeatureReply{dim: dim, out: out, labels: labels, occ: occ}
+	reply := FeatureReply{dim: dim, out: out, labels: labels, occ: runsOf(occ)}
 	r := wire.NewReader(body)
 	reply.decodeWire(r)
 	if err := r.Done(); err != nil {
@@ -154,7 +154,7 @@ func TestFeatureReplyDecodesIntoDestination(t *testing.T) {
 	}
 	// One row short of the destination: nothing written, the count kept
 	// for the caller's error.
-	short := FeatureReply{dim: dim, out: make([]float32, 8*dim), labels: make([]int32, 8), occ: identityOcc(8)}
+	short := FeatureReply{dim: dim, out: make([]float32, 8*dim), labels: make([]int32, 8), occ: runsOf(identityOcc(8))}
 	r = wire.NewReader(body)
 	short.decodeWire(r)
 	if err := r.Done(); err != nil || short.floats != len(nodes)*dim || short.fits() {
@@ -185,7 +185,7 @@ func TestFeatureReplyDecodeAllocs(t *testing.T) {
 	body := (&FeatureReply{dim: dim, attrs: attrs, nodes: nodes, withLabels: true}).appendWire(nil)
 	occ := identityOcc(rows)
 	occ[0] = append(occ[0], rows) // one repeated vertex
-	reply := FeatureReply{dim: dim, out: make([]float32, (rows+1)*dim), labels: make([]int32, rows+1), occ: occ}
+	reply := FeatureReply{dim: dim, out: make([]float32, (rows+1)*dim), labels: make([]int32, rows+1), occ: runsOf(occ)}
 	allocs := testing.AllocsPerRun(100, func() {
 		r := wire.NewReader(body)
 		reply.decodeWire(r)
@@ -246,7 +246,7 @@ func TestFeaturesRejectsOversizedReply(t *testing.T) {
 		t.Fatalf("featureReplySize(2^20 rows, 64, labels) = %d", size)
 	}
 	out := make([]float32, 2)
-	reply := FeatureReply{dim: 2, out: out, occ: identityOcc(1)}
+	reply := FeatureReply{dim: 2, out: out, occ: runsOf(identityOcc(1))}
 	if err := tr.Call(ServiceName+".Features", &FeatureArgs{Nodes: []graph.VertexID{id}, Dim: 2}, &reply, 5*time.Second, callEnv{}); err != nil {
 		t.Fatalf("call after the rejections: %v", err)
 	}

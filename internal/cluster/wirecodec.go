@@ -212,33 +212,36 @@ func (a *FeatureArgs) decodeWire(r *wire.Reader) {
 	a.RouteEpoch = r.Uvarint()
 }
 
-// appendWire grows the frame by the whole float block once and copies each
-// stored vector into its row, cut to dim, zeroing what the vector does not
-// cover: GatherFeatures' layout, written into the frame.
+// appendWire grows the frame by both blocks once and, with one store lookup
+// per vertex, copies its stored vector into its row, cut to dim, zeroing
+// what the vector does not cover, and its label into its label slot:
+// GatherFeatures' and GatherLabels' layouts, written into the frame.
 func (a *FeatureReply) appendWire(b []byte) []byte {
 	n := len(a.nodes) * a.dim
+	nLabels := 0
+	if a.withLabels {
+		nLabels = len(a.nodes)
+	}
 	b = wire.AppendUvarint(b, uint64(n))
 	off := len(b)
-	b = slices.Grow(b, 4*n)[:off+4*n]
+	b = slices.Grow(b, 4*n+binary.MaxVarintLen64+4*nLabels)[:off+4*n]
+	b = wire.AppendUvarint(b, uint64(nLabels))
+	labelOff := len(b)
+	b = b[:labelOff+4*nLabels]
 	for i, id := range a.nodes {
 		row := b[off+4*i*a.dim : off+4*(i+1)*a.dim]
-		f, _ := a.attrs.Features(id)
+		f, l := a.attrs.FeaturesLabel(id)
 		f = f[:min(len(f), a.dim)]
 		wire.PutFloat32s(row, f)
 		clear(row[4*len(f):])
-	}
-	if !a.withLabels {
-		return wire.AppendUvarint(b, 0)
-	}
-	b = wire.AppendUvarint(b, uint64(len(a.nodes)))
-	for _, id := range a.nodes {
-		l, _ := a.attrs.Label(id)
-		b = wire.AppendUint32(b, uint32(l))
+		if a.withLabels {
+			binary.LittleEndian.PutUint32(b[labelOff+4*i:], uint32(l))
+		}
 	}
 	return b
 }
 
-// decodeWire writes row j into the first of occ[j]'s rows of out and
+// decodeWire writes row j into the first of run j's rows of out and
 // copies it to the others, and label j to all of them. It writes nothing
 // unless the whole frame is well formed and its counts fit the
 // destination.
@@ -249,11 +252,13 @@ func (a *FeatureReply) decodeWire(r *wire.Reader) {
 	if r.Err() != nil || r.Remaining() != 0 || !a.fits() {
 		return
 	}
-	for j, occ := range a.occ {
-		first := a.out[occ[0]*a.dim : (occ[0]+1)*a.dim]
+	for j := 0; j < a.occ.len(); j++ {
+		occ := a.occ.run(j)
+		at := int(occ[0]) * a.dim
+		first := a.out[at : at+a.dim]
 		wire.DecodeFloat32s(first, rows[4*j*a.dim:])
 		for _, o := range occ[1:] {
-			copy(a.out[o*a.dim:(o+1)*a.dim], first)
+			copy(a.out[int(o)*a.dim:(int(o)+1)*a.dim], first)
 		}
 		if a.labels != nil {
 			l := int32(binary.LittleEndian.Uint32(labels[4*j:]))
@@ -268,7 +273,7 @@ func (a *FeatureReply) decodeWire(r *wire.Reader) {
 // dim floats per distinct row and, when labels were asked for, one label
 // each.
 func (a *FeatureReply) fits() bool {
-	return a.floats == len(a.occ)*a.dim && (a.labels == nil || a.nLabels == len(a.occ))
+	return a.floats == a.occ.len()*a.dim && (a.labels == nil || a.nLabels == a.occ.len())
 }
 
 func (a *SourcesArgs) appendWire(b []byte) []byte {

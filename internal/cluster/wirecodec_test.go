@@ -232,7 +232,7 @@ func decodeFeaturesIntoGuarded(t *testing.T, data []byte) {
 	}
 	out := buf[fuzzGuard : len(buf)-fuzzGuard]
 	labels := lbuf[fuzzGuard : len(lbuf)-fuzzGuard]
-	reply := FeatureReply{dim: fuzzDim, out: out, labels: labels, occ: fuzzOcc}
+	reply := FeatureReply{dim: fuzzDim, out: out, labels: labels, occ: runsOf(fuzzOcc)}
 	r := wire.NewReader(data)
 	reply.decodeWire(r)
 	ok := r.Done() == nil && reply.fits()
@@ -298,7 +298,7 @@ func featureFuzzSeeds() [][]byte {
 func TestFeatureFuzzSeeds(t *testing.T) {
 	for i, seed := range featureFuzzSeeds() {
 		decodeFeaturesIntoGuarded(t, seed)
-		reply := FeatureReply{dim: fuzzDim, out: make([]float32, (fuzzRows+1)*fuzzDim), labels: make([]int32, fuzzRows+1), occ: fuzzOcc}
+		reply := FeatureReply{dim: fuzzDim, out: make([]float32, (fuzzRows+1)*fuzzDim), labels: make([]int32, fuzzRows+1), occ: runsOf(fuzzOcc)}
 		r := wire.NewReader(seed)
 		reply.decodeWire(r)
 		if ok := r.Done() == nil && reply.fits(); ok != (i == 0) {

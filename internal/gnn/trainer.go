@@ -83,36 +83,53 @@ func (b *Batch) hop2Rows() []int32 { return b.Rows[len(b.Seeds)+len(b.Hop1):] }
 // distinct vertices. It fetches no labels, so inference builds the same
 // block training does.
 func SampleBlock(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f1, f2, dim int) (*Batch, error) {
-	layers, err := v.SampleSubgraph(seeds, graph.MetaPath{rel, rel}, []int{f1, f2})
+	b, distinct, err := sampleLayers(v, seeds, rel, f1, f2)
 	if err != nil {
-		return nil, fmt.Errorf("gnn: sample subgraph: %w", err)
+		return nil, err
 	}
-	b := &Batch{Seeds: seeds, Hop1: layers[0], Hop2: layers[1], F1: f1, F2: f2}
-	var distinct []graph.VertexID
-	distinct, b.Rows, b.NSelf = dedupe([][]graph.VertexID{seeds, b.Hop1}, b.Hop2)
 	if b.X, err = features(v, distinct, dim); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// sampleBatch is SampleBlock plus the seeds' labels, in one more view round
-// trip: a training batch. A label outside [0, classes) is an error, since
-// the loss would index past the logits' row.
+// sampleBatch is SampleBlock with the seeds' labels: a training batch. The
+// labels ride the features' view call (view.FeaturesLabels), which gathers
+// one per distinct vertex; seed i's is the one of its row, b.Rows[i]. A
+// label outside [0, classes) is an error, since the loss would index past
+// the logits' row.
 func sampleBatch(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f1, f2, dim, classes int) (*Batch, error) {
-	b, err := SampleBlock(v, seeds, rel, f1, f2, dim)
+	b, distinct, err := sampleLayers(v, seeds, rel, f1, f2)
 	if err != nil {
 		return nil, err
 	}
-	if b.Labels, err = v.Labels(seeds); err != nil {
-		return nil, fmt.Errorf("gnn: gather labels: %w", err)
+	x, labels, err := view.FeaturesLabels(v, distinct, dim)
+	if err != nil {
+		return nil, fmt.Errorf("gnn: gather features and labels: %w", err)
 	}
-	for i, l := range b.Labels {
+	b.X = NewMatrixFrom(len(distinct), dim, x)
+	b.Labels = make([]int32, len(seeds))
+	for i, row := range b.Rows[:len(seeds)] {
+		l := labels[row]
 		if l < 0 || int(l) >= classes {
 			return nil, fmt.Errorf("gnn: vertex %v has label %d, outside the model's %d classes", seeds[i], l, classes)
 		}
+		b.Labels[i] = l
 	}
 	return b, nil
+}
+
+// sampleLayers expands the seeds two hops over rel in one view call and
+// indexes the positions by distinct vertex: a block without its rows.
+func sampleLayers(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f1, f2 int) (*Batch, []graph.VertexID, error) {
+	layers, err := v.SampleSubgraph(seeds, graph.MetaPath{rel, rel}, []int{f1, f2})
+	if err != nil {
+		return nil, nil, fmt.Errorf("gnn: sample subgraph: %w", err)
+	}
+	b := &Batch{Seeds: seeds, Hop1: layers[0], Hop2: layers[1], F1: f1, F2: f2}
+	var distinct []graph.VertexID
+	distinct, b.Rows, b.NSelf = dedupe([][]graph.VertexID{seeds, b.Hop1}, b.Hop2)
+	return b, distinct, nil
 }
 
 // dedupe lists the distinct vertices of the self position lists, then those
@@ -224,11 +241,11 @@ func NewTrainer(model *Model, v view.GraphView, rel graph.EdgeType, f1, f2 int, 
 }
 
 // SampleBatch expands the seeds two hops and builds the batch's block: the
-// features of every distinct vertex of seeds and both hops in one view
-// call (a remote backend pays one fan-out, not three), and the seeds'
-// labels in another. Seeds without labels get label 0 — callers training
-// on labeled sets should pass labeled seeds. A label outside the model's
-// classes is an error naming the vertex.
+// features and labels of every distinct vertex of seeds and both hops in
+// one view call (a remote backend pays one fan-out for both), with the
+// seeds' labels read from their rows. Seeds without labels get label 0 —
+// callers training on labeled sets should pass labeled seeds. A label
+// outside the model's classes is an error naming the vertex.
 func (t *Trainer) SampleBatch(seeds []graph.VertexID) (*Batch, error) {
 	return sampleBatch(t.View, seeds, t.Rel, t.F1, t.F2, t.Model.InDim, t.Model.Out)
 }

@@ -83,14 +83,15 @@ func (s *Store) DigestWhere(keep func(id graph.VertexID) bool) uint64 {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for id, f := range sh.features {
-			if keep(id) {
-				d ^= featureSum(id, f)
+		for id, a := range sh.vertices {
+			if !keep(id) {
+				continue
 			}
-		}
-		for id, l := range sh.labels {
-			if keep(id) {
-				d ^= labelSum(id, l)
+			if a.hasFeatures {
+				d ^= featureSum(id, a.features)
+			}
+			if a.hasLabel {
+				d ^= labelSum(id, a.label)
 			}
 		}
 		for k, f := range sh.edges {
@@ -110,10 +111,7 @@ func (s *Store) Reset() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.features = make(map[graph.VertexID][]float32)
-		sh.labels = make(map[graph.VertexID]int32)
-		sh.edges = make(map[EdgeKey][]float32)
-		sh.digest = 0
+		sh.reset()
 		sh.mu.Unlock()
 	}
 }

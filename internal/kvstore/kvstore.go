@@ -19,13 +19,25 @@ type EdgeKey struct {
 	Type     graph.EdgeType
 }
 
+// vertexAttrs is one vertex's attributes: a feature vector, a label, or
+// both. One map entry holds both, so a reader of a row's features and
+// label takes one lock and one lookup.
+type vertexAttrs struct {
+	features    []float32
+	label       int32
+	hasFeatures bool
+	hasLabel    bool
+}
+
 type shard struct {
 	mu       sync.RWMutex
-	features map[graph.VertexID][]float32
-	labels   map[graph.VertexID]int32
+	vertices map[graph.VertexID]vertexAttrs
 	edges    map[EdgeKey][]float32
+	// nFeatures counts the vertices holding features (Len).
+	nFeatures int
 	// digest is the XOR of every entry's checksum (see digest.go), kept
-	// current by each mutation under mu.
+	// current by each mutation under mu. A vertex's features and label are
+	// separate entries of the digest.
 	digest uint64
 }
 
@@ -38,11 +50,17 @@ type Store struct {
 func New() *Store {
 	s := &Store{}
 	for i := range s.shards {
-		s.shards[i].features = make(map[graph.VertexID][]float32)
-		s.shards[i].labels = make(map[graph.VertexID]int32)
-		s.shards[i].edges = make(map[EdgeKey][]float32)
+		s.shards[i].reset()
 	}
 	return s
+}
+
+// reset empties the shard; the caller holds mu or owns the shard.
+func (sh *shard) reset() {
+	sh.vertices = make(map[graph.VertexID]vertexAttrs)
+	sh.edges = make(map[EdgeKey][]float32)
+	sh.nFeatures = 0
+	sh.digest = 0
 }
 
 func (s *Store) shardFor(id graph.VertexID) *shard {
@@ -58,21 +76,39 @@ func (s *Store) shardFor(id graph.VertexID) *shard {
 func (s *Store) SetFeatures(id graph.VertexID, f []float32) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	if old, ok := sh.features[id]; ok {
-		sh.digest ^= featureSum(id, old)
+	a := sh.vertices[id]
+	if a.hasFeatures {
+		sh.digest ^= featureSum(id, a.features)
+	} else {
+		sh.nFeatures++
 	}
-	sh.features[id] = f
+	a.features, a.hasFeatures = f, true
+	sh.vertices[id] = a
 	sh.digest ^= featureSum(id, f)
 	sh.mu.Unlock()
 }
 
 // Features returns the stored feature vector for id (shared, do not mutate).
 func (s *Store) Features(id graph.VertexID) ([]float32, bool) {
+	a := s.attrs(id)
+	return a.features, a.hasFeatures
+}
+
+// FeaturesLabel returns id's feature vector (shared, do not mutate) and
+// label with one lock and one lookup. A vertex without features yields nil
+// and one without a label 0, the rows GatherFeatures and GatherLabels
+// report for them.
+func (s *Store) FeaturesLabel(id graph.VertexID) ([]float32, int32) {
+	a := s.attrs(id)
+	return a.features, a.label
+}
+
+func (s *Store) attrs(id graph.VertexID) vertexAttrs {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
-	f, ok := sh.features[id]
+	a := sh.vertices[id]
 	sh.mu.RUnlock()
-	return f, ok
+	return a
 }
 
 // GatherFeatures copies the feature vectors of ids row-by-row into a dense
@@ -93,32 +129,41 @@ func (s *Store) GatherFeatures(ids []graph.VertexID, dim int) []float32 {
 func (s *Store) GatherLabels(ids []graph.VertexID) []int32 {
 	out := make([]int32, len(ids))
 	for i, id := range ids {
-		if l, ok := s.Label(id); ok {
-			out[i] = l
-		}
+		out[i] = s.attrs(id).label
 	}
 	return out
+}
+
+// GatherFeaturesLabels is GatherFeatures and GatherLabels in one pass, one
+// lookup per vertex.
+func (s *Store) GatherFeaturesLabels(ids []graph.VertexID, dim int) ([]float32, []int32) {
+	out, labels := make([]float32, len(ids)*dim), make([]int32, len(ids))
+	for i, id := range ids {
+		f, l := s.FeaturesLabel(id)
+		copy(out[i*dim:(i+1)*dim], f)
+		labels[i] = l
+	}
+	return out, labels
 }
 
 // SetLabel stores the class label for id.
 func (s *Store) SetLabel(id graph.VertexID, label int32) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	if old, ok := sh.labels[id]; ok {
-		sh.digest ^= labelSum(id, old)
+	a := sh.vertices[id]
+	if a.hasLabel {
+		sh.digest ^= labelSum(id, a.label)
 	}
-	sh.labels[id] = label
+	a.label, a.hasLabel = label, true
+	sh.vertices[id] = a
 	sh.digest ^= labelSum(id, label)
 	sh.mu.Unlock()
 }
 
 // Label returns the stored label for id.
 func (s *Store) Label(id graph.VertexID) (int32, bool) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	l, ok := sh.labels[id]
-	sh.mu.RUnlock()
-	return l, ok
+	a := s.attrs(id)
+	return a.label, a.hasLabel
 }
 
 // SetEdgeFeatures stores the feature vector for an edge (Fig. 2's "attributes
@@ -160,13 +205,15 @@ func (s *Store) DeleteEdgeFeatures(k EdgeKey) {
 func (s *Store) DeleteVertex(id graph.VertexID) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	if old, ok := sh.features[id]; ok {
-		sh.digest ^= featureSum(id, old)
-		delete(sh.features, id)
-	}
-	if old, ok := sh.labels[id]; ok {
-		sh.digest ^= labelSum(id, old)
-		delete(sh.labels, id)
+	if a, ok := sh.vertices[id]; ok {
+		if a.hasFeatures {
+			sh.digest ^= featureSum(id, a.features)
+			sh.nFeatures--
+		}
+		if a.hasLabel {
+			sh.digest ^= labelSum(id, a.label)
+		}
+		delete(sh.vertices, id)
 	}
 	sh.mu.Unlock()
 }
@@ -181,25 +228,19 @@ func (s *Store) RangeVertices(fn func(id graph.VertexID, features []float32, lab
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		ids := make([]graph.VertexID, 0, len(sh.features)+len(sh.labels))
-		for id := range sh.features {
+		ids := make([]graph.VertexID, 0, len(sh.vertices))
+		for id := range sh.vertices {
 			ids = append(ids, id)
-		}
-		for id := range sh.labels {
-			if _, ok := sh.features[id]; !ok {
-				ids = append(ids, id)
-			}
 		}
 		sh.mu.RUnlock()
 		for _, id := range ids {
 			sh.mu.RLock()
-			f := sh.features[id]
-			l, hasL := sh.labels[id]
+			a := sh.vertices[id]
 			sh.mu.RUnlock()
-			if f == nil && !hasL {
+			if a.features == nil && !a.hasLabel {
 				continue // deleted between the scans
 			}
-			if !fn(id, f, l, hasL) {
+			if !fn(id, a.features, a.label, a.hasLabel) {
 				return
 			}
 		}
@@ -237,7 +278,7 @@ func (s *Store) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.features)
+		n += sh.nFeatures
 		sh.mu.RUnlock()
 	}
 	return n
@@ -251,9 +292,8 @@ func (s *Store) MemoryBytes() int64 {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		total += int64(len(sh.labels)) * (mapEntryOverhead - 24)
-		for _, f := range sh.features {
-			total += mapEntryOverhead + int64(4*cap(f))
+		for _, a := range sh.vertices {
+			total += mapEntryOverhead + int64(4*cap(a.features))
 		}
 		for _, f := range sh.edges {
 			total += mapEntryOverhead + 17 + int64(4*cap(f))

@@ -32,7 +32,10 @@ type Cluster struct {
 	hasPri bool
 }
 
-var _ GraphView = (*Cluster)(nil)
+var (
+	_ GraphView      = (*Cluster)(nil)
+	_ FeatureLabeler = (*Cluster)(nil)
+)
 
 // NewCluster wraps client. seed makes the per-call sampling seed sequence
 // reproducible for single-threaded (deterministic-mode) runs.
@@ -121,6 +124,14 @@ func (v *Cluster) Features(nodes []graph.VertexID, dim int) ([]float32, error) {
 	ctx, cancel := v.ctx()
 	defer cancel()
 	return v.client.FeaturesCtx(ctx, nodes, dim)
+}
+
+// FeaturesLabels implements FeatureLabeler: one Features fan-out that
+// carries the labels too.
+func (v *Cluster) FeaturesLabels(nodes []graph.VertexID, dim int) ([]float32, []int32, error) {
+	ctx, cancel := v.ctx()
+	defer cancel()
+	return v.client.FeaturesLabelsCtx(ctx, nodes, dim)
 }
 
 // Labels implements GraphView.

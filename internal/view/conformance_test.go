@@ -23,6 +23,14 @@ import (
 // the self-loop fallback.
 func buildViews(t testing.TB) (local, remote view.GraphView, seeds []graph.VertexID, adj map[graph.VertexID]map[graph.VertexID]bool, shutdown func()) {
 	t.Helper()
+	local, client, seeds, adj, shutdown := buildBackends(t)
+	return local, view.NewCluster(client, 1), seeds, adj, shutdown
+}
+
+// buildBackends is buildViews with the cluster's client in place of its
+// view.
+func buildBackends(t testing.TB) (local view.GraphView, client *cluster.Client, seeds []graph.VertexID, adj map[graph.VertexID]map[graph.VertexID]bool, shutdown func()) {
+	t.Helper()
 	const (
 		n   = 40
 		dim = 4
@@ -70,8 +78,7 @@ func buildViews(t testing.TB) (local, remote view.GraphView, seeds []graph.Verte
 	}
 
 	local = view.NewLocal(store, attrs, sampler.Options{Parallelism: 2, Seed: 1})
-	remote = view.NewCluster(client, 1)
-	return local, remote, nodes, adj, stop
+	return local, client, nodes, adj, stop
 }
 
 func TestConformanceAttributeReads(t *testing.T) {

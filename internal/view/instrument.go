@@ -11,10 +11,11 @@ import (
 	"platod2gl/internal/obs"
 )
 
-// viewCalls is the full GraphView call surface, used to pre-seed the
-// histogram family so a scrape sees every series before traffic.
+// viewCalls is the full GraphView call surface plus FeatureLabeler's, used
+// to pre-seed the histogram family so a scrape sees every series before
+// traffic.
 var viewCalls = []string{
-	"SampleNeighbors", "SampleSubgraph", "Degrees", "Features", "Labels", "Sources",
+	"SampleNeighbors", "SampleSubgraph", "Degrees", "Features", "Labels", "Sources", "FeaturesLabels",
 }
 
 // CallMetrics holds the per-call latency family plus call/error counters.
@@ -51,7 +52,10 @@ type Instrumented struct {
 	m     *CallMetrics
 }
 
-var _ GraphView = (*Instrumented)(nil)
+var (
+	_ GraphView      = (*Instrumented)(nil)
+	_ FeatureLabeler = (*Instrumented)(nil)
+)
 
 // Instrument wraps v so every call is timed into m. A nil m returns v
 // unchanged — instrumentation stays optional with zero indirection cost.
@@ -93,6 +97,13 @@ func (v *Instrumented) Features(nodes []graph.VertexID, dim int) (out []float32,
 func (v *Instrumented) Labels(nodes []graph.VertexID) (out []int32, err error) {
 	defer func(start time.Time) { v.m.observe("Labels", start, err) }(time.Now())
 	return v.inner.Labels(nodes)
+}
+
+// FeaturesLabels implements FeatureLabeler with call timing. Over a view
+// without the method it times the Features and Labels pair as one call.
+func (v *Instrumented) FeaturesLabels(nodes []graph.VertexID, dim int) (x []float32, labels []int32, err error) {
+	defer func(start time.Time) { v.m.observe("FeaturesLabels", start, err) }(time.Now())
+	return FeaturesLabels(v.inner, nodes, dim)
 }
 
 // Sources implements GraphView with call timing.

@@ -38,6 +38,32 @@ type GraphView interface {
 	Sources(et graph.EdgeType) ([]graph.VertexID, error)
 }
 
+// FeatureLabeler is implemented by views that gather feature rows and
+// labels of the same vertices in one call: a remote backend then pays one
+// fan-out for both, a local one one store lookup per vertex.
+type FeatureLabeler interface {
+	// FeaturesLabels is Features and Labels of nodes in one call.
+	FeaturesLabels(nodes []graph.VertexID, dim int) ([]float32, []int32, error)
+}
+
+// FeaturesLabels gathers the feature rows and labels of nodes through v's
+// FeaturesLabels when v has it, and otherwise through Features and then
+// Labels.
+func FeaturesLabels(v GraphView, nodes []graph.VertexID, dim int) ([]float32, []int32, error) {
+	if fl, ok := v.(FeatureLabeler); ok {
+		return fl.FeaturesLabels(nodes, dim)
+	}
+	x, err := v.Features(nodes, dim)
+	if err != nil {
+		return nil, nil, err
+	}
+	labels, err := v.Labels(nodes)
+	if err != nil {
+		return nil, nil, err
+	}
+	return x, labels, nil
+}
+
 // Local is the single-machine GraphView: a topology store, its sampler, and
 // an attribute store. All errors are nil; the interface's error returns
 // exist for remote backends.
@@ -86,6 +112,12 @@ func (v *Local) Features(nodes []graph.VertexID, dim int) ([]float32, error) {
 // Labels implements GraphView.
 func (v *Local) Labels(nodes []graph.VertexID) ([]int32, error) {
 	return v.attrs.GatherLabels(nodes), nil
+}
+
+// FeaturesLabels implements FeatureLabeler.
+func (v *Local) FeaturesLabels(nodes []graph.VertexID, dim int) ([]float32, []int32, error) {
+	x, labels := v.attrs.GatherFeaturesLabels(nodes, dim)
+	return x, labels, nil
 }
 
 // Sources implements GraphView.
@@ -143,7 +175,8 @@ func SetSamplePos(v GraphView, pos int64) {
 
 // WithLatency wraps v so every call sleeps d first — an injected per-call
 // RPC latency for demonstrating (and benchmarking) how the prefetch
-// pipeline overlaps storage waits with compute.
+// pipeline overlaps storage waits with compute. FeaturesLabels is one call:
+// one sleep, then the inner view's FeaturesLabels or its fallback.
 func WithLatency(v GraphView, d time.Duration) GraphView {
 	return &delayed{inner: v, d: d}
 }
@@ -179,6 +212,11 @@ func (v *delayed) Features(nodes []graph.VertexID, dim int) ([]float32, error) {
 func (v *delayed) Labels(nodes []graph.VertexID) ([]int32, error) {
 	time.Sleep(v.d)
 	return v.inner.Labels(nodes)
+}
+
+func (v *delayed) FeaturesLabels(nodes []graph.VertexID, dim int) ([]float32, []int32, error) {
+	time.Sleep(v.d)
+	return FeaturesLabels(v.inner, nodes, dim)
 }
 
 func (v *delayed) Sources(et graph.EdgeType) ([]graph.VertexID, error) {
