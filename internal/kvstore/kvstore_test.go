@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -33,6 +34,60 @@ func TestLabels(t *testing.T) {
 	s.SetLabel(id, 3)
 	if l, ok := s.Label(id); !ok || l != 3 {
 		t.Fatalf("Label = %d,%v", l, ok)
+	}
+}
+
+// TestFeaturesAndLabelShareAnEntry: a vertex's features and label live in
+// one entry but keep separate presence. A label-only vertex has no
+// features and does not count in Len; FeaturesLabel reads nil and 0 for
+// what is missing; RangeVertices reports each vertex once with what it
+// holds; deleting the vertex removes both.
+func TestFeaturesAndLabelShareAnEntry(t *testing.T) {
+	s := New()
+	labelOnly, featOnly, both := graph.MakeVertexID(0, 1), graph.MakeVertexID(0, 2), graph.MakeVertexID(0, 3)
+	s.SetLabel(labelOnly, 5)
+	s.SetFeatures(featOnly, []float32{1, 2})
+	s.SetFeatures(both, []float32{3})
+	s.SetLabel(both, 0)
+	if _, ok := s.Features(labelOnly); ok {
+		t.Fatal("a label-only vertex reports features")
+	}
+	if _, ok := s.Label(featOnly); ok {
+		t.Fatal("a features-only vertex reports a label")
+	}
+	if f, l := s.FeaturesLabel(labelOnly); f != nil || l != 5 {
+		t.Fatalf("FeaturesLabel(label only) = %v, %d", f, l)
+	}
+	if f, l := s.FeaturesLabel(featOnly); len(f) != 2 || l != 0 {
+		t.Fatalf("FeaturesLabel(features only) = %v, %d", f, l)
+	}
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d, want 2 (vertices with features)", s.Len())
+	}
+	seen := map[graph.VertexID]bool{}
+	s.RangeVertices(func(id graph.VertexID, f []float32, l int32, hasLabel bool) bool {
+		if seen[id] {
+			t.Fatalf("RangeVertices reported %v twice", id)
+		}
+		seen[id] = true
+		if want := id != featOnly; hasLabel != want {
+			t.Fatalf("RangeVertices(%v): hasLabel %v, want %v", id, hasLabel, want)
+		}
+		return true
+	})
+	if len(seen) != 3 {
+		t.Fatalf("RangeVertices reported %d vertices, want 3", len(seen))
+	}
+	x, labels := s.GatherFeaturesLabels([]graph.VertexID{both, labelOnly, featOnly}, 2)
+	if want := []float32{3, 0, 0, 0, 1, 2}; !slices.Equal(x, want) || !slices.Equal(labels, []int32{0, 5, 0}) {
+		t.Fatalf("GatherFeaturesLabels = %v, %v", x, labels)
+	}
+	s.DeleteVertex(both)
+	if _, ok := s.Features(both); ok || s.Len() != 1 {
+		t.Fatalf("after DeleteVertex: features present %v, Len %d", ok, s.Len())
+	}
+	if _, ok := s.Label(both); ok {
+		t.Fatal("DeleteVertex left the label")
 	}
 }
 
