@@ -76,8 +76,9 @@ tier1: test race
 
 # Short fuzz pass for PR CI: frame/handshake parsing, the bounds-checked
 # reader, every RPC payload decoder, the server's request dispatch, the
-# WAL's record decoder, and the PALM planner against its sort-based oracle.
-# go test allows one -fuzz pattern per invocation, hence six runs.
+# WAL's record decoder, the PALM planner against its sort-based oracle, and
+# the vertex-id grouping against its map-based oracle.
+# go test allows one -fuzz pattern per invocation, hence seven runs.
 # Corpus findings land in testdata/fuzz/ — commit them as regression seeds.
 FUZZTIME ?= 15s
 fuzz-smoke: build
@@ -87,6 +88,7 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz FuzzHandleWireFrame -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzRecord -fuzztime $(FUZZTIME) ./internal/eventlog/
 	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime $(FUZZTIME) ./internal/palm/
+	$(GO) test -run '^$$' -fuzz FuzzGrouping -fuzztime $(FUZZTIME) ./internal/graph/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

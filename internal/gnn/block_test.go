@@ -3,7 +3,6 @@ package gnn
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"platod2gl/internal/dataset"
@@ -249,22 +248,4 @@ func BenchmarkGNNTrainStep(b *testing.B) {
 		tr.TrainStep(batches[i%len(batches)])
 	}
 	b.ReportMetric(float64(rows)/float64(len(batches)), "rows/batch")
-}
-
-// TestDedupe: distinct lists the self vertices, then the rest, each in
-// first-occurrence order, vertex 0 included; rows maps every position to
-// its vertex; an empty input gives empty lists.
-func TestDedupe(t *testing.T) {
-	self := [][]graph.VertexID{{7, 0, 7}, {3, 0}}
-	rest := []graph.VertexID{9, 3, 9, 11, 0}
-	distinct, rows, nSelf := dedupe(self, rest)
-	wantDistinct := []graph.VertexID{7, 0, 3, 9, 11}
-	wantRows := []int32{0, 1, 0, 2, 1, 3, 2, 3, 4, 1}
-	if nSelf != 3 || !slices.Equal(distinct, wantDistinct) || !slices.Equal(rows, wantRows) {
-		t.Fatalf("dedupe = %v, %v, %d; want %v, %v, 3", distinct, rows, nSelf, wantDistinct, wantRows)
-	}
-	distinct, rows, nSelf = dedupe([][]graph.VertexID{nil}, nil)
-	if len(distinct) != 0 || len(rows) != 0 || nSelf != 0 {
-		t.Fatalf("dedupe of nothing = %v, %v, %d", distinct, rows, nSelf)
-	}
 }

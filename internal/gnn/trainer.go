@@ -135,54 +135,22 @@ func sampleLayers(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, 
 // dedupe lists the distinct vertices of the self position lists, then those
 // of rest that self lacks, each part in first-occurrence order. rows maps
 // every position, self's lists first and rest last, to its vertex's index
-// in distinct, and nSelf is the number of distinct self vertices.
-//
-// The index is an open-addressing table of int32 slots with linear
-// probing, at most half full, hashed by a fixed mixer: three allocations
-// sized by the input alone, where a map's growth depends on its random
-// seed.
+// in distinct, and nSelf is the number of distinct self vertices. A fresh
+// graph.Grouping makes three allocations sized by the input alone, where a
+// map's growth depends on its random seed.
 func dedupe(self [][]graph.VertexID, rest []graph.VertexID) (distinct []graph.VertexID, rows []int32, nSelf int) {
 	n := len(rest)
 	for _, ids := range self {
 		n += len(ids)
 	}
-	size := 1
-	for size < 2*n {
-		size <<= 1
-	}
-	mask := uint64(size - 1)
-	slot := make([]int32, size) // 1 + the vertex's index in distinct; 0 is empty
-	distinct = make([]graph.VertexID, 0, n)
-	rows = make([]int32, 0, n)
-	add := func(ids []graph.VertexID) {
-		for _, id := range ids {
-			h := mix64(uint64(id)) & mask
-			for slot[h] != 0 && distinct[slot[h]-1] != id {
-				h = (h + 1) & mask
-			}
-			if slot[h] == 0 {
-				distinct = append(distinct, id)
-				slot[h] = int32(len(distinct))
-			}
-			rows = append(rows, slot[h]-1)
-		}
-	}
+	var g graph.Grouping
+	g.Reset(n)
 	for _, ids := range self {
-		add(ids)
+		g.Add(ids)
 	}
-	nSelf = len(distinct)
-	add(rest)
-	return distinct, rows, nSelf
-}
-
-// mix64 is SplitMix64's finalizer: every input bit reaches every output
-// bit, so consecutive vertex ids spread over the table.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ x>>31
+	nSelf = len(g.IDs)
+	g.Add(rest)
+	return g.IDs, g.Of, nSelf
 }
 
 // features fetches the rows of ids, in order, in one view call.

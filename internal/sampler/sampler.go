@@ -7,7 +7,6 @@
 package sampler
 
 import (
-	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -146,35 +145,6 @@ func (g *Subgraph) NumNodes() int {
 	return n
 }
 
-// Compact deduplicates the subgraph's node set: Nodes lists every distinct
-// vertex (seeds first, in first-appearance order) and Index maps each
-// original position (seeds, then layers in order, concatenated) to its row
-// in Nodes. GNN feature gathering over a compacted subgraph touches each
-// vertex once instead of once per appearance.
-func (g *Subgraph) Compact() (nodes []graph.VertexID, index []int32) {
-	total := g.NumNodes()
-	index = make([]int32, 0, total)
-	rowOf := make(map[graph.VertexID]int32, total)
-	appendID := func(id graph.VertexID) {
-		row, ok := rowOf[id]
-		if !ok {
-			row = int32(len(nodes))
-			rowOf[id] = row
-			nodes = append(nodes, id)
-		}
-		index = append(index, row)
-	}
-	for _, id := range g.Seeds {
-		appendID(id)
-	}
-	for _, l := range g.Layers {
-		for _, id := range l.Nodes {
-			appendID(id)
-		}
-	}
-	return nodes, index
-}
-
 // SampleSubgraph expands each seed along the meta-path with the given
 // per-hop fanouts (the paper's subgraph-sampling operator; Fig. 10(d-f) uses
 // 2-hop meta-paths). len(path) must equal len(fanouts). Each hop samples its
@@ -200,15 +170,11 @@ func (s *Sampler) SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fa
 // hop is the scratch of one sampled frontier, pooled because a Sampler is
 // shared across goroutines: the frontier grouped by vertex, and the draws.
 type hop struct {
-	table  []int32          // open addressing; 1 + the vertex's index in ids, 0 empty
-	ids    []graph.VertexID // the distinct vertices, in first-occurrence order
-	of     []int32          // of[i] is frontier position i's index in ids
-	ends   []int32          // occ[ends[d-1]:ends[d]] are the positions of ids[d]
-	occ    []int32          // frontier positions grouped by vertex, each group in order
-	counts []int            // draws asked of each distinct vertex
-	got    []int            // draws the store returned for each distinct vertex
-	draws  []graph.VertexID // worker w's draws fill the region of its vertices' positions
-	wg     sync.WaitGroup
+	graph.Grouping                  // the frontier's distinct vertices and their positions
+	counts         []int            // draws asked of each distinct vertex
+	got            []int            // draws the store returned for each distinct vertex
+	draws          []graph.VertexID // worker w's draws fill the region of its vertices' positions
+	wg             sync.WaitGroup
 }
 
 var hops = sync.Pool{New: func() any { return new(hop) }}
@@ -216,48 +182,6 @@ var hops = sync.Pool{New: func() any { return new(hop) }}
 // rngs pools the per-worker generators. Reseeding one in place gives the
 // stream a fresh rand.New(rand.NewSource(seed)) would, without its 5 KB.
 var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
-
-// group fills h.ids, h.of, h.ends and h.occ from frontier: an open-addressing
-// table assigns each position its distinct vertex, in first-occurrence
-// order, and a counting sort lists each vertex's positions.
-func (h *hop) group(frontier []graph.VertexID) {
-	n := len(frontier)
-	size := 1 << bits.Len(uint(2*n-1))
-	h.table = slices.Grow(h.table[:0], size)[:size]
-	clear(h.table)
-	mask := uint64(size - 1)
-	h.of = slices.Grow(h.of[:0], n)[:n]
-	// ends counts each vertex's occurrences until the counting sort. There
-	// are at most n distinct vertices, so neither grows in the loop.
-	ids, ends := slices.Grow(h.ids[:0], n), slices.Grow(h.ends[:0], n)
-	for i, v := range frontier {
-		at := mix64(uint64(v)) & mask
-		for h.table[at] != 0 && ids[h.table[at]-1] != v {
-			at = (at + 1) & mask
-		}
-		if h.table[at] == 0 {
-			ids = append(ids, v)
-			ends = append(ends, 0)
-			h.table[at] = int32(len(ids))
-		}
-		d := h.table[at] - 1
-		h.of[i] = d
-		ends[d]++
-	}
-	// Counting sort: placing a position advances its vertex's cursor, which
-	// ends at the vertex's end.
-	at := int32(0)
-	for d, m := range ends {
-		ends[d] = at
-		at += m
-	}
-	h.occ = slices.Grow(h.occ[:0], n)[:n]
-	for i, d := range h.of {
-		h.occ[ends[d]] = int32(i)
-		ends[d]++
-	}
-	h.ids, h.ends = ids, ends
-}
 
 // sampleHop fills nodes (len(frontier)*fanout) with fanout weighted draws
 // for each frontier position, the position's own vertex where it has no
@@ -278,14 +202,14 @@ func (s *Sampler) sampleHop(h *hop, frontier []graph.VertexID, et graph.EdgeType
 	if n == 0 || fanout == 0 {
 		return
 	}
-	h.group(frontier)
-	nd := len(h.ids)
+	h.Reset(n)
+	h.Add(frontier)
+	h.Runs()
+	nd := len(h.IDs)
 	h.counts = slices.Grow(h.counts[:0], nd)[:nd]
 	h.got = slices.Grow(h.got[:0], nd)[:nd]
-	start := int32(0)
-	for d, end := range h.ends {
-		h.counts[d] = int(end-start) * fanout
-		start = end
+	for d := range h.counts {
+		h.counts[d] = int(h.Bounds[d+1]-h.Bounds[d]) * fanout
 	}
 	h.draws = slices.Grow(h.draws[:0], n*fanout)[:n*fanout]
 	p := s.opt.Parallelism
@@ -300,7 +224,7 @@ func (s *Sampler) sampleHop(h *hop, frontier []graph.VertexID, et graph.EdgeType
 			// Take vertices until the run's positions reach its share.
 			share := int32((w + 1) * n / p)
 			hi = lo + 1
-			for hi < nd && h.ends[hi-1] < share {
+			for hi < nd && h.Bounds[hi] < share {
 				hi++
 			}
 		}
@@ -318,24 +242,20 @@ func (s *Sampler) sampleHop(h *hop, frontier []graph.VertexID, et graph.EdgeType
 // and scatters their draws to their positions in nodes. The run's draws go
 // to the region of draws its positions span, which no other run touches.
 func (s *Sampler) sampleRun(h *hop, w, lo, hi int, et graph.EdgeType, fanout int, nodes []graph.VertexID) {
-	first, last := 0, int(h.ends[hi-1])
-	if lo > 0 {
-		first = int(h.ends[lo-1])
-	}
+	first, last := int(h.Bounds[lo]), int(h.Bounds[hi])
 	rng := rngs.Get().(*rand.Rand)
 	rng.Seed(s.opt.Seed + int64(w) + 1)
 	draws := h.draws[first*fanout : first*fanout : last*fanout]
-	draws = s.store.SampleFrontier(h.ids[lo:hi], et, h.counts[lo:hi], rng, draws, h.got[lo:hi])
+	draws = s.store.SampleFrontier(h.IDs[lo:hi], et, h.counts[lo:hi], rng, draws, h.got[lo:hi])
 	rngs.Put(rng)
 	at := 0
 	for d := lo; d < hi; d++ {
-		occ := h.occ[first:h.ends[d]]
-		first = int(h.ends[d])
+		occ := h.Occ[h.Bounds[d]:h.Bounds[d+1]]
 		if h.got[d] == 0 {
 			for _, pos := range occ {
 				slot := nodes[int(pos)*fanout : int(pos+1)*fanout]
 				for j := range slot {
-					slot[j] = h.ids[d] // self-loop fallback
+					slot[j] = h.IDs[d] // self-loop fallback
 				}
 			}
 			continue
@@ -345,16 +265,6 @@ func (s *Sampler) sampleRun(h *hop, w, lo, hi int, et graph.EdgeType, fanout int
 			at += fanout
 		}
 	}
-}
-
-// mix64 is SplitMix64's finalizer: every input bit reaches every output
-// bit, so consecutive vertex ids spread over the table.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ x>>31
 }
 
 // forEachSeed runs fn(worker, index, rng) for indexes [0, n), either

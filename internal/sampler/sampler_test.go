@@ -306,36 +306,6 @@ func TestRandomWalkWeighted(t *testing.T) {
 	}
 }
 
-func TestSubgraphCompact(t *testing.T) {
-	sg := &Subgraph{
-		Seeds: []graph.VertexID{1, 2},
-		Layers: []Layer{
-			{Nodes: []graph.VertexID{2, 3, 1, 3}, Fanout: 2},
-		},
-	}
-	nodes, index := sg.Compact()
-	// Distinct: 1, 2, 3 in first-appearance order.
-	if len(nodes) != 3 || nodes[0] != 1 || nodes[1] != 2 || nodes[2] != 3 {
-		t.Fatalf("nodes = %v", nodes)
-	}
-	wantIdx := []int32{0, 1, 1, 2, 0, 2}
-	if len(index) != len(wantIdx) {
-		t.Fatalf("index len = %d", len(index))
-	}
-	for i, w := range wantIdx {
-		if index[i] != w {
-			t.Fatalf("index = %v, want %v", index, wantIdx)
-		}
-	}
-	// Reconstruction: nodes[index[k]] equals the original flattened node k.
-	flat := append(append([]graph.VertexID{}, sg.Seeds...), sg.Layers[0].Nodes...)
-	for k, orig := range flat {
-		if nodes[index[k]] != orig {
-			t.Fatalf("reconstruction broke at %d", k)
-		}
-	}
-}
-
 func TestSampleNodesByDegree(t *testing.T) {
 	st := storage.NewDynamicStore(storage.Options{})
 	// Source 1: degree 90; source 2: degree 10.

@@ -184,6 +184,17 @@ func TestConformanceSamplingShapes(t *testing.T) {
 		if len(layers) != 2 || len(layers[0]) != len(seeds)*3 || len(layers[1]) != len(seeds)*3*2 {
 			t.Fatalf("%s: subgraph layer sizes %d/%d", name, len(layers[0]), len(layers[1]))
 		}
+
+		// Invalid arguments are errors on every backend, never a panic.
+		if _, err := v.SampleNeighbors(seeds, 0, -1); err == nil {
+			t.Fatalf("%s: SampleNeighbors with fanout -1 returned no error", name)
+		}
+		if _, err := v.SampleSubgraph(seeds, graph.MetaPath{0, 0}, []int{3, -2}); err == nil {
+			t.Fatalf("%s: SampleSubgraph with fanout -2 returned no error", name)
+		}
+		if _, err := v.SampleSubgraph(seeds, graph.MetaPath{0, 0}, []int{3}); err == nil {
+			t.Fatalf("%s: SampleSubgraph with 2 relations and 1 fanout returned no error", name)
+		}
 	}
 }
 

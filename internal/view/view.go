@@ -8,6 +8,8 @@
 package view
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"platod2gl/internal/graph"
@@ -65,8 +67,9 @@ func FeaturesLabels(v GraphView, nodes []graph.VertexID, dim int) ([]float32, []
 }
 
 // Local is the single-machine GraphView: a topology store, its sampler, and
-// an attribute store. All errors are nil; the interface's error returns
-// exist for remote backends.
+// an attribute store. Its sampling calls reject the arguments the cluster
+// client rejects (a negative fanout, a meta-path and fanouts of different
+// lengths); every other error is nil.
 type Local struct {
 	store storage.TopologyStore
 	attrs *kvstore.Store
@@ -82,11 +85,20 @@ func NewLocal(store storage.TopologyStore, attrs *kvstore.Store, opt sampler.Opt
 
 // SampleNeighbors implements GraphView.
 func (v *Local) SampleNeighbors(seeds []graph.VertexID, et graph.EdgeType, fanout int) ([]graph.VertexID, error) {
+	if fanout < 0 {
+		return nil, fmt.Errorf("view: negative fanout %d", fanout)
+	}
 	return v.smp.SampleNeighbors(seeds, et, fanout).Neighbors, nil
 }
 
 // SampleSubgraph implements GraphView.
 func (v *Local) SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fanouts []int) ([][]graph.VertexID, error) {
+	if len(path) != len(fanouts) {
+		return nil, fmt.Errorf("view: meta-path length %d != fanouts %d", len(path), len(fanouts))
+	}
+	if i := slices.IndexFunc(fanouts, func(f int) bool { return f < 0 }); i >= 0 {
+		return nil, fmt.Errorf("view: negative fanout %d", fanouts[i])
+	}
 	sg := v.smp.SampleSubgraph(seeds, path, fanouts)
 	layers := make([][]graph.VertexID, len(sg.Layers))
 	for i, l := range sg.Layers {
