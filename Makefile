@@ -76,9 +76,10 @@ tier1: test race
 
 # Short fuzz pass for PR CI: frame/handshake parsing, the bounds-checked
 # reader, every RPC payload decoder, the server's request dispatch, the
-# WAL's record decoder, the PALM planner against its sort-based oracle, and
-# the vertex-id grouping against its map-based oracle.
-# go test allows one -fuzz pattern per invocation, hence seven runs.
+# WAL's record decoder, the PALM planner against its sort-based oracle, the
+# vertex-id grouping against its map-based oracle, and the HNSW distance
+# kernel against the pure-Go code and a float64 reference.
+# go test allows one -fuzz pattern per invocation, hence eight runs.
 # Corpus findings land in testdata/fuzz/ — commit them as regression seeds.
 FUZZTIME ?= 15s
 fuzz-smoke: build
@@ -89,6 +90,7 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz FuzzRecord -fuzztime $(FUZZTIME) ./internal/eventlog/
 	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime $(FUZZTIME) ./internal/palm/
 	$(GO) test -run '^$$' -fuzz FuzzGrouping -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -run '^$$' -fuzz FuzzSqDist -fuzztime $(FUZZTIME) ./internal/ann/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -23,9 +23,15 @@
 //     ID), not a shared RNG: the same ID always lands on the same level
 //     regardless of insertion order or interleaving, so tests and the bench
 //     gate see reproducible graphs.
+//   - Every vector lives in one arena, Index.vecs, node ref's at ref*Dim, so
+//     a search reads its neighbours' vectors from one slice instead of
+//     chasing a pointer per node.
 //
 // Distance is squared L2. The inference engine L2-normalizes embeddings, so
-// ranking is equivalent to cosine similarity on its output.
+// ranking is equivalent to cosine similarity on its output. On amd64 hosts
+// with AVX2 an assembly kernel computes it (sqdist_amd64.s); elsewhere the
+// pure-Go sqDistGo does, with the same eight-lane summation order, so both
+// paths give bit-identical distances and so the same graph and results.
 package ann
 
 import (
@@ -83,11 +89,11 @@ type Result struct {
 	Dist float32 // squared L2 distance to the query
 }
 
-// node is one arena entry. links[l] holds the neighbor arena offsets at
-// level l; a dead node keeps its links (routing) but is never returned.
+// node is one arena entry; its vector is Index.vec(ref). links[l] holds the
+// neighbor arena offsets at level l; a dead node keeps its links (routing)
+// but is never returned.
 type node struct {
 	id    uint64
-	vec   []float32
 	links [][]uint32
 	dead  bool
 }
@@ -100,6 +106,7 @@ type Index struct {
 	mL  float64
 
 	nodes      []node
+	vecs       []float32 // node ref's vector is vecs[ref*Dim:][:Dim]
 	byID       map[uint64]uint32
 	entry      int32 // arena offset of the entry point, -1 when empty
 	maxLevel   int
@@ -149,14 +156,11 @@ func (ix *Index) levelFor(id uint64) int {
 	return l
 }
 
-// sqDist returns the squared L2 distance between two equal-length vectors.
-func sqDist(a, b []float32) float32 {
-	var s float32
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
+// vec returns node ref's vector, the index's own storage.
+func (ix *Index) vec(ref uint32) []float32 {
+	d := ix.cfg.Dim
+	o := int(ref) * d
+	return ix.vecs[o : o+d : o+d]
 }
 
 // cand is one (node, distance) pair in a search frontier.
@@ -287,11 +291,11 @@ func (vs *visitSet) next(n int) uint32 {
 // closest node found. Used on the levels above the search/insert target.
 func (ix *Index) greedyDescend(q []float32, ep uint32, level int) uint32 {
 	cur := ep
-	curDist := sqDist(q, ix.nodes[cur].vec)
+	curDist := sqDist(q, ix.vec(cur))
 	for {
 		improved := false
 		for _, nb := range ix.nodes[cur].links[level] {
-			if d := sqDist(q, ix.nodes[nb].vec); d < curDist {
+			if d := sqDist(q, ix.vec(nb)); d < curDist {
 				cur, curDist = nb, d
 				improved = true
 			}
@@ -311,7 +315,7 @@ func (ix *Index) searchLayer(q []float32, ep uint32, ef, level int, vs *visitSet
 	epoch := vs.next(len(ix.nodes))
 	visited := vs.marks
 	frontier, best := vs.frontier[:0], vs.best[:0]
-	d0 := sqDist(q, ix.nodes[ep].vec)
+	d0 := sqDist(q, ix.vec(ep))
 	frontier.push(cand{ep, d0})
 	visited[ep] = epoch
 	best.push(cand{ep, d0})
@@ -325,7 +329,7 @@ func (ix *Index) searchLayer(q []float32, ep uint32, ef, level int, vs *visitSet
 				continue
 			}
 			visited[nb] = epoch
-			d := sqDist(q, ix.nodes[nb].vec)
+			d := sqDist(q, ix.vec(nb))
 			if len(best) < ef {
 				best.push(cand{nb, d})
 				frontier.push(cand{nb, d})
@@ -353,7 +357,7 @@ func (ix *Index) selectNeighbors(cands []cand, m int) []uint32 {
 		}
 		keep := true
 		for _, sel := range out {
-			if sqDist(ix.nodes[c.ref].vec, ix.nodes[sel].vec) < c.dist {
+			if sqDist(ix.vec(c.ref), ix.vec(sel)) < c.dist {
 				keep = false
 				break
 			}
@@ -398,9 +402,10 @@ func (ix *Index) shrinkLinks(ref uint32, level int) {
 	if len(nd.links[level]) <= limit {
 		return
 	}
+	v := ix.vec(ref)
 	cands := ix.pruneBuf[:0]
 	for _, nb := range nd.links[level] {
-		cands = append(cands, cand{nb, sqDist(nd.vec, ix.nodes[nb].vec)})
+		cands = append(cands, cand{nb, sqDist(v, ix.vec(nb))})
 	}
 	ix.pruneBuf = cands
 	nd.links[level] = ix.selectNeighbors(cands, limit)
@@ -417,19 +422,21 @@ func (ix *Index) Insert(id uint64, vec []float32) error {
 		ix.nodes[old].dead = true
 		ix.tombstones++
 	}
-	ix.insertLocked(id, append([]float32(nil), vec...))
+	ix.insertLocked(id, vec)
 	ix.cfg.Metrics.Inserts.Inc()
 	ix.maybeCompactLocked()
 	return nil
 }
 
-// insertLocked links a fresh node into the graph. Caller holds the write
-// lock and has already handled any previous node under the same ID.
+// insertLocked copies vec into the arena and links a fresh node into the
+// graph. Caller holds the write lock and has already handled any previous
+// node under the same ID.
 func (ix *Index) insertLocked(id uint64, vec []float32) {
 	level := ix.levelFor(id)
 	ref := uint32(len(ix.nodes))
 	links := make([][]uint32, level+1)
-	ix.nodes = append(ix.nodes, node{id: id, vec: vec, links: links})
+	ix.nodes = append(ix.nodes, node{id: id, links: links})
+	ix.vecs = append(ix.vecs, vec...)
 	ix.byID[id] = ref
 
 	if ix.entry < 0 {
@@ -544,7 +551,7 @@ func (ix *Index) Vector(id uint64) ([]float32, bool) {
 	if !ok {
 		return nil, false
 	}
-	return append([]float32(nil), ix.nodes[ref].vec...), true
+	return append([]float32(nil), ix.vec(ref)...), true
 }
 
 // ForEach visits every live (id, vector) pair under the read lock until fn
@@ -557,7 +564,7 @@ func (ix *Index) ForEach(fn func(id uint64, vec []float32) bool) {
 		if ix.nodes[i].dead {
 			continue
 		}
-		if !fn(ix.nodes[i].id, ix.nodes[i].vec) {
+		if !fn(ix.nodes[i].id, ix.vec(uint32(i))) {
 			return
 		}
 	}
@@ -600,8 +607,9 @@ func (ix *Index) compactLocked() {
 	if ix.tombstones == 0 {
 		return
 	}
-	old := ix.nodes
+	old, oldVecs := ix.nodes, ix.vecs
 	ix.nodes = make([]node, 0, len(ix.byID))
+	ix.vecs = make([]float32, 0, len(ix.byID)*ix.cfg.Dim)
 	ix.byID = make(map[uint64]uint32, len(ix.byID))
 	ix.entry = -1
 	ix.maxLevel = 0
@@ -612,7 +620,8 @@ func (ix *Index) compactLocked() {
 		if old[i].dead {
 			continue
 		}
-		ix.insertLocked(old[i].id, old[i].vec)
+		o := i * ix.cfg.Dim
+		ix.insertLocked(old[i].id, oldVecs[o:o+ix.cfg.Dim])
 	}
 	ix.cfg.Metrics.Compactions.Inc()
 }

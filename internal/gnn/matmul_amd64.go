@@ -2,30 +2,11 @@
 
 package gnn
 
+import "platod2gl/internal/cpufeat"
+
 // hasAVX2 reports whether the processor has AVX2 and the operating system
 // saves the YMM registers. Without it the kernels run the pure-Go code.
-var hasAVX2 = detectAVX2()
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
-// detectAVX2 checks CPUID leaf 1 for AVX and OSXSAVE, XCR0 for the XMM and
-// YMM state (bits 1 and 2), and leaf 7 for AVX2.
-func detectAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}
+var hasAVX2 = cpufeat.AVX2()
 
 //go:noescape
 func pairAVX2(o0, o1, a0, a1 *float32, as int, b *float32, bs, k, n int)

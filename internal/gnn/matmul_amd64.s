@@ -6,25 +6,6 @@
 // fused multiply-add, so every output element gets the same rounded float32
 // products and sums, in the same order, as the pure-Go kernels.
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
-
 // func pairAVX2(o0, o1, a0, a1 *float32, as int, b *float32, bs, k, n int)
 //
 // For j in [0, n), n a multiple of 8, and kk ascending in [0, k):
