@@ -14,9 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/rpc"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,101 +75,27 @@ func PriorityFromContext(ctx context.Context) (Priority, bool) {
 	return p, ok
 }
 
-// overloadedPrefix is the stable prefix OverloadedError crosses the wire
-// with; like notReadyMsg, it survives the trip through rpc.ServerError so
-// both sides classify shed responses identically.
-const overloadedPrefix = "cluster: overloaded:"
-
-// OverloadedError is the server's admission gate shedding a request: the
-// server is healthy but saturated, and the client should back off for
-// RetryAfter before retrying — against this peer or a sibling replica. It
-// is deliberately distinct from transport failure so circuit breakers never
-// open on load.
-type OverloadedError struct {
-	Method     string
-	Priority   Priority
-	RetryAfter time.Duration
+// overloaded is the admission gate shedding a request: the server is
+// healthy but saturated, and the client should back off for retryAfter
+// before retrying, against this peer or a sibling replica. Its own kind
+// keeps it apart from transport failure, so circuit breakers never open on
+// load.
+func overloaded(method string, pri Priority, retryAfter time.Duration) *ServerError {
+	return &ServerError{Kind: KindOverloaded, RetryAfter: retryAfter,
+		Msg: fmt.Sprintf("cluster: overloaded: %s (%s): retry after %dms", method, pri, retryAfter.Milliseconds())}
 }
 
-func (e *OverloadedError) Error() string {
-	return fmt.Sprintf("%s %s (%s): retry after %dms",
-		overloadedPrefix, e.Method, e.Priority, e.RetryAfter.Milliseconds())
-}
+// IsOverloaded reports whether err is a shed response.
+func IsOverloaded(err error) bool { return isKind(err, KindOverloaded) }
 
-// IsOverloaded reports whether err is a shed response — typed locally or
-// carried across the wire as an rpc.ServerError string.
-func IsOverloaded(err error) bool {
-	if err == nil {
-		return false
-	}
-	var oe *OverloadedError
-	if errors.As(err, &oe) {
-		return true
-	}
-	var se rpc.ServerError
-	return errors.As(err, &se) && strings.Contains(string(se), overloadedPrefix)
-}
-
-// OverloadRetryAfter extracts the server's retry-after hint from a shed
-// response, or 0 when err is not one (or carries no parseable hint).
+// OverloadRetryAfter returns the server's retry-after hint from a shed
+// response, or 0 when err is not one.
 func OverloadRetryAfter(err error) time.Duration {
-	if err == nil {
-		return 0
+	var se *ServerError
+	if errors.As(err, &se) && se.Kind == KindOverloaded {
+		return se.RetryAfter
 	}
-	var oe *OverloadedError
-	if errors.As(err, &oe) {
-		return oe.RetryAfter
-	}
-	var se rpc.ServerError
-	if !errors.As(err, &se) {
-		return 0
-	}
-	s := string(se)
-	const marker = "retry after "
-	i := strings.LastIndex(s, marker)
-	if i < 0 {
-		return 0
-	}
-	ms := strings.TrimSuffix(s[i+len(marker):], "ms")
-	n, perr := strconv.ParseInt(ms, 10, 64)
-	if perr != nil || n < 0 {
-		return 0
-	}
-	return time.Duration(n) * time.Millisecond
-}
-
-// budgetExpiredPrefix marks fast-rejects: the request's propagated budget
-// was already below the observed service time, so running it would only
-// produce a response nobody is waiting for.
-const budgetExpiredPrefix = "cluster: deadline:"
-
-// BudgetExpiredError is the admission gate's fast-reject of a request whose
-// remaining deadline budget cannot cover the method's observed service
-// time. Unlike OverloadedError it is not worth retrying — the caller's
-// deadline is effectively spent.
-type BudgetExpiredError struct {
-	Method   string
-	Budget   time.Duration
-	Expected time.Duration
-}
-
-func (e *BudgetExpiredError) Error() string {
-	return fmt.Sprintf("%s %s budget %dms below observed service time %dms",
-		budgetExpiredPrefix, e.Method, e.Budget.Milliseconds(), e.Expected.Milliseconds())
-}
-
-// IsBudgetExpired reports whether err is a server fast-reject for an
-// exhausted deadline budget.
-func IsBudgetExpired(err error) bool {
-	if err == nil {
-		return false
-	}
-	var be *BudgetExpiredError
-	if errors.As(err, &be) {
-		return true
-	}
-	var se rpc.ServerError
-	return errors.As(err, &se) && strings.Contains(string(se), budgetExpiredPrefix)
+	return 0
 }
 
 // AdmissionConfig tunes the server-side admission gate.
@@ -266,7 +189,8 @@ func (g *admissionGate) acquire(method string, pri Priority, budget time.Duratio
 		if est := g.svcTime[method]; est > 0 && budget < est {
 			g.mu.Unlock()
 			g.m.DeadlineExpired.Inc()
-			return &BudgetExpiredError{Method: method, Budget: budget, Expected: est}
+			return &ServerError{Kind: KindBudgetExpired, Msg: fmt.Sprintf("cluster: deadline: %s budget %dms below observed service time %dms",
+				method, budget.Milliseconds(), est.Milliseconds())}
 		}
 	}
 	// Immediate admission: a free slot under this class's cap and nobody of
@@ -282,7 +206,7 @@ func (g *admissionGate) acquire(method string, pri Priority, budget time.Duratio
 		ra := g.retryAfterLocked(method)
 		g.mu.Unlock()
 		g.m.incShed(method, pri)
-		return &OverloadedError{Method: method, Priority: pri, RetryAfter: ra}
+		return overloaded(method, pri, ra)
 	}
 	w := &admitWaiter{enqueued: time.Now(), done: make(chan struct{})}
 	g.queues[pri] = append(g.queues[pri], w)
@@ -319,7 +243,7 @@ func (g *admissionGate) acquire(method string, pri Priority, budget time.Duratio
 		ra := g.retryAfterLocked(method)
 		g.mu.Unlock()
 		g.m.incShed(method, pri)
-		return &OverloadedError{Method: method, Priority: pri, RetryAfter: ra}
+		return overloaded(method, pri, ra)
 	}
 }
 

@@ -52,9 +52,9 @@ const topoSeed = 0x746f706f6c6f6779
 
 // edgeDigest is one edge's contribution to the topology digest.
 func edgeDigest(et graph.EdgeType, src, dst graph.VertexID) uint64 {
-	h := mix64(topoSeed ^ uint64(et))
-	h = mix64(h ^ uint64(src))
-	return mix64(h ^ uint64(dst))
+	h := graph.Mix64(topoSeed ^ uint64(et))
+	h = graph.Mix64(h ^ uint64(src))
+	return graph.Mix64(h ^ uint64(dst))
 }
 
 // topologyDigest XORs edgeDigest over the store's *distinct* edge set —
@@ -142,7 +142,7 @@ func (c *Client) ShardDigestCtx(ctx context.Context, shard int) (DigestReply, er
 	var reply DigestReply
 	rt := c.route.Load()
 	args := &DigestArgs{Shard: shard, NumShards: rt.m.NumShards}
-	err := c.readShard(ctx, rt, shard, ServiceName+".ShardDigest", args, &reply)
+	err := c.readShard(ctx, rt, shard, "ShardDigest", args, &reply)
 	return reply, err
 }
 
@@ -265,13 +265,6 @@ func (sc *Scrubber) logf(format string, args ...any) {
 	if sc.cfg.Logf != nil {
 		sc.cfg.Logf(format, args...)
 	}
-}
-
-func (sc *Scrubber) dialer(addr string) Dialer {
-	if sc.cfg.Dial != nil {
-		return sc.cfg.Dial(addr)
-	}
-	return TCPDialer(addr, sc.cfg.CallTimeout)
 }
 
 // Start launches the background scrub loop. Idempotent.
@@ -433,7 +426,7 @@ func (sc *Scrubber) probePeers() []PeerDigest {
 			continue
 		}
 		pd := PeerDigest{Addr: addr}
-		if err := roundTrip(sc.dialer(addr), "ShardDigest",
+		if err := roundTrip(dialAddr(sc.cfg.Dial, addr, sc.cfg.CallTimeout), "ShardDigest",
 			&DigestArgs{Shard: -1}, &pd.Digest, sc.cfg.CallTimeout); err != nil {
 			pd.Err = err.Error()
 		}
@@ -589,7 +582,7 @@ func (sc *Scrubber) repair(rep *RoundReport) {
 	}
 	resume()
 
-	stats, err := SyncFromPeer(svc, sc.dialer(peer), SyncOptions{
+	stats, err := SyncFromPeer(svc, dialAddr(sc.cfg.Dial, peer, sc.cfg.CallTimeout), SyncOptions{
 		CallTimeout: sc.cfg.RepairTimeout,
 		Metrics:     sc.cfg.Metrics,
 	})

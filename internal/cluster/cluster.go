@@ -49,10 +49,6 @@ import (
 	"platod2gl/internal/wire"
 )
 
-// ServiceName prefixes every method name ("PlatoD2GL.Stats") — the form the
-// call sites use and the wire method table resolves.
-const ServiceName = "PlatoD2GL"
-
 // BatchArgs carries a topology update batch. ClientID and Seq identify the
 // batch for server-side at-most-once deduplication: a retried batch carries
 // the same pair and is applied at most once. Zero values bypass dedup (the
@@ -854,7 +850,7 @@ func (c *Client) ApplyBatchCtx(ctx context.Context, events []graph.Event) error 
 		args := &BatchArgs{Events: parts[s], ClientID: c.clientID, Seq: seqs[s], Sum: checksumEvents(parts[s])}
 		return c.writeShard(ctx, rt, s, args, func(ctx context.Context, pe *peer, maxRetries int, failover bool) error {
 			var reply BatchReply
-			return c.callPeCtx(ctx, pe, ServiceName+".ApplyBatch", args, &reply, maxRetries, failover)
+			return c.callPeCtx(ctx, pe, "ApplyBatch", args, &reply, maxRetries, failover)
 		})
 	})
 }
@@ -916,7 +912,7 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 		}
 		args := &SampleArgs{Seeds: partSeeds, Type: et, Fanout: fanout, Seed: seed + int64(p)}
 		var reply SampleReply
-		if err := c.readShard(ctx, rt, p, ServiceName+".SampleNeighbors", args, &reply); err != nil {
+		if err := c.readShard(ctx, rt, p, "SampleNeighbors", args, &reply); err != nil {
 			return err
 		}
 		if len(reply.Neighbors) != len(partSeeds)*fanout {
@@ -1002,7 +998,7 @@ func (c *Client) DegreeCtx(ctx context.Context, nodes []graph.VertexID, et graph
 			return nil
 		}
 		var reply DegreeReply
-		if err := c.readShard(ctx, rt, p, ServiceName+".Degree", &DegreeArgs{Nodes: partNodes, Type: et}, &reply); err != nil {
+		if err := c.readShard(ctx, rt, p, "Degree", &DegreeArgs{Nodes: partNodes, Type: et}, &reply); err != nil {
 			return err
 		}
 		if len(reply.Degrees) != len(partNodes) {
@@ -1056,7 +1052,7 @@ func (c *Client) SetFeaturesCtx(ctx context.Context, nodes []graph.VertexID, dim
 		args := &SetFeaturesArgs{Nodes: parts[s].nodes, Dim: dim, Data: parts[s].data, Labels: parts[s].labels}
 		return c.writeShard(ctx, rt, s, args, func(ctx context.Context, pe *peer, maxRetries int, failover bool) error {
 			var reply SetFeaturesReply
-			return c.callPeCtx(ctx, pe, ServiceName+".SetFeatures", args, &reply, maxRetries, failover)
+			return c.callPeCtx(ctx, pe, "SetFeatures", args, &reply, maxRetries, failover)
 		})
 	})
 }
@@ -1115,7 +1111,7 @@ func (c *Client) featuresLabels(ctx context.Context, nodes []graph.VertexID, dim
 		}
 		reply := FeatureReply{dim: dim, out: out, labels: labels, occ: runs}
 		args := &FeatureArgs{Nodes: partNodes, Dim: dim, WithLabels: withLabels}
-		if err := c.readShard(ctx, rt, p, ServiceName+".Features", args, &reply); err != nil {
+		if err := c.readShard(ctx, rt, p, "Features", args, &reply); err != nil {
 			return err
 		}
 		if reply.floats != len(partNodes)*dim {
@@ -1148,7 +1144,7 @@ func (c *Client) SourcesCtx(ctx context.Context, et graph.EdgeType) ([]graph.Ver
 	rt := c.route.Load()
 	err := c.fanOut(rt.m.NumShards, func(p int) error {
 		var reply SourcesReply
-		if err := c.readShard(ctx, rt, p, ServiceName+".Sources", &SourcesArgs{Type: et}, &reply); err != nil {
+		if err := c.readShard(ctx, rt, p, "Sources", &SourcesArgs{Type: et}, &reply); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -1187,7 +1183,7 @@ func (c *Client) StatsCtx(ctx context.Context) (StatsReply, error) {
 	rt := c.route.Load()
 	err := c.fanOut(len(rt.groups), func(g int) error {
 		var reply StatsReply
-		if err := c.readGroup(ctx, g, rt.groups[g], &rt.rr[g], ServiceName+".Stats", &StatsArgs{}, &reply); err != nil {
+		if err := c.readGroup(ctx, g, rt.groups[g], &rt.rr[g], "Stats", &StatsArgs{}, &reply); err != nil {
 			return err
 		}
 		collect(&reply)

@@ -14,6 +14,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -102,16 +103,15 @@ var wireMethods = []wireMethod{
 	wireRPC("FetchAttrs", PriorityBackground, readGated, (*Service).FetchAttrs),
 }
 
-// wireMethodID maps the fully-qualified method name ("PlatoD2GL.Stats", the
-// form every call site already uses) to its frame id. Filled by init; it must
-// not mention wireMethods in its initializer, because the client call path
-// reads it and wireMethods reaches that path through its handlers (Scrub
-// probes peers), which would be an initialization cycle.
+// wireMethodID maps a method's name ("Stats") to its frame id. Filled by
+// init; it must not mention wireMethods in its initializer, because the
+// client call path reads it and wireMethods reaches that path through its
+// handlers (Scrub probes peers), which would be an initialization cycle.
 var wireMethodID = map[string]int{}
 
 func init() {
 	for i, m := range wireMethods {
-		wireMethodID[ServiceName+"."+m.name] = i
+		wireMethodID[m.name] = i
 	}
 }
 
@@ -202,15 +202,12 @@ func (s *Server) handshake(conn net.Conn) bool {
 // request fails alone instead of killing the connection loop with a
 // half-written frame.
 func (s *Server) handleWireFrame(req []byte) (resp []byte, method string, held int64) {
-	fail := func(msg string) []byte {
-		b := append(wire.GetFrame(), wire.KindError)
-		return wire.AppendString(b, msg)
-	}
 	defer func() {
 		if p := recover(); p != nil {
-			resp = fail(fmt.Sprintf("cluster: %s: recovered panic: %v", method, p))
+			resp = errorFrame(fmt.Errorf("cluster: %s: recovered panic: %v", method, p))
 		}
 	}()
+	fail := func(msg string) []byte { return errorFrame(errors.New(msg)) }
 	if len(req) == 0 {
 		return fail("cluster: malformed request frame"), "", 0
 	}
@@ -247,16 +244,14 @@ func (s *Server) handleWireFrame(req []byte) (resp []byte, method string, held i
 	}
 	if wm.flags&exempt == 0 {
 		if err := s.admit.acquire(wm.name, pri, budget); err != nil {
-			// Shed or fast-rejected: the error frame carries the typed message
-			// (retry-after hint included) back to the client's classifiers.
-			return fail(err.Error()), method, 0
+			return errorFrame(err), method, 0 // shed or fast-rejected
 		}
 		defer s.admit.release(wm.name, time.Now())
 	}
 	args := wm.newArgs()
 	args.decodeWire(r)
 	if err := r.Done(); err != nil {
-		return fail(fmt.Sprintf("cluster: decode %s args: %v", wm.name, err)), method, 0
+		return errorFrame(fmt.Errorf("cluster: decode %s args: %v", wm.name, err)), method, 0
 	}
 	// A reply past the frame limit is the handler's to refuse; any other
 	// must fit what the replies in flight leave of the budget, or the
@@ -265,19 +260,29 @@ func (s *Server) handleWireFrame(req []byte) (resp []byte, method string, held i
 		if n := rs.replyBytes(); n <= wire.MaxFrame {
 			if !s.replies.reserve(int64(n)) {
 				s.svc.metrics.incShed(wm.name, pri)
-				return fail((&OverloadedError{Method: wm.name, Priority: pri, RetryAfter: minRetryAfter}).Error()), method, 0
+				return errorFrame(overloaded(wm.name, pri, minRetryAfter)), method, 0
 			}
 			held = int64(n)
 		}
 	}
 	reply := wm.newReply()
 	if err := s.dispatch(wm, args, reply); err != nil {
-		// Handler errors cross as error frames and resurface client-side as
-		// rpc.ServerError, which the retry and routing layers classify.
-		return fail(err.Error()), method, held
+		return errorFrame(err), method, held
 	}
 	b := append(wire.GetFrame(), wire.KindResponse)
 	return reply.appendWire(b), method, held
+}
+
+// errorFrame encodes err as an error frame in a wire.GetFrame buffer: a
+// ServerError with the kind and retry-after of the first ServerError in
+// err's chain (KindApplication when there is none) and err's whole text.
+func errorFrame(err error) []byte {
+	se := &ServerError{Msg: err.Error()}
+	var inner *ServerError
+	if errors.As(err, &inner) {
+		se.Kind, se.RetryAfter = inner.Kind, inner.RetryAfter
+	}
+	return se.appendWire(append(wire.GetFrame(), wire.KindError))
 }
 
 // dispatch runs one decoded call: the catch-up read gate, then the handler.

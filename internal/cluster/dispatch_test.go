@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"os"
 	"reflect"
 	"strings"
@@ -15,9 +16,9 @@ import (
 )
 
 // callFrame sends method id one request frame of zero-valued args through
-// handleWireFrame and returns the reply's kind and, for an error frame, its
-// text.
-func callFrame(t *testing.T, s *Server, id int) (kind byte, msg string) {
+// handleWireFrame and returns the reply's kind and, for an error frame, the
+// error the client decodes from it.
+func callFrame(t *testing.T, s *Server, id int) (kind byte, err error) {
 	t.Helper()
 	frame := wire.AppendUvarint([]byte{wire.KindRequest}, uint64(id))
 	frame = wireMethods[id].newArgs().appendWire(frame)
@@ -30,8 +31,9 @@ func callFrame(t *testing.T, s *Server, id int) (kind byte, msg string) {
 }
 
 // replyKind splits a framed reply into its kind and, for an error frame,
-// its text. Any other kind fails t.
-func replyKind(t *testing.T, resp []byte) (kind byte, msg string) {
+// the error the client's decoder makes of it, which must consume the whole
+// frame. Any other kind fails t.
+func replyKind(t *testing.T, resp []byte) (kind byte, err error) {
 	t.Helper()
 	if len(resp) <= wire.HeaderSize {
 		t.Fatalf("reply frame %q has no kind byte", resp)
@@ -39,11 +41,15 @@ func replyKind(t *testing.T, resp []byte) (kind byte, msg string) {
 	switch kind = resp[wire.HeaderSize]; kind {
 	case wire.KindResponse:
 	case wire.KindError:
-		msg = wire.NewReader(resp[wire.HeaderSize+1:]).String()
+		// decodeResponse recycles its frame, so it gets a copy.
+		var se *ServerError
+		if err = decodeResponse(append([]byte(nil), resp[wire.HeaderSize:]...), nil); !errors.As(err, &se) {
+			t.Fatalf("client decode of error frame %q: %v", resp, err)
+		}
 	default:
 		t.Fatalf("reply kind 0x%02x is neither a response nor an error", kind)
 	}
-	return kind, msg
+	return kind, err
 }
 
 // TestDispatchRowsOnTheWire sends one frame per method to a replica that is
@@ -76,9 +82,9 @@ func TestDispatchRowsOnTheWire(t *testing.T) {
 	}
 	for id, wm := range wireMethods {
 		before := counts()
-		kind, msg := callFrame(t, s, id)
-		if notReady := kind == wire.KindError && strings.Contains(msg, notReadyMsg); notReady != readGated[wm.name] {
-			t.Errorf("%s mid-catch-up: not-ready = %v, want %v (reply %q)", wm.name, notReady, readGated[wm.name], msg)
+		_, err := callFrame(t, s, id)
+		if notReady := isKind(err, KindNotReady); notReady != readGated[wm.name] {
+			t.Errorf("%s mid-catch-up: not-ready = %v, want %v (reply %v)", wm.name, notReady, readGated[wm.name], err)
 		}
 		for i, n := range counts() {
 			want := before[i]
@@ -133,8 +139,8 @@ const fuzzReplyBudget = 8 << 20
 
 // FuzzHandleWireFrame feeds arbitrary request frames to handleWireFrame on
 // a fresh small service. Every frame must come back as a response or an
-// error frame, and no handler or codec may panic: the dispatcher's recover
-// is a backstop, not a code path. Seeded with one valid frame per method,
+// error frame the client decodes whole, and no handler or codec may panic:
+// the dispatcher's recover is a backstop, not a code path. Seeded with one valid frame per method,
 // zero-valued and populated, bare and in a priority envelope.
 func FuzzHandleWireFrame(f *testing.F) {
 	fixtures := wireFixtures()
@@ -164,7 +170,7 @@ func FuzzHandleWireFrame(f *testing.F) {
 		{"SetFeatures", &SetFeaturesArgs{Nodes: []graph.VertexID{1, 2, 3, 4}, Dim: 1 << 62}},
 		{"SetFeatures", &SetFeaturesArgs{Nodes: []graph.VertexID{1, 2, 3, 4}, Dim: -1 << 62}},
 	} {
-		id := wireMethodID[ServiceName+"."+c.method]
+		id := wireMethodID[c.method]
 		f.Add(c.args.appendWire(wire.AppendUvarint([]byte{wire.KindRequest}, uint64(id))))
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
@@ -173,8 +179,8 @@ func FuzzHandleWireFrame(f *testing.F) {
 		s.replies = newReplyBudget(fuzzReplyBudget)
 		resp, _, _ := s.handleWireFrame(frame)
 		defer wire.PutBuf(resp)
-		if _, msg := replyKind(t, resp); strings.Contains(msg, ": recovered panic: ") {
-			t.Fatalf("handler panicked: %s", msg)
+		if _, err := replyKind(t, resp); err != nil && strings.Contains(err.Error(), ": recovered panic: ") {
+			t.Fatalf("handler panicked: %v", err)
 		}
 	})
 }

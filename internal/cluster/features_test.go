@@ -5,11 +5,9 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"hash/fnv"
 	"math"
 	"net"
-	"net/rpc"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,7 +51,7 @@ var goldenFeatureCases = []struct {
 func featuresResponseFrame(t *testing.T, attrs *kvstore.Store, nodes []graph.VertexID, dim int, withLabels bool) []byte {
 	t.Helper()
 	srv := NewServer(NewService(storage.NewDynamicStore(storage.Options{}), attrs))
-	req := append([]byte{wire.KindRequest}, wire.AppendUvarint(nil, uint64(wireMethodID[ServiceName+".Features"]))...)
+	req := append([]byte{wire.KindRequest}, wire.AppendUvarint(nil, uint64(wireMethodID["Features"]))...)
 	req = (&FeatureArgs{Nodes: nodes, Dim: dim, WithLabels: withLabels}).appendWire(req)
 	resp, _, _ := srv.handleWireFrame(req)
 	return append([]byte(nil), resp[wire.HeaderSize:]...)
@@ -227,9 +225,8 @@ func TestFeaturesRejectsOversizedReply(t *testing.T) {
 		{[]graph.VertexID{id, id2}, math.MaxInt/2 + 1, "frame limit"},
 	} {
 		var reply FeatureReply
-		err := tr.Call(ServiceName+".Features", &FeatureArgs{Nodes: c.nodes, Dim: c.dim}, &reply, 5*time.Second, callEnv{})
-		var serverErr rpc.ServerError
-		if !errors.As(err, &serverErr) || retryable(err) || !strings.Contains(err.Error(), c.want) {
+		err := tr.Call("Features", &FeatureArgs{Nodes: c.nodes, Dim: c.dim}, &reply, 5*time.Second, callEnv{})
+		if !isKind(err, KindApplication) || retryable(err) || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%d rows of dim %d: err %v, want a non-retried server error about %q", len(c.nodes), c.dim, err, c.want)
 		}
 	}
@@ -247,7 +244,7 @@ func TestFeaturesRejectsOversizedReply(t *testing.T) {
 	}
 	out := make([]float32, 2)
 	reply := FeatureReply{dim: 2, out: out, occ: runsOf(identityOcc(1))}
-	if err := tr.Call(ServiceName+".Features", &FeatureArgs{Nodes: []graph.VertexID{id}, Dim: 2}, &reply, 5*time.Second, callEnv{}); err != nil {
+	if err := tr.Call("Features", &FeatureArgs{Nodes: []graph.VertexID{id}, Dim: 2}, &reply, 5*time.Second, callEnv{}); err != nil {
 		t.Fatalf("call after the rejections: %v", err)
 	}
 	if out[0] != 1 || out[1] != 2 {

@@ -282,9 +282,8 @@ func (m *Metrics) Register(r *obs.Registry) {
 }
 
 // observeClientCall records one client-side network attempt's latency.
-// method carries the ServiceName prefix ("PlatoD2GL.ApplyBatch").
 func (m *Metrics) observeClientCall(method string, start time.Time) {
-	m.ClientLatency.With(shortMethod(method)).ObserveSince(start)
+	m.ClientLatency.With(method).ObserveSince(start)
 }
 
 func (m *Metrics) incShed(method string, pri Priority) {
@@ -299,16 +298,6 @@ func (m *Metrics) setQueueDepth(pri Priority, n int64) {
 
 func (m *Metrics) observeAdmissionWait(pri Priority, d time.Duration) {
 	m.AdmissionWait.With(pri.String()).Observe(int64(d))
-}
-
-// shortMethod strips the RPC receiver prefix: "PlatoD2GL.Stats" -> "Stats".
-func shortMethod(method string) string {
-	for i := len(method) - 1; i >= 0; i-- {
-		if method[i] == '.' {
-			return method[i+1:]
-		}
-	}
-	return method
 }
 
 // Approximate wire sizes of the variable-length payload components, used

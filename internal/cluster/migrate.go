@@ -426,16 +426,9 @@ func (d *Driver) parkTTL() time.Duration {
 	return defaultParkTTL
 }
 
-func (d *Driver) dialer(addr string) Dialer {
-	if d.Dial != nil {
-		return d.Dial(addr)
-	}
-	return TCPDialer(addr, d.ctlTimeout())
-}
-
 // call performs one RPC round trip to addr.
-func (d *Driver) call(addr, method string, args, reply any, timeout time.Duration) error {
-	return roundTrip(d.dialer(addr), method, args, reply, timeout)
+func (d *Driver) call(addr, method string, args, reply wireMessage, timeout time.Duration) error {
+	return roundTrip(dialAddr(d.Dial, addr, d.ctlTimeout()), method, args, reply, timeout)
 }
 
 // ServerRouting is one server's routing state in a Survey.

@@ -12,10 +12,7 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/rpc"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,41 +30,24 @@ func (c *Client) NumShards() int { return c.route.Load().m.NumShards }
 // NumReplicas returns the replica-group size R.
 func (c *Client) NumReplicas() int { return c.replicas }
 
-// notReadyMsg is the wire form of a replica rejecting reads mid-catch-up.
-// It travels as an rpc.ServerError string, so detection is by prefix.
-const notReadyMsg = "cluster: replica not ready (catching up)"
-
 // ErrReplicaNotReady is returned by read RPCs on a replica that has not yet
 // converged with its group; the client treats it as a failover signal, not
 // a request error.
-var ErrReplicaNotReady = errors.New(notReadyMsg)
-
-// isNotReady reports whether err is a replica's not-ready rejection
-// (possibly wrapped in an rpc.ServerError on the client side).
-func isNotReady(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrReplicaNotReady) {
-		return true
-	}
-	var serverErr rpc.ServerError
-	return errors.As(err, &serverErr) && strings.Contains(string(serverErr), notReadyMsg)
-}
+var ErrReplicaNotReady error = &ServerError{Kind: KindNotReady, Msg: "cluster: replica not ready (catching up)"}
 
 // failoverWorthy reports whether a per-replica error should move the read
-// on to the next replica. Transport failures, open breakers, and not-ready
-// replicas fail over; other application errors (rpc.ServerError, e.g. a
-// negative fanout) are deterministic — every replica would reject them — so
-// they surface immediately.
+// on to the next replica. Transport failures, open breakers, sheds and
+// not-ready replicas fail over; other refusals (e.g. a negative fanout) are
+// deterministic — every replica would reject them — so they surface
+// immediately.
 func failoverWorthy(err error) bool {
-	return retryable(err) || isNotReady(err) || IsOverloaded(err)
+	return retryable(err) || isKind(err, KindNotReady) || IsOverloaded(err)
 }
 
 // readShard performs one read RPC against logical shard s of the route rt
 // the operation partitioned under, re-routing on NotOwner (see reroute) so a
 // mid-read cutover costs a transparent retry instead of a failed operation.
-func (c *Client) readShard(ctx context.Context, rt *clientRoute, s int, method string, args, reply any) error {
+func (c *Client) readShard(ctx context.Context, rt *clientRoute, s int, method string, args, reply wireMessage) error {
 	for hop := 0; ; hop++ {
 		g := rt.m.Assign[s]
 		stampRoute(args, s, rt.m.Epoch)
@@ -89,7 +69,7 @@ func (c *Client) readShard(ctx context.Context, rt *clientRoute, s int, method s
 // names different vertices there, so the operation fails with the rejection
 // and the caller's next call partitions again. Returns nil to give up.
 func (c *Client) reroute(rt *clientRoute, err error, hop int) *clientRoute {
-	if _, ok := notOwnerEpoch(err); !ok || hop >= maxReroutes {
+	if !isKind(err, KindNotOwner) || hop >= maxReroutes {
 		return nil
 	}
 	c.metrics.Reroutes.Inc()
@@ -111,7 +91,7 @@ func (c *Client) reroute(rt *clientRoute, err error, hop int) *clientRoute {
 // re-synced. Returns the first success, a deterministic application error
 // as soon as any replica reports one, or — when every replica failed — the
 // last failover-worthy error.
-func (c *Client) readGroup(ctx context.Context, s int, group []*peer, rrc *atomic.Uint64, method string, args, reply any) error {
+func (c *Client) readGroup(ctx context.Context, s int, group []*peer, rrc *atomic.Uint64, method string, args, reply wireMessage) error {
 	start := int(rrc.Add(1)-1) % len(group)
 	var lastErr error
 	for k := 0; k < len(group); k++ {
@@ -149,7 +129,7 @@ type writeCall func(ctx context.Context, pe *peer, maxRetries int, failover bool
 // epoch before every hop, and the server-side (ClientID, Seq) dedup makes the
 // repeated delivery at-most-once even when the first attempt did apply
 // before the reply was lost.
-func (c *Client) writeShard(ctx context.Context, rt *clientRoute, s int, args any, call writeCall) error {
+func (c *Client) writeShard(ctx context.Context, rt *clientRoute, s int, args wireMessage, call writeCall) error {
 	for hop := 0; ; hop++ {
 		stampRoute(args, s, rt.m.Epoch)
 		err := c.writeGroup(ctx, s, rt.groups[rt.m.Assign[s]], call)
@@ -197,7 +177,7 @@ func (c *Client) writeGroup(ctx context.Context, s int, group []*peer, call writ
 	}
 	if acked == 0 {
 		for _, err := range errs {
-			if _, ok := notOwnerEpoch(err); ok {
+			if isKind(err, KindNotOwner) {
 				return err
 			}
 		}
@@ -212,7 +192,7 @@ func (c *Client) writeGroup(ctx context.Context, s int, group []*peer, call writ
 		if err == nil {
 			continue
 		}
-		if _, ok := notOwnerEpoch(err); ok {
+		if isKind(err, KindNotOwner) {
 			// A routing disagreement inside the group (a push still landing),
 			// not a missed write: the replica converges via its own map
 			// update, so keep it in the read rotation.
@@ -236,7 +216,7 @@ func (c *Client) markStale(pe *peer) {
 	c.metrics.StaleMarks.Inc()
 	pe.staleEpoch.Store(0)
 	var reply SyncStateReply
-	if err := c.callPeCtx(context.Background(), pe, ServiceName+".SyncState", &SyncStateArgs{}, &reply, 0, false); err == nil {
+	if err := c.callPeCtx(context.Background(), pe, "SyncState", &SyncStateArgs{}, &reply, 0, false); err == nil {
 		pe.staleEpoch.Store(reply.SyncEpoch)
 	}
 }
@@ -252,7 +232,7 @@ func (c *Client) tryClearStale(pe *peer) bool {
 		return false
 	}
 	var reply SyncStateReply
-	if err := c.callPeCtx(context.Background(), pe, ServiceName+".SyncState", &SyncStateArgs{}, &reply, 0, false); err != nil {
+	if err := c.callPeCtx(context.Background(), pe, "SyncState", &SyncStateArgs{}, &reply, 0, false); err != nil {
 		return false
 	}
 	if !reply.Ready || reply.SyncEpoch == pe.staleEpoch.Load() {

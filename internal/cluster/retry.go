@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/rpc"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +37,16 @@ func TCPDialer(addr string, timeout time.Duration) Dialer {
 		}
 		return net.DialTimeout("tcp", addr, timeout)
 	}
+}
+
+// dialAddr builds the Dialer for a server address from a configured
+// factory (in-process clusters, tests), or over TCP with a connect timeout
+// when there is none.
+func dialAddr(factory func(addr string) Dialer, addr string, timeout time.Duration) Dialer {
+	if factory != nil {
+		return factory(addr)
+	}
+	return TCPDialer(addr, timeout)
 }
 
 // Options tune the client's fault-tolerance behavior. The zero value means
@@ -189,17 +198,17 @@ func (p *peer) close() error {
 }
 
 // retryable reports whether err is worth retrying: a transport failure,
-// per-call timeout, failed dial, or open circuit breaker. Application errors
-// returned by the service (rpc.ServerError) are deterministic — retrying
-// them wastes a round trip — with one exception: a payload checksum
-// rejection means the bytes were damaged in flight, and a retry re-sends
-// them intact.
+// per-call timeout, failed dial, or open circuit breaker. A server's
+// refusal (ServerError) is deterministic — retrying it wastes a round trip
+// — with one exception: a payload checksum rejection means the bytes were
+// damaged in flight, and a retry re-sends them intact. callPeCtx retries
+// sheds on its own terms.
 func retryable(err error) bool {
-	if err == nil {
-		return false
+	var se *ServerError
+	if errors.As(err, &se) {
+		return se.Kind == KindChecksum
 	}
-	var serverErr rpc.ServerError
-	return !errors.As(err, &serverErr) || isChecksumMismatch(err)
+	return err != nil
 }
 
 // backoff returns the delay before retry attempt (1-based): full jitter,
@@ -235,7 +244,7 @@ func (c *Client) backoff(attempt int) time.Duration {
 // budget, backoff sleeps never overrun the deadline, and an attempt whose
 // budget is already spent fails fast before dialing — so a 500ms caller can
 // never be held for MaxRetries × CallTimeout. Two outcomes never feed the
-// circuit breaker: a server shed (OverloadedError — backpressure; the retry
+// circuit breaker: a server shed (KindOverloaded — backpressure; the retry
 // delay honors its retry-after hint), and a timeout clipped short of
 // CallTimeout by the caller's budget (the budget expired, which says nothing
 // about the peer).
@@ -243,7 +252,7 @@ func (c *Client) backoff(attempt int) time.Duration {
 // failover says a sibling replica can take the call: an open breaker then
 // fails the call at once. Otherwise the loop waits out the breaker's
 // cooldown, so a lone peer survives an outage shorter than its retry budget.
-func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, reply any, maxRetries int, failover bool) error {
+func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, reply wireMessage, maxRetries int, failover bool) error {
 	pri, hasPri := PriorityFromContext(ctx)
 	deadline, hasDL := ctx.Deadline()
 	var lastErr error

@@ -331,33 +331,11 @@ func (s *Service) installRouting(rt *serviceRouting) {
 	s.parkMu.Unlock()
 }
 
-// notOwnerPrefix is the wire form of a routed request landing on a server
-// that does not own its shard. It travels as an rpc.ServerError string;
-// the routing epoch rides in the message so the client knows whether a map
-// refresh can help.
-const notOwnerPrefix = "cluster: not owner of shard "
-
+// notOwnerError is a routed request landing on a server that does not own
+// its shard. The client refreshes its map and re-routes; the text names the
+// server's routing epoch for whoever reads the error.
 func notOwnerError(shard int, epoch uint64) error {
-	return fmt.Errorf("%s%d (routing epoch %d)", notOwnerPrefix, shard, epoch)
-}
-
-// notOwnerEpoch reports whether err is a NotOwner rejection and extracts
-// the rejecting server's routing epoch.
-func notOwnerEpoch(err error) (uint64, bool) {
-	if err == nil {
-		return 0, false
-	}
-	msg := err.Error()
-	i := strings.Index(msg, notOwnerPrefix)
-	if i < 0 {
-		return 0, false
-	}
-	var shard int
-	var epoch uint64
-	if _, serr := fmt.Sscanf(msg[i+len(notOwnerPrefix):], "%d (routing epoch %d)", &shard, &epoch); serr != nil {
-		return 0, true // malformed tail; still a NotOwner, refresh unconditionally
-	}
-	return epoch, true
+	return &ServerError{Kind: KindNotOwner, Msg: fmt.Sprintf("cluster: not owner of shard %d (routing epoch %d)", shard, epoch)}
 }
 
 // checkRoute is the server-side ownership gate: an unrouted server passes
@@ -564,7 +542,7 @@ func (a *SetFeaturesArgs) setRoute(s int, e uint64) { a.Shard, a.RouteEpoch = s,
 func (a *SourcesArgs) setRoute(s int, e uint64)     { a.Shard, a.RouteEpoch = s, e }
 
 // stampRoute stamps args when it is a routed payload.
-func stampRoute(args any, shard int, epoch uint64) {
+func stampRoute(args wireMessage, shard int, epoch uint64) {
 	if ra, ok := args.(routedArgs); ok {
 		ra.setRoute(shard, epoch)
 	}
@@ -653,7 +631,7 @@ func (c *Client) peerFor(addr string) (*peer, error) {
 	if idx, ok := c.peerByAddr[addr]; ok {
 		return c.peers[idx], nil
 	}
-	dial := c.dialServer(addr)
+	dial := dialAddr(c.opts.DialServer, addr, c.opts.CallTimeout)
 	if dial == nil {
 		return nil, fmt.Errorf("cluster: no dialer for new server %s (set Options.DialServer)", addr)
 	}
@@ -666,15 +644,6 @@ func (c *Client) peerFor(addr string) (*peer, error) {
 	c.peers = append(c.peers, pe)
 	c.peerByAddr[addr] = idx
 	return pe, nil
-}
-
-// dialServer builds a dialer for a server address: Options.DialServer when
-// set (in-process clusters), TCP otherwise.
-func (c *Client) dialServer(addr string) Dialer {
-	if c.opts.DialServer != nil {
-		return c.opts.DialServer(addr)
-	}
-	return TCPDialer(addr, c.opts.CallTimeout)
 }
 
 // RefreshRouting polls the cluster for a shard map newer than minEpoch and
@@ -693,7 +662,7 @@ func (c *Client) RefreshRouting(minEpoch uint64) bool {
 	for g := 0; g < len(cur.groups); g++ {
 		for _, pe := range cur.groups[g] {
 			var reply RoutingReply
-			if err := c.callPeCtx(context.Background(), pe, ServiceName+".Routing", &RoutingArgs{}, &reply, 0, false); err != nil || !reply.Has {
+			if err := c.callPeCtx(context.Background(), pe, "Routing", &RoutingArgs{}, &reply, 0, false); err != nil || !reply.Has {
 				continue
 			}
 			if reply.Map.Epoch > cur.m.Epoch {
@@ -726,7 +695,7 @@ func (c *Client) handshake(addrs []string) error {
 		for r := 0; r < c.replicas && !answered; r++ {
 			idx := g*c.replicas + r
 			var reply RoutingReply
-			if err := c.callPeCtx(context.Background(), c.peerAt(idx), ServiceName+".Routing", &RoutingArgs{}, &reply, 0, false); err != nil {
+			if err := c.callPeCtx(context.Background(), c.peerAt(idx), "Routing", &RoutingArgs{}, &reply, 0, false); err != nil {
 				continue // unreachable replica; Dial already ensured one live per group
 			}
 			answered = true
@@ -763,11 +732,11 @@ func (c *Client) handshake(addrs []string) error {
 
 // roundTrip dials one control RPC to addr outside the peer machinery (used
 // by the rebalance driver and join mode, where no Client exists yet).
-func roundTrip(dial Dialer, method string, args, reply any, timeout time.Duration) error {
+func roundTrip(dial Dialer, method string, args, reply wireMessage, timeout time.Duration) error {
 	tc, err := dialTransport(dial, timeout, &Metrics{})
 	if err != nil {
 		return err
 	}
 	defer tc.Close()
-	return tc.Call(ServiceName+"."+method, args, reply, timeout, callEnv{})
+	return tc.Call(method, args, reply, timeout, callEnv{})
 }

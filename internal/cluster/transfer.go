@@ -232,8 +232,8 @@ func dialTransfer(svc *Service, dial Dialer, timeout time.Duration, m *Metrics, 
 
 func (t *transfer) close() { t.tc.Close() }
 
-func (t *transfer) call(method string, args, reply any) error {
-	return t.tc.Call(ServiceName+"."+method, args, reply, t.timeout, callEnv{})
+func (t *transfer) call(method string, args, reply wireMessage) error {
+	return t.tc.Call(method, args, reply, t.timeout, callEnv{})
 }
 
 // drainStep fetches the peer's next WAL chunk past t.after, verifies it, and

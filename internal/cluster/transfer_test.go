@@ -115,7 +115,7 @@ func interceptDialer(dial Dialer, onRequest func(int), onResponse func(int, []by
 	}
 }
 
-func methodID(name string) int { return wireMethodID[ServiceName+"."+name] }
+func methodID(name string) int { return wireMethodID[name] }
 
 func (c *interceptConn) Write(p []byte) (int, error) {
 	if !c.helloSent {
@@ -216,7 +216,7 @@ func TestPullShardVerifiesAttrsChecksum(t *testing.T) {
 	defer source.ReleaseShard(&ReleaseShardArgs{Shard: shard}, &ReleaseShardReply{})
 	before := metrics.Snapshot().CorruptionDetected
 	_, err = pull(PullShardArgs{AfterSeq: bulk.EndSeq, UntilSeq: park.WALSeq})
-	if !isChecksumMismatch(err) {
+	if !isKind(err, KindChecksum) {
 		t.Fatalf("final pull with a flipped attribute byte = %v (%d replies altered), want a checksum mismatch", err, flipped.Load())
 	}
 	if got := metrics.Snapshot().CorruptionDetected - before; got != 1 {

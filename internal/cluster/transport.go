@@ -4,10 +4,9 @@
 // Every connection speaks the binary wire protocol at wire.Version; a peer
 // of another version is refused at the handshake.
 //
-// Application errors cross the wire as rpc.ServerError, so the
-// error-classification invariants the retry/failover/rerouting layers rely
-// on (Transient, isNotReady, notOwnerEpoch, isChecksumMismatch) hold on
-// every call.
+// A server's refusal crosses the wire as a ServerError whose Kind the
+// retry, failover and re-routing layers branch on; no layer reads an
+// error's text.
 package cluster
 
 import (
@@ -15,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
 	"sync"
 	"time"
 
@@ -32,6 +30,64 @@ type Protocol int
 //
 // Deprecated: setting Options.Protocol has no effect.
 const ProtoWire Protocol = 1
+
+// ErrorKind says why a server refused a call, which decides what the client
+// does next.
+type ErrorKind uint8
+
+const (
+	// KindApplication is a refusal on the request's merits (a bad argument,
+	// a failed durability hook): every replica would answer the same, so it
+	// is neither retried nor failed over.
+	KindApplication ErrorKind = iota
+	// KindOverloaded is an admission shed: the server is healthy but full.
+	// The client backs off for RetryAfter, and its breaker counts the call
+	// as a success.
+	KindOverloaded
+	// KindBudgetExpired is an admission fast-reject: the request's remaining
+	// budget is below the method's observed service time. The caller's
+	// deadline is as good as spent, so it is neither retried nor failed
+	// over.
+	KindBudgetExpired
+	// KindNotReady is a replica still catching up; reads fail over to a
+	// sibling.
+	KindNotReady
+	// KindNotOwner is a routed request on a server that does not own its
+	// shard; the client refreshes its shard map and re-routes.
+	KindNotOwner
+	// KindChecksum is a payload that failed verification, damaged in
+	// flight; a retry re-sends it intact.
+	KindChecksum
+)
+
+// ServerError is a call the server refused. It is the one error type an
+// error frame carries: the kind byte, RetryAfter in whole milliseconds
+// (KindOverloaded's hint, 0 otherwise) and the text.
+type ServerError struct {
+	Kind       ErrorKind
+	RetryAfter time.Duration
+	Msg        string
+}
+
+func (e *ServerError) Error() string { return e.Msg }
+
+func (e *ServerError) appendWire(b []byte) []byte {
+	b = append(b, byte(e.Kind))
+	b = wire.AppendUvarint(b, uint64(e.RetryAfter/time.Millisecond))
+	return wire.AppendString(b, e.Msg)
+}
+
+func (e *ServerError) decodeWire(r *wire.Reader) {
+	e.Kind = ErrorKind(r.Byte())
+	e.RetryAfter = time.Duration(r.Uvarint()) * time.Millisecond
+	e.Msg = r.String()
+}
+
+// isKind reports whether err's chain holds a ServerError of kind k.
+func isKind(err error, k ErrorKind) bool {
+	var se *ServerError
+	return errors.As(err, &se) && se.Kind == k
+}
 
 // callEnv is the admission envelope a call may carry: an explicit priority
 // class and the caller's remaining deadline budget. The zero value means
@@ -119,15 +175,7 @@ func (t *wireTransport) Close() error {
 // winning the race against the timer. So an attempt abandoned to its
 // timeout never writes the caller's reply, and a retry may decode into the
 // same reply (and the destination it points at) without racing it.
-func (t *wireTransport) Call(method string, args, reply any, d time.Duration, env callEnv) error {
-	wa, ok := args.(wireMessage)
-	if !ok {
-		return fmt.Errorf("cluster: %T does not implement the wire codec", args)
-	}
-	wr, ok := reply.(wireMessage)
-	if !ok {
-		return fmt.Errorf("cluster: %T does not implement the wire codec", reply)
-	}
+func (t *wireTransport) Call(method string, args, reply wireMessage, d time.Duration, env callEnv) error {
 	id, ok := wireMethodID[method]
 	if !ok {
 		return fmt.Errorf("cluster: unknown wire method %q", method)
@@ -153,13 +201,13 @@ func (t *wireTransport) Call(method string, args, reply any, d time.Duration, en
 		frame = append(frame, wire.KindRequest)
 	}
 	frame = wire.AppendUvarint(frame, uint64(id))
-	frame = wa.appendWire(frame)
+	frame = args.appendWire(frame)
 
 	if d <= 0 {
 		resp, err := exchangeWire(conn, frame)
 		wire.PutBuf(frame)
 		if err == nil {
-			err = decodeResponse(resp, wr)
+			err = decodeResponse(resp, reply)
 		}
 		t.finish(conn, err)
 		return err
@@ -186,7 +234,7 @@ func (t *wireTransport) Call(method string, args, reply any, d time.Duration, en
 	case res := <-done:
 		err := res.err
 		if err == nil {
-			err = decodeResponse(res.resp, wr)
+			err = decodeResponse(res.resp, reply)
 		}
 		t.finish(conn, err)
 		return err
@@ -194,11 +242,11 @@ func (t *wireTransport) Call(method string, args, reply any, d time.Duration, en
 }
 
 // finish recycles or discards the connection depending on how the exchange
-// ended: application errors leave a healthy framing stream, transport
+// ended: a server's refusal leaves a healthy framing stream, transport
 // errors do not.
 func (t *wireTransport) finish(conn net.Conn, err error) {
-	var serverErr rpc.ServerError
-	if err == nil || errors.As(err, &serverErr) {
+	var se *ServerError
+	if err == nil || errors.As(err, &se) {
 		t.put(conn)
 		return
 	}
@@ -219,31 +267,30 @@ func exchangeWire(conn net.Conn, frame []byte) ([]byte, error) {
 }
 
 // decodeResponse decodes a response frame into reply, or returns the
-// server's error frame as an rpc.ServerError, and recycles the frame.
+// server's error frame as a *ServerError, and recycles the frame.
 func decodeResponse(resp []byte, reply wireMessage) error {
 	defer wire.PutBuf(resp)
 	if len(resp) == 0 {
 		return errors.New("cluster: empty wire response")
 	}
-	kind, body := resp[0], resp[1:]
-	switch kind {
+	var se *ServerError
+	switch resp[0] {
 	case wire.KindResponse:
-		r := wire.NewReader(body)
-		reply.decodeWire(r)
-		if err := r.Done(); err != nil {
-			return fmt.Errorf("cluster: decode %T: %w", reply, err)
-		}
-		return nil
 	case wire.KindError:
-		r := wire.NewReader(body)
-		msg := r.String()
-		if err := r.Done(); err != nil {
-			return fmt.Errorf("cluster: decode error frame: %w", err)
-		}
-		return rpc.ServerError(msg)
+		se = new(ServerError)
+		reply = se
 	default:
-		return fmt.Errorf("cluster: unexpected frame kind 0x%02x", kind)
+		return fmt.Errorf("cluster: unexpected frame kind 0x%02x", resp[0])
 	}
+	r := wire.NewReader(resp[1:])
+	reply.decodeWire(r)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("cluster: decode %T: %w", reply, err)
+	}
+	if se != nil {
+		return se
+	}
+	return nil
 }
 
 // clientHandshake offers wire.Version on a fresh connection and requires the

@@ -201,7 +201,7 @@ func TestWireMethodIDsStable(t *testing.T) {
 		if wireMethods[id].name != name {
 			t.Errorf("method id %d = %q, want %q", id, wireMethods[id].name, name)
 		}
-		if got := wireMethodID[ServiceName+"."+name]; got != id {
+		if got := wireMethodID[name]; got != id {
 			t.Errorf("wireMethodID[%s] = %d, want %d", name, got, id)
 		}
 	}

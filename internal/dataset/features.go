@@ -25,7 +25,7 @@ func AssignFeatures(store *kvstore.Store, vt graph.VertexType, n uint64, dim, cl
 	}
 	for i := uint64(0); i < n; i++ {
 		id := graph.MakeVertexID(vt, i)
-		label := int32(labelHash(uint64(id)) % uint64(classes))
+		label := int32(graph.Mix64(uint64(id)) % uint64(classes))
 		f := make([]float32, dim)
 		for d := range f {
 			f[d] = centroids[label][d] + float32(rng.NormFloat64()*noise)
@@ -33,13 +33,4 @@ func AssignFeatures(store *kvstore.Store, vt graph.VertexType, n uint64, dim, cl
 		store.SetFeatures(id, f)
 		store.SetLabel(id, label)
 	}
-}
-
-// labelHash is a deterministic vertex→class hash (splitmix64 finalizer).
-func labelHash(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

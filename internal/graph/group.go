@@ -42,7 +42,7 @@ func (g *Grouping) Add(ids []VertexID) {
 	}
 	mask := uint64(len(table) - 1)
 	for _, v := range ids {
-		at := mix64(uint64(v)) & mask
+		at := Mix64(uint64(v)) & mask
 		for table[at] != 0 && distinct[table[at]-1] != v {
 			at = (at + 1) & mask
 		}
@@ -92,9 +92,10 @@ func room[E any](s []E, n int) []E {
 	return s[:0]
 }
 
-// mix64 is SplitMix64's finalizer: every input bit reaches every output
-// bit, so consecutive vertex ids spread over the table.
-func mix64(x uint64) uint64 {
+// Mix64 is SplitMix64's finalizer: every input bit reaches every output
+// bit, so consecutive vertex ids spread over a hash table. Digests,
+// payload checksums and synthetic labels hash with it too.
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

@@ -22,39 +22,28 @@ const (
 	tagEdge    = 0x165667b19e3779f9
 )
 
-// mix64 is the splitmix64 finalizer — a cheap, well-distributed 64-bit hash
-// step.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // floatsSum folds a feature vector into a running hash. Exact bit patterns
 // are hashed, so two stores agree iff the stored floats are byte-identical.
 func floatsSum(h uint64, f []float32) uint64 {
-	h = mix64(h ^ uint64(len(f)))
+	h = graph.Mix64(h ^ uint64(len(f)))
 	for _, v := range f {
-		h = mix64(h ^ uint64(math.Float32bits(v)))
+		h = graph.Mix64(h ^ uint64(math.Float32bits(v)))
 	}
 	return h
 }
 
 func featureSum(id graph.VertexID, f []float32) uint64 {
-	return floatsSum(mix64(uint64(id)^tagFeature), f)
+	return floatsSum(graph.Mix64(uint64(id)^tagFeature), f)
 }
 
 func labelSum(id graph.VertexID, label int32) uint64 {
-	return mix64(mix64(uint64(id)^tagLabel) ^ uint64(uint32(label)))
+	return graph.Mix64(graph.Mix64(uint64(id)^tagLabel) ^ uint64(uint32(label)))
 }
 
 func edgeSum(k EdgeKey, f []float32) uint64 {
-	h := mix64(uint64(k.Src) ^ tagEdge)
-	h = mix64(h ^ uint64(k.Dst))
-	h = mix64(h ^ uint64(k.Type))
+	h := graph.Mix64(uint64(k.Src) ^ tagEdge)
+	h = graph.Mix64(h ^ uint64(k.Dst))
+	h = graph.Mix64(h ^ uint64(k.Type))
 	return floatsSum(h, f)
 }
 

@@ -25,8 +25,8 @@
 //	...        kind-specific payload
 //
 // A request payload is `uvarint method-id` followed by the method's encoded
-// args; a response is the encoded reply; an error is a uvarint-length
-// string. One request is outstanding per connection at a time (the client
+// args; a response is the encoded reply; an error is `byte error-kind |
+// uvarint retry-after-millis | uvarint-length string`. One request is outstanding per connection at a time (the client
 // pools connections instead of multiplexing), so frames need no sequence
 // numbers.
 //
@@ -51,8 +51,10 @@ import (
 // the request envelope (KindRequestEnv) with the caller's remaining deadline
 // budget and priority class for server-side admission control; version 3
 // has one checksummed attribute export for whole stores and shards, so the
-// cluster's method ids and that payload's layout differ from version 2.
-const Version = 3
+// cluster's method ids and that payload's layout differ from version 2;
+// version 4's error frame carries an error kind and a retry-after hint
+// ahead of the text.
+const Version = 4
 
 // Magic opens every hello and ack. A connection that does not start with
 // it is not speaking this protocol and is refused during the handshake.
@@ -62,7 +64,7 @@ var Magic = [4]byte{0x00, 'D', '2', 'G'}
 const (
 	KindRequest  = 0x01
 	KindResponse = 0x02 // successful reply payload
-	KindError    = 0x03 // application error string
+	KindError    = 0x03 // the server refused the call: kind, retry-after, text
 	// KindRequestEnv is a request with an admission envelope: `byte
 	// priority | uvarint budget-millis | uvarint method-id | args`. priority
 	// 0 means "use the method's default class"; budget 0 means "no deadline
