@@ -75,7 +75,9 @@ overload-chaos-smoke: build
 tier1: test race
 
 # Short fuzz pass for PR CI: frame/handshake parsing, the bounds-checked
-# reader, every RPC payload decoder, the server's request dispatch, the
+# reader, every RPC payload decoder, the server's request dispatch (on an
+# unrouted server and on one with a shard map, where the ownership and
+# write-gate rules run), the
 # WAL's record decoder, the PALM planner against its sort-based oracle, the
 # vertex-id grouping against its map-based oracle, and the HNSW distance
 # kernel against the pure-Go code and a float64 reference.

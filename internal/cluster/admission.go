@@ -335,14 +335,18 @@ func (b *replyBudget) reserve(n int64) bool {
 func (b *replyBudget) release(n int64) { b.free.Add(n) }
 
 // replySized is implemented by the arguments of the calls whose reply the
-// server builds at a size the request picks: replyBytes is that size, or
-// more than wire.MaxFrame when the handler refuses the request outright.
+// server builds at a size the request picks: replyBytes is that size (more
+// than wire.MaxFrame makes handleWireFrame refuse the request), or 0 for a
+// request the handler refuses itself.
 type replySized interface {
 	replyBytes() uint64
 }
 
 // replyBytes is a Features reply's frame size.
 func (a *FeatureArgs) replyBytes() uint64 {
+	if a.Dim < 0 {
+		return 0 // refused by the handler
+	}
 	return featureReplySize(len(a.Nodes), a.Dim, a.WithLabels)
 }
 

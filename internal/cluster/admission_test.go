@@ -225,7 +225,7 @@ func TestAdmissionControlPlaneExempt(t *testing.T) {
 	}
 	defer s.admit.release("Stats", time.Now())
 	for id, wm := range wireMethods {
-		_, err := callFrame(t, s, id)
+		err := callFrame(t, s, id, nil, nil)
 		if shed := IsOverloaded(err); shed == exempt[wm.name] {
 			t.Errorf("%s under a saturated gate: shed = %v, want %v (reply %v)", wm.name, shed, !exempt[wm.name], err)
 		}

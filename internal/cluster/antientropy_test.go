@@ -252,7 +252,7 @@ func TestApplyBatchRejectsCorruptPayloadBeforeDedup(t *testing.T) {
 	// A wrong Sum and a missing one (0) are both rejected.
 	for _, sum := range []uint64{checksumEvents(events) ^ 0xdead, 0} {
 		bad := &BatchArgs{Events: events, ClientID: 7, Seq: 1, Sum: sum}
-		if err := svc.ApplyBatch(bad, &reply); !isKind(err, KindChecksum) {
+		if err := svc.applyBatch(bad, &reply); !isKind(err, KindChecksum) {
 			t.Fatalf("batch with Sum %016x: error = %v, want checksum mismatch", sum, err)
 		}
 		if store.NumEdges() != 0 {
@@ -262,7 +262,7 @@ func TestApplyBatchRejectsCorruptPayloadBeforeDedup(t *testing.T) {
 	// The clean retry must apply — the corrupt attempt must not have
 	// consumed the (ClientID, Seq) dedup identity.
 	good := &BatchArgs{Events: events, ClientID: 7, Seq: 1, Sum: checksumEvents(events)}
-	if err := svc.ApplyBatch(good, &reply); err != nil {
+	if err := svc.applyBatch(good, &reply); err != nil {
 		t.Fatalf("clean retry: %v", err)
 	}
 	if reply.Duplicate {
@@ -286,11 +286,13 @@ func TestReleaseAllShardsUnparksWrites(t *testing.T) {
 	}
 	// Park with a long TTL — the backstop a dead driver would leave behind.
 	svc.parkShard(0, time.Hour)
+	srv := NewServer(svc)
 	done := make(chan error, 1)
 	go func() {
 		var reply BatchReply
 		events := []graph.Event{{Kind: graph.AddEdge, Edge: graph.Edge{Src: idForShard(t, m.NumShards, 0), Dst: 2, Weight: 1}}}
-		done <- svc.ApplyBatch(&BatchArgs{Events: events, Shard: 0, RouteEpoch: m.Epoch, Sum: checksumEvents(events)}, &reply)
+		args := &BatchArgs{Events: events, Shard: 0, RouteEpoch: m.Epoch, Sum: checksumEvents(events)}
+		done <- srv.dispatch(&wireMethods[wireMethodID["ApplyBatch"]], args, &reply)
 	}()
 	select {
 	case err := <-done:

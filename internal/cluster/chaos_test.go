@@ -162,23 +162,29 @@ func TestChaosApplyBatchConvergence(t *testing.T) {
 	}
 }
 
-// TestChaosDegradedSampling: with one shard dead, degradation mode keeps
-// sampling available — full-length results, dead-shard seeds falling back to
-// themselves, and a per-shard error report — while strict mode fails.
+// TestChaosDegradedSampling: with one shard dead, a client with
+// Options.Degraded keeps sampling available — full-length results, dead-shard
+// seeds falling back to themselves, and one DegradedShards count for the
+// dead shard — while a strict client fails.
 func TestChaosDegradedSampling(t *testing.T) {
+	opts := Options{
+		CallTimeout:    time.Second,
+		MaxRetries:     1,
+		RetryBaseDelay: time.Millisecond,
+		Seed:           1,
+	}
 	lc := NewLocalClusterOptions(3, LocalOptions{
-		Client: Options{
-			CallTimeout:    time.Second,
-			MaxRetries:     1,
-			RetryBaseDelay: time.Millisecond,
-			Seed:           1,
-		},
+		Client: opts,
 		StoreFactory: func(int) (storage.TopologyStore, *kvstore.Store) {
 			return storage.NewDynamicStore(storage.Options{Tree: core.Options{Capacity: 16}}), kvstore.New()
 		},
 	})
 	defer lc.Shutdown()
 	client := lc.Client()
+	opts.Degraded = true
+	degraded := NewClientOptions(nil, []Dialer{lc.Dialer(0), lc.Dialer(1), lc.Dialer(2)}, opts)
+	defer degraded.Close()
+	degradedShards := degraded.Metrics().DegradedShards.Load
 
 	var events []graph.Event
 	const nSrc = 60
@@ -205,22 +211,17 @@ func TestChaosDegradedSampling(t *testing.T) {
 		t.Fatal("strict-mode sampling succeeded with a dead shard")
 	}
 
-	// Degradation mode: full-length result + per-shard error report.
-	out, report, err := client.SampleNeighborsDegraded(seeds, 0, fanout, 9)
+	// Degradation mode: a full-length result, and the dead shard counted.
+	before := degradedShards()
+	out, err := degraded.SampleNeighbors(seeds, 0, fanout, 9)
 	if err != nil {
 		t.Fatalf("degraded sampling: %v", err)
 	}
 	if len(out) != len(seeds)*fanout {
 		t.Fatalf("degraded result length %d, want %d", len(out), len(seeds)*fanout)
 	}
-	if !report.Degraded() {
-		t.Fatal("report not marked degraded with a dead shard")
-	}
-	if len(report.Errors) != 1 || report.Errors[0].Shard != deadShard {
-		t.Fatalf("report errors = %+v, want exactly shard %d", report.Errors, deadShard)
-	}
-	if report.Err() == nil || !strings.Contains(report.Err().Error(), "shards failed") {
-		t.Fatalf("report.Err() = %v", report.Err())
+	if n := degradedShards() - before; n != 1 {
+		t.Fatalf("DegradedShards moved by %d with one dead shard, want 1", n)
 	}
 	deadSeeds, liveSeeds := 0, 0
 	for i, seed := range seeds {
@@ -251,12 +252,12 @@ func TestChaosDegradedSampling(t *testing.T) {
 	// Healing the shard restores clean sampling (fresh empty store; its
 	// seeds now legitimately self-fallback as unknown vertices).
 	lc.RestartShard(deadShard)
-	_, report2, err := client.SampleNeighborsDegraded(seeds, 0, fanout, 9)
-	if err != nil {
+	before = degradedShards()
+	if _, err := degraded.SampleNeighbors(seeds, 0, fanout, 9); err != nil {
 		t.Fatal(err)
 	}
-	if report2.Degraded() {
-		t.Fatalf("still degraded after restart: %+v", report2.Errors)
+	if n := degradedShards() - before; n != 0 {
+		t.Fatalf("still degraded after restart: DegradedShards moved by %d", n)
 	}
 }
 
@@ -397,7 +398,7 @@ func TestApplyBatchAtMostOnce(t *testing.T) {
 	svc := NewService(store, nil)
 	apply := func(seq uint64, events []graph.Event) *BatchReply {
 		var reply BatchReply
-		if err := svc.ApplyBatch(&BatchArgs{Events: events, ClientID: 77, Seq: seq, Sum: checksumEvents(events)}, &reply); err != nil {
+		if err := svc.applyBatch(&BatchArgs{Events: events, ClientID: 77, Seq: seq, Sum: checksumEvents(events)}, &reply); err != nil {
 			t.Fatalf("seq %d: %v", seq, err)
 		}
 		return &reply
@@ -426,7 +427,7 @@ func TestApplyBatchAtMostOnce(t *testing.T) {
 	}
 	// Identity-less batches (migration replays) bypass dedup entirely.
 	var reply BatchReply
-	if err := svc.ApplyBatch(&BatchArgs{Events: del, Sum: checksumEvents(del)}, &reply); err != nil {
+	if err := svc.applyBatch(&BatchArgs{Events: del, Sum: checksumEvents(del)}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply.Duplicate || store.NumEdges() != 0 {

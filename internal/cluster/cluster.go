@@ -119,8 +119,8 @@ type FeatureArgs struct {
 
 // FeatureReply carries one shard's feature rows, plus one label per node
 // (unlabeled = 0) when WithLabels was set, from the server's store into the
-// caller's batch with one copy each way. Service.Features points it at the
-// store and appendWire encodes each row straight from there; the caller
+// caller's batch with one copy each way. The features handler points it at
+// the store and appendWire encodes each row straight from there; the caller
 // points it at its destination and decodeWire writes each row straight
 // into it. The frame holds a row-major (len(Nodes) × Dim) float block —
 // a missing vertex is a zero row, a stored vector is cut to Dim or padded
@@ -129,7 +129,7 @@ type FeatureArgs struct {
 type FeatureReply struct {
 	dim int // floats per row, on both sides
 
-	// Encoding side, set by Service.Features.
+	// Encoding side, set by the features handler.
 	attrs      *kvstore.Store
 	nodes      []graph.VertexID
 	withLabels bool
@@ -259,35 +259,24 @@ func (s *Service) Pause() (resume func()) {
 	return func() { once.Do(s.pauseMu.Unlock) }
 }
 
-// ApplyBatch applies a topology update batch at most once, invoking the
-// durability hook first. Duplicate (ClientID, Seq) pairs are skipped and
-// reported as success.
-func (s *Service) ApplyBatch(args *BatchArgs, reply *BatchReply) error {
-	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
-		return err
-	}
+// applyBatch is the ApplyBatch handler: it applies a topology update batch
+// at most once, invoking the durability hook first. Duplicate (ClientID,
+// Seq) pairs are skipped and reported as success.
+func (s *Service) applyBatch(args *BatchArgs, reply *BatchReply) error {
 	// Verify before the dedup claim: a corrupted batch must not consume its
 	// at-most-once identity, or the client's (clean) retry would be skipped
 	// as a duplicate.
 	if err := verifySum(s.metrics, "ApplyBatch events", checksumEvents(args.Events), args.Sum); err != nil {
 		return err
 	}
-	// Gates before pauseMu: a write parked on the catch-up or migration gate
-	// must not hold the read lock, or the gate owner's own Pause() barrier
-	// would deadlock against it.
-	if err := s.gateWrite(); err != nil {
-		return err
-	}
-	if err := s.gateShardWrite(args.Shard, args.RouteEpoch); err != nil {
-		return err
-	}
-	return s.applyBatch(args, reply)
+	return s.applyEvents(args, reply)
 }
 
-// applyBatch is ApplyBatch without the catch-up gate — the entry point for
-// WAL-tail records during catch-up, which must apply while the gate holds
-// direct writes back.
-func (s *Service) applyBatch(args *BatchArgs, reply *BatchReply) (err error) {
+// applyEvents is applyBatch without the checksum check. Called outside
+// dispatch, it also skips the write gates: it is the entry point for
+// WAL-tail records during catch-up, which must apply while the gates hold
+// direct writes back, and for a migration's staged events.
+func (s *Service) applyEvents(args *BatchArgs, reply *BatchReply) (err error) {
 	s.pauseMu.RLock()
 	defer s.pauseMu.RUnlock()
 	var finish func(error)
@@ -325,20 +314,12 @@ func (s *Service) applyBatch(args *BatchArgs, reply *BatchReply) (err error) {
 	return nil
 }
 
-// SampleNeighbors draws weighted neighbor samples for each seed.
-func (s *Service) SampleNeighbors(args *SampleArgs, reply *SampleReply) error {
-	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
-		return err
-	}
+// sampleNeighbors draws weighted neighbor samples for each seed. Its reply
+// is built before anything else can fail; dispatch has held its size to
+// the frame limit (SampleArgs.replyBytes).
+func (s *Service) sampleNeighbors(args *SampleArgs, reply *SampleReply) error {
 	if args.Fanout < 0 {
 		return fmt.Errorf("cluster: negative fanout %d", args.Fanout)
-	}
-	// The reply holds len(Seeds)*Fanout ids, 8 bytes each in memory, and is
-	// built before anything else can fail: capped at wire.MaxFrame bytes, one
-	// request cannot exhaust the server's memory.
-	if len(args.Seeds) > 0 && args.Fanout > wire.MaxFrame/8/len(args.Seeds) {
-		return fmt.Errorf("cluster: %d seeds x fanout %d is over the %d-id reply limit",
-			len(args.Seeds), args.Fanout, wire.MaxFrame/8)
 	}
 	// The local sampler's frontier path: the client sends distinct seeds, so
 	// each seed is one store draw of Fanout, in seed order, from a generator
@@ -348,11 +329,8 @@ func (s *Service) SampleNeighbors(args *SampleArgs, reply *SampleReply) error {
 	return nil
 }
 
-// Degree returns out-degrees.
-func (s *Service) Degree(args *DegreeArgs, reply *DegreeReply) error {
-	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
-		return err
-	}
+// degree returns out-degrees.
+func (s *Service) degree(args *DegreeArgs, reply *DegreeReply) error {
 	reply.Degrees = make([]int, len(args.Nodes))
 	for i, n := range args.Nodes {
 		reply.Degrees[i] = s.store.Degree(n, args.Type)
@@ -360,20 +338,14 @@ func (s *Service) Degree(args *DegreeArgs, reply *DegreeReply) error {
 	return nil
 }
 
-// Features gathers feature rows.
-func (s *Service) Features(args *FeatureArgs, reply *FeatureReply) error {
-	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
-		return err
-	}
+// features gathers feature rows; dispatch has held the reply's size to the
+// frame limit (FeatureArgs.replyBytes).
+func (s *Service) features(args *FeatureArgs, reply *FeatureReply) error {
 	if s.attrs == nil {
 		return fmt.Errorf("cluster: server has no attribute store")
 	}
 	if args.Dim < 0 {
 		return fmt.Errorf("cluster: negative feature dim %d", args.Dim)
-	}
-	if size := featureReplySize(len(args.Nodes), args.Dim, args.WithLabels); size > wire.MaxFrame {
-		return fmt.Errorf("cluster: %d rows of dim %d make a %d-byte reply, over the %d-byte frame limit",
-			len(args.Nodes), args.Dim, size, wire.MaxFrame)
 	}
 	// The rows are read from the store as the reply frame is encoded.
 	*reply = FeatureReply{dim: args.Dim, attrs: s.attrs, nodes: args.Nodes, withLabels: args.WithLabels}
@@ -398,14 +370,11 @@ func featureReplySize(nodes, dim int, withLabels bool) uint64 {
 // uvarintLen is the encoded length of x as a uvarint.
 func uvarintLen(x uint64) uint64 { return uint64(bits.Len64(x|1)+6) / 7 }
 
-// Sources lists this server's source vertices for a relation. A routed
+// sources lists this server's source vertices for a relation. A routed
 // request is answered with only the sources hashing into the requested
 // shard, so sources staged here by an in-flight migration (owned elsewhere
 // until cutover) are never reported early.
-func (s *Service) Sources(args *SourcesArgs, reply *SourcesReply) error {
-	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
-		return err
-	}
+func (s *Service) sources(args *SourcesArgs, reply *SourcesReply) error {
 	all := s.store.Sources(args.Type)
 	if rt := s.routing.Load(); rt != nil {
 		kept := make([]graph.VertexID, 0, len(all))
@@ -420,17 +389,8 @@ func (s *Service) Sources(args *SourcesArgs, reply *SourcesReply) error {
 	return nil
 }
 
-// SetFeatures stores feature rows (and optional labels) on this server.
-func (s *Service) SetFeatures(args *SetFeaturesArgs, _ *SetFeaturesReply) error {
-	if err := s.checkRoute(args.Shard, args.RouteEpoch); err != nil {
-		return err
-	}
-	if err := s.gateWrite(); err != nil {
-		return err
-	}
-	if err := s.gateShardWrite(args.Shard, args.RouteEpoch); err != nil {
-		return err
-	}
+// setFeatures stores feature rows (and optional labels) on this server.
+func (s *Service) setFeatures(args *SetFeaturesArgs, _ *SetFeaturesReply) error {
 	// Hold pauseMu like topology writes do: ParkShard's Pause barrier must
 	// drain in-flight feature writes too, or a migration's FetchAttrs could
 	// race a write that passed the gate before the park.
@@ -574,34 +534,6 @@ func (s *Server) Serve(lis net.Listener) {
 
 // ServeConn serves a single connection (blocking).
 func (s *Server) ServeConn(conn net.Conn) { s.serveConn(conn) }
-
-// ShardError is one shard's failure inside a degraded fan-out.
-type ShardError struct {
-	Shard int
-	Err   error
-}
-
-func (e ShardError) Error() string { return fmt.Sprintf("shard %d: %v", e.Shard, e.Err) }
-
-func (e ShardError) Unwrap() error { return e.Err }
-
-// FanoutReport describes a fan-out's per-shard outcome in degradation mode.
-type FanoutReport struct {
-	Shards int          // shards the request fanned out to
-	Errors []ShardError // shards that failed (their slots were backfilled)
-}
-
-// Degraded reports whether any shard failed.
-func (r *FanoutReport) Degraded() bool { return r != nil && len(r.Errors) > 0 }
-
-// Err returns nil for a clean fan-out, or an error summarizing the failed
-// shards.
-func (r *FanoutReport) Err() error {
-	if !r.Degraded() {
-		return nil
-	}
-	return fmt.Errorf("cluster: %d/%d shards failed (first: %v)", len(r.Errors), r.Shards, r.Errors[0])
-}
 
 // Client is the fan-out client over a set of graph servers. Sources are
 // partitioned hash-by-source across logical shards: shard(src) = h(src) mod
@@ -848,18 +780,14 @@ func (c *Client) ApplyBatchCtx(ctx context.Context, events []graph.Event) error 
 			return nil
 		}
 		args := &BatchArgs{Events: parts[s], ClientID: c.clientID, Seq: seqs[s], Sum: checksumEvents(parts[s])}
-		return c.writeShard(ctx, rt, s, args, func(ctx context.Context, pe *peer, maxRetries int, failover bool) error {
-			var reply BatchReply
-			return c.callPeCtx(ctx, pe, "ApplyBatch", args, &reply, maxRetries, failover)
-		})
+		return c.writeShard(ctx, rt, s, "ApplyBatch", args)
 	})
 }
 
 // SampleNeighbors draws fanout samples per seed across the cluster,
 // reassembling results in seed order. Missing slots hold the seed itself.
 // With Options.Degraded set, a failed shard degrades its seeds to self-loop
-// fallbacks instead of failing the batch; use SampleNeighborsDegraded to
-// also receive the per-shard error report.
+// fallbacks instead of failing the batch, and counts one DegradedShards.
 func (c *Client) SampleNeighbors(seeds []graph.VertexID, et graph.EdgeType, fanout int, seed int64) ([]graph.VertexID, error) {
 	return c.SampleNeighborsCtx(context.Background(), seeds, et, fanout, seed)
 }
@@ -867,24 +795,8 @@ func (c *Client) SampleNeighbors(seeds []graph.VertexID, et graph.EdgeType, fano
 // SampleNeighborsCtx is SampleNeighbors with a caller-supplied context whose
 // deadline propagates cluster-wide as the request budget.
 func (c *Client) SampleNeighborsCtx(ctx context.Context, seeds []graph.VertexID, et graph.EdgeType, fanout int, seed int64) ([]graph.VertexID, error) {
-	out, _, err := c.sampleNeighbors(ctx, seeds, et, fanout, seed, c.opts.Degraded)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SampleNeighborsDegraded is SampleNeighbors in explicit degradation mode:
-// it always returns full-length results — a dead shard's slots fall back to
-// the seed itself, exactly the protocol's existing convention for unknown
-// vertices — plus a report of which shards failed and why.
-func (c *Client) SampleNeighborsDegraded(seeds []graph.VertexID, et graph.EdgeType, fanout int, seed int64) ([]graph.VertexID, *FanoutReport, error) {
-	return c.sampleNeighbors(context.Background(), seeds, et, fanout, seed, true)
-}
-
-func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et graph.EdgeType, fanout int, seed int64, degraded bool) ([]graph.VertexID, *FanoutReport, error) {
 	if fanout < 0 {
-		return nil, nil, fmt.Errorf("cluster: negative fanout %d", fanout)
+		return nil, fmt.Errorf("cluster: negative fanout %d", fanout)
 	}
 	out := make([]graph.VertexID, len(seeds)*fanout)
 	rt := c.route.Load()
@@ -898,12 +810,6 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 		// bytes per duplicate's sample block on the reply.
 		c.metrics.CoalescedSeeds.Add(int64(dups))
 		c.metrics.CoalescedBytes.Add(int64(dups) * 8 * int64(1+fanout))
-	}
-	report := &FanoutReport{}
-	for p := 0; p < shards; p++ {
-		if ids, _ := scratch.part(p); len(ids) != 0 {
-			report.Shards++
-		}
 	}
 	errs := c.fanOutAll(shards, func(p int) error {
 		partSeeds, runs := scratch.part(p)
@@ -931,15 +837,15 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 		if err == nil {
 			continue
 		}
-		if !degraded {
+		if !c.opts.Degraded {
 			scratch.release()
-			return nil, nil, err
+			return nil, err
 		}
-		report.Errors = append(report.Errors, ShardError{Shard: p, Err: err})
 		c.metrics.DegradedShards.Inc()
 		// Graceful degradation: the dead shard's seeds fall back to
-		// themselves, keeping the result full-length so training proceeds
-		// on partial neighborhoods.
+		// themselves — the protocol's convention for unknown vertices —
+		// keeping the result full-length so training proceeds on partial
+		// neighborhoods.
 		_, runs := scratch.part(p)
 		for j := 0; j < runs.len(); j++ {
 			for _, origIdx := range runs.run(j) {
@@ -951,7 +857,7 @@ func (c *Client) sampleNeighbors(ctx context.Context, seeds []graph.VertexID, et
 		}
 	}
 	scratch.release()
-	return out, report, nil
+	return out, nil
 }
 
 // SampleSubgraph expands seeds along a meta-path hop by hop across the
@@ -1029,6 +935,9 @@ func (c *Client) SetFeaturesCtx(ctx context.Context, nodes []graph.VertexID, dim
 	if len(data) != len(nodes)*dim {
 		return fmt.Errorf("cluster: feature payload %d != %d nodes x %d dim", len(data), len(nodes), dim)
 	}
+	if len(labels) != 0 && len(labels) != len(nodes) {
+		return fmt.Errorf("cluster: %d labels for %d nodes", len(labels), len(nodes))
+	}
 	type part struct {
 		nodes  []graph.VertexID
 		data   []float32
@@ -1050,10 +959,7 @@ func (c *Client) SetFeaturesCtx(ctx context.Context, nodes []graph.VertexID, dim
 			return nil
 		}
 		args := &SetFeaturesArgs{Nodes: parts[s].nodes, Dim: dim, Data: parts[s].data, Labels: parts[s].labels}
-		return c.writeShard(ctx, rt, s, args, func(ctx context.Context, pe *peer, maxRetries int, failover bool) error {
-			var reply SetFeaturesReply
-			return c.callPeCtx(ctx, pe, "SetFeatures", args, &reply, maxRetries, failover)
-		})
+		return c.writeShard(ctx, rt, s, "SetFeatures", args)
 	})
 }
 
@@ -1083,12 +989,6 @@ func (c *Client) FeaturesLabels(nodes []graph.VertexID, dim int) ([]float32, []i
 // deadline propagates cluster-wide as the request budget.
 func (c *Client) FeaturesLabelsCtx(ctx context.Context, nodes []graph.VertexID, dim int) ([]float32, []int32, error) {
 	return c.featuresLabels(ctx, nodes, dim, true)
-}
-
-// Labels gathers only class labels (one fan-out, no feature payload).
-func (c *Client) Labels(nodes []graph.VertexID) ([]int32, error) {
-	_, labels, err := c.featuresLabels(context.Background(), nodes, 0, true)
-	return labels, err
 }
 
 func (c *Client) featuresLabels(ctx context.Context, nodes []graph.VertexID, dim int, withLabels bool) ([]float32, []int32, error) {

@@ -163,7 +163,7 @@ func TestFeaturesRPC(t *testing.T) {
 	// the reply is encoded from the store and decoded into a destination.
 	svcStore := storage.NewDynamicStore(storage.Options{})
 	svc := NewService(svcStore, attrsByServer[0])
-	if err := svc.Features(&FeatureArgs{Nodes: []graph.VertexID{id}, Dim: 3}, &reply); err != nil {
+	if err := svc.features(&FeatureArgs{Nodes: []graph.VertexID{id}, Dim: 3}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	data := make([]float32, 3)
@@ -175,7 +175,7 @@ func TestFeaturesRPC(t *testing.T) {
 	}
 	// Missing attribute store errors.
 	noAttrs := NewService(svcStore, nil)
-	if err := noAttrs.Features(&FeatureArgs{}, &reply); err == nil {
+	if err := noAttrs.features(&FeatureArgs{}, &reply); err == nil {
 		t.Fatal("expected error without attribute store")
 	}
 }

@@ -3,10 +3,13 @@
 // handlers.
 //
 // Each RPC is declared once, as a wireMethods row: its name, codec types,
-// default admission class, and whether it is exempt from admission or
-// refused mid-catch-up. handleWireFrame does the per-call work every handler
-// shares — admission, argument decode, the catch-up read gate, ServerLatency
-// and panic recovery — so a handler holds only its own logic.
+// default admission class, and the rules a call must pass — exempt from
+// admission or not, refused mid-catch-up, routed (the shard ownership
+// check), a write (the catch-up and migration write gates). handleWireFrame
+// and dispatch apply every one of them — admission, argument decode, the
+// reply's frame limit and budget, the read gate, ownership, the write gates,
+// ServerLatency and panic recovery — so a handler holds only its own logic,
+// and the routed handlers are unexported so that no call skips the rules.
 //
 // A row's index is the method's frame id. Ids are frame-level protocol
 // surface: they change only together with a wire.Version bump, since peers
@@ -56,6 +59,13 @@ const (
 	// have their own gate (gateWrite), which parks rather than rejects
 	// during the final drain.
 	readGated
+	// routed methods carry a shard and routing epoch (routedArgs) and are
+	// refused with NotOwner by a routed server that does not own the shard
+	// (checkRoute).
+	routed
+	// write methods are routed methods that also pass the catch-up and
+	// migration write gates (gateWrite, gateShardWrite) before the handler.
+	write
 )
 
 // wireRPC builds one wireMethods row from a Service handler; the arg and reply
@@ -81,12 +91,12 @@ func wireRPC[A, R any, PA interface {
 // migration, scrub and control-plane traffic is background. A request's
 // envelope may override the class per call.
 var wireMethods = []wireMethod{
-	wireRPC("ApplyBatch", PriorityPrefetch, 0, (*Service).ApplyBatch),
-	wireRPC("SampleNeighbors", PriorityInteractive, readGated, (*Service).SampleNeighbors),
-	wireRPC("Degree", PriorityInteractive, readGated, (*Service).Degree),
-	wireRPC("Features", PriorityInteractive, readGated, (*Service).Features),
-	wireRPC("SetFeatures", PriorityPrefetch, 0, (*Service).SetFeatures),
-	wireRPC("Sources", PriorityInteractive, readGated, (*Service).Sources),
+	wireRPC("ApplyBatch", PriorityPrefetch, routed|write, (*Service).applyBatch),
+	wireRPC("SampleNeighbors", PriorityInteractive, readGated|routed, (*Service).sampleNeighbors),
+	wireRPC("Degree", PriorityInteractive, readGated|routed, (*Service).degree),
+	wireRPC("Features", PriorityInteractive, readGated|routed, (*Service).features),
+	wireRPC("SetFeatures", PriorityPrefetch, routed|write, (*Service).setFeatures),
+	wireRPC("Sources", PriorityInteractive, readGated|routed, (*Service).sources),
 	wireRPC("Stats", PriorityInteractive, readGated, (*Service).Stats),
 	wireRPC("FetchSnapshot", PriorityBackground, readGated, (*Service).FetchSnapshot),
 	wireRPC("FetchWALTail", PriorityBackground, 0, (*Service).FetchWALTail),
@@ -192,15 +202,15 @@ func (s *Server) handshake(conn net.Conn) bool {
 }
 
 // handleWireFrame is the one place a request frame becomes a call. It reads
-// the envelope, runs the method's admission, decodes the arguments,
-// reserves the reply's size from the reply budget, invokes the handler (see
-// dispatch), and encodes the response (or error) frame in a wire.GetFrame
-// buffer, ready for wire.WriteFrame. held is the reserved size, which the
-// caller releases once the frame is written. It never panics: corrupt
-// frames fail the bounds-checked reader, and a recover converts a panicking
-// handler or codec into an error frame naming the method, so one poisoned
-// request fails alone instead of killing the connection loop with a
-// half-written frame.
+// the envelope, runs the method's admission, decodes the arguments, refuses
+// a reply past the frame limit and reserves any other's size from the reply
+// budget, invokes the handler (see dispatch), and encodes the response (or
+// error) frame in a wire.GetFrame buffer, ready for wire.WriteFrame. held
+// is the reserved size, which the caller releases once the frame is
+// written. It never panics: corrupt frames fail the bounds-checked reader,
+// and a recover converts a panicking handler or codec into an error frame
+// naming the method, so one poisoned request fails alone instead of killing
+// the connection loop with a half-written frame.
 func (s *Server) handleWireFrame(req []byte) (resp []byte, method string, held int64) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -253,17 +263,21 @@ func (s *Server) handleWireFrame(req []byte) (resp []byte, method string, held i
 	if err := r.Done(); err != nil {
 		return errorFrame(fmt.Errorf("cluster: decode %s args: %v", wm.name, err)), method, 0
 	}
-	// A reply past the frame limit is the handler's to refuse; any other
+	// A reply past the frame limit is refused before anything is built, so
+	// one request cannot make the server allocate without bound; any other
 	// must fit what the replies in flight leave of the budget, or the
 	// request is shed like one the admission gate has no slot for.
 	if rs, ok := args.(replySized); ok {
-		if n := rs.replyBytes(); n <= wire.MaxFrame {
-			if !s.replies.reserve(int64(n)) {
-				s.svc.metrics.incShed(wm.name, pri)
-				return errorFrame(overloaded(wm.name, pri, minRetryAfter)), method, 0
-			}
-			held = int64(n)
+		n := rs.replyBytes()
+		if n > wire.MaxFrame {
+			return errorFrame(fmt.Errorf("cluster: %s reply would be over the %d-byte frame limit",
+				wm.name, wire.MaxFrame)), method, 0
 		}
+		if !s.replies.reserve(int64(n)) {
+			s.svc.metrics.incShed(wm.name, pri)
+			return errorFrame(overloaded(wm.name, pri, minRetryAfter)), method, 0
+		}
+		held = int64(n)
 	}
 	reply := wm.newReply()
 	if err := s.dispatch(wm, args, reply); err != nil {
@@ -285,13 +299,33 @@ func errorFrame(err error) []byte {
 	return se.appendWire(append(wire.GetFrame(), wire.KindError))
 }
 
-// dispatch runs one decoded call: the catch-up read gate, then the handler.
-// ServerLatency times both and is observed in a defer, so a call that panics
-// is timed too; the reply's encoding is not part of it.
+// dispatch runs one decoded call through its row's rules, in order: the
+// catch-up read gate, the ownership check, the write gates, then the
+// handler. ServerLatency times all of them and is observed in a defer, so a
+// call that panics or parks is timed too; the reply's encoding is not part
+// of it.
 func (s *Server) dispatch(wm *wireMethod, args, reply wireMessage) error {
 	defer s.svc.metrics.ServerLatency.With(wm.name).ObserveSince(time.Now())
-	if wm.flags&readGated != 0 && !s.svc.ready.Load() {
+	svc := s.svc
+	if wm.flags&readGated != 0 && !svc.ready.Load() {
 		return ErrReplicaNotReady
 	}
-	return wm.invoke(s.svc, args, reply)
+	if wm.flags&routed != 0 {
+		shard, epoch := args.(routedArgs).route()
+		if err := svc.checkRoute(*shard, *epoch); err != nil {
+			return err
+		}
+		// The write gates run before the handler takes pauseMu: a write
+		// parked on either must not hold the read lock, or the gate owner's
+		// own Pause() barrier would deadlock against it.
+		if wm.flags&write != 0 {
+			if err := svc.gateWrite(); err != nil {
+				return err
+			}
+			if err := svc.gateShardWrite(*shard, *epoch); err != nil {
+				return err
+			}
+		}
+	}
+	return wm.invoke(svc, args, reply)
 }

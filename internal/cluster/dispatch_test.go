@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -15,19 +16,33 @@ import (
 	"platod2gl/internal/wire"
 )
 
-// callFrame sends method id one request frame of zero-valued args through
-// handleWireFrame and returns the reply's kind and, for an error frame, the
-// error the client decodes from it.
-func callFrame(t *testing.T, s *Server, id int) (kind byte, err error) {
+// requestFrame is a bare request frame calling method id with args.
+func requestFrame(id int, args wireMessage) []byte {
+	return args.appendWire(wire.AppendUvarint([]byte{wire.KindRequest}, uint64(id)))
+}
+
+// callFrame sends method id one request frame of args (zero-valued when
+// nil) through handleWireFrame and returns the error the client decodes
+// from an error frame. A response frame is decoded into reply, when one is
+// given.
+func callFrame(t *testing.T, s *Server, id int, args, reply wireMessage) error {
 	t.Helper()
-	frame := wire.AppendUvarint([]byte{wire.KindRequest}, uint64(id))
-	frame = wireMethods[id].newArgs().appendWire(frame)
-	resp, method, _ := s.handleWireFrame(frame)
+	if args == nil {
+		args = wireMethods[id].newArgs()
+	}
+	resp, method, held := s.handleWireFrame(requestFrame(id, args))
 	defer wire.PutBuf(resp)
+	s.replies.release(held)
 	if method != wireMethods[id].name {
 		t.Errorf("method id %d dispatched as %q, want %q", id, method, wireMethods[id].name)
 	}
-	return replyKind(t, resp)
+	kind, err := replyKind(t, resp)
+	if kind == wire.KindResponse && reply != nil {
+		if err := decodeResponse(append([]byte(nil), resp[wire.HeaderSize:]...), reply); err != nil {
+			t.Fatalf("decode %s reply: %v", method, err)
+		}
+	}
+	return err
 }
 
 // replyKind splits a framed reply into its kind and, for an error frame,
@@ -82,7 +97,7 @@ func TestDispatchRowsOnTheWire(t *testing.T) {
 	}
 	for id, wm := range wireMethods {
 		before := counts()
-		_, err := callFrame(t, s, id)
+		err := callFrame(t, s, id, nil, nil)
 		if notReady := isKind(err, KindNotReady); notReady != readGated[wm.name] {
 			t.Errorf("%s mid-catch-up: not-ready = %v, want %v (reply %v)", wm.name, notReady, readGated[wm.name], err)
 		}
@@ -100,18 +115,127 @@ func TestDispatchRowsOnTheWire(t *testing.T) {
 }
 
 // TestSampleNeighborsRejectsOversizedReply: a fanout whose reply could not
-// fit in a frame is refused before the reply is built, so one request cannot
-// make the server allocate without bound.
+// fit in a frame is refused by the dispatcher before the reply is built, so
+// one request cannot make the server allocate without bound.
 func TestSampleNeighborsRejectsOversizedReply(t *testing.T) {
-	svc := newTestService(t)
+	s := NewServer(newTestService(t))
+	id := wireMethodID["SampleNeighbors"]
 	args := SampleArgs{Seeds: []graph.VertexID{1, 2}, Fanout: wire.MaxFrame / 8}
-	if err := svc.SampleNeighbors(&args, &SampleReply{}); err == nil || !strings.Contains(err.Error(), "reply limit") {
-		t.Fatalf("SampleNeighbors(2 seeds, fanout %d) = %v, want a reply-limit error", args.Fanout, err)
+	if err := callFrame(t, s, id, &args, nil); !isKind(err, KindApplication) || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("SampleNeighbors(2 seeds, fanout %d) = %v, want a frame-limit error", args.Fanout, err)
 	}
 	args.Fanout = 3
 	var reply SampleReply
-	if err := svc.SampleNeighbors(&args, &reply); err != nil || len(reply.Neighbors) != 6 {
+	if err := callFrame(t, s, id, &args, &reply); err != nil || len(reply.Neighbors) != 6 {
 		t.Fatalf("SampleNeighbors(2 seeds, fanout 3) = %d ids, %v", len(reply.Neighbors), err)
+	}
+}
+
+// TestRoutedMethodsFlagged holds the dispatch flags to the payloads: a row
+// is routed exactly when its args carry a route, and the write rows, which
+// are routed too, are exactly the two client writes.
+func TestRoutedMethodsFlagged(t *testing.T) {
+	writes := map[string]bool{"ApplyBatch": true, "SetFeatures": true}
+	for _, wm := range wireMethods {
+		_, hasRoute := wm.newArgs().(routedArgs)
+		if isRouted := wm.flags&routed != 0; isRouted != hasRoute {
+			t.Errorf("%s: routed flag %v, args implement routedArgs %v", wm.name, isRouted, hasRoute)
+		}
+		isWrite := wm.flags&write != 0
+		if isWrite && wm.flags&routed == 0 {
+			t.Errorf("%s: write without routed", wm.name)
+		}
+		if isWrite != writes[wm.name] {
+			t.Errorf("%s: write flag %v, want %v", wm.name, isWrite, writes[wm.name])
+		}
+	}
+}
+
+// TestRoutedRulesOnTheWire sends each routed method, as a frame, to a
+// server that owns shard 0 of a 4-shard map on two groups. The dispatcher
+// applies the row's rules in order — read gate, ownership, write gates:
+// a request at epoch 0 or for a shard owned elsewhere is refused as not
+// owner; mid-catch-up a read is refused as not ready whatever it names, a
+// write only once it passes the ownership check; and an owned request at
+// the map's epoch is served. A SampleNeighbors or Features request whose
+// reply is past the frame limit is refused by the dispatcher with next to
+// nothing allocated.
+func TestRoutedRulesOnTheWire(t *testing.T) {
+	svc := newTestService(t)
+	m, err := IdentityMap([]string{"self", "other"}, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.SetRouting(m, 0); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(svc)
+	const owned, foreign = 0, 1
+	for id, wm := range wireMethods {
+		if wm.flags&routed == 0 {
+			continue
+		}
+		// Mid-catch-up, a read for a foreign shard stops at the read gate, a
+		// write at the ownership check.
+		foreignCatchUp := KindNotReady
+		if wm.flags&write != 0 {
+			foreignCatchUp = KindNotOwner
+		}
+		for _, c := range []struct {
+			shard    int
+			epoch    uint64
+			catchUp  bool
+			wantKind ErrorKind
+			wantOK   bool
+		}{
+			{owned, m.Epoch, false, 0, true},
+			{owned, 0, false, KindNotOwner, false},
+			{foreign, m.Epoch, false, KindNotOwner, false},
+			{owned, m.Epoch, true, KindNotReady, false},
+			{foreign, m.Epoch, true, foreignCatchUp, false},
+		} {
+			args := wm.newArgs()
+			if b, ok := args.(*BatchArgs); ok {
+				b.Sum = checksumEvents(b.Events)
+			}
+			stampRoute(args, c.shard, c.epoch)
+			if c.catchUp {
+				svc.BeginCatchUp()
+			}
+			err := callFrame(t, s, id, args, nil)
+			if c.catchUp {
+				svc.MarkSynced()
+			}
+			if c.wantOK {
+				if err != nil {
+					t.Errorf("%s for owned shard %d at epoch %d: %v", wm.name, c.shard, c.epoch, err)
+				}
+			} else if !isKind(err, c.wantKind) {
+				t.Errorf("%s for shard %d at epoch %d (catching up %v): %v, want kind %v",
+					wm.name, c.shard, c.epoch, c.catchUp, err, c.wantKind)
+			}
+		}
+	}
+	nodes := []graph.VertexID{1, 2}
+	for _, c := range []struct {
+		method string
+		args   wireMessage
+	}{
+		{"SampleNeighbors", &SampleArgs{Seeds: nodes, Fanout: wire.MaxFrame / 8}},
+		{"Features", &FeatureArgs{Nodes: nodes, Dim: wire.MaxFrame / 4}},
+		{"Features", &FeatureArgs{Nodes: nodes, Dim: 1 << 50, WithLabels: true}},
+	} {
+		stampRoute(c.args, owned, m.Epoch)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := callFrame(t, s, wireMethodID[c.method], c.args, nil)
+		runtime.ReadMemStats(&after)
+		if !isKind(err, KindApplication) || !strings.Contains(err.Error(), "frame limit") {
+			t.Errorf("oversized %s %+v: %v, want a frame-limit error", c.method, c.args, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("oversized %s %+v allocated %d bytes before its refusal", c.method, c.args, n)
+		}
 	}
 }
 
@@ -121,12 +245,12 @@ func TestSetFeaturesRejectsOverflowingDim(t *testing.T) {
 	svc := newTestService(t)
 	nodes := []graph.VertexID{1, 2, 3, 4}
 	for _, dim := range []int{1 << 62, -1 << 62} {
-		if err := svc.SetFeatures(&SetFeaturesArgs{Nodes: nodes, Dim: dim}, &SetFeaturesReply{}); err == nil {
+		if err := svc.setFeatures(&SetFeaturesArgs{Nodes: nodes, Dim: dim}, &SetFeaturesReply{}); err == nil {
 			t.Errorf("SetFeatures(4 nodes, dim %d, no payload) succeeded", dim)
 		}
 	}
 	args := SetFeaturesArgs{Nodes: nodes[:2], Dim: 2, Data: []float32{1, 2, 3, 4}}
-	if err := svc.SetFeatures(&args, &SetFeaturesReply{}); err != nil {
+	if err := svc.setFeatures(&args, &SetFeaturesReply{}); err != nil {
 		t.Fatalf("SetFeatures(2 nodes, dim 2): %v", err)
 	}
 }
@@ -138,7 +262,8 @@ func TestSetFeaturesRejectsOverflowingDim(t *testing.T) {
 const fuzzReplyBudget = 8 << 20
 
 // FuzzHandleWireFrame feeds arbitrary request frames to handleWireFrame on
-// a fresh small service. Every frame must come back as a response or an
+// a fresh small service, once unrouted and once with a shard map installed
+// (the rules of the routed rows run only there). Every frame must come back as a response or an
 // error frame the client decodes whole, and no handler or codec may panic:
 // the dispatcher's recover is a backstop, not a code path. Seeded with one valid frame per method,
 // zero-valued and populated, bare and in a priority envelope.
@@ -152,7 +277,7 @@ func FuzzHandleWireFrame(f *testing.F) {
 			}
 		}
 		for _, a := range args {
-			f.Add(a.appendWire(wire.AppendUvarint([]byte{wire.KindRequest}, uint64(id))))
+			f.Add(requestFrame(id, a))
 			env := wire.AppendUvarint([]byte{wire.KindRequestEnv, byte(PriorityBackground) + 1}, 250)
 			f.Add(a.appendWire(wire.AppendUvarint(env, uint64(id))))
 		}
@@ -170,24 +295,37 @@ func FuzzHandleWireFrame(f *testing.F) {
 		{"SetFeatures", &SetFeaturesArgs{Nodes: []graph.VertexID{1, 2, 3, 4}, Dim: 1 << 62}},
 		{"SetFeatures", &SetFeaturesArgs{Nodes: []graph.VertexID{1, 2, 3, 4}, Dim: -1 << 62}},
 	} {
-		id := wireMethodID[c.method]
-		f.Add(c.args.appendWire(wire.AppendUvarint([]byte{wire.KindRequest}, uint64(id))))
+		f.Add(requestFrame(wireMethodID[c.method], c.args))
+	}
+	m, err := IdentityMap([]string{"self", "other"}, 1, 4)
+	if err != nil {
+		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		store := storage.NewDynamicStore(storage.Options{Tree: core.Options{Capacity: 16}})
-		s := NewServer(NewService(store, kvstore.New()))
-		s.replies = newReplyBudget(fuzzReplyBudget)
-		resp, _, _ := s.handleWireFrame(frame)
-		defer wire.PutBuf(resp)
-		if _, err := replyKind(t, resp); err != nil && strings.Contains(err.Error(), ": recovered panic: ") {
-			t.Fatalf("handler panicked: %v", err)
+		for _, routedServer := range []bool{false, true} {
+			store := storage.NewDynamicStore(storage.Options{Tree: core.Options{Capacity: 16}})
+			svc := NewService(store, kvstore.New())
+			if routedServer {
+				if err := svc.SetRouting(m, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := NewServer(svc)
+			s.replies = newReplyBudget(fuzzReplyBudget)
+			resp, _, _ := s.handleWireFrame(frame)
+			_, err := replyKind(t, resp)
+			wire.PutBuf(resp)
+			if err != nil && strings.Contains(err.Error(), ": recovered panic: ") {
+				t.Fatalf("handler panicked (routed server %v): %v", routedServer, err)
+			}
 		}
 	})
 }
 
 // TestOperationsMethodTable holds the operations guide's per-method table
 // (docs/OPERATIONS.md, "Priority classes") to wireMethods: every method is
-// listed once, in frame-id order, with its class, admission and read gate.
+// listed once, in frame-id order, with its class, admission, read gate,
+// ownership check and write gates.
 func TestOperationsMethodTable(t *testing.T) {
 	f, err := os.Open("../../docs/OPERATIONS.md")
 	if err != nil {
@@ -221,7 +359,8 @@ func TestOperationsMethodTable(t *testing.T) {
 	yesNo := map[bool]string{true: "yes", false: "no"}
 	admission := map[bool]string{true: "exempt", false: "gated"}
 	for id, wm := range wireMethods {
-		want := []string{wm.name, wm.pri.String(), admission[wm.flags&exempt != 0], yesNo[wm.flags&readGated != 0]}
+		want := []string{wm.name, wm.pri.String(), admission[wm.flags&exempt != 0], yesNo[wm.flags&readGated != 0],
+			yesNo[wm.flags&routed != 0], yesNo[wm.flags&write != 0]}
 		if !reflect.DeepEqual(rows[id], want) {
 			t.Errorf("docs/OPERATIONS.md row %d = %q, want %q", id, rows[id], want)
 		}

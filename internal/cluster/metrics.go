@@ -41,7 +41,7 @@ type Metrics struct {
 	CoalescedBytes obs.Counter // request+reply bytes saved by coalescing
 
 	// CoalescedRows counts duplicate ids deduplicated out of Features,
-	// FeaturesLabels, Labels and Degree fan-outs. It is kept apart from
+	// FeaturesLabels and Degree fan-outs. It is kept apart from
 	// CoalescedSeeds, which counts sampling seeds only.
 	CoalescedRows obs.Counter
 

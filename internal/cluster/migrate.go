@@ -74,7 +74,7 @@ type MigrationHooks struct {
 // service starts serving.
 func (s *Service) SetMigrationHooks(h MigrationHooks) { s.hooks = h }
 
-// applyChunked applies events through the WAL-durable applyBatch path in
+// applyChunked applies events through the WAL-durable applyEvents path in
 // bounded chunks, bypassing routing and gates (migration staging must
 // proceed while the shard is owned elsewhere).
 func (s *Service) applyChunked(events []graph.Event) error {
@@ -84,7 +84,7 @@ func (s *Service) applyChunked(events []graph.Event) error {
 			n = migrateChunk
 		}
 		var reply BatchReply
-		if err := s.applyBatch(&BatchArgs{Events: events[:n]}, &reply); err != nil {
+		if err := s.applyEvents(&BatchArgs{Events: events[:n]}, &reply); err != nil {
 			return err
 		}
 		events = events[n:]

@@ -45,13 +45,33 @@ func failoverWorthy(err error) bool {
 }
 
 // readShard performs one read RPC against logical shard s of the route rt
-// the operation partitioned under, re-routing on NotOwner (see reroute) so a
-// mid-read cutover costs a transparent retry instead of a failed operation.
+// the operation partitioned under, on one live replica (readGroup).
 func (c *Client) readShard(ctx context.Context, rt *clientRoute, s int, method string, args, reply wireMessage) error {
+	return c.shardCall(rt, s, args, func(group []*peer, rr *atomic.Uint64) error {
+		return c.readGroup(ctx, s, group, rr, method, args, reply)
+	})
+}
+
+// writeShard performs one write RPC against logical shard s of the route
+// rt, on every replica (writeGroup). The server-side (ClientID, Seq) dedup
+// makes a re-routed delivery at-most-once even when the first attempt did
+// apply before the reply was lost.
+func (c *Client) writeShard(ctx context.Context, rt *clientRoute, s int, method string, args wireMessage) error {
+	return c.shardCall(rt, s, args, func(group []*peer, _ *atomic.Uint64) error {
+		return c.writeGroup(ctx, s, group, method, args)
+	})
+}
+
+// shardCall runs call against the group that owns logical shard s under rt,
+// with args stamped with s and rt's epoch, and re-routes on NotOwner (see
+// reroute): args is re-stamped with the refreshed epoch before every hop,
+// so a mid-call cutover costs a transparent retry instead of a failed
+// operation.
+func (c *Client) shardCall(rt *clientRoute, s int, args wireMessage, call func(group []*peer, rr *atomic.Uint64) error) error {
 	for hop := 0; ; hop++ {
 		g := rt.m.Assign[s]
 		stampRoute(args, s, rt.m.Epoch)
-		err := c.readGroup(ctx, s, rt.groups[g], &rt.rr[g], method, args, reply)
+		err := call(rt.groups[g], &rt.rr[g])
 		if err == nil {
 			return nil
 		}
@@ -120,28 +140,6 @@ func (c *Client) readGroup(ctx context.Context, s int, group []*peer, rrc *atomi
 	return fmt.Errorf("cluster: shard %d: all %d replicas failed: %w", s, len(group), lastErr)
 }
 
-// writeCall sends one write to replica pe with callPeCtx's retry budget and
-// failover flag.
-type writeCall func(ctx context.Context, pe *peer, maxRetries int, failover bool) error
-
-// writeShard routes one write to logical shard s of the route rt, re-routing
-// on NotOwner exactly like readShard: args is re-stamped with the refreshed
-// epoch before every hop, and the server-side (ClientID, Seq) dedup makes the
-// repeated delivery at-most-once even when the first attempt did apply
-// before the reply was lost.
-func (c *Client) writeShard(ctx context.Context, rt *clientRoute, s int, args wireMessage, call writeCall) error {
-	for hop := 0; ; hop++ {
-		stampRoute(args, s, rt.m.Epoch)
-		err := c.writeGroup(ctx, s, rt.groups[rt.m.Assign[s]], call)
-		if err == nil {
-			return nil
-		}
-		if rt = c.reroute(rt, err, hop); rt == nil {
-			return err
-		}
-	}
-}
-
 // writeGroup fans a write out to every replica of a group concurrently. The
 // write succeeds once at least one replica acknowledges; replicas that
 // failed every attempt are marked stale (out of the read rotation until
@@ -150,11 +148,13 @@ func (c *Client) writeShard(ctx context.Context, rt *clientRoute, s int, args wi
 // replica fails, the first error is returned (preferring a NotOwner
 // rejection, which the caller can cure by re-routing).
 //
-// call is invoked with the replica peer and that peer's retry budget;
-// already-stale replicas get a single attempt so a down replica does not
-// tax every batch with a full retry cycle. In a group of two or more no
-// replica waits out an open breaker: the write needs only one ack.
-func (c *Client) writeGroup(ctx context.Context, s int, group []*peer, call writeCall) error {
+// Each replica decodes into its own reply, made by the method's wireMethods
+// row; the write's outcome is the acks alone. Already-stale replicas get a
+// single attempt so a down replica does not tax every batch with a full
+// retry cycle. In a group of two or more no replica waits out an open
+// breaker: the write needs only one ack.
+func (c *Client) writeGroup(ctx context.Context, s int, group []*peer, method string, args wireMessage) error {
+	newReply := wireMethods[wireMethodID[method]].newReply
 	errs := make([]error, len(group))
 	var wg sync.WaitGroup
 	for r, pe := range group {
@@ -165,7 +165,7 @@ func (c *Client) writeGroup(ctx context.Context, s int, group []*peer, call writ
 			if pe.stale.Load() {
 				budget = 0
 			}
-			errs[r] = call(ctx, pe, budget, len(group) > 1)
+			errs[r] = c.callPeCtx(ctx, pe, method, args, newReply(), budget, len(group) > 1)
 		}(r, pe)
 	}
 	wg.Wait()

@@ -78,8 +78,9 @@ type Options struct {
 	BreakerCooldown time.Duration
 	// Degraded enables graceful degradation for sampling fan-outs: if a
 	// shard is down, SampleNeighbors fills its slots with the seed itself
-	// (the protocol's existing fallback for unknown vertices) and reports
-	// the failure in a FanoutReport instead of failing the whole batch.
+	// (the protocol's existing fallback for unknown vertices) and counts
+	// the shard in Metrics.DegradedShards instead of failing the whole
+	// batch.
 	// With replica groups, degradation only engages after every replica of
 	// a shard has failed — a single replica loss is absorbed by failover
 	// and never degrades results.

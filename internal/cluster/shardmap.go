@@ -319,13 +319,9 @@ func (s *Service) RoutingSnapshot() (*ShardMap, int) {
 func (s *Service) installRouting(rt *serviceRouting) {
 	s.routing.Store(rt)
 	s.parkMu.Lock()
-	for shard, gate := range s.parked {
+	for shard := range s.parked {
 		if shard >= len(rt.owned) || !rt.owned[shard] {
-			close(gate.ch)
-			if gate.timer != nil {
-				gate.timer.Stop()
-			}
-			delete(s.parked, shard)
+			s.unparkLocked(shard)
 		}
 	}
 	s.parkMu.Unlock()
@@ -419,6 +415,13 @@ func (s *Service) parkShard(shard int, ttl time.Duration) {
 // releaseShard opens the gate (idempotent).
 func (s *Service) releaseShard(shard int) {
 	s.parkMu.Lock()
+	s.unparkLocked(shard)
+	s.parkMu.Unlock()
+}
+
+// unparkLocked opens shard's gate, if it has one, and stops its TTL timer.
+// The caller holds parkMu.
+func (s *Service) unparkLocked(shard int) {
 	if gate, ok := s.parked[shard]; ok {
 		close(gate.ch)
 		if gate.timer != nil {
@@ -426,7 +429,6 @@ func (s *Service) releaseShard(shard int) {
 		}
 		delete(s.parked, shard)
 	}
-	s.parkMu.Unlock()
 }
 
 // ReleaseAllShards opens every parked write gate. Servers call it on
@@ -437,12 +439,8 @@ func (s *Service) releaseShard(shard int) {
 // restart already aborted whatever migration the park served.
 func (s *Service) ReleaseAllShards() {
 	s.parkMu.Lock()
-	for shard, gate := range s.parked {
-		close(gate.ch)
-		if gate.timer != nil {
-			gate.timer.Stop()
-		}
-		delete(s.parked, shard)
+	for shard := range s.parked {
+		s.unparkLocked(shard)
 	}
 	s.parkMu.Unlock()
 }
@@ -527,24 +525,26 @@ func approxMapBytes(m *ShardMap) int64 {
 // ---------------------------------------------------------------------------
 // Routed request stamping (client side).
 
-// routedArgs is implemented by every per-shard request payload: the client
-// stamps the target shard and its map epoch immediately before each routing
-// attempt, so a re-route after a refresh carries the new epoch.
+// routedArgs is implemented by every per-shard request payload, the args of
+// the routed wireMethods rows: route points at its shard and routing epoch.
+// The client stamps them immediately before each routing attempt, so a
+// re-route after a refresh carries the new epoch; dispatch checks them.
 type routedArgs interface {
-	setRoute(shard int, epoch uint64)
+	route() (shard *int, epoch *uint64)
 }
 
-func (a *BatchArgs) setRoute(s int, e uint64)       { a.Shard, a.RouteEpoch = s, e }
-func (a *SampleArgs) setRoute(s int, e uint64)      { a.Shard, a.RouteEpoch = s, e }
-func (a *DegreeArgs) setRoute(s int, e uint64)      { a.Shard, a.RouteEpoch = s, e }
-func (a *FeatureArgs) setRoute(s int, e uint64)     { a.Shard, a.RouteEpoch = s, e }
-func (a *SetFeaturesArgs) setRoute(s int, e uint64) { a.Shard, a.RouteEpoch = s, e }
-func (a *SourcesArgs) setRoute(s int, e uint64)     { a.Shard, a.RouteEpoch = s, e }
+func (a *BatchArgs) route() (*int, *uint64)       { return &a.Shard, &a.RouteEpoch }
+func (a *SampleArgs) route() (*int, *uint64)      { return &a.Shard, &a.RouteEpoch }
+func (a *DegreeArgs) route() (*int, *uint64)      { return &a.Shard, &a.RouteEpoch }
+func (a *FeatureArgs) route() (*int, *uint64)     { return &a.Shard, &a.RouteEpoch }
+func (a *SetFeaturesArgs) route() (*int, *uint64) { return &a.Shard, &a.RouteEpoch }
+func (a *SourcesArgs) route() (*int, *uint64)     { return &a.Shard, &a.RouteEpoch }
 
 // stampRoute stamps args when it is a routed payload.
 func stampRoute(args wireMessage, shard int, epoch uint64) {
 	if ra, ok := args.(routedArgs); ok {
-		ra.setRoute(shard, epoch)
+		s, e := ra.route()
+		*s, *e = shard, epoch
 	}
 }
 

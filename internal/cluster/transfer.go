@@ -266,7 +266,7 @@ func (t *transfer) drainStep() (int, uint64, error) {
 			}
 		}
 		var reply BatchReply
-		if err := t.svc.applyBatch(&BatchArgs{Events: evs, ClientID: rec.ClientID, Seq: rec.ClientSeq}, &reply); err != nil {
+		if err := t.svc.applyEvents(&BatchArgs{Events: evs, ClientID: rec.ClientID, Seq: rec.ClientSeq}, &reply); err != nil {
 			return 0, 0, fmt.Errorf("cluster: apply wal record %d: %w", rec.Seq, err)
 		}
 		t.batches++

@@ -273,7 +273,7 @@ func TestCatchUpDrainsSeveralChunks(t *testing.T) {
 		for i := 0; i < records; i++ {
 			evs := []graph.Event{{Kind: graph.AddEdge, Edge: graph.Edge{Src: graph.VertexID(i % 37), Dst: graph.VertexID(i), Weight: 1}}}
 			args := &BatchArgs{Events: evs, ClientID: 1, Seq: uint64(i + 1), Sum: checksumEvents(evs)}
-			if err := peer.ApplyBatch(args, &BatchReply{}); err != nil {
+			if err := peer.applyBatch(args, &BatchReply{}); err != nil {
 				t.Errorf("apply %d: %v", i, err)
 			}
 		}

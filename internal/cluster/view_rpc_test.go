@@ -4,6 +4,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -13,6 +14,30 @@ import (
 	"platod2gl/internal/kvstore"
 	"platod2gl/internal/storage"
 )
+
+// TestSetFeaturesRejectsMismatchedLabels: a label list that is neither
+// empty nor one per node is refused with the server's error before any
+// shard is written, instead of indexing past its end or dropping the extra
+// labels.
+func TestSetFeaturesRejectsMismatchedLabels(t *testing.T) {
+	client, shutdown := newCluster(t, 2)
+	defer shutdown()
+	nodes := []graph.VertexID{graph.MakeVertexID(0, 1), graph.MakeVertexID(0, 2), graph.MakeVertexID(0, 3)}
+	data := []float32{1, 2, 3}
+	for _, labels := range [][]int32{{1}, {1, 2, 3, 4}} {
+		err := client.SetFeatures(nodes, 1, data, labels)
+		if want := fmt.Sprintf("cluster: %d labels for %d nodes", len(labels), len(nodes)); err == nil || err.Error() != want {
+			t.Fatalf("SetFeatures(3 nodes, %d labels) = %v, want %q", len(labels), err, want)
+		}
+	}
+	got, _, err := client.FeaturesLabels(nodes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, []float32{0, 0, 0}) {
+		t.Fatalf("refused writes stored rows %v", got)
+	}
+}
 
 func TestFeaturesLabelsRoundTrip(t *testing.T) {
 	client, shutdown := newCluster(t, 2)
@@ -51,7 +76,7 @@ func TestFeaturesLabelsRoundTrip(t *testing.T) {
 	}
 
 	// Labels-only read skips the feature payload.
-	onlyLabels, err := client.Labels(nodes)
+	_, onlyLabels, err := client.FeaturesLabels(nodes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +332,7 @@ func TestFeaturesLabelsDegreeCoalesceDuplicateIDs(t *testing.T) {
 		return err
 	})
 	rowsMoved("Labels", func() error {
-		lbl, err := client.Labels(ids)
+		_, lbl, err := client.FeaturesLabels(ids, 0)
 		if err == nil {
 			checkLabels("Labels", lbl)
 		}
@@ -368,7 +393,7 @@ func TestServiceSampleNeighborsMatchesPerSeedLoop(t *testing.T) {
 			for _, seed := range []int64{0, 42} {
 				args := &SampleArgs{Seeds: seeds, Type: et, Fanout: fanout, Seed: seed}
 				var reply SampleReply
-				if err := svc.SampleNeighbors(args, &reply); err != nil {
+				if err := svc.sampleNeighbors(args, &reply); err != nil {
 					t.Fatal(err)
 				}
 				want := perSeedSample(store, seeds, et, fanout, seed)

@@ -97,43 +97,9 @@ func (t *GATTrainer) TrainStep(b *Batch) float64 {
 }
 
 // Accuracy evaluates classification accuracy on the given seeds.
-func (t *GATTrainer) Accuracy(seeds []graph.VertexID) (float64, error) {
-	if len(seeds) == 0 {
-		return 0, nil
-	}
-	b, err := t.SampleBatch(seeds)
-	if err != nil {
-		return 0, err
-	}
-	pred := Argmax(t.Forward(b))
-	correct := 0
-	for i, p := range pred {
-		if p == b.Labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(seeds)), nil
-}
+func (t *GATTrainer) Accuracy(seeds []graph.VertexID) (float64, error) { return accuracy(t, seeds) }
 
 // TrainEpoch shuffles seeds and trains mini-batches, returning mean loss.
 func (t *GATTrainer) TrainEpoch(epoch int, seeds []graph.VertexID, batchSize int, rng *rand.Rand) (EpochResult, error) {
-	perm := rng.Perm(len(seeds))
-	totalLoss := 0.0
-	batches := 0
-	for lo := 0; lo+batchSize <= len(perm); lo += batchSize {
-		batch := make([]graph.VertexID, batchSize)
-		for i := 0; i < batchSize; i++ {
-			batch[i] = seeds[perm[lo+i]]
-		}
-		b, err := t.SampleBatch(batch)
-		if err != nil {
-			return EpochResult{Epoch: epoch}, err
-		}
-		totalLoss += t.TrainStep(b)
-		batches++
-	}
-	if batches == 0 {
-		return EpochResult{Epoch: epoch}, nil
-	}
-	return EpochResult{Epoch: epoch, MeanLoss: totalLoss / float64(batches), Batches: batches}, nil
+	return trainEpoch(t, epoch, seeds, batchSize, rng)
 }

@@ -264,7 +264,18 @@ func (t *Trainer) Loss(b *Batch) float64 {
 }
 
 // Accuracy evaluates classification accuracy on the given seeds.
-func (t *Trainer) Accuracy(seeds []graph.VertexID) (float64, error) {
+func (t *Trainer) Accuracy(seeds []graph.VertexID) (float64, error) { return accuracy(t, seeds) }
+
+// batchTrainer is what the shared evaluation and epoch loops need of a
+// trainer: Trainer and GATTrainer both provide it.
+type batchTrainer interface {
+	SampleBatch(seeds []graph.VertexID) (*Batch, error)
+	Forward(b *Batch) *Matrix
+	TrainStep(b *Batch) float64
+}
+
+// accuracy scores t's predictions for seeds, sampled as one batch.
+func accuracy(t batchTrainer, seeds []graph.VertexID) (float64, error) {
 	if len(seeds) == 0 {
 		return 0, nil
 	}
@@ -298,6 +309,12 @@ func (e EpochResult) String() string {
 // train, strictly in series; internal/pipeline overlaps the sampling and
 // feature I/O of upcoming batches with the current TrainStep.
 func (t *Trainer) TrainEpoch(epoch int, seeds []graph.VertexID, batchSize int, rng *rand.Rand) (EpochResult, error) {
+	return trainEpoch(t, epoch, seeds, batchSize, rng)
+}
+
+// trainEpoch trains t on consecutive mini-batches of one rng.Perm of seeds
+// and returns the mean loss.
+func trainEpoch(t batchTrainer, epoch int, seeds []graph.VertexID, batchSize int, rng *rand.Rand) (EpochResult, error) {
 	perm := rng.Perm(len(seeds))
 	totalLoss := 0.0
 	batches := 0
