@@ -347,9 +347,11 @@ func BenchmarkUniformSample(b *testing.B) {
 	fixture(b)
 	st := fixtureStores[bench.SysD2GL]
 	rng := rand.New(rand.NewSource(1))
+	counts, got := []int{10}, make([]int, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.SampleNeighborsUniform(fixtureSeeds[i%len(fixtureSeeds)], 0, 10, rng, nil)
+		j := i % len(fixtureSeeds)
+		st.SampleFrontier(fixtureSeeds[j:j+1], 0, counts, true, rng, nil, got)
 	}
 }
 

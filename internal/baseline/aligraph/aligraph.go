@@ -242,59 +242,56 @@ func (s *Store) Degree(src graph.VertexID, et graph.EdgeType) int {
 	return 0
 }
 
-// SampleNeighbors implements storage.TopologyStore with O(1) alias draws,
-// rebuilding the table first if a dynamic update invalidated it.
-func (s *Store) SampleNeighbors(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID {
+// SampleFrontier implements storage.TopologyStore with O(1) alias draws
+// per source, rebuilding a source's table first if a dynamic update
+// invalidated it. Uniform draws need no table and take the read lock.
+func (s *Store) SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, uniform bool, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
 	r := s.rel(et, false)
 	if r == nil {
+		clear(got[:len(srcs)])
 		return dst
 	}
-	sh := shardFor(r, src)
-	sh.mu.Lock() // write lock: sampling may rebuild the alias table
-	defer sh.mu.Unlock()
-	a := sh.adj[src]
-	if a == nil || len(a.ids) == 0 {
-		return dst
-	}
-	a.ensureTable()
-	if a.table == nil {
-		return dst
-	}
-	// Sec. V ("Challenges"): existing systems "need to retrieve all the
-	// neighbours of a source node ... into memory" before sampling. Model
-	// the gather: materialize the neighbor list per request, then draw from
-	// the alias table in O(1) each.
-	retrieved := make([]graph.VertexID, len(a.ids))
-	copy(retrieved, a.ids)
-	for i := 0; i < k; i++ {
-		dst = append(dst, retrieved[a.table.Sample(rng)])
+	for i, src := range srcs {
+		n := len(dst)
+		sh := shardFor(r, src)
+		if uniform {
+			sh.mu.RLock()
+			dst = sh.adj[src].sample(counts[i], true, rng, dst)
+			sh.mu.RUnlock()
+		} else {
+			sh.mu.Lock() // write lock: sampling may rebuild the alias table
+			dst = sh.adj[src].sample(counts[i], false, rng, dst)
+			sh.mu.Unlock()
+		}
+		got[i] = len(dst) - n
 	}
 	return dst
 }
 
-// SampleFrontier implements storage.TopologyStore as the per-source loop.
-func (s *Store) SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
-	return storage.SampleFrontierLoop(s, srcs, et, counts, rng, dst, got)
-}
-
-// SampleNeighborsUniform implements storage.TopologyStore: uniform draws
-// over the (retrieved) adjacency.
-func (s *Store) SampleNeighborsUniform(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID {
-	r := s.rel(et, false)
-	if r == nil {
-		return dst
-	}
-	sh := shardFor(r, src)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	a := sh.adj[src]
+// sample appends k draws of a's neighbors to dst, none if a is nil or
+// empty, or if weighted draws find no table (all-zero weights). Sec. V
+// ("Challenges"): existing systems "need to retrieve all the neighbours of
+// a source node ... into memory" before sampling. Model the gather:
+// materialize the neighbor list per request, then draw from it in O(1)
+// each.
+func (a *adjacency) sample(k int, uniform bool, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID {
 	if a == nil || len(a.ids) == 0 {
 		return dst
+	}
+	if !uniform {
+		a.ensureTable()
+		if a.table == nil {
+			return dst
+		}
 	}
 	retrieved := make([]graph.VertexID, len(a.ids))
 	copy(retrieved, a.ids)
 	for i := 0; i < k; i++ {
-		dst = append(dst, retrieved[rng.Intn(len(retrieved))])
+		if uniform {
+			dst = append(dst, retrieved[rng.Intn(len(retrieved))])
+		} else {
+			dst = append(dst, retrieved[a.table.Sample(rng)])
+		}
 	}
 	return dst
 }

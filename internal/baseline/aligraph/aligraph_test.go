@@ -1,6 +1,7 @@
 package aligraph
 
 import (
+	"math/rand"
 	"testing"
 
 	"platod2gl/internal/graph"
@@ -12,6 +13,11 @@ func TestConformance(t *testing.T) {
 	storetest.Run(t, func() storage.TopologyStore { return New(Options{}) })
 }
 
+// draw takes k weighted samples of src's neighbors under relation 0.
+func draw(s *Store, src graph.VertexID, k int, rng *rand.Rand) []graph.VertexID {
+	return s.SampleFrontier([]graph.VertexID{src}, 0, []int{k}, false, rng, nil, make([]int, 1))
+}
+
 func TestAliasRebuildAfterUpdate(t *testing.T) {
 	s := New(Options{})
 	s.AddEdge(graph.Edge{Src: 1, Dst: 10, Weight: 1})
@@ -21,7 +27,7 @@ func TestAliasRebuildAfterUpdate(t *testing.T) {
 	s.UpdateWeight(1, 20, 0, 1)
 	rng := newRng()
 	counts := map[graph.VertexID]int{}
-	for _, id := range s.SampleNeighbors(1, 0, 10000, rng, nil) {
+	for _, id := range draw(s, 1, 10000, rng) {
 		counts[id]++
 	}
 	if counts[10] < 9500 {
@@ -47,7 +53,7 @@ func TestZeroWeightSourceSamplesNothing(t *testing.T) {
 	s := New(Options{})
 	s.AddEdge(graph.Edge{Src: 1, Dst: 2, Weight: 0})
 	rng := newRng()
-	if out := s.SampleNeighbors(1, 0, 5, rng, nil); len(out) != 0 {
+	if out := draw(s, 1, 5, rng); len(out) != 0 {
 		t.Fatalf("sampled from all-zero-weight source: %v", out)
 	}
 }

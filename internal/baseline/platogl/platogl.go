@@ -310,51 +310,32 @@ func (s *Store) Degree(src graph.VertexID, et graph.EdgeType) int {
 	return 0
 }
 
-// SampleNeighbors implements storage.TopologyStore: PlatoGL's block-based
-// ITS — binary search in the per-source CSTable, then a block-key lookup to
-// fetch the neighbor from its block.
-func (s *Store) SampleNeighbors(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID {
+// SampleFrontier implements storage.TopologyStore: PlatoGL's block-based
+// ITS per source — binary search in the source's CSTable, then a
+// block-key lookup to fetch the neighbor from its block. A uniform draw is
+// a random global position followed by the block lookup.
+func (s *Store) SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, uniform bool, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
 	r := s.rel(et, false)
 	if r == nil {
+		clear(got[:len(srcs)])
 		return dst
 	}
-	sh := shardFor(r, src)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	m := sh.meta[src]
-	if m == nil || m.degree() == 0 {
-		return dst
-	}
-	total := m.cs.Total()
-	for i := 0; i < k; i++ {
-		g := m.cs.Sample(rng.Float64() * total)
-		dst = append(dst, s.idAt(sh, src, g))
-	}
-	return dst
-}
-
-// SampleFrontier implements storage.TopologyStore as the per-source loop.
-func (s *Store) SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
-	return storage.SampleFrontierLoop(s, srcs, et, counts, rng, dst, got)
-}
-
-// SampleNeighborsUniform implements storage.TopologyStore: a uniform draw
-// is a random global position followed by a block lookup.
-func (s *Store) SampleNeighborsUniform(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID {
-	r := s.rel(et, false)
-	if r == nil {
-		return dst
-	}
-	sh := shardFor(r, src)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	m := sh.meta[src]
-	if m == nil || m.degree() == 0 {
-		return dst
-	}
-	n := m.degree()
-	for i := 0; i < k; i++ {
-		dst = append(dst, s.idAt(sh, src, rng.Intn(n)))
+	for i, src := range srcs {
+		n := len(dst)
+		sh := shardFor(r, src)
+		sh.mu.RLock()
+		if m := sh.meta[src]; m != nil && m.degree() > 0 {
+			deg, total := m.degree(), m.cs.Total()
+			for j := 0; j < counts[i]; j++ {
+				if uniform {
+					dst = append(dst, s.idAt(sh, src, rng.Intn(deg)))
+				} else {
+					dst = append(dst, s.idAt(sh, src, m.cs.Sample(rng.Float64()*total)))
+				}
+			}
+		}
+		sh.mu.RUnlock()
+		got[i] = len(dst) - n
 	}
 	return dst
 }

@@ -197,12 +197,17 @@ type ScrubConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// PeerDigest is one peer's answer (or failure) in a scrub round.
+// PeerDigest is one server's whole-store digest probe (or its failure), in
+// a scrub round or an integrity check.
 type PeerDigest struct {
 	Addr   string
 	Err    string // probe failure ("" on success)
 	Digest DigestReply
 }
+
+// ok reports whether the digest is usable evidence: the probe succeeded and
+// the replica is serving (not mid-catch-up).
+func (p *PeerDigest) ok() bool { return p.Err == "" && p.Digest.Ready }
 
 // RoundReport is one scrub round's outcome, carried by the Scrub RPC.
 type RoundReport struct {
@@ -376,8 +381,11 @@ func (sc *Scrubber) checkDisk(rep *RoundReport) {
 	}
 }
 
-// digestKey is the comparable pair replicas are grouped by.
+// digestKey is the comparable pair replicas are grouped by: two replicas
+// hold the same state when their keys are equal.
 type digestKey struct{ topo, attrs uint64 }
+
+func (d *DigestReply) key() digestKey { return digestKey{d.Topology, d.Attrs} }
 
 // compareDigests probes the replica group and classifies any persistent
 // mismatch. A transient mismatch (writes in flight during the probe) is
@@ -438,10 +446,10 @@ func (sc *Scrubber) probePeers() []PeerDigest {
 // digestsAgree reports whether every reachable, ready peer matches local.
 func digestsAgree(local DigestReply, peers []PeerDigest) bool {
 	for _, p := range peers {
-		if p.Err != "" || !p.Digest.Ready {
+		if !p.ok() {
 			continue // unreachable or catching up: not evidence either way
 		}
-		if p.Digest.Topology != local.Topology || p.Digest.Attrs != local.Attrs {
+		if p.Digest.key() != local.key() {
 			return false
 		}
 	}
@@ -456,17 +464,17 @@ func digestsAgree(local DigestReply, peers []PeerDigest) bool {
 // WAL tie falls through to a deterministic address-order tie-break so the
 // group converges instead of splitting forever.
 func (sc *Scrubber) classify(rep *RoundReport) {
-	localKey := digestKey{rep.Local.Topology, rep.Local.Attrs}
+	localKey := rep.Local.key()
 	votes := map[digestKey]int{localKey: 1}
 	bestPeer := map[digestKey]string{}
 	var maxPeerWAL uint64
 	var maxPeerKey digestKey
 	var maxPeerAddr string
 	for _, p := range rep.Peers {
-		if p.Err != "" || !p.Digest.Ready {
+		if !p.ok() {
 			continue
 		}
-		k := digestKey{p.Digest.Topology, p.Digest.Attrs}
+		k := p.Digest.key()
 		votes[k]++
 		if _, ok := bestPeer[k]; !ok || p.Digest.WALSeq > maxPeerWAL {
 			bestPeer[k] = p.Addr
@@ -509,11 +517,11 @@ func (sc *Scrubber) classify(rep *RoundReport) {
 			// exactly one side yields without coordination.
 			tieAddr, tieKey := sc.cfg.Self, localKey
 			for _, p := range rep.Peers {
-				if p.Err != "" || !p.Digest.Ready || p.Digest.WALSeq != rep.Local.WALSeq {
+				if !p.ok() || p.Digest.WALSeq != rep.Local.WALSeq {
 					continue
 				}
 				if p.Addr < tieAddr {
-					tieAddr, tieKey = p.Addr, digestKey{p.Digest.Topology, p.Digest.Attrs}
+					tieAddr, tieKey = p.Addr, p.Digest.key()
 				}
 			}
 			if tieAddr == sc.cfg.Self || tieKey == localKey {
@@ -543,7 +551,7 @@ func (sc *Scrubber) pickRepairPeer(rep *RoundReport) string {
 		peers = sc.probePeers()
 	}
 	for _, p := range peers {
-		if p.Err == "" && p.Digest.Ready {
+		if p.ok() {
 			return p.Addr
 		}
 	}

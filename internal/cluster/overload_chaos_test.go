@@ -39,15 +39,11 @@ type slowStore struct {
 	applyDelay  time.Duration
 }
 
-func (s *slowStore) SampleNeighbors(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID {
-	time.Sleep(s.sampleDelay)
-	return s.DynamicStore.SampleNeighbors(src, et, k, rng, dst)
-}
-
-// SampleFrontier samples each source through the slow SampleNeighbors, so
-// the server's frontier path pays the delay per seed.
-func (s *slowStore) SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
-	return storage.SampleFrontierLoop(s, srcs, et, counts, rng, dst, got)
+// SampleFrontier pays the delay once per source, as a per-seed store call
+// would, before sampling the whole frontier.
+func (s *slowStore) SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, uniform bool, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
+	time.Sleep(time.Duration(len(srcs)) * s.sampleDelay)
+	return s.DynamicStore.SampleFrontier(srcs, et, counts, uniform, rng, dst, got)
 }
 
 func (s *slowStore) ApplyBatch(events []graph.Event) {

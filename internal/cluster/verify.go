@@ -11,22 +11,10 @@ package cluster
 
 import "fmt"
 
-// MemberDigest is one server's whole-store digest probe in an integrity
-// check.
-type MemberDigest struct {
-	Addr   string
-	Err    string // probe failure ("" on success)
-	Digest DigestReply
-}
-
-// ok reports whether this member's digest is usable evidence: probe
-// succeeded and the replica is serving (not mid-catch-up).
-func (m *MemberDigest) ok() bool { return m.Err == "" && m.Digest.Ready }
-
 // GroupIntegrity is one replica group's digest comparison.
 type GroupIntegrity struct {
 	Group   int
-	Members []MemberDigest
+	Members []PeerDigest
 	// Mismatch is true when two serving members disagree. BadShards then
 	// names the diverged logical shards (per-shard digest drill-down).
 	Mismatch  bool
@@ -105,7 +93,7 @@ func (d *Driver) VerifyIntegrity(m *ShardMap, addrs []string, scrub bool) *Integ
 	for g, members := range groups {
 		gi := GroupIntegrity{Group: g}
 		for _, addr := range members {
-			md := MemberDigest{Addr: addr}
+			md := PeerDigest{Addr: addr}
 			var err error
 			if md.Digest, err = d.DigestOf(addr, -1, 0); err != nil {
 				md.Err = err.Error()
@@ -113,7 +101,7 @@ func (d *Driver) VerifyIntegrity(m *ShardMap, addrs []string, scrub bool) *Integ
 			gi.Members = append(gi.Members, md)
 		}
 		// Compare serving members pairwise against the first serving one.
-		var ref *MemberDigest
+		var ref *PeerDigest
 		for i := range gi.Members {
 			mem := &gi.Members[i]
 			if !mem.ok() {
@@ -123,7 +111,7 @@ func (d *Driver) VerifyIntegrity(m *ShardMap, addrs []string, scrub bool) *Integ
 				ref = mem
 				continue
 			}
-			if mem.Digest.Topology != ref.Digest.Topology || mem.Digest.Attrs != ref.Digest.Attrs {
+			if mem.Digest.key() != ref.Digest.key() {
 				gi.Mismatch = true
 			}
 		}
@@ -152,10 +140,10 @@ func (d *Driver) VerifyIntegrity(m *ShardMap, addrs []string, scrub bool) *Integ
 
 // divergedShards re-probes a mismatched group per logical shard to name the
 // shards whose digests disagree.
-func (d *Driver) divergedShards(m *ShardMap, g int, members []MemberDigest) []int {
+func (d *Driver) divergedShards(m *ShardMap, g int, members []PeerDigest) []int {
 	var bad []int
 	for _, shard := range m.OwnedBy(g) {
-		var ref *DigestReply
+		var ref *digestKey
 		mismatch := false
 		for _, mem := range members {
 			if !mem.ok() {
@@ -165,12 +153,9 @@ func (d *Driver) divergedShards(m *ShardMap, g int, members []MemberDigest) []in
 			if err != nil || !dg.Ready {
 				continue
 			}
-			if ref == nil {
-				cp := dg
-				ref = &cp
-				continue
-			}
-			if dg.Topology != ref.Topology || dg.Attrs != ref.Attrs {
+			if k := dg.key(); ref == nil {
+				ref = &k
+			} else if k != *ref {
 				mismatch = true
 				break
 			}

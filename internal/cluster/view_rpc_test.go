@@ -355,7 +355,7 @@ func TestFeaturesLabelsDegreeCoalesceDuplicateIDs(t *testing.T) {
 // sampler's frontier path: one generator seeded seed+1, one SampleNeighbors
 // call per seed in order, and the seed itself in the slots of a seed
 // without out-neighbors.
-func perSeedSample(store storage.TopologyStore, seeds []graph.VertexID, et graph.EdgeType, fanout int, seed int64) []graph.VertexID {
+func perSeedSample(store *storage.DynamicStore, seeds []graph.VertexID, et graph.EdgeType, fanout int, seed int64) []graph.VertexID {
 	rng := rand.New(rand.NewSource(seed + 1))
 	out := make([]graph.VertexID, len(seeds)*fanout)
 	for i, s := range seeds {

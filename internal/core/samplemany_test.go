@@ -57,12 +57,12 @@ func TestBatchedDrawsMatchPerDrawDescent(t *testing.T) {
 						}
 
 						rng := rand.New(rand.NewSource(seed))
-						got := tr.SampleN(rng, k, nil)
+						got := AppendSamples(tr, rng, k, []uint64(nil))
 						if !slices.Equal(got, want) {
-							t.Fatalf("k=%d SampleN = %v, per-draw descent = %v", k, got, want)
+							t.Fatalf("k=%d AppendSamples = %v, per-draw descent = %v", k, got, want)
 						}
 						if a, b := rng.Int63(), ref.Int63(); a != b {
-							t.Fatalf("k=%d: SampleN left the rng in a different state than %d draws", k, k)
+							t.Fatalf("k=%d: AppendSamples left the rng in a different state than %d draws", k, k)
 						}
 
 						rng = rand.New(rand.NewSource(seed))

@@ -627,14 +627,6 @@ func (t *Tree) SampleOne(rng *rand.Rand) (uint64, bool) {
 	return t.sampleOne(rng.Float64()), true
 }
 
-// SampleN draws k neighbors with replacement into dst (allocated if nil).
-func (t *Tree) SampleN(rng *rand.Rand, k int, dst []uint64) []uint64 {
-	if dst == nil {
-		dst = make([]uint64, 0, k)
-	}
-	return AppendSamples(t, rng, k, dst)
-}
-
 // AppendSamples draws k neighbors of t with replacement, weighted by edge
 // weight, and appends them to dst. It consumes exactly k rng.Float64 values
 // in order, the i-th selecting the i-th neighbor appended, or none when t is

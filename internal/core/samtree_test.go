@@ -364,9 +364,9 @@ func TestSampleN(t *testing.T) {
 		tr.Insert(i, 1)
 	}
 	rng := rand.New(rand.NewSource(3))
-	got := tr.SampleN(rng, 25, nil)
+	got := AppendSamples(tr, rng, 25, []uint64(nil))
 	if len(got) != 25 {
-		t.Fatalf("SampleN returned %d, want 25", len(got))
+		t.Fatalf("AppendSamples returned %d, want 25", len(got))
 	}
 	for _, id := range got {
 		if id >= 10 {
@@ -375,9 +375,9 @@ func TestSampleN(t *testing.T) {
 	}
 	// Reuse destination buffer.
 	buf := make([]uint64, 0, 8)
-	got = tr.SampleN(rng, 5, buf)
+	got = AppendSamples(tr, rng, 5, buf)
 	if len(got) != 5 {
-		t.Fatalf("SampleN with dst returned %d", len(got))
+		t.Fatalf("AppendSamples with dst returned %d", len(got))
 	}
 }
 
@@ -666,9 +666,9 @@ func TestUniformSamplingAfterChurn(t *testing.T) {
 			t.Fatalf("sampled deleted or invalid neighbor %d (ok=%v)", v, ok)
 		}
 	}
-	out := tr.SampleNUniform(rng, 10, nil)
+	out := AppendUniform(tr, rng, 10, []uint64(nil))
 	if len(out) != 10 {
-		t.Fatalf("SampleNUniform returned %d", len(out))
+		t.Fatalf("AppendUniform returned %d", len(out))
 	}
 }
 

@@ -32,16 +32,15 @@ func (t *Tree) SampleOneUniform(rng *rand.Rand) (uint64, bool) {
 	return n.ids.Get(int(r)), true
 }
 
-// SampleNUniform draws k neighbors uniformly with replacement into dst
-// (allocated if nil).
-func (t *Tree) SampleNUniform(rng *rand.Rand, k int, dst []uint64) []uint64 {
-	if dst == nil {
-		dst = make([]uint64, 0, k)
+// AppendUniform draws k neighbors of t uniformly with replacement and
+// appends them to dst, or none when t is empty.
+func AppendUniform[T ~uint64](t *Tree, rng *rand.Rand, k int, dst []T) []T {
+	if t.size == 0 {
+		return dst
 	}
 	for i := 0; i < k; i++ {
-		if v, ok := t.SampleOneUniform(rng); ok {
-			dst = append(dst, v)
-		}
+		v, _ := t.SampleOneUniform(rng)
+		dst = append(dst, T(v))
 	}
 	return dst
 }

@@ -218,15 +218,15 @@ func trainStepInput(tb testing.TB) (tr *Trainer, batches []*Batch, rows int) {
 }
 
 // TestTrainStepAllocs pins the cost of a step on BenchmarkGNNTrainStep's
-// input: its batches hold 2622 feature rows each on average (20 976 in
+// input: its batches hold 2622 feature rows each on average (20 975 in
 // all), and a TrainStep makes at most 39 allocations. The count is exact
 // once AllocsPerRun's warm-up step has allocated Adam's moments, so the
 // ceiling is today's count and one more allocation per step fails. A
 // change that lowers the count lowers the ceiling with it.
 func TestTrainStepAllocs(t *testing.T) {
 	tr, batches, rows := trainStepInput(t)
-	if rows != 20_976 {
-		t.Fatalf("%d feature rows in %d batches, want 20 976 (2622 per batch)", rows, len(batches))
+	if rows != 20_975 {
+		t.Fatalf("%d feature rows in %d batches, want 20 975 (2622 per batch)", rows, len(batches))
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(len(batches), func() {

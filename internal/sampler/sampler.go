@@ -65,57 +65,51 @@ type NeighborBatch struct {
 // occurs m times is drawn from once, m·fanout times, and each occurrence
 // gets its own fanout of those draws (see sampleHop).
 func (s *Sampler) SampleNeighbors(seeds []graph.VertexID, et graph.EdgeType, fanout int) *NeighborBatch {
+	return s.neighborBatch(seeds, et, fanout, false)
+}
+
+// SampleNeighborsUniform draws fanout unweighted neighbors (each with
+// probability 1/degree) per seed — the sampling mode plain GraphSAGE uses.
+func (s *Sampler) SampleNeighborsUniform(seeds []graph.VertexID, et graph.EdgeType, fanout int) *NeighborBatch {
+	return s.neighborBatch(seeds, et, fanout, true)
+}
+
+func (s *Sampler) neighborBatch(seeds []graph.VertexID, et graph.EdgeType, fanout int, uniform bool) *NeighborBatch {
 	out := &NeighborBatch{
 		Seeds:     seeds,
 		Fanout:    fanout,
 		Neighbors: make([]graph.VertexID, len(seeds)*fanout),
 	}
 	h := hops.Get().(*hop)
-	s.sampleHop(h, seeds, et, fanout, out.Neighbors)
+	s.sampleHop(h, 0, seeds, et, fanout, uniform, out.Neighbors)
 	hops.Put(h)
-	return out
-}
-
-// SampleNeighborsUniform draws fanout unweighted neighbors (each with
-// probability 1/degree) per seed — the sampling mode plain GraphSAGE uses.
-func (s *Sampler) SampleNeighborsUniform(seeds []graph.VertexID, et graph.EdgeType, fanout int) *NeighborBatch {
-	out := &NeighborBatch{
-		Seeds:     seeds,
-		Fanout:    fanout,
-		Neighbors: make([]graph.VertexID, len(seeds)*fanout),
-	}
-	s.forEachSeed(len(seeds), func(w int, i int, rng *rand.Rand) {
-		base := i * fanout
-		got := s.store.SampleNeighborsUniform(seeds[i], et, fanout, rng, out.Neighbors[base:base])
-		for j := len(got); j < fanout; j++ {
-			out.Neighbors[base+j] = seeds[i]
-		}
-	})
 	return out
 }
 
 // RandomWalk performs length steps of a weighted random walk from every
 // seed over relation et (the KnightKing-style primitive, ref. [34] of the
-// paper), returning the walks as rows of length+1 vertices (seed included).
-// A walk that reaches a sink vertex stays there.
+// paper), returning the walks as rows of length+1 vertices (seed included;
+// a length below 1 returns each seed alone). Step i moves every walker at
+// once, as one fan-out-1 hop from stream i. A walk that reaches a sink
+// vertex stays there.
 func (s *Sampler) RandomWalk(seeds []graph.VertexID, et graph.EdgeType, length int) [][]graph.VertexID {
-	walks := make([][]graph.VertexID, len(seeds))
-	s.forEachSeed(len(seeds), func(w int, i int, rng *rand.Rand) {
-		walk := make([]graph.VertexID, 0, length+1)
-		cur := seeds[i]
-		walk = append(walk, cur)
-		var buf [1]graph.VertexID
-		for step := 0; step < length; step++ {
-			got := s.store.SampleNeighbors(cur, et, 1, rng, buf[:0])
-			if len(got) == 0 {
-				walk = append(walk, cur) // sink: stay put
-				continue
-			}
-			cur = got[0]
-			walk = append(walk, cur)
+	n, row := len(seeds), max(length, 0)+1
+	walks := make([][]graph.VertexID, n)
+	flat := make([]graph.VertexID, n*row)
+	for i := range walks {
+		walks[i] = flat[i*row : (i+1)*row : (i+1)*row]
+		walks[i][0] = seeds[i]
+	}
+	cur, next := slices.Clone(seeds), make([]graph.VertexID, n)
+	h := hops.Get().(*hop)
+	for step := 0; step < row-1; step++ {
+		s.sampleHop(h, step, cur, et, 1, false, next)
+		for i, v := range next {
+			walks[i][step+1] = v
 		}
-		walks[i] = walk
-	})
+		cur, next = next, cur
+	}
+	hops.Put(h)
 	return walks
 }
 
@@ -148,7 +142,7 @@ func (g *Subgraph) NumNodes() int {
 // SampleSubgraph expands each seed along the meta-path with the given
 // per-hop fanouts (the paper's subgraph-sampling operator; Fig. 10(d-f) uses
 // 2-hop meta-paths). len(path) must equal len(fanouts). Each hop samples its
-// frontier as SampleNeighbors samples its seeds.
+// frontier as SampleNeighbors samples its seeds, hop i from stream i.
 func (s *Sampler) SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fanouts []int) *Subgraph {
 	if len(path) != len(fanouts) {
 		panic("sampler: meta-path and fanout lengths differ")
@@ -159,7 +153,7 @@ func (s *Sampler) SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fa
 	for i, et := range path {
 		fanout := fanouts[i]
 		nodes := make([]graph.VertexID, len(frontier)*fanout)
-		s.sampleHop(h, frontier, et, fanout, nodes)
+		s.sampleHop(h, i, frontier, et, fanout, false, nodes)
 		sg.Layers[i] = Layer{Type: et, Nodes: nodes, Fanout: fanout}
 		frontier = nodes
 	}
@@ -167,10 +161,15 @@ func (s *Sampler) SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fa
 	return sg
 }
 
-// hop is the scratch of one sampled frontier, pooled because a Sampler is
-// shared across goroutines: the frontier grouped by vertex, and the draws.
+// hop is one sampled frontier, pooled because a Sampler is shared across
+// goroutines: what it asks of the store, the frontier grouped by vertex,
+// and the draws.
 type hop struct {
 	graph.Grouping                  // the frontier's distinct vertices and their positions
+	et             graph.EdgeType   // the relation sampled
+	fanout         int              // draws per position
+	uniform        bool             // draws ignore edge weights
+	seed           int64            // worker w's generator is seeded seed+w
 	counts         []int            // draws asked of each distinct vertex
 	got            []int            // draws the store returned for each distinct vertex
 	draws          []graph.VertexID // worker w's draws fill the region of its vertices' positions
@@ -183,25 +182,42 @@ var hops = sync.Pool{New: func() any { return new(hop) }}
 // stream a fresh rand.New(rand.NewSource(seed)) would, without its 5 KB.
 var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
-// sampleHop fills nodes (len(frontier)*fanout) with fanout weighted draws
-// for each frontier position, the position's own vertex where it has no
-// out-neighbor under et. It groups the frontier, asks the store for
-// m·fanout draws of each distinct vertex that occurs m times, in one
+// streamSeed is the seed of stream i: worker w of the stream draws from a
+// generator seeded streamSeed(i)+w+1. Stream 0 is Seed itself, which
+// defines the cluster server's sampling reply. Later streams hash (Seed, i)
+// instead of adding a stride: math/rand generators whose seeds differ by a
+// constant draw correlated first values (seeds s and s+1 put 88% of their
+// first draws in opposite halves of [0, 1)), so a strided hop would not be
+// independent of the one before it.
+func (s *Sampler) streamSeed(stream int) int64 {
+	if stream == 0 {
+		return s.opt.Seed
+	}
+	return int64(graph.Mix64(uint64(s.opt.Seed) + uint64(stream)*0x9e3779b97f4a7c15))
+}
+
+// sampleHop fills nodes (len(frontier)*fanout) with fanout draws for each
+// frontier position, weighted or uniform, the position's own vertex where
+// it has no out-neighbor under et. It groups the frontier, asks the store
+// for m·fanout draws of each distinct vertex that occurs m times, in one
 // SampleFrontier call per worker, and gives block j of a vertex's draws to
 // its occurrence j. Draws are independent and with replacement, so each
 // occurrence still gets fanout independent samples of its neighbors; no
 // two occurrences share a block.
 //
-// With Parallelism > 1 the distinct vertices are split into runs of about
-// equal draw counts, one per worker, so a hub's occurrences weigh on the
-// split as much as its draws weigh on the work. Worker w draws from a
-// generator seeded Seed+w+1, as every hop does, so the result depends only
-// on the seed, the frontier and the store.
-func (s *Sampler) sampleHop(h *hop, frontier []graph.VertexID, et graph.EdgeType, fanout int, nodes []graph.VertexID) {
+// A call's hops, or a walk's steps, draw from streams 0, 1, 2, ... (see
+// streamSeed), so no hop repeats another's draws, and the result depends
+// only on the seed, the frontier and the store. With Parallelism > 1 the
+// distinct vertices are split into runs of about equal draw counts, one per
+// worker, so a hub's occurrences weigh on the split as much as its draws
+// weigh on the work.
+func (s *Sampler) sampleHop(h *hop, stream int, frontier []graph.VertexID, et graph.EdgeType, fanout int, uniform bool, nodes []graph.VertexID) {
 	n := len(frontier)
 	if n == 0 || fanout == 0 {
 		return
 	}
+	h.et, h.fanout, h.uniform = et, fanout, uniform
+	h.seed = s.streamSeed(stream) + 1
 	h.Reset(n)
 	h.Add(frontier)
 	h.Runs()
@@ -214,7 +230,7 @@ func (s *Sampler) sampleHop(h *hop, frontier []graph.VertexID, et graph.EdgeType
 	h.draws = slices.Grow(h.draws[:0], n*fanout)[:n*fanout]
 	p := s.opt.Parallelism
 	if p <= 1 || nd < 64 {
-		s.sampleRun(h, 0, 0, nd, et, fanout, nodes)
+		s.sampleRun(h, 0, 0, nd, nodes)
 		return
 	}
 	lo := 0
@@ -231,7 +247,7 @@ func (s *Sampler) sampleHop(h *hop, frontier []graph.VertexID, et graph.EdgeType
 		h.wg.Add(1)
 		go func(w, lo, hi int) {
 			defer h.wg.Done()
-			s.sampleRun(h, w, lo, hi, et, fanout, nodes)
+			s.sampleRun(h, w, lo, hi, nodes)
 		}(w, lo, hi)
 		lo = hi
 	}
@@ -241,12 +257,13 @@ func (s *Sampler) sampleHop(h *hop, frontier []graph.VertexID, et graph.EdgeType
 // sampleRun samples distinct vertices [lo, hi) with worker w's generator
 // and scatters their draws to their positions in nodes. The run's draws go
 // to the region of draws its positions span, which no other run touches.
-func (s *Sampler) sampleRun(h *hop, w, lo, hi int, et graph.EdgeType, fanout int, nodes []graph.VertexID) {
+func (s *Sampler) sampleRun(h *hop, w, lo, hi int, nodes []graph.VertexID) {
+	fanout := h.fanout
 	first, last := int(h.Bounds[lo]), int(h.Bounds[hi])
 	rng := rngs.Get().(*rand.Rand)
-	rng.Seed(s.opt.Seed + int64(w) + 1)
+	rng.Seed(h.seed + int64(w))
 	draws := h.draws[first*fanout : first*fanout : last*fanout]
-	draws = s.store.SampleFrontier(h.IDs[lo:hi], et, h.counts[lo:hi], rng, draws, h.got[lo:hi])
+	draws = s.store.SampleFrontier(h.IDs[lo:hi], h.et, h.counts[lo:hi], h.uniform, rng, draws, h.got[lo:hi])
 	rngs.Put(rng)
 	at := 0
 	for d := lo; d < hi; d++ {
@@ -265,48 +282,6 @@ func (s *Sampler) sampleRun(h *hop, w, lo, hi int, et graph.EdgeType, fanout int
 			at += fanout
 		}
 	}
-}
-
-// forEachSeed runs fn(worker, index, rng) for indexes [0, n), either
-// serially or across the configured parallelism. Worker w draws from a
-// pooled generator reseeded to Seed+w+1.
-func (s *Sampler) forEachSeed(n int, fn func(w, i int, rng *rand.Rand)) {
-	p := s.opt.Parallelism
-	if p <= 1 || n < 64 {
-		rng := rngs.Get().(*rand.Rand)
-		rng.Seed(s.opt.Seed + 1)
-		for i := 0; i < n; i++ {
-			fn(0, i, rng)
-		}
-		rngs.Put(rng)
-		return
-	}
-	if p > n {
-		p = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + p - 1) / p
-	for w := 0; w < p; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			rng := rngs.Get().(*rand.Rand)
-			rng.Seed(s.opt.Seed + int64(w) + 1)
-			for i := lo; i < hi; i++ {
-				fn(w, i, rng)
-			}
-			rngs.Put(rng)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }
 
 // SampleNodesByDegree draws k source vertices of relation et with

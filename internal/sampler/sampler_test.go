@@ -306,6 +306,69 @@ func TestRandomWalkWeighted(t *testing.T) {
 	}
 }
 
+// TestSubgraphHopsIndependent: A -> {B1, B2} under relation 0, and each B
+// -> {C1, C2} under relation 1, all of weight 1. Over many sampler seeds,
+// a 1×1 subgraph of A must draw (B, C) from the product distribution: a
+// second hop that reused the first hop's stream would draw the same
+// quantile twice and put all the mass on (B1, C1) and (B2, C2).
+func TestSubgraphHopsIndependent(t *testing.T) {
+	st := storage.NewDynamicStore(storage.Options{})
+	const a = 1
+	bs, cs := []graph.VertexID{10, 11}, []graph.VertexID{20, 21}
+	for _, b := range bs {
+		st.AddEdge(graph.Edge{Src: a, Dst: b, Type: 0, Weight: 1})
+		for _, c := range cs {
+			st.AddEdge(graph.Edge{Src: b, Dst: c, Type: 1, Weight: 1})
+		}
+	}
+	joint := make([]float64, 4)
+	for seed := int64(0); seed < 4000; seed++ {
+		sg := New(st, Options{Seed: seed}).SampleSubgraph([]graph.VertexID{a}, graph.MetaPath{0, 1}, []int{1, 1})
+		joint[2*(sg.Layers[0].Nodes[0]-bs[0])+sg.Layers[1].Nodes[0]-cs[0]]++
+	}
+	if c := chiSquare(joint, []float64{1, 1, 1, 1}); c > 16.27 { // 3 dof, p = 0.001
+		t.Fatalf("hops 1 and 2 are not independent: chi-square %.1f, counts (B,C) %v", c, joint)
+	}
+}
+
+// TestRandomWalkStepsIndependent: vertices 1 and 2 each lead to {1, 2}.
+// Over many sampler seeds, a walker's first two steps must follow the
+// product distribution: a step that reused the previous step's stream
+// would repeat its quantile and always step to where it stepped before.
+func TestRandomWalkStepsIndependent(t *testing.T) {
+	st := storage.NewDynamicStore(storage.Options{})
+	for _, src := range []graph.VertexID{1, 2} {
+		st.AddEdge(graph.Edge{Src: src, Dst: 1, Weight: 1})
+		st.AddEdge(graph.Edge{Src: src, Dst: 2, Weight: 1})
+	}
+	joint := make([]float64, 4)
+	for seed := int64(0); seed < 4000; seed++ {
+		walk := New(st, Options{Seed: seed}).RandomWalk([]graph.VertexID{1}, 0, 2)[0]
+		joint[2*(walk[1]-1)+walk[2]-1]++
+	}
+	if c := chiSquare(joint, []float64{1, 1, 1, 1}); c > 16.27 { // 3 dof, p = 0.001
+		t.Fatalf("walk steps 1 and 2 are not independent: chi-square %.1f, counts %v", c, joint)
+	}
+}
+
+// TestRandomWalkNonPositiveLength: a walk of length 0 or less is its seed
+// alone.
+func TestRandomWalkNonPositiveLength(t *testing.T) {
+	s := New(buildStore(t), Options{Seed: 1})
+	seeds := []graph.VertexID{3, 7, 3}
+	for _, length := range []int{0, -1, -2} {
+		walks := s.RandomWalk(seeds, 0, length)
+		if len(walks) != len(seeds) {
+			t.Fatalf("length %d: %d walks for %d seeds", length, len(walks), len(seeds))
+		}
+		for i, w := range walks {
+			if len(w) != 1 || w[0] != seeds[i] {
+				t.Fatalf("length %d: walk %d = %v, want [%v]", length, i, w, seeds[i])
+			}
+		}
+	}
+}
+
 func TestSampleNodesByDegree(t *testing.T) {
 	st := storage.NewDynamicStore(storage.Options{})
 	// Source 1: degree 90; source 2: degree 10.

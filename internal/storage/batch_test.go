@@ -133,8 +133,9 @@ func sameStores(t *testing.T, got, want *DynamicStore, srcs []graph.VertexID) {
 }
 
 // TestSampleFrontierPrefetchWindows samples frontiers whose lengths sit at
-// and around SampleFrontier's prefetch distances and checks each against
-// the per-source loop, bit for bit. The frontiers mix one-leaf and split
+// and around SampleFrontier's prefetch distances and checks each, in both
+// modes, against the per-source loop of SampleNeighbors or
+// SampleNeighborsUniform, bit for bit. The frontiers mix one-leaf and split
 // trees, repeated sources, absent sources and emptied ones, and are also
 // sampled under a relation the store does not hold.
 func TestSampleFrontierPrefetchWindows(t *testing.T) {
@@ -163,12 +164,23 @@ func TestSampleFrontierPrefetchWindows(t *testing.T) {
 			counts[i] = rng.Intn(2 * core.SampleBatch)
 		}
 		for _, et := range []graph.EdgeType{0, 2} {
-			rngF, rngL := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
-			gotF, gotL := make([]int, n), make([]int, n)
-			outF := s.SampleFrontier(srcs, et, counts, rngF, nil, gotF)
-			outL := SampleFrontierLoop(s, srcs, et, counts, rngL, nil, gotL)
-			if !slices.Equal(outF, outL) || !slices.Equal(gotF, gotL) || rngF.Int63() != rngL.Int63() {
-				t.Fatalf("%d sources, relation %d: SampleFrontier differs from the per-source loop", n, et)
+			for _, uniform := range []bool{false, true} {
+				rngF, rngL := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+				gotF, gotL := make([]int, n), make([]int, n)
+				outF := s.SampleFrontier(srcs, et, counts, uniform, rngF, nil, gotF)
+				var outL []graph.VertexID
+				for i, src := range srcs {
+					before := len(outL)
+					if uniform {
+						outL = s.SampleNeighborsUniform(src, et, counts[i], rngL, outL)
+					} else {
+						outL = s.SampleNeighbors(src, et, counts[i], rngL, outL)
+					}
+					gotL[i] = len(outL) - before
+				}
+				if !slices.Equal(outF, outL) || !slices.Equal(gotF, gotL) || rngF.Int63() != rngL.Int63() {
+					t.Fatalf("%d sources, relation %d, uniform %v: SampleFrontier differs from the per-source loop", n, et, uniform)
+				}
 			}
 		}
 	}

@@ -17,13 +17,13 @@ import (
 type Metrics struct {
 	Inserts     obs.Counter // AddEdge calls
 	Deletes     obs.Counter // DeleteEdge calls
-	Samples     obs.Counter // SampleNeighbors/SampleNeighborsUniform calls
+	Samples     obs.Counter // sources sampled, weighted or uniform
 	Batches     obs.Counter // ApplyBatch calls
 	BatchEvents obs.Counter // events applied through ApplyBatch
 
 	InsertLatency obs.Histogram // nanoseconds per AddEdge
 	DeleteLatency obs.Histogram // nanoseconds per DeleteEdge
-	SampleLatency obs.Histogram // nanoseconds per k-draw sampling call, not per draw
+	SampleLatency obs.Histogram // nanoseconds per sampled source (all its draws), not per draw
 	BatchLatency  obs.Histogram // nanoseconds per ApplyBatch (all workers)
 }
 
@@ -36,7 +36,7 @@ func (m *Metrics) Register(r *obs.Registry) {
 	}{
 		{"platod2gl_storage_inserts_total", "Single-edge AddEdge calls.", &m.Inserts},
 		{"platod2gl_storage_deletes_total", "Single-edge DeleteEdge calls.", &m.Deletes},
-		{"platod2gl_storage_samples_total", "Neighbor-sampling calls (weighted and uniform).", &m.Samples},
+		{"platod2gl_storage_samples_total", "Sources sampled, weighted and uniform (one per frontier source).", &m.Samples},
 		{"platod2gl_storage_batches_total", "PALM batch applications.", &m.Batches},
 		{"platod2gl_storage_batch_events_total", "Events applied through ApplyBatch.", &m.BatchEvents},
 	} {
@@ -47,7 +47,7 @@ func (m *Metrics) Register(r *obs.Registry) {
 	r.RegisterHistogram("platod2gl_storage_delete_latency_seconds",
 		"Samtree single-edge delete latency.", nil, 1e-9, &m.DeleteLatency)
 	r.RegisterHistogram("platod2gl_storage_sample_latency_seconds",
-		"Neighbor-sampling latency per k-draw call (all k draws, not one).", nil, 1e-9, &m.SampleLatency)
+		"Neighbor-sampling latency per frontier source (all its draws, not one).", nil, 1e-9, &m.SampleLatency)
 	r.RegisterHistogram("platod2gl_storage_batch_latency_seconds",
 		"PALM batch application latency (all workers).", nil, 1e-9, &m.BatchLatency)
 }

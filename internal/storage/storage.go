@@ -41,20 +41,15 @@ type TopologyStore interface {
 	EdgeWeight(src, dst graph.VertexID, et graph.EdgeType) (float64, bool)
 	// Degree returns the out-degree of src under relation et.
 	Degree(src graph.VertexID, et graph.EdgeType) int
-	// SampleNeighbors draws k weighted samples (with replacement) of src's
-	// out-neighbors under et, appending to dst. Returns dst unchanged if
-	// src has no such neighbors.
-	SampleNeighbors(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID
-	// SampleFrontier samples a whole frontier in one call: for each i in
-	// order it appends counts[i] weighted samples of srcs[i]'s out-neighbors
-	// to dst and sets got[i] to how many it appended, 0 or counts[i]. The
-	// result and the rng's state after it are bit-identical to calling
-	// SampleNeighbors(srcs[i], et, counts[i], rng, dst) for each i in order.
-	// counts and got hold at least len(srcs) elements.
-	SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID
-	// SampleNeighborsUniform draws k unweighted samples (each neighbor with
-	// probability 1/degree), appending to dst.
-	SampleNeighborsUniform(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID
+	// SampleFrontier is the store's one sampling call. For each i in order
+	// it appends counts[i] samples of srcs[i]'s out-neighbors under et to
+	// dst, with replacement, and sets got[i] to how many it appended, 0 or
+	// counts[i]. A draw picks a neighbor with probability proportional to
+	// its edge weight, or 1/degree when uniform. The result and the rng's
+	// state after it are bit-identical to the one-source loop: one call
+	// per source, srcs[i:i+1], in order. counts and got hold at least
+	// len(srcs) elements.
+	SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, uniform bool, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID
 	// Neighbors returns all out-neighbors and weights of src under et.
 	Neighbors(src graph.VertexID, et graph.EdgeType) ([]graph.VertexID, []float64)
 	// ApplyBatch applies a batch of update events (the dynamic-update entry
@@ -249,9 +244,12 @@ func (s *DynamicStore) Degree(src graph.VertexID, et graph.EdgeType) int {
 	return n
 }
 
-// SampleNeighbors implements TopologyStore: the combined ITS-over-internal /
-// FTS-at-leaf descent of Sec. V-C, k times with replacement, batched so the
-// tree total and the leaf search are shared by up to core.SampleBatch draws.
+// SampleNeighbors draws k weighted samples (with replacement) of src's
+// out-neighbors under et, appending to dst: the combined ITS-over-internal /
+// FTS-at-leaf descent of Sec. V-C, batched so the tree total and the leaf
+// search are shared by up to core.SampleBatch draws. It is SampleFrontier
+// for one source, written out as the reference the frontier is tested
+// against.
 func (s *DynamicStore) SampleNeighbors(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID {
 	start := s.opt.Metrics.startTimer()
 	ent := s.entry(src, et, false)
@@ -265,14 +263,30 @@ func (s *DynamicStore) SampleNeighbors(src graph.VertexID, et graph.EdgeType, k 
 	return dst
 }
 
+// SampleNeighborsUniform is SampleNeighbors with unweighted draws (each
+// neighbor with probability 1/degree), through the samtree's count-guided
+// uniform descent.
+func (s *DynamicStore) SampleNeighborsUniform(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID {
+	start := s.opt.Metrics.startTimer()
+	ent := s.entry(src, et, false)
+	if ent == nil {
+		return dst
+	}
+	ent.mu.RLock()
+	dst = core.AppendUniform(&ent.tree, rng, k, dst)
+	ent.mu.RUnlock()
+	s.opt.Metrics.observeSample(start)
+	return dst
+}
+
 // SampleFrontier implements TopologyStore with the apply loop's staged
 // prefetch (see applyGroups): while it samples source i it has started
 // loading the cuckoo buckets of source i+2·lookahead, the entry of
 // i+lookahead, the root of i+lookahead/2 and the leaf arrays of
 // i+lookahead/4, so the first-touch misses of one tree overlap the draws
 // from the others. Prefetching draws no randomness, which keeps the result
-// that of the per-source loop.
-func (s *DynamicStore) SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
+// that of the one-source loop.
+func (s *DynamicStore) SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, counts []int, uniform bool, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
 	r := s.rel(et, false)
 	if r == nil {
 		clear(got[:len(srcs)])
@@ -316,42 +330,15 @@ func (s *DynamicStore) SampleFrontier(srcs []graph.VertexID, et graph.EdgeType, 
 		start := s.opt.Metrics.startTimer()
 		n := len(dst)
 		ent.mu.RLock()
-		dst = core.AppendSamples(&ent.tree, rng, counts[i], dst)
+		if uniform {
+			dst = core.AppendUniform(&ent.tree, rng, counts[i], dst)
+		} else {
+			dst = core.AppendSamples(&ent.tree, rng, counts[i], dst)
+		}
 		ent.mu.RUnlock()
 		got[i] = len(dst) - n
 		s.opt.Metrics.observeSample(start)
 	}
-	return dst
-}
-
-// SampleFrontierLoop is SampleFrontier as the loop its contract names:
-// SampleNeighbors once per source. Stores without a faster frontier path
-// implement SampleFrontier with it.
-func SampleFrontierLoop(s TopologyStore, srcs []graph.VertexID, et graph.EdgeType, counts []int, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
-	for i, src := range srcs {
-		n := len(dst)
-		dst = s.SampleNeighbors(src, et, counts[i], rng, dst)
-		got[i] = len(dst) - n
-	}
-	return dst
-}
-
-// SampleNeighborsUniform implements TopologyStore via the samtree's
-// count-guided uniform descent.
-func (s *DynamicStore) SampleNeighborsUniform(src graph.VertexID, et graph.EdgeType, k int, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID {
-	start := s.opt.Metrics.startTimer()
-	ent := s.entry(src, et, false)
-	if ent == nil {
-		return dst
-	}
-	ent.mu.RLock()
-	for i := 0; i < k; i++ {
-		if v, ok := ent.tree.SampleOneUniform(rng); ok {
-			dst = append(dst, graph.VertexID(v))
-		}
-	}
-	ent.mu.RUnlock()
-	s.opt.Metrics.observeSample(start)
 	return dst
 }
 

@@ -422,7 +422,8 @@ func TestSampleNeighborsAllocs(t *testing.T) {
 
 // TestSampleFrontierAllocs pins SampleFrontier at zero allocations per call
 // into a presized destination, over a frontier of sources of every degree
-// BenchmarkSampleNeighbors uses, one absent, each drawn fan-out 10 times.
+// BenchmarkSampleNeighbors uses, one absent, each drawn fan-out 10 times,
+// weighted and uniform.
 func TestSampleFrontierAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -439,11 +440,13 @@ func TestSampleFrontierAllocs(t *testing.T) {
 	counts := []int{k, k, k, k, k}
 	got := make([]int, len(srcs))
 	dst := make([]graph.VertexID, 0, len(srcs)*k)
-	allocs := testing.AllocsPerRun(200, func() {
-		dst = s.SampleFrontier(srcs, 0, counts, rng, dst[:0], got)
-	})
-	if allocs > 0 || len(dst) != 4*k {
-		t.Fatalf("SampleFrontier drew %d and allocates %.0f times per call, want %d and 0", len(dst), allocs, 4*k)
+	for _, uniform := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(200, func() {
+			dst = s.SampleFrontier(srcs, 0, counts, uniform, rng, dst[:0], got)
+		})
+		if allocs > 0 || len(dst) != 4*k {
+			t.Fatalf("uniform %v: SampleFrontier drew %d and allocates %.0f times per call, want %d and 0", uniform, len(dst), allocs, 4*k)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func testEmpty(t *testing.T, s storage.TopologyStore) {
 		t.Fatal("mutating absent edge returned true")
 	}
 	rng := rand.New(rand.NewSource(1))
-	if out := s.SampleNeighbors(1, 0, 5, rng, nil); len(out) != 0 {
+	if out := sampleOne(s, 1, 0, 5, false, rng, nil); len(out) != 0 {
 		t.Fatalf("sampled from empty store: %v", out)
 	}
 	if srcs := s.Sources(0); len(srcs) != 0 {
@@ -113,7 +113,7 @@ func testSampleDistribution(t *testing.T, s storage.TopologyStore) {
 	rng := rand.New(rand.NewSource(42))
 	const trials = 100000
 	counts := map[graph.VertexID]int{}
-	out := s.SampleNeighbors(5, 0, trials, rng, nil)
+	out := sampleOne(s, 5, 0, trials, false, rng, nil)
 	if len(out) != trials {
 		t.Fatalf("sampled %d, want %d", len(out), trials)
 	}
@@ -139,7 +139,7 @@ func testUniformDistribution(t *testing.T, s storage.TopologyStore) {
 	rng := rand.New(rand.NewSource(13))
 	const trials = 80000
 	counts := map[graph.VertexID]int{}
-	out := s.SampleNeighborsUniform(9, 0, trials, rng, nil)
+	out := sampleOne(s, 9, 0, trials, true, rng, nil)
 	if len(out) != trials {
 		t.Fatalf("sampled %d, want %d", len(out), trials)
 	}
@@ -155,7 +155,7 @@ func testUniformDistribution(t *testing.T, s storage.TopologyStore) {
 	if chi2 > 16.27 { // 3 dof, p=0.001
 		t.Fatalf("chi-square = %v, counts = %v", chi2, counts)
 	}
-	if got := s.SampleNeighborsUniform(12345, 0, 3, rng, nil); len(got) != 0 {
+	if got := sampleOne(s, 12345, 0, 3, true, rng, nil); len(got) != 0 {
 		t.Fatalf("uniform sample from unknown source: %v", got)
 	}
 }
@@ -184,31 +184,50 @@ func fanGraph(s storage.TopologyStore, n int, rng *rand.Rand) []graph.VertexID {
 	return srcs
 }
 
-// testSampleNoneOrK: SampleNeighbors appends exactly 0 or k draws, never a
-// part of k, whatever the source's degree (frontier sampling scatters a
-// vertex's draws in blocks on that premise).
+// sampleOne samples one source: SampleFrontier over src alone.
+func sampleOne(s storage.TopologyStore, src graph.VertexID, et graph.EdgeType, k int, uniform bool, rng *rand.Rand, dst []graph.VertexID) []graph.VertexID {
+	var got [1]int
+	return s.SampleFrontier([]graph.VertexID{src}, et, []int{k}, uniform, rng, dst, got[:])
+}
+
+// oneSourceLoop is the loop SampleFrontier's contract names: one call per
+// source, in order.
+func oneSourceLoop(s storage.TopologyStore, srcs []graph.VertexID, et graph.EdgeType, counts []int, uniform bool, rng *rand.Rand, dst []graph.VertexID, got []int) []graph.VertexID {
+	for i := range srcs {
+		dst = s.SampleFrontier(srcs[i:i+1], et, counts[i:i+1], uniform, rng, dst, got[i:i+1])
+	}
+	return dst
+}
+
+// testSampleNoneOrK: sampling one source appends exactly 0 or k draws,
+// never a part of k, whatever the source's degree and in both modes, and
+// reports that count (frontier sampling scatters a vertex's draws in blocks
+// on that premise).
 func testSampleNoneOrK(t *testing.T, s storage.TopologyStore) {
 	rng := rand.New(rand.NewSource(21))
 	srcs := append(fanGraph(s, 60, rng), 5000, 5001) // two absent sources
 	for _, src := range srcs {
 		deg := s.Degree(src, 0)
 		for _, k := range []int{0, 1, 2, 3, 10, 33, 100} {
-			prefix := []graph.VertexID{7, 7}
-			out := s.SampleNeighbors(src, 0, k, rng, prefix)
-			if n := len(out) - len(prefix); (deg == 0 && n != 0) || (deg > 0 && n != k) {
-				t.Fatalf("source %d of degree %d: %d draws for k=%d, want %d", src, deg, n, k, min(deg, 1)*k)
-			}
-			if !slices.Equal(out[:len(prefix)], prefix) {
-				t.Fatalf("source %d: SampleNeighbors overwrote dst's prefix", src)
+			for _, uniform := range []bool{false, true} {
+				prefix := []graph.VertexID{7, 7}
+				got := []int{-1}
+				out := s.SampleFrontier([]graph.VertexID{src}, 0, []int{k}, uniform, rng, prefix, got)
+				if n := len(out) - len(prefix); (deg == 0 && n != 0) || (deg > 0 && n != k) || got[0] != n {
+					t.Fatalf("source %d of degree %d, uniform %v: %d draws (reported %d) for k=%d, want %d", src, deg, uniform, n, got[0], k, min(deg, 1)*k)
+				}
+				if !slices.Equal(out[:len(prefix)], prefix) {
+					t.Fatalf("source %d: SampleFrontier overwrote dst's prefix", src)
+				}
 			}
 		}
 	}
 }
 
-// testFrontierEqualsLoop: SampleFrontier is bit for bit the loop of
-// SampleNeighbors its contract names, and leaves the generator where the
-// loop leaves it, over repeated, absent and emptied sources, counts from 0
-// up, an absent relation and a destination with a prefix.
+// testFrontierEqualsLoop: SampleFrontier is bit for bit the one-source loop
+// its contract names, and leaves the generator where the loop leaves it, in
+// both modes, over repeated, absent and emptied sources, counts from 0 up,
+// an absent relation and a destination with a prefix.
 func testFrontierEqualsLoop(t *testing.T, s storage.TopologyStore) {
 	rng := rand.New(rand.NewSource(22))
 	srcs := fanGraph(s, 120, rng)
@@ -227,22 +246,24 @@ func testFrontierEqualsLoop(t *testing.T, s storage.TopologyStore) {
 	for i := range counts {
 		counts[i] = []int{0, 1, 1, 3, 10, 25, 50, 250}[rng.Intn(8)]
 	}
-	for _, et := range []graph.EdgeType{0, 4} {
-		for _, n := range []int{0, 1, 17, len(frontier)} {
-			for seed := int64(0); seed < 3; seed++ {
-				prefix := []graph.VertexID{1, 2, 3}
-				rngF, rngL := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-				gotF, gotL := make([]int, n), make([]int, n)
-				for i := range gotF {
-					gotF[i] = -1 // every element must be written
-				}
-				outF := s.SampleFrontier(frontier[:n], et, counts[:n], rngF, slices.Clone(prefix), gotF)
-				outL := storage.SampleFrontierLoop(s, frontier[:n], et, counts[:n], rngL, slices.Clone(prefix), gotL)
-				if !slices.Equal(outF, outL) || !slices.Equal(gotF, gotL) {
-					t.Fatalf("relation %d, %d sources, seed %d: SampleFrontier differs from the per-source loop", et, n, seed)
-				}
-				if a, b := rngF.Int63(), rngL.Int63(); a != b {
-					t.Fatalf("relation %d, %d sources, seed %d: the generator ends elsewhere than the loop's", et, n, seed)
+	for _, uniform := range []bool{false, true} {
+		for _, et := range []graph.EdgeType{0, 4} {
+			for _, n := range []int{0, 1, 17, len(frontier)} {
+				for seed := int64(0); seed < 3; seed++ {
+					prefix := []graph.VertexID{1, 2, 3}
+					rngF, rngL := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+					gotF, gotL := make([]int, n), make([]int, n)
+					for i := range gotF {
+						gotF[i] = -1 // every element must be written
+					}
+					outF := s.SampleFrontier(frontier[:n], et, counts[:n], uniform, rngF, slices.Clone(prefix), gotF)
+					outL := oneSourceLoop(s, frontier[:n], et, counts[:n], uniform, rngL, slices.Clone(prefix), gotL)
+					if !slices.Equal(outF, outL) || !slices.Equal(gotF, gotL) {
+						t.Fatalf("uniform %v, relation %d, %d sources, seed %d: SampleFrontier differs from the one-source loop", uniform, et, n, seed)
+					}
+					if a, b := rngF.Int63(), rngL.Int63(); a != b {
+						t.Fatalf("uniform %v, relation %d, %d sources, seed %d: the generator ends elsewhere than the loop's", uniform, et, n, seed)
+					}
 				}
 			}
 		}
@@ -277,7 +298,7 @@ func testFrontierDuringApplyBatch(t *testing.T, s storage.TopologyStore) {
 					return
 				default:
 				}
-				dst = s.SampleFrontier(frontier, 0, counts, rng, dst[:0], got)
+				dst = s.SampleFrontier(frontier, 0, counts, r == 1, rng, dst[:0], got)
 				at := 0
 				for i, n := range got {
 					if n != 0 && n != counts[i] {

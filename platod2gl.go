@@ -282,7 +282,8 @@ func (g *Graph) SampleSubgraph(seeds []VertexID, path MetaPath, fanouts []int) *
 }
 
 // RandomWalk performs weighted random walks of the given length from each
-// seed, returning rows of length+1 vertices.
+// seed, returning rows of length+1 vertices (a length of 0 or less returns
+// each seed alone).
 func (g *Graph) RandomWalk(seeds []VertexID, et EdgeType, length int) [][]VertexID {
 	return g.smp.RandomWalk(seeds, et, length)
 }

@@ -232,6 +232,11 @@ func TestPublicAPIExtendedSurface(t *testing.T) {
 	if len(walks) != 3 || len(walks[0]) != 3 {
 		t.Fatalf("walks shape %dx%d", len(walks), len(walks[0]))
 	}
+	// A negative length is a walk of no steps, not a panic.
+	walks = g.RandomWalk(ids[:3], 1, -2)
+	if len(walks) != 3 || len(walks[0]) != 1 || walks[0][0] != ids[0] {
+		t.Fatalf("length -2: walks %v", walks)
+	}
 }
 
 func TestPublicAPIRangeQueries(t *testing.T) {
