@@ -775,10 +775,8 @@ func (c *Client) ApplyBatchCtx(ctx context.Context, events []graph.Event) error 
 			seqs[p] = c.seq.Add(1)
 		}
 	}
-	return c.fanOut(shards, func(s int) error {
-		if len(parts[s]) == 0 {
-			return nil
-		}
+	busy := func(s int) bool { return len(parts[s]) != 0 }
+	return c.fanOut(shards, busy, func(s int) error {
 		args := &BatchArgs{Events: parts[s], ClientID: c.clientID, Seq: seqs[s], Sum: checksumEvents(parts[s])}
 		return c.writeShard(ctx, rt, s, "ApplyBatch", args)
 	})
@@ -811,11 +809,8 @@ func (c *Client) SampleNeighborsCtx(ctx context.Context, seeds []graph.VertexID,
 		c.metrics.CoalescedSeeds.Add(int64(dups))
 		c.metrics.CoalescedBytes.Add(int64(dups) * 8 * int64(1+fanout))
 	}
-	errs := c.fanOutAll(shards, func(p int) error {
+	errs := c.fanOutAll(shards, scratch.busy, func(p int) error {
 		partSeeds, runs := scratch.part(p)
-		if len(partSeeds) == 0 {
-			return nil
-		}
 		args := &SampleArgs{Seeds: partSeeds, Type: et, Fanout: fanout, Seed: seed + int64(p)}
 		var reply SampleReply
 		if err := c.readShard(ctx, rt, p, "SampleNeighbors", args, &reply); err != nil {
@@ -898,11 +893,8 @@ func (c *Client) DegreeCtx(ctx context.Context, nodes []graph.VertexID, et graph
 	rt := c.route.Load()
 	scratch := getCoalesceScratch(rt.m.NumShards)
 	c.metrics.CoalescedRows.Add(int64(scratch.coalesce(nodes)))
-	err := c.fanOut(rt.m.NumShards, func(p int) error {
+	err := c.fanOut(rt.m.NumShards, scratch.busy, func(p int) error {
 		partNodes, runs := scratch.part(p)
-		if len(partNodes) == 0 {
-			return nil
-		}
 		var reply DegreeReply
 		if err := c.readShard(ctx, rt, p, "Degree", &DegreeArgs{Nodes: partNodes, Type: et}, &reply); err != nil {
 			return err
@@ -954,10 +946,8 @@ func (c *Client) SetFeaturesCtx(ctx context.Context, nodes []graph.VertexID, dim
 			parts[p].labels = append(parts[p].labels, labels[i])
 		}
 	}
-	return c.fanOut(shards, func(s int) error {
-		if len(parts[s].nodes) == 0 {
-			return nil
-		}
+	busy := func(s int) bool { return len(parts[s].nodes) != 0 }
+	return c.fanOut(shards, busy, func(s int) error {
 		args := &SetFeaturesArgs{Nodes: parts[s].nodes, Dim: dim, Data: parts[s].data, Labels: parts[s].labels}
 		return c.writeShard(ctx, rt, s, "SetFeatures", args)
 	})
@@ -1004,11 +994,8 @@ func (c *Client) featuresLabels(ctx context.Context, nodes []graph.VertexID, dim
 	rt := c.route.Load()
 	scratch := getCoalesceScratch(rt.m.NumShards)
 	c.metrics.CoalescedRows.Add(int64(scratch.coalesce(nodes)))
-	err := c.fanOut(rt.m.NumShards, func(p int) error {
+	err := c.fanOut(rt.m.NumShards, scratch.busy, func(p int) error {
 		partNodes, runs := scratch.part(p)
-		if len(partNodes) == 0 {
-			return nil
-		}
 		reply := FeatureReply{dim: dim, out: out, labels: labels, occ: runs}
 		args := &FeatureArgs{Nodes: partNodes, Dim: dim, WithLabels: withLabels}
 		if err := c.readShard(ctx, rt, p, "Features", args, &reply); err != nil {
@@ -1042,7 +1029,7 @@ func (c *Client) SourcesCtx(ctx context.Context, et graph.EdgeType) ([]graph.Ver
 	var mu sync.Mutex
 	var all []graph.VertexID
 	rt := c.route.Load()
-	err := c.fanOut(rt.m.NumShards, func(p int) error {
+	err := c.fanOut(rt.m.NumShards, nil, func(p int) error {
 		var reply SourcesReply
 		if err := c.readShard(ctx, rt, p, "Sources", &SourcesArgs{Type: et}, &reply); err != nil {
 			return err
@@ -1081,7 +1068,7 @@ func (c *Client) StatsCtx(ctx context.Context) (StatsReply, error) {
 		mu.Unlock()
 	}
 	rt := c.route.Load()
-	err := c.fanOut(len(rt.groups), func(g int) error {
+	err := c.fanOut(len(rt.groups), nil, func(g int) error {
 		var reply StatsReply
 		if err := c.readGroup(ctx, g, rt.groups[g], &rt.rr[g], "Stats", &StatsArgs{}, &reply); err != nil {
 			return err
@@ -1103,11 +1090,12 @@ func (c *Client) Close() error {
 	return first
 }
 
-// fanOut runs fn(s) for shards logical shards concurrently, returning the
-// first error. The caller passes the shard count of the route it partitioned
+// fanOut runs fn(s) for the logical shards below shards that busy reports
+// work for (every one when busy is nil), concurrently, returning the first
+// error. The caller passes the shard count of the route it partitioned
 // under, so a concurrent adoption cannot skew the fan-out width.
-func (c *Client) fanOut(shards int, fn func(s int) error) error {
-	for _, err := range c.fanOutAll(shards, fn) {
+func (c *Client) fanOut(shards int, busy func(s int) bool, fn func(s int) error) error {
+	for _, err := range c.fanOutAll(shards, busy, fn) {
 		if err != nil {
 			return err
 		}
@@ -1115,18 +1103,31 @@ func (c *Client) fanOut(shards int, fn func(s int) error) error {
 	return nil
 }
 
-// fanOutAll runs fn(s) for shards logical shards concurrently, returning
-// every shard's outcome (the degraded-mode building block).
-func (c *Client) fanOutAll(shards int, fn func(s int) error) []error {
+// fanOutAll is fanOut returning every shard's outcome, nil for a shard with
+// no work (the degraded-mode building block). A shard with no work starts no
+// goroutine, and the last busy shard runs on the caller's, so a call that
+// touches one shard starts none.
+func (c *Client) fanOutAll(shards int, busy func(s int) bool, fn func(s int) error) []error {
 	errs := make([]error, shards)
+	last := shards - 1
+	for last >= 0 && busy != nil && !busy(last) {
+		last--
+	}
+	if last < 0 {
+		return errs
+	}
 	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
+	for s := 0; s < last; s++ {
+		if busy != nil && !busy(s) {
+			continue
+		}
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			errs[s] = fn(s)
 		}(s)
 	}
+	errs[last] = fn(last)
 	wg.Wait()
 	return errs
 }

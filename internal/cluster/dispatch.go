@@ -17,6 +17,7 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -148,8 +149,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	m := s.svc.metrics
+	// Every frame is read through one buffered reader, made after the
+	// handshake read exactly its 8 bytes: a frame's header and a small
+	// payload then cost one read.
+	br := bufio.NewReader(conn)
 	for {
-		req, err := wire.ReadFrame(conn)
+		req, err := wire.ReadFrame(br)
 		if err != nil {
 			return
 		}

@@ -13,7 +13,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -140,7 +139,8 @@ func (c *Client) readGroup(ctx context.Context, s int, group []*peer, rrc *atomi
 	return fmt.Errorf("cluster: shard %d: all %d replicas failed: %w", s, len(group), lastErr)
 }
 
-// writeGroup fans a write out to every replica of a group concurrently. The
+// writeGroup fans a write out to every replica of a group concurrently
+// (through fanOutAll, so an unreplicated write starts no goroutine). The
 // write succeeds once at least one replica acknowledges; replicas that
 // failed every attempt are marked stale (out of the read rotation until
 // they demonstrably re-sync) rather than failing the batch — a missed write
@@ -155,20 +155,14 @@ func (c *Client) readGroup(ctx context.Context, s int, group []*peer, rrc *atomi
 // breaker: the write needs only one ack.
 func (c *Client) writeGroup(ctx context.Context, s int, group []*peer, method string, args wireMessage) error {
 	newReply := wireMethods[wireMethodID[method]].newReply
-	errs := make([]error, len(group))
-	var wg sync.WaitGroup
-	for r, pe := range group {
-		wg.Add(1)
-		go func(r int, pe *peer) {
-			defer wg.Done()
-			budget := c.opts.MaxRetries
-			if pe.stale.Load() {
-				budget = 0
-			}
-			errs[r] = c.callPeCtx(ctx, pe, method, args, newReply(), budget, len(group) > 1)
-		}(r, pe)
-	}
-	wg.Wait()
+	errs := c.fanOutAll(len(group), nil, func(r int) error {
+		pe := group[r]
+		budget := c.opts.MaxRetries
+		if pe.stale.Load() {
+			budget = 0
+		}
+		return c.callPeCtx(ctx, pe, method, args, newReply(), budget, len(group) > 1)
+	})
 	acked := 0
 	for _, err := range errs {
 		if err == nil {

@@ -57,6 +57,9 @@ func getCoalesceScratch(shards int) *coalesceScratch {
 // release returns the scratch to the pool.
 func (s *coalesceScratch) release() { coalesceScratchPool.Put(s) }
 
+// busy reports whether shard p has any id.
+func (s *coalesceScratch) busy(p int) bool { return s.starts[p] < s.starts[p+1] }
+
 // part returns shard p's distinct ids and their occurrence runs.
 func (s *coalesceScratch) part(p int) ([]graph.VertexID, occRuns) {
 	lo, hi := s.starts[p], s.starts[p+1]

@@ -10,6 +10,7 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -108,8 +109,24 @@ type wireTransport struct {
 	hsTO time.Duration
 
 	mu     sync.Mutex
-	idle   []net.Conn
+	idle   []*wireConn
 	closed bool
+}
+
+// wireConn is one handshaked connection. Every read after the handshake goes
+// through r, so a frame's length prefix and a small payload arrive in one
+// read; bufio hands a read as large as its buffer straight to the
+// connection, so a big frame is not copied twice. The timer closes the
+// connection when a call's deadline passes; it is made by the first call
+// with a deadline and re-armed by later ones.
+type wireConn struct {
+	net.Conn
+	r     *bufio.Reader
+	timer *time.Timer
+}
+
+func newWireConn(conn net.Conn) *wireConn {
+	return &wireConn{Conn: conn, r: bufio.NewReader(conn)}
 }
 
 // maxIdleWireConns bounds the per-server pool; beyond it, finished
@@ -119,17 +136,17 @@ const maxIdleWireConns = 8
 var errTransportClosed = errors.New("cluster: transport closed")
 
 // get pops an idle connection or handshakes a fresh one.
-func (t *wireTransport) get() (net.Conn, error) {
+func (t *wireTransport) get() (*wireConn, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return nil, errTransportClosed
 	}
 	if n := len(t.idle); n > 0 {
-		conn := t.idle[n-1]
+		wc := t.idle[n-1]
 		t.idle = t.idle[:n-1]
 		t.mu.Unlock()
-		return conn, nil
+		return wc, nil
 	}
 	t.mu.Unlock()
 	conn, err := t.dial()
@@ -140,19 +157,19 @@ func (t *wireTransport) get() (net.Conn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: wire handshake: %w", err)
 	}
-	return conn, nil
+	return newWireConn(conn), nil
 }
 
 // put returns a healthy connection to the pool.
-func (t *wireTransport) put(conn net.Conn) {
+func (t *wireTransport) put(wc *wireConn) {
 	t.mu.Lock()
 	if !t.closed && len(t.idle) < maxIdleWireConns {
-		t.idle = append(t.idle, conn)
+		t.idle = append(t.idle, wc)
 		t.mu.Unlock()
 		return
 	}
 	t.mu.Unlock()
-	conn.Close()
+	wc.Close()
 }
 
 func (t *wireTransport) Close() error {
@@ -161,26 +178,28 @@ func (t *wireTransport) Close() error {
 	t.idle = nil
 	t.closed = true
 	t.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
+	for _, wc := range idle {
+		wc.Close()
 	}
 	return nil
 }
 
 // Call encodes args, performs one request/response exchange carrying the
-// admission envelope env, and decodes into reply. The encode happens
-// synchronously in the caller, so callers may recycle args-backing buffers
-// once Call returns. With a timeout d, a goroutine only writes the request
-// and reads the response frame; the caller decodes it into reply after
-// winning the race against the timer. So an attempt abandoned to its
-// timeout never writes the caller's reply, and a retry may decode into the
-// same reply (and the destination it points at) without racing it.
+// admission envelope env, and decodes into reply, all on the caller's
+// goroutine, so callers may recycle args-backing buffers once Call returns.
+// With a timeout d, a timer closes the connection when d passes, which
+// unblocks the exchange however the connection is wrapped (fault
+// injection, pipes): not every net.Conn honors SetDeadline, but every one
+// honors Close. A call whose timer fired returns ErrCallTimeout without
+// decoding what it read, and its connection is not reused. So an attempt
+// abandoned to its timeout never writes the caller's reply, and a retry may
+// decode into the same reply (and the destination it points at).
 func (t *wireTransport) Call(method string, args, reply wireMessage, d time.Duration, env callEnv) error {
 	id, ok := wireMethodID[method]
 	if !ok {
 		return fmt.Errorf("cluster: unknown wire method %q", method)
 	}
-	conn, err := t.get()
+	wc, err := t.get()
 	if err != nil {
 		return err
 	}
@@ -203,63 +222,51 @@ func (t *wireTransport) Call(method string, args, reply wireMessage, d time.Dura
 	frame = wire.AppendUvarint(frame, uint64(id))
 	frame = args.appendWire(frame)
 
-	if d <= 0 {
-		resp, err := exchangeWire(conn, frame)
-		wire.PutBuf(frame)
-		if err == nil {
-			err = decodeResponse(resp, reply)
+	if d > 0 {
+		if wc.timer == nil {
+			wc.timer = time.AfterFunc(d, func() { wc.Close() })
+		} else {
+			wc.timer.Reset(d)
 		}
-		t.finish(conn, err)
-		return err
 	}
-	// The exchange runs in a goroutine so a blackholed connection cannot
-	// outlive the deadline (conns may be wrapped — fault injection, pipes —
-	// so SetDeadline is not universally honored; closing the conn is).
-	type result struct {
-		resp []byte
-		err  error
-	}
-	done := make(chan result, 1)
-	go func() {
-		resp, err := exchangeWire(conn, frame)
-		wire.PutBuf(frame)
-		done <- result{resp, err}
-	}()
-	tm := time.NewTimer(d)
-	defer tm.Stop()
-	select {
-	case <-tm.C:
-		conn.Close() // unblocks the goroutine; the conn is not reusable
+	resp, err := exchangeWire(wc, frame)
+	wire.PutBuf(frame)
+	if d > 0 && !wc.timer.Stop() {
+		// The timer fired and closed the connection, whether or not the
+		// exchange finished first.
+		wire.PutBuf(resp)
 		return ErrCallTimeout
-	case res := <-done:
-		err := res.err
-		if err == nil {
-			err = decodeResponse(res.resp, reply)
-		}
-		t.finish(conn, err)
-		return err
 	}
+	if err == nil {
+		err = decodeResponse(resp, reply)
+	}
+	t.finish(wc, err)
+	return err
 }
 
 // finish recycles or discards the connection depending on how the exchange
 // ended: a server's refusal leaves a healthy framing stream, transport
 // errors do not.
-func (t *wireTransport) finish(conn net.Conn, err error) {
-	var se *ServerError
-	if err == nil || errors.As(err, &se) {
-		t.put(conn)
+func (t *wireTransport) finish(wc *wireConn, err error) {
+	if err == nil {
+		t.put(wc)
 		return
 	}
-	conn.Close()
+	var se *ServerError // declared here, as errors.As moves it to the heap
+	if errors.As(err, &se) {
+		t.put(wc)
+		return
+	}
+	wc.Close()
 }
 
 // exchangeWire writes one request frame and reads the response frame, a
 // wire.GetBuf buffer for decodeResponse.
-func exchangeWire(conn net.Conn, frame []byte) ([]byte, error) {
-	if err := wire.WriteFrame(conn, frame); err != nil {
+func exchangeWire(wc *wireConn, frame []byte) ([]byte, error) {
+	if err := wire.WriteFrame(wc, frame); err != nil {
 		return nil, fmt.Errorf("cluster: wire write: %w", err)
 	}
-	resp, err := wire.ReadFrame(conn)
+	resp, err := wire.ReadFrame(wc.r)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: wire read: %w", err)
 	}
@@ -294,41 +301,38 @@ func decodeResponse(resp []byte, reply wireMessage) error {
 }
 
 // clientHandshake offers wire.Version on a fresh connection and requires the
-// server to accept it, bounded by timeout via close-on-timer (deadline-free
-// for wrapped conns).
+// server to accept it, within timeout (when positive) by closing the
+// connection when it passes. It reads exactly the 8-byte ack, so no frame
+// byte is consumed before the connection's buffered reader exists.
 func clientHandshake(conn net.Conn, timeout time.Duration) error {
-	exchange := func() error {
-		h := wire.Hello(wire.Version, wire.Version)
-		if _, err := conn.Write(h[:]); err != nil {
-			return err
+	if timeout > 0 {
+		tm := time.AfterFunc(timeout, func() { conn.Close() })
+		err := handshakeExchange(conn)
+		if !tm.Stop() {
+			return fmt.Errorf("cluster: wire handshake: %w", ErrCallTimeout)
 		}
-		var ack [8]byte
-		if _, err := io.ReadFull(conn, ack[:]); err != nil {
-			return err
-		}
-		ver, err := wire.ParseAck(ack)
-		if err != nil {
-			return err
-		}
-		if ver != wire.Version {
-			return fmt.Errorf("%w: server answered version %d to %d", wire.ErrBadHandshake, ver, wire.Version)
-		}
-		return nil
-	}
-	if timeout <= 0 {
-		return exchange()
-	}
-	done := make(chan error, 1)
-	go func() { done <- exchange() }()
-	tm := time.NewTimer(timeout)
-	defer tm.Stop()
-	select {
-	case <-tm.C:
-		conn.Close()
-		return fmt.Errorf("cluster: wire handshake: %w", ErrCallTimeout)
-	case err := <-done:
 		return err
 	}
+	return handshakeExchange(conn)
+}
+
+func handshakeExchange(conn net.Conn) error {
+	h := wire.Hello(wire.Version, wire.Version)
+	if _, err := conn.Write(h[:]); err != nil {
+		return err
+	}
+	var ack [8]byte
+	if _, err := io.ReadFull(conn, ack[:]); err != nil {
+		return err
+	}
+	ver, err := wire.ParseAck(ack)
+	if err != nil {
+		return err
+	}
+	if ver != wire.Version {
+		return fmt.Errorf("%w: server answered version %d to %d", wire.ErrBadHandshake, ver, wire.Version)
+	}
+	return nil
 }
 
 // dialTransport dials one server and handshakes the wire protocol, returning
@@ -349,6 +353,6 @@ func dialTransport(dial Dialer, hsTimeout time.Duration, m *Metrics) (*wireTrans
 	m.observeClientCall("Handshake", start)
 	m.WireHandshakes.Inc()
 	t := &wireTransport{dial: dial, hsTO: hsTimeout}
-	t.idle = append(t.idle, conn)
+	t.idle = append(t.idle, newWireConn(conn))
 	return t, nil
 }

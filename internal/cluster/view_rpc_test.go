@@ -12,6 +12,7 @@ import (
 	"platod2gl/internal/core"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
+	"platod2gl/internal/sampler"
 	"platod2gl/internal/storage"
 )
 
@@ -352,11 +353,11 @@ func TestFeaturesLabelsDegreeCoalesceDuplicateIDs(t *testing.T) {
 }
 
 // perSeedSample is the server's sampling loop before it shared the local
-// sampler's frontier path: one generator seeded seed+1, one SampleNeighbors
-// call per seed in order, and the seed itself in the slots of a seed
-// without out-neighbors.
+// sampler's frontier path: one generator, sampler.NewRand(seed+1), one
+// SampleNeighbors call per seed in order, and the seed itself in the slots
+// of a seed without out-neighbors.
 func perSeedSample(store *storage.DynamicStore, seeds []graph.VertexID, et graph.EdgeType, fanout int, seed int64) []graph.VertexID {
-	rng := rand.New(rand.NewSource(seed + 1))
+	rng := sampler.NewRand(seed + 1)
 	out := make([]graph.VertexID, len(seeds)*fanout)
 	for i, s := range seeds {
 		base := i * fanout

@@ -35,7 +35,7 @@ func TestTrainStepGolden(t *testing.T) { checkTrainStepGolden(t) }
 
 func checkTrainStepGolden(t *testing.T) {
 	t.Helper()
-	const wantLogits, wantParams = 0x552309dc363c1820, 0xe3163b30c395cc9f
+	const wantLogits, wantParams = 0x4768fdaec9d66360, 0x4d85cc90ed5d4510
 	v, ids := ogbnView(t, 20_000, 64, 8)
 	rng := rand.New(rand.NewSource(61))
 	tr := NewTrainer(NewModel(64, 32, 8, rng), v, 0, 10, 5, 0.01)

@@ -13,7 +13,7 @@ import (
 )
 
 // TestSampleNeighborsGroupsFrontier checks the serial frontier path against
-// its definition: with one generator seeded Seed+1, each distinct seed in
+// its definition: with one generator, NewRand(Seed+1), each distinct seed in
 // first-occurrence order draws m·fanout samples in one store call, and its
 // occurrence j takes block j of them; a seed without out-neighbors fills
 // its slots with itself.
@@ -31,7 +31,7 @@ func TestSampleNeighborsGroupsFrontier(t *testing.T) {
 		got := New(st, Options{Seed: 17}).SampleNeighbors(seeds, 0, fanout).Neighbors
 
 		want := make([]graph.VertexID, len(seeds)*fanout)
-		ref := rand.New(rand.NewSource(18))
+		ref := NewRand(18)
 		var order []graph.VertexID
 		occ := map[graph.VertexID][]int{}
 		for i, v := range seeds {

@@ -179,16 +179,15 @@ type hop struct {
 var hops = sync.Pool{New: func() any { return new(hop) }}
 
 // rngs pools the per-worker generators. Reseeding one in place gives the
-// stream a fresh rand.New(rand.NewSource(seed)) would, without its 5 KB.
-var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+// stream a fresh NewRand(seed) would.
+var rngs = sync.Pool{New: func() any { return NewRand(1) }}
 
 // streamSeed is the seed of stream i: worker w of the stream draws from a
 // generator seeded streamSeed(i)+w+1. Stream 0 is Seed itself, which
 // defines the cluster server's sampling reply. Later streams hash (Seed, i)
-// instead of adding a stride: math/rand generators whose seeds differ by a
-// constant draw correlated first values (seeds s and s+1 put 88% of their
-// first draws in opposite halves of [0, 1)), so a strided hop would not be
-// independent of the one before it.
+// instead of adding a stride, so that no stream's workers share a seed with
+// another stream's (NewRand hashes each seed, so distinct seeds give
+// independent streams).
 func (s *Sampler) streamSeed(stream int) int64 {
 	if stream == 0 {
 		return s.opt.Seed

@@ -392,3 +392,26 @@ func TestSampleNodesByDegree(t *testing.T) {
 		t.Fatalf("empty relation returned %v", got)
 	}
 }
+
+// TestNewRandFirstDrawsIndependent: generators whose seeds differ by a
+// constant, as worker w and w+1 of a stream do, or the cluster client's
+// hops (7919 apart), must draw independent first values. Over 4000 seeds,
+// the halves of [0, 1) that the pair's first draws fall in must follow the
+// product distribution (chi-square, 3 degrees of freedom, p = 0.001).
+func TestNewRandFirstDrawsIndependent(t *testing.T) {
+	half := func(r *rand.Rand) int {
+		if r.Float64() < 0.5 {
+			return 0
+		}
+		return 1
+	}
+	for _, d := range []int64{1, 7919} {
+		joint := make([]float64, 4)
+		for s := int64(0); s < 4000; s++ {
+			joint[2*half(NewRand(s))+half(NewRand(s+d))]++
+		}
+		if c := chiSquare(joint, []float64{1, 1, 1, 1}); c > 16.27 {
+			t.Fatalf("seeds s and s+%d: first draws not independent, chi-square %.1f, counts %v", d, c, joint)
+		}
+	}
+}

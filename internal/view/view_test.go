@@ -133,3 +133,58 @@ func TestClusterFeaturesNeverDegrade(t *testing.T) {
 		t.Fatalf("DegradedShards = %d after a Features call, want 0", got)
 	}
 }
+
+// TestClusterSubgraphHopsIndependent: A -> {B1, B2}, each B -> {C1, C2},
+// weights 1, fan-outs 1x1, sampled through a two-server cluster behind
+// view.Cluster, one view per base seed. The client seeds hop h with
+// seed+7919h and shard p with seed+p, so the two hops' generators are
+// seeded a constant apart; over 4000 seeds the joint (B, C) counts must
+// still follow the product distribution (chi-square, 3 degrees of freedom,
+// p = 0.001).
+func TestClusterSubgraphHopsIndependent(t *testing.T) {
+	lc := cluster.NewLocalClusterOptions(2, cluster.LocalOptions{
+		StoreFactory: func(int) (storage.TopologyStore, *kvstore.Store) {
+			return storage.NewDynamicStore(storage.Options{}), kvstore.New()
+		},
+	})
+	t.Cleanup(lc.Shutdown)
+	client := lc.Client()
+	a := graph.MakeVertexID(0, 1)
+	bs := []graph.VertexID{graph.MakeVertexID(1, 10), graph.MakeVertexID(1, 11)}
+	cs := []graph.VertexID{graph.MakeVertexID(2, 20), graph.MakeVertexID(2, 21)}
+	var events []graph.Event
+	for _, b := range bs {
+		events = append(events, graph.Event{Kind: graph.AddEdge, Edge: graph.Edge{Src: a, Dst: b, Type: 0, Weight: 1}})
+		for _, c := range cs {
+			events = append(events, graph.Event{Kind: graph.AddEdge, Edge: graph.Edge{Src: b, Dst: c, Type: 1, Weight: 1}})
+		}
+	}
+	if err := client.ApplyBatch(events); err != nil {
+		t.Fatal(err)
+	}
+	index := func(v graph.VertexID, of []graph.VertexID) int {
+		for i, w := range of {
+			if v == w {
+				return i
+			}
+		}
+		t.Fatalf("sampled %v, want one of %v", v, of)
+		return 0
+	}
+	const n = 4000
+	var joint [4]float64
+	for seed := int64(0); seed < n; seed++ {
+		layers, err := view.NewCluster(client, seed).SampleSubgraph([]graph.VertexID{a}, graph.MetaPath{0, 1}, []int{1, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		joint[2*index(layers[0][0], bs)+index(layers[1][0], cs)]++
+	}
+	chi := 0.0
+	for _, o := range joint {
+		chi += (o - n/4) * (o - n/4) / (n / 4)
+	}
+	if chi > 16.27 {
+		t.Fatalf("hops 1 and 2 are not independent: chi-square %.1f, counts (B,C) %v", chi, joint)
+	}
+}

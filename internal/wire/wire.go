@@ -168,7 +168,9 @@ const frameChunk = 1 << 20
 // ReadFrame reads one frame's payload into a buffer from GetBuf (return it
 // with PutBuf). A length prefix beyond MaxFrame is rejected without
 // allocating, and memory for a large frame is committed only as its bytes
-// stream in.
+// stream in. It reads the prefix and the payload separately, so give it a
+// buffered reader (the cluster's connections keep one each) for a small
+// frame to cost one read of the connection.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
