@@ -7,11 +7,10 @@
 //
 //	platod2gl-server -addr :7090 -capacity 256
 //
-// Durability (see docs/OPERATIONS.md): -snapshot loads at boot and saves on
-// SIGINT/SIGTERM, then atomically truncates the WAL so a restart never
-// replays batches the snapshot already contains; -wal appends every applied
-// batch with its at-most-once identity, and -wal-sync picks the fsync
-// policy (always, interval, never).
+// Durability (see docs/OPERATIONS.md): the server recovers from -snapshot
+// and -wal at boot (cluster.Service.OpenDurable), logs every applied batch
+// to the WAL under the -wal-sync fsync policy, and on SIGINT/SIGTERM saves
+// the snapshot, then truncates the WAL (Service.Checkpoint).
 //
 // Replication (see internal/cluster/replica.go): run R identical servers
 // per logical shard and point clients at all of them with -replicas R on
@@ -43,9 +42,6 @@ import (
 
 	"platod2gl/internal/cluster"
 	"platod2gl/internal/core"
-	"platod2gl/internal/durable"
-	"platod2gl/internal/eventlog"
-	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
 	"platod2gl/internal/obs"
 	"platod2gl/internal/storage"
@@ -62,7 +58,7 @@ func main() {
 		metrics   = flag.String("metrics-addr", "", "HTTP address serving /metrics (Prometheus) and /debug/vars (JSON) (empty = disabled)")
 		walPath   = flag.String("wal", "", "write-ahead log: replayed at startup, appended per batch")
 		walSync   = flag.String("wal-sync", "always", "WAL fsync policy: always (fsync per batch), interval (background fsync), never (OS decides)")
-		walEvery  = flag.Duration("wal-sync-interval", 200*time.Millisecond, "fsync period for -wal-sync=interval")
+		walEvery  = flag.Duration("wal-sync-interval", 200*time.Millisecond, "fsync period for -wal-sync=interval (must be positive)")
 		catchup   = flag.String("catchup-from", "", "live replica address to rebuild from at boot; local snapshot/WAL are discarded first")
 		catchupT  = flag.Duration("catchup-call-timeout", 30*time.Second, "per-RPC timeout for catch-up snapshot/WAL-tail calls")
 		advertise = flag.String("advertise", "", "address this server appears under in shard maps (host:port reachable by peers and clients; default: -addr)")
@@ -81,11 +77,6 @@ func main() {
 	flag.Parse()
 	if *join != "" && *advertise == "" {
 		log.Fatalf("-join requires -advertise (the address the cluster will route to this server)")
-	}
-	switch *walSync {
-	case "always", "interval", "never":
-	default:
-		log.Fatalf("invalid -wal-sync %q (always, interval, never)", *walSync)
 	}
 
 	// Storage op histograms only when there is an endpoint to scrape them —
@@ -114,17 +105,6 @@ func main() {
 			os.Remove(*walPath)
 		}
 	}
-	if *snapshot != "" {
-		if f, err := os.Open(*snapshot); err == nil {
-			if err := store.Load(f); err != nil {
-				log.Fatalf("load snapshot %s: %v", *snapshot, err)
-			}
-			f.Close()
-			log.Printf("loaded snapshot %s: %d edges", *snapshot, store.NumEdges())
-		} else if !os.IsNotExist(err) {
-			log.Fatalf("open snapshot %s: %v", *snapshot, err)
-		}
-	}
 	svc := cluster.NewService(store, kvstore.New())
 	cm := &cluster.Metrics{}
 	svc.SetMetrics(cm)
@@ -139,92 +119,37 @@ func main() {
 	svc.SetAdvertise(*advertise)
 	// Migrations pull shard state from the source by address; resolve over TCP.
 	svc.SetDialResolver(func(a string) cluster.Dialer { return cluster.TCPDialer(a, *catchupT) })
-	var wal *eventlog.Writer
+	rec, err := svc.OpenDurable(cluster.DurableConfig{
+		Snapshot:        *snapshot,
+		WAL:             *walPath,
+		WALSync:         *walSync,
+		WALSyncInterval: *walEvery,
+	})
+	if err != nil {
+		log.Fatalf("open durable state: %v", err)
+	}
+	if rec.SnapshotLoaded {
+		log.Printf("loaded snapshot %s", *snapshot)
+	}
 	if *walPath != "" {
-		// Recovery: the snapshot (if any) restored a prefix and truncated
-		// the WAL on its way out (see the shutdown path below), so the WAL
-		// holds only batches past the snapshot. Replay them, and rebuild
-		// the at-most-once dedup table from each batch's identity so a
-		// client retry that straddles the restart is not double-applied.
-		if _, err := os.Stat(*walPath); err == nil {
-			n, err := eventlog.ReplayBatches(*walPath, func(rec eventlog.BatchRecord) error {
-				store.ApplyBatch(rec.Events)
-				svc.MarkApplied(rec.ClientID, rec.ClientSeq)
-				return nil
-			})
-			if err != nil {
-				log.Fatalf("replay wal %s: %v", *walPath, err)
-			}
-			log.Printf("replayed %d wal batches: %d edges", n, store.NumEdges())
-		}
-		var err error
-		wal, err = eventlog.Create(*walPath)
-		if err != nil {
-			log.Fatalf("open wal %s: %v", *walPath, err)
-		}
-		syncAlways := *walSync == "always"
-		svc.SetBatchHook(func(clientID, seq uint64, events []graph.Event) error {
-			if _, err := wal.AppendBatch(clientID, seq, events); err != nil {
-				return err
-			}
-			if syncAlways {
-				// An acknowledged batch must survive a crash: fsync before
-				// the apply so the client's success reply implies
-				// durability.
-				return wal.Sync()
-			}
-			return nil
-		})
-		if *walSync == "interval" {
-			go func() {
-				tick := time.NewTicker(*walEvery)
-				defer tick.Stop()
-				for range tick.C {
-					if err := wal.Sync(); err != nil {
-						log.Printf("wal sync: %v", err)
-						return
-					}
-				}
-			}()
-		}
-		// With a WAL this server can seed a rejoining replica: FetchSnapshot
-		// and FetchWALTail become serveable.
-		svc.EnableSync(wal)
+		log.Printf("replayed %d wal batches: %d edges", rec.WALBatches, store.NumEdges())
 	}
 	// Anti-entropy: a Scrubber is always installed (the Scrub RPC lets
 	// `platod2gl-rebalance verify` trigger on-demand rounds); the background
 	// loop only runs when -scrub-interval is set. Every round re-verifies the
-	// on-disk WAL and snapshot CRCs, and with -scrub-peers also compares
-	// state digests across the replica group.
+	// WAL and snapshot CRCs, and with -scrub-peers also compares state
+	// digests across the replica group.
 	var scrubPeers []string
 	if *scrubPeer != "" {
 		scrubPeers = strings.Split(*scrubPeer, ",")
 	}
 	scrub := cluster.NewScrubber(svc, cluster.ScrubConfig{
-		Interval:     *scrubInt,
-		Self:         *advertise,
-		Peers:        scrubPeers,
-		WALPath:      *walPath,
-		SnapshotPath: *snapshot,
-		AutoRepair:   *scrubFix,
-		Metrics:      cm,
-		Logf:         log.Printf,
-		PostRepair: func() error {
-			// A repaired store must also be what disk recovers to: persist it
-			// and truncate the WAL (which may itself have been the corrupt
-			// artifact) under one quiesce.
-			resume := svc.Pause()
-			defer resume()
-			if *snapshot != "" {
-				if err := durable.WriteFile(*snapshot, store.Save); err != nil {
-					return err
-				}
-			}
-			if wal != nil {
-				return wal.Reset()
-			}
-			return nil
-		},
+		Interval:   *scrubInt,
+		Self:       *advertise,
+		Peers:      scrubPeers,
+		AutoRepair: *scrubFix,
+		Metrics:    cm,
+		Logf:       log.Printf,
 	})
 	svc.SetScrubber(scrub)
 	if *scrubInt > 0 {
@@ -283,27 +208,14 @@ func main() {
 			log.Printf("caught up from %s in %v: %d edges (%d wal batches, %d attribute bytes)",
 				peerAddr, time.Since(start).Round(time.Millisecond), store.NumEdges(), stats.Batches, stats.AttrBytes)
 			if *snapshot != "" {
-				// The peer's snapshot never touched our disk and the local WAL
-				// holds only the tail, so persist the full synced state and
-				// truncate the WAL to match — otherwise a crash now would
-				// recover just the tail.
-				resume := svc.Pause()
-				err := durable.WriteFile(*snapshot, store.Save)
-				if err == nil && wal != nil {
-					err = wal.Reset()
-				}
-				resume()
-				if err != nil {
-					log.Fatalf("post-catch-up snapshot %s: %v", *snapshot, err)
-				}
-				log.Printf("saved post-catch-up snapshot %s: %d edges", *snapshot, store.NumEdges())
+				log.Printf("saved post-catch-up snapshot %s", *snapshot)
 			}
 		}()
 	}
 
 	// One shutdown path for SIGINT/SIGTERM: close the metrics listener
-	// first (it must not outlive the process's useful life), then persist
-	// the snapshot if configured.
+	// first (it must not outlive the process's useful life), then
+	// checkpoint and close the durable state.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -320,23 +232,17 @@ func main() {
 			log.Printf("metrics shutdown: %v", err)
 		}
 		cancel()
+		if err := svc.Checkpoint(); err != nil {
+			log.Fatalf("%v", err)
+		}
 		if *snapshot != "" {
-			// Quiesce: drain in-flight batches and block new ones so the
-			// snapshot and the truncated WAL describe the same state.
-			svc.Pause()
-			if err := durable.WriteFile(*snapshot, store.Save); err != nil {
-				log.Fatalf("save snapshot %s: %v", *snapshot, err)
-			}
 			log.Printf("saved snapshot %s: %d edges", *snapshot, store.NumEdges())
-			if wal != nil {
-				// The snapshot now contains every applied batch; truncate
-				// the WAL atomically so restart does not re-apply them
-				// (deletes of re-added edges are not idempotent).
-				if err := wal.Reset(); err != nil {
-					log.Fatalf("truncate wal after snapshot: %v", err)
-				}
+			if *walPath != "" {
 				log.Printf("truncated wal %s", *walPath)
 			}
+		}
+		if err := svc.Close(); err != nil {
+			log.Fatalf("close durable state: %v", err)
 		}
 		os.Exit(0)
 	}()

@@ -190,6 +190,25 @@ func decode(b []byte) (*State, error) {
 	return st, nil
 }
 
+// Write encodes s to w in the checkpoint file format: header, gob payload
+// and CRC footer.
+func Write(w io.Writer, s *State) error {
+	b, err := encode(s)
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return err
+}
+
+// Read decodes and verifies a checkpoint that Write wrote to r.
+func Read(r io.Reader) (*State, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	return decode(b)
+}
+
 // SaveOptions tune Save.
 type SaveOptions struct {
 	// Keep bounds how many checkpoint files remain after a successful save

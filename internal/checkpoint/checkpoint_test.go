@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -224,5 +225,73 @@ func TestTempFilesIgnored(t *testing.T) {
 	}
 	if s := (MetricsSnapshot{}); s.String() == "" {
 		t.Fatal("empty snapshot rendering")
+	}
+}
+
+// TestWriteReadParamsOnly: parameters alone, with no manifest and no
+// optimizer (the root package's model files), go through a stream and into
+// a differently initialized model.
+func TestWriteReadParamsOnly(t *testing.T) {
+	model, _ := trainedModel(t, 10)
+	var buf bytes.Buffer
+	if err := Write(&buf, Capture(Manifest{}, model.Params(), nil)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := gnn.NewModel(6, 12, 3, rand.New(rand.NewSource(11)))
+	if err := st.Apply(fresh.Params(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range model.Params() {
+		for j := range p.Data {
+			if p.Data[j] != fresh.Params()[i].Data[j] {
+				t.Fatalf("tensor %d[%d] differs after the round trip", i, j)
+			}
+		}
+	}
+}
+
+// TestApplyTensorCountMismatch: a state with more tensors than the model is
+// refused before any tensor is copied.
+func TestApplyTensorCountMismatch(t *testing.T) {
+	model, _ := trainedModel(t, 12)
+	st := Capture(Manifest{}, model.Params(), nil)
+	layer := gnn.NewSAGELayer(6, 12, true, rand.New(rand.NewSource(13)))
+	before := append([]float32(nil), layer.Params()[0].Data...)
+	err := st.Apply(layer.Params(), nil)
+	if err == nil || !strings.Contains(err.Error(), "tensors") {
+		t.Fatalf("tensor-count mismatch = %v", err)
+	}
+	for j, v := range layer.Params()[0].Data {
+		if v != before[j] {
+			t.Fatalf("a refused Apply changed tensor 0[%d]", j)
+		}
+	}
+}
+
+// TestReadChecksumMismatch: a stream altered after encoding fails its CRC.
+func TestReadChecksumMismatch(t *testing.T) {
+	model, _ := trainedModel(t, 14)
+	var buf bytes.Buffer
+	if err := Write(&buf, Capture(Manifest{}, model.Params(), nil)); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	b[len(b)/2] ^= 0x01
+	if _, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("altered stream = %v, want a checksum mismatch", err)
+	}
+}
+
+// TestReadGarbage: bytes that are not a checkpoint are refused, shorter
+// than the footer or not.
+func TestReadGarbage(t *testing.T) {
+	for _, junk := range []string{"", "junk", strings.Repeat("x", 64)} {
+		if _, err := Read(strings.NewReader(junk)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Read(%q) = %v, want ErrCorrupt", junk, err)
+		}
 	}
 }

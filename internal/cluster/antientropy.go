@@ -12,15 +12,16 @@
 //   - A background Scrubber on each server periodically compares its own
 //     digests against its replica peers', re-checking a few times with
 //     delays so in-flight write skew settles before anything is declared
-//     divergent. It also re-verifies the on-disk WAL (per-frame CRC) and
-//     shutdown snapshot (CRC trailer), so latent disk corruption is found
-//     before the next restart would load it.
+//     divergent. It also re-verifies the service's own WAL (per-frame CRC)
+//     and snapshot (CRC trailer), the files OpenDurable opened, so latent
+//     disk corruption is found before the next restart would load it.
 //   - A mismatch is classified: if this replica disagrees with the healthy
 //     majority (ties broken by WAL position), it is diverged and — with
 //     AutoRepair — rebuilds itself from a healthy peer via the proven
 //     catch-up path (SyncFromPeer), converging byte-identically,
-//     features included. Local disk corruption triggers the same repair:
-//     the PostRepair hook lets the server rewrite a clean snapshot and WAL.
+//     features included. Local disk corruption triggers the same repair,
+//     whose closing Checkpoint rewrites the snapshot and truncates the WAL
+//     (a WAL-only server keeps its WAL: only a snapshot may replace it).
 //
 // Topology digests cover the edge set (type, src, dst), not weights: the
 // sampling trees reconstruct weights through float summation whose rounding
@@ -126,8 +127,8 @@ func (s *Service) localDigest(shard, numShards int) (DigestReply, error) {
 		}
 	}
 	reply.NumEdges = s.store.NumEdges()
-	if s.syncWAL != nil {
-		reply.WALSeq = s.syncWAL.Seq()
+	if s.wal != nil {
+		reply.WALSeq = s.wal.Seq()
 	}
 	reply.SyncEpoch = s.syncEpoch.Load()
 	reply.Ready = s.ready.Load()
@@ -180,17 +181,9 @@ type ScrubConfig struct {
 	SettleRetries int
 	// SettleDelay is the wait between settle re-checks. <= 0: 100ms.
 	SettleDelay time.Duration
-	// WALPath, when set, is CRC-verified on disk every round.
-	WALPath string
-	// SnapshotPath, when set and existing, is CRC-verified every round.
-	SnapshotPath string
 	// AutoRepair rebuilds this replica from a healthy peer when a round
 	// finds it diverged or locally corrupt. Off: rounds only report.
 	AutoRepair bool
-	// PostRepair runs after a successful repair — the server binary uses it
-	// to write a fresh snapshot and reset the WAL so the repaired state is
-	// also what disk recovers to.
-	PostRepair func() error
 	// Metrics receives scrub counters. nil: a private instance.
 	Metrics *Metrics
 	// Logf receives human-oriented scrub lines. nil: silent.
@@ -229,8 +222,8 @@ func (r *RoundReport) healthy() bool {
 }
 
 // Scrubber runs anti-entropy rounds for one service: digest comparison
-// across its replica group, on-disk CRC verification, and (optionally)
-// self-repair from a healthy peer.
+// across its replica group, CRC verification of the service's WAL and
+// snapshot files, and (optionally) self-repair from a healthy peer.
 type Scrubber struct {
 	svc *Service
 	cfg ScrubConfig
@@ -349,34 +342,33 @@ func (sc *Scrubber) RunRound() RoundReport {
 	return rep
 }
 
-// checkDisk re-verifies the on-disk WAL frames and snapshot trailer.
+// checkDisk re-verifies the service's WAL frames and snapshot trailer. A
+// file not written yet is skipped, one that cannot be read is a disk error,
+// and one that fails verification is corrupt.
 func (sc *Scrubber) checkDisk(rep *RoundReport) {
-	if p := sc.cfg.WALPath; p != "" {
-		if vr, err := eventlog.Verify(p); err != nil {
-			if !os.IsNotExist(err) {
-				rep.DiskErrors = append(rep.DiskErrors, fmt.Sprintf("wal %s: %v", p, err))
-			}
-		} else if vr.Corrupt {
+	report := func(what string, err error, corrupt bool) {
+		rep.DiskErrors = append(rep.DiskErrors, fmt.Sprintf("%s: %v", what, err))
+		if corrupt {
 			rep.Corrupt = true
-			rep.DiskErrors = append(rep.DiskErrors, fmt.Sprintf("wal %s: corrupt frame at offset %d (last good seq %d)", p, vr.BadOffset, vr.LastSeq))
 			sc.cfg.Metrics.CorruptionDetected.Inc()
 		}
 	}
-	if p := sc.cfg.SnapshotPath; p != "" {
-		f, err := os.Open(p)
-		switch {
-		case os.IsNotExist(err):
-			// No snapshot yet: nothing to verify.
-		case err != nil:
-			rep.DiskErrors = append(rep.DiskErrors, fmt.Sprintf("snapshot %s: %v", p, err))
-		default:
-			verr := storage.VerifySnapshot(f)
+	if w := sc.svc.wal; w != nil {
+		if vr, err := eventlog.Verify(w.Path()); err != nil && !os.IsNotExist(err) {
+			report("wal "+w.Path(), err, false)
+		} else if vr.Corrupt {
+			report("wal "+w.Path(), fmt.Errorf("corrupt frame at offset %d (last good seq %d)", vr.BadOffset, vr.LastSeq), true)
+		}
+	}
+	if p := sc.svc.snapshot; p != "" {
+		if f, err := os.Open(p); err == nil {
+			err = storage.VerifySnapshot(f)
 			f.Close()
-			if verr != nil {
-				rep.Corrupt = true
-				rep.DiskErrors = append(rep.DiskErrors, fmt.Sprintf("snapshot %s: %v", p, verr))
-				sc.cfg.Metrics.CorruptionDetected.Inc()
+			if err != nil {
+				report("snapshot "+p, err, true)
 			}
+		} else if !os.IsNotExist(err) {
+			report("snapshot "+p, err, false)
 		}
 	}
 }
@@ -558,10 +550,9 @@ func (sc *Scrubber) pickRepairPeer(rep *RoundReport) string {
 	return ""
 }
 
-// repair rebuilds this replica from a healthy peer: reset the local stores
-// (Load and replay merge, so stale local state must go first), then run the
-// full catch-up path (attributes included), then let the owner rewrite its
-// durable state via PostRepair.
+// repair rebuilds this replica from a healthy peer through the catch-up
+// path, which replaces the local stores and ends in the service's
+// Checkpoint.
 func (sc *Scrubber) repair(rep *RoundReport) {
 	peer := sc.pickRepairPeer(rep)
 	if peer == "" {
@@ -573,24 +564,7 @@ func (sc *Scrubber) repair(rep *RoundReport) {
 	sc.cfg.Metrics.RepairsTriggered.Inc()
 	sc.logf("scrub: repairing from %s (diverged=%v corrupt=%v)", peer, rep.Diverged, rep.Corrupt)
 
-	svc := sc.svc
-	// Take the replica out of service before wiping it; SyncFromPeer keeps
-	// it not-ready until converged.
-	svc.BeginCatchUp()
-	resume := svc.Pause()
-	if r, ok := svc.store.(interface{ Reset() }); ok {
-		r.Reset()
-	} else {
-		resume()
-		rep.RepairErr = fmt.Sprintf("store %T cannot be reset for repair", svc.store)
-		return
-	}
-	if svc.attrs != nil {
-		svc.attrs.Reset()
-	}
-	resume()
-
-	stats, err := SyncFromPeer(svc, dialAddr(sc.cfg.Dial, peer, sc.cfg.CallTimeout), SyncOptions{
+	stats, err := SyncFromPeer(sc.svc, dialAddr(sc.cfg.Dial, peer, sc.cfg.CallTimeout), SyncOptions{
 		CallTimeout: sc.cfg.RepairTimeout,
 		Metrics:     sc.cfg.Metrics,
 	})
@@ -601,13 +575,6 @@ func (sc *Scrubber) repair(rep *RoundReport) {
 	}
 	rep.RepairBytes = stats.SnapshotBytes + stats.AttrBytes
 	sc.cfg.Metrics.RepairBytes.Add(rep.RepairBytes)
-	if sc.cfg.PostRepair != nil {
-		if err := sc.cfg.PostRepair(); err != nil {
-			rep.RepairErr = fmt.Sprintf("post-repair: %v", err)
-			sc.logf("scrub: post-repair hook failed: %v", err)
-			return
-		}
-	}
 	rep.Repaired = true
 	sc.logf("scrub: repaired from %s (%d bytes)", peer, rep.RepairBytes)
 }

@@ -8,7 +8,7 @@
 // byte-identically to the oracle, features included. (2) On-disk rot: a bit
 // flipped in a snapshot's body or a WAL frame must be caught by the
 // scrubber's CRC pass, repaired from a peer, and the durable files
-// rewritten clean via the PostRepair hook.
+// rewritten clean by the repair's closing Checkpoint.
 package cluster
 
 import (
@@ -30,14 +30,12 @@ import (
 )
 
 // antiEntropyHarness is the shared fixture for the scrub chaos tests: one
-// logical shard replicated on two servers, each with an on-disk WAL, plus a
-// whole-graph oracle (topology and attributes) fed the same traffic.
+// logical shard replicated on two servers, each with an on-disk snapshot
+// and WAL, plus a whole-graph oracle (topology and attributes) fed the same
+// traffic.
 type antiEntropyHarness struct {
 	lc          *LocalCluster
 	metrics     *Metrics
-	stores      []*storage.DynamicStore
-	attrsStores []*kvstore.Store
-	wals        []*eventlog.Writer
 	walPath     func(i int) string
 	snapPath    func(i int) string
 	oracle      *storage.DynamicStore
@@ -51,9 +49,6 @@ func newAntiEntropyHarness(t *testing.T, wrap func(shard int, c net.Conn) net.Co
 	dir := t.TempDir()
 	h := &antiEntropyHarness{
 		metrics:     &Metrics{},
-		stores:      make([]*storage.DynamicStore, peers),
-		attrsStores: make([]*kvstore.Store, peers),
-		wals:        make([]*eventlog.Writer, peers),
 		walPath:     func(i int) string { return filepath.Join(dir, fmt.Sprintf("peer%d.wal", i)) },
 		snapPath:    func(i int) string { return filepath.Join(dir, fmt.Sprintf("peer%d.snap", i)) },
 		oracle:      storage.NewDynamicStore(storage.Options{Tree: core.Options{Capacity: 16}}),
@@ -61,21 +56,9 @@ func newAntiEntropyHarness(t *testing.T, wrap func(shard int, c net.Conn) net.Co
 		gen:         dataset.NewGenerator(dataset.OGBNSim().Scale(2e-5), dataset.DynamicMix, 13),
 	}
 	factory := func(i int) *Service {
-		store := storage.NewDynamicStore(storage.Options{Tree: core.Options{Capacity: 16}})
-		attrs := kvstore.New()
-		svc := NewService(store, attrs)
+		svc := NewService(storage.NewDynamicStore(storage.Options{Tree: core.Options{Capacity: 16}}), kvstore.New())
 		svc.SetMetrics(h.metrics)
-		w, err := eventlog.Create(h.walPath(i))
-		if err != nil {
-			t.Fatalf("peer %d wal: %v", i, err)
-		}
-		svc.SetBatchHook(func(clientID, seq uint64, events []graph.Event) error {
-			_, err := w.AppendBatch(clientID, seq, events)
-			return err
-		})
-		svc.EnableSync(w)
-		h.stores[i], h.attrsStores[i], h.wals[i] = store, attrs, w
-		return svc
+		return openDurable(t, svc, h.snapPath(i), h.walPath(i))
 	}
 	h.lc = NewLocalClusterOptions(peers, LocalOptions{
 		Client: Options{
@@ -100,13 +83,9 @@ func newAntiEntropyHarness(t *testing.T, wrap func(shard int, c net.Conn) net.Co
 // oracle.
 func (h *antiEntropyHarness) applyBoth(t *testing.T, n int) {
 	t.Helper()
-	events := h.gen.Next(n)
-	cp := make([]graph.Event, len(events))
-	copy(cp, events)
-	if err := h.lc.Client().ApplyBatch(cp); err != nil {
+	if err := applyToBoth(h.lc.Client(), h.oracle, h.gen.Next(n)); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	h.oracle.ApplyBatch(events)
 }
 
 // setFeaturesBoth writes deterministic feature rows and labels for ids
@@ -133,53 +112,22 @@ func (h *antiEntropyHarness) setFeaturesBoth(t *testing.T, lo, hi, dim int) {
 	}
 }
 
-// scrubber builds replica i's scrubber with fast test cadences. dial routes
-// peer probes and repair pulls (nil: straight through the harness pipes).
-func (h *antiEntropyHarness) scrubber(t *testing.T, i int, dial func(addr string) Dialer, snapshotPath bool) *Scrubber {
+// scrubber builds replica i's scrubber with fast test cadences; peer probes
+// and repair pulls go through the harness pipes.
+func (h *antiEntropyHarness) scrubber(t *testing.T, i int) *Scrubber {
 	t.Helper()
-	if dial == nil {
-		dial = func(addr string) Dialer { return h.lc.DialAddr(addr) }
-	}
-	cfg := ScrubConfig{
+	return NewScrubber(h.lc.Service(i), ScrubConfig{
 		Self:          LocalAddr(i),
 		Peers:         []string{LocalAddr(0), LocalAddr(1)},
-		Dial:          dial,
+		Dial:          h.lc.DialAddr,
 		CallTimeout:   2 * time.Second,
 		RepairTimeout: 10 * time.Second,
 		SettleRetries: 1,
 		SettleDelay:   10 * time.Millisecond,
-		WALPath:       h.walPath(i),
 		AutoRepair:    true,
 		Metrics:       h.metrics,
 		Logf:          t.Logf,
-	}
-	if snapshotPath {
-		cfg.SnapshotPath = h.snapPath(i)
-		idx := i
-		cfg.PostRepair = func() error { return h.writeCleanDisk(idx) }
-	}
-	return NewScrubber(h.lc.Service(i), cfg)
-}
-
-// writeCleanDisk rewrites replica i's durable state from its in-memory
-// store — snapshot first, then WAL reset — the same barrier order the
-// server binary uses so a crash between the two replays harmlessly.
-func (h *antiEntropyHarness) writeCleanDisk(i int) error {
-	svc := h.lc.Service(i)
-	resume := svc.Pause()
-	defer resume()
-	f, err := os.Create(h.snapPath(i))
-	if err != nil {
-		return err
-	}
-	if err := h.stores[i].Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return h.wals[i].Reset()
+	})
 }
 
 // verifyConverged asserts replica i holds exactly the oracle's state:
@@ -187,13 +135,15 @@ func (h *antiEntropyHarness) writeCleanDisk(i int) error {
 // digest equal.
 func (h *antiEntropyHarness) verifyConverged(t *testing.T, phase string, i int) {
 	t.Helper()
-	got := canonicalDump(t, h.stores[i], nil)
+	svc := h.lc.Service(i)
+	st := svc.store.(*storage.DynamicStore)
+	got := canonicalDump(t, st, nil)
 	want := canonicalDump(t, h.oracle, nil)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: replica %d topology diverged from oracle (%d vs %d bytes)", phase, i, len(got), len(want))
 	}
-	weightsMatch(t, fmt.Sprintf("%s: replica %d", phase, i), h.stores[i], h.oracle, nil)
-	if got, want := h.attrsStores[i].Digest(), h.oracleAttrs.Digest(); got != want {
+	weightsMatch(t, fmt.Sprintf("%s: replica %d", phase, i), st, h.oracle, nil)
+	if got, want := svc.attrs.Digest(), h.oracleAttrs.Digest(); got != want {
 		t.Fatalf("%s: replica %d attrs digest %x, want oracle %x", phase, i, got, want)
 	}
 }
@@ -235,9 +185,10 @@ func (h *antiEntropyHarness) waitHealthy(t *testing.T) {
 func (h *antiEntropyHarness) waitWALSeq(t *testing.T, i int, seq uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for h.wals[i].Seq() < seq {
+	wal := h.lc.Service(i).wal
+	for wal.Seq() < seq {
 		if time.Now().After(deadline) {
-			t.Fatalf("replica %d WAL stuck at seq %d, want %d", i, h.wals[i].Seq(), seq)
+			t.Fatalf("replica %d WAL stuck at seq %d, want %d", i, wal.Seq(), seq)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -314,7 +265,7 @@ func TestChaosPartitionScrubRepair(t *testing.T) {
 
 	// Phase 3: the advanced replica scrubs first. It must see the mismatch
 	// but classify it as the peer's divergence — hold state, repair nothing.
-	rep0 := h.scrubber(t, 0, nil, false).RunRound()
+	rep0 := h.scrubber(t, 0).RunRound()
 	if rep0.Diverged || rep0.Repaired || rep0.Corrupt {
 		t.Fatalf("advanced replica self-classified: %+v", rep0)
 	}
@@ -324,7 +275,7 @@ func TestChaosPartitionScrubRepair(t *testing.T) {
 
 	// Phase 4: the lagging replica's round must flag itself diverged and
 	// auto-repair from its sibling — all within this one round.
-	rep1 := h.scrubber(t, 1, nil, false).RunRound()
+	rep1 := h.scrubber(t, 1).RunRound()
 	if !rep1.Diverged {
 		t.Fatalf("lagging replica not flagged diverged: %+v", rep1)
 	}
@@ -385,7 +336,7 @@ func TestChaosPartitionScrubRepair(t *testing.T) {
 // first the snapshot body, then a WAL frame — and asserts each flip is
 // caught by the scrubber's CRC pass (corruption, not divergence: the
 // in-memory digests still agree), repaired from the healthy peer, and the
-// durable files rewritten clean by the PostRepair hook.
+// durable files rewritten clean by the repair's closing Checkpoint.
 func TestChaosScrubRepairsDiskCorruption(t *testing.T) {
 	h := newAntiEntropyHarness(t, nil)
 	for b := 0; b < 4; b++ {
@@ -393,12 +344,12 @@ func TestChaosScrubRepairsDiskCorruption(t *testing.T) {
 	}
 	h.setFeaturesBoth(t, 0, 64, 8)
 	h.waitWALSeq(t, 1, 4)
-	scrub := h.scrubber(t, 1, nil, true)
+	scrub := h.scrubber(t, 1)
 
 	// Flip a byte mid-snapshot. The scrub round must classify it as local
 	// corruption (digests agree — memory is fine, the disk rotted), repair
 	// from the peer, and leave a clean snapshot + empty WAL behind.
-	if err := h.writeCleanDisk(1); err != nil {
+	if err := h.lc.Service(1).Checkpoint(); err != nil {
 		t.Fatalf("snapshot replica 1: %v", err)
 	}
 	fi, err := os.Stat(h.snapPath(1))
@@ -425,10 +376,10 @@ func TestChaosScrubRepairsDiskCorruption(t *testing.T) {
 	verr := storage.VerifySnapshot(f)
 	f.Close()
 	if verr != nil {
-		t.Fatalf("snapshot still corrupt after PostRepair: %v", verr)
+		t.Fatalf("snapshot still corrupt after repair: %v", verr)
 	}
 	if vr, err := eventlog.Verify(h.walPath(1)); err != nil || vr.Corrupt || vr.Frames != 0 {
-		t.Fatalf("WAL not reset clean after PostRepair: %+v err=%v", vr, err)
+		t.Fatalf("WAL not reset clean after repair: %+v err=%v", vr, err)
 	}
 
 	// Grow the fresh WAL some frames, then flip a byte in one. Same story:

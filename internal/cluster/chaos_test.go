@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +20,6 @@ import (
 
 	"platod2gl/internal/core"
 	"platod2gl/internal/dataset"
-	"platod2gl/internal/eventlog"
 	"platod2gl/internal/faultinject"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
@@ -41,56 +40,35 @@ func chaosClientOptions() Options {
 	}
 }
 
-// walBackedFactory builds per-shard services durably backed by WAL files in
-// dir: on every (re)start the shard replays its WAL into a fresh store and
-// rebuilds its at-most-once dedup table, exactly like the server binary.
-type walBackedFactory struct {
-	t    *testing.T
-	dir  string
-	opts storage.Options
-
-	mu   sync.Mutex
-	wals map[int]*eventlog.Writer
-}
-
-func newWALBackedFactory(t *testing.T, opts storage.Options) *walBackedFactory {
-	return &walBackedFactory{t: t, dir: t.TempDir(), opts: opts, wals: make(map[int]*eventlog.Writer)}
-}
-
-func (f *walBackedFactory) path(i int) string {
-	return filepath.Join(f.dir, fmt.Sprintf("shard%d.wal", i))
-}
-
-func (f *walBackedFactory) service(i int) *Service {
-	f.mu.Lock()
-	if old := f.wals[i]; old != nil {
-		old.Close()
+// openDurable opens svc's durable state through OpenDurable, as the server
+// binary does, without fsync: the drills crash processes, not machines.
+func openDurable(t *testing.T, svc *Service, snapshot, wal string) *Service {
+	t.Helper()
+	if _, err := svc.OpenDurable(DurableConfig{Snapshot: snapshot, WAL: wal, WALSync: "never"}); err != nil {
+		t.Fatalf("open durable state: %v", err)
 	}
-	f.mu.Unlock()
-	store := storage.NewDynamicStore(f.opts)
-	svc := NewService(store, kvstore.New())
-	if _, err := os.Stat(f.path(i)); err == nil {
-		_, err := eventlog.ReplayBatches(f.path(i), func(rec eventlog.BatchRecord) error {
-			store.ApplyBatch(rec.Events)
-			svc.MarkApplied(rec.ClientID, rec.ClientSeq)
-			return nil
-		})
-		if err != nil {
-			f.t.Fatalf("replay shard %d wal: %v", i, err)
-		}
-	}
-	w, err := eventlog.Create(f.path(i))
-	if err != nil {
-		f.t.Fatalf("open shard %d wal: %v", i, err)
-	}
-	f.mu.Lock()
-	f.wals[i] = w
-	f.mu.Unlock()
-	svc.SetBatchHook(func(clientID, seq uint64, events []graph.Event) error {
-		_, err := w.AppendBatch(clientID, seq, events)
-		return err
-	})
 	return svc
+}
+
+// applyToBoth applies events through the cluster client and to the oracle;
+// the client gets a copy, since partitioning reorders its argument.
+func applyToBoth(client *Client, oracle *storage.DynamicStore, events []graph.Event) error {
+	if err := client.ApplyBatch(slices.Clone(events)); err != nil {
+		return err
+	}
+	oracle.ApplyBatch(events)
+	return nil
+}
+
+// durableFactory returns a service factory whose shards keep a snapshot and
+// a WAL in a temporary directory and recover from them through OpenDurable
+// on every (re)start.
+func durableFactory(t *testing.T, opts storage.Options) func(i int) *Service {
+	dir := t.TempDir()
+	return func(i int) *Service {
+		name := filepath.Join(dir, fmt.Sprintf("shard%d", i))
+		return openDurable(t, NewService(storage.NewDynamicStore(opts), kvstore.New()), name+".snap", name+".wal")
+	}
 }
 
 // TestChaosApplyBatchConvergence is the headline acceptance test: a dynamic
@@ -104,10 +82,9 @@ func TestChaosApplyBatchConvergence(t *testing.T) {
 		DropProb:  0.25, // request loss: batch never reaches the shard
 		ResetProb: 0.05, // reply loss: batch applied, ack lost → dedup path
 	})
-	factory := newWALBackedFactory(t, storage.Options{Tree: core.Options{Capacity: 16, Compress: true}})
 	lc := NewLocalClusterOptions(4, LocalOptions{
 		Client:         chaosClientOptions(),
-		ServiceFactory: factory.service,
+		ServiceFactory: durableFactory(t, storage.Options{Tree: core.Options{Capacity: 16, Compress: true}}),
 		WrapConn:       func(_ int, c net.Conn) net.Conn { return inj.WrapConn(c) },
 	})
 	defer lc.Shutdown()
@@ -117,13 +94,9 @@ func TestChaosApplyBatchConvergence(t *testing.T) {
 	gen := dataset.NewGenerator(dataset.OGBNSim().Scale(2e-5), dataset.DynamicMix, 7)
 	const batches = 20
 	for b := 0; b < batches; b++ {
-		events := gen.Next(1500)
-		cp := make([]graph.Event, len(events))
-		copy(cp, events)
-		if err := client.ApplyBatch(cp); err != nil {
+		if err := applyToBoth(client, oracle, gen.Next(1500)); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}
-		oracle.ApplyBatch(events)
 		if b == batches/2 {
 			// Crash shard 2 mid-run and bring it straight back; it rebuilds
 			// from its WAL, and in-flight batches ride the retry path.
@@ -438,96 +411,31 @@ func TestApplyBatchAtMostOnce(t *testing.T) {
 // TestCrashRestartRecovery kills a shard mid-batch-stream, restarts it from
 // snapshot + WAL, and asserts the cluster converges to the oracle — the
 // full recovery recipe (snapshot, atomic WAL truncation, tail replay, dedup
-// rebuild) at the library level.
+// rebuild) through OpenDurable and Checkpoint.
 func TestCrashRestartRecovery(t *testing.T) {
 	storeOpts := storage.Options{Tree: core.Options{Capacity: 16}}
-	dir := t.TempDir()
-	snapPath := func(i int) string { return filepath.Join(dir, fmt.Sprintf("shard%d.snap", i)) }
-	walPath := func(i int) string { return filepath.Join(dir, fmt.Sprintf("shard%d.wal", i)) }
-
-	var mu sync.Mutex
-	wals := make(map[int]*eventlog.Writer)
-	stores := make(map[int]*storage.DynamicStore)
-	factory := func(i int) *Service {
-		mu.Lock()
-		if old := wals[i]; old != nil {
-			old.Close()
-		}
-		mu.Unlock()
-		store := storage.NewDynamicStore(storeOpts)
-		svc := NewService(store, kvstore.New())
-		if f, err := os.Open(snapPath(i)); err == nil {
-			if err := store.Load(f); err != nil {
-				t.Fatalf("load shard %d snapshot: %v", i, err)
-			}
-			f.Close()
-		}
-		if _, err := os.Stat(walPath(i)); err == nil {
-			if _, err := eventlog.ReplayBatches(walPath(i), func(rec eventlog.BatchRecord) error {
-				store.ApplyBatch(rec.Events)
-				svc.MarkApplied(rec.ClientID, rec.ClientSeq)
-				return nil
-			}); err != nil {
-				t.Fatalf("replay shard %d wal: %v", i, err)
-			}
-		}
-		w, err := eventlog.Create(walPath(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		wals[i] = w
-		stores[i] = store
-		mu.Unlock()
-		svc.SetBatchHook(func(clientID, seq uint64, events []graph.Event) error {
-			_, err := w.AppendBatch(clientID, seq, events)
-			return err
-		})
-		return svc
-	}
-
-	lc := NewLocalClusterOptions(3, LocalOptions{Client: chaosClientOptions(), ServiceFactory: factory})
+	lc := NewLocalClusterOptions(3, LocalOptions{Client: chaosClientOptions(), ServiceFactory: durableFactory(t, storeOpts)})
 	defer lc.Shutdown()
 	client := lc.Client()
 
 	oracle := storage.NewDynamicStore(storeOpts)
 	gen := dataset.NewGenerator(dataset.RedditSim().Scale(3e-5), dataset.DynamicMix, 11)
 	applyBoth := func(n int) {
-		events := gen.Next(n)
-		cp := make([]graph.Event, len(events))
-		copy(cp, events)
-		if err := client.ApplyBatch(cp); err != nil {
+		if err := applyToBoth(client, oracle, gen.Next(n)); err != nil {
 			t.Fatal(err)
 		}
-		oracle.ApplyBatch(events)
 	}
 
 	for b := 0; b < 5; b++ {
 		applyBoth(1000)
 	}
 
-	// Snapshot shard 0 the way the server binary does on SIGTERM: pause,
-	// save, atomically truncate the WAL so restart cannot double-replay.
+	// Checkpoint shard 0 as the server binary does on SIGTERM: snapshot,
+	// then truncate the WAL, under one pause.
 	const victim = 0
-	svc := lc.Service(victim)
-	resume := svc.Pause()
-	mu.Lock()
-	vStore, vWal := stores[victim], wals[victim]
-	mu.Unlock()
-	f, err := os.Create(snapPath(victim))
-	if err != nil {
+	if err := lc.Service(victim).Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := vStore.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := vWal.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	resume()
 
 	// More traffic lands in the post-snapshot WAL tail, then the shard is
 	// killed mid-stream: batches in flight ride the retry path while the
@@ -575,10 +483,9 @@ func TestCrashRestartRecovery(t *testing.T) {
 // TestRedialAfterServerRestart: a plain stop/restart with no faults — the
 // client's next call redials transparently.
 func TestRedialAfterServerRestart(t *testing.T) {
-	factory := newWALBackedFactory(t, storage.Options{})
 	lc := NewLocalClusterOptions(2, LocalOptions{
 		Client:         chaosClientOptions(),
-		ServiceFactory: factory.service,
+		ServiceFactory: durableFactory(t, storage.Options{}),
 	})
 	defer lc.Shutdown()
 	client := lc.Client()

@@ -203,14 +203,18 @@ type Service struct {
 	// still catching up rejects them so the client fails over to a converged
 	// sibling. syncEpoch changes on every completed catch-up, letting clients
 	// distinguish "re-synced since my write was missed" from "still the
-	// replica that missed it". syncWAL, set via EnableSync, is the local WAL
-	// this server streams to catching-up siblings.
+	// replica that missed it".
 	ready     atomic.Bool
 	syncBlock atomic.Bool // writes park on readyCh instead of being rejected
 	syncMu    sync.Mutex  // guards readyCh and the ready/epoch transitions
 	readyCh   chan struct{}
 	syncEpoch atomic.Uint64
-	syncWAL   *eventlog.Writer
+
+	// Durable state, set by OpenDurable (durable.go): the WAL siblings catch
+	// up from, the file Checkpoint rewrites, the interval fsync's stop.
+	wal        *eventlog.Writer
+	snapshot   string
+	stopSyncer func()
 
 	// Routing and migration state (see shardmap.go, migrate.go). routing is
 	// the installed shard map view (nil: unrouted server); parked maps
@@ -245,14 +249,9 @@ func NewService(store storage.TopologyStore, attrs *kvstore.Store) *Service {
 // batch (e.g. a write-ahead log append). A hook error rejects the batch.
 func (s *Service) SetBatchHook(fn BatchHook) { s.onBatch = fn }
 
-// MarkApplied seeds the dedup table with a batch identity recovered from a
-// write-ahead log, so client retries that straddle a server restart stay
-// at-most-once.
-func (s *Service) MarkApplied(clientID, seq uint64) { s.dedup.markApplied(clientID, seq) }
-
 // Pause blocks new batch applications (in-flight ones drain first) and
-// returns a resume function. Used to quiesce the store before a shutdown
-// snapshot so the snapshot and the truncated WAL agree.
+// returns a resume function. Checkpoint holds it so the snapshot and the
+// truncated WAL agree.
 func (s *Service) Pause() (resume func()) {
 	s.pauseMu.Lock()
 	var once sync.Once
@@ -1116,18 +1115,23 @@ func (c *Client) fanOutAll(shards int, busy func(s int) bool, fn func(s int) err
 	if last < 0 {
 		return errs
 	}
-	var wg sync.WaitGroup
+	var wg *sync.WaitGroup // made with the first goroutine: a one-shard call allocates none
 	for s := 0; s < last; s++ {
 		if busy != nil && !busy(s) {
 			continue
 		}
+		if wg == nil {
+			wg = new(sync.WaitGroup)
+		}
 		wg.Add(1)
-		go func(s int) {
+		go func(s int, wg *sync.WaitGroup) {
 			defer wg.Done()
 			errs[s] = fn(s)
-		}(s)
+		}(s, wg)
 	}
 	errs[last] = fn(last)
-	wg.Wait()
+	if wg != nil {
+		wg.Wait()
+	}
 	return errs
 }

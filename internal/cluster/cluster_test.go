@@ -189,13 +189,9 @@ func TestDistributedMatchesLocalStore(t *testing.T) {
 
 	gen := dataset.NewGenerator(dataset.OGBNSim().Scale(2e-5), dataset.DynamicMix, 3)
 	for batch := 0; batch < 5; batch++ {
-		events := gen.Next(2000)
-		cp := make([]graph.Event, len(events))
-		copy(cp, events)
-		if err := client.ApplyBatch(cp); err != nil {
+		if err := applyToBoth(client, local, gen.Next(2000)); err != nil {
 			t.Fatal(err)
 		}
-		local.ApplyBatch(events)
 	}
 	stats, err := client.Stats()
 	if err != nil {

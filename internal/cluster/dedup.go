@@ -31,7 +31,7 @@ const dedupWindow = 4096
 const dedupClientTTL = 15 * time.Minute
 
 // dedupSweepEvery bounds how often the lazy TTL sweep runs: at most once
-// per this many claim/markApplied operations, keeping the sweep's O(clients)
+// per this many claim/import operations, keeping the sweep's O(clients)
 // cost off the per-batch path.
 const dedupSweepEvery = 4096
 
@@ -157,18 +157,6 @@ func (d *batchDedup) claim(client, seq uint64) (apply bool, finish func(error), 
 	}, nil
 }
 
-// markApplied records (client, seq) as completed without applying anything —
-// used when rebuilding dedup state from a write-ahead log at startup, so
-// client retries that straddle a server restart stay at-most-once.
-func (d *batchDedup) markApplied(client, seq uint64) {
-	if client == 0 || seq == 0 {
-		return
-	}
-	d.mu.Lock()
-	d.window(client).add(seq)
-	d.mu.Unlock()
-}
-
 // DedupEntry is one completed batch identity, the unit of dedup-table
 // transfer during replica catch-up.
 type DedupEntry struct {
@@ -191,9 +179,10 @@ func (d *batchDedup) export() []DedupEntry {
 	return out
 }
 
-// importEntries merges a peer's exported dedup table, so batches the peer's
-// snapshot already contains are recognized as duplicates when client
-// retries (or the WAL tail) deliver them again.
+// importEntries merges completed batch identities: a peer's exported table,
+// so batches its snapshot already contains are recognized as duplicates
+// when client retries (or the WAL tail) deliver them again, or the
+// identities a restart replays from its WAL.
 func (d *batchDedup) importEntries(entries []DedupEntry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -45,9 +45,9 @@ type LocalCluster struct {
 }
 
 // localShard hosts one in-process graph server. Stopping it severs every
-// live connection and fails future dials until restart; the server's state
-// is discarded on restart (the service factory decides what, if anything,
-// is recovered — e.g. by replaying a WAL).
+// live connection, closes the service (a crash closes its files) and fails
+// future dials until restart, which discards the server's state (the
+// service factory decides what is recovered, e.g. through OpenDurable).
 type localShard struct {
 	idx  int
 	mu   sync.Mutex
@@ -91,6 +91,9 @@ func (sh *localShard) stop() {
 	}
 	for _, c := range conns {
 		c.Close()
+	}
+	if svc != nil {
+		svc.Close()
 	}
 }
 

@@ -143,12 +143,12 @@ func (s *Service) FetchShardSnapshot(args *ShardSnapshotArgs, reply *ShardSnapsh
 	if !rt.owned[args.Shard] {
 		return notOwnerError(args.Shard, rt.m.Epoch)
 	}
-	if s.syncWAL == nil {
+	if s.wal == nil {
 		return fmt.Errorf("cluster: cannot export shard %d: server has no WAL to stream a tail from", args.Shard)
 	}
 	resume := s.Pause()
 	defer resume()
-	reply.WALSeq = s.syncWAL.Seq()
+	reply.WALSeq = s.wal.Seq()
 	reply.NumShards = rt.m.NumShards
 	if err := forEachSource(s.store, args.Shard, rt.m.NumShards, func(et graph.EdgeType, src graph.VertexID, nbrs []graph.VertexID, weights []float64) {
 		for i, dst := range nbrs {
@@ -186,7 +186,7 @@ func (s *Service) ParkShard(args *ParkShardArgs, reply *ParkShardReply) error {
 	if _, err := s.shardRouting("park", args.Shard); err != nil {
 		return err
 	}
-	if s.syncWAL == nil {
+	if s.wal == nil {
 		return fmt.Errorf("cluster: cannot park shard %d: server has no WAL to drain against", args.Shard)
 	}
 	ttl := time.Duration(args.TTLMillis) * time.Millisecond
@@ -194,7 +194,7 @@ func (s *Service) ParkShard(args *ParkShardArgs, reply *ParkShardReply) error {
 		ttl = defaultParkTTL
 	}
 	s.parkShard(args.Shard, ttl)
-	reply.WALSeq = s.syncWAL.Seq()
+	reply.WALSeq = s.wal.Seq()
 	return nil
 }
 

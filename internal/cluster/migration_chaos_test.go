@@ -11,7 +11,6 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -20,24 +19,19 @@ import (
 
 	"platod2gl/internal/core"
 	"platod2gl/internal/dataset"
-	"platod2gl/internal/eventlog"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
 	"platod2gl/internal/storage"
 )
 
-// migHarness is a WAL-backed LocalCluster with restart-replays-WAL server
-// semantics (matching the platod2gl-server binary) plus a single-store
-// oracle for convergence checks.
+// migHarness is a WAL-backed LocalCluster whose servers recover through
+// OpenDurable on restart, as the platod2gl-server binary does, plus a
+// single-store oracle for convergence checks.
 type migHarness struct {
 	t       *testing.T
 	lc      *LocalCluster
 	metrics *Metrics
 	oracle  *storage.DynamicStore
-
-	mu     sync.Mutex
-	stores map[int]*storage.DynamicStore
-	wals   map[int]*eventlog.Writer
 }
 
 func newMigHarness(t *testing.T, n int, metrics *Metrics) *migHarness {
@@ -47,44 +41,12 @@ func newMigHarness(t *testing.T, n int, metrics *Metrics) *migHarness {
 	h := &migHarness{
 		t: t, metrics: metrics,
 		oracle: storage.NewDynamicStore(storeOpts),
-		stores: map[int]*storage.DynamicStore{},
-		wals:   map[int]*eventlog.Writer{},
 	}
 	walPath := func(i int) string { return filepath.Join(dir, fmt.Sprintf("server%d.wal", i)) }
 	factory := func(i int) *Service {
-		h.mu.Lock()
-		if old := h.wals[i]; old != nil {
-			old.Close()
-		}
-		h.mu.Unlock()
-		store := storage.NewDynamicStore(storeOpts)
-		svc := NewService(store, kvstore.New())
+		svc := NewService(storage.NewDynamicStore(storeOpts), kvstore.New())
 		svc.SetMetrics(metrics)
-		// Restart semantics match the server binary: replay the surviving
-		// WAL (topology + at-most-once identities), then keep appending.
-		if _, err := os.Stat(walPath(i)); err == nil {
-			if _, err := eventlog.ReplayBatches(walPath(i), func(rec eventlog.BatchRecord) error {
-				store.ApplyBatch(rec.Events)
-				svc.MarkApplied(rec.ClientID, rec.ClientSeq)
-				return nil
-			}); err != nil {
-				t.Errorf("server %d wal replay: %v", i, err)
-			}
-		}
-		w, err := eventlog.Create(walPath(i))
-		if err != nil {
-			t.Fatalf("server %d wal: %v", i, err)
-		}
-		svc.SetBatchHook(func(clientID, seq uint64, events []graph.Event) error {
-			_, err := w.AppendBatch(clientID, seq, events)
-			return err
-		})
-		svc.EnableSync(w)
-		h.mu.Lock()
-		h.stores[i] = store
-		h.wals[i] = w
-		h.mu.Unlock()
-		return svc
+		return openDurable(t, svc, "", walPath(i))
 	}
 	h.lc = NewLocalClusterOptions(n, LocalOptions{
 		Client: Options{
@@ -101,10 +63,9 @@ func newMigHarness(t *testing.T, n int, metrics *Metrics) *migHarness {
 	return h
 }
 
+// store returns running server i's store.
 func (h *migHarness) store(i int) *storage.DynamicStore {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stores[i]
+	return h.lc.Service(i).store.(*storage.DynamicStore)
 }
 
 // newMigrationCluster is the slim variant routing_test.go shares: a
@@ -178,13 +139,9 @@ func TestChaosElasticGrow(t *testing.T) {
 	apply := func(n int) {
 		oracleMu.Lock()
 		defer oracleMu.Unlock()
-		events := gen.Next(n)
-		cp := make([]graph.Event, len(events))
-		copy(cp, events)
-		if err := client.ApplyBatch(cp); err != nil {
+		if err := applyToBoth(client, h.oracle, gen.Next(n)); err != nil {
 			t.Errorf("apply: %v", err)
 		}
-		h.oracle.ApplyBatch(events)
 	}
 	for b := 0; b < 4; b++ {
 		apply(800)
@@ -357,13 +314,9 @@ func TestChaosMigrationKillSourceMidCopy(t *testing.T) {
 	}
 	gen := dataset.NewGenerator(dataset.OGBNSim().Scale(1e-5), dataset.BuildMix, 7)
 	apply := func(n int) {
-		events := gen.Next(n)
-		cp := make([]graph.Event, len(events))
-		copy(cp, events)
-		if err := client.ApplyBatch(cp); err != nil {
+		if err := applyToBoth(client, h.oracle, gen.Next(n)); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
-		h.oracle.ApplyBatch(events)
 	}
 	apply(2000)
 
@@ -430,13 +383,9 @@ func TestChaosMigrationKillDestMidReplay(t *testing.T) {
 	}
 	gen := dataset.NewGenerator(dataset.OGBNSim().Scale(1e-5), dataset.BuildMix, 11)
 	apply := func(n int) {
-		events := gen.Next(n)
-		cp := make([]graph.Event, len(events))
-		copy(cp, events)
-		if err := client.ApplyBatch(cp); err != nil {
+		if err := applyToBoth(client, h.oracle, gen.Next(n)); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
-		h.oracle.ApplyBatch(events)
 	}
 	apply(2000)
 

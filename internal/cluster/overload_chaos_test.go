@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"platod2gl/internal/core"
-	"platod2gl/internal/eventlog"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
 	"platod2gl/internal/storage"
@@ -53,7 +52,7 @@ func (s *slowStore) ApplyBatch(events []graph.Event) {
 
 // overloadServer is one WAL-backed TCP graph server with a tuned admission
 // gate — the real platod2gl-server wiring (advertise address, TCP dial
-// resolver for migration pulls, sync enabled) at test scale.
+// resolver for migration pulls, OpenDurable) at test scale.
 type overloadServer struct {
 	addr string
 	svc  *Service
@@ -70,16 +69,8 @@ func startOverloadServer(t *testing.T, dir string, i int, admit AdmissionConfig,
 	svc := NewService(store, kvstore.New())
 	m := &Metrics{}
 	svc.SetMetrics(m)
-	w, err := eventlog.Create(filepath.Join(dir, fmt.Sprintf("server%d.wal", i)))
-	if err != nil {
-		t.Fatalf("server %d wal: %v", i, err)
-	}
-	t.Cleanup(func() { w.Close() })
-	svc.SetBatchHook(func(clientID, seq uint64, events []graph.Event) error {
-		_, err := w.AppendBatch(clientID, seq, events)
-		return err
-	})
-	svc.EnableSync(w)
+	openDurable(t, svc, "", filepath.Join(dir, fmt.Sprintf("server%d.wal", i)))
+	t.Cleanup(func() { svc.Close() })
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

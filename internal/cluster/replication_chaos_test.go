@@ -19,7 +19,6 @@ import (
 
 	"platod2gl/internal/core"
 	"platod2gl/internal/dataset"
-	"platod2gl/internal/eventlog"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
 	"platod2gl/internal/storage"
@@ -131,16 +130,11 @@ func TestChaosReplicaFailoverAndCatchUp(t *testing.T) {
 	var (
 		lc        *LocalCluster
 		mu        sync.Mutex
-		stores    = make([]*storage.DynamicStore, peers)
-		wals      = make([]*eventlog.Writer, peers)
 		restarted = make([]bool, peers)
 		catchups  sync.WaitGroup
 	)
 	factory := func(i int) *Service {
 		mu.Lock()
-		if old := wals[i]; old != nil {
-			old.Close()
-		}
 		rejoin := restarted[i]
 		mu.Unlock()
 		if rejoin {
@@ -148,22 +142,9 @@ func TestChaosReplicaFailoverAndCatchUp(t *testing.T) {
 			// own stale history: empty store, fresh WAL.
 			os.Remove(walPath(i))
 		}
-		store := storage.NewDynamicStore(storeOpts)
-		svc := NewService(store, kvstore.New())
+		svc := NewService(storage.NewDynamicStore(storeOpts), kvstore.New())
 		svc.SetMetrics(metrics)
-		w, err := eventlog.Create(walPath(i))
-		if err != nil {
-			t.Fatalf("peer %d wal: %v", i, err)
-		}
-		svc.SetBatchHook(func(clientID, seq uint64, events []graph.Event) error {
-			_, err := w.AppendBatch(clientID, seq, events)
-			return err
-		})
-		svc.EnableSync(w)
-		mu.Lock()
-		stores[i] = store
-		wals[i] = w
-		mu.Unlock()
+		openDurable(t, svc, "", walPath(i))
 		if rejoin {
 			svc.BeginCatchUp()
 			sibling := i ^ 1 // same group, other replica (consecutive grouping, R=2)
@@ -205,13 +186,9 @@ func TestChaosReplicaFailoverAndCatchUp(t *testing.T) {
 	oracle := storage.NewDynamicStore(storeOpts)
 	gen := dataset.NewGenerator(dataset.OGBNSim().Scale(2e-5), dataset.DynamicMix, 13)
 	applyBoth := func(n int) {
-		events := gen.Next(n)
-		cp := make([]graph.Event, len(events))
-		copy(cp, events)
-		if err := client.ApplyBatch(cp); err != nil {
+		if err := applyToBoth(client, oracle, gen.Next(n)); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
-		oracle.ApplyBatch(events)
 	}
 	probeSeeds := make([]graph.VertexID, 64)
 	for i := range probeSeeds {
@@ -365,14 +342,12 @@ func TestChaosReplicaFailoverAndCatchUp(t *testing.T) {
 	// Convergence: each replica's topology must be byte-identical to the
 	// oracle's projection onto its shard (hence to its sibling's), and every
 	// edge weight must match within Fenwick reconstruction tolerance.
-	mu.Lock()
-	defer mu.Unlock()
 	for s := 0; s < shards; s++ {
 		shard := s
 		keep := func(src graph.VertexID) bool { return ShardOf(src, client.NumShards()) == shard }
 		want := canonicalDump(t, oracle, keep)
 		for r := 0; r < replicas; r++ {
-			st := stores[s*replicas+r]
+			st := lc.Service(s*replicas + r).store.(*storage.DynamicStore)
 			got := canonicalDump(t, st, nil)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("shard %d replica %d topology diverged from oracle (%d vs %d bytes)", s, r, len(got), len(want))

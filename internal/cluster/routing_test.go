@@ -432,12 +432,9 @@ func TestClientReRouteOnCutover(t *testing.T) {
 
 	apply := func(events []graph.Event) {
 		t.Helper()
-		cp := make([]graph.Event, len(events))
-		copy(cp, events)
-		if err := client.ApplyBatch(cp); err != nil {
+		if err := applyToBoth(client, oracle, events); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
-		oracle.ApplyBatch(events)
 	}
 	var events []graph.Event
 	for v := graph.VertexID(0); v < 400; v++ {

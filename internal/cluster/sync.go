@@ -26,7 +26,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -54,17 +53,8 @@ func (s *Service) SetMetrics(m *Metrics) {
 	}
 }
 
-// EnableSync designates wal as the WAL this server streams to catching-up
-// replicas (FetchWALTail re-reads its file, so the writer must keep
-// appending to the same path). Typically the same Writer installed as the
-// batch hook.
-func (s *Service) EnableSync(wal *eventlog.Writer) { s.syncWAL = wal }
-
 // Ready reports whether this replica serves reads (i.e. is converged).
 func (s *Service) Ready() bool { return s.ready.Load() }
-
-// SyncEpoch returns the epoch of the last completed catch-up.
-func (s *Service) SyncEpoch() uint64 { return s.syncEpoch.Load() }
 
 // BeginCatchUp takes the replica out of read service: reads and writes are
 // rejected with ErrReplicaNotReady until MarkSynced. Idempotent.
@@ -136,8 +126,8 @@ type SyncStateReply struct {
 func (s *Service) SyncState(_ *SyncStateArgs, reply *SyncStateReply) error {
 	reply.Ready = s.ready.Load()
 	reply.SyncEpoch = s.syncEpoch.Load()
-	if s.syncWAL != nil {
-		reply.WALSeq = s.syncWAL.Seq()
+	if s.wal != nil {
+		reply.WALSeq = s.wal.Seq()
 	}
 	reply.NumEdges = s.store.NumEdges()
 	return nil
@@ -166,17 +156,17 @@ type SnapshotReply struct {
 // itself not ready refuses — two empty booting replicas must not "catch up"
 // from each other.
 func (s *Service) FetchSnapshot(_ *SnapshotArgs, reply *SnapshotReply) error {
-	saver, ok := s.store.(interface{ Save(io.Writer) error })
+	st, ok := s.store.(snapshotStore)
 	if !ok {
 		return fmt.Errorf("cluster: store %T does not support snapshots", s.store)
 	}
 	resume := s.Pause()
 	defer resume()
-	if s.syncWAL != nil {
-		reply.WALSeq = s.syncWAL.Seq()
+	if s.wal != nil {
+		reply.WALSeq = s.wal.Seq()
 	}
 	var buf bytes.Buffer
-	if err := saver.Save(&buf); err != nil {
+	if err := st.Save(&buf); err != nil {
 		return fmt.Errorf("cluster: snapshot: %w", err)
 	}
 	reply.Snapshot = buf.Bytes()
@@ -209,10 +199,10 @@ type WALTailReply struct {
 // against concurrent appends: a torn frame mid-file ends the chunk cleanly
 // and a later call picks it up once complete.
 func (s *Service) FetchWALTail(args *WALTailArgs, reply *WALTailReply) error {
-	if s.syncWAL == nil {
+	if s.wal == nil {
 		return fmt.Errorf("cluster: server has no WAL to stream")
 	}
-	recs, err := eventlog.ReadTail(s.syncWAL.Path(), args.AfterSeq, args.MaxBatches)
+	recs, err := eventlog.ReadTail(s.wal.Path(), args.AfterSeq, args.MaxBatches)
 	if err != nil {
 		return fmt.Errorf("cluster: wal tail: %w", err)
 	}
@@ -224,7 +214,7 @@ func (s *Service) FetchWALTail(args *WALTailArgs, reply *WALTailReply) error {
 	}
 	// Read the writer position after the file scan: anything appended in
 	// between just makes the caller loop once more.
-	reply.WriterSeq = s.syncWAL.Seq()
+	reply.WriterSeq = s.wal.Seq()
 	s.metrics.TailBatchesServed.Add(int64(len(recs)))
 	return nil
 }
@@ -265,20 +255,13 @@ const (
 	syncDrainConfirms  = 10
 )
 
-// SyncFromPeer converges svc with a live replica of the same shard: fetch
-// the peer's quiesced snapshot, load it (svc's store must be empty — Load
-// merges), then drain the peer's WAL tail past the snapshot point, applying
-// every record through ApplyBatch so the dedup identity keeps records that
-// also arrived directly at-most-once. The final drain runs with direct
-// writes parked on the catch-up gate (instead of rejected), closing the
-// window where a write could land on the peer after the last tail fetch yet
-// be rejected here. The peer's attributes follow the final drain; MarkSynced
-// then re-enters the replica into read rotation under a fresh sync epoch.
-// The returned stats report what moved.
-//
-// On error the replica stays not ready; the caller may retry against the
-// same or another peer (the store must be discarded and rebuilt empty if a
-// snapshot had already been loaded).
+// SyncFromPeer converges svc with a live replica of the same shard, as the
+// convergence argument atop this file lays out: it loads the peer's quiesced
+// snapshot in place of svc's stores, drains the WAL tail past it, copies
+// the attributes, checkpoints the synced store, and re-enters read rotation
+// under a fresh sync epoch (MarkSynced). The returned stats report what
+// moved. On error the replica stays not ready; the caller may retry against
+// the same or another peer.
 func SyncFromPeer(svc *Service, dial Dialer, opts SyncOptions) (SyncStats, error) {
 	var stats SyncStats
 	if opts.Metrics == nil {
@@ -298,13 +281,18 @@ func SyncFromPeer(svc *Service, dial Dialer, opts SyncOptions) (SyncStats, error
 	if err := verifySum(opts.Metrics, "FetchSnapshot image", checksumBytes(snap.Snapshot), snap.Sum); err != nil {
 		return stats, err
 	}
-	loader, ok := svc.store.(interface{ Load(io.Reader) error })
+	st, ok := svc.store.(snapshotStore)
 	if !ok {
 		return stats, fmt.Errorf("cluster: store %T cannot load snapshots", svc.store)
 	}
+	// Load merges, so the stale local state goes first.
 	resume := svc.Pause()
+	st.Reset()
+	if svc.attrs != nil {
+		svc.attrs.Reset()
+	}
 	svc.dedup.importEntries(snap.Dedup)
-	err = loader.Load(bytes.NewReader(snap.Snapshot))
+	err = st.Load(bytes.NewReader(snap.Snapshot))
 	resume()
 	if err != nil {
 		return stats, fmt.Errorf("cluster: load snapshot: %w", err)
@@ -343,6 +331,11 @@ func SyncFromPeer(svc *Service, dial Dialer, opts SyncOptions) (SyncStats, error
 	// gate: the peer's store is quiescent modulo in-flight absolute writes,
 	// which converge on both sides.
 	if stats.AttrBytes, err = tr.pullAttrs(); err != nil {
+		return stats, err
+	}
+	// The local WAL holds only the tail: without a checkpoint a crash now
+	// would recover just that.
+	if err := svc.Checkpoint(); err != nil {
 		return stats, err
 	}
 	svc.MarkSynced()

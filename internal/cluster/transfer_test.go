@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"platod2gl/internal/core"
-	"platod2gl/internal/eventlog"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
 	"platod2gl/internal/storage"
@@ -233,23 +232,15 @@ func newWALService(t *testing.T, path string) (*Service, *storage.DynamicStore, 
 	t.Helper()
 	store := storage.NewDynamicStore(storage.Options{Tree: core.Options{Capacity: 16}})
 	attrs := kvstore.New()
-	svc := NewService(store, attrs)
-	w, err := eventlog.Create(path)
-	if err != nil {
-		t.Fatalf("wal: %v", err)
-	}
-	t.Cleanup(func() { w.Close() })
-	svc.SetBatchHook(func(clientID, seq uint64, events []graph.Event) error {
-		_, err := w.AppendBatch(clientID, seq, events)
-		return err
-	})
-	svc.EnableSync(w)
+	svc := openDurable(t, NewService(store, attrs), "", path)
+	t.Cleanup(func() { svc.Close() })
 	return svc, store, attrs
 }
 
 // TestCatchUpDrainsSeveralChunks: a catch-up whose peer WAL gains more
 // records past the snapshot than one tail chunk carries applies all of
-// them, then copies the peer's attributes.
+// them, then copies the peer's attributes; a WAL-only replica keeps them
+// in its WAL.
 func TestCatchUpDrainsSeveralChunks(t *testing.T) {
 	const records = defaultSyncBatches + 44
 	dir := t.TempDir()
@@ -293,6 +284,11 @@ func TestCatchUpDrainsSeveralChunks(t *testing.T) {
 	}
 	if attrs.Digest() != peer.attrs.Digest() || stats.AttrBytes == 0 {
 		t.Fatalf("catch-up did not copy the peer's attributes (%d bytes moved)", stats.AttrBytes)
+	}
+	// The rejoined server has no snapshot file, so the catch-up's closing
+	// checkpoint keeps the tail in its WAL, its only durable copy.
+	if n := walFrames(t, filepath.Join(dir, "rejoin.wal")); n != records {
+		t.Fatalf("rejoined WAL holds %d of the %d tail records", n, records)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestVerifyIntegrityNamesDivergedShardsAndScrubs(t *testing.T) {
 				t.Fatalf("wal %d: %v", i, err)
 			}
 			wals[i] = w
-			svcs[i].EnableSync(w)
+			svcs[i].wal = w
 			return svcs[i]
 		},
 	})
@@ -156,7 +156,7 @@ func TestScrubTieBreakOnEqualWALPositions(t *testing.T) {
 			if _, err := w.Append(nil); err != nil {
 				t.Fatalf("wal append: %v", err)
 			}
-			svcs[i].EnableSync(w)
+			svcs[i].wal = w
 			return svcs[i]
 		},
 	})

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"platod2gl/internal/dataset"
 	"platod2gl/internal/graph"
@@ -226,4 +228,42 @@ func FuzzRecord(f *testing.F) {
 			t.Fatalf("round trip changed the record's bytes")
 		}
 	})
+}
+
+// syncFailFile fails every fsync, as a disk that lost writes does.
+type syncFailFile struct{ *os.File }
+
+func (syncFailFile) Sync() error { return errors.New("input/output error") }
+
+// TestSyncEveryFailureRefusesAppends: once a background fsync fails, every
+// append is refused with its error until Reset replaces the file.
+func TestSyncEveryFailureRefusesAppends(t *testing.T) {
+	w, err := Create(filepath.Join(t.TempDir(), "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.f = syncFailFile{w.f.(*os.File)}
+	stop := w.SyncEvery(time.Millisecond)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, err := w.Append(mkEvents(1, 4))
+		if err != nil {
+			if !strings.Contains(err.Error(), "background sync") {
+				t.Fatalf("append refused with %v, want the fsync's failure", err)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("appends still accepted after failing fsyncs")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(mkEvents(2, 4)); err != nil {
+		t.Fatalf("append after Reset: %v", err)
+	}
 }

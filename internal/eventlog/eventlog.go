@@ -27,6 +27,7 @@ package eventlog
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,6 +35,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"time"
 
 	"platod2gl/internal/durable"
 	"platod2gl/internal/graph"
@@ -308,6 +310,35 @@ func (w *Writer) Sync() error {
 		return errors.New("eventlog: writer closed")
 	}
 	return w.f.Sync()
+}
+
+// SyncEvery fsyncs the log every period on a goroutine of its own until
+// stop, which waits for it to end. A failed fsync refuses every later
+// append with its error until Reset replaces the file: a batch acknowledged
+// past it would promise a durability the disk did not give.
+func (w *Writer) SyncEvery(period time.Duration) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+			}
+			w.mu.Lock()
+			if w.open && w.err == nil {
+				if err := w.f.Sync(); err != nil {
+					w.err = fmt.Errorf("eventlog: background sync: %w", err)
+				}
+			}
+			w.mu.Unlock()
+		}
+	}()
+	return func() { cancel(); <-done }
 }
 
 // Seq returns the last appended sequence number.

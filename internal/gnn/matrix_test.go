@@ -448,3 +448,36 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		}
 	}
 }
+
+func TestAdamStateRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	params := []*Matrix{NewMatrix(2, 3).Glorot(rng)}
+	grads := []*Matrix{NewMatrix(2, 3).Glorot(rng)}
+	a := NewAdam(0.05)
+	for i := 0; i < 4; i++ {
+		a.Step(params, grads)
+	}
+	st := a.State()
+	if st.T != 4 || len(st.M) != 1 || len(st.M[0]) != 6 {
+		t.Fatalf("unexpected state: T=%d M=%v", st.T, st.M)
+	}
+	// Continuing from a restored state must match continuing the original.
+	b := NewAdam(0.05)
+	b.SetState(st)
+	pa := []*Matrix{params[0].Clone()}
+	pb := []*Matrix{params[0].Clone()}
+	for i := 0; i < 3; i++ {
+		a.Step(pa, grads)
+		b.Step(pb, grads)
+	}
+	for j := range pa[0].Data {
+		if pa[0].Data[j] != pb[0].Data[j] {
+			t.Fatalf("restored optimizer diverged at %d: %v vs %v", j, pa[0].Data[j], pb[0].Data[j])
+		}
+	}
+	// Mutating the exported state must not alias the optimizer's internals.
+	st.M[0][0] = 99
+	if a.State().M[0][0] == 99 {
+		t.Fatal("State() aliases internal moments")
+	}
+}

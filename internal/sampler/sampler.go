@@ -74,16 +74,19 @@ func (s *Sampler) SampleNeighborsUniform(seeds []graph.VertexID, et graph.EdgeTy
 	return s.neighborBatch(seeds, et, fanout, true)
 }
 
+// neighborBatch is small enough to inline, so a caller that keeps only
+// Neighbors, as the cluster server does, leaves the batch and the Sampler
+// on its stack.
 func (s *Sampler) neighborBatch(seeds []graph.VertexID, et graph.EdgeType, fanout int, uniform bool) *NeighborBatch {
-	out := &NeighborBatch{
-		Seeds:     seeds,
-		Fanout:    fanout,
-		Neighbors: make([]graph.VertexID, len(seeds)*fanout),
-	}
+	return &NeighborBatch{Seeds: seeds, Fanout: fanout, Neighbors: s.neighbors(seeds, et, fanout, uniform)}
+}
+
+func (s *Sampler) neighbors(seeds []graph.VertexID, et graph.EdgeType, fanout int, uniform bool) []graph.VertexID {
+	nodes := make([]graph.VertexID, len(seeds)*fanout)
 	h := hops.Get().(*hop)
-	s.sampleHop(h, 0, seeds, et, fanout, uniform, out.Neighbors)
+	s.sampleHop(h, 0, seeds, et, fanout, uniform, nodes)
 	hops.Put(h)
-	return out
+	return nodes
 }
 
 // RandomWalk performs length steps of a weighted random walk from every
@@ -227,9 +230,9 @@ func (s *Sampler) sampleHop(h *hop, stream int, frontier []graph.VertexID, et gr
 		h.counts[d] = int(h.Bounds[d+1]-h.Bounds[d]) * fanout
 	}
 	h.draws = slices.Grow(h.draws[:0], n*fanout)[:n*fanout]
-	p := s.opt.Parallelism
+	p, store := s.opt.Parallelism, s.store // the workers take the store, so s stays off the heap
 	if p <= 1 || nd < 64 {
-		s.sampleRun(h, 0, 0, nd, nodes)
+		sampleRun(store, h, 0, 0, nd, nodes)
 		return
 	}
 	lo := 0
@@ -246,7 +249,7 @@ func (s *Sampler) sampleHop(h *hop, stream int, frontier []graph.VertexID, et gr
 		h.wg.Add(1)
 		go func(w, lo, hi int) {
 			defer h.wg.Done()
-			s.sampleRun(h, w, lo, hi, nodes)
+			sampleRun(store, h, w, lo, hi, nodes)
 		}(w, lo, hi)
 		lo = hi
 	}
@@ -256,13 +259,13 @@ func (s *Sampler) sampleHop(h *hop, stream int, frontier []graph.VertexID, et gr
 // sampleRun samples distinct vertices [lo, hi) with worker w's generator
 // and scatters their draws to their positions in nodes. The run's draws go
 // to the region of draws its positions span, which no other run touches.
-func (s *Sampler) sampleRun(h *hop, w, lo, hi int, nodes []graph.VertexID) {
+func sampleRun(store storage.TopologyStore, h *hop, w, lo, hi int, nodes []graph.VertexID) {
 	fanout := h.fanout
 	first, last := int(h.Bounds[lo]), int(h.Bounds[hi])
 	rng := rngs.Get().(*rand.Rand)
 	rng.Seed(h.seed + int64(w))
 	draws := h.draws[first*fanout : first*fanout : last*fanout]
-	draws = s.store.SampleFrontier(h.IDs[lo:hi], h.et, h.counts[lo:hi], h.uniform, rng, draws, h.got[lo:hi])
+	draws = store.SampleFrontier(h.IDs[lo:hi], h.et, h.counts[lo:hi], h.uniform, rng, draws, h.got[lo:hi])
 	rngs.Put(rng)
 	at := 0
 	for d := lo; d < hi; d++ {

@@ -24,6 +24,7 @@ import (
 	"io"
 	"math/rand"
 
+	"platod2gl/internal/checkpoint"
 	"platod2gl/internal/core"
 	"platod2gl/internal/dataset"
 	"platod2gl/internal/gnn"
@@ -355,11 +356,21 @@ func (g *Graph) NewLinkTrainer(model *LinkModel, rel EdgeType, fanout int, lr fl
 }
 
 // SaveModelParams serializes GNN parameters (from Model.Params or
-// LinkModel.Enc.Params) to w.
-func SaveModelParams(w io.Writer, params []*Matrix) error { return gnn.SaveParams(w, params) }
+// LinkModel.Enc.Params) to w, in the checksummed format of training
+// checkpoints, with no manifest and no optimizer state.
+func SaveModelParams(w io.Writer, params []*Matrix) error {
+	return checkpoint.Write(w, checkpoint.Capture(checkpoint.Manifest{}, params, nil))
+}
 
-// LoadModelParams restores GNN parameters in place from r.
-func LoadModelParams(r io.Reader, params []*Matrix) error { return gnn.LoadParams(r, params) }
+// LoadModelParams restores GNN parameters in place from r; every tensor's
+// shape must match.
+func LoadModelParams(r io.Reader, params []*Matrix) error {
+	st, err := checkpoint.Read(r)
+	if err != nil {
+		return err
+	}
+	return st.Apply(params, nil)
+}
 
 // SetEdgeFeatures stores per-edge attributes (retained, do not mutate).
 func (g *Graph) SetEdgeFeatures(k EdgeKey, f []float32) { g.attrs.SetEdgeFeatures(k, f) }
