@@ -295,3 +295,44 @@ func TestReadGarbage(t *testing.T) {
 		}
 	}
 }
+
+// TestReadApplyShapeMismatch: a parameters-only stream read back into a model
+// of another hidden width is refused with a shape error.
+func TestReadApplyShapeMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var buf bytes.Buffer
+	if err := Write(&buf, Capture(Manifest{}, gnn.NewModel(8, 16, 4, rng).Params(), nil)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = st.Apply(gnn.NewModel(8, 32, 4, rng).Params(), nil)
+	if err == nil || !strings.Contains(err.Error(), "shape") {
+		t.Fatalf("expected shape error, got %v", err)
+	}
+}
+
+// TestReadApplyShapeErrorReportsDims: the shape error of a stream read back
+// into the wrong model names the tensor and both shapes.
+func TestReadApplyShapeErrorReportsDims(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var buf bytes.Buffer
+	if err := Write(&buf, Capture(Manifest{}, gnn.NewModel(8, 16, 4, rng).Params(), nil)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = st.Apply(gnn.NewModel(8, 32, 4, rng).Params(), nil)
+	if err == nil {
+		t.Fatal("expected shape error")
+	}
+	for _, want := range []string{"tensor 0", "8x16", "8x32", "expects"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("shape error %q missing %q", err, want)
+		}
+	}
+}
