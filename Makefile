@@ -79,9 +79,10 @@ tier1: test race
 # unrouted server and on one with a shard map, where the ownership and
 # write-gate rules run), the
 # WAL's record decoder, the PALM planner against its sort-based oracle, the
-# vertex-id grouping against its map-based oracle, and the HNSW distance
-# kernel against the pure-Go code and a float64 reference.
-# go test allows one -fuzz pattern per invocation, hence eight runs.
+# vertex-id grouping against its map-based oracle, the layer-wise training
+# block against its map-based oracle and dense forward, and the HNSW
+# distance kernel against the pure-Go code and a float64 reference.
+# go test allows one -fuzz pattern per invocation, hence nine runs.
 # Corpus findings land in testdata/fuzz/ — commit them as regression seeds.
 FUZZTIME ?= 15s
 fuzz-smoke: build
@@ -92,6 +93,7 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz FuzzRecord -fuzztime $(FUZZTIME) ./internal/eventlog/
 	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime $(FUZZTIME) ./internal/palm/
 	$(GO) test -run '^$$' -fuzz FuzzGrouping -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -run '^$$' -fuzz FuzzBlock -fuzztime $(FUZZTIME) ./internal/gnn/
 	$(GO) test -run '^$$' -fuzz FuzzSqDist -fuzztime $(FUZZTIME) ./internal/ann/
 
 bench:

@@ -47,10 +47,11 @@ func TestRunInProcessCluster(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
 	}
-	// Multi-hop frontiers repeat seeds, so training over RPC must have
-	// coalesced something.
-	if strings.Contains(got, "coalescing saved 0 duplicate seeds") {
-		t.Fatalf("no coalescing recorded:\n%s", got)
+	// The layer-wise block sends each hop's frontier and the block's
+	// feature rows once per distinct vertex, so there is nothing left for
+	// the client to coalesce.
+	if !strings.Contains(got, "coalescing saved 0 duplicate seeds / 0 wire bytes, 0 duplicate feature and label rows") {
+		t.Fatalf("a batch sent a vertex twice:\n%s", got)
 	}
 }
 

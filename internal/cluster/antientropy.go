@@ -228,11 +228,14 @@ type Scrubber struct {
 	svc *Service
 	cfg ScrubConfig
 
-	mu      sync.Mutex // serializes rounds (background loop vs Scrub RPC)
-	last    atomic.Pointer[RoundReport]
-	stopCh  chan struct{}
-	doneCh  chan struct{}
-	started bool
+	mu sync.Mutex // serializes rounds (background loop vs Scrub RPC)
+	// unrepaired is set, under mu, while this scrubber's own failed repair
+	// keeps the replica not ready: the next round repairs again.
+	unrepaired bool
+	last       atomic.Pointer[RoundReport]
+	stopCh     chan struct{}
+	doneCh     chan struct{}
+	started    bool
 }
 
 // NewScrubber builds a scrubber for svc. Call Start for the background
@@ -383,10 +386,17 @@ func (d *DigestReply) key() digestKey { return digestKey{d.Topology, d.Attrs} }
 // mismatch. A transient mismatch (writes in flight during the probe) is
 // absorbed by re-checking SettleRetries times: divergence is only declared
 // when the group still disagrees after the skew had time to settle.
+//
+// A replica that is not ready is mid-catch-up and has nothing meaningful to
+// compare, unless the catch-up was this scrubber's repair and it failed:
+// then the round reports it diverged, so the repair runs again. A round
+// that finds the replica ready forgets the failed repair.
 func (sc *Scrubber) compareDigests(rep *RoundReport) {
 	if !sc.svc.ready.Load() {
-		return // mid-catch-up: nothing meaningful to compare yet
+		rep.Diverged = sc.unrepaired
+		return
 	}
+	sc.unrepaired = false
 	local, err := sc.svc.localDigest(-1, 0)
 	if err != nil {
 		rep.DiskErrors = append(rep.DiskErrors, fmt.Sprintf("local digest: %v", err))
@@ -568,6 +578,7 @@ func (sc *Scrubber) repair(rep *RoundReport) {
 		CallTimeout: sc.cfg.RepairTimeout,
 		Metrics:     sc.cfg.Metrics,
 	})
+	sc.unrepaired = err != nil && !sc.svc.ready.Load()
 	if err != nil {
 		rep.RepairErr = err.Error()
 		sc.logf("scrub: repair from %s failed (replica stays out of rotation; next round retries): %v", peer, err)

@@ -410,3 +410,39 @@ func TestChaosScrubRepairsDiskCorruption(t *testing.T) {
 	}
 	t.Logf("metrics: %s", snap)
 }
+
+// TestScrubRetriesFailedRepair: a scrub repair that fails leaves the
+// replica not ready, and the next round repairs it again. Replica 1 holds
+// an edge its peer lacks, behind its WAL, so with equal WAL positions the
+// address tie-break makes it the one that yields. Round 1's repair times
+// out; round 2, with time to finish, rebuilds it from replica 0 and puts it
+// back in service. A catch-up the scrubber did not start is left alone.
+func TestScrubRetriesFailedRepair(t *testing.T) {
+	h := newAntiEntropyHarness(t, nil)
+	h.applyBoth(t, 300)
+	svc := h.lc.Service(1)
+	sc := h.scrubber(t, 1)
+
+	svc.BeginCatchUp()
+	if rep := sc.RunRound(); rep.Diverged || rep.RepairPeer != "" {
+		t.Fatalf("a round during a catch-up the scrubber did not start: %+v", rep)
+	}
+	svc.MarkSynced()
+
+	svc.store.ApplyBatch([]graph.Event{{Kind: graph.AddEdge, Edge: graph.Edge{Src: 1 << 40, Dst: 2, Weight: 1}}})
+	sc.cfg.RepairTimeout = time.Nanosecond
+	rep := sc.RunRound()
+	if !rep.Diverged || rep.Repaired || rep.RepairErr == "" || svc.Ready() {
+		t.Fatalf("round 1: diverged=%v repaired=%v repair_err=%q ready=%v; want a failed repair that leaves the replica not ready",
+			rep.Diverged, rep.Repaired, rep.RepairErr, svc.Ready())
+	}
+	sc.cfg.RepairTimeout = 10 * time.Second
+	rep = sc.RunRound()
+	if !rep.Repaired || !svc.Ready() {
+		t.Fatalf("round 2: repaired=%v ready=%v repair_err=%q; want the repair retried", rep.Repaired, svc.Ready(), rep.RepairErr)
+	}
+	h.verifyConverged(t, "retried repair", 1)
+	if rep := sc.RunRound(); !rep.healthy() || rep.Repaired {
+		t.Fatalf("round 3 after the repair: %+v", rep)
+	}
+}

@@ -854,8 +854,12 @@ func (c *Client) SampleNeighborsCtx(ctx context.Context, seeds []graph.VertexID,
 	return out, nil
 }
 
-// SampleSubgraph expands seeds along a meta-path hop by hop across the
-// cluster.
+// SampleSubgraph expands seeds layer-wise along a meta-path across the
+// cluster, one SampleNeighbors fan-out per hop: hop h draws fanouts[h]
+// neighbors for each distinct vertex of the seeds and of layers 0..h-1, in
+// first-occurrence order with the seeds first (view.GraphView's contract,
+// which sampler.SampleLayers keeps for one store). Hop h's shard calls are
+// seeded seed+7919h+p, which the servers' generators hash.
 func (c *Client) SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fanouts []int, seed int64) ([][]graph.VertexID, error) {
 	return c.SampleSubgraphCtx(context.Background(), seeds, path, fanouts, seed)
 }
@@ -867,14 +871,13 @@ func (c *Client) SampleSubgraphCtx(ctx context.Context, seeds []graph.VertexID, 
 		return nil, fmt.Errorf("cluster: meta-path length %d != fanouts %d", len(path), len(fanouts))
 	}
 	layers := make([][]graph.VertexID, len(path))
-	frontier := seeds
+	var front graph.Grouping
 	for hop, et := range path {
-		next, err := c.SampleNeighborsCtx(ctx, frontier, et, fanouts[hop], seed+int64(hop)*7919)
+		next, err := c.SampleNeighborsCtx(ctx, front.Frontier(seeds, layers[:hop]), et, fanouts[hop], seed+int64(hop)*7919)
 		if err != nil {
 			return nil, err
 		}
 		layers[hop] = next
-		frontier = next
 	}
 	return layers, nil
 }

@@ -131,12 +131,20 @@ func TestDistributedSubgraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(layers) != 2 || len(layers[0]) != 6 || len(layers[1]) != 12 {
-		t.Fatalf("layer sizes: %d/%d", len(layers[0]), len(layers[1]))
+	// Hop 2 expands the frontier: the seeds, which have no type-1 edge and
+	// yield themselves, then their distinct hop-1 draws.
+	var front graph.Grouping
+	frontier := front.Frontier([]graph.VertexID{1, 2}, layers[:1])
+	if len(layers) != 2 || len(layers[0]) != 6 || len(layers[1]) != len(frontier)*2 {
+		t.Fatalf("layer sizes: %d/%d for a frontier of %d", len(layers[0]), len(layers[1]), len(frontier))
 	}
 	for i, n := range layers[1] {
-		parent := layers[0][i/2]
-		if uint64(n) != 10000+uint64(parent) {
+		parent := frontier[i/2]
+		want := 10000 + uint64(parent)
+		if parent < 100 {
+			want = uint64(parent)
+		}
+		if uint64(n) != want {
 			t.Fatalf("hop2[%d] = %v, parent %v", i, n, parent)
 		}
 	}

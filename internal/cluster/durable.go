@@ -4,6 +4,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"platod2gl/internal/durable"
 	"platod2gl/internal/eventlog"
 	"platod2gl/internal/graph"
+	"platod2gl/internal/wire"
 )
 
 // DurableConfig names a server's files and its WAL fsync policy: the
@@ -42,11 +44,12 @@ type snapshotStore interface {
 }
 
 // OpenDurable recovers the service from cfg's files and keeps them current:
-// it loads the snapshot if one exists, replays the WAL past it through the
-// store and the dedup table (so a retry that straddles the restart stays
-// at most once), then appends every applied batch to the WAL under the
-// fsync policy and streams the WAL to catching-up siblings. Call it once,
-// before serving, on an empty store.
+// it loads the snapshot and the at-most-once table beside it if they exist,
+// replays the WAL past them through the store and the table (so a retry
+// that straddles the restart stays at most once, whether its batch is in
+// the snapshot or the WAL), then appends every applied batch to the WAL
+// under the fsync policy and streams the WAL to catching-up siblings. Call
+// it once, before serving, on an empty store.
 func (s *Service) OpenDurable(cfg DurableConfig) (Recovery, error) {
 	var rec Recovery
 	if p := cfg.WALSync; p != "always" && p != "never" && (p != "interval" || cfg.WALSyncInterval <= 0) {
@@ -70,6 +73,13 @@ func (s *Service) OpenDurable(cfg DurableConfig) (Recovery, error) {
 		}
 	}
 	s.snapshot = cfg.Snapshot
+	if cfg.Snapshot != "" {
+		table, err := readDedupTable(dedupPath(cfg.Snapshot))
+		if err != nil {
+			return rec, err
+		}
+		s.dedup.importEntries(table)
+	}
 	if cfg.WAL == "" {
 		return rec, nil
 	}
@@ -101,19 +111,31 @@ func (s *Service) OpenDurable(cfg DurableConfig) (Recovery, error) {
 	return rec, nil
 }
 
-// Checkpoint renames a complete snapshot over the old one (durable.WriteFile),
-// then truncates the WAL, under one Pause, so a restart loads the image and
-// replays none of the batches it holds. Only a snapshot may truncate the
-// WAL: without a snapshot file Checkpoint does nothing. A crash between the
-// rename and the truncation leaves the new snapshot beside the old WAL,
-// whose batches the restart then replays a second time (ROADMAP 15(c)).
+// Checkpoint writes the at-most-once table beside the snapshot, renames a
+// complete snapshot over the old one (each through durable.WriteFile), then
+// truncates the WAL, all under one Pause, so a restart loads the image,
+// replays none of the batches it holds, and still knows every batch
+// identity it applied. The table is renamed first, so a crash at any point
+// leaves a table that covers the snapshot on disk; one that also names the
+// WAL's batches is harmless, since replay applies them regardless. Only a
+// snapshot may truncate the WAL: without a snapshot file Checkpoint does
+// nothing. A crash between the rename and the truncation leaves the new
+// snapshot beside the old WAL, whose batches the restart then replays a
+// second time (ROADMAP 15(c)).
 func (s *Service) Checkpoint() error {
 	if s.snapshot == "" {
 		return nil
 	}
 	resume := s.Pause()
 	defer resume()
-	err := durable.WriteFile(s.snapshot, s.store.(snapshotStore).Save)
+	table := s.dedup.export()
+	err := durable.WriteFile(dedupPath(s.snapshot), func(w io.Writer) error {
+		_, err := w.Write(encodeDedupTable(table))
+		return err
+	})
+	if err == nil {
+		err = durable.WriteFile(s.snapshot, s.store.(snapshotStore).Save)
+	}
 	if err == nil && s.wal != nil {
 		err = s.wal.Reset()
 	}
@@ -134,4 +156,53 @@ func (s *Service) Close() error {
 		return s.wal.Close()
 	}
 	return nil
+}
+
+// dedupPath is the file beside snapshot that holds the at-most-once table.
+func dedupPath(snapshot string) string { return snapshot + ".dedup" }
+
+// dedupMagic heads a table file; a CRC-32 of everything before it ends it.
+const dedupMagic = "platod2gl-dedup v1\n"
+
+// encodeDedupTable is a table file's contents: the magic, the entries as
+// the wire codec writes them, and the CRC.
+func encodeDedupTable(entries []DedupEntry) []byte {
+	b := appendDedup([]byte(dedupMagic), entries)
+	return binary.LittleEndian.AppendUint32(b, uint32(checksumBytes(b)))
+}
+
+// readDedupTable reads the table file at path. A missing file is an empty
+// table, so a server checkpointed before tables were written still starts;
+// a damaged one is an error, as a damaged snapshot is.
+func readDedupTable(path string) ([]DedupEntry, error) {
+	b, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	var entries []DedupEntry
+	if err == nil {
+		entries, err = decodeDedupTable(b)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cluster: load at-most-once table %s: %w", path, err)
+	}
+	return entries, nil
+}
+
+// decodeDedupTable checks a table file's magic and CRC and decodes its
+// entries.
+func decodeDedupTable(b []byte) ([]DedupEntry, error) {
+	if len(b) < len(dedupMagic)+4 || string(b[:len(dedupMagic)]) != dedupMagic {
+		return nil, errors.New("not a table file")
+	}
+	body := b[:len(b)-4]
+	if uint32(checksumBytes(body)) != binary.LittleEndian.Uint32(b[len(body):]) {
+		return nil, errors.New("checksum mismatch")
+	}
+	r := wire.NewReader(body[len(dedupMagic):])
+	entries := readDedup(r)
+	if r.Err() != nil || r.Remaining() != 0 {
+		return nil, errors.New("malformed entries")
+	}
+	return entries, nil
 }

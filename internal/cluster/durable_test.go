@@ -91,6 +91,64 @@ func TestOpenDurableRecoversSnapshotAndTail(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsAtMostOnce: a retry of a batch the snapshot holds,
+// arriving after a checkpointed restart, is a duplicate. Batch (9,1) adds
+// an edge and (9,2) deletes it; re-applying (9,1) would resurrect it. A
+// server whose snapshot has no table beside it (one checkpointed before
+// tables were written) still starts, and a damaged table stops the start.
+func TestCheckpointKeepsAtMostOnce(t *testing.T) {
+	dir := t.TempDir()
+	snap, wal := filepath.Join(dir, "s.snap"), filepath.Join(dir, "s.wal")
+	before := openDurable(t, NewService(storage.NewDynamicStore(storage.Options{}), kvstore.New()), snap, wal)
+	applyIdentified(t, before, 9, 1, graph.AddEdge, [2]int{1, 2})
+	applyIdentified(t, before, 9, 2, graph.DeleteEdge, [2]int{1, 2})
+	if err := before.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	before.Close()
+
+	reopen := func() (*Service, *storage.DynamicStore, error) {
+		store := storage.NewDynamicStore(storage.Options{})
+		svc := NewService(store, kvstore.New())
+		_, err := svc.OpenDurable(DurableConfig{Snapshot: snap, WAL: wal, WALSync: "never"})
+		return svc, store, err
+	}
+	after, store, err := reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := applyIdentified(t, after, 9, 1, graph.AddEdge, [2]int{1, 2}); !r.Duplicate {
+		t.Fatalf("a retry of a checkpointed batch applied again: %+v", r)
+	}
+	if n := store.NumEdges(); n != 0 {
+		t.Fatalf("%d edges after the retry: the deleted edge came back", n)
+	}
+	after.Close()
+
+	table := dedupPath(snap)
+	good, err := os.ReadFile(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(table); err != nil {
+		t.Fatal(err)
+	}
+	old, _, err := reopen()
+	if err != nil {
+		t.Fatalf("a snapshot without a table did not load: %v", err)
+	}
+	old.Close()
+
+	good[len(good)/2] ^= 1
+	if err := os.WriteFile(table, good, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if svc, _, err := reopen(); err == nil || !strings.Contains(err.Error(), "at-most-once table") {
+		svc.Close()
+		t.Fatalf("a damaged table loaded: %v", err)
+	}
+}
+
 // failingSaveStore, once told to fail, writes part of an image and fails.
 type failingSaveStore struct {
 	*storage.DynamicStore
@@ -132,8 +190,8 @@ func TestCheckpointFailureKeepsOldFiles(t *testing.T) {
 	if got, err := os.ReadFile(snap); err != nil || !bytes.Equal(got, old) {
 		t.Fatalf("snapshot changed by a failed checkpoint (%d bytes, was %d; %v)", len(got), len(old), err)
 	}
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2 {
-		t.Fatalf("directory holds %d files (%v), want only the snapshot and the WAL", len(entries), err)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 3 {
+		t.Fatalf("directory holds %d files (%v), want only the snapshot, its at-most-once table and the WAL", len(entries), err)
 	}
 	if n := walFrames(t, wal); n != 1 {
 		t.Fatalf("WAL holds %d frames after a failed checkpoint, want 1", n)

@@ -211,14 +211,19 @@ func TestSampleNeighborsCoalescesDuplicateSeeds(t *testing.T) {
 		t.Fatalf("CoalescedBytes += %d, want %d", got, wantBytes)
 	}
 
-	// SampleSubgraph frontiers repeat vertices heavily; the hop-2 fan-out
-	// must keep coalescing (counter strictly grows).
+	// SampleSubgraph sends each hop's frontier, which is distinct: it
+	// coalesces nothing.
 	layers, err := client.SampleSubgraph(distinct, graph.MetaPath{0, 0}, []int{4, 2}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(layers[0]) != len(distinct)*4 || len(layers[1]) != len(distinct)*4*2 {
-		t.Fatalf("layer sizes %d/%d", len(layers[0]), len(layers[1]))
+	var front graph.Grouping
+	frontier := front.Frontier(distinct, layers[:1])
+	if len(layers[0]) != len(distinct)*4 || len(layers[1]) != len(frontier)*2 {
+		t.Fatalf("layer sizes %d/%d for a frontier of %d", len(layers[0]), len(layers[1]), len(frontier))
+	}
+	if got := client.Metrics().Snapshot().CoalescedSeeds - after.CoalescedSeeds; got != 0 {
+		t.Fatalf("SampleSubgraph coalesced %d seeds of its distinct frontiers", got)
 	}
 }
 

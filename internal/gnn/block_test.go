@@ -3,6 +3,8 @@ package gnn
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"platod2gl/internal/dataset"
@@ -54,25 +56,77 @@ func (v *countingView) Features(nodes []graph.VertexID, dim int) ([]float32, err
 	return v.GraphView.Features(nodes, dim)
 }
 
-// denseForward is the layout the block replaced, kept as the oracle: every
-// position's feature row materialized, layer 1 projecting all of the self
-// positions, and the pools reading the materialized child rows.
-func denseForward(m *Model, b *Batch) *Matrix {
-	nSeeds := len(b.Seeds)
-	xSeeds := GatherRows(b.X, b.Rows[:nSeeds])
-	xHop1 := GatherRows(b.X, b.hop1Rows())
-	xHop2 := GatherRows(b.X, b.hop2Rows())
-	h1 := m.L1.Forward(VStack(xSeeds, xHop1), VStack(MeanPool(xHop1, b.F1), MeanPool(xHop2, b.F2)))
-	return m.L2.Forward(SliceRows(h1, 0, nSeeds), MeanPool(SliceRows(h1, nSeeds, h1.Rows), b.F1))
+// distinctIDs lists the distinct vertices of lists, in first-occurrence
+// order: the map-based oracle of the block's frontier.
+func distinctIDs(lists ...[]graph.VertexID) []graph.VertexID {
+	seen := map[graph.VertexID]bool{}
+	var out []graph.VertexID
+	for _, l := range lists {
+		for _, v := range l {
+			if !seen[v] {
+				seen[v] = true
+				out = append(out, v)
+			}
+		}
+	}
+	return out
 }
 
-// backprop runs Trainer.backward's steps on m after a forward pass that
-// produced logits, with zeroed gradients beforehand, and returns layer 1's
-// dL/dz.
-func backprop(m *Model, b *Batch, logits *Matrix) *Matrix {
+// denseForward is the oracle of the block forward: each distinct vertex
+// computed once, indexed by vertex id through maps instead of the block's
+// rows. Layer 1 runs on the gathered feature rows of the frontier,
+// distinct(seeds ∪ hop 1), against the pooled gathered rows of their hop-2
+// draws; layer 2 on the gathered hidden states of the distinct seeds
+// against the pooled ones of their hop-1 draws; and each seed position
+// reads its seed's logits.
+func denseForward(m *Model, b *Batch) *Matrix {
+	feat := map[graph.VertexID][]float32{}
+	positions := slices.Concat(b.Seeds, b.Hop1, b.Hop2)
+	for p, id := range positions {
+		feat[id] = b.X.Row(int(b.Rows[p]))
+	}
+	gather := func(rows map[graph.VertexID][]float32, ids []graph.VertexID) *Matrix {
+		out := NewMatrix(len(ids), len(rows[ids[0]]))
+		for i, id := range ids {
+			copy(out.Row(i), rows[id])
+		}
+		return out
+	}
+	frontier, seeds := distinctIDs(b.Seeds, b.Hop1), distinctIDs(b.Seeds)
+	h1 := m.L1.Forward(gather(feat, frontier), MeanPool(gather(feat, b.Hop2), b.F2))
+	hidden := map[graph.VertexID][]float32{}
+	for j, id := range frontier {
+		hidden[id] = h1.Row(j)
+	}
+	out := m.L2.Forward(gather(hidden, seeds), MeanPool(gather(hidden, b.Hop1), b.F1))
+	logits := map[graph.VertexID][]float32{}
+	for d, id := range seeds {
+		logits[id] = out.Row(d)
+	}
+	return gather(logits, b.Seeds)
+}
+
+// denseLayer1Grad is dL/dh1 of Trainer.backward written with the free
+// matrix functions: the distinct seeds' self gradients at their rows and
+// the pooled hop-1 gradients spread by MeanPoolBackward, summed into the
+// frontier rows by ScatterAddRows.
+func denseLayer1Grad(b *Batch, dSelf, dHop1Pooled *Matrix) *Matrix {
+	rows := make([]int32, dSelf.Rows)
+	for d := range rows {
+		rows[d] = int32(d)
+	}
+	rows = append(rows, b.hop1Rows()...)
+	return ScatterAddRows(VStack(dSelf, MeanPoolBackward(dHop1Pooled, b.F1)), rows, b.NSelf)
+}
+
+// backprop runs Trainer.backward's steps on m through the dense functions
+// after a forward pass that produced logits, with zeroed gradients
+// beforehand, and returns layer 1's dL/dz and the gradients layer 2 sent
+// back: the distinct seeds' and their pooled hop-1 draws'.
+func backprop(m *Model, b *Batch, logits *Matrix) (dz, dSelf, dHop1Pooled *Matrix) {
 	_, dLogits := SoftmaxCrossEntropy(logits, b.Labels)
-	dH1Seeds, dH1Hop1Pooled := m.L2.Backward(dLogits)
-	return m.L1.BackwardWeights(VStack(dH1Seeds, MeanPoolBackward(dH1Hop1Pooled, b.F1)))
+	dSelf, dHop1Pooled = m.L2.Backward(ScatterAddRows(dLogits, b.seedRows(), b.distinctSeeds()))
+	return m.L1.BackwardWeights(denseLayer1Grad(b, dSelf, dHop1Pooled)), dSelf, dHop1Pooled
 }
 
 // TestSampleBatchFetchesEachVertexOnce: both trainers' builders ask the
@@ -133,71 +187,121 @@ func TestSampleBatchFetchesEachVertexOnce(t *testing.T) {
 }
 
 // TestBlockForwardMatchesDense: on sampled batches, with trained weights,
-// the block Forward gives the dense oracle's logits bit for bit.
+// the block Forward gives the dense oracle's logits bit for bit, with
+// distinct seeds and with repeated ones.
 func TestBlockForwardMatchesDense(t *testing.T) {
 	v, ids := ogbnView(t, 20_000, 16, 4)
 	rng := rand.New(rand.NewSource(4))
 	tr := NewTrainer(NewModel(16, 8, 4, rng), v, 0, 10, 5, 0.01)
 	for step := 0; step < 4; step++ {
-		b := mustBatch(t, tr.SampleBatch, seedBatch(rng, ids, 64))
+		seeds := seedBatch(rng, ids, 64)
+		if step%2 == 1 {
+			seeds = append(seeds, seeds[:9]...)
+		}
+		b := mustBatch(t, tr.SampleBatch, seeds)
 		sameBits(t, "logits", tr.Forward(b), denseForward(tr.Model, b))
 		tr.TrainStep(b)
 	}
 }
 
-// TestLayer1GradientsWithoutRepeatsBitIdentical: when no vertex repeats, the
-// scatter into distinct self rows is the identity, and every gradient
-// equals the dense BackwardWeights' bit for bit.
+// TestLayer1GradientsWithoutRepeatsBitIdentical: on a block in which no
+// vertex repeats, every gradient of a block step equals the dense
+// backward's bit for bit.
 func TestLayer1GradientsWithoutRepeatsBitIdentical(t *testing.T) {
 	block := NewTrainer(NewModel(16, 8, 4, rand.New(rand.NewSource(41))), nil, 0, 4, 3, 0.01)
 	dense := NewModel(16, 8, 4, rand.New(rand.NewSource(41)))
 	b := syntheticBatch(rand.New(rand.NewSource(42)), 12, 4, 3, 16, 4)
-	backprop(block.Model, b, block.Forward(b))
+	block.Model.ZeroGrads()
+	_, dLogits := SoftmaxCrossEntropy(block.Forward(b), b.Labels)
+	block.backward(b, dLogits)
 	backprop(dense, b, denseForward(dense, b))
 	for i, g := range dense.Grads() {
 		sameBits(t, "grad", block.Model.Grads()[i], g)
 	}
 }
 
-// TestLayer1GradientsWithRepeats: on a sampled batch, whose self positions
-// repeat vertices, the summed-then-projected Wself gradient matches a
-// float64 reference within 1e-5 of the sum of its terms' magnitudes. Every
-// other gradient reads the same inputs in the same order as the dense
-// path, so it stays bit-identical.
+// TestLayer1GradientsWithRepeats: on a sampled batch whose seeds and hop-1
+// draws repeat vertices, the block step's gradients equal the dense
+// backward's bit for bit, and layer 1's Wself gradient, summed per vertex
+// and then projected, matches a float64 reference that projects every
+// seed and hop-1 position on its own, within 1e-5 of the sum of its terms'
+// magnitudes.
 func TestLayer1GradientsWithRepeats(t *testing.T) {
 	v, ids := ogbnView(t, 20_000, 16, 4)
 	rng := rand.New(rand.NewSource(5))
 	block := NewTrainer(NewModel(16, 8, 4, rand.New(rand.NewSource(51))), v, 0, 10, 5, 0.01)
 	dense := NewModel(16, 8, 4, rand.New(rand.NewSource(51)))
-	b := mustBatch(t, block.SampleBatch, seedBatch(rng, ids, 64))
-	if b.NSelf >= len(b.selfRows()) {
-		t.Fatalf("%d distinct self rows for %d self positions: no repeat to test", b.NSelf, len(b.selfRows()))
+	seeds := seedBatch(rng, ids, 64)
+	b := mustBatch(t, block.SampleBatch, append(seeds, seeds[:5]...))
+	if b.NSelf >= b.distinctSeeds()+len(b.Hop1) {
+		t.Fatalf("a frontier of %d for %d seed and hop-1 positions: no repeat to test", b.NSelf, b.distinctSeeds()+len(b.Hop1))
 	}
-	dz := backprop(block.Model, b, block.Forward(b))
-	backprop(dense, b, denseForward(dense, b))
+	block.Model.ZeroGrads()
+	_, dLogits := SoftmaxCrossEntropy(block.Forward(b), b.Labels)
+	block.backward(b, dLogits)
+	_, dSelf, dHop1Pooled := backprop(dense, b, denseForward(dense, b))
+	for i, g := range dense.Grads() {
+		sameBits(t, "grad", block.Model.Grads()[i], g)
+	}
 
-	got := block.Model.L1.GWself
+	// Position p of the seeds' distinct rows and their hop-1 draws sends
+	// back g_p; layer 1's output row r passes it where the ReLU is open.
+	got, out := block.Model.L1.GWself, block.Model.L1.out
 	ref := make([]float64, len(got.Data))
 	mag := make([]float64, len(got.Data))
-	for i, r := range b.selfRows() {
-		for a, x := range b.X.Row(int(r)) {
-			for c, d := range dz.Row(i) {
-				p := float64(x) * float64(d)
-				ref[a*got.Cols+c] += p
-				mag[a*got.Cols+c] += math.Abs(p)
+	project := func(row int, g []float32, scale float64) {
+		for a, x := range b.X.Row(row) {
+			for c, d := range g {
+				if out.At(row, c) > 0 {
+					p := float64(x) * float64(d) * scale
+					ref[a*got.Cols+c] += p
+					mag[a*got.Cols+c] += math.Abs(p)
+				}
 			}
 		}
+	}
+	for d := 0; d < dSelf.Rows; d++ {
+		project(d, dSelf.Row(d), 1)
+	}
+	for p, r := range b.hop1Rows() {
+		project(int(r), dHop1Pooled.Row(p/b.F1), 1/float64(b.F1))
 	}
 	for k, want := range ref {
 		if diff := math.Abs(float64(got.Data[k]) - want); diff > 1e-5*mag[k] {
 			t.Fatalf("GWself[%d] = %v, float64 reference %v (|terms| %v)", k, got.Data[k], want, mag[k])
 		}
 	}
+}
+
+// TestGATBlockMatchesDense: the attention trainer's step on a sampled
+// batch with repeated seeds gives the gradients of the same layers run on
+// gathered rows, with the layer-1 gradient summed by ScatterAddRows.
+func TestGATBlockMatchesDense(t *testing.T) {
+	v, ids := ogbnView(t, 20_000, 16, 4)
+	rng := rand.New(rand.NewSource(6))
+	block := NewGATTrainer(NewGATModel(16, 8, 4, rand.New(rand.NewSource(61))), v, 0, 4, 0.01)
+	dense := NewGATModel(16, 8, 4, rand.New(rand.NewSource(61)))
+	seeds := seedBatch(rng, ids, 32)
+	b := mustBatch(t, block.SampleBatch, append(seeds, seeds[:3]...))
+	nD, f := b.distinctSeeds(), block.Fanout
+
+	h1 := dense.L1.Forward(SliceRows(b.X, 0, b.NSelf), GatherRows(b.X, b.hop2Rows()), f)
+	logits := GatherRows(dense.L2.Forward(SliceRows(h1, 0, nD), GatherRows(h1, b.hop1Rows()), f), b.seedRows())
+	_, dLogits := SoftmaxCrossEntropy(logits, b.Labels)
+	dSelf, dHop1 := dense.L2.Backward(ScatterAddRows(dLogits, b.seedRows(), nD))
+	rows := make([]int32, nD)
+	for d := range rows {
+		rows[d] = int32(d)
+	}
+	dense.L1.BackwardWeights(ScatterAddRows(VStack(dSelf, dHop1), append(rows, b.hop1Rows()...), b.NSelf))
+
+	sameBits(t, "logits", block.Forward(b), logits)
+	block.Model.ZeroGrads()
+	_, dLogits = SoftmaxCrossEntropy(block.Forward(b), b.Labels)
+	dS, dH := block.Model.L2.Backward(b.distinctSeedGrad(dLogits))
+	block.Model.L1.BackwardWeights(b.layer1Grad(nil, dS, dH, false))
 	for i, g := range dense.Grads() {
-		if i == 0 { // GWself
-			continue
-		}
-		sameBits(t, "grad", block.Model.Grads()[i], g)
+		sameBits(t, "GAT grad", block.Model.Grads()[i], g)
 	}
 }
 
@@ -218,23 +322,23 @@ func trainStepInput(tb testing.TB) (tr *Trainer, batches []*Batch, rows int) {
 }
 
 // TestTrainStepAllocs pins the cost of a step on BenchmarkGNNTrainStep's
-// input: its batches hold 2639 feature rows each on average (21 115 in
-// all), and a TrainStep makes at most 39 allocations. The count is exact
+// input: its batches hold 2336 feature rows each on average (18 691 in
+// all), and a TrainStep makes at most 29 allocations. The count is exact
 // once AllocsPerRun's warm-up step has allocated Adam's moments, so the
 // ceiling is today's count and one more allocation per step fails. A
 // change that lowers the count lowers the ceiling with it.
 func TestTrainStepAllocs(t *testing.T) {
 	tr, batches, rows := trainStepInput(t)
-	if rows != 21_115 {
-		t.Fatalf("%d feature rows in %d batches, want 21 115 (2639 per batch)", rows, len(batches))
+	if rows != 18_691 {
+		t.Fatalf("%d feature rows in %d batches, want 18 691 (2336 per batch)", rows, len(batches))
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(len(batches), func() {
 		tr.TrainStep(batches[i%len(batches)])
 		i++
 	})
-	if allocs > 39 {
-		t.Fatalf("TrainStep makes %v allocations, ceiling 39", allocs)
+	if allocs > 29 {
+		t.Fatalf("TrainStep makes %v allocations, ceiling 29", allocs)
 	}
 }
 
@@ -248,4 +352,73 @@ func BenchmarkGNNTrainStep(b *testing.B) {
 		tr.TrainStep(batches[i%len(batches)])
 	}
 	b.ReportMetric(float64(rows)/float64(len(batches)), "rows/batch")
+}
+
+// fuzzBlockView is FuzzBlock's graph behind view.Local: 24 vertices, each
+// with three weighted out-edges among the first 32 ids, so ids 24-31 have
+// none and sample themselves, and a 4-wide feature row for every id below
+// 28.
+var fuzzBlockView = sync.OnceValue(func() view.GraphView {
+	store := storage.NewDynamicStore(storage.Options{})
+	attrs := kvstore.New()
+	rng := rand.New(rand.NewSource(9))
+	for v := uint64(0); v < 32; v++ {
+		if v < 24 {
+			for range 3 {
+				store.AddEdge(graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(rng.Intn(32)), Weight: 1 + rng.Float64()})
+			}
+		}
+		if v < 28 {
+			attrs.SetFeatures(graph.VertexID(v), []float32{float32(v), rng.Float32(), -rng.Float32(), 1})
+		}
+	}
+	return testView(store, attrs, 2, 3)
+})
+
+// FuzzBlock builds blocks for seed lists with repeats and checks them
+// against a map oracle: the frontier is distinct(seeds ∪ hop 1) in
+// first-occurrence order and NSelf its length, the hops hold a block per
+// distinct seed and per frontier vertex, X's rows are distinct vertices
+// that cover every position and each position's row names its vertex, and
+// the block forward gives the dense oracle's logits bit for bit.
+func FuzzBlock(f *testing.F) {
+	f.Add([]byte{0, 1, 2}, uint8(0x21))
+	f.Add([]byte{5, 5, 30, 5, 31, 2}, uint8(0x13))
+	f.Add([]byte{7}, uint8(0x44))
+	model := NewModel(4, 8, 3, rand.New(rand.NewSource(10)))
+	f.Fuzz(func(t *testing.T, data []byte, fanouts uint8) {
+		if len(data) == 0 {
+			return
+		}
+		seeds := make([]graph.VertexID, len(data))
+		for i, b := range data {
+			seeds[i] = graph.VertexID(b % 32)
+		}
+		f1, f2 := int(fanouts&3)+1, int(fanouts>>4&3)+1
+		cv := &countingView{GraphView: fuzzBlockView()}
+		b, err := SampleBlock(cv, seeds, 0, f1, f2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asked := cv.features[0]
+		frontier := distinctIDs(seeds, b.Hop1)
+		if b.NSelf != len(frontier) || !slices.Equal(asked[:min(b.NSelf, len(asked))], frontier) {
+			t.Fatalf("frontier %v (NSelf %d), want %v", asked[:min(b.NSelf, len(asked))], b.NSelf, frontier)
+		}
+		if len(b.Hop1) != len(distinctIDs(seeds))*f1 || len(b.Hop2) != b.NSelf*f2 {
+			t.Fatalf("hops of %d and %d draws for %d distinct seeds and a frontier of %d at %dx%d",
+				len(b.Hop1), len(b.Hop2), len(distinctIDs(seeds)), b.NSelf, f1, f2)
+		}
+		positions := slices.Concat(b.Seeds, b.Hop1, b.Hop2)
+		if !slices.Equal(asked, distinctIDs(positions)) || b.X.Rows != len(asked) {
+			t.Fatalf("X's rows are %v (%d), want the distinct positions %v", asked, b.X.Rows, distinctIDs(positions))
+		}
+		for p, id := range positions {
+			if asked[b.Rows[p]] != id {
+				t.Fatalf("position %d (%v) reads the row of %v", p, id, asked[b.Rows[p]])
+			}
+		}
+		tr := NewTrainer(model, cv, 0, f1, f2, 0.01)
+		sameBits(t, "logits", tr.Forward(b), denseForward(model, b))
+	})
 }

@@ -175,8 +175,8 @@ func TestGATTrainerBatchShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	tr := NewGATTrainer(NewGATModel(8, 8, 2, rng), testView(store, attrs, 2, 1), 0, 3, 0.01)
 	b := mustBatch(t, tr.SampleBatch, ids[:10])
-	if len(b.Hop1) != 30 || len(b.Hop2) != 90 {
-		t.Fatalf("hops: %d/%d", len(b.Hop1), len(b.Hop2))
+	if len(b.Hop1) != 30 || len(b.Hop2) != b.NSelf*3 {
+		t.Fatalf("hops: %d/%d for a frontier of %d", len(b.Hop1), len(b.Hop2), b.NSelf)
 	}
 	logits := tr.Forward(b)
 	if logits.Rows != 10 || logits.Cols != 2 {

@@ -9,8 +9,7 @@ import (
 
 // GATModel is a two-layer graph-attention node classifier: the same
 // sample-gather-aggregate pipeline as Model, with learned attention over
-// each neighborhood instead of mean pooling. Both hops share one fanout F
-// so each layer runs as a single joint forward over [seeds; hop1].
+// each neighborhood instead of mean pooling. Both hops share one fanout F.
 type GATModel struct {
 	L1, L2 *GATLayer
 	InDim  int
@@ -69,18 +68,13 @@ func (t *GATTrainer) SampleBatch(seeds []graph.VertexID) (*Batch, error) {
 	return sampleBatch(t.View, seeds, t.Rel, t.Fanout, t.Fanout, t.Model.InDim, t.Model.Out)
 }
 
-// Forward runs the 2-layer attention model, returning seed logits. Layer 1
-// attends jointly for [seeds; hop1] over their raw neighbor rows
-// [hop1; hop2], gathered from the block; layer 2 attends for the seeds over
-// the hop-1 hidden states.
+// Forward runs the 2-layer attention model, returning one row of logits
+// per seed position. Layer 1 attends once per frontier vertex over the raw
+// rows of its hop-2 draws, gathered from the block; layer 2 attends for
+// each distinct seed over its hop-1 draws' hidden states.
 func (t *GATTrainer) Forward(b *Batch) *Matrix {
-	nSeeds := len(b.Seeds)
-	selfX := GatherRows(b.X, b.selfRows())
-	neighX := GatherRows(b.X, b.childRows())
-	h1 := t.Model.L1.Forward(selfX, neighX, t.Fanout)
-	h1Seeds := SliceRows(h1, 0, nSeeds)
-	h1Hop1 := SliceRows(h1, nSeeds, h1.Rows)
-	return t.Model.L2.Forward(h1Seeds, h1Hop1, t.Fanout)
+	h1 := t.Model.L1.Forward(rowView(b.X, 0, b.NSelf), GatherRows(b.X, b.hop2Rows()), t.Fanout)
+	return b.seedLogits(t.Model.L2.Forward(rowView(h1, 0, b.distinctSeeds()), GatherRows(h1, b.hop1Rows()), t.Fanout))
 }
 
 // TrainStep runs one forward/backward/update pass, returning the loss.
@@ -88,10 +82,9 @@ func (t *GATTrainer) TrainStep(b *Batch) float64 {
 	t.Model.ZeroGrads()
 	logits := t.Forward(b)
 	loss, dLogits := SoftmaxCrossEntropy(logits, b.Labels)
-	dH1Seeds, dH1Hop1 := t.Model.L2.Backward(dLogits)
-	dH1 := VStack(dH1Seeds, dH1Hop1)
+	dSelf, dHop1 := t.Model.L2.Backward(b.distinctSeedGrad(dLogits))
 	// Features are constants, so layer 1 needs its weight gradients only.
-	t.Model.L1.BackwardWeights(dH1)
+	t.Model.L1.BackwardWeights(b.layer1Grad(nil, dSelf, dHop1, false))
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }

@@ -50,22 +50,34 @@ func (l *SAGELayer) Forward(xSelf, xNeigh *Matrix) *Matrix {
 
 // ForwardRows is Forward for a block whose self inputs repeat: row i's self
 // input is xSelf's row selfRows[i], and xSelf holds each distinct input
-// once. It is Apply plus the caches Backward reads.
+// once. It caches what Backward reads; linkpred's encoder uses it.
 func (l *SAGELayer) ForwardRows(xSelf *Matrix, selfRows []int32, xNeigh *Matrix) *Matrix {
+	return l.forwardInto(NewMatrix(xNeigh.Rows, l.Wneigh.Cols), NewMatrix(xSelf.Rows, l.Wself.Cols), xSelf, selfRows, xNeigh)
+}
+
+// forwardInto is ForwardRows into out and with self as the scratch of the
+// self projection, both zeroed and shaped as ForwardRows would make them.
+func (l *SAGELayer) forwardInto(out, self, xSelf *Matrix, selfRows []int32, xNeigh *Matrix) *Matrix {
 	l.xSelf, l.selfRows, l.xNeigh = xSelf, selfRows, xNeigh
-	l.out = l.Apply(xSelf, selfRows, xNeigh)
+	l.out = l.applyInto(out, self, xSelf, selfRows, xNeigh)
 	return l.out
 }
 
-// Apply computes ForwardRows' output from the weights alone, caching
-// nothing, so concurrent callers may share the layer. x·Wself is row-wise,
-// so it projects every row of xSelf once, and output row i starts from
-// xNeigh·Wneigh's row i and adds the projection of its self row: one
+// Apply computes Forward's output from the weights alone, caching
+// nothing, so concurrent callers may share the layer.
+func (l *SAGELayer) Apply(xSelf, xNeigh *Matrix) *Matrix {
+	return l.applyInto(NewMatrix(xNeigh.Rows, l.Wneigh.Cols), NewMatrix(xSelf.Rows, l.Wself.Cols), xSelf, nil, xNeigh)
+}
+
+// applyInto is ForwardRows' output into the zeroed out, with self as the
+// zeroed scratch of the self projection, caching nothing. x·Wself is
+// row-wise, so it projects every row of xSelf once, and output row i starts
+// from xNeigh·Wneigh's row i and adds the projection of its self row: one
 // float32 add of the same two values Forward on the gathered inputs adds,
 // so the bits are the same. A nil selfRows means row i reads row i.
-func (l *SAGELayer) Apply(xSelf *Matrix, selfRows []int32, xNeigh *Matrix) *Matrix {
-	out := MatMul(xNeigh, l.Wneigh)
-	self := MatMul(xSelf, l.Wself)
+func (l *SAGELayer) applyInto(out, self, xSelf *Matrix, selfRows []int32, xNeigh *Matrix) *Matrix {
+	matMulInto(out, xNeigh, l.Wneigh)
+	matMulInto(self, xSelf, l.Wself)
 	if selfRows == nil {
 		AddInPlace(out, self)
 	} else {

@@ -68,12 +68,28 @@ func (m *Matrix) Clone() *Matrix {
 // element sums a[i][k]·b[k][j] in ascending k, one float32 multiply and one
 // float32 add per term, whichever kernel runs.
 func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("gnn: matmul shape mismatch (%dx%d)·(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols))
+	return matMulInto(NewMatrix(a.Rows, b.Cols), a, b)
+}
+
+// matMulInto is MatMul into out, which must be zeroed and a.Rows × b.Cols.
+func matMulInto(out, a, b *Matrix) *Matrix {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
+		panic(fmt.Sprintf("gnn: matmul shape mismatch (%dx%d)·(%dx%d) into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	out := NewMatrix(a.Rows, b.Cols)
 	matMul(out, a, b)
 	return out
+}
+
+// reuse returns m reshaped to rows×cols and zeroed when its array has room,
+// and a new zero matrix otherwise: a buffer kept from one training step to
+// the next.
+func reuse(m *Matrix, rows, cols int) *Matrix {
+	if m == nil || cap(m.Data) < rows*cols {
+		return NewMatrix(rows, cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	clear(m.Data)
+	return m
 }
 
 // MatMulAT computes aᵀ·b (a is k×m, b is k×n, result m×n) — the weight
@@ -186,24 +202,21 @@ func addRow(o []float32, av float32, b []float32) {
 }
 
 // MatMulBT computes a·bᵀ (a is m×k, b is n×k, result m×n) — the input
-// gradient shape in backprop.
+// gradient shape in backprop. It is MatMul over a transposed copy of b, so
+// each output element sums a[i][k]·b[j][k] in ascending k, one float32
+// multiply and one float32 add per term, through the vector kernel.
 func MatMulBT(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("gnn: matmulBT shape mismatch (%dx%d)·(%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := NewMatrix(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float32
-			for k := range arow {
-				s += arow[k] * brow[k]
-			}
-			orow[j] = s
+	bt := NewMatrix(b.Cols, b.Rows)
+	for j := 0; j < b.Rows; j++ {
+		for k, v := range b.Row(j) {
+			bt.Data[k*bt.Cols+j] = v
 		}
 	}
+	out := NewMatrix(a.Rows, b.Rows)
+	matMul(out, a, bt)
 	return out
 }
 
@@ -290,7 +303,12 @@ func MeanPool(child *Matrix, fanout int) *Matrix {
 // place through the index: the same adds in the same order as MeanPool of
 // GatherRows(x, rows), without materializing the gathered matrix.
 func MeanPoolRows(x *Matrix, rows []int32, fanout int) *Matrix {
-	out := NewMatrix(pooledRows(len(rows), fanout), x.Cols)
+	return meanPoolInto(nil, x, rows, fanout)
+}
+
+// meanPoolInto is MeanPoolRows into out's array when it has room (reuse).
+func meanPoolInto(out, x *Matrix, rows []int32, fanout int) *Matrix {
+	out = reuse(out, pooledRows(len(rows), fanout), x.Cols)
 	meanPool(out, x, rows, fanout)
 	return out
 }
@@ -351,28 +369,26 @@ func ScatterAddRows(m *Matrix, rows []int32, n int) *Matrix {
 		panic(fmt.Sprintf("gnn: ScatterAddRows has %d indices for %d rows", len(rows), m.Rows))
 	}
 	out := NewMatrix(n, m.Cols)
+	addRowsTo(out, m, rows)
+	return out
+}
+
+// addRowsTo adds m's row i to out's row rows[i], in ascending i.
+func addRowsTo(out, m *Matrix, rows []int32) {
 	for i, r := range rows {
 		orow := out.Row(int(r))
 		for j, v := range m.Row(i) {
 			orow[j] += v
 		}
 	}
-	return out
 }
 
 // MeanPoolBackward scatters the pooled gradient back to the child rows:
 // every row of group i is dPooled's row i times 1/fanout.
 func MeanPoolBackward(dPooled *Matrix, fanout int) *Matrix {
 	out := NewMatrix(dPooled.Rows*fanout, dPooled.Cols)
-	meanPoolBackward(out, dPooled, fanout)
-	return out
-}
-
-// meanPoolBackward is MeanPoolBackward into out, which has
-// dPooled.Rows·fanout rows.
-func meanPoolBackward(out, dPooled *Matrix, fanout int) {
 	if fanout == 0 {
-		return
+		return out
 	}
 	inv := 1 / float32(fanout)
 	for i := 0; i < dPooled.Rows; i++ {
@@ -382,6 +398,27 @@ func meanPoolBackward(out, dPooled *Matrix, fanout int) {
 		}
 		for j := 1; j < fanout; j++ {
 			copy(out.Row(i*fanout+j), first)
+		}
+	}
+	return out
+}
+
+// meanPoolBackwardRows is MeanPoolRows' adjoint added into out: position p
+// of group g adds dPooled's row g times 1/fanout to out's row rows[p], in
+// ascending p. It scales dPooled in place first. The bits are those of
+// ScatterAddRows over MeanPoolBackward.
+func meanPoolBackwardRows(out, dPooled *Matrix, rows []int32, fanout int) {
+	if len(rows) != dPooled.Rows*fanout || dPooled.Cols != out.Cols {
+		panic(fmt.Sprintf("gnn: pool backward of %dx%d at fan-out %d into %d rows", dPooled.Rows, dPooled.Cols, fanout, len(rows)))
+	}
+	inv := 1 / float32(fanout)
+	for i := range dPooled.Data {
+		dPooled.Data[i] *= inv
+	}
+	for p, r := range rows {
+		orow := out.Row(int(r))
+		for k, v := range dPooled.Row(p / fanout) {
+			orow[k] += v
 		}
 	}
 }

@@ -87,6 +87,21 @@ func naiveMatMulAT(a, b *Matrix) *Matrix {
 	return out
 }
 
+// naiveMatMulBT is the scalar loop MatMulBT replaced.
+func naiveMatMulBT(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var s float32
+			for k := 0; k < a.Cols; k++ {
+				s += float32(a.At(i, k) * b.At(j, k))
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
 func naiveMeanPool(child *Matrix, fanout int) *Matrix {
 	out := NewMatrix(child.Rows/fanout, child.Cols)
 	inv := 1 / float32(fanout)
@@ -199,6 +214,11 @@ func TestKernelsMatchNaiveBitForBit(t *testing.T) {
 
 				dPooled := kernelInput(rng, rows, d)
 				sameBits(t, "MeanPoolBackward", MeanPoolBackward(dPooled, fanout), naiveMeanPoolBackward(dPooled, fanout))
+				// Its adjoint through the index, into x's shape.
+				want = ScatterAddRows(naiveMeanPoolBackward(dPooled, fanout), idx, x.Rows)
+				got = NewMatrix(x.Rows, d)
+				meanPoolBackwardRows(got, dPooled, idx, fanout)
+				sameBits(t, "meanPoolBackwardRows", got, want)
 			}
 		}
 	}
@@ -230,6 +250,22 @@ func TestKernelsMatchNaiveBitForBit(t *testing.T) {
 		sameBits(t, "reluBackwardGo", dGo, dWant)
 		reluBackwardInPlace(d, x)
 		sameBits(t, "reluBackwardInPlace", d, dWant)
+	}
+}
+
+// TestMatMulBTMatchesScalarLoop: MatMulBT, which runs MatMul's kernel over
+// a transposed copy of b, gives the scalar triple loop's bits, at shapes
+// where k is not a multiple of 4, n is below 8 (no vector column block),
+// at 8 and past it, and the row count is odd.
+func TestMatMulBTMatchesScalarLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, m := range []int{1, 3, 256} {
+		for _, k := range []int{0, 1, 3, 5, 8, 13, 32} {
+			for _, n := range []int{1, 3, 7, 8, 9, 32} {
+				a, b := kernelInput(rng, m, k), kernelInput(rng, n, k)
+				sameBits(t, "MatMulBT", MatMulBT(a, b), naiveMatMulBT(a, b))
+			}
+		}
 	}
 }
 

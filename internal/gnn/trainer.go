@@ -3,6 +3,7 @@ package gnn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"platod2gl/internal/graph"
 	"platod2gl/internal/view"
@@ -42,41 +43,44 @@ func (m *Model) ZeroGrads() {
 	m.L2.ZeroGrads()
 }
 
-// Batch is one sampled mini-batch as a block (DGL's unique-node block):
-// seeds plus their 2-hop neighborhood, with one feature row per distinct
-// vertex. Multi-hop frontiers repeat vertices heavily, so X is much shorter
-// than the position lists, and every position reads its row through Rows.
+// Batch is one sampled mini-batch as layer-wise blocks over distinct
+// vertices (DGL's blocks): hop 1 holds F1 draws for each distinct seed, and
+// hop 2 F2 draws for each vertex of the frontier, the distinct vertices of
+// the seeds and hop 1 in first-occurrence order with the seeds first
+// (view.GraphView's SampleSubgraph). Layer 1 computes each frontier vertex
+// once, from its hop-2 draws; layer 2 computes each distinct seed from its
+// hidden state and its hop-1 draws' ones. X holds one feature row per
+// distinct vertex, and every position reads its row through Rows.
 type Batch struct {
-	Seeds  []graph.VertexID
-	Hop1   []graph.VertexID // len(Seeds) * F1
-	Hop2   []graph.VertexID // len(Seeds) * F1 * F2
-	F1, F2 int
+	Seeds []graph.VertexID
+	// Hop1 holds distinct seed d's draws at [d·F1, (d+1)·F1), and Hop2
+	// frontier vertex j's at [j·F2, (j+1)·F2).
+	Hop1, Hop2 []graph.VertexID
+	F1, F2     int
 
-	// X holds one feature row per distinct vertex: those of Seeds ∪ Hop1
-	// first, then the remaining ones of Hop2, each part in first-occurrence
-	// order.
+	// X holds one feature row per distinct vertex: the frontier's first, in
+	// its order, so the distinct seeds lead; then the remaining ones of
+	// Hop2, in first-occurrence order.
 	X *Matrix
-	// NSelf is the number of leading rows of X that belong to Seeds ∪ Hop1,
-	// the rows layer 1 projects through Wself.
+	// NSelf is the length of the frontier: the rows of X layer 1 computes.
 	NSelf int
 	// Rows maps every position to its row of X: the seed positions, then the
-	// hop-1 positions, then the hop-2 positions.
+	// hop-1 positions, then the hop-2 positions. A seed's row is also its
+	// index among the distinct seeds.
 	Rows   []int32
 	Labels []int32
 }
 
-// selfRows are the rows of the seed and hop-1 positions, layer 1's self
-// inputs.
-func (b *Batch) selfRows() []int32 { return b.Rows[:len(b.Seeds)+len(b.Hop1)] }
+// seedRows, hop1Rows and hop2Rows are the rows of the seed, the hop-1 and
+// the hop-2 positions.
+func (b *Batch) seedRows() []int32 { return b.Rows[:len(b.Seeds)] }
 
-// childRows are the rows of the hop-1 and hop-2 positions, the neighbors of
-// the self positions in the same order.
-func (b *Batch) childRows() []int32 { return b.Rows[len(b.Seeds):] }
-
-// hop1Rows and hop2Rows are the rows of the hop-1 and the hop-2 positions.
 func (b *Batch) hop1Rows() []int32 { return b.Rows[len(b.Seeds) : len(b.Seeds)+len(b.Hop1)] }
 
 func (b *Batch) hop2Rows() []int32 { return b.Rows[len(b.Seeds)+len(b.Hop1):] }
+
+// distinctSeeds is the number of distinct seeds, X's leading rows.
+func (b *Batch) distinctSeeds() int { return len(b.Hop1) / b.F1 }
 
 // SampleBlock expands the seeds two hops over rel and builds their block,
 // with one view round trip for the sample and one for the features of the
@@ -109,7 +113,7 @@ func sampleBatch(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f
 	}
 	b.X = NewMatrixFrom(len(distinct), dim, x)
 	b.Labels = make([]int32, len(seeds))
-	for i, row := range b.Rows[:len(seeds)] {
+	for i, row := range b.seedRows() {
 		l := labels[row]
 		if l < 0 || int(l) >= classes {
 			return nil, fmt.Errorf("gnn: vertex %v has label %d, outside the model's %d classes", seeds[i], l, classes)
@@ -120,8 +124,13 @@ func sampleBatch(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f
 }
 
 // sampleLayers expands the seeds two hops over rel in one view call and
-// indexes the positions by distinct vertex: a block without its rows.
+// indexes the positions by distinct vertex: a block without its rows. A
+// view whose layers are not sized by the frontiers it should have expanded
+// is an error, since the layers would index past their blocks.
 func sampleLayers(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, f1, f2 int) (*Batch, []graph.VertexID, error) {
+	if f1 <= 0 || f2 <= 0 {
+		return nil, nil, fmt.Errorf("gnn: fanouts must be positive (F1 %d, F2 %d)", f1, f2)
+	}
 	layers, err := v.SampleSubgraph(seeds, graph.MetaPath{rel, rel}, []int{f1, f2})
 	if err != nil {
 		return nil, nil, fmt.Errorf("gnn: sample subgraph: %w", err)
@@ -129,6 +138,14 @@ func sampleLayers(v view.GraphView, seeds []graph.VertexID, rel graph.EdgeType, 
 	b := &Batch{Seeds: seeds, Hop1: layers[0], Hop2: layers[1], F1: f1, F2: f2}
 	var distinct []graph.VertexID
 	distinct, b.Rows, b.NSelf = dedupe([][]graph.VertexID{seeds, b.Hop1}, b.Hop2)
+	nSeeds := 0
+	if len(seeds) > 0 {
+		nSeeds = int(slices.Max(b.seedRows())) + 1
+	}
+	if len(b.Hop1) != nSeeds*f1 || len(b.Hop2) != b.NSelf*f2 {
+		return nil, nil, fmt.Errorf("gnn: sample subgraph gave %d and %d draws for %d distinct seeds and a frontier of %d at fan-outs %dx%d",
+			len(b.Hop1), len(b.Hop2), nSeeds, b.NSelf, f1, f2)
+	}
 	return b, distinct, nil
 }
 
@@ -162,25 +179,55 @@ func features(v view.GraphView, ids []graph.VertexID, dim int) (*Matrix, error) 
 	return NewMatrixFrom(len(ids), dim, x), nil
 }
 
-// layer1Inputs are layer 1's inputs for the block: the distinct self rows
-// of X, which it projects through Wself once each, and the neighbor means
-// of the seed and hop-1 positions, pooled straight out of X into one
-// matrix.
-func (b *Batch) layer1Inputs() (selfX, neighX *Matrix) {
-	selfX = rowView(b.X, 0, b.NSelf)
-	n1 := pooledRows(len(b.Hop1), b.F1)
-	neighX = NewMatrix(n1+pooledRows(len(b.Hop2), b.F2), b.X.Cols)
-	meanPool(rowView(neighX, 0, n1), b.X, b.hop1Rows(), b.F1)
-	meanPool(rowView(neighX, n1, neighX.Rows), b.X, b.hop2Rows(), b.F2)
-	return selfX, neighX
+// layer1Inputs are layer 1's inputs for the block: the frontier's rows of
+// X, and the means of their hop-2 draws, pooled straight out of X into
+// pooled's array when it has room.
+func (b *Batch) layer1Inputs(pooled *Matrix) (selfX, neighX *Matrix) {
+	return rowView(b.X, 0, b.NSelf), meanPoolInto(pooled, b.X, b.hop2Rows(), b.F2)
 }
 
-// Layer1 returns layer 1's hidden states for the block's seed positions,
-// then its hop-1 positions: the representation Forward feeds layer 2. It
+// Layer1 returns layer 1's hidden states for the block's frontier, one row
+// per vertex in X's order: the representation Forward feeds layer 2. It
 // reads only the weights, so concurrent callers may share the model.
 func (m *Model) Layer1(b *Batch) *Matrix {
-	selfX, neighX := b.layer1Inputs()
-	return m.L1.Apply(selfX, b.selfRows(), neighX)
+	selfX, neighX := b.layer1Inputs(nil)
+	return m.L1.Apply(selfX, neighX)
+}
+
+// seedLogits spreads layer 2's output, one row per distinct seed, to the
+// seed positions: out itself when no seed repeats, since the distinct seeds
+// are then the seeds in order.
+func (b *Batch) seedLogits(out *Matrix) *Matrix {
+	if out.Rows == len(b.Seeds) {
+		return out
+	}
+	return GatherRows(out, b.seedRows())
+}
+
+// distinctSeedGrad is seedLogits' adjoint: it sums the gradients of a
+// seed's positions into its distinct row.
+func (b *Batch) distinctSeedGrad(dLogits *Matrix) *Matrix {
+	n := b.distinctSeeds()
+	if n == len(b.Seeds) {
+		return dLogits
+	}
+	return ScatterAddRows(dLogits, b.seedRows(), n)
+}
+
+// layer1Grad is dL/dh1 over the frontier, in dH1's array when it has room
+// (reuse): the seeds' gradients at their rows, then their hop-1 positions'
+// ones, dHop1 with one row per position or, with pooled, one per distinct
+// seed to be divided by F1 (in place) and spread to its F1 positions. Both
+// sum into a vertex's row in position order, as ScatterAddRows does.
+func (b *Batch) layer1Grad(dH1, dSelf, dHop1 *Matrix, pooled bool) *Matrix {
+	dH1 = reuse(dH1, b.NSelf, dSelf.Cols)
+	AddInPlace(rowView(dH1, 0, dSelf.Rows), dSelf)
+	if pooled {
+		meanPoolBackwardRows(dH1, dHop1, b.hop1Rows(), b.F1)
+	} else {
+		addRowsTo(dH1, dHop1, b.hop1Rows())
+	}
+	return dH1
 }
 
 // Trainer drives mini-batch GNN training against a GraphView — it never
@@ -194,6 +241,11 @@ type Trainer struct {
 	Rel graph.EdgeType
 	// F1, F2 are the per-hop fanouts.
 	F1, F2 int
+
+	// buf holds the step's large matrices from one step to the next, so a
+	// step allocates and the collector scans only small ones. A trainer
+	// runs one Forward or TrainStep at a time.
+	buf struct{ pooled, h1, proj, dH1 *Matrix }
 }
 
 // NewTrainer wires a trainer to a graph view.
@@ -218,18 +270,21 @@ func (t *Trainer) SampleBatch(seeds []graph.VertexID) (*Batch, error) {
 	return sampleBatch(t.View, seeds, t.Rel, t.F1, t.F2, t.Model.InDim, t.Model.Out)
 }
 
-// Forward runs the 2-layer model on a batch, returning seed logits, which
-// the caller owns.
+// Forward runs the 2-layer model on a batch, returning one row of logits
+// per seed position.
 //
-// Layer 1 is applied jointly to [seeds; hop1] (self inputs) against their
-// pooled children ([hop1 means; hop2 means]), as in Layer1 but caching for
-// backprop; layer 2 then combines the seeds' hidden states with the pooled
-// hop-1 hidden states, both read in place from layer 1's output.
+// Layer 1 runs once per frontier vertex, against the mean of its hop-2
+// draws, as in Layer1 but caching for backprop; layer 2 then combines each
+// distinct seed's hidden state with the mean of its hop-1 draws' hidden
+// states, both read in place from layer 1's output through the rows.
 func (t *Trainer) Forward(b *Batch) *Matrix {
-	nSeeds := len(b.Seeds)
-	selfX, neighX := b.layer1Inputs()
-	h1 := t.Model.L1.ForwardRows(selfX, b.selfRows(), neighX)
-	return t.Model.L2.Forward(rowView(h1, 0, nSeeds), MeanPool(rowView(h1, nSeeds, h1.Rows), b.F1))
+	buf, l1 := &t.buf, t.Model.L1
+	selfX, neighX := b.layer1Inputs(buf.pooled)
+	buf.pooled = neighX
+	buf.h1 = reuse(buf.h1, b.NSelf, l1.Wneigh.Cols)
+	buf.proj = reuse(buf.proj, b.NSelf, l1.Wself.Cols)
+	h1 := l1.forwardInto(buf.h1, buf.proj, selfX, nil, neighX)
+	return b.seedLogits(t.Model.L2.Forward(rowView(h1, 0, b.distinctSeeds()), MeanPoolRows(h1, b.hop1Rows(), b.F1)))
 }
 
 // TrainStep runs one forward/backward/update pass and returns the batch
@@ -244,16 +299,14 @@ func (t *Trainer) TrainStep(b *Batch) float64 {
 }
 
 // backward takes dL/dlogits back through both layers. Layer 1's upstream
-// gradient is one matrix: the seeds' rows copied from layer 2's self
-// gradient, and the hop-1 rows written by the pool's backward in place.
+// gradient has one row per frontier vertex: layer 2's self gradients of the
+// seeds, plus its pooled hop-1 gradients divided by F1, scattered into the
+// rows of the hop-1 draws.
 func (t *Trainer) backward(b *Batch, dLogits *Matrix) {
-	nSeeds := len(b.Seeds)
-	dH1Seeds, dH1Hop1Pooled := t.Model.L2.Backward(dLogits)
-	dH1 := NewMatrix(nSeeds+len(b.Hop1), dH1Seeds.Cols)
-	copy(dH1.Data, dH1Seeds.Data)
-	meanPoolBackward(rowView(dH1, nSeeds, dH1.Rows), dH1Hop1Pooled, b.F1)
+	dSelf, dHop1Pooled := t.Model.L2.Backward(b.distinctSeedGrad(dLogits))
+	t.buf.dH1 = b.layer1Grad(t.buf.dH1, dSelf, dHop1Pooled, true)
 	// Features are constants, so layer 1 needs its weight gradients only.
-	t.Model.L1.BackwardWeights(dH1)
+	t.Model.L1.BackwardWeights(t.buf.dH1)
 }
 
 // Loss computes the batch loss without updating parameters.

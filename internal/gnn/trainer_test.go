@@ -86,8 +86,8 @@ func TestModelForwardShapes(t *testing.T) {
 	model := NewModel(8, 16, 3, rng)
 	tr := NewTrainer(model, testView(store, attrs, 4, 1), 0, 4, 3, 0.01)
 	b := mustBatch(t, tr.SampleBatch, ids[:10])
-	if len(b.Hop1) != 40 || len(b.Hop2) != 120 {
-		t.Fatalf("hop sizes = %d/%d", len(b.Hop1), len(b.Hop2))
+	if len(b.Hop1) != 40 || len(b.Hop2) != b.NSelf*3 {
+		t.Fatalf("hop sizes = %d/%d for a frontier of %d", len(b.Hop1), len(b.Hop2), b.NSelf)
 	}
 	logits := tr.Forward(b)
 	if logits.Rows != 10 || logits.Cols != 3 {
@@ -164,10 +164,12 @@ func TestEpochResultString(t *testing.T) {
 
 // syntheticBatch is a block at train-cluster's shape — seeds seed rows,
 // fan-outs f1×f2, dim-wide features — with no repeated vertex, built from
-// random matrices with no store behind it: X has one row per position, in
-// position order. TrainStep reads only the block, labels and fan-outs.
+// random matrices with no store behind it: the frontier is the seeds and
+// their hop-1 draws, and X has one row per position, in position order.
+// TrainStep reads only the block, labels and fan-outs.
 func syntheticBatch(rng *rand.Rand, seeds, f1, f2, dim, classes int) *Batch {
-	n1, n2 := seeds*f1, seeds*f1*f2
+	n1 := seeds * f1
+	n2 := (seeds + n1) * f2
 	ids := make([]graph.VertexID, seeds+n1+n2)
 	rows := make([]int32, len(ids))
 	for i := range ids {
@@ -204,8 +206,8 @@ func TestTrainStepMatchesFullBackward(t *testing.T) {
 
 		full.Model.ZeroGrads()
 		lossFull, dLogits := SoftmaxCrossEntropy(full.Forward(b), b.Labels)
-		dH1Seeds, dH1Hop1Pooled := full.Model.L2.Backward(dLogits)
-		full.Model.L1.Backward(VStack(dH1Seeds, MeanPoolBackward(dH1Hop1Pooled, b.F1)))
+		dSelf, dHop1Pooled := full.Model.L2.Backward(dLogits)
+		full.Model.L1.Backward(denseLayer1Grad(b, dSelf, dHop1Pooled))
 		full.Opt.Step(full.Model.Params(), full.Model.Grads())
 
 		if math.Float64bits(lossCut) != math.Float64bits(lossFull) {

@@ -55,6 +55,24 @@ func (g *Grouping) Add(ids []VertexID) {
 	g.IDs, g.Of = distinct, of
 }
 
+// Frontier regroups g over seeds and then every list of layers, and returns
+// their distinct vertices in first-occurrence order, the seeds first: the
+// vertices a layer-wise hop expands after layers (sampler.SampleLayers and
+// the cluster client's SampleSubgraph). The result is g.IDs, which the next
+// Reset reuses.
+func (g *Grouping) Frontier(seeds []VertexID, layers [][]VertexID) []VertexID {
+	n := len(seeds)
+	for _, l := range layers {
+		n += len(l)
+	}
+	g.Reset(n)
+	g.Add(seeds)
+	for _, l := range layers {
+		g.Add(l)
+	}
+	return g.IDs
+}
+
 // Runs fills Bounds and Occ from Of with a counting sort, which lists each
 // distinct id's positions in ascending order. It reads only Of and the
 // length of IDs, so a caller may first relabel Of by a permutation of IDs

@@ -277,6 +277,38 @@ func TestPipelineMetricsHitsAndStalls(t *testing.T) {
 	}
 }
 
+// TestNextPollsThenParks: a consumer faster than its builder gets every
+// batch in order and counts every wait as a stall, whether the batch lands
+// while Next polls (a 1 ms build) or after Next has given up polling and
+// parked (a 20 ms build, past the 5 ms poll).
+func TestNextPollsThenParks(t *testing.T) {
+	seedBatches := make([][]graph.VertexID, 4)
+	for i := range seedBatches {
+		seedBatches[i] = []graph.VertexID{graph.VertexID(i)}
+	}
+	for _, build := range []time.Duration{time.Millisecond, 20 * time.Millisecond} {
+		load := func(seeds []graph.VertexID) (*gnn.Batch, error) {
+			time.Sleep(build)
+			return fakeLoader(seeds)
+		}
+		var m pipeline.Metrics
+		p := pipeline.Run(seedBatches, load, pipeline.Config{Depth: 1, Metrics: &m})
+		for i := range seedBatches {
+			r, ok := p.Next()
+			if !ok || r.Err != nil || r.Batch.Seeds[0] != graph.VertexID(i) {
+				t.Fatalf("build %v: batch %d = %+v, %v", build, i, r, ok)
+			}
+		}
+		if _, ok := p.Next(); ok {
+			t.Fatalf("build %v: a batch past the last", build)
+		}
+		p.Stop()
+		if s := m.Snapshot(); s.Stalls != int64(len(seedBatches)) || s.PrefetchHits != 0 {
+			t.Fatalf("build %v: %d stalls and %d hits, want %d and 0", build, s.Stalls, s.PrefetchHits, len(seedBatches))
+		}
+	}
+}
+
 // TestPipelinedEpochMatchesSynchronous is the determinism contract: with a
 // single worker, a pipelined epoch trains on the same mini-batches in the
 // same order and lands on bit-identical losses and parameters.

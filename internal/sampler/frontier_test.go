@@ -256,3 +256,65 @@ func TestSampleSubgraphAllocs(t *testing.T) {
 		t.Fatalf("SampleSubgraph allocates %.0f times per call, want 4", got)
 	}
 }
+
+// TestSampleLayersDefinition checks the layer-wise operator against its
+// definition: hop h samples, from stream h, the distinct vertices of the
+// seeds and of layers before h in first-occurrence order (a map oracle),
+// as one frontier; and SampleNeighborBlocks gives each occurrence of a
+// repeated seed one block, serially the one SampleNeighbors draws for the
+// distinct seeds.
+func TestSampleLayersDefinition(t *testing.T) {
+	st := buildStore(t)
+	rng := rand.New(rand.NewSource(6))
+	seeds := make([]graph.VertexID, 300)
+	for i := range seeds {
+		seeds[i] = graph.VertexID(rng.Intn(130))
+	}
+	for _, par := range []int{0, 3} {
+		smp := New(st, Options{Parallelism: par, Seed: 21})
+		layers := smp.SampleLayers(seeds, graph.MetaPath{0, 0, 0}, []int{3, 2, 2})
+		seen := map[graph.VertexID]bool{}
+		var frontier []graph.VertexID
+		for h, fanout := range []int{3, 2, 2} {
+			for _, l := range append([][]graph.VertexID{seeds}, layers[:h]...) {
+				for _, v := range l {
+					if !seen[v] {
+						seen[v] = true
+						frontier = append(frontier, v)
+					}
+				}
+			}
+			want := make([]graph.VertexID, len(frontier)*fanout)
+			hp := new(hop)
+			smp.sampleHop(hp, h, frontier, 0, fanout, false, want)
+			if !slices.Equal(layers[h], want) {
+				t.Fatalf("parallelism %d, hop %d: the layer differs from its frontier's sample", par, h)
+			}
+		}
+
+		distinct := frontier[:0:0]
+		index := map[graph.VertexID]int{}
+		for _, v := range seeds {
+			if _, ok := index[v]; !ok {
+				index[v] = len(distinct)
+				distinct = append(distinct, v)
+			}
+		}
+		// In parallel, the runs split the distinct seeds by their positions,
+		// so the workers' generators, and the draws, depend on the repeats;
+		// every occurrence still gets its seed's one block.
+		blocks := smp.SampleNeighbors(distinct, 0, 4).Neighbors
+		got := smp.SampleNeighborBlocks(seeds, 0, 4)
+		first := map[graph.VertexID][]graph.VertexID{}
+		for i, v := range seeds {
+			block := got[4*i : 4*i+4]
+			if b, ok := first[v]; ok && !slices.Equal(block, b) {
+				t.Fatalf("parallelism %d: occurrences of %v got %v and %v", par, v, b, block)
+			}
+			first[v] = block
+			if d := index[v]; par == 0 && !slices.Equal(block, blocks[4*d:4*d+4]) {
+				t.Fatalf("occurrence %d of %v got %v, want its seed's block %v", i, v, block, blocks[4*d:4*d+4])
+			}
+		}
+	}
+}

@@ -78,13 +78,24 @@ func (s *Sampler) SampleNeighborsUniform(seeds []graph.VertexID, et graph.EdgeTy
 // Neighbors, as the cluster server does, leaves the batch and the Sampler
 // on its stack.
 func (s *Sampler) neighborBatch(seeds []graph.VertexID, et graph.EdgeType, fanout int, uniform bool) *NeighborBatch {
-	return &NeighborBatch{Seeds: seeds, Fanout: fanout, Neighbors: s.neighbors(seeds, et, fanout, uniform)}
+	return &NeighborBatch{Seeds: seeds, Fanout: fanout, Neighbors: s.neighbors(seeds, et, fanout, uniform, false)}
 }
 
-func (s *Sampler) neighbors(seeds []graph.VertexID, et graph.EdgeType, fanout int, uniform bool) []graph.VertexID {
+// SampleNeighborBlocks is SampleNeighbors with one block of draws per
+// distinct seed: a seed that occurs m times is drawn from fanout times, and
+// each of its occurrences gets a copy of that block. It is the GraphView
+// contract (view.Local), which the cluster client's coalescing keeps too.
+// On distinct seeds it returns what SampleNeighbors returns.
+func (s *Sampler) SampleNeighborBlocks(seeds []graph.VertexID, et graph.EdgeType, fanout int) []graph.VertexID {
+	return s.neighbors(seeds, et, fanout, false, true)
+}
+
+func (s *Sampler) neighbors(seeds []graph.VertexID, et graph.EdgeType, fanout int, uniform, shared bool) []graph.VertexID {
 	nodes := make([]graph.VertexID, len(seeds)*fanout)
 	h := hops.Get().(*hop)
+	h.shared = shared
 	s.sampleHop(h, 0, seeds, et, fanout, uniform, nodes)
+	h.shared = false
 	hops.Put(h)
 	return nodes
 }
@@ -127,7 +138,8 @@ type Layer struct {
 }
 
 // Subgraph is the result of meta-path subgraph sampling: Layers[0] expands
-// the seeds, Layers[i] expands Layers[i-1].
+// the seeds, Layers[i] expands every position of Layers[i-1], so each seed
+// gets its own ego tree.
 type Subgraph struct {
 	Seeds  []graph.VertexID
 	Layers []Layer
@@ -145,11 +157,11 @@ func (g *Subgraph) NumNodes() int {
 // SampleSubgraph expands each seed along the meta-path with the given
 // per-hop fanouts (the paper's subgraph-sampling operator; Fig. 10(d-f) uses
 // 2-hop meta-paths). len(path) must equal len(fanouts). Each hop samples its
-// frontier as SampleNeighbors samples its seeds, hop i from stream i.
+// frontier as SampleNeighbors samples its seeds, hop i from stream i. The
+// layers are per-occurrence ego trees; SampleLayers is the layer-wise
+// expansion GNN training uses.
 func (s *Sampler) SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fanouts []int) *Subgraph {
-	if len(path) != len(fanouts) {
-		panic("sampler: meta-path and fanout lengths differ")
-	}
+	checkPath(path, fanouts)
 	sg := &Subgraph{Seeds: seeds, Layers: make([]Layer, len(path))}
 	h := hops.Get().(*hop)
 	frontier := seeds
@@ -164,14 +176,44 @@ func (s *Sampler) SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fa
 	return sg
 }
 
+// SampleLayers expands seeds layer-wise along the meta-path, as DGL's blocks
+// do: hop h draws fanouts[h] neighbors, from stream h, for each distinct
+// vertex of the seeds and of layers 0..h-1 — the frontier, in
+// first-occurrence order with the seeds first. So layer h holds
+// len(frontier)·fanouts[h] vertices, frontier vertex j's at
+// [j·fanouts[h], (j+1)·fanouts[h]), and a vertex reached at many positions
+// is drawn once per hop, which lets a GNN compute it once per layer. A
+// vertex without out-neighbors under the hop's relation yields itself.
+// len(path) must equal len(fanouts).
+func (s *Sampler) SampleLayers(seeds []graph.VertexID, path graph.MetaPath, fanouts []int) [][]graph.VertexID {
+	checkPath(path, fanouts)
+	layers := make([][]graph.VertexID, len(path))
+	h := hops.Get().(*hop)
+	for i, et := range path {
+		frontier := h.front.Frontier(seeds, layers[:i])
+		layers[i] = make([]graph.VertexID, len(frontier)*fanouts[i])
+		s.sampleHop(h, i, frontier, et, fanouts[i], false, layers[i])
+	}
+	hops.Put(h)
+	return layers
+}
+
+func checkPath(path graph.MetaPath, fanouts []int) {
+	if len(path) != len(fanouts) {
+		panic("sampler: meta-path and fanout lengths differ")
+	}
+}
+
 // hop is one sampled frontier, pooled because a Sampler is shared across
 // goroutines: what it asks of the store, the frontier grouped by vertex,
 // and the draws.
 type hop struct {
 	graph.Grouping                  // the frontier's distinct vertices and their positions
+	front          graph.Grouping   // SampleLayers' frontier: the distinct vertices so far
 	et             graph.EdgeType   // the relation sampled
 	fanout         int              // draws per position
 	uniform        bool             // draws ignore edge weights
+	shared         bool             // a vertex's occurrences share one block of draws
 	seed           int64            // worker w's generator is seeded seed+w
 	counts         []int            // draws asked of each distinct vertex
 	got            []int            // draws the store returned for each distinct vertex
@@ -205,7 +247,9 @@ func (s *Sampler) streamSeed(stream int) int64 {
 // SampleFrontier call per worker, and gives block j of a vertex's draws to
 // its occurrence j. Draws are independent and with replacement, so each
 // occurrence still gets fanout independent samples of its neighbors; no
-// two occurrences share a block.
+// two occurrences share a block. With h.shared (SampleNeighborBlocks) a
+// vertex is asked for fanout draws however often it occurs, and every
+// occurrence gets a copy of that one block.
 //
 // A call's hops, or a walk's steps, draw from streams 0, 1, 2, ... (see
 // streamSeed), so no hop repeats another's draws, and the result depends
@@ -227,7 +271,10 @@ func (s *Sampler) sampleHop(h *hop, stream int, frontier []graph.VertexID, et gr
 	h.counts = slices.Grow(h.counts[:0], nd)[:nd]
 	h.got = slices.Grow(h.got[:0], nd)[:nd]
 	for d := range h.counts {
-		h.counts[d] = int(h.Bounds[d+1]-h.Bounds[d]) * fanout
+		h.counts[d] = fanout
+		if !h.shared {
+			h.counts[d] *= int(h.Bounds[d+1] - h.Bounds[d])
+		}
 	}
 	h.draws = slices.Grow(h.draws[:0], n*fanout)[:n*fanout]
 	p, store := s.opt.Parallelism, s.store // the workers take the store, so s stays off the heap
@@ -257,8 +304,10 @@ func (s *Sampler) sampleHop(h *hop, stream int, frontier []graph.VertexID, et gr
 }
 
 // sampleRun samples distinct vertices [lo, hi) with worker w's generator
-// and scatters their draws to their positions in nodes. The run's draws go
-// to the region of draws its positions span, which no other run touches.
+// and scatters their draws to their positions in nodes: block j to
+// occurrence j, or with h.shared the one block to every occurrence. The
+// run's draws go to the region of draws its positions span, which no other
+// run touches.
 func sampleRun(store storage.TopologyStore, h *hop, w, lo, hi int, nodes []graph.VertexID) {
 	fanout := h.fanout
 	first, last := int(h.Bounds[lo]), int(h.Bounds[hi])
@@ -277,6 +326,13 @@ func sampleRun(store storage.TopologyStore, h *hop, w, lo, hi int, nodes []graph
 					slot[j] = h.IDs[d] // self-loop fallback
 				}
 			}
+			continue
+		}
+		if h.shared {
+			for _, pos := range occ {
+				copy(nodes[int(pos)*fanout:int(pos+1)*fanout], draws[at:at+fanout])
+			}
+			at += fanout
 			continue
 		}
 		for _, pos := range occ {

@@ -186,16 +186,20 @@ func (e *Engine) embedLocked(ctx context.Context, v view.GraphView, ids []graph.
 		return nil, err
 	}
 	// The embedding is layer 1's hidden representation (layer 2 projects to
-	// logits), mixing each seed's own hidden state with its pooled hop-1
-	// hidden states so two hops of structure land in the vector.
+	// logits), mixing each seed's own hidden state with the mean of its
+	// hop-1 draws' hidden states so two hops of structure land in the
+	// vector. Layer 1 computes each frontier vertex once; a seed's row is
+	// also its index among the distinct seeds, whose hop-1 draws the pool
+	// groups.
 	h1 := e.model.Layer1(b)
-	pooled := gnn.MeanPool(gnn.SliceRows(h1, len(ids), h1.Rows), e.f1)
+	rows := b.Rows[:len(ids)]
+	pooled := gnn.MeanPoolRows(h1, b.Rows[len(ids):len(ids)+len(b.Hop1)], e.f1)
 	d := h1.Cols
 	flat := make([]float32, len(ids)*d)
 	out := make([][]float32, len(ids))
-	for i := range out {
+	for i, r := range rows {
 		row := flat[i*d : (i+1)*d : (i+1)*d]
-		s, p := h1.Row(i), pooled.Row(i)
+		s, p := h1.Row(int(r)), pooled.Row(int(r))
 		for j := range row {
 			row[j] = 0.5 * (s[j] + p[j])
 		}

@@ -177,11 +177,14 @@ func TestConformanceSamplingShapes(t *testing.T) {
 			}
 		}
 
+		// Layer h holds the draws of frontier h: the 3 distinct seeds, then
+		// those and the distinct hop-1 draws.
 		layers, err := v.SampleSubgraph(seeds, graph.MetaPath{0, 0}, []int{3, 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(layers) != 2 || len(layers[0]) != len(seeds)*3 || len(layers[1]) != len(seeds)*3*2 {
+		var front graph.Grouping
+		if len(layers) != 2 || len(layers[0]) != 3*3 || len(layers[1]) != len(front.Frontier(seeds, layers[:1]))*2 {
 			t.Fatalf("%s: subgraph layer sizes %d/%d", name, len(layers[0]), len(layers[1]))
 		}
 

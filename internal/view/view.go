@@ -23,12 +23,30 @@ import (
 // always full length (a seed without out-neighbors yields itself — the
 // self-loop fallback), unknown vertices produce zero feature rows, and
 // unlabeled vertices get label 0.
+//
+// Both sampling calls draw weighted neighbors with replacement, and both
+// draw each distinct vertex once per call (per hop), whatever the backend:
+//   - SampleNeighbors gives a repeated seed one block of fanout draws,
+//     copied to each of its occurrences.
+//   - SampleSubgraph is layer-wise, as DGL's blocks are: hop h+1 expands the
+//     distinct vertices of the seeds and of layers 1..h (the frontier), in
+//     first-occurrence order with the seeds first. So layer h holds
+//     len(frontier_h)·fanouts[h] ids, frontier vertex j's draws at
+//     [j·fanouts[h], (j+1)·fanouts[h]), and every hop draws from its own
+//     random stream, so a vertex's draws at one hop are independent of its
+//     draws at another. One call per batch gives the whole block; a second
+//     SampleNeighbors call would not (view.Local would repeat its stream).
+//
+// sampler.SampleSubgraph, the paper's subgraph operator behind Fig. 10 and
+// the root Graph API, instead expands every position into its own ego tree.
 type GraphView interface {
 	// SampleNeighbors draws fanout weighted neighbors (with replacement)
-	// per seed under relation et; len(result) == len(seeds)*fanout.
+	// per distinct seed under relation et, copied to each occurrence;
+	// len(result) == len(seeds)*fanout.
 	SampleNeighbors(seeds []graph.VertexID, et graph.EdgeType, fanout int) ([]graph.VertexID, error)
-	// SampleSubgraph expands seeds hop by hop along the meta-path: layer i
-	// holds len(previous frontier) * fanouts[i] nodes.
+	// SampleSubgraph expands seeds layer-wise along the meta-path: layer h
+	// holds fanouts[h] draws for each vertex of frontier h, the distinct
+	// vertices of the seeds and layers before h.
 	SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fanouts []int) ([][]graph.VertexID, error)
 	// Degrees returns the out-degree of each node under et.
 	Degrees(nodes []graph.VertexID, et graph.EdgeType) ([]int, error)
@@ -88,7 +106,7 @@ func (v *Local) SampleNeighbors(seeds []graph.VertexID, et graph.EdgeType, fanou
 	if fanout < 0 {
 		return nil, fmt.Errorf("view: negative fanout %d", fanout)
 	}
-	return v.smp.SampleNeighbors(seeds, et, fanout).Neighbors, nil
+	return v.smp.SampleNeighborBlocks(seeds, et, fanout), nil
 }
 
 // SampleSubgraph implements GraphView.
@@ -99,12 +117,7 @@ func (v *Local) SampleSubgraph(seeds []graph.VertexID, path graph.MetaPath, fano
 	if i := slices.IndexFunc(fanouts, func(f int) bool { return f < 0 }); i >= 0 {
 		return nil, fmt.Errorf("view: negative fanout %d", fanouts[i])
 	}
-	sg := v.smp.SampleSubgraph(seeds, path, fanouts)
-	layers := make([][]graph.VertexID, len(sg.Layers))
-	for i, l := range sg.Layers {
-		layers[i] = l.Nodes
-	}
-	return layers, nil
+	return v.smp.SampleLayers(seeds, path, fanouts), nil
 }
 
 // Degrees implements GraphView.
